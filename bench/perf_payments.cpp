@@ -1,11 +1,11 @@
-// Algorithm-2 payment microbenches: shared-prefix counterfactuals vs the
-// naive full-replay oracle, and the parallel per-winner fan-out.
+// Algorithm-2 payment microbenches: the displacement walk vs the naive
+// full-replay oracle, plus the shared-prefix bisection probes.
 //
 // The pinned counter pass (telemetry_main) makes the work counters the
 // story: the full-replay engine racks up auction.greedy.allocation_runs /
-// slots_processed per winner, while the shared-prefix engine replaces
-// them with auction.counterfactual.payment_forks whose slots_skipped
-// share is exactly the prefix the checkpoints let it not re-run.
+// slots_processed per winner, while the walk runs Algorithm 1 once and
+// reads auction.settlement.slots_walked slot records -- one per slot of
+// each winner's [t'_i, d~_i].
 #include <benchmark/benchmark.h>
 
 #include "auction/counterfactual.hpp"
@@ -26,57 +26,31 @@ model::Scenario scaled_scenario(int slots, std::uint64_t seed) {
   return model::generate_scenario(workload, rng);
 }
 
-auction::OnlineGreedyConfig engine_config(
-    auction::OnlineGreedyConfig::PaymentEngine engine, int threads = 1) {
-  auction::OnlineGreedyConfig config;
-  config.payment_engine = engine;
-  config.payment_threads = threads;
-  return config;
-}
-
-void BM_Payments_SharedPrefix(benchmark::State& state) {
+void run_payments(benchmark::State& state,
+                  auction::OnlineGreedyConfig::PaymentEngine engine) {
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kSharedPrefix));
+  auction::OnlineGreedyConfig config;
+  config.payment_engine = engine;
+  const auction::OnlineGreedyMechanism mechanism(config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mechanism.run(s, bids));
   }
   state.counters["phones"] = static_cast<double>(s.phone_count());
   state.counters["tasks"] = static_cast<double>(s.task_count());
 }
-BENCHMARK(BM_Payments_SharedPrefix)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+
+void BM_Payments_DisplacementWalk(benchmark::State& state) {
+  run_payments(state,
+               auction::OnlineGreedyConfig::PaymentEngine::kDisplacementWalk);
+}
+BENCHMARK(BM_Payments_DisplacementWalk)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 void BM_Payments_FullReplay(benchmark::State& state) {
-  const model::Scenario s =
-      scaled_scenario(static_cast<int>(state.range(0)), 7);
-  const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kFullReplay));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.run(s, bids));
-  }
+  run_payments(state, auction::OnlineGreedyConfig::PaymentEngine::kFullReplay);
 }
 BENCHMARK(BM_Payments_FullReplay)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
-
-void BM_Payments_SharedPrefixParallel(benchmark::State& state) {
-  // Fan the per-winner derivations over state.range(1) workers. Counters
-  // merge through the deterministic registry sum, so the pinned counter
-  // pass reports the same totals as the serial benches.
-  const model::Scenario s = scaled_scenario(40, 7);
-  const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kSharedPrefix,
-      static_cast<int>(state.range(1))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.run(s, bids));
-  }
-}
-BENCHMARK(BM_Payments_SharedPrefixParallel)
-    ->Args({40, 2})
-    ->Args({40, 4})
-    ->Args({40, 8});
 
 void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
   // Every bisection probe forks from the checkpoint at the phone's

@@ -12,11 +12,10 @@ namespace mcs::auction {
 
 namespace {
 
-void count_fork(const char* fork_counter, std::int64_t replayed,
-                std::int64_t skipped) {
+void count_probe_fork(std::int64_t replayed, std::int64_t skipped) {
   obs::MetricsRegistry* const registry = obs::current_registry();
   if (registry == nullptr) return;
-  registry->counter(fork_counter).add(1);
+  registry->counter("auction.counterfactual.probe_forks").add(1);
   registry->counter("auction.counterfactual.slots_replayed").add(replayed);
   registry->counter("auction.counterfactual.slots_skipped").add(skipped);
 }
@@ -32,27 +31,10 @@ CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
   const obs::ScopedEventLog suppress_factual(nullptr);
   (void)run_greedy_allocation(scenario_, bids_, config_, std::nullopt, 0,
                               &checkpoints_);
-  build_indexes();
-}
-
-CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
-                                           const model::BidProfile& bids,
-                                           const OnlineGreedyConfig& config,
-                                           GreedyCheckpoints checkpoints)
-    : scenario_(scenario),
-      bids_(bids),
-      config_(config),
-      checkpoints_(std::move(checkpoints)) {
-  MCS_EXPECTS(!checkpoints_.slots.empty(),
-              "adopted checkpoints must cover at least slot 1");
-  build_indexes();
-}
-
-void CounterfactualEngine::build_indexes() {
   obs::count("auction.counterfactual.engine_builds");
   tasks_per_slot_ = scenario_.tasks_per_slot();
   // A phone reporting window [a~, d~] is swept out of the pool at the
-  // start of slot d~ + 1; index that slot so replays erase only actual
+  // start of slot d~ + 1; index that slot so forks erase only actual
   // departures (same shape as the arrivals index).
   departures_.assign(static_cast<std::size_t>(scenario_.num_slots) + 2, {});
   for (const std::vector<int>& slot_arrivals : checkpoints_.arrivals) {
@@ -64,101 +46,16 @@ void CounterfactualEngine::build_indexes() {
   }
 }
 
-std::vector<CounterfactualEngine::ReplaySlot>
-CounterfactualEngine::replay_without(PhoneId exclude, Slot::rep_type from_slot,
-                                     Slot::rep_type last_slot) const {
-  const model::Bid& excluded = bids_[static_cast<std::size_t>(exclude.value())];
-  const Slot::rep_type fork = excluded.window.begin().value();
-  const Slot::rep_type last = std::min(last_slot, horizon());
-  std::vector<ReplaySlot> out;
-  if (fork > last || from_slot > last) {
-    count_fork("auction.counterfactual.payment_forks", 0, 0);
-    return out;
-  }
-  MCS_EXPECTS(from_slot >= fork,
-              "replay_without forks at the excluded phone's reported "
-              "arrival; from_slot cannot precede it");
-
-  // Slots before `fork` are byte-identical with and without the excluded
-  // bid: inherit them from the factual checkpoint instead of replaying.
-  const GreedyCheckpoints::SlotStart& start =
-      checkpoints_.slots[static_cast<std::size_t>(fork)];
-  std::set<PoolBid> pool(start.pool.begin(), start.pool.end());
-  std::size_t next_task = start.next_task;
-  out.reserve(static_cast<std::size_t>(last - from_slot) + 1);
-
-  std::vector<TaskId> slot_tasks;
-  for (Slot::rep_type t = fork; t <= last; ++t) {
-    for (const int phone : checkpoints_.arrivals[static_cast<std::size_t>(t)]) {
-      if (phone == exclude.value()) continue;
-      pool.insert(PoolBid{
-          bids_[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
-    }
-    for (const int phone : departures_[static_cast<std::size_t>(t)]) {
-      if (phone == exclude.value()) continue;
-      pool.erase(PoolBid{
-          bids_[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
-    }
-
-    const int r_t = tasks_per_slot_[static_cast<std::size_t>(t)];
-    slot_tasks.clear();
-    for (int k = 0; k < r_t; ++k) {
-      slot_tasks.push_back(
-          TaskId{static_cast<int>(next_task + static_cast<std::size_t>(k))});
-    }
-    next_task += static_cast<std::size_t>(r_t);
-    std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                     [&](TaskId a, TaskId b) {
-                       return scenario_.value_of(a) > scenario_.value_of(b);
-                     });
-
-    ReplaySlot record;
-    record.slot = Slot{t};
-    for (const TaskId task : slot_tasks) {
-      const bool pool_dry = pool.empty();
-      if (!pool_dry) {
-        const PoolBid chosen = *pool.begin();
-        if (!config_.allocate_only_profitable ||
-            Money::from_micros(chosen.cost_micros) <=
-                scenario_.value_of(task)) {
-          pool.erase(pool.begin());
-          // Assignments pop the pool in ascending cost order, so the last
-          // one is the slot's dearest winner (Algorithm 2 line 6).
-          record.dearest_cost = Money::from_micros(chosen.cost_micros);
-          record.dearest_phone = PhoneId{chosen.phone};
-          continue;
-        }
-      }
-      // Unserved (dry pool, or cheapest bid unprofitable for this task):
-      // without the excluded phone this task has no winner, so the
-      // excluded phone's threshold for it is the reserve price if set,
-      // else the task's value as the documented cap.
-      Money cap = scenario_.value_of(task);
-      if (config_.reserve_price) {
-        cap = config_.allocate_only_profitable
-                  ? std::min(*config_.reserve_price, cap)
-                  : *config_.reserve_price;
-      }
-      record.scarce_cap = std::max(record.scarce_cap.value_or(Money{}), cap);
-    }
-    if (t >= from_slot) out.push_back(record);
-  }
-
-  count_fork("auction.counterfactual.payment_forks", last - fork + 1,
-             fork - 1);
-  return out;
-}
-
 bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
   const model::Bid& own = bids_[static_cast<std::size_t>(phone.value())];
   if (config_.reserve_price && cost > *config_.reserve_price) {
-    count_fork("auction.counterfactual.probe_forks", 0, 0);
+    count_probe_fork(0, 0);
     return false;  // above the platform reserve: never admitted
   }
   const Slot::rep_type fork = own.window.begin().value();
   const Slot::rep_type last = std::min(own.window.end().value(), horizon());
   if (fork > last) {
-    count_fork("auction.counterfactual.probe_forks", 0, 0);
+    count_probe_fork(0, 0);
     return false;
   }
 
@@ -204,13 +101,13 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
       pool.erase(pool.begin());
       if (chosen.phone == phone.value()) {
         // Allocated once means allocated for good: exit early.
-        count_fork("auction.counterfactual.probe_forks", t - fork + 1,
+        count_probe_fork(t - fork + 1,
                    fork - 1);
         return true;
       }
     }
   }
-  count_fork("auction.counterfactual.probe_forks", last - fork + 1, fork - 1);
+  count_probe_fork(last - fork + 1, fork - 1);
   return false;
 }
 

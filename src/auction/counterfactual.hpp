@@ -1,53 +1,37 @@
-// Shared-prefix counterfactual engine for Algorithm 2.
+// Shared-prefix counterfactual engine for critical-value probes.
 //
-// Every payment (and every bisection probe of a critical value) re-runs
-// Algorithm 1 with one bid removed or its claimed cost changed. The greedy
-// pool evolves deterministically from the bid arrivals, so the run without
-// bid B_i -- or with B_i's cost modified -- is *byte-identical* to the
-// factual run for every slot before i's reported arrival a~_i: B_i cannot
+// A bisection probe of a critical value re-runs Algorithm 1 with one
+// bid's claimed cost changed. The greedy pool evolves deterministically
+// from the bid arrivals, so that run is *byte-identical* to the factual
+// run for every slot before the bid's reported arrival a~_i: B_i cannot
 // influence a pool it has not joined yet. The factual pass therefore
 // checkpoints its per-slot-start state (pool + task cursor), and each
-// counterfactual forks from the checkpoint at a~_i instead of replaying
-// from slot 1. A full replay costs O(m (n log n + gamma)); a fork costs
-// only the suffix [a~_i, d~_i], which for short reported windows is a
-// small constant number of slots.
+// probe forks from the checkpoint at a~_i instead of replaying from slot
+// 1. A full replay costs O(m (n log n + gamma)); a fork costs only the
+// suffix [a~_i, d~_i], and exits at the probed bid's first win.
 //
-// The engine is read-only after construction and safe to share across
-// threads: OnlineGreedyMechanism fans per-winner payment derivations out
-// over a thread pool on top of it (results written back in fixed winner
-// order, per-worker metrics merged deterministically).
+// Payments do not fork: Algorithm 2 settles on the displacement walk of
+// auction/greedy_core.hpp. The engine is read-only after construction and
+// safe to share across threads.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "auction/greedy_core.hpp"
 #include "auction/online_greedy.hpp"
 #include "common/money.hpp"
 #include "model/scenario.hpp"
 
 namespace mcs::auction {
 
-/// One pooled bid. Ordering by (claimed cost, phone id) ascending is the
-/// total deterministic order that makes the allocation rule monotone
-/// (Definition 10) and the audits exact.
-struct PoolBid {
-  std::int64_t cost_micros;
-  int phone;
-
-  friend bool operator<(const PoolBid& a, const PoolBid& b) {
-    if (a.cost_micros != b.cost_micros) return a.cost_micros < b.cost_micros;
-    return a.phone < b.phone;
-  }
-  friend bool operator==(const PoolBid& a, const PoolBid& b) = default;
-};
-
 /// Per-slot snapshots of Algorithm 1's mutable state, captured by the
 /// factual pass of run_greedy_allocation (capture parameter). slots[t] is
-/// the state at the *start* of slot t, before slot-t arrivals and
-/// departures are folded in -- so a phone reporting arrival a~ is absent
-/// from slots[a~], which is exactly the fork point property the engine
-/// relies on. Index 0 is unused (slots are 1-based).
+/// the state at the *start* of slot t, after slot t-1's departures and
+/// before slot-t arrivals are folded in -- so a phone reporting arrival a~
+/// is absent from slots[a~], which is exactly the fork point property the
+/// engine relies on. Index 0 is unused (slots are 1-based).
 struct GreedyCheckpoints {
   struct SlotStart {
     std::vector<PoolBid> pool;  ///< active unallocated bids, sorted ascending
@@ -63,46 +47,15 @@ struct GreedyCheckpoints {
 ///
 /// Holds references to the scenario and bid profile: both must outlive the
 /// engine. All public methods are const and thread-safe; counters are
-/// recorded through the caller thread's obs::current_registry(), so
-/// parallel callers with worker-local registries merge deterministically.
+/// recorded through the caller thread's obs::current_registry().
 class CounterfactualEngine {
  public:
   /// Builds checkpoints with an internal factual pass (event recording is
   /// suppressed for its scope: the factual trail, if wanted, is the
-  /// caller's to record). Prefer the capturing constructor when a factual
-  /// run is already being made.
+  /// caller's to record).
   CounterfactualEngine(const model::Scenario& scenario,
                        const model::BidProfile& bids,
                        const OnlineGreedyConfig& config);
-
-  /// Adopts checkpoints captured by an earlier factual
-  /// run_greedy_allocation(..., &checkpoints) pass over the same
-  /// (scenario, bids, config) -- no extra allocation run.
-  CounterfactualEngine(const model::Scenario& scenario,
-                       const model::BidProfile& bids,
-                       const OnlineGreedyConfig& config,
-                       GreedyCheckpoints checkpoints);
-
-  /// What Algorithm 2 needs from one counterfactual slot.
-  struct ReplaySlot {
-    Slot slot{0};
-    /// Highest winning claimed cost of the slot (the r_t-th winner of
-    /// Algorithm 2 line 6), with the phone that claimed it.
-    std::optional<Money> dearest_cost;
-    std::optional<PhoneId> dearest_phone;
-    /// Scarcity: max payment cap contributed by tasks that went unserved
-    /// in this slot (reserve price if set, else task value; see
-    /// OnlineGreedyConfig).
-    std::optional<Money> scarce_cap;
-  };
-
-  /// Replays slots [from_slot, last_slot] of the run without `exclude`,
-  /// forking from the checkpoint at exclude's reported arrival (which must
-  /// be <= from_slot; a winner's win slot always is). Clamps last_slot to
-  /// the checkpointed horizon.
-  [[nodiscard]] std::vector<ReplaySlot> replay_without(
-      PhoneId exclude, Slot::rep_type from_slot,
-      Slot::rep_type last_slot) const;
 
   /// Does `phone` win when claiming `cost`, all other bids fixed? Forks at
   /// phone's reported arrival and exits early on the first assignment (a
@@ -139,14 +92,14 @@ class CounterfactualEngine {
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
 
  private:
-  void build_indexes();
-
   const model::Scenario& scenario_;
   const model::BidProfile& bids_;
   OnlineGreedyConfig config_;
   GreedyCheckpoints checkpoints_;
   /// Admitted phones grouped by the slot *after* their reported departure
   /// (the slot whose sweep erases them), mirroring checkpoints_.arrivals.
+  /// Checkpoints are taken after that sweep, so forks erase only bids
+  /// their own suffix admitted.
   std::vector<std::vector<int>> departures_;
   std::vector<int> tasks_per_slot_;
 };

@@ -1,0 +1,226 @@
+#include "auction/greedy_core.hpp"
+
+#include <algorithm>
+#include <string>
+
+#include "common/assert.hpp"
+#include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
+
+namespace mcs::auction {
+
+void apply_scarcity_policy(Settlement& settlement,
+                           const OnlineGreedyConfig& config) {
+  settlement.scarce_applied =
+      settlement.scarce &&
+      config.scarce_payment == OnlineGreedyConfig::ScarcePayment::kCapAtValue &&
+      settlement.scarce_cap > settlement.payment;
+  if (settlement.scarce_applied) {
+    settlement.payment = settlement.scarce_cap;
+  }
+}
+
+Money scarce_cap_for(Money task_value, const OnlineGreedyConfig& config) {
+  if (config.reserve_price) {
+    return config.allocate_only_profitable
+               ? std::min(*config.reserve_price, task_value)
+               : *config.reserve_price;
+  }
+  return task_value;
+}
+
+GreedyCore::GreedyCore(OnlineGreedyConfig config) : config_(config) {}
+
+bool GreedyCore::admits(Money cost) const {
+  return !config_.reserve_price || cost <= *config_.reserve_price;
+}
+
+GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
+  MCS_EXPECTS(bid.window.begin().value() == current_slot_,
+              "bids join the pool in their reported arrival slot");
+  MCS_EXPECTS(admits(bid.claimed_cost), "bid above the platform reserve");
+  const auto handle = static_cast<Handle>(entries_.size());
+  entries_.push_back(Entry{id, bid, 0});
+  const auto [slot, inserted] =
+      pool_.emplace(PoolBid{bid.claimed_cost.micros(), id}, handle);
+  MCS_EXPECTS(inserted, "bid ids must be unique within a round");
+  pool_slots_.push_back(slot);
+  departures_.emplace(bid.window.end().value(), handle);
+  return handle;
+}
+
+const GreedyCore::Step& GreedyCore::step() {
+  const Slot::rep_type t = current_slot_;
+  // With the weighted-query extension, serve high-value tasks first so a
+  // dry pool starves only the least valuable ones (with uniform nu this is
+  // plain arrival order, and the sort is skipped).
+  const auto by_value = [](const Task& a, const Task& b) {
+    return a.value > b.value;
+  };
+  if (!std::is_sorted(tasks_.begin(), tasks_.end(), by_value)) {
+    std::stable_sort(tasks_.begin(), tasks_.end(), by_value);
+  }
+  // The candidate pool at the start of the slot, cheapest first --
+  // Fig. 4's "dynamic pool" as a replayable record.
+  obs::log_event([&] {
+    obs::Event event("slot_pool");
+    event.slot = static_cast<std::int32_t>(t);
+    std::vector<std::int64_t> ids;
+    std::vector<std::int64_t> costs_micros;
+    ids.reserve(pool_.size());
+    costs_micros.reserve(pool_.size());
+    for (const auto& [pooled, handle] : pool_) {
+      ids.push_back(pooled.phone);
+      costs_micros.push_back(pooled.cost_micros);
+    }
+    event.with("pool", std::move(ids))
+        .with("pool_costs_micros", std::move(costs_micros))
+        .with("tasks", static_cast<std::int64_t>(tasks_.size()));
+    return event;
+  });
+  step_.slot = t;
+  step_.assignments.clear();
+  step_.unserved.clear();
+  step_.departing.clear();
+
+  SlotLog log;
+  for (const Task& task : tasks_) {
+    // Served tasks form a prefix of the service order: once the pool is
+    // dry, or its cheapest bid exceeds a task's value, the same holds for
+    // every later (no more valuable) task.
+    if (!pool_.empty() &&
+        (!config_.allocate_only_profitable ||
+         Money::from_micros(pool_.begin()->first.cost_micros) <= task.value)) {
+      const Handle winner = pool_.begin()->second;
+      pool_.erase(pool_.begin());
+      entries_[static_cast<std::size_t>(winner)].win_slot = t;
+      winners_.push_back(winner);
+      step_.assignments.push_back(Assignment{task, winner});
+      log.dearest = winner;
+      log.last_served_value = task.value;
+      continue;
+    }
+    step_.unserved.push_back(task);
+    const Money cap = scarce_cap_for(task.value, config_);
+    log.scarce_cap = std::max(log.scarce_cap.value_or(Money{}), cap);
+  }
+  step_.runner_up.reset();
+  if (!pool_.empty()) step_.runner_up = pool_.begin()->second;
+  log.runner_up = step_.runner_up;
+  step_.pool_left = pool_.size();
+  slots_.push_back(log);
+  tasks_.clear();
+  log_step();
+
+  // A bid reporting window [a~, d~] leaves the pool after slot d~.
+  while (!departures_.empty() && departures_.top().first == t) {
+    const Handle leaving = departures_.top().second;
+    departures_.pop();
+    if (entry(leaving).win_slot == 0) {
+      pool_.erase(pool_slots_[static_cast<std::size_t>(leaving)]);
+    }
+    step_.departing.push_back(leaving);
+  }
+  ++current_slot_;
+  return step_;
+}
+
+void GreedyCore::log_step() const {
+  const std::int32_t slot = static_cast<std::int32_t>(step_.slot);
+  for (std::size_t k = 0; k < step_.assignments.size(); ++k) {
+    obs::log_event([&] {
+      const Assignment& assignment = step_.assignments[k];
+      const Entry& chosen = entry(assignment.winner);
+      obs::Event event("task_assigned");
+      event.slot = slot;
+      event.task = assignment.task.id.value();
+      event.phone = chosen.id;
+      event.with("bid", chosen.bid.claimed_cost)
+          .with("task_value", assignment.task.value);
+      // The runner-up bid (next-cheapest pool member) documents how close
+      // the decision was; absent when the pool emptied.
+      const std::optional<Handle> runner_up =
+          k + 1 < step_.assignments.size()
+              ? std::optional(step_.assignments[k + 1].winner)
+              : step_.runner_up;
+      if (runner_up) {
+        const Entry& next = entry(*runner_up);
+        event.with("runner_up_phone", static_cast<std::int64_t>(next.id))
+            .with("runner_up_bid", next.bid.claimed_cost);
+      }
+      return event;
+    });
+  }
+  for (const Task& task : step_.unserved) {
+    obs::log_event([&] {
+      obs::Event event("task_unserved");
+      event.slot = slot;
+      event.task = task.id.value();
+      if (!step_.runner_up) {
+        event.with("reason", std::string("pool_empty"))
+            .with("task_value", task.value);
+        return event;
+      }
+      // The cheapest remaining bid exceeds this task's value, so no
+      // profitable assignment exists; the phone stays in the pool.
+      const Entry& cheapest = entry(*step_.runner_up);
+      event.with("reason", std::string("unprofitable"))
+          .with("cheapest_bid", cheapest.bid.claimed_cost)
+          .with("cheapest_phone", static_cast<std::int64_t>(cheapest.id))
+          .with("task_value", task.value);
+      return event;
+    });
+  }
+}
+
+Settlement GreedyCore::settle(Handle winner) const {
+  const Entry& own = entry(winner);
+  const Slot::rep_type first = own.win_slot;
+  const Slot::rep_type last = own.bid.window.end().value();
+  MCS_EXPECTS(first != 0, "settle requires an allocated bid");
+  MCS_EXPECTS(static_cast<std::size_t>(last) <= slots_.size(),
+              "settle requires the winner's whole window to be stepped");
+  obs::count("auction.settlement.slots_walked", last - first + 1);
+
+  Settlement settlement;
+  settlement.payment = own.bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
+  // The bid x the counterfactual pool lacks; -1 once the pools agree.
+  Handle missing = winner;
+  for (Slot::rep_type t = first; t <= last; ++t) {
+    const SlotLog& log = slots_[static_cast<std::size_t>(t) - 1];
+    std::optional<Money> scarce_cap = log.scarce_cap;
+    std::optional<Handle> dearest = log.dearest;
+    if (missing >= 0 && entry(missing).win_slot == t) {
+      // The missing bid won here, so its task goes to the runner-up.
+      const std::optional<Handle> runner_up = log.runner_up;
+      if (runner_up && (!config_.allocate_only_profitable ||
+                        cost_of(*runner_up) <= log.last_served_value)) {
+        dearest = runner_up;
+        missing = *runner_up;
+      } else {
+        // Nobody may take the freed (last-served) task: it goes unserved,
+        // and the pools agree from here on. The counterfactual dearest is
+        // the dearest winner other than x; the factual one stands in,
+        // because when that is x itself its cost is already in the
+        // payment (x is the winner, or set an earlier slot's dearest).
+        scarce_cap = std::max(scarce_cap.value_or(Money{}),
+                              scarce_cap_for(log.last_served_value, config_));
+        missing = -1;
+      }
+    }
+    if (scarce_cap) {
+      settlement.scarce = true;
+      settlement.scarce_cap = std::max(settlement.scarce_cap, *scarce_cap);
+    }
+    // Line 6: the r_t-th (highest-cost) winner of the counterfactual slot.
+    if (dearest && cost_of(*dearest) > settlement.payment) {
+      settlement.payment = cost_of(*dearest);
+      settlement.setter_phone = PhoneId{entry(*dearest).id};
+      settlement.setter_slot = Slot{t};
+    }
+  }
+  apply_scarcity_policy(settlement, config_);
+  return settlement;
+}
+
+}  // namespace mcs::auction

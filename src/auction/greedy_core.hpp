@@ -1,0 +1,198 @@
+// The slot-steppable greedy core: Algorithm 1 one slot at a time, and
+// Algorithm 2 settled by a displacement walk over the recorded slots.
+//
+// Allocation keeps the dynamic pool in (claimed cost, id) order across
+// slots: admitted bids are inserted once, winners are popped from the
+// front, and bids are swept out of a departure heap when their reported
+// window ends. Each step records what settlement needs from the slot:
+// its dearest winner (winners come out cheapest first), the runner-up
+// (the cheapest bid left after allocation), the value of the last served
+// task, and the largest scarcity cap among the tasks it left unserved.
+//
+// Settlement (Algorithm 2) prices winner i at the dearest winning cost
+// over [t'_i, d~_i] of the run without B_i. That counterfactual never has
+// to be replayed. Invariant: at every slot start the counterfactual pool
+// is the factual pool minus at most one bid x, and x starts as i. A slot
+// differs from the factual one only where x wins it. There the runner-up
+// takes x's place, sets the slot's dearest cost, and becomes the new x.
+// If no runner-up may serve the freed task (the last-served one), that
+// task goes unserved: it contributes its scarcity cap, the slot's dearest
+// is the dearest winner other than x, and the pools agree from then on.
+// Every other slot reads as recorded. One payment is therefore
+// O(d~_i - t'_i) slot reads, with no pool copy and no replay.
+//
+// The batch run_greedy_allocation / OnlineGreedyMechanism and the
+// slot-by-slot platform::OnlinePlatform (and through it the serve
+// RoundMachine) all drive this one core; PaymentEngine::kFullReplay
+// stays the independent oracle it is tested against.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <queue>
+#include <utility>
+#include <vector>
+
+#include "auction/online_greedy.hpp"
+#include "common/money.hpp"
+#include "common/types.hpp"
+#include "model/bid.hpp"
+
+namespace mcs::auction {
+
+/// One pooled bid. Ordering by (claimed cost, phone id) ascending is the
+/// total deterministic order that makes the allocation rule monotone
+/// (Definition 10) and the audits exact.
+struct PoolBid {
+  std::int64_t cost_micros;
+  int phone;
+
+  friend bool operator<(const PoolBid& a, const PoolBid& b) {
+    if (a.cost_micros != b.cost_micros) return a.cost_micros < b.cost_micros;
+    return a.phone < b.phone;
+  }
+  friend bool operator==(const PoolBid& a, const PoolBid& b) = default;
+};
+
+/// What Algorithm 2 derived for one winner -- the payment plus the
+/// provenance its payment_derivation record reports.
+struct Settlement {
+  Money payment;
+  /// Some task in [t'_i, d~_i] goes unserved without the winner.
+  bool scarce{false};
+  Money scarce_cap;  ///< largest cap of those tasks (reserve or value)
+  bool scarce_applied{false};  ///< the cap raised the payment (kCapAtValue)
+  /// The counterfactual slot winner that set the payment (the argmax of
+  /// Algorithm 2 line 6), if one beat the winner's own bid.
+  std::optional<PhoneId> setter_phone;
+  Slot setter_slot{0};
+};
+
+/// Applies the configured scarcity policy to a derived settlement.
+void apply_scarcity_policy(Settlement& settlement,
+                           const OnlineGreedyConfig& config);
+
+/// Payment cap of a task left unserved without the winner: the reserve if
+/// set (capped by the task value under profitable-only), else the value.
+[[nodiscard]] Money scarce_cap_for(Money task_value,
+                                   const OnlineGreedyConfig& config);
+
+class GreedyCore {
+ public:
+  /// Index of an admitted bid, in admission order.
+  using Handle = int;
+  using Pool = std::map<PoolBid, Handle>;
+
+  struct Entry {
+    int id;  ///< phone / agent id: the pool's tie-break after cost
+    model::Bid bid;
+    Slot::rep_type win_slot{0};  ///< 0 while unallocated
+  };
+
+  struct Task {
+    TaskId id;
+    Money value;
+  };
+
+  struct Assignment {
+    Task task;
+    Handle winner;
+  };
+
+  /// What one step() did.
+  struct Step {
+    Slot::rep_type slot{0};
+    /// Served tasks with their winners, in service order (highest task
+    /// value first; the winners come out cheapest first).
+    std::vector<Assignment> assignments;
+    /// Tasks left unserved, in service order: the pool ran dry or, under
+    /// allocate_only_profitable, its cheapest bid exceeds their value.
+    std::vector<Task> unserved;
+    /// Cheapest bid left in the pool after allocation.
+    std::optional<Handle> runner_up;
+    /// Pool size after allocation, before the departure sweep.
+    std::size_t pool_left{0};
+    /// Bids whose reported window ends this slot, in admission order
+    /// (allocated or not); the unallocated ones have left the pool.
+    std::vector<Handle> departing;
+  };
+
+  explicit GreedyCore(OnlineGreedyConfig config = {});
+  // Move-only: pool_slots_ holds iterators into pool_, which a move keeps
+  // valid and a copy would not.
+  GreedyCore(GreedyCore&&) noexcept = default;
+  GreedyCore& operator=(GreedyCore&&) noexcept = default;
+  GreedyCore(const GreedyCore&) = delete;
+  GreedyCore& operator=(const GreedyCore&) = delete;
+
+  [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
+  /// The slot the next step() allocates (1-based).
+  [[nodiscard]] Slot::rep_type current_slot() const { return current_slot_; }
+
+  /// Whether the platform reserve lets a bid claiming `cost` in.
+  [[nodiscard]] bool admits(Money cost) const;
+
+  /// Pools a bid whose reported arrival is the current slot; requires
+  /// admits(bid.claimed_cost). Ids must be unique among admitted bids.
+  Handle admit(int id, const model::Bid& bid);
+
+  /// Active unallocated bids, cheapest first, with their handles.
+  [[nodiscard]] const Pool& pool() const { return pool_; }
+
+  /// Queues a task arriving in the current slot.
+  void add_task(const Task& task) { tasks_.push_back(task); }
+
+  /// Algorithm 1 for the current slot: serves the queued tasks (highest
+  /// value first, ties in arrival order) from the cheapest pooled bids,
+  /// records the slot for settlement, sweeps the slot's departures, and
+  /// moves to the next slot. Emits the slot's slot_pool, task_assigned and
+  /// task_unserved events. The returned reference stays valid until the
+  /// next step().
+  const Step& step();
+
+  /// Algorithm 2 for an allocated bid by the displacement walk. Requires
+  /// every slot of its reported window to have been stepped.
+  [[nodiscard]] Settlement settle(Handle winner) const;
+
+  [[nodiscard]] const Entry& entry(Handle handle) const {
+    return entries_[static_cast<std::size_t>(handle)];
+  }
+  /// Every winner so far in allocation order (slot by slot, cheapest
+  /// first within a slot).
+  [[nodiscard]] const std::vector<Handle>& winners() const { return winners_; }
+
+ private:
+  /// What settlement reads from one stepped slot.
+  struct SlotLog {
+    std::optional<Handle> dearest;  ///< last (highest-cost) winner
+    std::optional<Handle> runner_up;
+    Money last_served_value;
+    std::optional<Money> scarce_cap;
+  };
+
+  /// The task_assigned / task_unserved records of the last step.
+  void log_step() const;
+
+  [[nodiscard]] Money cost_of(Handle handle) const {
+    return entry(handle).bid.claimed_cost;
+  }
+
+  OnlineGreedyConfig config_;
+  Slot::rep_type current_slot_{1};
+  std::vector<Entry> entries_;
+  Pool pool_;
+  std::vector<Pool::iterator> pool_slots_;  ///< by handle, for departures
+  std::vector<Task> tasks_;                 ///< the current slot's
+  /// (reported departure, handle), earliest first.
+  std::priority_queue<std::pair<Slot::rep_type, Handle>,
+                      std::vector<std::pair<Slot::rep_type, Handle>>,
+                      std::greater<>>
+      departures_;
+  std::vector<Handle> winners_;
+  std::vector<SlotLog> slots_;  ///< index t-1 describes slot t
+  Step step_;
+};
+
+}  // namespace mcs::auction

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
-#include <thread>
+#include <string>
 
 #include "auction/counterfactual.hpp"
+#include "auction/greedy_core.hpp"
 #include "common/assert.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -13,12 +13,14 @@
 
 namespace mcs::auction {
 
-GreedyRun run_greedy_allocation(const model::Scenario& scenario,
-                                const model::BidProfile& bids,
-                                const OnlineGreedyConfig& config,
-                                std::optional<PhoneId> exclude,
-                                Slot::rep_type last_slot,
-                                GreedyCheckpoints* capture) {
+namespace {
+
+/// Algorithm 1 over a whole scenario, stepping `core` slot by slot and
+/// recording the run (events, per-slot records, counters) as it goes.
+GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
+                      const model::BidProfile& bids,
+                      std::optional<PhoneId> exclude,
+                      Slot::rep_type last_slot, GreedyCheckpoints* capture) {
   model::validate_bids(scenario, bids);
   MCS_EXPECTS(capture == nullptr || !exclude,
               "checkpoints describe the factual run: capturing a "
@@ -49,14 +51,14 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
   for (int i = 0; i < scenario.phone_count(); ++i) {
     if (exclude && exclude->value() == i) continue;
     const model::Bid& bid = bids[static_cast<std::size_t>(i)];
-    if (config.reserve_price && bid.claimed_cost > *config.reserve_price) {
+    if (!core.admits(bid.claimed_cost)) {
       obs::log_event([&] {
         obs::Event event("bid_rejected");
         event.phone = i;
         event.slot = static_cast<std::int32_t>(bid.window.begin().value());
         event.with("reason", std::string("reserve"))
             .with("bid", bid.claimed_cost)
-            .with("reserve", *config.reserve_price);
+            .with("reserve", *core.config().reserve_price);
         return event;
       });
       continue;  // above the platform reserve: never admitted
@@ -72,19 +74,6 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
     });
     arrivals[static_cast<std::size_t>(bid.window.begin().value())].push_back(i);
   }
-  // Departure index, mirroring the arrivals one: a bid with reported
-  // window [a~, d~] leaves the pool at the start of slot d~ + 1. Erasing
-  // only actual departures keeps the per-slot sweep O(departures) instead
-  // of O(pool).
-  std::vector<std::vector<int>> departures(
-      static_cast<std::size_t>(scenario.num_slots) + 2);
-  for (const std::vector<int>& slot_arrivals : arrivals) {
-    for (const int phone : slot_arrivals) {
-      const Slot::rep_type departs_after =
-          bids[static_cast<std::size_t>(phone)].window.end().value() + 1;
-      departures[static_cast<std::size_t>(departs_after)].push_back(phone);
-    }
-  }
   if (capture != nullptr) {
     capture->arrivals = arrivals;
     capture->slots.assign(static_cast<std::size_t>(horizon) + 1, {});
@@ -99,133 +88,57 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
   run.allocation = Allocation(scenario.task_count(), scenario.phone_count());
   run.slots.reserve(static_cast<std::size_t>(horizon));
 
-  std::set<PoolBid> pool;  // active unallocated bids
-
   for (Slot::rep_type t = 1; t <= horizon; ++t) {
     if (capture != nullptr) {
-      // Snapshot the slot-start state (before this slot's arrivals and
-      // departures): the fork point for counterfactuals of phones whose
-      // reported arrival is t.
+      // Snapshot the slot-start state (before this slot's arrivals): the
+      // fork point for counterfactuals of phones whose reported arrival
+      // is t.
       GreedyCheckpoints::SlotStart& checkpoint =
           capture->slots[static_cast<std::size_t>(t)];
-      checkpoint.pool.assign(pool.begin(), pool.end());
+      checkpoint.pool.reserve(core.pool().size());
+      for (const auto& [pooled, handle] : core.pool()) {
+        checkpoint.pool.push_back(pooled);
+      }
       checkpoint.next_task = next_task;
     }
-    // Add newly arriving bids (Algorithm 1 line 3, first half).
+    // Add newly arriving bids (Algorithm 1 line 3); the core swept the
+    // departed ones at the end of the previous slot.
     for (const int phone : arrivals[static_cast<std::size_t>(t)]) {
-      pool.insert(PoolBid{
-          bids[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
+      (void)core.admit(phone, bids[static_cast<std::size_t>(phone)]);
       ++pool_insertions;
-    }
-    // Drop departed bids (line 3, second half). Lazy would suffice for
-    // allocation, but the recorded pool must match Fig. 4's "dynamic pool".
-    // A departed bid may already be allocated (absent): erase is a no-op.
-    for (const int phone : departures[static_cast<std::size_t>(t)]) {
-      pool.erase(PoolBid{
-          bids[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
     }
 
     GreedySlotRecord record;
     record.slot = Slot{t};
-    record.pool.reserve(pool.size());
-    for (const PoolBid& entry : pool) {
-      record.pool.push_back(PhoneId{entry.phone});
+    record.pool.reserve(core.pool().size());
+    for (const auto& [pooled, handle] : core.pool()) {
+      record.pool.push_back(PhoneId{pooled.phone});
     }
-    // The candidate pool at the start of the slot, cheapest first --
-    // Fig. 4's "dynamic pool" as a replayable record.
-    obs::log_event([&] {
-      obs::Event event("slot_pool");
-      event.slot = static_cast<std::int32_t>(t);
-      std::vector<std::int64_t> ids;
-      std::vector<std::int64_t> costs_micros;
-      ids.reserve(pool.size());
-      costs_micros.reserve(pool.size());
-      for (const PoolBid& entry : pool) {
-        ids.push_back(entry.phone);
-        costs_micros.push_back(entry.cost_micros);
-      }
-      event.with("pool", std::move(ids))
-          .with("pool_costs_micros", std::move(costs_micros));
-      return event;
-    });
-
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
-    // With the weighted-query extension, serve high-value tasks first so a
-    // dry pool starves only the least valuable ones (with uniform nu this
-    // is plain id order).
     const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
-    std::vector<TaskId> slot_tasks;
-    slot_tasks.reserve(static_cast<std::size_t>(r_t));
     for (int k = 0; k < r_t; ++k) {
       const TaskId task{static_cast<int>(next_task + static_cast<std::size_t>(k))};
       MCS_ASSERT(scenario.tasks[static_cast<std::size_t>(task.value())].slot ==
                      Slot{t},
                  "task cursor out of sync with slot");
-      slot_tasks.push_back(task);
+      core.add_task(GreedyCore::Task{task, scenario.value_of(task)});
     }
     next_task += static_cast<std::size_t>(r_t);
-    std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                     [&](TaskId a, TaskId b) {
-                       return scenario.value_of(a) > scenario.value_of(b);
-                     });
+    const GreedyCore::Step& step = core.step();
 
-    for (const TaskId task : slot_tasks) {
-      if (pool.empty()) {
-        obs::log_event([&] {
-          obs::Event event("task_unserved");
-          event.slot = static_cast<std::int32_t>(t);
-          event.task = task.value();
-          event.with("reason", std::string("pool_empty"));
-          return event;
-        });
-        record.unserved.push_back(task);
-        continue;
-      }
-      const PoolBid chosen = *pool.begin();
-      if (config.allocate_only_profitable &&
-          Money::from_micros(chosen.cost_micros) > scenario.value_of(task)) {
-        // The cheapest remaining bid already exceeds this task's value, so
-        // no profitable assignment exists; the phone stays in the pool.
-        obs::log_event([&] {
-          obs::Event event("task_unserved");
-          event.slot = static_cast<std::int32_t>(t);
-          event.task = task.value();
-          event.with("reason", std::string("unprofitable"))
-              .with("cheapest_bid", Money::from_micros(chosen.cost_micros))
-              .with("cheapest_phone",
-                    static_cast<std::int64_t>(chosen.phone))
-              .with("task_value", scenario.value_of(task));
-          return event;
-        });
-        record.unserved.push_back(task);
-        continue;
-      }
-      pool.erase(pool.begin());
-      obs::log_event([&] {
-        obs::Event event("task_assigned");
-        event.slot = static_cast<std::int32_t>(t);
-        event.task = task.value();
-        event.phone = chosen.phone;
-        event.with("bid", Money::from_micros(chosen.cost_micros))
-            .with("task_value", scenario.value_of(task));
-        // The runner-up bid (next-cheapest pool member) documents how
-        // close the decision was; absent when the pool emptied.
-        if (!pool.empty()) {
-          event.with("runner_up_phone",
-                     static_cast<std::int64_t>(pool.begin()->phone))
-              .with("runner_up_bid",
-                    Money::from_micros(pool.begin()->cost_micros));
-        }
-        return event;
-      });
-      run.allocation.assign(task, PhoneId{chosen.phone});
-      record.winners.push_back(PhoneId{chosen.phone});
+    for (const GreedyCore::Assignment& assignment : step.assignments) {
+      const PhoneId winner{core.entry(assignment.winner).id};
+      run.allocation.assign(assignment.task.id, winner);
+      record.winners.push_back(winner);
+    }
+    for (const GreedyCore::Task& task : step.unserved) {
+      record.unserved.push_back(task.id);
     }
     record.unallocated_tasks = static_cast<int>(record.unserved.size());
     tasks_assigned += static_cast<std::int64_t>(record.winners.size());
     tasks_unserved += static_cast<std::int64_t>(record.unserved.size());
     if (pool_hist != nullptr) {
-      pool_hist->observe(static_cast<double>(pool.size()));
+      pool_hist->observe(static_cast<double>(step.pool_left));
     }
 
     run.slots.push_back(std::move(record));
@@ -242,58 +155,41 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
   return run;
 }
 
-namespace {
+}  // namespace
 
-/// Everything the payment_derivation event needs, computed without
-/// touching the event log -- so derivations can run on worker threads
-/// while the events still come out on the caller's thread in winner
-/// order, making the trail identical at every thread count.
-struct PaymentBreakdown {
-  Money payment;
-  bool scarce{false};
-  Money scarce_cap;
-  bool scarce_applied{false};
-  /// Which counterfactual slot winner set the final payment (the argmax
-  /// of Algorithm 2 line 6) -- the derivation reference of the record.
-  std::optional<PhoneId> setter_phone;
-  Slot setter_slot{0};
-};
-
-void apply_scarcity_policy(PaymentBreakdown& breakdown,
-                           const OnlineGreedyConfig& config) {
-  breakdown.scarce_applied =
-      breakdown.scarce &&
-      config.scarce_payment == OnlineGreedyConfig::ScarcePayment::kCapAtValue &&
-      breakdown.scarce_cap > breakdown.payment;
-  if (breakdown.scarce_applied) {
-    breakdown.payment = breakdown.scarce_cap;
-  }
+GreedyRun run_greedy_allocation(const model::Scenario& scenario,
+                                const model::BidProfile& bids,
+                                const OnlineGreedyConfig& config,
+                                std::optional<PhoneId> exclude,
+                                Slot::rep_type last_slot,
+                                GreedyCheckpoints* capture) {
+  GreedyCore core(config);
+  return allocate_on(core, scenario, bids, exclude, last_slot, capture);
 }
+
+namespace {
 
 /// Algorithm 2 by full re-run: the counterfactual without B_i replays
 /// from slot 1 up to the winner's reported departure. The straightforward
-/// reading of the paper, kept as the shared-prefix engine's equivalence
-/// oracle (OnlineGreedyConfig::PaymentEngine::kFullReplay).
-PaymentBreakdown derive_payment_full_replay(const model::Scenario& scenario,
-                                            const model::BidProfile& bids,
-                                            const OnlineGreedyConfig& config,
-                                            PhoneId winner, Slot win_slot) {
+/// reading of the paper, kept as the walk's independent equivalence oracle
+/// (OnlineGreedyConfig::PaymentEngine::kFullReplay).
+Settlement derive_payment_full_replay(const model::Scenario& scenario,
+                                      const model::BidProfile& bids,
+                                      const OnlineGreedyConfig& config,
+                                      PhoneId winner, Slot win_slot) {
   const model::Bid& own_bid = bids[static_cast<std::size_t>(winner.value())];
   const Slot::rep_type depart = own_bid.window.end().value();
 
-  // Each counterfactual evaluation is one probe of i's critical value --
-  // the over-time analogue of a bisection probe (docs/observability.md).
-  // Its inner allocation decisions are search bookkeeping, not decisions
-  // of the recorded run, so event recording is suppressed for its scope.
-  obs::count("auction.critical_value.probes");
+  // The counterfactual's inner allocation decisions are not decisions of
+  // the recorded run, so event recording is suppressed for its scope.
   GreedyRun without;
   {
     const obs::ScopedEventLog suppress_counterfactual(nullptr);
     without = run_greedy_allocation(scenario, bids, config, winner, depart);
   }
 
-  PaymentBreakdown breakdown;
-  breakdown.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
+  Settlement settlement;
+  settlement.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
   for (const GreedySlotRecord& record : without.slots) {
     if (record.slot < win_slot) continue;  // only slots in [t'_i, d~_i]
     for (const TaskId task : record.unserved) {
@@ -301,61 +197,28 @@ PaymentBreakdown derive_payment_full_replay(const model::Scenario& scenario,
       // the reserve price (if set: bids above it never enter), else the
       // task's value under profitable-only, else unbounded -- in which
       // case the task's value serves as the documented cap.
-      breakdown.scarce = true;
-      Money cap = scenario.value_of(task);
-      if (config.reserve_price) {
-        cap = config.allocate_only_profitable
-                  ? std::min(*config.reserve_price, cap)
-                  : *config.reserve_price;
-      }
-      breakdown.scarce_cap = std::max(breakdown.scarce_cap, cap);
+      settlement.scarce = true;
+      settlement.scarce_cap =
+          std::max(settlement.scarce_cap,
+                   scarce_cap_for(scenario.value_of(task), config));
     }
     if (!record.winners.empty()) {
       // Line 6: the r_t-th (highest-cost) winner of the slot.
       const PhoneId last = record.winners.back();
       const Money rival =
           bids[static_cast<std::size_t>(last.value())].claimed_cost;
-      if (rival > breakdown.payment) {
-        breakdown.payment = rival;
-        breakdown.setter_phone = last;
-        breakdown.setter_slot = record.slot;
+      if (rival > settlement.payment) {
+        settlement.payment = rival;
+        settlement.setter_phone = last;
+        settlement.setter_slot = record.slot;
       }
     }
   }
-  apply_scarcity_policy(breakdown, config);
-  return breakdown;
+  apply_scarcity_policy(settlement, config);
+  return settlement;
 }
 
-/// Algorithm 2 on the shared-prefix engine: the counterfactual forks from
-/// the factual checkpoint at the winner's reported arrival, replaying only
-/// [t'_i, d~_i]. Money-equal to derive_payment_full_replay by the prefix
-/// invariant (proved across engines by the payment equivalence suite).
-PaymentBreakdown derive_payment_shared_prefix(const CounterfactualEngine& engine,
-                                              PhoneId winner, Slot win_slot) {
-  const model::Bid& own_bid =
-      engine.bids()[static_cast<std::size_t>(winner.value())];
-  const Slot::rep_type depart = own_bid.window.end().value();
-  obs::count("auction.critical_value.probes");
-
-  PaymentBreakdown breakdown;
-  breakdown.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
-  for (const CounterfactualEngine::ReplaySlot& slot :
-       engine.replay_without(winner, win_slot.value(), depart)) {
-    if (slot.scarce_cap) {
-      breakdown.scarce = true;
-      breakdown.scarce_cap = std::max(breakdown.scarce_cap, *slot.scarce_cap);
-    }
-    if (slot.dearest_cost && *slot.dearest_cost > breakdown.payment) {
-      breakdown.payment = *slot.dearest_cost;
-      breakdown.setter_phone = slot.dearest_phone;
-      breakdown.setter_slot = slot.slot;
-    }
-  }
-  apply_scarcity_policy(breakdown, engine.config());
-  return breakdown;
-}
-
-void log_payment_derivation(const PaymentBreakdown& breakdown,
+void log_payment_derivation(const Settlement& settlement,
                             const model::Bid& own_bid, PhoneId winner,
                             Slot win_slot) {
   obs::log_event([&] {
@@ -363,138 +226,58 @@ void log_payment_derivation(const PaymentBreakdown& breakdown,
     event.phone = winner.value();
     event.slot = static_cast<std::int32_t>(win_slot.value());
     event.with("rule", std::string("algorithm2.counterfactual_max"))
-        .with("payment", breakdown.payment)
+        .with("payment", settlement.payment)
         .with("own_bid", own_bid.claimed_cost)
         .with("window_end",
               static_cast<std::int64_t>(own_bid.window.end().value()));
-    if (breakdown.setter_phone) {
+    if (settlement.setter_phone) {
       event.with("set_by_phone",
-                 static_cast<std::int64_t>(breakdown.setter_phone->value()))
+                 static_cast<std::int64_t>(settlement.setter_phone->value()))
           .with("set_in_slot",
-                static_cast<std::int64_t>(breakdown.setter_slot.value()));
+                static_cast<std::int64_t>(settlement.setter_slot.value()));
     }
-    event.with("scarce", breakdown.scarce);
-    if (breakdown.scarce) event.with("scarce_cap", breakdown.scarce_cap);
-    event.with("scarce_applied", breakdown.scarce_applied);
+    event.with("scarce", settlement.scarce);
+    if (settlement.scarce) event.with("scarce_cap", settlement.scarce_cap);
+    event.with("scarce_applied", settlement.scarce_applied);
     return event;
   });
 }
 
 }  // namespace
 
-Money OnlineGreedyMechanism::compute_payment(const model::Scenario& scenario,
-                                             const model::BidProfile& bids,
-                                             PhoneId winner,
-                                             Slot win_slot) const {
-  PaymentBreakdown breakdown;
-  if (config_.payment_engine ==
-      OnlineGreedyConfig::PaymentEngine::kSharedPrefix) {
-    // A single-winner query amortizes nothing, but still pays for at most
-    // one factual pass plus one suffix replay; run() shares one engine
-    // across all winners.
-    const CounterfactualEngine engine(scenario, bids, config_);
-    breakdown = derive_payment_shared_prefix(engine, winner, win_slot);
-  } else {
-    breakdown =
-        derive_payment_full_replay(scenario, bids, config_, winner, win_slot);
-  }
-  log_payment_derivation(
-      breakdown, bids[static_cast<std::size_t>(winner.value())], winner,
-      win_slot);
-  return breakdown.payment;
-}
-
 Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
                                    const model::BidProfile& bids) const {
   const obs::TraceSpan span("online_greedy.run");
   scenario.validate();
-  const bool shared_prefix =
-      config_.payment_engine == OnlineGreedyConfig::PaymentEngine::kSharedPrefix;
 
   Outcome outcome;
-  GreedyRun greedy;
-  GreedyCheckpoints checkpoints;
+  GreedyCore core(config_);
   {
     const obs::TraceSpan allocation_span("online_greedy.allocation");
-    greedy = run_greedy_allocation(scenario, bids, config_, std::nullopt, 0,
-                                   shared_prefix ? &checkpoints : nullptr);
+    outcome.allocation =
+        allocate_on(core, scenario, bids, std::nullopt, 0, nullptr).allocation;
   }
-  outcome.allocation = std::move(greedy.allocation);
   outcome.payments.assign(scenario.phones.size(), Money{});
 
   {
     const obs::TraceSpan payment_span("online_greedy.payments");
-    struct WinRecord {
-      PhoneId phone{-1};
-      Slot slot{0};
-    };
-    std::vector<WinRecord> winners;
-    for (const GreedySlotRecord& record : greedy.slots) {
-      for (const PhoneId winner : record.winners) {
-        winners.push_back(WinRecord{winner, record.slot});
-      }
-    }
-
-    std::optional<CounterfactualEngine> engine;
-    if (shared_prefix) {
-      engine.emplace(scenario, bids, config_, std::move(checkpoints));
-    }
-    const auto derive = [&](const WinRecord& win) {
-      return shared_prefix
-                 ? derive_payment_shared_prefix(*engine, win.phone, win.slot)
-                 : derive_payment_full_replay(scenario, bids, config_,
-                                              win.phone, win.slot);
-    };
-
-    // Per-winner derivations are independent and read-only: fan them out
-    // over payment_threads workers, strided like sim::simulate_parallel.
-    // Each worker records into its own registry (new threads inherit no
-    // thread-local state, so worker event logs are off by construction);
-    // the partials merge in worker order after the join, and counter
-    // merges are sums, so the totals equal a serial run exactly.
-    std::vector<PaymentBreakdown> breakdowns(winners.size());
-    std::size_t threads = config_.payment_threads > 0
-                              ? static_cast<std::size_t>(config_.payment_threads)
-                              : std::max<std::size_t>(
-                                    std::thread::hardware_concurrency(), 1);
-    threads = std::min(threads, winners.size());
-    if (threads <= 1) {
-      for (std::size_t k = 0; k < winners.size(); ++k) {
-        breakdowns[k] = derive(winners[k]);
-      }
-    } else {
-      obs::MetricsRegistry* const parent_registry = obs::current_registry();
-      std::vector<obs::MetricsRegistry> worker_metrics(threads);
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (std::size_t w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w] {
-          std::optional<obs::ScopedRegistry> telemetry;
-          if (parent_registry != nullptr) {
-            telemetry.emplace(&worker_metrics[w]);
-          }
-          for (std::size_t k = w; k < winners.size(); k += threads) {
-            breakdowns[k] = derive(winners[k]);
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-      if (parent_registry != nullptr) {
-        for (const obs::MetricsRegistry& partial : worker_metrics) {
-          parent_registry->merge(partial);
-        }
-      }
-    }
-
-    // Events and payments written back on this thread in winner order:
-    // the recorded trail is identical at every thread count.
-    for (std::size_t k = 0; k < winners.size(); ++k) {
-      const WinRecord& win = winners[k];
-      log_payment_derivation(
-          breakdowns[k], bids[static_cast<std::size_t>(win.phone.value())],
-          win.phone, win.slot);
-      outcome.payments[static_cast<std::size_t>(win.phone.value())] =
-          breakdowns[k].payment;
+    // Winners in allocation order, each settled once its window is over.
+    for (const GreedyCore::Handle handle : core.winners()) {
+      const GreedyCore::Entry& won = core.entry(handle);
+      const PhoneId phone{won.id};
+      const Slot win_slot{won.win_slot};
+      // Each derivation is one evaluation of i's critical value -- the
+      // over-time analogue of a bisection probe (docs/observability.md).
+      obs::count("auction.critical_value.probes");
+      const bool replay = config_.payment_engine ==
+                          OnlineGreedyConfig::PaymentEngine::kFullReplay;
+      const Settlement settlement =
+          replay ? derive_payment_full_replay(scenario, bids, config_, phone,
+                                              win_slot)
+                 : core.settle(handle);
+      log_payment_derivation(settlement, won.bid, phone, win_slot);
+      outcome.payments[static_cast<std::size_t>(phone.value())] =
+          settlement.payment;
     }
   }
 

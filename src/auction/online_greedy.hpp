@@ -36,23 +36,17 @@ struct OnlineGreedyConfig {
 
   /// How Algorithm 2 evaluates its counterfactual runs.
   enum class PaymentEngine {
-    /// Fork each counterfactual from the factual run's per-slot
-    /// checkpoints at the winner's reported arrival (the runs are
-    /// byte-identical before it). Same payments, far less work.
-    kSharedPrefix,
+    /// Settle each winner by the displacement walk over the factual run's
+    /// slot records (auction/greedy_core.hpp): the run without B_i differs
+    /// from the factual one by at most one pooled bid, so no counterfactual
+    /// is replayed.
+    kDisplacementWalk,
     /// Re-run Algorithm 1 from slot 1 for every counterfactual -- the
-    /// straightforward reading of the paper, kept as the equivalence
-    /// oracle for the shared-prefix engine.
+    /// straightforward reading of the paper, kept as the independent
+    /// equivalence oracle for the walk.
     kFullReplay,
   };
-  PaymentEngine payment_engine = PaymentEngine::kSharedPrefix;
-
-  /// Worker threads for the per-winner payment fan-out in run(). The
-  /// derivations are independent and read-only; results are written back
-  /// in winner order and per-worker metrics merge deterministically, so
-  /// any value yields identical payments, events, and counters.
-  /// 1 = serial (default), 0 = hardware concurrency.
-  int payment_threads = 1;
+  PaymentEngine payment_engine = PaymentEngine::kDisplacementWalk;
 
   /// Platform reserve price: bids claiming more than this can never win.
   /// A set reserve bounds every critical value by the reserve, so the
@@ -104,8 +98,9 @@ struct GreedyCheckpoints;  // auction/counterfactual.hpp
 ///
 /// When `capture` is non-null the pass additionally snapshots its
 /// per-slot-start state (pool + task cursor) into it, for a
-/// CounterfactualEngine to fork from; capturing is only meaningful on
-/// factual runs (no `exclude`).
+/// CounterfactualEngine's probes to fork from; capturing is only
+/// meaningful on factual runs (no `exclude`). The pass drives one
+/// GreedyCore (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
     const OnlineGreedyConfig& config = {},
@@ -123,13 +118,6 @@ class OnlineGreedyMechanism final : public Mechanism {
   [[nodiscard]] std::string name() const override { return "online-greedy"; }
 
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
-
-  /// Algorithm 2 for a single winner: the payment for `winner`, which won
-  /// in slot `win_slot` under `bids`. Exposed for the critical-value
-  /// cross-check tests.
-  [[nodiscard]] Money compute_payment(const model::Scenario& scenario,
-                                      const model::BidProfile& bids,
-                                      PhoneId winner, Slot win_slot) const;
 
  private:
   OnlineGreedyConfig config_;

@@ -266,15 +266,14 @@ void preregister_headline_counters(MetricsRegistry& registry) {
                    "wins(b)? evaluations during critical-value search");
   registry.counter("auction.greedy.allocation_runs",
                    "Algorithm-1 (online greedy allocation) executions");
-  registry.counter("auction.counterfactual.payment_forks",
-                   "Algorithm-2 payment replays forked from a shared-prefix "
-                   "checkpoint");
+  registry.counter("auction.settlement.slots_walked",
+                   "slot records read by Algorithm-2 displacement walks");
   registry.counter("auction.counterfactual.probe_forks",
                    "critical-value bisection probes forked from a "
                    "shared-prefix checkpoint");
   registry.counter("auction.counterfactual.slots_replayed",
-                   "slots simulated by counterfactual forks (the suffix "
-                   "after the fork point)");
+                   "slots simulated by probe forks (the suffix after the "
+                   "fork point)");
   registry.counter("auction.counterfactual.slots_skipped",
                    "slots inherited byte-identically from factual "
                    "checkpoints instead of being replayed");

@@ -43,8 +43,9 @@ inline constexpr std::string_view kTraceSchema = "mcs.trace.v1";
 enum class TracePhase : std::uint8_t {
   kIngest = 0,   ///< intended (paced) send time -> actual submit
   kQueueWait,    ///< enqueue -> dequeue on the shard queue
-  kSlotTick,     ///< one slot_tick's allocation step
-  kPayment,      ///< round_close settlement (Algorithm 2 payments)
+  kSlotTick,     ///< one slot_tick: the allocation step, plus Algorithm-2
+                 ///< settlement of the winners departing in that slot
+  kPayment,      ///< round_close materialization of the round's outcome
   kAudit,        ///< econ sentinel audit of the closed round
   kRoundClose,   ///< terminal zero-length marker; latency_ns is the field
 };

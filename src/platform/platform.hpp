@@ -9,15 +9,18 @@
 // reported departure slot, the earliest moment its Algorithm-2 critical
 // value is determined).
 //
-// The implementation is deliberately independent of the batch mechanism
-// (its own pool bookkeeping, its own counterfactual replay), so the test
-// suite's equivalence check -- identical allocation and payments on
-// randomized rounds -- cross-validates both.
+// It is a thin protocol facade over auction::GreedyCore, the same
+// slot-steppable Algorithm-1/2 core the batch mechanism drives: this class
+// adds the message contract (dense task ids, one bid per agent, arrival in
+// the current slot) and the platform's event records. The independent
+// oracle both are tested against is PaymentEngine::kFullReplay.
 #pragma once
 
 #include <optional>
+#include <set>
 #include <vector>
 
+#include "auction/greedy_core.hpp"
 #include "auction/online_greedy.hpp"
 #include "common/money.hpp"
 #include "common/types.hpp"
@@ -45,8 +48,12 @@ class OnlinePlatform {
   OnlinePlatform(Slot::rep_type num_slots, Money default_task_value,
                  auction::OnlineGreedyConfig config = {});
 
-  [[nodiscard]] Slot current_slot() const { return Slot{current_slot_}; }
-  [[nodiscard]] bool finished() const { return current_slot_ > num_slots_; }
+  [[nodiscard]] Slot current_slot() const {
+    return Slot{core_.current_slot()};
+  }
+  [[nodiscard]] bool finished() const {
+    return core_.current_slot() > num_slots_;
+  }
 
   /// Announces a task arriving in the *current* slot. Ids must be dense and
   /// increasing across the round (the scenario convention).
@@ -59,51 +66,18 @@ class OnlinePlatform {
 
   /// Processes the current slot: runs the Algorithm-1 step, issues
   /// Algorithm-2 payments to winners departing this slot, then moves to
-  /// the next slot.
-  SlotReport advance_slot();
+  /// the next slot. The report stays valid until the next advance_slot().
+  const SlotReport& advance_slot();
 
   /// Total money paid out so far.
   [[nodiscard]] Money total_paid() const { return total_paid_; }
 
  private:
-  struct StoredBid {
-    AgentId agent{-1};
-    model::Bid bid{SlotInterval::of(1, 1), Money{}};
-    bool allocated{false};
-    Slot win_slot{0};
-  };
-
-  struct StoredTask {
-    TaskId id{-1};
-    Slot slot{0};
-    Money value;
-  };
-
-  /// Replays the greedy allocation over the stored history up to
-  /// `last_slot`, pretending `excluded` never bid. Returns, per slot,
-  /// the highest winning claimed cost (or nullopt for no winners) and the
-  /// scarcity cap contribution of unserved tasks. Shared-prefix: slots
-  /// before the excluded agent's submission are inherited from the
-  /// recorded history (entries stay empty), not replayed -- callers read
-  /// from the winner's win slot, which is never earlier.
-  struct ReplaySlot {
-    std::optional<Money> dearest_winner;
-    std::optional<Money> scarce_cap;
-  };
-  [[nodiscard]] std::vector<ReplaySlot> replay_without(
-      AgentId excluded, Slot::rep_type last_slot) const;
-
-  [[nodiscard]] Money payment_for(const StoredBid& winner) const;
-  [[nodiscard]] Money scarce_cap_for(Money task_value) const;
-
   Slot::rep_type num_slots_;
-  Slot::rep_type current_slot_{1};
   Money default_task_value_;
-  auction::OnlineGreedyConfig config_;
-
-  std::vector<StoredBid> bids_;     // every admitted bid, by submission order
-  std::vector<StoredTask> tasks_;   // every announced task
-  std::size_t first_task_of_slot_{0};  // tasks_ index where this slot begins
+  auction::GreedyCore core_;
+  SlotReport report_;  // reused slot to slot
+  std::set<int> agents_;  // admitted agents, for the one-bid rule
   Money total_paid_;
   int last_task_id_{-1};
 };

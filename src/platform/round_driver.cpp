@@ -75,7 +75,7 @@ RoundResult run_round(const model::Scenario& scenario,
       }
     }
 
-    const SlotReport report = platform.advance_slot();
+    const SlotReport& report = platform.advance_slot();
     for (const auto& [task, agent] : report.assignments) {
       result.outcome.allocation.assign(task, agent);
       result.transcript.push_back(

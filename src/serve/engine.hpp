@@ -51,8 +51,11 @@ class TracePlane;
 struct ServeConfig {
   /// Worker shards; rounds are hashed across them.
   int shards = 1;
-  /// Bounded depth of each shard's event queue.
-  std::size_t queue_capacity = 1024;
+  /// Bounded depth of each shard's event queue. Room for several of the
+  /// largest rounds the paper evaluates (m=80, lambda=8: ~960 events):
+  /// rounds are hashed to shards, so a ring that holds only one lets an
+  /// in-order producer stall on one shard while the others run dry.
+  std::size_t queue_capacity = 4096;
   /// Producer-side batch size used by ShardBatcher (and the flush
   /// threshold of each of its per-shard buffers). 1 keeps the historical
   /// event-at-a-time handoff; larger values amortize the queue lock over

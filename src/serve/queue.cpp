@@ -1,24 +1,40 @@
 #include "serve/queue.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <type_traits>
 
 #include "common/error.hpp"
 
 namespace mcs::serve {
 
-EventRing::EventRing(std::size_t capacity)
-    : slots_(capacity), capacity_(capacity) {
+// enqueue_locked constructs a slot in place before it is first read and
+// again on every later write; no slot is ever destroyed, which is valid
+// only for a trivially destructible type.
+static_assert(std::is_trivially_copyable_v<QueuedEvent> &&
+              std::is_trivially_destructible_v<QueuedEvent>);
+
+EventRing::EventRing(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw InvalidArgumentError("serve queue: capacity must be >= 1");
   }
+  if (capacity >
+      std::numeric_limits<std::size_t>::max() / sizeof(QueuedEvent)) {
+    throw InvalidArgumentError("serve queue: capacity too large");
+  }
+  slots_ = std::allocator<QueuedEvent>{}.allocate(capacity);
+}
+
+EventRing::~EventRing() {
+  std::allocator<QueuedEvent>{}.deallocate(slots_, capacity_);
 }
 
 void EventRing::enqueue_locked(const ServeEvent* events, std::size_t count,
                                std::uint64_t enqueue_ns) {
   for (std::size_t i = 0; i < count; ++i) {
-    QueuedEvent& slot = slots_[(head_ + size_ + i) % capacity_];
-    slot.event = events[i];
-    slot.enqueue_ns = enqueue_ns;
+    std::construct_at(&slots_[(head_ + size_ + i) % capacity_],
+                      QueuedEvent{events[i], enqueue_ns});
   }
   size_ += count;
   high_watermark_ = std::max(high_watermark_,

@@ -3,12 +3,14 @@
 // Two properties matter on the serve hot path and both are structural
 // here rather than best-effort:
 //
-//   * No allocator traffic. The ring's slots are preallocated at
+//   * No allocator traffic. The ring's slots are allocated at
 //     construction (ServeEvent is allocation-free by design: fixed-width
 //     fields, Money as int64, no strings), so pushing and popping move
 //     events through memory the queue already owns. The old deque-backed
 //     queue hit the global allocator on every push block -- on a
-//     multi-producer hot path that is both latency and contention.
+//     multi-producer hot path that is both latency and contention. The
+//     slots are left uninitialized until first written, so a deep ring
+//     costs no zero-fill at construction.
 //
 //   * Batched, all-or-nothing handoff. Producers hand over k events under
 //     one lock acquisition (and consumers take up to k under one), so the
@@ -53,6 +55,10 @@ struct PoppedEvent {
 class EventRing {
  public:
   explicit EventRing(std::size_t capacity);
+  ~EventRing();
+
+  EventRing(const EventRing&) = delete;
+  EventRing& operator=(const EventRing&) = delete;
 
   /// Blocks until all `count` events fit, then enqueues them atomically.
   /// Returns the occupancy after the push, or -1 when the ring was closed
@@ -89,8 +95,10 @@ class EventRing {
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::vector<QueuedEvent> slots_;  ///< preallocated ring storage
   std::size_t capacity_;
+  /// capacity_ slots from std::allocator: storage only, each slot is
+  /// constructed when enqueue_locked first writes it.
+  QueuedEvent* slots_{nullptr};
   std::size_t head_{0};  ///< index of the oldest queued event
   std::size_t size_{0};
   std::int64_t high_watermark_{0};

@@ -79,7 +79,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
 
     case ServeEventKind::kSlotTick: {
       clock_.tick(event.slot);
-      const platform::SlotReport report = platform_.advance_slot();
+      const platform::SlotReport& report = platform_.advance_slot();
       for (const auto& assignment : report.assignments) {
         assignments_.push_back(assignment);
       }

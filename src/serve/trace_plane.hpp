@@ -5,8 +5,9 @@
 // time. Every round flowing through the engine gets a trace id
 // (obs::trace_id_of, a pure function of the round id) and a bounded span
 // timeline: client-side ingest lag (stamped by the paced loadgen), queue
-// wait, one span per slot_tick allocation step, payment settlement, the
-// econ audit, and a terminal round_close marker.
+// wait, one span per slot_tick (allocation plus the Algorithm-2 settlement
+// of that slot's departing winners), round_close materialization (the
+// `payment` phase), the econ audit, and a terminal round_close marker.
 //
 // Quarantine discipline is identical to LiveTelemetry: the engine's
 // hooks record into per-shard state owned by that shard's worker (plain
@@ -122,10 +123,12 @@ class TracePlane {
   /// ([enqueue, begin]).
   void on_round_open(int shard, std::int64_t round, std::uint64_t enqueue_ns,
                      std::uint64_t begin_ns, std::uint64_t client_lag_ns);
-  /// One slot_tick allocation step of an open round.
+  /// One slot_tick of an open round: allocation plus the settlement of the
+  /// winners departing in that slot.
   void on_slot_tick(int shard, std::int64_t round, std::int32_t slot,
                     std::uint64_t begin_ns, std::uint64_t end_ns);
-  /// round_close: seals the trace (payment span [close_begin, settled],
+  /// round_close: seals the trace (payment span [close_begin, settled]
+  /// timing the outcome's materialization,
   /// audit span [settled, done] when the econ plane ran, terminal
   /// round_close marker at done) and runs the tail sampler.
   /// `econ_violations` is the sentinel's verdict for this round.

@@ -559,7 +559,7 @@ TEST(PreregisterHeadlineCounters, StableKeySetWithHelp) {
        {"matching.hungarian.iterations", "matching.hungarian.augmenting_paths",
         "matching.flow.augmenting_paths", "auction.critical_value.probes",
         "auction.greedy.allocation_runs",
-        "auction.counterfactual.payment_forks",
+        "auction.settlement.slots_walked",
         "auction.counterfactual.probe_forks",
         "auction.counterfactual.slots_replayed",
         "auction.counterfactual.slots_skipped"}) {

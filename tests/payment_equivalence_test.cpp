@@ -1,12 +1,13 @@
-// Equivalence suite for the shared-prefix counterfactual engine.
+// Equivalence suite for Algorithm 2's displacement walk and the
+// shared-prefix probe engine.
 //
-// The engine's claim is exactness, not approximation: forking Algorithm
-// 2's counterfactuals from the factual per-slot checkpoints must produce
-// *Money-equal* payments to re-running Algorithm 1 from slot 1 (the
+// The walk's claim is exactness, not approximation: settling each winner
+// from the factual run's slot records must produce *Money-equal* payments
+// to re-running Algorithm 1 from slot 1 without the winner (the
 // kFullReplay oracle), on every configuration corner -- reserve prices,
-// profitable-only allocation, weighted tasks, supply scarcity -- and the
-// parallel per-winner fan-out must be invisible: identical payments and
-// identical merged telemetry at every thread count.
+// profitable-only allocation, weighted tasks, supply scarcity, misreports
+// and cost ties -- through both the batch mechanism and the slot-by-slot
+// platform. Probes forked from checkpoints must match full re-runs too.
 #include "auction/counterfactual.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,7 +26,9 @@
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "platform/round_driver.hpp"
 #include "support/generators.hpp"
 
 namespace mcs::auction {
@@ -82,14 +86,14 @@ Scenario weighted_tasks(Rng& rng) {
   return builder.build();
 }
 
-/// Core oracle: the shared-prefix run of `config` must equal the
-/// full-replay run outcome-for-outcome, payment-for-payment.
+/// Core oracle: the walk run of `config` must equal the full-replay run
+/// outcome-for-outcome, payment-for-payment.
 void expect_engines_agree(const Scenario& scenario,
                           const model::BidProfile& bids,
                           const OnlineGreedyConfig& config,
                           const std::string& label) {
-  const OnlineGreedyMechanism fast(
-      with_engine(config, OnlineGreedyConfig::PaymentEngine::kSharedPrefix));
+  const OnlineGreedyMechanism fast(with_engine(
+      config, OnlineGreedyConfig::PaymentEngine::kDisplacementWalk));
   const OnlineGreedyMechanism naive(
       with_engine(config, OnlineGreedyConfig::PaymentEngine::kFullReplay));
   const Outcome a = fast.run(scenario, bids);
@@ -108,7 +112,7 @@ void expect_engines_agree(const Scenario& scenario,
   }
 }
 
-// ------------------------------------------------ fast == naive property
+// ------------------------------------------------ walk == naive property
 
 TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayAcrossConfigCorners) {
   // 5 config families x 2 supply regimes x 20 scenarios = 200 cases,
@@ -276,88 +280,40 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
                               "phones that cannot win at any claim";
 }
 
-// ------------------------------------------- parallel fan-out determinism
-
-TEST(PaymentEquivalence, ParallelPaymentsAreDeterministicAcrossThreadCounts) {
-  // simulate_parallel-style contract: worker-local registries merged in
-  // worker order make the fan-out invisible -- payments AND merged
-  // counters identical at 1, 2, and 8 threads.
-  Rng rng(5150);
-  const test_support::GeneratorLimits big{.slots = 12,
-                                          .max_phones = 24,
-                                          .max_tasks = 16,
-                                          .max_cost_units = 60,
-                                          .value_units = 80};
-  for (int i = 0; i < 6; ++i) {
-    const Scenario scenario = test_support::windowed(rng, big);
-    const model::BidProfile bids = scenario.truthful_bids();
-
-    std::optional<Outcome> reference;
-    std::optional<std::map<std::string, std::int64_t>> reference_counters;
-    for (const int threads : {1, 2, 8}) {
-      OnlineGreedyConfig config;
-      config.payment_threads = threads;
-      const OnlineGreedyMechanism mechanism(config);
-
-      obs::MetricsRegistry registry;
-      std::optional<Outcome> outcome;
-      {
-        const obs::ScopedRegistry guard(&registry);
-        outcome = mechanism.run(scenario, bids);
-      }
-      const obs::MetricsSnapshot snapshot = registry.snapshot();
-      std::map<std::string, std::int64_t> counters;
-      for (const auto& [name, value] : snapshot.counters) {
-        if (name.rfind("span.", 0) != 0) counters[name] = value;
-      }
-
-      if (!reference) {
-        reference = outcome;
-        reference_counters = counters;
-        continue;
-      }
-      EXPECT_EQ(outcome->payments, reference->payments)
-          << "scenario#" << i << " threads=" << threads;
-      EXPECT_EQ(counters, *reference_counters)
-          << "scenario#" << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(PaymentEquivalence, HardwareConcurrencyFanOutMatchesSerial) {
-  const Scenario scenario = model::fig4_scenario();
-  OnlineGreedyConfig config;
-  config.payment_threads = 0;  // hardware concurrency
-  const OnlineGreedyMechanism parallel(config);
-  const OnlineGreedyMechanism serial;
-  EXPECT_EQ(parallel.run(scenario, scenario.truthful_bids()).payments,
-            serial.run(scenario, scenario.truthful_bids()).payments);
-}
-
 // ----------------------------------------------------- counter contract
 
-TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
+TEST(PaymentEquivalence, WalkReplacesFullRunsWithSlotReads) {
   // The whole point: counterfactual work stops being counted as full
-  // allocation runs. The fast path performs exactly one Algorithm-1 pass
-  // (the factual one) per run() and a fork per winner, while the oracle
-  // path still re-runs per winner; forks skip the pre-arrival prefix.
+  // allocation runs. The walk performs exactly one Algorithm-1 pass (the
+  // factual one) per run() and reads one slot record per slot of each
+  // winner's [t'_i, d~_i], while the oracle path still re-runs per winner.
   const Scenario scenario = model::fig4_scenario();
   const model::BidProfile bids = scenario.truthful_bids();
+  const Outcome outcome = OnlineGreedyMechanism().run(scenario, bids);
   const auto winners =
-      static_cast<std::int64_t>(OnlineGreedyMechanism()
-                                    .run(scenario, bids)
-                                    .allocation.winners()
-                                    .size());
+      static_cast<std::int64_t>(outcome.allocation.winners().size());
+  std::int64_t window_slots = 0;
+  for (const PhoneId winner : outcome.allocation.winners()) {
+    Slot::rep_type win_slot = 0;
+    for (int k = 0; k < scenario.task_count(); ++k) {
+      if (outcome.allocation.phone_for(TaskId{k}) == winner) {
+        win_slot = scenario.tasks[static_cast<std::size_t>(k)].slot.value();
+      }
+    }
+    window_slots +=
+        bids[static_cast<std::size_t>(winner.value())].window.end().value() -
+        win_slot + 1;
+  }
 
-  obs::MetricsRegistry fast_registry;
+  obs::MetricsRegistry walk_registry;
   {
-    const obs::ScopedRegistry guard(&fast_registry);
+    const obs::ScopedRegistry guard(&walk_registry);
     (void)OnlineGreedyMechanism().run(scenario, bids);
   }
-  const obs::MetricsSnapshot fast = fast_registry.snapshot();
-  EXPECT_EQ(fast.counters.at("auction.greedy.allocation_runs"), 1);
-  EXPECT_EQ(fast.counters.at("auction.counterfactual.payment_forks"), winners);
-  EXPECT_GT(fast.counters.at("auction.counterfactual.slots_skipped"), 0);
+  const obs::MetricsSnapshot walk = walk_registry.snapshot();
+  EXPECT_EQ(walk.counters.at("auction.greedy.allocation_runs"), 1);
+  EXPECT_EQ(walk.counters.at("auction.settlement.slots_walked"), window_slots);
+  EXPECT_EQ(walk.counters.count("auction.counterfactual.probe_forks"), 0u);
 
   obs::MetricsRegistry naive_registry;
   {
@@ -368,7 +324,144 @@ TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
   }
   const obs::MetricsSnapshot naive = naive_registry.snapshot();
   EXPECT_EQ(naive.counters.at("auction.greedy.allocation_runs"), 1 + winners);
-  EXPECT_EQ(naive.counters.count("auction.counterfactual.payment_forks"), 0u);
+  EXPECT_EQ(naive.counters.count("auction.settlement.slots_walked"), 0u);
+}
+
+// ------------------------------------- walk vs full replay, both drivers
+
+/// Event trail of one batch run, serialized.
+std::string recorded_trail(const OnlineGreedyMechanism& mechanism,
+                           const Scenario& scenario,
+                           const model::BidProfile& bids) {
+  std::ostringstream os;
+  obs::JsonlEventSink sink(os);
+  obs::EventLog log(&sink);
+  const obs::ScopedEventLog install(&log);
+  (void)mechanism.run(scenario, bids);
+  return os.str();
+}
+
+/// The walk must agree with the kFullReplay oracle through the batch
+/// mechanism (payments, allocation, and the whole recorded trail, setter
+/// provenance included) and through the slot-by-slot platform.
+void expect_walk_matches_oracle(const Scenario& scenario,
+                                const model::BidProfile& bids,
+                                const OnlineGreedyConfig& config,
+                                const std::string& label) {
+  const OnlineGreedyMechanism naive(
+      with_engine(config, OnlineGreedyConfig::PaymentEngine::kFullReplay));
+  const OnlineGreedyMechanism walk(config);
+  const Outcome oracle = naive.run(scenario, bids);
+  const Outcome batch = walk.run(scenario, bids);
+  const platform::RoundResult served =
+      platform::run_round(scenario, bids, config);
+  EXPECT_EQ(batch.payments, oracle.payments) << label << " (batch)";
+  EXPECT_EQ(served.outcome.payments, oracle.payments) << label << " (platform)";
+  for (int k = 0; k < scenario.task_count(); ++k) {
+    EXPECT_EQ(batch.allocation.phone_for(TaskId{k}),
+              oracle.allocation.phone_for(TaskId{k}))
+        << label << ": task " << k;
+    EXPECT_EQ(served.outcome.allocation.phone_for(TaskId{k}),
+              oracle.allocation.phone_for(TaskId{k}))
+        << label << ": task " << k;
+  }
+  EXPECT_EQ(recorded_trail(walk, scenario, bids),
+            recorded_trail(naive, scenario, bids))
+      << label;
+}
+
+/// A round with weighted tasks, cheap tied costs (0 included) and scarce
+/// supply, whose bids misreport windows and costs at random.
+std::pair<Scenario, model::BidProfile> misreported_round(Rng& rng) {
+  const auto slots = static_cast<Slot::rep_type>(rng.uniform_int(1, 7));
+  model::ScenarioBuilder builder(slots);
+  builder.value(8);
+  const int phones = static_cast<int>(rng.uniform_int(1, 10));
+  for (int i = 0; i < phones; ++i) {
+    const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, slots));
+    const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, slots));
+    builder.phone(a, d, rng.uniform_int(0, 6));
+  }
+  const int tasks = static_cast<int>(rng.uniform_int(1, 10));
+  for (int k = 0; k < tasks; ++k) {
+    const auto t = static_cast<Slot::rep_type>(rng.uniform_int(1, slots));
+    if (rng.bernoulli(0.5)) {
+      builder.task(t);
+    } else {
+      builder.valued_task(t, rng.uniform_int(0, 10));
+    }
+  }
+  Scenario scenario = builder.build();
+  model::BidProfile bids = scenario.truthful_bids();
+  for (model::Bid& bid : bids) {
+    if (rng.bernoulli(0.5)) {
+      const Slot::rep_type a = bid.window.begin().value();
+      const Slot::rep_type d = bid.window.end().value();
+      const auto late = static_cast<Slot::rep_type>(rng.uniform_int(a, d));
+      const auto early = static_cast<Slot::rep_type>(rng.uniform_int(late, d));
+      bid.window = SlotInterval::of(late, early);
+    }
+    if (rng.bernoulli(0.5)) {
+      bid.claimed_cost = Money::from_units(rng.uniform_int(0, 9));
+    }
+  }
+  return {std::move(scenario), std::move(bids)};
+}
+
+TEST(PaymentEquivalence, WalkMatchesFullReplayOnMisreportedRounds) {
+  // 5 config families x 300 rounds; reserve 20 and 25 never bind at these
+  // costs, so add one family whose reserve does.
+  std::vector<std::pair<std::string, OnlineGreedyConfig>> families =
+      config_families();
+  OnlineGreedyConfig tight;
+  tight.reserve_price = Money::from_units(4);
+  tight.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
+  families.emplace_back("reserve_4_own_bid", tight);
+  Rng rng(31337);
+  for (const auto& [name, config] : families) {
+    for (int i = 0; i < 300; ++i) {
+      const auto [scenario, bids] = misreported_round(rng);
+      expect_walk_matches_oracle(scenario, bids, config,
+                                 name + "/misreported#" + std::to_string(i));
+    }
+  }
+}
+
+TEST(PaymentEquivalence, WalkFollowsAChainThatHopsTwice) {
+  // Phone 0 wins slot 1. Without it phone 1 (the runner-up) takes slot 1,
+  // so phone 1's factual win in slot 2 falls to phone 2 instead: the
+  // missing bid hops 0 -> 1 -> 2, and phone 2 sets the price in slot 2.
+  model::ScenarioBuilder builder(3);
+  builder.value(10);
+  builder.phone(1, 2, 1).phone(1, 3, 2).phone(1, 3, 3);
+  builder.task(1).task(2).task(3);
+  const Scenario scenario = builder.build();
+  const model::BidProfile bids = scenario.truthful_bids();
+  expect_walk_matches_oracle(scenario, bids, OnlineGreedyConfig{}, "hops");
+  EXPECT_EQ(OnlineGreedyMechanism().run(scenario, bids).payments[0],
+            Money::from_units(3));
+}
+
+TEST(PaymentEquivalence, WalkEndsTheChainInScarcity) {
+  // Phone 0 wins slot 1 and phone 1 slot 2. Without phone 0, phone 1 moves
+  // up to slot 1 and nobody is left for slot 2's task: it goes unserved,
+  // so phone 0's critical value is unbounded and the scarcity policy
+  // decides (the task value 10, or the dearest rival 2 under kOwnBid).
+  model::ScenarioBuilder builder(2);
+  builder.value(10);
+  builder.phone(1, 2, 1).phone(1, 2, 2);
+  builder.task(1).task(2);
+  const Scenario scenario = builder.build();
+  const model::BidProfile bids = scenario.truthful_bids();
+  OnlineGreedyConfig own_bid;
+  own_bid.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
+  for (const OnlineGreedyConfig& config : {OnlineGreedyConfig{}, own_bid}) {
+    expect_walk_matches_oracle(scenario, bids, config, "scarcity");
+  }
+  EXPECT_EQ(OnlineGreedyMechanism().run(scenario, bids).payments[0],
+            Money::from_units(10));
+  EXPECT_EQ(OnlineGreedyMechanism(own_bid).run(scenario, bids).payments[0],
+            Money::from_units(2));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -85,6 +86,17 @@ TEST(EventRing, OversizedBatchThrowsInsteadOfDeadlocking) {
   EXPECT_THROW((void)ring.push_block(five.data(), 5, 0),
                InvalidArgumentError);
   EXPECT_THROW((void)EventRing(0), InvalidArgumentError);
+}
+
+TEST(EventRing, CapacityWhoseStorageOverflowsIsRejected) {
+  // A negative --queue-depth casts to a huge size_t; its byte count must
+  // not wrap around to a small allocation.
+  EXPECT_THROW((void)EventRing(std::numeric_limits<std::size_t>::max()),
+               InvalidArgumentError);
+  EXPECT_THROW((void)EventRing(std::numeric_limits<std::size_t>::max() /
+                                   sizeof(QueuedEvent) +
+                               1),
+               InvalidArgumentError);
 }
 
 TEST(EventRing, CloseFailsPushesAndDrainsPops) {

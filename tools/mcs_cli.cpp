@@ -694,7 +694,9 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_double("lambda-t", 3.0, "loadgen: task arrival rate per slot");
   cli.add_int("seed", 42, "loadgen: base RNG seed (round k forks stream k)");
   cli.add_int("shards", 4, "worker shards (rounds are hashed across them)");
-  cli.add_int("queue-depth", 1024, "bounded per-shard queue capacity");
+  cli.add_int("queue-depth",
+              static_cast<std::int64_t>(serve::ServeConfig{}.queue_capacity),
+              "bounded per-shard queue capacity");
   cli.add_string("admission", "block",
                  "backpressure policy: block | reject (shed when full)");
   cli.add_double("reserve", 0.0, "platform reserve price (0 = none)");
