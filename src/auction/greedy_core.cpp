@@ -1,6 +1,7 @@
 #include "auction/greedy_core.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/assert.hpp"
@@ -29,6 +30,19 @@ Money scarce_cap_for(Money task_value, const OnlineGreedyConfig& config) {
   return task_value;
 }
 
+namespace {
+
+/// Heap order of the pool: `a` comes out after `b` (a min-heap on the key).
+bool later(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
+  return b.key < a.key;
+}
+
+bool cheaper(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
+  return a.key < b.key;
+}
+
+}  // namespace
+
 GreedyCore::GreedyCore(OnlineGreedyConfig config) : config_(config) {}
 
 bool GreedyCore::admits(Money cost) const {
@@ -40,13 +54,45 @@ GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
               "bids join the pool in their reported arrival slot");
   MCS_EXPECTS(admits(bid.claimed_cost), "bid above the platform reserve");
   const auto handle = static_cast<Handle>(entries_.size());
-  entries_.push_back(Entry{id, bid, 0});
-  const auto [slot, inserted] =
-      pool_.emplace(PoolBid{bid.claimed_cost.micros(), id}, handle);
-  MCS_EXPECTS(inserted, "bid ids must be unique within a round");
-  pool_slots_.push_back(slot);
+  entries_.push_back(Entry{id, bid});
+  heap_.push_back(Pooled{PoolBid{bid.claimed_cost.micros(), id}, handle});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++live_;
+  view_current_ = false;
   departures_.emplace(bid.window.end().value(), handle);
   return handle;
+}
+
+const std::vector<GreedyCore::Pooled>& GreedyCore::pool() {
+  if (view_current_) return view_;
+  std::erase_if(view_, [&](const Pooled& pooled) {
+    return !entry(pooled.handle).pooled;
+  });
+  const auto kept = static_cast<std::ptrdiff_t>(view_.size());
+  for (; viewed_ < entries_.size(); ++viewed_) {
+    const Entry& fresh = entries_[viewed_];
+    if (!fresh.pooled) continue;
+    view_.push_back(Pooled{PoolBid{fresh.bid.claimed_cost.micros(), fresh.id},
+                           static_cast<Handle>(viewed_)});
+  }
+  const auto mid = view_.begin() + kept;
+  std::sort(mid, view_.end(), cheaper);
+  if (kept > 0 && mid != view_.end()) {
+    merged_.clear();
+    std::merge(view_.begin(), mid, mid, view_.end(),
+               std::back_inserter(merged_), cheaper);
+    view_.swap(merged_);
+  }
+  view_current_ = true;
+  return view_;
+}
+
+void GreedyCore::drop_departed_front() {
+  while (!heap_.empty() && !entry(heap_.front().handle).pooled) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+    --stale_;
+  }
 }
 
 const GreedyCore::Step& GreedyCore::step() {
@@ -65,11 +111,12 @@ const GreedyCore::Step& GreedyCore::step() {
   obs::log_event([&] {
     obs::Event event("slot_pool");
     event.slot = static_cast<std::int32_t>(t);
+    const std::vector<Pooled>& ordered = pool();
     std::vector<std::int64_t> ids;
     std::vector<std::int64_t> costs_micros;
-    ids.reserve(pool_.size());
-    costs_micros.reserve(pool_.size());
-    for (const auto& [pooled, handle] : pool_) {
+    ids.reserve(ordered.size());
+    costs_micros.reserve(ordered.size());
+    for (const auto& [pooled, handle] : ordered) {
       ids.push_back(pooled.phone);
       costs_micros.push_back(pooled.cost_micros);
     }
@@ -82,18 +129,24 @@ const GreedyCore::Step& GreedyCore::step() {
   step_.assignments.clear();
   step_.unserved.clear();
   step_.departing.clear();
+  view_current_ = false;
 
   SlotLog log;
   for (const Task& task : tasks_) {
     // Served tasks form a prefix of the service order: once the pool is
     // dry, or its cheapest bid exceeds a task's value, the same holds for
     // every later (no more valuable) task.
-    if (!pool_.empty() &&
+    drop_departed_front();
+    if (live_ > 0 &&
         (!config_.allocate_only_profitable ||
-         Money::from_micros(pool_.begin()->first.cost_micros) <= task.value)) {
-      const Handle winner = pool_.begin()->second;
-      pool_.erase(pool_.begin());
-      entries_[static_cast<std::size_t>(winner)].win_slot = t;
+         Money::from_micros(heap_.front().key.cost_micros) <= task.value)) {
+      const Handle winner = heap_.front().handle;
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      heap_.pop_back();
+      --live_;
+      Entry& won = entries_[static_cast<std::size_t>(winner)];
+      won.win_slot = t;
+      won.pooled = false;
       winners_.push_back(winner);
       step_.assignments.push_back(Assignment{task, winner});
       log.dearest = winner;
@@ -104,22 +157,35 @@ const GreedyCore::Step& GreedyCore::step() {
     const Money cap = scarce_cap_for(task.value, config_);
     log.scarce_cap = std::max(log.scarce_cap.value_or(Money{}), cap);
   }
+  drop_departed_front();
   step_.runner_up.reset();
-  if (!pool_.empty()) step_.runner_up = pool_.begin()->second;
+  if (live_ > 0) step_.runner_up = heap_.front().handle;
   log.runner_up = step_.runner_up;
-  step_.pool_left = pool_.size();
+  step_.pool_left = live_;
   slots_.push_back(log);
   tasks_.clear();
   log_step();
 
-  // A bid reporting window [a~, d~] leaves the pool after slot d~.
+  // A bid reporting window [a~, d~] leaves the pool after slot d~. Its heap
+  // element goes stale; once stale elements outnumber live ones, one pass
+  // drops them all, which keeps the heap within twice the pool.
   while (!departures_.empty() && departures_.top().first == t) {
     const Handle leaving = departures_.top().second;
     departures_.pop();
-    if (entry(leaving).win_slot == 0) {
-      pool_.erase(pool_slots_[static_cast<std::size_t>(leaving)]);
+    Entry& left = entries_[static_cast<std::size_t>(leaving)];
+    if (left.pooled) {
+      left.pooled = false;
+      --live_;
+      ++stale_;
     }
     step_.departing.push_back(leaving);
+  }
+  if (stale_ > live_) {
+    std::erase_if(heap_, [&](const Pooled& pooled) {
+      return !entry(pooled.handle).pooled;
+    });
+    std::make_heap(heap_.begin(), heap_.end(), later);
+    stale_ = 0;
   }
   ++current_slot_;
   return step_;

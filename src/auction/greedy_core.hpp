@@ -1,10 +1,16 @@
 // The slot-steppable greedy core: Algorithm 1 one slot at a time, and
 // Algorithm 2 settled by a displacement walk over the recorded slots.
 //
-// Allocation keeps the dynamic pool in (claimed cost, id) order across
-// slots: admitted bids are inserted once, winners are popped from the
-// front, and bids are swept out of a departure heap when their reported
-// window ends. Each step records what settlement needs from the slot:
+// Allocation keeps the dynamic pool as a flat (claimed cost, id) min-heap
+// across slots: admitted bids are pushed once, winners are popped from the
+// front, and a departure heap marks bids whose reported window ends. A
+// departed bid stays in the pool heap as a stale element until it reaches
+// the front or stale elements outnumber live ones, when one pass compacts
+// the heap; so admit, win and departure are O(log P) amortized with no
+// per-bid heap node. The ordered pool view (the slot_pool event, the batch
+// slot records, the probe checkpoints) is built only when one of those
+// readers asks, by merging the newly admitted bids into the previous view.
+// Each step records what settlement needs from the slot:
 // its dearest winner (winners come out cheapest first), the runner-up
 // (the cheapest bid left after allocation), the value of the last served
 // task, and the largest scarcity cap among the tasks it left unserved.
@@ -29,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -83,12 +88,18 @@ class GreedyCore {
  public:
   /// Index of an admitted bid, in admission order.
   using Handle = int;
-  using Pool = std::map<PoolBid, Handle>;
+
+  /// A pooled bid's order key with its handle.
+  struct Pooled {
+    PoolBid key;
+    Handle handle;
+  };
 
   struct Entry {
     int id;  ///< phone / agent id: the pool's tie-break after cost
     model::Bid bid;
     Slot::rep_type win_slot{0};  ///< 0 while unallocated
+    bool pooled{true};  ///< in the pool: neither allocated nor departed
   };
 
   struct Task {
@@ -120,12 +131,6 @@ class GreedyCore {
   };
 
   explicit GreedyCore(OnlineGreedyConfig config = {});
-  // Move-only: pool_slots_ holds iterators into pool_, which a move keeps
-  // valid and a copy would not.
-  GreedyCore(GreedyCore&&) noexcept = default;
-  GreedyCore& operator=(GreedyCore&&) noexcept = default;
-  GreedyCore(const GreedyCore&) = delete;
-  GreedyCore& operator=(const GreedyCore&) = delete;
 
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
   /// The slot the next step() allocates (1-based).
@@ -135,11 +140,16 @@ class GreedyCore {
   [[nodiscard]] bool admits(Money cost) const;
 
   /// Pools a bid whose reported arrival is the current slot; requires
-  /// admits(bid.claimed_cost). Ids must be unique among admitted bids.
+  /// admits(bid.claimed_cost). Ids must be unique among admitted bids (the
+  /// caller's check: the pool heap does not look for duplicates).
   Handle admit(int id, const model::Bid& bid);
 
-  /// Active unallocated bids, cheapest first, with their handles.
-  [[nodiscard]] const Pool& pool() const { return pool_; }
+  /// Active unallocated bids, cheapest first, with their handles. Built on
+  /// demand into a reused buffer, at most once per pool change: the bids
+  /// admitted since the last call are sorted and merged into the previous
+  /// view, and those that left are dropped, O(P + A log A) for A new bids.
+  /// The reference stays valid until the next admit() or step().
+  [[nodiscard]] const std::vector<Pooled>& pool();
 
   /// Queues a task arriving in the current slot.
   void add_task(const Task& task) { tasks_.push_back(task); }
@@ -179,12 +189,24 @@ class GreedyCore {
     return entry(handle).bid.claimed_cost;
   }
 
+  /// Pops departed bids off the front of the pool heap, so that the front
+  /// (if any) is the cheapest pooled bid.
+  void drop_departed_front();
+
   OnlineGreedyConfig config_;
   Slot::rep_type current_slot_{1};
   std::vector<Entry> entries_;
-  Pool pool_;
-  std::vector<Pool::iterator> pool_slots_;  ///< by handle, for departures
-  std::vector<Task> tasks_;                 ///< the current slot's
+  /// Min-heap on Pooled::key: every pooled bid, plus `stale_` departed ones
+  /// not yet dropped.
+  std::vector<Pooled> heap_;
+  std::size_t live_{0};
+  std::size_t stale_{0};
+  /// The ordered view pool() returns, and the merge buffer that rebuilds it.
+  std::vector<Pooled> view_;
+  std::vector<Pooled> merged_;
+  std::size_t viewed_{0};  ///< handles below this have entered view_
+  bool view_current_{true};
+  std::vector<Task> tasks_;  ///< the current slot's
   /// (reported departure, handle), earliest first.
   std::priority_queue<std::pair<Slot::rep_type, Handle>,
                       std::vector<std::pair<Slot::rep_type, Handle>>,

@@ -95,8 +95,9 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
       // is t.
       GreedyCheckpoints::SlotStart& checkpoint =
           capture->slots[static_cast<std::size_t>(t)];
-      checkpoint.pool.reserve(core.pool().size());
-      for (const auto& [pooled, handle] : core.pool()) {
+      const std::vector<GreedyCore::Pooled>& pool = core.pool();
+      checkpoint.pool.reserve(pool.size());
+      for (const auto& [pooled, handle] : pool) {
         checkpoint.pool.push_back(pooled);
       }
       checkpoint.next_task = next_task;
@@ -110,8 +111,9 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
 
     GreedySlotRecord record;
     record.slot = Slot{t};
-    record.pool.reserve(core.pool().size());
-    for (const auto& [pooled, handle] : core.pool()) {
+    const std::vector<GreedyCore::Pooled>& pool = core.pool();
+    record.pool.reserve(pool.size());
+    for (const auto& [pooled, handle] : pool) {
       record.pool.push_back(PhoneId{pooled.phone});
     }
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).

@@ -121,7 +121,10 @@ LatencySketchSnapshot LatencySketchSnapshot::delta_since(
   delta.sum_ns = sum_ns - earlier.sum_ns;
   // A window's true extrema are not recoverable from cumulative extrema;
   // the occupied bucket edges bound them within the sketch's resolution.
-  if (delta.count > 0) {
+  // Guard on an occupied bucket, not on the count: a snapshot taken during
+  // a record_ns reads the buckets before count_, so it can show a sample
+  // counted whose bucket increment it missed.
+  if (highest > 0) {
     delta.min_ns = sketch_detail::bucket_lower_edge(lowest);
     delta.max_ns = sketch_detail::bucket_upper_edge(highest - 1);
   }

@@ -35,8 +35,8 @@ bool OnlinePlatform::submit_bid(AgentId agent, const model::Bid& bid) {
   MCS_EXPECTS(bid.window.end().value() <= num_slots_,
               "reported departure beyond the round");
   MCS_EXPECTS(!bid.claimed_cost.is_negative(), "claimed cost must be >= 0");
-  MCS_EXPECTS(!agents_.contains(agent.value()),
-              "agent already submitted a bid");
+  const bool first_bid = agents_.insert(agent.value());
+  MCS_EXPECTS(first_bid, "agent already submitted a bid");
   const auto current = static_cast<std::int32_t>(core_.current_slot());
   if (!core_.admits(bid.claimed_cost)) {
     obs::log_event([&] {
@@ -50,7 +50,6 @@ bool OnlinePlatform::submit_bid(AgentId agent, const model::Bid& bid) {
     });
     return false;  // rejected at the door
   }
-  agents_.insert(agent.value());
   (void)core_.admit(agent.value(), bid);
   obs::log_event([&] {
     obs::Event event("bid_admitted");

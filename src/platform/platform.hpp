@@ -17,11 +17,11 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "auction/greedy_core.hpp"
 #include "auction/online_greedy.hpp"
+#include "common/flat_id_set.hpp"
 #include "common/money.hpp"
 #include "common/types.hpp"
 #include "model/bid.hpp"
@@ -61,8 +61,14 @@ class OnlinePlatform {
 
   /// A phone joins the market in the current slot (its reported arrival
   /// must be the current slot -- phones bid when they join). Returns false
-  /// when the bid is rejected at the door by the platform reserve.
+  /// when the bid is rejected at the door by the platform reserve. Each
+  /// agent bids once per round, whether or not its bid was admitted.
   bool submit_bid(AgentId agent, const model::Bid& bid);
+
+  /// Whether the agent already bid this round (admitted or rejected).
+  [[nodiscard]] bool has_bid(AgentId agent) const {
+    return agents_.contains(agent.value());
+  }
 
   /// Processes the current slot: runs the Algorithm-1 step, issues
   /// Algorithm-2 payments to winners departing this slot, then moves to
@@ -77,7 +83,7 @@ class OnlinePlatform {
   Money default_task_value_;
   auction::GreedyCore core_;
   SlotReport report_;  // reused slot to slot
-  std::set<int> agents_;  // admitted agents, for the one-bid rule
+  FlatIdSet agents_;  // agents that bid, for the one-bid rule
   Money total_paid_;
   int last_task_id_{-1};
 };

@@ -1,5 +1,7 @@
 #include "serve/round_machine.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -58,14 +60,14 @@ bool RoundMachine::apply(const ServeEvent& event) {
       if (event.window.end().value() > clock_.horizon()) {
         stream_error(round_, "bid window extends past the round horizon");
       }
-      const auto index = static_cast<std::size_t>(event.agent.value());
-      if (index < agent_bid_.size() && agent_bid_[index]) {
+      if (platform_.has_bid(event.agent)) {
         stream_error(round_, "agent " + std::to_string(event.agent.value()) +
                                  " bid twice");
       }
-      if (index >= agent_bid_.size()) agent_bid_.resize(index + 1, false);
-      agent_bid_[index] = true;
+      phone_count_ = std::max(phone_count_,
+                              std::int64_t{event.agent.value()} + 1);
       if (capture_) {
+        const auto index = static_cast<std::size_t>(event.agent.value());
         if (index >= captured_bids_.size()) captured_bids_.resize(index + 1);
         captured_bids_[index] = bid_of(event);
       }
@@ -96,7 +98,10 @@ bool RoundMachine::apply(const ServeEvent& event) {
       // Materialize the batch-comparable outcome. Agent ids are dense per
       // the scenario convention, so the bid events seen fix the phone
       // count; task ids were validated dense by the platform.
-      const int phone_count = static_cast<int>(agent_bid_.size());
+      if (phone_count_ > std::numeric_limits<int>::max()) {
+        stream_error(round_, "agent ids exceed the phone count range");
+      }
+      const auto phone_count = static_cast<int>(phone_count_);
       const int task_count = static_cast<int>(outcome_.tasks_announced);
       outcome_.outcome.allocation = auction::Allocation(task_count, phone_count);
       for (const auto& [task, agent] : assignments_) {
@@ -127,7 +132,7 @@ bool RoundMachine::capture_complete() const {
   for (const std::optional<model::Bid>& bid : captured_bids_) {
     if (!bid) return false;
   }
-  return captured_bids_.size() == agent_bid_.size();
+  return true;
 }
 
 CapturedRound RoundMachine::take_captured() {

@@ -91,7 +91,7 @@ class RoundMachine {
 
   std::vector<std::pair<TaskId, platform::AgentId>> assignments_;
   std::vector<std::pair<platform::AgentId, Money>> payments_;
-  std::vector<bool> agent_bid_;  ///< index = agent id; true once it bid
+  std::int64_t phone_count_{0};  ///< one past the largest agent id that bid
   std::vector<model::Task> captured_tasks_;
   std::vector<std::optional<model::Bid>> captured_bids_;
   RoundOutcome outcome_;

@@ -1,7 +1,8 @@
 // Tests for the core vocabulary: strong ids, slot intervals, contracts,
-// logging.
+// logging, the flat id set.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -10,6 +11,7 @@
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
+#include "common/flat_id_set.hpp"
 #include "common/interval.hpp"
 #include "common/logging.hpp"
 #include "common/types.hpp"
@@ -147,6 +149,28 @@ TEST(Logging, LevelNames) {
   EXPECT_EQ(to_string(LogLevel::kInfo), "INFO");
   EXPECT_EQ(to_string(LogLevel::kWarn), "WARN");
   EXPECT_EQ(to_string(LogLevel::kError), "ERROR");
+}
+
+TEST(FlatIdSet, MatchesAReferenceSetThroughGrowth) {
+  // Spread ids (every int is a valid key, the extremes included) and a
+  // dense run, inserted twice so every second insert is a duplicate.
+  std::vector<int> ids = {0, -1, std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max()};
+  for (int i = 0; i < 5'000; ++i) ids.push_back(i * 7919 - 20'000'000);
+  for (int i = 1; i < 5'000; ++i) ids.push_back(i);
+  FlatIdSet set;
+  std::unordered_set<int> reference;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const int id : ids) {
+      EXPECT_EQ(set.insert(id), reference.insert(id).second) << id;
+    }
+  }
+  EXPECT_EQ(set.size(), reference.size());
+  for (const int id : ids) EXPECT_TRUE(set.contains(id)) << id;
+  for (const int absent : {-2, 5'000, std::numeric_limits<int>::max() - 1}) {
+    EXPECT_FALSE(set.contains(absent)) << absent;
+  }
+  EXPECT_FALSE(FlatIdSet{}.contains(0));
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 // critical-value bisection, deterministic replay (clean + tamper
 // detection), the per-bidder explain narrative on the paper's worked
 // example, and the transcript/event-log payment agreement property.
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -21,34 +18,8 @@
 #include "obs/event_log.hpp"
 #include "platform/round_driver.hpp"
 #include "sim/simulator.hpp"
+#include "support/alloc_counter.hpp"
 #include "support/generators.hpp"
-
-// ------------------------------------------------------ allocation probe
-//
-// Global operator new override counting every heap allocation in the test
-// binary -- the instrument behind the disabled-path test. Counting is the
-// only extra work, so every other test runs unchanged.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mcs {
 namespace {
@@ -117,7 +88,7 @@ TEST(RingEventSink, KeepsMostRecentEventsOldestFirst) {
 TEST(EventLogDisabled, NoAllocationsAndFactoryNeverRuns) {
   ASSERT_EQ(obs::current_event_log(), nullptr);
   bool factory_ran = false;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     obs::log_event([&] {
       factory_ran = true;
@@ -126,7 +97,7 @@ TEST(EventLogDisabled, NoAllocationsAndFactoryNeverRuns) {
                                    "allocation either way"));
     });
   }
-  const std::uint64_t after = g_allocations.load();
+  const std::uint64_t after = test::heap_allocations();
   EXPECT_EQ(after, before) << "disabled log_event must not allocate";
   EXPECT_FALSE(factory_ran);
 }
@@ -164,9 +135,11 @@ TEST(CriticalValueEvents, ProbeTrailMatchesSummary) {
   }
   ASSERT_TRUE(critical.has_value());
 
+  // `found` points into this copy, so it must outlive the scan.
+  const std::vector<obs::Event> events = ring.events();
   std::vector<obs::Event> probes;
   const obs::Event* found = nullptr;
-  for (const obs::Event& event : ring.events()) {
+  for (const obs::Event& event : events) {
     if (event.type == "critical_probe") probes.push_back(event);
     if (event.type == "critical_found") found = &event;
   }
@@ -195,7 +168,7 @@ TEST(CriticalValueEvents, ProbeTrailMatchesSummary) {
   EXPECT_EQ(attr_money(*found, "critical_bid"), Money::from_micros(9'000'001));
   EXPECT_EQ(attr_money(*found, "lo"), Money::from_units(9));
   // The inner counterfactual allocations stay out of the primary trail.
-  for (const obs::Event& event : ring.events()) {
+  for (const obs::Event& event : events) {
     EXPECT_NE(event.type, "task_assigned");
     EXPECT_NE(event.type, "slot_pool");
   }

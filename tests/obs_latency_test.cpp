@@ -190,6 +190,22 @@ TEST(LatencySketch, DeltaOfIdenticalSnapshotsIsEmpty) {
   EXPECT_TRUE(std::isnan(delta.quantile_ns(0.5)));
 }
 
+TEST(LatencySketch, DeltaOfATornSnapshotHasNoBucketToBoundItsExtrema) {
+  // snapshot() reads the buckets before count_, so one taken while a
+  // record_ns is in flight can count a sample whose bucket it missed. The
+  // pair below is that case built by hand: one more sample, no bucket grown.
+  const LatencySketchSnapshot earlier = sketch_of({50, 60});
+  LatencySketchSnapshot torn = earlier;
+  torn.count += 1;
+  torn.sum_ns += 70.0;
+
+  const LatencySketchSnapshot delta = torn.delta_since(earlier);
+  EXPECT_EQ(delta.count, 1u);
+  EXPECT_TRUE(delta.counts.empty());
+  EXPECT_EQ(delta.min_ns, 0u);
+  EXPECT_EQ(delta.max_ns, 0u);
+}
+
 // --------------------------------------- estimate_quantile edge hardening
 
 TEST(EstimateQuantile, EmptyHistogramIsNaN) {

@@ -82,6 +82,12 @@ TEST(Platform, ReserveRejectsAtTheDoor) {
       AgentId{0}, model::Bid{SlotInterval::of(1, 3), mu(11)}));
   EXPECT_TRUE(platform.submit_bid(
       AgentId{1}, model::Bid{SlotInterval::of(1, 3), mu(10)}));
+  // A rejected bid still uses up the agent's one bid for the round.
+  EXPECT_TRUE(platform.has_bid(AgentId{0}));
+  EXPECT_FALSE(platform.has_bid(AgentId{2}));
+  EXPECT_THROW(platform.submit_bid(
+                   AgentId{0}, model::Bid{SlotInterval::of(1, 3), mu(9)}),
+               ContractViolation);
 }
 
 TEST(Platform, TaskIdsMustBeDense) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -407,6 +408,35 @@ TEST(ServeEngine, BlockPolicyFailsOnOutOfOrderSlot) {
   ServeEngine engine(config);
   engine.submit(round_open(0, 4, Money::from_units(10)));
   engine.submit(slot_tick(0, Slot{2}));  // clock expects slot 1
+  EXPECT_THROW(engine.drain(), InvalidArgumentError);
+}
+
+TEST(ServeEngine, BlockPolicyFailsOnAgentBiddingTwice) {
+  // The first bid is turned away by the reserve; it still counts as the
+  // agent's one bid of the round.
+  ServeConfig config;
+  config.greedy.reserve_price = Money::from_units(30);
+  ServeEngine engine(config);
+  engine.submit(round_open(0, 3, Money::from_units(50)));
+  const SlotInterval window = SlotInterval::of(1, 2);
+  engine.submit(bid_submitted(0, PhoneId{4},
+                              model::Bid{window, Money::from_units(40)}));
+  engine.submit(bid_submitted(0, PhoneId{4},
+                              model::Bid{window, Money::from_units(20)}));
+  EXPECT_THROW(engine.drain(), InvalidArgumentError);
+}
+
+TEST(ServeEngine, BlockPolicyFailsOnAgentIdBeyondThePhoneRange) {
+  // One past the largest agent id is the phone count, which must fit an
+  // int; the machine keeps nothing sized by the id itself.
+  ServeConfig config;
+  ServeEngine engine(config);
+  engine.submit(round_open(0, 1, Money::from_units(50)));
+  engine.submit(bid_submitted(
+      0, PhoneId{std::numeric_limits<int>::max()},
+      model::Bid{SlotInterval::of(1, 1), Money::from_units(5)}));
+  engine.submit(slot_tick(0, Slot{1}));
+  engine.submit(round_close(0));
   EXPECT_THROW(engine.drain(), InvalidArgumentError);
 }
 
