@@ -93,7 +93,7 @@ void BM_ServeSnapshot(benchmark::State& state) {
   live.attach(4, 1024);
   for (int shard = 0; shard < 4; ++shard) {
     for (int i = 0; i < 256; ++i) {
-      live.on_submit(shard, i % 7);
+      live.on_submit(shard, 1, i % 7);
       live.on_process(shard, static_cast<std::uint64_t>(1000 + i), i % 5);
     }
     live.on_round_close(shard, 2'000'000);

@@ -19,7 +19,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/wallclock.hpp"
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
@@ -127,14 +126,12 @@ void BM_ServeTraceOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeTraceOverhead)->Arg(1)->Arg(8)->UseRealTime();
 
-/// Raw span-record cost: one open round absorbing slot ticks under a fake
-/// clock -- the per-event price of the timeline itself, no engine around
-/// it. The trace is resealed periodically so the span vector stays at
-/// working size instead of saturating the cap.
+/// Raw span-record cost: one open round absorbing slot ticks with
+/// synthetic stamps -- the per-event price of the timeline itself, no
+/// engine around it. The trace is resealed periodically so the span
+/// vector stays at working size instead of saturating the cap.
 void BM_TraceSpanRecord(benchmark::State& state) {
-  obs::FakeClock clock;
   serve::TracePlaneConfig config;
-  config.clock = &clock;
   config.slow_threshold_ns = 1'000'000'000;  // keep the ring cold
   serve::TracePlane plane(config);
   plane.attach(1);

@@ -1,6 +1,5 @@
 #include "obs/econ_metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -40,13 +39,7 @@ std::uint64_t ratio_to_sketch_units(double ratio) {
 
 double sketch_units_to_ratio(double units) { return units / 1e6; }
 
-EconWindowAggregator::EconWindowAggregator(std::uint64_t start_ns,
-                                           std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  previous_.at_ns = start_ns;
-}
-
-const EconWindowStats& EconWindowAggregator::roll(const EconCumulative& now) {
+EconWindowStats EconWindowAggregator::roll(const EconCumulative& now) {
   MCS_EXPECTS(now.at_ns >= previous_.at_ns,
               "econ window sampled with a clock that went backwards");
   EconWindowStats window;
@@ -80,9 +73,7 @@ const EconWindowStats& EconWindowAggregator::roll(const EconCumulative& now) {
       overpayment_ratio(Money::from_micros(window.payment_micros),
                         Money::from_micros(window.claimed_cost_micros));
   previous_ = now;
-  windows_.push_back(std::move(window));
-  while (windows_.size() > capacity_) windows_.pop_front();
-  return windows_.back();
+  return window;
 }
 
 HealthState classify_econ_health(std::int64_t total_violations) {

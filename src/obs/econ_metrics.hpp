@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/money.hpp"
@@ -112,27 +111,17 @@ struct EconWindowStats {
   }
 };
 
-/// Turns successive EconCumulative samples into EconWindowStats and keeps
-/// the most recent `capacity` windows -- the economic twin of
-/// RollingWindowAggregator. Single-threaded by design: only the stats
-/// publisher rolls it.
+/// Turns successive EconCumulative samples into EconWindowStats -- the
+/// economic twin of RollingWindowAggregator, minus the window ring (econ
+/// health is sticky and needs no history). Single-threaded by design: only
+/// the stats publisher rolls it.
 class EconWindowAggregator {
  public:
-  explicit EconWindowAggregator(std::uint64_t start_ns = 0,
-                                std::size_t capacity = 64);
-
   /// Closes the window [previous sample, now] and returns it. `now.at_ns`
-  /// must not precede the previous sample.
-  const EconWindowStats& roll(const EconCumulative& now);
-
-  [[nodiscard]] const std::deque<EconWindowStats>& windows() const {
-    return windows_;
-  }
-  [[nodiscard]] std::int64_t next_index() const { return next_index_; }
+  /// must not precede the previous sample. The first window starts at 0.
+  EconWindowStats roll(const EconCumulative& now);
 
  private:
-  std::size_t capacity_;
-  std::deque<EconWindowStats> windows_;
   EconCumulative previous_;
   std::int64_t next_index_{0};
 };

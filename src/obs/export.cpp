@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/csv.hpp"
@@ -203,53 +204,6 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry) {
   }
 }
 
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<SpanRecord>& spans,
-                        const std::map<std::string, std::string>& meta) {
-  io::JsonWriter json(os);
-  json.begin_object();
-  json.key("traceEvents").begin_array();
-  // Metadata record naming the single process/thread every span lands on.
-  json.begin_object();
-  json.field("name", "process_name");
-  json.field("ph", "M");
-  json.field("pid", std::int64_t{1});
-  json.field("tid", std::int64_t{1});
-  json.key("args").begin_object();
-  json.field("name", "mcs");
-  json.end_object();
-  json.end_object();
-  for (const SpanRecord& span : spans) {
-    json.begin_object();
-    json.field("name", span.name);
-    json.field("cat", "mcs");
-    json.field("ph", "X");
-    json.field("ts", span.start_us);
-    json.field("dur", span.duration_us);
-    json.field("pid", std::int64_t{1});
-    json.field("tid", std::int64_t{1});
-    json.key("args").begin_object();
-    json.field("depth", static_cast<std::int64_t>(span.depth));
-    json.field("parent", static_cast<std::int64_t>(span.parent));
-    json.end_object();
-    json.end_object();
-  }
-  json.end_array();
-  json.field("displayTimeUnit", "ms");
-  if (!meta.empty()) {
-    json.key("otherData").begin_object();
-    for (const auto& [key, value] : meta) json.field(key, value);
-    json.end_object();
-  }
-  json.end_object();
-  os << '\n';
-}
-
-void write_chrome_trace(std::ostream& os, const TraceCollector& trace,
-                        const std::map<std::string, std::string>& meta) {
-  write_chrome_trace(os, trace.spans(), meta);
-}
-
 void write_chrome_trace_events(
     std::ostream& os, const std::vector<ChromeLane>& lanes,
     const std::vector<ChromeEvent>& events,
@@ -286,6 +240,12 @@ void write_chrome_trace_events(
     json.field("dur", event.dur_us);
     json.field("pid", event.pid);
     json.field("tid", event.tid);
+    if (event.depth >= 0) {
+      json.key("args").begin_object();
+      json.field("depth", event.depth);
+      json.field("parent", event.parent);
+      json.end_object();
+    }
     json.end_object();
     if (event.flow_out >= 0) {
       json.begin_object();
@@ -320,6 +280,23 @@ void write_chrome_trace_events(
   }
   json.end_object();
   os << '\n';
+}
+
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<SpanRecord>& spans,
+                        const std::map<std::string, std::string>& meta) {
+  std::vector<ChromeEvent> events;
+  events.reserve(spans.size());
+  for (const SpanRecord& span : spans) {
+    ChromeEvent event;
+    event.name = span.name;
+    event.ts_us = span.start_us;
+    event.dur_us = span.duration_us;
+    event.depth = span.depth;
+    event.parent = span.parent;
+    events.push_back(std::move(event));
+  }
+  write_chrome_trace_events(os, {}, events, meta);
 }
 
 void render_trace_text(std::ostream& os, const TraceCollector& trace) {

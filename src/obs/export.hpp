@@ -53,25 +53,14 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry);
 ///     payments                    7.8 ms
 void render_trace_text(std::ostream& os, const TraceCollector& trace);
 
-/// Chrome Trace Event Format (the JSON-object flavour with a "traceEvents"
-/// array of complete "X" events), loadable directly in Perfetto or
-/// chrome://tracing. One event per span, in the collector's preorder, with
-/// ts/dur in microseconds relative to the collector's epoch; depth and
-/// parent index travel in "args" so the exported tree is loss-free with
-/// respect to render_trace_text. `meta` lands under "otherData".
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<SpanRecord>& spans,
-                        const std::map<std::string, std::string>& meta = {});
-void write_chrome_trace(std::ostream& os, const TraceCollector& trace,
-                        const std::map<std::string, std::string>& meta = {});
-
-/// One complete ("X") event of a multi-lane Chrome trace, with explicit
-/// pid/tid lane placement and optional flow linkage. A non-negative
-/// flow_out emits a flow-start ("s") record at the span's end; a
-/// non-negative flow_in emits a flow-finish ("f", bp "e") record at the
-/// span's start -- Perfetto draws an arrow between the two spans carrying
-/// the same flow id (we use the round id, so a round's producer-side
-/// queue span links to its shard-worker timeline).
+/// One complete ("X") event of a Chrome trace, with explicit pid/tid lane
+/// placement and optional flow linkage. A non-negative flow_out emits a
+/// flow-start ("s") record at the span's end; a non-negative flow_in emits
+/// a flow-finish ("f", bp "e") record at the span's start -- Perfetto
+/// draws an arrow between the two spans carrying the same flow id (we use
+/// the round id, so a round's producer-side queue span links to its
+/// shard-worker timeline). A non-negative depth puts the span-tree
+/// position (depth, parent index) in the event's "args".
 struct ChromeEvent {
   std::string name;
   std::int64_t pid{1};
@@ -80,6 +69,8 @@ struct ChromeEvent {
   std::int64_t dur_us{0};
   std::int64_t flow_out{-1};
   std::int64_t flow_in{-1};
+  std::int64_t depth{-1};
+  std::int64_t parent{-1};
 };
 
 /// Display name of one pid/tid lane (rendered as a thread_name "M"
@@ -90,13 +81,22 @@ struct ChromeLane {
   std::string name;
 };
 
-/// Multi-lane Chrome Trace Event Format: thread_name metadata for each
-/// lane, then the events in the order given (callers sort for
-/// determinism), with flow records interleaved after their spans. The
-/// single-lane SpanRecord overload above is untouched and byte-stable.
+/// Chrome Trace Event Format (the JSON-object flavour with a "traceEvents"
+/// array), loadable directly in Perfetto or chrome://tracing: a
+/// process_name record, thread_name metadata for each lane, then the
+/// events in the order given (callers sort for determinism), with flow
+/// records interleaved after their spans. `meta` lands under "otherData".
 void write_chrome_trace_events(
     std::ostream& os, const std::vector<ChromeLane>& lanes,
     const std::vector<ChromeEvent>& events,
     const std::map<std::string, std::string>& meta = {});
+
+/// A span tree as a single-lane Chrome trace: one event per span, in the
+/// collector's preorder, with ts/dur in microseconds relative to the
+/// collector's epoch; depth and parent index travel in "args" so the
+/// exported tree is loss-free with respect to render_trace_text.
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<SpanRecord>& spans,
+                        const std::map<std::string, std::string>& meta = {});
 
 }  // namespace mcs::obs

@@ -21,6 +21,11 @@ namespace mcs::serve {
 
 namespace {
 
+/// The offline VCG reference prices a round only when it has at most this
+/// many phones and tasks: its matching is cubic in their sum.
+constexpr int kVcgMaxPhones = 12;
+constexpr int kVcgMaxTasks = 12;
+
 /// Same mixer the engine's shard router uses; duplicated locally so the
 /// probe sampler cannot drift if the router ever changes.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -55,7 +60,7 @@ void EconTelemetry::attach(int shards) {
   next_window_ = 0;
   for (int i = 0; i < shards; ++i) {
     slots_.push_back(std::make_unique<ShardSlot>());
-    aggregators_.emplace_back(0, config_.window_capacity);
+    aggregators_.emplace_back();
   }
 }
 
@@ -145,22 +150,18 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
       // window): the invariant list above already carries what we know.
     }
 
-    if (config_.second_price_reference) {
-      try {
-        const auction::SecondPriceConfig reference_config{
-            auction::SecondPriceConfig::NoRunnerUp::kOwnBid, config_.greedy};
-        const auction::SecondPriceBaseline reference(reference_config);
-        second_price_micros =
-            reference.run(captured.scenario, captured.bids)
-                .total_payment()
-                .micros();
-        have_second_price = true;
-      } catch (const Error&) {
-      }
+    try {
+      const auction::SecondPriceConfig reference_config{
+          auction::SecondPriceConfig::NoRunnerUp::kOwnBid, config_.greedy};
+      const auction::SecondPriceBaseline reference(reference_config);
+      second_price_micros = reference.run(captured.scenario, captured.bids)
+                                .total_payment()
+                                .micros();
+      have_second_price = true;
+    } catch (const Error&) {
     }
-    if (config_.vcg_max_phones > 0 && config_.vcg_max_tasks > 0 &&
-        captured.scenario.phone_count() <= config_.vcg_max_phones &&
-        captured.scenario.task_count() <= config_.vcg_max_tasks) {
+    if (captured.scenario.phone_count() <= kVcgMaxPhones &&
+        captured.scenario.task_count() <= kVcgMaxTasks) {
       try {
         const auction::OfflineVcgMechanism vcg;
         vcg_micros = vcg.run(captured.scenario, captured.bids)

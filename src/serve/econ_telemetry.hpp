@@ -10,8 +10,9 @@
 //    analysis::compute_metrics the offline audits use (welfare, payment,
 //    overpayment ratio sigma, coverage, Jain payment fairness),
 //  * prices the round under reference mechanisms -- the per-slot
-//    second-price baseline every round, offline VCG for small rounds --
-//    so overpayment is visible against a yardstick, and
+//    second-price baseline every round, offline VCG for rounds of at most
+//    12 phones and 12 tasks (fixed gates; the matching is cubic) -- so
+//    overpayment is visible against a yardstick, and
 //  * runs the sentinel: cheap exact invariants every round
 //    (analysis::check_round_invariants -- winner paid >= claimed cost,
 //    losers paid zero, payment-total accounting), plus, for a seeded
@@ -34,8 +35,9 @@
 // Snapshots aggregate per-shard atomics through obs::EconWindowAggregator
 // into one "mcs.serve_econ.v1" JSONL line (write_econ_snapshot) and
 // Prometheus gauges (render_econ_prometheus), published by the same
-// StatsPublisher cadence as the systems plane. Time comes from an
-// injectable clock, so FakeClock tests golden the stream byte for byte.
+// StatsPublisher cadence as the systems plane. Each roll returns just the
+// window it closed; nothing older is kept. Time comes from an injectable
+// clock, so FakeClock tests golden the stream byte for byte.
 #pragma once
 
 #include <atomic>
@@ -57,17 +59,6 @@ namespace mcs::serve {
 struct EconTelemetryConfig {
   /// Time source; nullptr = the process steady clock.
   obs::MonotonicClock* clock = nullptr;
-  /// Rolling econ windows retained per shard.
-  std::size_t window_capacity = 64;
-
-  /// Price every round under the per-slot second-price baseline (cheap:
-  /// one greedy re-run, no counterfactuals).
-  bool second_price_reference = true;
-  /// Offline VCG reference, gated to small rounds (O((n+gamma)^3) style
-  /// matching); 0 disables. A round qualifies when phones <= vcg_max_phones
-  /// AND tasks <= vcg_max_tasks.
-  int vcg_max_phones = 12;
-  int vcg_max_tasks = 12;
 
   /// Deep-probe sampling: 1-in-N rounds get per-winner counterfactual
   /// probes; 0 disables deep probes (cheap invariants still run on every

@@ -1,10 +1,11 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
+#include "obs/wallclock.hpp"
 #include "serve/econ_telemetry.hpp"
 #include "serve/telemetry.hpp"
 #include "serve/trace_plane.hpp"
@@ -71,6 +72,8 @@ int shard_of_round(std::int64_t round, int shards) {
 ServeEngine::ServeEngine(ServeConfig config)
     : config_(std::move(config)), parent_registry_(obs::current_registry()) {
   config_.validate();
+  timed_ = config_.live != nullptr || config_.trace != nullptr;
+  if (timed_) epoch_ns_ = obs::steady_clock().now_ns();
   if (config_.live != nullptr) {
     config_.live->attach(config_.shards,
                          static_cast<std::int64_t>(config_.queue_capacity));
@@ -99,10 +102,10 @@ ServeEngine::~ServeEngine() {
   }
 }
 
-std::uint64_t ServeEngine::stamp_ns() {
-  if (config_.live != nullptr) return config_.live->now_ns();
-  if (config_.trace != nullptr) return config_.trace->now_ns();
-  return 0;
+std::uint64_t ServeEngine::stamp_ns() const {
+  if (!timed_) return 0;
+  const std::uint64_t now = obs::steady_clock().now_ns();
+  return now >= epoch_ns_ ? now - epoch_ns_ : 0;
 }
 
 SubmitStatus ServeEngine::submit(const ServeEvent& event) {
@@ -158,12 +161,10 @@ void ServeEngine::worker_main(Shard& shard) {
   // the whole path stays on the no-op fast branch.
   std::optional<obs::ScopedRegistry> guard;
   if (parent_registry_ != nullptr) guard.emplace(&shard.registry);
-  const obs::TraceSpan span("serve.shard");
 
   LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
-  std::unordered_map<std::int64_t, RoundMachine> machines;
-  std::unordered_map<std::int64_t, std::uint64_t> open_ns;  // live plane
+  RoundTable rounds;
   // Consumer-side batching mirrors the producer side: up to kPopBatch
   // events leave the ring under one lock. The buffer is reused across
   // iterations, so the steady-state loop performs no allocation.
@@ -172,27 +173,23 @@ void ServeEngine::worker_main(Shard& shard) {
   batch.reserve(kPopBatch);
   while (shard.queue.pop_batch(batch, kPopBatch) > 0) {
     for (const PoppedEvent& popped : batch) {
-      std::uint64_t now = 0;
+      const std::uint64_t now = stamp_ns();
+      const std::uint64_t queue_wait_ns =
+          now >= popped.enqueue_ns ? now - popped.enqueue_ns : 0;
       if (live != nullptr) {
-        now = live->now_ns();
-        live->on_process(shard.index,
-                         now >= popped.enqueue_ns ? now - popped.enqueue_ns
-                                                  : 0,
-                         popped.depth_left);
-      } else if (trace != nullptr) {
-        now = trace->now_ns();
+        live->on_process(shard.index, queue_wait_ns, popped.depth_left);
       }
       if (trace != nullptr) {
-        trace->on_event(shard.index,
-                        now >= popped.enqueue_ns ? now - popped.enqueue_ns
-                                                 : 0,
+        trace->on_event(shard.index, queue_wait_ns,
                         popped.event.client_lag_ns);
       }
       if (!shard.error.empty()) continue;  // poisoned: drain without work
       try {
-        process_event(shard, machines, open_ns, popped.event, now,
-                      popped.enqueue_ns);
-      } catch (const Error& e) {
+        process_event(shard, rounds, popped.event, now, popped.enqueue_ns);
+      } catch (const std::exception& e) {
+        // Any failure -- a malformed stream (mcs::Error) or a resource
+        // failure such as std::bad_alloc on a hostile round -- stays with
+        // its round or its stream; it never unwinds the worker thread.
         if (config_.admission == ServeConfig::Admission::kReject) {
           // Shedding already made the stream lossy; a hole in one round's
           // event sequence drops that round, not the whole engine.
@@ -200,8 +197,7 @@ void ServeEngine::worker_main(Shard& shard) {
             trace->on_round_corrupted(shard.index, popped.event.round,
                                       stamp_ns());
           }
-          machines.erase(popped.event.round);
-          open_ns.erase(popped.event.round);
+          rounds.erase(popped.event.round);
           ++shard.stats.rounds_corrupted;
           obs::count("serve.rounds_corrupted");
         } else {
@@ -212,11 +208,10 @@ void ServeEngine::worker_main(Shard& shard) {
     batch.clear();
   }
   if (trace != nullptr) trace->on_worker_exit(shard.index, stamp_ns());
-  shard.stats.rounds_abandoned +=
-      static_cast<std::int64_t>(machines.size());
-  if (!machines.empty()) {
+  shard.stats.rounds_abandoned += static_cast<std::int64_t>(rounds.size());
+  if (!rounds.empty()) {
     obs::count("serve.rounds_abandoned",
-               static_cast<std::int64_t>(machines.size()));
+               static_cast<std::int64_t>(rounds.size()));
   }
   shard.stats.queue_high_watermark = shard.queue.high_watermark();
   obs::set_gauge(
@@ -224,25 +219,23 @@ void ServeEngine::worker_main(Shard& shard) {
       static_cast<double>(shard.stats.queue_high_watermark));
 }
 
-void ServeEngine::process_event(
-    Shard& shard, std::unordered_map<std::int64_t, RoundMachine>& machines,
-    std::unordered_map<std::int64_t, std::uint64_t>& open_ns,
-    const ServeEvent& event, std::uint64_t now_ns, std::uint64_t enqueue_ns) {
+void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
+                                const ServeEvent& event, std::uint64_t now_ns,
+                                std::uint64_t enqueue_ns) {
   ++shard.stats.processed;
   obs::count(event_counter_name(event.kind));
-  LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
 
   if (event.kind == ServeEventKind::kRoundOpen) {
-    if (machines.contains(event.round)) {
+    if (rounds.contains(event.round)) {
       throw InvalidArgumentError("serve stream, round " +
                                  std::to_string(event.round) +
                                  ": duplicate round_open");
     }
-    machines.emplace(event.round,
-                     RoundMachine(event, config_.greedy,
-                                  /*capture=*/config_.econ != nullptr));
-    if (live != nullptr) open_ns[event.round] = now_ns;
+    rounds.emplace(event.round,
+                   OpenRound{RoundMachine(event, config_.greedy,
+                                          /*capture=*/config_.econ != nullptr),
+                             now_ns});
     if (trace != nullptr) {
       trace->on_round_open(shard.index, event.round, enqueue_ns, now_ns,
                            event.client_lag_ns);
@@ -250,8 +243,8 @@ void ServeEngine::process_event(
     return;
   }
 
-  const auto it = machines.find(event.round);
-  if (it == machines.end()) {
+  const auto it = rounds.find(event.round);
+  if (it == rounds.end()) {
     if (config_.admission == ServeConfig::Admission::kReject) {
       // The round's open (or the whole round) was shed; drop silently.
       ++shard.stats.orphaned_events;
@@ -265,46 +258,44 @@ void ServeEngine::process_event(
         "serve stream, round " + std::to_string(event.round) + ": " +
         std::string(to_string(event.kind)) + " for a round never opened");
   }
-  const bool done = it->second.apply(event);
+  RoundMachine& machine = it->second.machine;
+  const bool done = machine.apply(event);
   if (trace != nullptr && event.kind == ServeEventKind::kSlotTick) {
     trace->on_slot_tick(shard.index, event.round,
                         static_cast<std::int32_t>(event.slot.value()), now_ns,
                         stamp_ns());
   }
-  if (done) {
-    RoundOutcome outcome = it->second.take_outcome();
-    // Econ sentinel: audit the closed round while its capture is still
-    // alive. The shard registry is installed on this thread, so the one
-    // sanctioned counter (econ.violations) lands in the deterministic
-    // merge like any other shard counter.
-    const std::uint64_t settled_ns = trace != nullptr ? stamp_ns() : 0;
-    std::int64_t violations = 0;
-    if (config_.econ != nullptr) {
-      violations = config_.econ->observe_round(shard.index, it->second,
-                                               outcome);
-    }
-    machines.erase(it);
-    if (live != nullptr) {
-      const auto opened = open_ns.find(event.round);
-      if (opened != open_ns.end()) {
-        live->on_round_close(
-            shard.index,
-            now_ns >= opened->second ? now_ns - opened->second : 0);
-        open_ns.erase(opened);
-      }
-    }
-    if (trace != nullptr) {
-      trace->on_round_complete(shard.index, event.round, now_ns, settled_ns,
-                               stamp_ns(), violations);
-    }
-    ++shard.stats.rounds_completed;
-    shard.stats.tasks_announced += outcome.tasks_announced;
-    shard.stats.bids_admitted += outcome.bids_admitted;
-    shard.stats.bids_rejected_reserve += outcome.bids_rejected;
-    shard.stats.total_paid += outcome.total_paid;
-    obs::count("serve.payments_micros", outcome.total_paid.micros());
-    shard.outcomes.push_back(std::move(outcome));
+  if (!done) return;
+
+  RoundOutcome outcome = machine.take_outcome();
+  // Econ sentinel: audit the closed round while its capture is still
+  // alive. The shard registry is installed on this thread, so the one
+  // sanctioned counter (econ.violations) lands in the deterministic
+  // merge like any other shard counter.
+  const std::uint64_t settled_ns = trace != nullptr ? stamp_ns() : 0;
+  std::int64_t violations = 0;
+  if (config_.econ != nullptr) {
+    violations = config_.econ->observe_round(shard.index, machine, outcome);
   }
+  // Round latency: close pickup minus open pickup, the one definition
+  // both timed planes report.
+  const std::uint64_t open_ns = it->second.open_ns;
+  rounds.erase(it);
+  if (config_.live != nullptr) {
+    config_.live->on_round_close(shard.index,
+                                 now_ns >= open_ns ? now_ns - open_ns : 0);
+  }
+  if (trace != nullptr) {
+    trace->on_round_complete(shard.index, event.round, now_ns, settled_ns,
+                             stamp_ns(), violations);
+  }
+  ++shard.stats.rounds_completed;
+  shard.stats.tasks_announced += outcome.tasks_announced;
+  shard.stats.bids_admitted += outcome.bids_admitted;
+  shard.stats.bids_rejected_reserve += outcome.bids_rejected;
+  shard.stats.total_paid += outcome.total_paid;
+  obs::count("serve.payments_micros", outcome.total_paid.micros());
+  shard.outcomes.push_back(std::move(outcome));
 }
 
 void ServeEngine::drain() {

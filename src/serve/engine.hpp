@@ -18,13 +18,16 @@
 // Telemetry: when a MetricsRegistry is installed on the constructing
 // thread, each worker records into its own shard registry and drain()
 // folds them into the installed one via the deterministic registry merge.
-// That is the deterministic plane. Installing a LiveTelemetry in the
-// config additionally turns on the wall-clock plane (serve/telemetry.hpp):
-// submit->process queue waits, round open->close latencies, queue-depth
-// watermarks and reject rates, recorded per shard into latency sketches a
-// snapshot thread publishes while serving. The two planes never mix: live
-// recording writes no registry counter, so the deterministic merge stays
-// bit-identical whether live telemetry is on or off.
+// That is the deterministic plane. The optional live, econ and trace
+// planes in the config are the wall-clock side (serve/telemetry.hpp,
+// serve/econ_telemetry.hpp, serve/trace_plane.hpp). The engine is their
+// one clock: with a live or trace plane attached it stamps each event on
+// the steady clock at handoff and at pickup, and keeps each round's open
+// stamp next to its RoundMachine, so both timed planes get the same queue
+// wait and round latency (close pickup minus open pickup). With every
+// plane off the clock is never read. No plane writes a registry counter
+// (econ's deliberate `econ.violations` aside), so the deterministic merge
+// stays bit-identical whether they are on or off.
 #pragma once
 
 #include <atomic>
@@ -93,7 +96,8 @@ struct ServeConfig {
   /// Optional causal tracing plane (non-owning; must outlive the engine).
   /// When set, every round gets a bounded span timeline and the
   /// tail-based sampler decides at round_close what to retain
-  /// (serve/trace_plane.hpp). Same quarantine discipline as `live`: no
+  /// (serve/trace_plane.hpp). Its hooks take the engine's stamps, the
+  /// same ones `live` gets. Same quarantine discipline as `live`: no
   /// registry counter is ever written, so the deterministic merge is
   /// bit-identical trace-on vs trace-off.
   TracePlane* trace = nullptr;
@@ -188,17 +192,25 @@ class ServeEngine {
     std::string error;   ///< first stream error, empty = clean
   };
 
+  /// One in-flight round of a worker: its machine and the stamp of its
+  /// round_open pickup (0 when no timed plane is attached).
+  struct OpenRound {
+    RoundMachine machine;
+    std::uint64_t open_ns;
+  };
+  using RoundTable = std::unordered_map<std::int64_t, OpenRound>;
+
   void worker_main(Shard& shard);
-  void process_event(Shard& shard,
-                     std::unordered_map<std::int64_t, RoundMachine>& machines,
-                     std::unordered_map<std::int64_t, std::uint64_t>& open_ns,
+  void process_event(Shard& shard, RoundTable& rounds,
                      const ServeEvent& event, std::uint64_t now_ns,
                      std::uint64_t enqueue_ns);
-  /// Wall-clock uptime stamp for the optional planes (live preferred so
-  /// both planes share one timebase per run); 0 when both are off.
-  std::uint64_t stamp_ns();
+  /// Nanoseconds since construction on the steady clock when a live or
+  /// trace plane is attached; 0 (and no clock read) otherwise.
+  [[nodiscard]] std::uint64_t stamp_ns() const;
 
   ServeConfig config_;
+  bool timed_{false};           ///< a live or trace plane is attached
+  std::uint64_t epoch_ns_{0};   ///< steady-clock reading at construction
   obs::MetricsRegistry* parent_registry_;  ///< merge target; may be null
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::int64_t> submitted_{0};

@@ -66,11 +66,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
       }
       phone_count_ = std::max(phone_count_,
                               std::int64_t{event.agent.value()} + 1);
-      if (capture_) {
-        const auto index = static_cast<std::size_t>(event.agent.value());
-        if (index >= captured_bids_.size()) captured_bids_.resize(index + 1);
-        captured_bids_[index] = bid_of(event);
-      }
+      if (capture_) captured_bids_.emplace_back(event.agent, bid_of(event));
       if (platform_.submit_bid(event.agent, bid_of(event))) {
         ++outcome_.bids_admitted;
       } else {
@@ -128,11 +124,8 @@ RoundOutcome RoundMachine::take_outcome() {
 }
 
 bool RoundMachine::capture_complete() const {
-  if (!capture_ || !done_) return false;
-  for (const std::optional<model::Bid>& bid : captured_bids_) {
-    if (!bid) return false;
-  }
-  return true;
+  return capture_ && done_ &&
+         static_cast<std::int64_t>(captured_bids_.size()) == phone_count_;
 }
 
 CapturedRound RoundMachine::take_captured() {
@@ -142,14 +135,18 @@ CapturedRound RoundMachine::take_captured() {
   captured.scenario.num_slots = num_slots_;
   captured.scenario.task_value = round_value_;
   captured.scenario.tasks = std::move(captured_tasks_);
+  // Complete capture means the ids are exactly 0..n-1, so sorting by id
+  // puts each bid at its phone index.
+  std::sort(captured_bids_.begin(), captured_bids_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   captured.scenario.phones.reserve(captured_bids_.size());
   captured.bids.reserve(captured_bids_.size());
-  for (std::optional<model::Bid>& bid : captured_bids_) {
+  for (const auto& [agent, bid] : captured_bids_) {
     // Claimed == true: the reconstruction treats reports as ground truth
     // (the engine has nothing else), so bids equals truthful_bids().
     captured.scenario.phones.push_back(
-        model::TrueProfile{bid->window, bid->claimed_cost});
-    captured.bids.push_back(*bid);
+        model::TrueProfile{bid.window, bid.claimed_cost});
+    captured.bids.push_back(bid);
   }
   return captured;
 }

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "auction/online_greedy.hpp"
@@ -72,7 +72,9 @@ class RoundMachine {
 
   /// True when capture was on, the round is done, and every dense agent id
   /// actually bid (a stream may legally skip ids; such rounds cannot be
-  /// reconstructed and the econ plane counts them as skipped).
+  /// reconstructed and the econ plane counts them as skipped). Agents bid
+  /// once, so that holds exactly when the captured bids number
+  /// phone_count.
   [[nodiscard]] bool capture_complete() const;
 
   /// The captured round; requires capture_complete(). Moves the data out.
@@ -93,7 +95,9 @@ class RoundMachine {
   std::vector<std::pair<platform::AgentId, Money>> payments_;
   std::int64_t phone_count_{0};  ///< one past the largest agent id that bid
   std::vector<model::Task> captured_tasks_;
-  std::vector<std::optional<model::Bid>> captured_bids_;
+  /// Captured bids in arrival order. Nothing here is sized by an agent
+  /// id's value: ids are untrusted input.
+  std::vector<std::pair<platform::AgentId, model::Bid>> captured_bids_;
   RoundOutcome outcome_;
 };
 

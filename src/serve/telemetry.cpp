@@ -15,9 +15,17 @@ namespace mcs::serve {
 
 // ---------------------------------------------------------- LiveTelemetry
 
+namespace {
+
+/// classify_health reads only the newest dwell windows, so that is all
+/// each shard's ring keeps.
+constexpr std::size_t kWindowRing =
+    static_cast<std::size_t>(obs::HealthConfig{}.dwell_windows);
+
+}  // namespace
+
 LiveTelemetry::LiveTelemetry(LiveTelemetryConfig config)
-    : config_(config),
-      clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()) {}
+    : clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()) {}
 
 void LiveTelemetry::attach(int shards, std::int64_t queue_capacity) {
   MCS_EXPECTS(shards >= 1, "live telemetry requires >= 1 shard");
@@ -29,17 +37,13 @@ void LiveTelemetry::attach(int shards, std::int64_t queue_capacity) {
   next_window_ = 0;
   for (int i = 0; i < shards; ++i) {
     slots_.push_back(std::make_unique<ShardSlot>());
-    aggregators_.emplace_back(0, config_.window_capacity);
+    aggregators_.emplace_back(0, kWindowRing);
   }
 }
 
 std::uint64_t LiveTelemetry::now_ns() {
   const std::uint64_t now = clock_->now_ns();
   return now >= start_ns_ ? now - start_ns_ : 0;
-}
-
-void LiveTelemetry::on_submit(int shard, std::int64_t depth_after) {
-  on_submit(shard, 1, depth_after);
 }
 
 void LiveTelemetry::on_submit(int shard, std::int64_t count,
@@ -58,8 +62,6 @@ void LiveTelemetry::on_submit(int shard, std::int64_t count,
              seen, depth_after, std::memory_order_relaxed)) {
   }
 }
-
-void LiveTelemetry::on_reject(int shard) { on_reject(shard, 1); }
 
 void LiveTelemetry::on_reject(int shard, std::int64_t count) {
   slots_[static_cast<std::size_t>(shard)]->rejected.fetch_add(
@@ -116,8 +118,8 @@ ServeSnapshot LiveTelemetry::take_snapshot() {
     ShardWindow shard;
     shard.shard = static_cast<int>(i);
     shard.window = aggregators_[i].roll(sample_shard(*slots_[i], now));
-    shard.state = obs::classify_health(aggregators_[i].windows(),
-                                       queue_capacity_, config_.health);
+    shard.state =
+        obs::classify_health(aggregators_[i].windows(), queue_capacity_);
     snapshot.state = obs::worse(snapshot.state, shard.state);
     snapshot.total.begin_ns =
         std::min(snapshot.total.begin_ns, shard.window.begin_ns);
@@ -282,10 +284,6 @@ void render_live_prometheus(std::ostream& os, const ServeSnapshot& snapshot) {
 }
 
 // --------------------------------------------------------- StatsPublisher
-
-StatsPublisher::StatsPublisher(LiveTelemetry& live, std::ostream& os,
-                               std::chrono::milliseconds period)
-    : StatsPublisher(live, os, period, nullptr, nullptr) {}
 
 StatsPublisher::StatsPublisher(LiveTelemetry& live, std::ostream& os,
                                std::chrono::milliseconds period,

@@ -10,14 +10,18 @@
 // serve_telemetry_test).
 //
 // Wiring: the engine calls the on_* hooks (a few relaxed atomics each)
-// when a LiveTelemetry is installed in its ServeConfig; a StatsPublisher
-// thread periodically calls take_snapshot(), which rolls one window per
-// shard (obs::RollingWindowAggregator), classifies shard and engine health
-// (obs::classify_health), and emits one JSONL line of schema
+// when a LiveTelemetry is installed in its ServeConfig, passing durations
+// it measured on its own clock (queue wait, round latency). A
+// StatsPublisher thread periodically calls take_snapshot(), which rolls
+// one window per shard (obs::RollingWindowAggregator), classifies shard
+// and engine health (obs::classify_health with the default
+// obs::HealthConfig), and emits one JSONL line of schema
 // "mcs.serve_stats.v1" (write_serve_snapshot) and/or a Prometheus text
-// rendering (render_live_prometheus, via the existing exporter). Time
-// comes from an injectable obs::MonotonicClock, so tests drive the whole
-// plane with a FakeClock and golden the snapshots byte for byte.
+// rendering (render_live_prometheus, via the existing exporter). Each
+// shard's window ring keeps exactly the health dwell's worth of windows,
+// the only ones classify_health reads. Window edges and uptime come from
+// an injectable obs::MonotonicClock, so tests drive the whole plane with
+// a FakeClock and golden the snapshots byte for byte.
 #pragma once
 
 #include <atomic>
@@ -37,11 +41,9 @@
 namespace mcs::serve {
 
 struct LiveTelemetryConfig {
-  /// Time source; nullptr = the process steady clock.
+  /// Time source of window edges and uptime; nullptr = the process
+  /// steady clock.
   obs::MonotonicClock* clock = nullptr;
-  /// Rolling windows retained per shard (health dwell looks at the tail).
-  std::size_t window_capacity = 64;
-  obs::HealthConfig health;
 };
 
 /// One shard's share of a snapshot window.
@@ -93,16 +95,11 @@ class LiveTelemetry {
 
   [[nodiscard]] int shards() const { return static_cast<int>(slots_.size()); }
 
-  /// Uptime timestamp (ns since attach) from the injected clock.
-  [[nodiscard]] std::uint64_t now_ns();
-
-  // Engine hooks. Thread-safe, wait-free (relaxed atomics only). The
-  // count-taking overloads serve the batched handoff path: one call per
-  // batch, counted as `count` events at the batch's depth-after (the exact
-  // instantaneous occupancy -- batch pushes are all-or-nothing).
-  void on_submit(int shard, std::int64_t depth_after);
+  // Engine hooks. Thread-safe, wait-free (relaxed atomics only). Submits
+  // and rejects arrive once per handoff batch: `count` events at the
+  // batch's depth-after (the exact instantaneous occupancy -- batch pushes
+  // are all-or-nothing).
   void on_submit(int shard, std::int64_t count, std::int64_t depth_after);
-  void on_reject(int shard);
   void on_reject(int shard, std::int64_t count);
   void on_process(int shard, std::uint64_t queue_wait_ns,
                   std::int64_t depth_after);
@@ -130,10 +127,11 @@ class LiveTelemetry {
     obs::LatencySketch round_latency;
   };
 
+  /// Uptime timestamp (ns since attach) from the injected clock.
+  [[nodiscard]] std::uint64_t now_ns();
   [[nodiscard]] obs::LiveCumulative sample_shard(ShardSlot& slot,
                                                  std::uint64_t at_ns);
 
-  LiveTelemetryConfig config_;
   obs::MonotonicClock* clock_;
   std::uint64_t start_ns_{0};
   std::int64_t queue_capacity_{0};
@@ -162,10 +160,9 @@ class EconTelemetry;  // serve/econ_telemetry.hpp
 class StatsPublisher {
  public:
   StatsPublisher(LiveTelemetry& live, std::ostream& os,
-                 std::chrono::milliseconds period);
-  StatsPublisher(LiveTelemetry& live, std::ostream& os,
-                 std::chrono::milliseconds period, EconTelemetry* econ,
-                 std::ostream* econ_os);
+                 std::chrono::milliseconds period,
+                 EconTelemetry* econ = nullptr,
+                 std::ostream* econ_os = nullptr);
   ~StatsPublisher();
   StatsPublisher(const StatsPublisher&) = delete;
   StatsPublisher& operator=(const StatsPublisher&) = delete;

@@ -22,9 +22,7 @@ std::int64_t i64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 }  // namespace
 
 TracePlane::TracePlane(TracePlaneConfig config)
-    : config_(config),
-      clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()),
-      exemplars_(config.exemplar_threshold_ns) {}
+    : config_(config), exemplars_(config.exemplar_threshold_ns) {}
 
 void TracePlane::attach(int shards) {
   MCS_EXPECTS(shards >= 1, "trace plane: shards must be >= 1");
@@ -38,12 +36,6 @@ void TracePlane::attach(int shards) {
                                                   std::memory_order_relaxed);
     }
   }
-  start_ns_ = clock_->now_ns();
-}
-
-std::uint64_t TracePlane::now_ns() {
-  const std::uint64_t now = clock_->now_ns();
-  return now >= start_ns_ ? now - start_ns_ : 0;
 }
 
 void TracePlane::on_event(int shard, std::uint64_t queue_wait_ns,

@@ -9,12 +9,15 @@
 // of that slot's departing winners), round_close materialization (the
 // `payment` phase), the econ audit, and a terminal round_close marker.
 //
-// Quarantine discipline is identical to LiveTelemetry: the engine's
-// hooks record into per-shard state owned by that shard's worker (plain
-// writes, no locks) plus relaxed-atomic summary counters and latency
-// sketches -- never a MetricsRegistry counter. Trace-on vs trace-off
-// leaves the deterministic merge bit-identical (pinned by
-// serve_trace_test, same discipline as serve_telemetry_test).
+// The plane owns no clock: every hook takes its timestamps from the
+// engine, which stamps each event once on its one clock and hands the
+// live plane the same readings. Quarantine discipline is identical to
+// LiveTelemetry: the engine's hooks record into per-shard state owned by
+// that shard's worker (plain writes, no locks) plus relaxed-atomic
+// summary counters and latency sketches -- never a MetricsRegistry
+// counter. Trace-on vs trace-off leaves the deterministic merge
+// bit-identical (pinned by serve_trace_test, same discipline as
+// serve_telemetry_test).
 //
 // Retention is tail-based, decided at round_close per round:
 //   * slow      -- latency >= the configured threshold, or, in auto mode
@@ -49,13 +52,10 @@
 
 #include "obs/latency_sketch.hpp"
 #include "obs/round_trace.hpp"
-#include "obs/wallclock.hpp"
 
 namespace mcs::serve {
 
 struct TracePlaneConfig {
-  /// Time source; nullptr = the process steady clock.
-  obs::MonotonicClock* clock = nullptr;
   /// Retained-trace capacity per shard (pinned-priority ring).
   std::size_t ring_capacity = 256;
   /// Span cap per trace; appends beyond it are counted, not stored.
@@ -100,15 +100,11 @@ class TracePlane {
 
   [[nodiscard]] const TracePlaneConfig& config() const { return config_; }
 
-  /// Binds to one engine run: sizes the per-shard lanes and restarts
-  /// uptime at now. Called by the engine constructor; discards any
-  /// previous run's traces.
+  /// Binds to one engine run: sizes the per-shard lanes. Called by the
+  /// engine constructor; discards any previous run's traces.
   void attach(int shards);
 
   [[nodiscard]] int shards() const { return static_cast<int>(lanes_.size()); }
-
-  /// Uptime timestamp (ns since attach) from the injected clock.
-  [[nodiscard]] std::uint64_t now_ns();
 
   // Engine hooks. Each shard's timeline state is owned by that shard's
   // worker thread (on_event..on_worker_exit run only there); cross-thread
@@ -193,15 +189,13 @@ class TracePlane {
   void seal(Lane& lane, obs::RoundTrace trace, unsigned extra_reasons);
 
   TracePlaneConfig config_;
-  obs::MonotonicClock* clock_;
-  std::uint64_t start_ns_{0};
   std::vector<std::unique_ptr<Lane>> lanes_;
   obs::SketchExemplars exemplars_;
 };
 
 /// The full "mcs.trace.v1" JSONL stream: header line, one "trace" record
 /// per retained trace (sorted by round id), one "summary" record, one
-/// "exemplars" record. Deterministic under a FakeClock.
+/// "exemplars" record. Deterministic for given hook stamps.
 void write_trace_stream(std::ostream& os, const TracePlane& plane);
 
 /// Multi-lane Chrome Trace Event Format of the retained traces: lane

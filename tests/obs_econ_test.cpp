@@ -65,7 +65,7 @@ EconCumulative cumulative_at(std::uint64_t at_ns, std::int64_t rounds,
 }
 
 TEST(EconWindows, AggregatorProducesExactDeltas) {
-  EconWindowAggregator aggregator(0, 8);
+  EconWindowAggregator aggregator;
   const EconWindowStats& first =
       aggregator.roll(cumulative_at(1'000'000'000ULL, 5, 700));
   EXPECT_EQ(first.index, 0);
@@ -81,17 +81,6 @@ TEST(EconWindows, AggregatorProducesExactDeltas) {
   EXPECT_EQ(second.payment_micros, 300);
   EXPECT_DOUBLE_EQ(second.rounds_per_sec, 0.5);
   EXPECT_EQ(second.begin_ns, first.end_ns) << "windows chain";
-}
-
-TEST(EconWindows, AggregatorTrimsToCapacity) {
-  EconWindowAggregator aggregator(0, 2);
-  for (int i = 1; i <= 5; ++i) {
-    aggregator.roll(cumulative_at(static_cast<std::uint64_t>(i) * 1'000'000ULL,
-                                  i, i * 10));
-  }
-  EXPECT_EQ(aggregator.windows().size(), 2u);
-  EXPECT_EQ(aggregator.windows().back().index, 4);
-  EXPECT_EQ(aggregator.next_index(), 5);
 }
 
 TEST(EconWindows, OverpaymentRatioDerivesFromWindowDeltas) {

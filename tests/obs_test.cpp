@@ -518,7 +518,7 @@ TEST(ChromeTrace, LiveCollectorMatchesRenderTraceText) {
     (void)sibling;
   }
   std::ostringstream chrome;
-  write_chrome_trace(chrome, trace);
+  write_chrome_trace(chrome, trace.spans());
   const io::JsonValue doc = io::parse_json(chrome.str());  // valid JSON
   const auto& events = doc.at("traceEvents").as_array();
   ASSERT_EQ(events.size(), 1u + trace.spans().size());

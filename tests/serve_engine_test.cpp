@@ -18,6 +18,7 @@
 #include "auction/online_greedy.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "serve/econ_telemetry.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/replay.hpp"
@@ -428,16 +429,48 @@ TEST(ServeEngine, BlockPolicyFailsOnAgentBiddingTwice) {
 
 TEST(ServeEngine, BlockPolicyFailsOnAgentIdBeyondThePhoneRange) {
   // One past the largest agent id is the phone count, which must fit an
-  // int; the machine keeps nothing sized by the id itself.
-  ServeConfig config;
-  ServeEngine engine(config);
-  engine.submit(round_open(0, 1, Money::from_units(50)));
-  engine.submit(bid_submitted(
-      0, PhoneId{std::numeric_limits<int>::max()},
-      model::Bid{SlotInterval::of(1, 1), Money::from_units(5)}));
-  engine.submit(slot_tick(0, Slot{1}));
-  engine.submit(round_close(0));
-  EXPECT_THROW(engine.drain(), InvalidArgumentError);
+  // int; the machine keeps nothing sized by the id itself, not even in
+  // the econ plane's capture mode. The crafted round fails the stream
+  // under kBlock and is one corrupted round, beside a normal one that
+  // completes, under kReject.
+  const model::Bid bid{SlotInterval::of(1, 1), Money::from_units(5)};
+  for (const bool with_econ : {false, true}) {
+    for (const ServeConfig::Admission admission :
+         {ServeConfig::Admission::kBlock, ServeConfig::Admission::kReject}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "econ " << with_econ << ", admission "
+                   << (admission == ServeConfig::Admission::kBlock
+                           ? "block"
+                           : "reject"));
+      EconTelemetry econ;
+      ServeConfig config;
+      config.admission = admission;
+      if (with_econ) config.econ = &econ;
+      ServeEngine engine(config);
+      engine.submit(round_open(0, 1, Money::from_units(50)));
+      engine.submit(
+          bid_submitted(0, PhoneId{std::numeric_limits<int>::max()}, bid));
+      engine.submit(slot_tick(0, Slot{1}));
+      engine.submit(round_close(0));
+      engine.submit(round_open(1, 1, Money::from_units(50)));
+      engine.submit(task_arrived(1, Slot{1}, TaskId{0}));
+      engine.submit(bid_submitted(1, PhoneId{0}, bid));
+      engine.submit(slot_tick(1, Slot{1}));
+      engine.submit(round_close(1));
+      if (admission == ServeConfig::Admission::kBlock) {
+        EXPECT_THROW(engine.drain(), InvalidArgumentError);
+        continue;
+      }
+      engine.drain();
+      EXPECT_EQ(engine.stats().rounds_corrupted, 1);
+      EXPECT_EQ(engine.stats().rounds_completed, 1);
+      EXPECT_EQ(engine.stats().orphaned_events, 0);
+      if (with_econ) {
+        EXPECT_EQ(econ.take_snapshot().cumulative.rounds, 1);
+        EXPECT_EQ(econ.violations(), 0);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ drain semantics

@@ -53,12 +53,12 @@ TEST(ServeTelemetry, GoldenSnapshotUnderFakeClock) {
   LiveTelemetry live(config);
   live.attach(1, 8);
 
-  live.on_submit(0, 1);
-  live.on_submit(0, 2);
+  live.on_submit(0, 1, 1);
+  live.on_submit(0, 1, 2);
   live.on_process(0, 5, 1);
   live.on_process(0, 5, 0);
   live.on_round_close(0, 10);
-  live.on_reject(0);
+  live.on_reject(0, 1);
   clock.advance_ms(1000);
 
   std::ostringstream os;
@@ -106,7 +106,7 @@ TEST(ServeTelemetry, SnapshotWindowsAreMonotoneAndRatesDeterministic) {
   live.attach(2, 16);
 
   for (std::int64_t expected = 0; expected < 5; ++expected) {
-    live.on_submit(0, 1);
+    live.on_submit(0, 1, 1);
     live.on_process(0, 4, 0);
     clock.advance_ms(500);
     const ServeSnapshot snapshot = live.take_snapshot();
@@ -126,7 +126,7 @@ TEST(ServeTelemetry, StalledShardDetectedUnderFakeClock) {
   LiveTelemetry live(config);
   live.attach(1, 8);
 
-  live.on_submit(0, 3);  // backlog builds, nothing ever processed
+  live.on_submit(0, 1, 3);  // backlog builds, nothing ever processed
   clock.advance_ms(1000);
   EXPECT_EQ(live.take_snapshot().state, obs::HealthState::kHealthy)
       << "one stalled window is within dwell";
@@ -143,12 +143,12 @@ TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
   LiveTelemetry live(config);
   live.attach(2, 8);
 
-  live.on_submit(0, 5);
+  live.on_submit(0, 1, 5);
   live.on_process(0, 7, 0);
   live.on_round_close(0, 9);
-  live.on_submit(1, 2);
+  live.on_submit(1, 1, 2);
   live.on_process(1, 3, 0);
-  live.on_reject(1);
+  live.on_reject(1, 1);
   clock.advance_ms(2000);
 
   const LiveSummary summary = live.summary();
@@ -171,7 +171,7 @@ TEST(ServeTelemetry, PrometheusRenderingExposesLiveGauges) {
   config.clock = &clock;
   LiveTelemetry live(config);
   live.attach(2, 8);
-  live.on_submit(0, 1);
+  live.on_submit(0, 1, 1);
   live.on_process(0, 5, 0);
   clock.advance_ms(1000);
 

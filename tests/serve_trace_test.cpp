@@ -44,10 +44,10 @@ std::vector<ServeEvent> events_of(const LoadGenConfig& load) {
   return events;
 }
 
-/// A plane on a fake clock with a fixed 1 us slow threshold.
-TracePlaneConfig fake_clock_config(obs::FakeClock& clock) {
+/// A small plane with a fixed 1 us slow threshold. Hooks take explicit
+/// stamps, so hand-driven tests are deterministic without any clock.
+TracePlaneConfig fixed_threshold_config() {
   TracePlaneConfig config;
-  config.clock = &clock;
   config.ring_capacity = 8;
   config.slow_threshold_ns = 1000;
   config.exemplar_threshold_ns = 1000;
@@ -57,8 +57,7 @@ TracePlaneConfig fake_clock_config(obs::FakeClock& clock) {
 // ------------------------------------------------------- tail retention
 
 TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
-  obs::FakeClock clock;
-  TracePlane plane(fake_clock_config(clock));
+  TracePlane plane(fixed_threshold_config());
   plane.attach(1);
 
   // Round 0: fast and clean -- folded into summaries, not retained.
@@ -119,8 +118,7 @@ TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
 }
 
 TEST(TracePlane, AbandonedOpenRoundsAreSealedAtWorkerExit) {
-  obs::FakeClock clock;
-  TracePlane plane(fake_clock_config(clock));
+  TracePlane plane(fixed_threshold_config());
   plane.attach(1);
   plane.on_round_open(0, 4, 100, 200, 0);
   plane.on_worker_exit(0, 900);
@@ -134,9 +132,7 @@ TEST(TracePlane, AbandonedOpenRoundsAreSealedAtWorkerExit) {
 }
 
 TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
-  obs::FakeClock clock;
   TracePlaneConfig config;
-  config.clock = &clock;
   config.slow_threshold_ns = 0;  // auto
   TracePlane plane(config);
   plane.attach(1);
@@ -181,8 +177,7 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
 TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
   // More rounds than ring capacity: the retained set (slow + violating)
   // survives in full, healthy context traces are the eviction fodder.
-  obs::FakeClock clock;
-  TracePlaneConfig config = fake_clock_config(clock);
+  TracePlaneConfig config = fixed_threshold_config();
   config.ring_capacity = 3;
   TracePlane plane(config);
   plane.attach(1);
@@ -227,9 +222,7 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
 // ----------------------------------------------------------- golden JSONL
 
 TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
-  obs::FakeClock clock;
   TracePlaneConfig config;
-  config.clock = &clock;
   config.ring_capacity = 4;
   config.max_spans = 8;
   config.slow_threshold_ns = 1000;
@@ -364,29 +357,62 @@ TEST(TracePlane, EngineFeedsTheTracePlaneWhileServing) {
 TEST(TracePlane, LiveAndTraceRoundLatencySketchesAgree) {
   // Both planes derive round latency from the same engine stamps, so the
   // trace plane's round_close sketch must match the live plane's
-  // round_latency sketch sample for sample.
-  const std::vector<ServeEvent> events = events_of(small_load(5));
-  LiveTelemetry live;
-  TracePlane trace;
-  ServeConfig config;
-  config.shards = 2;
-  config.live = &live;
-  config.trace = &trace;
-  ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
-  engine.drain();
+  // round_latency sketch sample for sample. The stream also walks every
+  // kReject shed path with both planes attached: round 100 misses its
+  // last slot_tick (corrupted at close), round 200 was never opened (two
+  // orphaned events), round 300 is never closed (abandoned at drain).
+  std::vector<ServeEvent> events = events_of(small_load(5));
+  const std::int64_t clean_rounds = 5;
+  events.push_back(round_open(100, 2, Money::from_units(10)));
+  events.push_back(slot_tick(100, Slot{1}));
+  events.push_back(round_close(100));
+  events.push_back(task_arrived(200, Slot{1}, TaskId{0}));
+  events.push_back(slot_tick(200, Slot{1}));
+  events.push_back(round_open(300, 2, Money::from_units(10)));
+  events.push_back(slot_tick(300, Slot{1}));
 
-  const obs::LatencySketchSnapshot live_sketch =
-      live.summary().round_latency;
-  const obs::LatencySketchSnapshot trace_sketch =
-      trace.summary()
-          .phases[static_cast<std::size_t>(obs::TracePhase::kRoundClose)]
-          .sketch;
-  ASSERT_EQ(live_sketch.count, trace_sketch.count);
-  EXPECT_EQ(live_sketch.counts, trace_sketch.counts);
-  EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.5), trace_sketch.quantile_ns(0.5));
-  EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.99),
-                   trace_sketch.quantile_ns(0.99));
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shard(s)");
+    LiveTelemetry live;
+    TracePlane trace;
+    ServeConfig config;
+    config.shards = shards;
+    config.admission = ServeConfig::Admission::kReject;
+    config.live = &live;
+    config.trace = &trace;
+    ServeEngine engine(config);
+    for (const ServeEvent& event : events) {
+      ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
+    }
+    engine.drain();
+
+    const ServeStats& stats = engine.stats();
+    EXPECT_EQ(stats.rounds_completed, clean_rounds);
+    EXPECT_EQ(stats.rounds_corrupted, 1);
+    EXPECT_EQ(stats.orphaned_events, 2);
+    EXPECT_EQ(stats.rounds_abandoned, 1);
+
+    const LiveSummary live_summary = live.summary();
+    const TraceSummary trace_summary = trace.summary();
+    EXPECT_EQ(live_summary.rounds_closed, stats.rounds_completed);
+    EXPECT_EQ(trace_summary.rounds_completed, stats.rounds_completed);
+    // Corrupted, orphaned and abandoned rounds each seal one error trace.
+    EXPECT_EQ(trace_summary.retained_error, 3);
+    EXPECT_EQ(trace_summary.rounds_traced,
+              trace_summary.rounds_completed + trace_summary.retained_error);
+
+    const obs::LatencySketchSnapshot& live_sketch = live_summary.round_latency;
+    const obs::LatencySketchSnapshot& trace_sketch =
+        trace_summary
+            .phases[static_cast<std::size_t>(obs::TracePhase::kRoundClose)]
+            .sketch;
+    ASSERT_EQ(live_sketch.count, trace_sketch.count);
+    EXPECT_EQ(live_sketch.counts, trace_sketch.counts);
+    EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.5),
+                     trace_sketch.quantile_ns(0.5));
+    EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.99),
+                     trace_sketch.quantile_ns(0.99));
+  }
 }
 
 // ------------------------------------------------------ loadgen lag stamp
@@ -432,8 +458,7 @@ TEST(ServePacing, OnScheduleEventsCarryNoLag) {
 // ------------------------------------------------------------ trace-report
 
 TEST(TraceReport, DigestsAndRendersAPlaneStream) {
-  obs::FakeClock clock;
-  TracePlane plane(fake_clock_config(clock));
+  TracePlane plane(fixed_threshold_config());
   plane.attach(1);
   plane.on_round_open(0, 0, 100, 200, 50);
   plane.on_slot_tick(0, 0, 1, 200, 300);

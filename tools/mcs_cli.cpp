@@ -108,7 +108,7 @@ class CliTelemetry {
     if (!trace_path_.empty()) {
       std::ofstream out(trace_path_);
       if (!out) throw IoError("cannot open trace file: " + trace_path_);
-      obs::write_chrome_trace(out, trace_, meta);
+      obs::write_chrome_trace(out, trace_.spans(), meta);
       std::cout << "chrome trace written to " << trace_path_
                 << " (load in Perfetto or chrome://tracing)\n";
     }
