@@ -53,8 +53,9 @@ void BM_Payments_FullReplay(benchmark::State& state) {
 BENCHMARK(BM_Payments_FullReplay)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
-  // Every bisection probe forks from the checkpoint at the phone's
-  // arrival instead of replaying from slot 1.
+  // Every bisection probe forks at the phone's arrival from the factual
+  // slot pool, on the thread's restarted GreedyCore, instead of replaying
+  // from slot 1.
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();

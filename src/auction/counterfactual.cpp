@@ -1,10 +1,9 @@
 #include "auction/counterfactual.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "auction/critical_value.hpp"
-#include "common/assert.hpp"
+#include "auction/greedy_core.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 
@@ -26,24 +25,12 @@ CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
                                            const model::BidProfile& bids,
                                            const OnlineGreedyConfig& config)
     : scenario_(scenario), bids_(bids), config_(config) {
-  // The internal factual pass exists only to capture checkpoints; its
-  // allocation decisions are not decisions of any recorded run.
+  // The internal factual pass exists only to record the slot pools probes
+  // fork from; its allocation decisions are not decisions of any recorded
+  // run.
   const obs::ScopedEventLog suppress_factual(nullptr);
-  (void)run_greedy_allocation(scenario_, bids_, config_, std::nullopt, 0,
-                              &checkpoints_);
+  factual_ = run_greedy_allocation(scenario_, bids_, config_).slots;
   obs::count("auction.counterfactual.engine_builds");
-  tasks_per_slot_ = scenario_.tasks_per_slot();
-  // A phone reporting window [a~, d~] is swept out of the pool at the
-  // start of slot d~ + 1; index that slot so forks erase only actual
-  // departures (same shape as the arrivals index).
-  departures_.assign(static_cast<std::size_t>(scenario_.num_slots) + 2, {});
-  for (const std::vector<int>& slot_arrivals : checkpoints_.arrivals) {
-    for (const int phone : slot_arrivals) {
-      const Slot::rep_type departs_after =
-          bids_[static_cast<std::size_t>(phone)].window.end().value() + 1;
-      departures_[static_cast<std::size_t>(departs_after)].push_back(phone);
-    }
-  }
 }
 
 bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
@@ -53,58 +40,46 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
     return false;  // above the platform reserve: never admitted
   }
   const Slot::rep_type fork = own.window.begin().value();
-  const Slot::rep_type last = std::min(own.window.end().value(), horizon());
+  const Slot::rep_type last = std::min(
+      own.window.end().value(), static_cast<Slot::rep_type>(factual_.size()));
   if (fork > last) {
     count_probe_fork(0, 0);
     return false;
   }
 
-  const GreedyCheckpoints::SlotStart& start =
-      checkpoints_.slots[static_cast<std::size_t>(fork)];
-  std::set<PoolBid> pool(start.pool.begin(), start.pool.end());
-  std::size_t next_task = start.next_task;
-  const PoolBid probe{cost.micros(), phone.value()};
-
-  std::vector<TaskId> slot_tasks;
+  // A probe is bookkeeping of a search, not a decision of any recorded
+  // run: the fork's slot_pool and task_assigned events stay out of the
+  // caller's trail.
+  const obs::ScopedEventLog suppress_fork(nullptr);
+  // One core per thread, restarted for every probe, so warm probes reuse
+  // its buffers instead of regrowing them.
+  thread_local GreedyCore core;
+  core.restart(config_, fork);
+  auto task = std::partition_point(
+      scenario_.tasks.begin(), scenario_.tasks.end(),
+      [&](const model::Task& queued) { return queued.slot.value() < fork; });
+  GreedyCore::Handle probed = 0;
   for (Slot::rep_type t = fork; t <= last; ++t) {
-    for (const int p : checkpoints_.arrivals[static_cast<std::size_t>(t)]) {
-      if (p == phone.value()) continue;  // replaced by the probed bid
-      pool.insert(
-          PoolBid{bids_[static_cast<std::size_t>(p)].claimed_cost.micros(), p});
-    }
-    if (t == fork) pool.insert(probe);
-    for (const int p : departures_[static_cast<std::size_t>(t)]) {
-      if (p == phone.value()) continue;
-      pool.erase(
-          PoolBid{bids_[static_cast<std::size_t>(p)].claimed_cost.micros(), p});
-    }
-
-    const int r_t = tasks_per_slot_[static_cast<std::size_t>(t)];
-    slot_tasks.clear();
-    for (int k = 0; k < r_t; ++k) {
-      slot_tasks.push_back(
-          TaskId{static_cast<int>(next_task + static_cast<std::size_t>(k))});
-    }
-    next_task += static_cast<std::size_t>(r_t);
-    std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                     [&](TaskId a, TaskId b) {
-                       return scenario_.value_of(a) > scenario_.value_of(b);
-                     });
-
-    for (const TaskId task : slot_tasks) {
-      if (pool.empty()) continue;
-      const PoolBid chosen = *pool.begin();
-      if (config_.allocate_only_profitable &&
-          Money::from_micros(chosen.cost_micros) > scenario_.value_of(task)) {
-        continue;  // cheapest bid unprofitable: the phone stays pooled
+    // The slot's factual pool, after its arrivals: at the fork it is the
+    // whole pool (the bids that arrived earlier and are still unallocated
+    // are the same in both runs), later only the bids arriving at t.
+    const GreedySlotRecord& record = factual_[static_cast<std::size_t>(t) - 1];
+    for (const PhoneId member : record.pool) {
+      const model::Bid& bid = bids_[static_cast<std::size_t>(member.value())];
+      if (t == fork ? member == phone : bid.window.begin().value() != t) {
+        continue;
       }
-      pool.erase(pool.begin());
-      if (chosen.phone == phone.value()) {
-        // Allocated once means allocated for good: exit early.
-        count_probe_fork(t - fork + 1,
-                   fork - 1);
-        return true;
-      }
+      (void)core.admit(member.value(), bid);
+    }
+    if (t == fork) probed = core.admit(phone.value(), {own.window, cost});
+    for (; task != scenario_.tasks.end() && task->slot.value() == t; ++task) {
+      core.add_task(GreedyCore::Task{task->id, scenario_.value_of(task->id)});
+    }
+    (void)core.step();
+    if (core.entry(probed).win_slot != 0) {
+      // Allocated once means allocated for good: exit early.
+      count_probe_fork(t - fork + 1, fork - 1);
+      return true;
     }
   }
   count_probe_fork(last - fork + 1, fork - 1);
@@ -114,11 +89,7 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
 CounterfactualEngine::CriticalValueProbe CounterfactualEngine::
     critical_value_of(PhoneId phone) const {
   CriticalValueProbe probe;
-  {
-    // A probe is bookkeeping, not a decision of any recorded run.
-    const obs::ScopedEventLog suppress_inner(nullptr);
-    probe.winnable = wins_with_cost(phone, Money{});
-  }
+  probe.winnable = wins_with_cost(phone, Money{});
   if (!probe.winnable) return probe;
   probe.critical = greedy_critical_value(*this, phone);
   return probe;

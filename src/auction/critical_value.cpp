@@ -126,10 +126,6 @@ std::optional<Money> greedy_critical_value(const CounterfactualEngine& engine,
                                            PhoneId phone) {
   const Money upper_bound = probe_upper_bound(engine.scenario(), engine.bids());
   const WinsWithCost wins = [&](Money cost) {
-    // The probe allocation is bookkeeping of the search, not a decision of
-    // the recorded run: keep its events out of the primary trail. (The
-    // engine emits none itself; the suppression guards future additions.)
-    const obs::ScopedEventLog suppress_inner(nullptr);
     return engine.wins_with_cost(phone, cost);
   };
   return bisect_critical_value(wins, upper_bound, 1, phone.value());
@@ -142,12 +138,9 @@ PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
   MCS_EXPECTS(index < engine.bids().size(),
               "audit_winner_payment: phone outside the bid profile");
   const Money claimed = engine.bids()[index].claimed_cost;
-  {
-    const obs::ScopedEventLog suppress_inner(nullptr);
-    if (!engine.wins_with_cost(phone, claimed)) {
-      audit.verdict = PaymentAuditVerdict::kLosesAtClaim;
-      return audit;
-    }
+  if (!engine.wins_with_cost(phone, claimed)) {
+    audit.verdict = PaymentAuditVerdict::kLosesAtClaim;
+    return audit;
   }
   // Winning at `claimed` >= 0 plus monotonicity gives wins(0), so the
   // bisection's precondition holds.

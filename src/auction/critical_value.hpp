@@ -37,7 +37,7 @@ using WinsWithCost = std::function<bool(Money cost)>;
 /// bracket) followed by one "critical_found" summary; `log_phone` tags the
 /// records with the bidder under search (-1 = untagged). The `wins`
 /// predicate itself should suppress any instrumentation of its inner
-/// allocation re-run (greedy_critical_value does).
+/// allocation re-run (CounterfactualEngine::wins_with_cost does).
 [[nodiscard]] std::optional<Money> bisect_critical_value(
     const WinsWithCost& wins, Money upper_bound,
     std::int64_t tolerance_micros = 1, std::int32_t log_phone = -1);

@@ -1,6 +1,7 @@
 #include "auction/greedy_core.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <string>
 
@@ -45,13 +46,31 @@ bool cheaper(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
 
 GreedyCore::GreedyCore(OnlineGreedyConfig config) : config_(config) {}
 
+void GreedyCore::restart(const OnlineGreedyConfig& config,
+                         Slot::rep_type first_slot) {
+  config_ = config;
+  first_slot_ = first_slot;
+  current_slot_ = first_slot;
+  entries_.clear();
+  heap_.clear();
+  live_ = 0;
+  stale_ = 0;
+  view_.clear();
+  viewed_ = 0;
+  view_current_ = true;
+  tasks_.clear();
+  departures_.clear();
+  winners_.clear();
+  slots_.clear();
+}
+
 bool GreedyCore::admits(Money cost) const {
   return !config_.reserve_price || cost <= *config_.reserve_price;
 }
 
 GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
-  MCS_EXPECTS(bid.window.begin().value() == current_slot_,
-              "bids join the pool in their reported arrival slot");
+  MCS_EXPECTS(bid.window.contains(Slot{current_slot_}),
+              "bids join the pool within their reported window");
   MCS_EXPECTS(admits(bid.claimed_cost), "bid above the platform reserve");
   const auto handle = static_cast<Handle>(entries_.size());
   entries_.push_back(Entry{id, bid});
@@ -59,7 +78,8 @@ GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
   std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
   view_current_ = false;
-  departures_.emplace(bid.window.end().value(), handle);
+  departures_.emplace_back(bid.window.end().value(), handle);
+  std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
   return handle;
 }
 
@@ -169,9 +189,10 @@ const GreedyCore::Step& GreedyCore::step() {
   // A bid reporting window [a~, d~] leaves the pool after slot d~. Its heap
   // element goes stale; once stale elements outnumber live ones, one pass
   // drops them all, which keeps the heap within twice the pool.
-  while (!departures_.empty() && departures_.top().first == t) {
-    const Handle leaving = departures_.top().second;
-    departures_.pop();
+  while (!departures_.empty() && departures_.front().first == t) {
+    const Handle leaving = departures_.front().second;
+    std::pop_heap(departures_.begin(), departures_.end(), std::greater<>{});
+    departures_.pop_back();
     Entry& left = entries_[static_cast<std::size_t>(leaving)];
     if (left.pooled) {
       left.pooled = false;
@@ -244,7 +265,7 @@ Settlement GreedyCore::settle(Handle winner) const {
   const Slot::rep_type first = own.win_slot;
   const Slot::rep_type last = own.bid.window.end().value();
   MCS_EXPECTS(first != 0, "settle requires an allocated bid");
-  MCS_EXPECTS(static_cast<std::size_t>(last) <= slots_.size(),
+  MCS_EXPECTS(last < current_slot_,
               "settle requires the winner's whole window to be stepped");
   obs::count("auction.settlement.slots_walked", last - first + 1);
 
@@ -253,7 +274,7 @@ Settlement GreedyCore::settle(Handle winner) const {
   // The bid x the counterfactual pool lacks; -1 once the pools agree.
   Handle missing = winner;
   for (Slot::rep_type t = first; t <= last; ++t) {
-    const SlotLog& log = slots_[static_cast<std::size_t>(t) - 1];
+    const SlotLog& log = slots_[static_cast<std::size_t>(t - first_slot_)];
     std::optional<Money> scarce_cap = log.scarce_cap;
     std::optional<Handle> dearest = log.dearest;
     if (missing >= 0 && entry(missing).win_slot == t) {

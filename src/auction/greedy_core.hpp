@@ -8,8 +8,8 @@
 // the front or stale elements outnumber live ones, when one pass compacts
 // the heap; so admit, win and departure are O(log P) amortized with no
 // per-bid heap node. The ordered pool view (the slot_pool event, the batch
-// slot records, the probe checkpoints) is built only when one of those
-// readers asks, by merging the newly admitted bids into the previous view.
+// slot records) is built only when one of those readers asks, by merging
+// the newly admitted bids into the previous view.
 // Each step records what settlement needs from the slot:
 // its dearest winner (winners come out cheapest first), the runner-up
 // (the cheapest bid left after allocation), the value of the last served
@@ -27,16 +27,17 @@
 // Every other slot reads as recorded. One payment is therefore
 // O(d~_i - t'_i) slot reads, with no pool copy and no replay.
 //
-// The batch run_greedy_allocation / OnlineGreedyMechanism and the
+// The batch run_greedy_allocation / OnlineGreedyMechanism, the
 // slot-by-slot platform::OnlinePlatform (and through it the serve
-// RoundMachine) all drive this one core; PaymentEngine::kFullReplay
-// stays the independent oracle it is tested against.
+// RoundMachine) and the CounterfactualEngine's critical-value probes all
+// drive this one core; PaymentEngine::kFullReplay stays the independent
+// oracle it is tested against. A probe restart()s a core at its fork slot
+// and seeds it with the factual pool, so one core serves many probes
+// without reallocating its buffers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,10 @@ class GreedyCore {
 
   explicit GreedyCore(OnlineGreedyConfig config = {});
 
+  /// Empties the core (keeping its buffers) and starts it at `first_slot`
+  /// under `config`: the next step() allocates that slot.
+  void restart(const OnlineGreedyConfig& config, Slot::rep_type first_slot);
+
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
   /// The slot the next step() allocates (1-based).
   [[nodiscard]] Slot::rep_type current_slot() const { return current_slot_; }
@@ -139,7 +144,8 @@ class GreedyCore {
   /// Whether the platform reserve lets a bid claiming `cost` in.
   [[nodiscard]] bool admits(Money cost) const;
 
-  /// Pools a bid whose reported arrival is the current slot; requires
+  /// Pools a bid whose reported window holds the current slot (a restarted
+  /// core pools bids that arrived before its first slot); requires
   /// admits(bid.claimed_cost). Ids must be unique among admitted bids (the
   /// caller's check: the pool heap does not look for duplicates).
   Handle admit(int id, const model::Bid& bid);
@@ -163,7 +169,8 @@ class GreedyCore {
   const Step& step();
 
   /// Algorithm 2 for an allocated bid by the displacement walk. Requires
-  /// every slot of its reported window to have been stepped.
+  /// every slot from its win to its reported departure to have been
+  /// stepped.
   [[nodiscard]] Settlement settle(Handle winner) const;
 
   [[nodiscard]] const Entry& entry(Handle handle) const {
@@ -194,6 +201,7 @@ class GreedyCore {
   void drop_departed_front();
 
   OnlineGreedyConfig config_;
+  Slot::rep_type first_slot_{1};
   Slot::rep_type current_slot_{1};
   std::vector<Entry> entries_;
   /// Min-heap on Pooled::key: every pooled bid, plus `stale_` departed ones
@@ -207,13 +215,10 @@ class GreedyCore {
   std::size_t viewed_{0};  ///< handles below this have entered view_
   bool view_current_{true};
   std::vector<Task> tasks_;  ///< the current slot's
-  /// (reported departure, handle), earliest first.
-  std::priority_queue<std::pair<Slot::rep_type, Handle>,
-                      std::vector<std::pair<Slot::rep_type, Handle>>,
-                      std::greater<>>
-      departures_;
+  /// Min-heap of (reported departure, handle).
+  std::vector<std::pair<Slot::rep_type, Handle>> departures_;
   std::vector<Handle> winners_;
-  std::vector<SlotLog> slots_;  ///< index t-1 describes slot t
+  std::vector<SlotLog> slots_;  ///< index t - first_slot_ describes slot t
   Step step_;
 };
 

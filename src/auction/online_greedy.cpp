@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "auction/counterfactual.hpp"
 #include "auction/greedy_core.hpp"
 #include "common/assert.hpp"
 #include "obs/event_log.hpp"
@@ -20,11 +19,8 @@ namespace {
 GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
                       const model::BidProfile& bids,
                       std::optional<PhoneId> exclude,
-                      Slot::rep_type last_slot, GreedyCheckpoints* capture) {
+                      Slot::rep_type last_slot) {
   model::validate_bids(scenario, bids);
-  MCS_EXPECTS(capture == nullptr || !exclude,
-              "checkpoints describe the factual run: capturing a "
-              "counterfactual (excluded) pass would poison every fork");
   const Slot::rep_type horizon =
       last_slot == 0 ? scenario.num_slots
                      : std::min(last_slot, scenario.num_slots);
@@ -74,10 +70,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     });
     arrivals[static_cast<std::size_t>(bid.window.begin().value())].push_back(i);
   }
-  if (capture != nullptr) {
-    capture->arrivals = arrivals;
-    capture->slots.assign(static_cast<std::size_t>(horizon) + 1, {});
-  }
 
   const std::vector<int> tasks_per_slot = scenario.tasks_per_slot();
   // Tasks of each slot in id order (dense ids sorted by slot make this a
@@ -89,19 +81,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
   run.slots.reserve(static_cast<std::size_t>(horizon));
 
   for (Slot::rep_type t = 1; t <= horizon; ++t) {
-    if (capture != nullptr) {
-      // Snapshot the slot-start state (before this slot's arrivals): the
-      // fork point for counterfactuals of phones whose reported arrival
-      // is t.
-      GreedyCheckpoints::SlotStart& checkpoint =
-          capture->slots[static_cast<std::size_t>(t)];
-      const std::vector<GreedyCore::Pooled>& pool = core.pool();
-      checkpoint.pool.reserve(pool.size());
-      for (const auto& [pooled, handle] : pool) {
-        checkpoint.pool.push_back(pooled);
-      }
-      checkpoint.next_task = next_task;
-    }
     // Add newly arriving bids (Algorithm 1 line 3); the core swept the
     // departed ones at the end of the previous slot.
     for (const int phone : arrivals[static_cast<std::size_t>(t)]) {
@@ -163,10 +142,9 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
                                 const model::BidProfile& bids,
                                 const OnlineGreedyConfig& config,
                                 std::optional<PhoneId> exclude,
-                                Slot::rep_type last_slot,
-                                GreedyCheckpoints* capture) {
+                                Slot::rep_type last_slot) {
   GreedyCore core(config);
-  return allocate_on(core, scenario, bids, exclude, last_slot, capture);
+  return allocate_on(core, scenario, bids, exclude, last_slot);
 }
 
 namespace {
@@ -257,7 +235,7 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
   {
     const obs::TraceSpan allocation_span("online_greedy.allocation");
     outcome.allocation =
-        allocate_on(core, scenario, bids, std::nullopt, 0, nullptr).allocation;
+        allocate_on(core, scenario, bids, std::nullopt, 0).allocation;
   }
   outcome.payments.assign(scenario.phones.size(), Money{});
 

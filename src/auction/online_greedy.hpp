@@ -89,23 +89,17 @@ struct GreedyRun {
   std::vector<GreedySlotRecord> slots;  ///< index t-1 describes slot t
 };
 
-struct GreedyCheckpoints;  // auction/counterfactual.hpp
-
 /// Runs Algorithm 1 on `bids`, optionally pretending phone `exclude` never
 /// bid (the counterfactual run of Algorithm 2), stopping after `last_slot`
 /// (0 = the full round). Exposed publicly because the payment scheme, the
-/// second-price baseline, and several tests all build on it.
-///
-/// When `capture` is non-null the pass additionally snapshots its
-/// per-slot-start state (pool + task cursor) into it, for a
-/// CounterfactualEngine's probes to fork from; capturing is only
-/// meaningful on factual runs (no `exclude`). The pass drives one
-/// GreedyCore (auction/greedy_core.hpp).
+/// second-price baseline, the CounterfactualEngine (whose probes fork from
+/// the factual run's slot pools) and several tests all build on it. The
+/// pass drives one GreedyCore (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
     const OnlineGreedyConfig& config = {},
     std::optional<PhoneId> exclude = std::nullopt,
-    Slot::rep_type last_slot = 0, GreedyCheckpoints* capture = nullptr);
+    Slot::rep_type last_slot = 0);
 
 class OnlineGreedyMechanism final : public Mechanism {
  public:

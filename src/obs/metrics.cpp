@@ -269,14 +269,14 @@ void preregister_headline_counters(MetricsRegistry& registry) {
   registry.counter("auction.settlement.slots_walked",
                    "slot records read by Algorithm-2 displacement walks");
   registry.counter("auction.counterfactual.probe_forks",
-                   "critical-value bisection probes forked from a "
-                   "shared-prefix checkpoint");
+                   "critical-value bisection probes forked at the bid's "
+                   "arrival from the factual slot pool");
   registry.counter("auction.counterfactual.slots_replayed",
-                   "slots simulated by probe forks (the suffix after the "
+                   "slots stepped by probe forks (the suffix from the "
                    "fork point)");
   registry.counter("auction.counterfactual.slots_skipped",
-                   "slots inherited byte-identically from factual "
-                   "checkpoints instead of being replayed");
+                   "slots inherited from the factual run instead of "
+                   "being replayed");
 }
 
 // ------------------------------------------------------ current registry

@@ -150,6 +150,8 @@ void TracePlane::on_round_corrupted(int shard, std::int64_t round,
   if (it == lane.open.end()) return;
   obs::RoundTrace trace = std::move(it->second);
   lane.open.erase(it);
+  // The round's later events arrive as orphans; they belong to this trace.
+  lane.orphan_rounds.insert(round);
   trace.status = obs::TraceStatus::kCorrupted;
   trace.close_ns = at_ns;
   trace.latency_ns = at_ns >= trace.open_ns ? at_ns - trace.open_ns : 0;

@@ -133,7 +133,8 @@ class TracePlane {
                          std::uint64_t settled_ns, std::uint64_t done_ns,
                          std::int64_t econ_violations);
   /// Shedding punched a hole in the round's event sequence (kReject):
-  /// seals whatever timeline exists as corrupted, always retained.
+  /// seals whatever timeline exists as corrupted, always retained. The
+  /// round's later (orphaned) events add no second trace.
   void on_round_corrupted(int shard, std::int64_t round, std::uint64_t at_ns);
   /// Event for a round whose open was shed: records a stub trace
   /// (sealed as orphaned at worker exit), always retained.
@@ -165,7 +166,9 @@ class TracePlane {
 
     // -- worker-owned ------------------------------------------------
     std::unordered_map<std::int64_t, obs::RoundTrace> open;
-    std::unordered_set<std::int64_t> orphan_rounds;  ///< stubs already made
+    /// Rounds whose orphaned events are already traced: a stub was made,
+    /// or the round was sealed as corrupted.
+    std::unordered_set<std::int64_t> orphan_rounds;
     obs::TraceRing ring;
     /// Auto-mode threshold, refreshed from the round-close sketch.
     std::uint64_t auto_threshold_ns{~0ULL};

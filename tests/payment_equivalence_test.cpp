@@ -7,7 +7,8 @@
 // kFullReplay oracle), on every configuration corner -- reserve prices,
 // profitable-only allocation, weighted tasks, supply scarcity, misreports
 // and cost ties -- through both the batch mechanism and the slot-by-slot
-// platform. Probes forked from checkpoints must match full re-runs too.
+// platform. Probes forked from the factual slot pools must match full
+// re-runs too, in every config corner.
 #include "auction/counterfactual.hpp"
 
 #include <gtest/gtest.h>
@@ -158,24 +159,83 @@ TEST(PaymentEquivalence, Fig4WorkedExamplePaysTheSameOnBothEngines) {
 
 // -------------------------------------------- probe-level equivalence
 
+/// One probe-engine configuration corner: a config and the copy of the
+/// scenario it runs on, with that copy's truthful bids.
+struct ProbeCase {
+  std::string label;
+  Scenario scenario;
+  model::BidProfile bids;
+  OnlineGreedyConfig config;
+};
+
+/// The corners a probe fork branches on, over one windowed scenario: the
+/// paper default; a reserve below some bids and probe costs, so some bids
+/// are never pooled; profitable-only allocation under a task value some
+/// bids exceed; and per-task value overrides, so each slot's tasks are
+/// served in value order.
+std::vector<ProbeCase> probe_cases(const Scenario& base, Rng& rng) {
+  std::vector<ProbeCase> cases;
+  cases.push_back({"paper_default", base, {}, {}});
+
+  OnlineGreedyConfig reserve;
+  reserve.reserve_price = Money::from_units(20);
+  cases.push_back({"reserve_20", base, {}, reserve});
+
+  OnlineGreedyConfig profitable;
+  profitable.allocate_only_profitable = true;
+  Scenario low_value = base;
+  low_value.task_value = Money::from_units(25);
+  cases.push_back({"profitable_only", low_value, {}, profitable});
+
+  Scenario weighted = base;
+  for (model::Task& task : weighted.tasks) {
+    task.value = Money::from_units(rng.uniform_int(1, 80));
+  }
+  cases.push_back({"weighted_tasks", weighted, {}, {}});
+
+  for (ProbeCase& probe_case : cases) {
+    probe_case.bids = probe_case.scenario.truthful_bids();
+  }
+  return cases;
+}
+
+/// One engine per case. The cases' engines are probed interleaved on one
+/// thread, so every probe restarts the thread's core under a different
+/// config than the probe before it.
+std::vector<CounterfactualEngine> engines_for(
+    const std::vector<ProbeCase>& cases) {
+  std::vector<CounterfactualEngine> engines;
+  engines.reserve(cases.size());
+  for (const ProbeCase& probe_case : cases) {
+    engines.emplace_back(probe_case.scenario, probe_case.bids,
+                         probe_case.config);
+  }
+  return engines;
+}
+
 TEST(PaymentEquivalence, WinsWithCostMatchesFullRerunOnRandomProbes) {
   Rng rng(777);
   for (int i = 0; i < 40; ++i) {
-    const Scenario scenario = test_support::windowed(rng);
-    const model::BidProfile bids = scenario.truthful_bids();
-    const OnlineGreedyConfig config;
-    const CounterfactualEngine engine(scenario, bids, config);
-    for (int p = 0; p < scenario.phone_count(); ++p) {
+    const Scenario base = test_support::windowed(rng);
+    const std::vector<ProbeCase> cases = probe_cases(base, rng);
+    const std::vector<CounterfactualEngine> engines = engines_for(cases);
+    for (int p = 0; p < base.phone_count(); ++p) {
       const PhoneId phone{p};
       for (int probe = 0; probe < 4; ++probe) {
         const Money cost = Money::from_micros(rng.uniform_int(0, 45'000'000));
-        const model::BidProfile probed = model::with_bid(
-            bids, phone,
-            model::Bid{bids[static_cast<std::size_t>(p)].window, cost});
-        const GreedyRun full = run_greedy_allocation(scenario, probed, config);
-        EXPECT_EQ(engine.wins_with_cost(phone, cost),
-                  full.allocation.is_winner(phone))
-            << "scenario#" << i << " phone " << p << " cost " << cost;
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          const ProbeCase& probe_case = cases[k];
+          const model::BidProfile probed = model::with_bid(
+              probe_case.bids, phone,
+              model::Bid{probe_case.bids[static_cast<std::size_t>(p)].window,
+                         cost});
+          const GreedyRun full = run_greedy_allocation(
+              probe_case.scenario, probed, probe_case.config);
+          EXPECT_EQ(engines[k].wins_with_cost(phone, cost),
+                    full.allocation.is_winner(phone))
+              << probe_case.label << " scenario#" << i << " phone " << p
+              << " cost " << cost;
+        }
       }
     }
   }
@@ -245,33 +305,41 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
   // critical_value_of is the read-only seam strategic-agent code uses: it
   // must agree with greedy_critical_value on winnable phones, classify
   // unwinnable phones instead of tripping the bisection's precondition,
-  // and bracket the win/lose boundary it reports.
+  // and bracket the win/lose boundary it reports -- in every config
+  // corner, with the corners' engines interleaved on one thread.
   Rng rng(4242);
   int winnable = 0;
   int unwinnable = 0;
   for (int i = 0; i < 25; ++i) {
-    const Scenario scenario = test_support::windowed(rng);
-    const model::BidProfile bids = scenario.truthful_bids();
-    const OnlineGreedyConfig config;
-    const CounterfactualEngine engine(scenario, bids, config);
-    for (int p = 0; p < scenario.phone_count(); ++p) {
+    const Scenario base = test_support::windowed(rng);
+    const std::vector<ProbeCase> cases = probe_cases(base, rng);
+    const std::vector<CounterfactualEngine> engines = engines_for(cases);
+    for (int p = 0; p < base.phone_count(); ++p) {
       const PhoneId phone{p};
-      const auto probe = engine.critical_value_of(phone);
-      EXPECT_EQ(probe.winnable, engine.wins_with_cost(phone, Money{}))
-          << "scenario#" << i << " phone " << p;
-      if (!probe.winnable) {
-        ++unwinnable;
-        EXPECT_FALSE(probe.critical.has_value());
-        continue;
-      }
-      ++winnable;
-      EXPECT_EQ(probe.critical, greedy_critical_value(engine, phone))
-          << "scenario#" << i << " phone " << p;
-      if (probe.critical.has_value()) {
-        // One micro below the threshold wins; at the threshold loses.
-        EXPECT_TRUE(engine.wins_with_cost(
-            phone, Money::from_micros(probe.critical->micros() - 1)));
-        EXPECT_FALSE(engine.wins_with_cost(phone, *probe.critical));
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        const CounterfactualEngine& engine = engines[k];
+        const std::string where = cases[k].label + " scenario#" +
+                                  std::to_string(i) + " phone " +
+                                  std::to_string(p);
+        const auto probe = engine.critical_value_of(phone);
+        EXPECT_EQ(probe.winnable, engine.wins_with_cost(phone, Money{}))
+            << where;
+        if (!probe.winnable) {
+          ++unwinnable;
+          EXPECT_FALSE(probe.critical.has_value()) << where;
+          continue;
+        }
+        ++winnable;
+        EXPECT_EQ(probe.critical, greedy_critical_value(engine, phone))
+            << where;
+        if (probe.critical.has_value()) {
+          // One micro below the threshold wins; at the threshold loses.
+          EXPECT_TRUE(engine.wins_with_cost(
+              phone, Money::from_micros(probe.critical->micros() - 1)))
+              << where;
+          EXPECT_FALSE(engine.wins_with_cost(phone, *probe.critical))
+              << where;
+        }
       }
     }
   }

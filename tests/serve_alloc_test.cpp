@@ -1,15 +1,19 @@
 // Bid admission on the served path: heap allocations per admitted bid over
 // seeded Table-I rounds, and a hostile round whose every bid lands at the
 // front of the pool, which must stay O(log P) per bid and still match the
-// batch mechanism exactly.
+// batch mechanism exactly. Also pins critical-value probes as
+// allocation-free once the calling thread's probe core is warm.
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "auction/counterfactual.hpp"
 #include "auction/online_greedy.hpp"
+#include "common/rng.hpp"
 #include "model/scenario.hpp"
+#include "model/workload.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/round_machine.hpp"
@@ -99,6 +103,52 @@ TEST(ServeAlloc, HostileFrontInsertionRoundMatchesBatch) {
     EXPECT_EQ(outcome.outcome.allocation.phone_for(TaskId{t}),
               std::optional(PhoneId{t}));
   }
+}
+
+TEST(ProbeAlloc, WarmCriticalValueProbesAllocateNothing) {
+  Rng rng(2014);
+  const model::Scenario scenario =
+      model::generate_scenario(model::WorkloadConfig{}, rng);  // Table I
+  const model::BidProfile bids = scenario.truthful_bids();
+  const auction::OnlineGreedyConfig config;
+  const std::vector<PhoneId> winners =
+      auction::OnlineGreedyMechanism(config).run(scenario, bids)
+          .allocation.winners();
+  ASSERT_FALSE(winners.empty());
+  const auction::CounterfactualEngine engine(scenario, bids, config);
+
+  // Probe costs sweep [0, 2 nu): low ones win at the fork, high ones walk
+  // the bid's whole window. A losing probe per winner warms the thread's
+  // probe core up to every fork's size.
+  const Money top = scenario.task_value + scenario.task_value;
+  for (const PhoneId winner : winners) {
+    (void)engine.wins_with_cost(winner, top);
+  }
+  constexpr int kProbesPerWinner = 40;
+  std::int64_t probes = 0;
+  std::int64_t wins = 0;
+  const std::uint64_t before = test::heap_allocations();
+  for (const PhoneId winner : winners) {
+    for (int k = 0; k < kProbesPerWinner; ++k) {
+      const Money cost =
+          Money::from_micros(top.micros() / kProbesPerWinner * k);
+      wins += engine.wins_with_cost(winner, cost) ? 1 : 0;
+      ++probes;
+    }
+  }
+  const std::uint64_t allocations = test::heap_allocations() - before;
+
+  ASSERT_GT(wins, 0);
+  ASSERT_LT(wins, probes);
+  const double per_probe =
+      static_cast<double>(allocations) / static_cast<double>(probes);
+  std::cout << "[ alloc ] " << allocations << " heap allocations over "
+            << probes << " probes of " << winners.size()
+            << " winners: " << per_probe << " per probe\n";
+  // A probe restarts the thread's core and seeds it from the factual slot
+  // pools; a pool copy or a heap node per pooled bid would put this well
+  // above 1.
+  EXPECT_LT(per_probe, 0.05);
 }
 
 }  // namespace

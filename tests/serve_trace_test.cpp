@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -413,6 +414,46 @@ TEST(TracePlane, LiveAndTraceRoundLatencySketchesAgree) {
     EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.99),
                      trace_sketch.quantile_ns(0.99));
   }
+}
+
+TEST(TracePlane, RoundCorruptedMidStreamIsTracedOnce) {
+  // A duplicate bid corrupts round 1 under kReject; the round's later
+  // events then find no open round. They must fold into the corrupted
+  // trace instead of opening a second, orphaned one.
+  std::vector<ServeEvent> events = events_of(small_load(3));
+  const auto first_bid =
+      std::find_if(events.begin(), events.end(), [](const ServeEvent& event) {
+        return event.round == 1 && event.kind == ServeEventKind::kBidSubmitted;
+      });
+  ASSERT_NE(first_bid, events.end());
+  const auto duplicate = first_bid + 1;
+  const ServeEvent copy = *first_bid;
+  ASSERT_TRUE(std::any_of(duplicate, events.end(), [](const ServeEvent& e) {
+    return e.round == 1;
+  })) << "the corrupted round must have events after the duplicate";
+  events.insert(duplicate, copy);
+
+  TracePlane trace;
+  ServeConfig config;
+  config.shards = 1;
+  config.admission = ServeConfig::Admission::kReject;
+  config.trace = &trace;
+  ServeEngine engine(config);
+  for (const ServeEvent& event : events) {
+    ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
+  }
+  engine.drain();
+
+  EXPECT_EQ(engine.stats().rounds_corrupted, 1);
+  EXPECT_EQ(engine.stats().rounds_completed, 2);
+  const TraceSummary summary = trace.summary();
+  EXPECT_EQ(summary.retained_error, 1);
+  std::vector<obs::RoundTrace> round_one;
+  for (const obs::RoundTrace& round_trace : trace.retained()) {
+    if (round_trace.round == 1) round_one.push_back(round_trace);
+  }
+  ASSERT_EQ(round_one.size(), 1u);
+  EXPECT_EQ(round_one[0].status, obs::TraceStatus::kCorrupted);
 }
 
 // ------------------------------------------------------ loadgen lag stamp
