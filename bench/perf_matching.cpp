@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "matching/hungarian.hpp"
-#include "matching/auction_algorithm.hpp"
 #include "matching/min_cost_flow.hpp"
 #include "telemetry_main.hpp"
 
@@ -74,15 +73,6 @@ void BM_MinCostFlowMatching(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostFlowMatching)->RangeMultiplier(2)->Range(8, 64);
-
-void BM_AuctionAlgorithmMatching(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const matching::WeightMatrix g = random_graph(n, 2 * n, 45);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::auction_max_weight_matching(g));
-  }
-}
-BENCHMARK(BM_AuctionAlgorithmMatching)->RangeMultiplier(2)->Range(8, 64);
 
 }  // namespace
 

@@ -1,11 +1,11 @@
-// Algorithm-2 payment microbenches: the displacement walk vs the naive
-// full-replay oracle, plus the shared-prefix bisection probes.
+// Algorithm-2 payment microbenches: the displacement walk, plus the
+// shared-prefix bisection probes.
 //
 // The pinned counter pass (telemetry_main) makes the work counters the
-// story: the full-replay engine racks up auction.greedy.allocation_runs /
-// slots_processed per winner, while the walk runs Algorithm 1 once and
-// reads auction.settlement.slots_walked slot records -- one per slot of
-// each winner's [t'_i, d~_i].
+// story: the walk runs Algorithm 1 once (auction.greedy.allocation_runs)
+// and reads auction.settlement.slots_walked slot records -- one per slot
+// of each winner's [t'_i, d~_i] -- where a full replay of Algorithm 2
+// would re-run Algorithm 1 per winner.
 #include <benchmark/benchmark.h>
 
 #include "auction/counterfactual.hpp"
@@ -26,31 +26,18 @@ model::Scenario scaled_scenario(int slots, std::uint64_t seed) {
   return model::generate_scenario(workload, rng);
 }
 
-void run_payments(benchmark::State& state,
-                  auction::OnlineGreedyConfig::PaymentEngine engine) {
+void BM_Payments_DisplacementWalk(benchmark::State& state) {
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();
-  auction::OnlineGreedyConfig config;
-  config.payment_engine = engine;
-  const auction::OnlineGreedyMechanism mechanism(config);
+  const auction::OnlineGreedyMechanism mechanism;
   for (auto _ : state) {
     benchmark::DoNotOptimize(mechanism.run(s, bids));
   }
   state.counters["phones"] = static_cast<double>(s.phone_count());
   state.counters["tasks"] = static_cast<double>(s.task_count());
 }
-
-void BM_Payments_DisplacementWalk(benchmark::State& state) {
-  run_payments(state,
-               auction::OnlineGreedyConfig::PaymentEngine::kDisplacementWalk);
-}
 BENCHMARK(BM_Payments_DisplacementWalk)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
-
-void BM_Payments_FullReplay(benchmark::State& state) {
-  run_payments(state, auction::OnlineGreedyConfig::PaymentEngine::kFullReplay);
-}
-BENCHMARK(BM_Payments_FullReplay)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
   // Every bisection probe forks at the phone's arrival from the factual

@@ -5,6 +5,10 @@
 // as pure decode loops and as full decode->submit->drain ingest pipelines
 // (the binary-vs-JSONL events/sec headroom claim lives here).
 //
+// Benches that start engine worker threads run with UseRealTime(), so
+// their items_per_second is a wall-clock rate, not the CPU time of the
+// producer thread.
+//
 // Counter-pass determinism: block admission means every generated event is
 // processed exactly once, so the serve.events.* counters merged at drain
 // are identical run to run and for every shard count -- safe for the exact
@@ -53,7 +57,7 @@ void BM_ServeEngine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events.size()));
 }
-BENCHMARK(BM_ServeEngine)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ServeEngine)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_ServeEncode(benchmark::State& state) {
   const std::vector<serve::ServeEvent> events = canned_events(4);
@@ -105,7 +109,8 @@ void BM_ServeEngineBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeEngineBatched)
     ->Args({4, 16})
-    ->Args({8, 64});
+    ->Args({8, 64})
+    ->UseRealTime();
 
 void BM_ServeEncodeWire(benchmark::State& state) {
   const std::vector<serve::ServeEvent> events = canned_events(4);
@@ -174,7 +179,7 @@ void BM_ServePipelineJsonl(benchmark::State& state) {
   serve::write_event_stream(recorded, load);
   pipeline_bench(state, recorded.str());
 }
-BENCHMARK(BM_ServePipelineJsonl);
+BENCHMARK(BM_ServePipelineJsonl)->UseRealTime();
 
 void BM_ServePipelineWire(benchmark::State& state) {
   std::ostringstream recorded;
@@ -184,7 +189,7 @@ void BM_ServePipelineWire(benchmark::State& state) {
   serve::write_wire_stream(recorded, load);
   pipeline_bench(state, recorded.str());
 }
-BENCHMARK(BM_ServePipelineWire);
+BENCHMARK(BM_ServePipelineWire)->UseRealTime();
 
 }  // namespace
 

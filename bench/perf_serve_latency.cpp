@@ -66,7 +66,7 @@ void BM_ServeLiveLatency(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events.size()));
 }
-BENCHMARK(BM_ServeLiveLatency)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ServeLiveLatency)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /// The raw hook cost: one sketch record per call, the engine's per-event
 /// overhead when the live plane is attached.

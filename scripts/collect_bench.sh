@@ -6,11 +6,11 @@
 #
 # Bench discovery: every google-benchmark binary matching
 # $BUILD_DIR/bench/perf_* by glob (currently perf_matching,
-# perf_mechanisms, perf_payments -- the displacement-walk vs full-replay
-# Algorithm-2 ablation -- perf_serve, the streaming engine's hot path,
-# and perf_serve_latency, the live-telemetry-plane overhead and latency
-# quantiles), plus the opted-in plain benches listed in OPT_IN_BENCHES
-# (binaries that wire bench/telemetry_scope.hpp).
+# perf_mechanisms, perf_payments -- the displacement-walk Algorithm-2
+# payments and the critical-value probes -- perf_serve, the streaming
+# engine's hot path, and perf_serve_latency, the live-telemetry-plane
+# overhead and latency quantiles), plus the opted-in plain benches listed
+# in OPT_IN_BENCHES (binaries that wire bench/telemetry_scope.hpp).
 #
 # The google-benchmark binaries run two passes (bench/telemetry_main.hpp):
 # an adaptive timing pass honouring the extra benchmark args, whose own

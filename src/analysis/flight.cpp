@@ -39,9 +39,7 @@ std::unique_ptr<auction::Mechanism> make_mechanism(const RunSpec& spec) {
     return std::make_unique<auction::OfflineVcgMechanism>();
   }
   if (spec.mechanism == "second-price") {
-    auction::SecondPriceConfig config;
-    config.allocation = online_config(spec);
-    return std::make_unique<auction::SecondPriceBaseline>(config);
+    return std::make_unique<auction::SecondPriceBaseline>(online_config(spec));
   }
   if (spec.mechanism == "batched") {
     return std::make_unique<auction::BatchedMatchingMechanism>(

@@ -66,9 +66,7 @@ std::unique_ptr<auction::Mechanism> make_arena_mechanism(
   }
   if (parts.head == "second-price") {
     require_arg(false);
-    auction::SecondPriceConfig config;
-    config.allocation = match.greedy;
-    return std::make_unique<auction::SecondPriceBaseline>(config);
+    return std::make_unique<auction::SecondPriceBaseline>(match.greedy);
   }
   if (parts.head == "posted") {
     require_arg(true);

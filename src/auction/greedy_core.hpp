@@ -30,10 +30,11 @@
 // The batch run_greedy_allocation / OnlineGreedyMechanism, the
 // slot-by-slot platform::OnlinePlatform (and through it the serve
 // RoundMachine) and the CounterfactualEngine's critical-value probes all
-// drive this one core; PaymentEngine::kFullReplay stays the independent
-// oracle it is tested against. A probe restart()s a core at its fork slot
-// and seeds it with the factual pool, so one core serves many probes
-// without reallocating its buffers.
+// drive this one core; the full re-run of Algorithm 2 in
+// tests/support/full_replay.hpp is the independent oracle it is tested
+// against. A probe restart()s a core at its fork slot and seeds it with
+// the factual pool, so one core serves many probes without reallocating
+// its buffers.
 #pragma once
 
 #include <cstdint>

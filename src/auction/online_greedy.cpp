@@ -1,7 +1,5 @@
 #include "auction/online_greedy.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <string>
 
 #include "auction/greedy_core.hpp"
@@ -17,13 +15,8 @@ namespace {
 /// Algorithm 1 over a whole scenario, stepping `core` slot by slot and
 /// recording the run (events, per-slot records, counters) as it goes.
 GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
-                      const model::BidProfile& bids,
-                      std::optional<PhoneId> exclude,
-                      Slot::rep_type last_slot) {
+                      const model::BidProfile& bids) {
   model::validate_bids(scenario, bids);
-  const Slot::rep_type horizon =
-      last_slot == 0 ? scenario.num_slots
-                     : std::min(last_slot, scenario.num_slots);
 
   // Per-slot work counters, accumulated locally and published once at the
   // end of the run (one registry access instead of one per slot).
@@ -45,7 +38,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
   std::vector<std::vector<int>> arrivals(
       static_cast<std::size_t>(scenario.num_slots) + 1);
   for (int i = 0; i < scenario.phone_count(); ++i) {
-    if (exclude && exclude->value() == i) continue;
     const model::Bid& bid = bids[static_cast<std::size_t>(i)];
     if (!core.admits(bid.claimed_cost)) {
       obs::log_event([&] {
@@ -78,9 +70,9 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
 
   GreedyRun run;
   run.allocation = Allocation(scenario.task_count(), scenario.phone_count());
-  run.slots.reserve(static_cast<std::size_t>(horizon));
+  run.slots.reserve(static_cast<std::size_t>(scenario.num_slots));
 
-  for (Slot::rep_type t = 1; t <= horizon; ++t) {
+  for (Slot::rep_type t = 1; t <= scenario.num_slots; ++t) {
     // Add newly arriving bids (Algorithm 1 line 3); the core swept the
     // departed ones at the end of the previous slot.
     for (const int phone : arrivals[static_cast<std::size_t>(t)]) {
@@ -128,74 +120,12 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
   if (registry != nullptr) {
     registry->counter("auction.greedy.allocation_runs").add(1);
     registry->counter("auction.greedy.slots_processed")
-        .add(static_cast<std::int64_t>(horizon));
+        .add(static_cast<std::int64_t>(scenario.num_slots));
     registry->counter("auction.greedy.pool_insertions").add(pool_insertions);
     registry->counter("auction.greedy.tasks_assigned").add(tasks_assigned);
     registry->counter("auction.greedy.tasks_unserved").add(tasks_unserved);
   }
   return run;
-}
-
-}  // namespace
-
-GreedyRun run_greedy_allocation(const model::Scenario& scenario,
-                                const model::BidProfile& bids,
-                                const OnlineGreedyConfig& config,
-                                std::optional<PhoneId> exclude,
-                                Slot::rep_type last_slot) {
-  GreedyCore core(config);
-  return allocate_on(core, scenario, bids, exclude, last_slot);
-}
-
-namespace {
-
-/// Algorithm 2 by full re-run: the counterfactual without B_i replays
-/// from slot 1 up to the winner's reported departure. The straightforward
-/// reading of the paper, kept as the walk's independent equivalence oracle
-/// (OnlineGreedyConfig::PaymentEngine::kFullReplay).
-Settlement derive_payment_full_replay(const model::Scenario& scenario,
-                                      const model::BidProfile& bids,
-                                      const OnlineGreedyConfig& config,
-                                      PhoneId winner, Slot win_slot) {
-  const model::Bid& own_bid = bids[static_cast<std::size_t>(winner.value())];
-  const Slot::rep_type depart = own_bid.window.end().value();
-
-  // The counterfactual's inner allocation decisions are not decisions of
-  // the recorded run, so event recording is suppressed for its scope.
-  GreedyRun without;
-  {
-    const obs::ScopedEventLog suppress_counterfactual(nullptr);
-    without = run_greedy_allocation(scenario, bids, config, winner, depart);
-  }
-
-  Settlement settlement;
-  settlement.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
-  for (const GreedySlotRecord& record : without.slots) {
-    if (record.slot < win_slot) continue;  // only slots in [t'_i, d~_i]
-    for (const TaskId task : record.unserved) {
-      // Without i this task goes unserved. i's winning threshold for it is
-      // the reserve price (if set: bids above it never enter), else the
-      // task's value under profitable-only, else unbounded -- in which
-      // case the task's value serves as the documented cap.
-      settlement.scarce = true;
-      settlement.scarce_cap =
-          std::max(settlement.scarce_cap,
-                   scarce_cap_for(scenario.value_of(task), config));
-    }
-    if (!record.winners.empty()) {
-      // Line 6: the r_t-th (highest-cost) winner of the slot.
-      const PhoneId last = record.winners.back();
-      const Money rival =
-          bids[static_cast<std::size_t>(last.value())].claimed_cost;
-      if (rival > settlement.payment) {
-        settlement.payment = rival;
-        settlement.setter_phone = last;
-        settlement.setter_slot = record.slot;
-      }
-    }
-  }
-  apply_scarcity_policy(settlement, config);
-  return settlement;
 }
 
 void log_payment_derivation(const Settlement& settlement,
@@ -225,6 +155,13 @@ void log_payment_derivation(const Settlement& settlement,
 
 }  // namespace
 
+GreedyRun run_greedy_allocation(const model::Scenario& scenario,
+                                const model::BidProfile& bids,
+                                const OnlineGreedyConfig& config) {
+  GreedyCore core(config);
+  return allocate_on(core, scenario, bids);
+}
+
 Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
                                    const model::BidProfile& bids) const {
   const obs::TraceSpan span("online_greedy.run");
@@ -234,8 +171,7 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
   GreedyCore core(config_);
   {
     const obs::TraceSpan allocation_span("online_greedy.allocation");
-    outcome.allocation =
-        allocate_on(core, scenario, bids, std::nullopt, 0).allocation;
+    outcome.allocation = allocate_on(core, scenario, bids).allocation;
   }
   outcome.payments.assign(scenario.phones.size(), Money{});
 
@@ -249,12 +185,7 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
       // Each derivation is one evaluation of i's critical value -- the
       // over-time analogue of a bisection probe (docs/observability.md).
       obs::count("auction.critical_value.probes");
-      const bool replay = config_.payment_engine ==
-                          OnlineGreedyConfig::PaymentEngine::kFullReplay;
-      const Settlement settlement =
-          replay ? derive_payment_full_replay(scenario, bids, config_, phone,
-                                              win_slot)
-                 : core.settle(handle);
+      const Settlement settlement = core.settle(handle);
       log_payment_derivation(settlement, won.bid, phone, win_slot);
       outcome.payments[static_cast<std::size_t>(phone.value())] =
           settlement.payment;

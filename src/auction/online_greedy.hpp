@@ -34,20 +34,6 @@ struct OnlineGreedyConfig {
   /// the paper's Algorithm 1, which allocates unconditionally).
   bool allocate_only_profitable = false;
 
-  /// How Algorithm 2 evaluates its counterfactual runs.
-  enum class PaymentEngine {
-    /// Settle each winner by the displacement walk over the factual run's
-    /// slot records (auction/greedy_core.hpp): the run without B_i differs
-    /// from the factual one by at most one pooled bid, so no counterfactual
-    /// is replayed.
-    kDisplacementWalk,
-    /// Re-run Algorithm 1 from slot 1 for every counterfactual -- the
-    /// straightforward reading of the paper, kept as the independent
-    /// equivalence oracle for the walk.
-    kFullReplay,
-  };
-  PaymentEngine payment_engine = PaymentEngine::kDisplacementWalk;
-
   /// Platform reserve price: bids claiming more than this can never win.
   /// A set reserve bounds every critical value by the reserve, so the
   /// mechanism stays *exactly* truthful even under supply scarcity (a
@@ -89,17 +75,14 @@ struct GreedyRun {
   std::vector<GreedySlotRecord> slots;  ///< index t-1 describes slot t
 };
 
-/// Runs Algorithm 1 on `bids`, optionally pretending phone `exclude` never
-/// bid (the counterfactual run of Algorithm 2), stopping after `last_slot`
-/// (0 = the full round). Exposed publicly because the payment scheme, the
-/// second-price baseline, the CounterfactualEngine (whose probes fork from
-/// the factual run's slot pools) and several tests all build on it. The
-/// pass drives one GreedyCore (auction/greedy_core.hpp).
+/// Runs Algorithm 1 on `bids` over the whole round. Exposed publicly
+/// because the second-price baseline, the CounterfactualEngine (whose
+/// probes fork from the factual run's slot pools), the Fig. 4 walkthrough
+/// and several tests build on it. The pass drives one GreedyCore
+/// (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
-    const OnlineGreedyConfig& config = {},
-    std::optional<PhoneId> exclude = std::nullopt,
-    Slot::rep_type last_slot = 0);
+    const OnlineGreedyConfig& config = {});
 
 class OnlineGreedyMechanism final : public Mechanism {
  public:

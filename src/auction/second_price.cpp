@@ -1,7 +1,5 @@
 #include "auction/second_price.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace mcs::auction {
@@ -9,8 +7,7 @@ namespace mcs::auction {
 Outcome SecondPriceBaseline::run(const model::Scenario& scenario,
                                  const model::BidProfile& bids) const {
   scenario.validate();
-  GreedyRun greedy =
-      run_greedy_allocation(scenario, bids, config_.allocation);
+  GreedyRun greedy = run_greedy_allocation(scenario, bids, config_);
 
   Outcome outcome;
   outcome.allocation = std::move(greedy.allocation);
@@ -30,18 +27,10 @@ Outcome SecondPriceBaseline::run(const model::Scenario& scenario,
     for (const PhoneId winner : record.winners) {
       const Money own =
           bids[static_cast<std::size_t>(winner.value())].claimed_cost;
-      Money payment;
-      if (runner_up_cost) {
-        // Uniform price: every winner of the slot gets the best losing bid
-        // (>= its own bid by the greedy order).
-        payment = *runner_up_cost;
-        MCS_ASSERT(payment >= own, "runner-up bid below a winner's bid");
-      } else if (config_.no_runner_up ==
-                 SecondPriceConfig::NoRunnerUp::kTaskValue) {
-        payment = std::max(scenario.task_value, own);
-      } else {
-        payment = own;
-      }
+      // Uniform price: every winner of the slot gets the best losing bid
+      // (>= its own bid by the greedy order), or its own bid without one.
+      const Money payment = runner_up_cost.value_or(own);
+      MCS_ASSERT(payment >= own, "runner-up bid below a winner's bid");
       outcome.payments[static_cast<std::size_t>(winner.value())] = payment;
     }
   }

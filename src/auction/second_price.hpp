@@ -5,10 +5,11 @@
 // the second-price idea slot-by-slot: every winner of slot t is paid the
 // claimed cost of the best losing bid still in the pool (the (r_t + 1)-th
 // cheapest); with one task per slot this is exactly the textbook second
-// price. The paper's counterexample: by delaying its reported arrival,
-// a phone can move its win into a slot with a pricier runner-up and raise
-// its payment (4 -> 8 in Fig. 5) -- the truthfulness audit reproduces this
-// violation, which motivates Algorithm 2's over-time critical value.
+// price. A slot with no losing bid left pays its winners their own bids.
+// The paper's counterexample: by delaying its reported arrival, a phone can
+// move its win into a slot with a pricier runner-up and raise its payment
+// (4 -> 8 in Fig. 5) -- the truthfulness audit reproduces this violation,
+// which motivates Algorithm 2's over-time critical value.
 #pragma once
 
 #include "auction/mechanism.hpp"
@@ -16,22 +17,12 @@
 
 namespace mcs::auction {
 
-struct SecondPriceConfig {
-  /// When a slot has no losing bid left, the winner is paid this fallback.
-  enum class NoRunnerUp {
-    kOwnBid,    ///< first-price fallback (default)
-    kTaskValue, ///< pay the task value nu
-  };
-  NoRunnerUp no_runner_up = NoRunnerUp::kOwnBid;
-
-  /// Shared allocation knobs (same greedy rule as the online mechanism).
-  OnlineGreedyConfig allocation;
-};
-
 class SecondPriceBaseline final : public Mechanism {
  public:
   SecondPriceBaseline() = default;
-  explicit SecondPriceBaseline(SecondPriceConfig config) : config_(config) {}
+  /// `config` carries the allocation knobs (the same greedy rule as the
+  /// online mechanism).
+  explicit SecondPriceBaseline(OnlineGreedyConfig config) : config_(config) {}
 
   [[nodiscard]] Outcome run(const model::Scenario& scenario,
                             const model::BidProfile& bids) const override;
@@ -41,7 +32,7 @@ class SecondPriceBaseline final : public Mechanism {
   }
 
  private:
-  SecondPriceConfig config_;
+  OnlineGreedyConfig config_;
 };
 
 }  // namespace mcs::auction

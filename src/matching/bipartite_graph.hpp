@@ -5,8 +5,9 @@
 // smartphones, and the edge (task in slot j, phone i) exists with weight
 // nu - b_i exactly when phone i's reported active window covers slot j
 // (paper Fig. 3). This header provides the graph representation and the
-// matching result type; solvers live in hungarian.hpp / min_cost_flow.hpp /
-// brute_force.hpp.
+// matching result type; solvers live in hungarian.hpp and min_cost_flow.hpp
+// (the exhaustive subset-DP oracle the tests check them against lives in
+// tests/support).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "model/scenario_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -27,17 +28,25 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-std::int64_t parse_int(const std::string& token, int line_number,
-                       const char* what) {
+/// Parses a slot-typed field. A value outside Slot::rep_type is an error,
+/// not a silent narrowing (4294967297 must not load as slot 1).
+Slot::rep_type parse_slot(const std::string& token, int line_number,
+                          const char* what) {
+  std::int64_t value = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t value = std::stoll(token, &pos);
+    value = std::stoll(token, &pos);
     if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
   } catch (const std::exception&) {
     parse_error(line_number, std::string("expected integer for ") + what +
                                  ", got '" + token + "'");
   }
+  using Limits = std::numeric_limits<Slot::rep_type>;
+  if (value < Limits::min() || value > Limits::max()) {
+    parse_error(line_number, std::string(what) + " out of range, got '" +
+                                 token + "'");
+  }
+  return static_cast<Slot::rep_type>(value);
 }
 
 Money parse_money(const std::string& token, int line_number, const char* what) {
@@ -92,8 +101,7 @@ Scenario read_scenario(std::istream& is) {
     const std::string& keyword = tokens[0];
     if (keyword == "slots") {
       if (tokens.size() != 2) parse_error(line_number, "slots takes one value");
-      scenario.num_slots = static_cast<Slot::rep_type>(
-          parse_int(tokens[1], line_number, "slots"));
+      scenario.num_slots = parse_slot(tokens[1], line_number, "slots");
       saw_slots = true;
     } else if (keyword == "value") {
       if (tokens.size() != 2) parse_error(line_number, "value takes one amount");
@@ -102,10 +110,9 @@ Scenario read_scenario(std::istream& is) {
       if (tokens.size() != 4) {
         parse_error(line_number, "phone takes: begin end cost");
       }
-      const auto begin = static_cast<Slot::rep_type>(
-          parse_int(tokens[1], line_number, "phone begin"));
-      const auto end = static_cast<Slot::rep_type>(
-          parse_int(tokens[2], line_number, "phone end"));
+      const Slot::rep_type begin =
+          parse_slot(tokens[1], line_number, "phone begin");
+      const Slot::rep_type end = parse_slot(tokens[2], line_number, "phone end");
       if (begin > end) parse_error(line_number, "phone window inverted");
       scenario.phones.push_back(
           TrueProfile{SlotInterval::of(begin, end),
@@ -115,8 +122,7 @@ Scenario read_scenario(std::istream& is) {
         parse_error(line_number, "task takes: slot [value <amount>]");
       }
       Task task{TaskId{static_cast<int>(scenario.tasks.size())},
-                Slot{static_cast<Slot::rep_type>(
-                    parse_int(tokens[1], line_number, "task slot"))},
+                Slot{parse_slot(tokens[1], line_number, "task slot")},
                 {}};
       if (tokens.size() == 4) {
         task.value = parse_money(tokens[3], line_number, "task value");

@@ -13,7 +13,8 @@
 // slot-steppable Algorithm-1/2 core the batch mechanism drives: this class
 // adds the message contract (dense task ids, one bid per agent, arrival in
 // the current slot) and the platform's event records. The independent
-// oracle both are tested against is PaymentEngine::kFullReplay.
+// oracle both are tested against is the full re-run of Algorithm 2 in
+// tests/support/full_replay.hpp.
 #pragma once
 
 #include <optional>

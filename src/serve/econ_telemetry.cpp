@@ -151,9 +151,7 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
     }
 
     try {
-      const auction::SecondPriceConfig reference_config{
-          auction::SecondPriceConfig::NoRunnerUp::kOwnBid, config_.greedy};
-      const auction::SecondPriceBaseline reference(reference_config);
+      const auction::SecondPriceBaseline reference(config_.greedy);
       second_price_micros = reference.run(captured.scenario, captured.bids)
                                 .total_payment()
                                 .micros();

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/metrics.hpp"
-#include "analysis/monotonicity.hpp"
+#include "support/monotonicity.hpp"
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
 #include "auction/offline_vcg.hpp"

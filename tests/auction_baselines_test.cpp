@@ -81,18 +81,10 @@ TEST(SecondPrice, WhileOurMechanismsPassTheSameAudit) {
 }
 
 TEST(SecondPrice, NoRunnerUpFallbacks) {
+  // With no losing bid left, the winner is paid its own bid.
   const model::Scenario s =
       model::ScenarioBuilder(1).value(10).phone(1, 1, 3).task(1).build();
-  {
-    const SecondPriceBaseline own_bid;  // default kOwnBid
-    EXPECT_EQ(own_bid.run_truthful(s).payments[0], mu(3));
-  }
-  {
-    SecondPriceConfig config;
-    config.no_runner_up = SecondPriceConfig::NoRunnerUp::kTaskValue;
-    const SecondPriceBaseline value_fallback(config);
-    EXPECT_EQ(value_fallback.run_truthful(s).payments[0], mu(10));
-  }
+  EXPECT_EQ(SecondPriceBaseline{}.run_truthful(s).payments[0], mu(3));
 }
 
 TEST(SecondPrice, UniformPriceWithMultipleTasksPerSlot) {

@@ -16,7 +16,7 @@
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
 #include "model/workload.hpp"

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/monotonicity.hpp"
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
 #include "auction/critical_value.hpp"
@@ -25,6 +24,8 @@
 #include "model/paper_examples.hpp"
 #include "model/scenario_io.hpp"
 #include "model/strategy.hpp"
+#include "support/full_replay.hpp"
+#include "support/monotonicity.hpp"
 
 namespace mcs::auction {
 namespace {
@@ -110,18 +111,11 @@ TEST(OnlineGreedy, ExcludePhoneReproducesPaperCounterfactual) {
   // (0-based 4, 6, 5, 3) with costs 4, 6, 8, 9 in slots 2-5.
   const model::Scenario s = model::fig4_scenario();
   const GreedyRun run =
-      run_greedy_allocation(s, s.truthful_bids(), {}, PhoneId{0});
+      test_support::run_greedy_without(s, s.truthful_bids(), {}, PhoneId{0});
   EXPECT_EQ(run.slots[1].winners, std::vector<PhoneId>{PhoneId{4}});
   EXPECT_EQ(run.slots[2].winners, std::vector<PhoneId>{PhoneId{6}});
   EXPECT_EQ(run.slots[3].winners, std::vector<PhoneId>{PhoneId{5}});
   EXPECT_EQ(run.slots[4].winners, std::vector<PhoneId>{PhoneId{3}});
-}
-
-TEST(OnlineGreedy, LastSlotLimitTruncatesTheRun) {
-  const model::Scenario s = model::fig4_scenario();
-  const GreedyRun run = run_greedy_allocation(s, s.truthful_bids(), {},
-                                              std::nullopt, /*last_slot=*/2);
-  EXPECT_EQ(run.slots.size(), 2u);
 }
 
 TEST(OnlineGreedy, ProfitableOnlySkipsOverpricedBids) {

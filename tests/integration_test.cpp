@@ -10,7 +10,7 @@
 #include "auction/online_greedy.hpp"
 #include "auction/second_price.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "model/workload.hpp"
 
 namespace mcs {

@@ -9,7 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "matching/hungarian.hpp"
 #include "matching/validation.hpp"
 

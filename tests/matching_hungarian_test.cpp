@@ -11,7 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "matching/validation.hpp"
 
 namespace mcs::matching {

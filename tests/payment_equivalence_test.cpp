@@ -2,13 +2,14 @@
 // shared-prefix probe engine.
 //
 // The walk's claim is exactness, not approximation: settling each winner
-// from the factual run's slot records must produce *Money-equal* payments
-// to re-running Algorithm 1 from slot 1 without the winner (the
-// kFullReplay oracle), on every configuration corner -- reserve prices,
-// profitable-only allocation, weighted tasks, supply scarcity, misreports
-// and cost ties -- through both the batch mechanism and the slot-by-slot
-// platform. Probes forked from the factual slot pools must match full
-// re-runs too, in every config corner.
+// from the factual run's slot records must produce *Money-equal* payments,
+// and the same setter and scarcity provenance, as re-running Algorithm 1
+// without the winner (the full-replay oracle, support/full_replay.hpp), on
+// every configuration corner -- reserve prices, profitable-only
+// allocation, weighted tasks, supply scarcity, misreports and cost ties --
+// through both the batch mechanism and the slot-by-slot platform. Probes
+// forked from the factual slot pools must match full re-runs too, in every
+// config corner.
 #include "auction/counterfactual.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,18 +30,13 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "platform/round_driver.hpp"
+#include "support/full_replay.hpp"
 #include "support/generators.hpp"
 
 namespace mcs::auction {
 namespace {
 
 using model::Scenario;
-
-OnlineGreedyConfig with_engine(OnlineGreedyConfig config,
-                               OnlineGreedyConfig::PaymentEngine engine) {
-  config.payment_engine = engine;
-  return config;
-}
 
 /// Every configuration corner the payment derivation branches on.
 std::vector<std::pair<std::string, OnlineGreedyConfig>> config_families() {
@@ -87,46 +82,126 @@ Scenario weighted_tasks(Rng& rng) {
   return builder.build();
 }
 
-/// Core oracle: the walk run of `config` must equal the full-replay run
-/// outcome-for-outcome, payment-for-payment.
-void expect_engines_agree(const Scenario& scenario,
-                          const model::BidProfile& bids,
-                          const OnlineGreedyConfig& config,
-                          const std::string& label) {
-  const OnlineGreedyMechanism fast(with_engine(
-      config, OnlineGreedyConfig::PaymentEngine::kDisplacementWalk));
-  const OnlineGreedyMechanism naive(
-      with_engine(config, OnlineGreedyConfig::PaymentEngine::kFullReplay));
-  const Outcome a = fast.run(scenario, bids);
-  const Outcome b = naive.run(scenario, bids);
+using Value = obs::Event::Value;
 
-  ASSERT_EQ(a.payments.size(), b.payments.size()) << label;
-  for (std::size_t i = 0; i < a.payments.size(); ++i) {
-    EXPECT_EQ(a.payments[i], b.payments[i])
-        << label << ": phone " << i << " fast=" << a.payments[i]
-        << " naive=" << b.payments[i];
+/// The value of `key` in a recorded event, if the record carries it.
+std::optional<Value> attr(const obs::Event& event, const std::string& key) {
+  for (const auto& [name, value] : event.attrs) {
+    if (name == key) return value;
   }
+  return std::nullopt;
+}
+
+std::optional<Value> int_attr(bool present, std::int64_t value) {
+  return present ? std::optional<Value>(value) : std::nullopt;
+}
+
+/// Runs `run` with an event log installed and returns its
+/// payment_derivation records.
+template <typename Run>
+std::vector<obs::Event> payment_derivations(Run&& run) {
+  obs::RingEventSink sink(1 << 14);
+  {
+    obs::EventLog log(&sink);
+    const obs::ScopedEventLog install(&log);
+    run();
+  }
+  EXPECT_LT(sink.total_appended(), std::uint64_t{1} << 14) << "ring wrapped";
+  std::vector<obs::Event> derivations;
+  for (const obs::Event& event : sink.events()) {
+    if (event.type == "payment_derivation") derivations.push_back(event);
+  }
+  return derivations;
+}
+
+/// Checks a run's payment_derivation records against the oracle, winner
+/// by winner. The platform's record names the win slot as an attribute and
+/// carries no set_by_phone; it omits set_in_slot when the scarcity cap set
+/// the payment.
+void expect_records_match(const std::vector<obs::Event>& records,
+                          const test_support::FullReplay& oracle,
+                          bool platform, const std::string& label) {
+  ASSERT_EQ(records.size(), oracle.winners.size()) << label;
+  std::map<int, const obs::Event*> by_phone;
+  for (const obs::Event& record : records) by_phone[record.phone] = &record;
+  for (const test_support::ReplayedSettlement& winner : oracle.winners) {
+    const std::string where =
+        label + ": phone " + std::to_string(winner.phone.value());
+    const auto found = by_phone.find(winner.phone.value());
+    ASSERT_NE(found, by_phone.end()) << where;
+    const obs::Event& record = *found->second;
+    const Settlement& expected = winner.settlement;
+    const std::int64_t win_slot = winner.win_slot.value();
+    if (platform) {
+      EXPECT_EQ(attr(record, "win_slot"), int_attr(true, win_slot)) << where;
+    } else {
+      EXPECT_EQ(record.slot, win_slot) << where;
+    }
+    EXPECT_EQ(attr(record, "payment"), Value(expected.payment)) << where;
+    const bool setter = expected.setter_phone.has_value();
+    EXPECT_EQ(attr(record, "set_by_phone"),
+              int_attr(setter && !platform,
+                       setter ? expected.setter_phone->value() : 0))
+        << where;
+    EXPECT_EQ(attr(record, "set_in_slot"),
+              int_attr(setter && !(platform && expected.scarce_applied),
+                       expected.setter_slot.value()))
+        << where;
+    EXPECT_EQ(attr(record, "scarce"), Value(expected.scarce)) << where;
+    EXPECT_EQ(attr(record, "scarce_cap"),
+              expected.scarce ? std::optional<Value>(expected.scarce_cap)
+                              : std::nullopt)
+        << where;
+    EXPECT_EQ(attr(record, "scarce_applied"), Value(expected.scarce_applied))
+        << where;
+  }
+}
+
+/// Core oracle: the walk must agree with the full-replay oracle through
+/// the batch mechanism and through the slot-by-slot platform -- payments,
+/// allocation, and every winner's setter and scarcity provenance.
+void expect_walk_matches_oracle(const Scenario& scenario,
+                                const model::BidProfile& bids,
+                                const OnlineGreedyConfig& config,
+                                const std::string& label) {
+  const test_support::FullReplay oracle =
+      test_support::full_replay(scenario, bids, config);
+  Outcome batch;
+  const std::vector<obs::Event> batch_records = payment_derivations(
+      [&] { batch = OnlineGreedyMechanism(config).run(scenario, bids); });
+  platform::RoundResult served;
+  const std::vector<obs::Event> served_records = payment_derivations(
+      [&] { served = platform::run_round(scenario, bids, config); });
+
+  EXPECT_EQ(batch.payments, oracle.payments) << label << " (batch)";
+  EXPECT_EQ(served.outcome.payments, oracle.payments) << label << " (platform)";
   for (int k = 0; k < scenario.task_count(); ++k) {
-    EXPECT_EQ(a.allocation.phone_for(TaskId{k}),
-              b.allocation.phone_for(TaskId{k}))
+    EXPECT_EQ(batch.allocation.phone_for(TaskId{k}),
+              oracle.allocation.phone_for(TaskId{k}))
+        << label << ": task " << k;
+    EXPECT_EQ(served.outcome.allocation.phone_for(TaskId{k}),
+              oracle.allocation.phone_for(TaskId{k}))
         << label << ": task " << k;
   }
+  expect_records_match(batch_records, oracle, false, label + " (batch)");
+  expect_records_match(served_records, oracle, true, label + " (platform)");
 }
 
 // ------------------------------------------------ walk == naive property
 
 TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayAcrossConfigCorners) {
   // 5 config families x 2 supply regimes x 20 scenarios = 200 cases,
-  // plus 40 weighted-task cases below: every payment Money-equal.
+  // plus 40 weighted-task cases below: every payment Money-equal, every
+  // provenance field equal.
   Rng rng(20260807);
   for (const auto& [name, config] : config_families()) {
     for (int i = 0; i < 20; ++i) {
       const Scenario scarce = test_support::windowed(rng);
-      expect_engines_agree(scarce, scarce.truthful_bids(), config,
-                           name + "/windowed#" + std::to_string(i));
+      expect_walk_matches_oracle(scarce, scarce.truthful_bids(), config,
+                                 name + "/windowed#" + std::to_string(i));
       const Scenario free = test_support::scarcity_free(rng);
-      expect_engines_agree(free, free.truthful_bids(), config,
-                           name + "/scarcity_free#" + std::to_string(i));
+      expect_walk_matches_oracle(free, free.truthful_bids(), config,
+                                 name + "/scarcity_free#" + std::to_string(i));
     }
   }
 }
@@ -136,16 +211,16 @@ TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayOnWeightedTasks) {
   for (const auto& [name, config] : config_families()) {
     for (int i = 0; i < 8; ++i) {
       const Scenario scenario = weighted_tasks(rng);
-      expect_engines_agree(scenario, scenario.truthful_bids(), config,
-                           name + "/weighted#" + std::to_string(i));
+      expect_walk_matches_oracle(scenario, scenario.truthful_bids(), config,
+                                 name + "/weighted#" + std::to_string(i));
     }
   }
 }
 
 TEST(PaymentEquivalence, Fig4WorkedExamplePaysTheSameOnBothEngines) {
   const Scenario scenario = model::fig4_scenario();
-  expect_engines_agree(scenario, scenario.truthful_bids(),
-                       OnlineGreedyConfig{}, "fig4");
+  expect_walk_matches_oracle(scenario, scenario.truthful_bids(),
+                             OnlineGreedyConfig{}, "fig4");
   // And both match the paper's hand-computed numbers (phones 1, 0, 6, 5, 3
   // paid 11, 9, 8, 11, 11).
   const OnlineGreedyMechanism fast;
@@ -351,15 +426,13 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
 // ----------------------------------------------------- counter contract
 
 TEST(PaymentEquivalence, WalkReplacesFullRunsWithSlotReads) {
-  // The whole point: counterfactual work stops being counted as full
-  // allocation runs. The walk performs exactly one Algorithm-1 pass (the
-  // factual one) per run() and reads one slot record per slot of each
-  // winner's [t'_i, d~_i], while the oracle path still re-runs per winner.
+  // The whole point: counterfactual work is not counted as allocation
+  // runs. The walk performs exactly one Algorithm-1 pass (the factual one)
+  // per run() and reads one slot record per slot of each winner's
+  // [t'_i, d~_i].
   const Scenario scenario = model::fig4_scenario();
   const model::BidProfile bids = scenario.truthful_bids();
   const Outcome outcome = OnlineGreedyMechanism().run(scenario, bids);
-  const auto winners =
-      static_cast<std::int64_t>(outcome.allocation.winners().size());
   std::int64_t window_slots = 0;
   for (const PhoneId winner : outcome.allocation.winners()) {
     Slot::rep_type win_slot = 0;
@@ -382,61 +455,9 @@ TEST(PaymentEquivalence, WalkReplacesFullRunsWithSlotReads) {
   EXPECT_EQ(walk.counters.at("auction.greedy.allocation_runs"), 1);
   EXPECT_EQ(walk.counters.at("auction.settlement.slots_walked"), window_slots);
   EXPECT_EQ(walk.counters.count("auction.counterfactual.probe_forks"), 0u);
-
-  obs::MetricsRegistry naive_registry;
-  {
-    const obs::ScopedRegistry guard(&naive_registry);
-    const OnlineGreedyMechanism oracle(with_engine(
-        OnlineGreedyConfig{}, OnlineGreedyConfig::PaymentEngine::kFullReplay));
-    (void)oracle.run(scenario, bids);
-  }
-  const obs::MetricsSnapshot naive = naive_registry.snapshot();
-  EXPECT_EQ(naive.counters.at("auction.greedy.allocation_runs"), 1 + winners);
-  EXPECT_EQ(naive.counters.count("auction.settlement.slots_walked"), 0u);
 }
 
-// ------------------------------------- walk vs full replay, both drivers
-
-/// Event trail of one batch run, serialized.
-std::string recorded_trail(const OnlineGreedyMechanism& mechanism,
-                           const Scenario& scenario,
-                           const model::BidProfile& bids) {
-  std::ostringstream os;
-  obs::JsonlEventSink sink(os);
-  obs::EventLog log(&sink);
-  const obs::ScopedEventLog install(&log);
-  (void)mechanism.run(scenario, bids);
-  return os.str();
-}
-
-/// The walk must agree with the kFullReplay oracle through the batch
-/// mechanism (payments, allocation, and the whole recorded trail, setter
-/// provenance included) and through the slot-by-slot platform.
-void expect_walk_matches_oracle(const Scenario& scenario,
-                                const model::BidProfile& bids,
-                                const OnlineGreedyConfig& config,
-                                const std::string& label) {
-  const OnlineGreedyMechanism naive(
-      with_engine(config, OnlineGreedyConfig::PaymentEngine::kFullReplay));
-  const OnlineGreedyMechanism walk(config);
-  const Outcome oracle = naive.run(scenario, bids);
-  const Outcome batch = walk.run(scenario, bids);
-  const platform::RoundResult served =
-      platform::run_round(scenario, bids, config);
-  EXPECT_EQ(batch.payments, oracle.payments) << label << " (batch)";
-  EXPECT_EQ(served.outcome.payments, oracle.payments) << label << " (platform)";
-  for (int k = 0; k < scenario.task_count(); ++k) {
-    EXPECT_EQ(batch.allocation.phone_for(TaskId{k}),
-              oracle.allocation.phone_for(TaskId{k}))
-        << label << ": task " << k;
-    EXPECT_EQ(served.outcome.allocation.phone_for(TaskId{k}),
-              oracle.allocation.phone_for(TaskId{k}))
-        << label << ": task " << k;
-  }
-  EXPECT_EQ(recorded_trail(walk, scenario, bids),
-            recorded_trail(naive, scenario, bids))
-      << label;
-}
+// ------------------------------------------------- misreported rounds
 
 /// A round with weighted tasks, cheap tied costs (0 included) and scarce
 /// supply, whose bids misreport windows and costs at random.

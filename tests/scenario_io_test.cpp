@@ -196,6 +196,18 @@ TEST(ScenarioIo, ParseErrorsNameTheLine) {
                   "expected amount", 3);
   expect_error_at("mcs-scenario v1\nslots 3\nfrobnicate 1\n",
                   "unknown keyword", 3);
+  // Slot fields beyond int32 are rejected, not narrowed: 4294967297 =
+  // 2^32 + 1 must not load as a valid one-slot round.
+  expect_error_at("mcs-scenario v1\nslots 4294967297\ntask 1\n",
+                  "slots out of range", 2);
+  expect_error_at("mcs-scenario v1\nslots 2147483648\n",
+                  "slots out of range", 2);
+  expect_error_at("mcs-scenario v1\nslots 1\ntask 4294967297\n",
+                  "task slot out of range", 3);
+  expect_error_at("mcs-scenario v1\nslots 1\nphone 4294967297 1 3\n",
+                  "phone begin out of range", 3);
+  expect_error_at("mcs-scenario v1\nslots 1\nphone 1 -4294967295 3\n",
+                  "phone end out of range", 3);
 }
 
 TEST(ScenarioIo, MissingPiecesAreRejected) {

@@ -1,4 +1,4 @@
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -1,4 +1,4 @@
-#include "analysis/monotonicity.hpp"
+#include "support/monotonicity.hpp"
 
 #include <algorithm>
 #include <sstream>

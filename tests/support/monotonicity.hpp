@@ -1,4 +1,4 @@
-// Allocation-monotonicity auditing (Definition 10).
+// Allocation-monotonicity auditing (Definition 10) -- a test oracle.
 //
 // The online mechanism's truthfulness proof rests on monotonicity: a
 // winning bid must keep winning under any "improvement" -- an earlier

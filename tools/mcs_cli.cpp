@@ -706,11 +706,7 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_switch("verify",
                  "batch-compare every completed round (loadgen only)");
   cli.add_string("metrics-out", "",
-                 "write a telemetry report (counters, histograms, trace) as JSON");
-  cli.add_switch("trace", "print the nested phase-timing tree");
-  cli.add_string("trace-out", "",
-                 "write the span tree in Chrome Trace Event Format "
-                 "(Perfetto / chrome://tracing)");
+                 "write a telemetry report (counters, histograms) as JSON");
   cli.add_string("stats-out", "",
                  "stream live mcs.serve_stats.v1 snapshots (JSONL) while "
                  "serving; enables the wall-clock telemetry plane");
@@ -860,9 +856,7 @@ int cmd_serve(int argc, const char* const* argv) {
     config.trace = trace_plane.get();
   }
 
-  CliTelemetry telemetry(cli.get_string("metrics-out"),
-                         cli.get_switch("trace"),
-                         cli.get_string("trace-out"));
+  CliTelemetry telemetry(cli.get_string("metrics-out"), false);
 
   std::int64_t offered = 0;
   std::int64_t shed = 0;
@@ -871,7 +865,6 @@ int cmd_serve(int argc, const char* const* argv) {
   serve::ServeStats stats;
   const auto start = std::chrono::steady_clock::now();
   {
-    const obs::TraceSpan span("cli.serve");
     serve::ServeEngine engine(config);
 
     std::ofstream stats_file;
