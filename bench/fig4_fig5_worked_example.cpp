@@ -7,7 +7,10 @@
 //  * Fig. 5 -- the per-slot second-price baseline rewarding a delayed
 //    arrival (payment 4 -> 8), i.e. the manipulation that motivates
 //    Algorithm 2.
+#include <cstdint>
 #include <iostream>
+#include <variant>
+#include <vector>
 
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
@@ -15,6 +18,7 @@
 #include "io/cli.hpp"
 #include "io/table.hpp"
 #include "model/paper_examples.hpp"
+#include "obs/event_log.hpp"
 
 namespace {
 
@@ -51,15 +55,33 @@ void print_fig4() {
   std::cout << model::describe(s) << '\n';
 
   const model::BidProfile bids = s.truthful_bids();
-  const auction::GreedyRun run = auction::run_greedy_allocation(s, bids);
+  // The dynamic pool of each slot is its slot_pool event (ids cheapest
+  // first); this instance's whole trail is 18 records.
+  obs::RingEventSink trail(256);
+  auction::GreedyRun run;
+  {
+    obs::EventLog log(&trail);
+    const obs::ScopedEventLog install(&log);
+    run = auction::run_greedy_allocation(s, bids);
+  }
+  std::vector<std::vector<std::int64_t>> pools;
+  for (const obs::Event& event : trail.events()) {
+    if (event.type != "slot_pool") continue;
+    for (const auto& [key, value] : event.attrs) {
+      if (key == "pool") {
+        pools.push_back(std::get<std::vector<std::int64_t>>(value));
+      }
+    }
+  }
+
   io::TextTable table({"slot", "dynamic pool (phone@cost)", "winner"});
   for (const auction::GreedySlotRecord& record : run.slots) {
     std::string pool;
-    for (const PhoneId phone : record.pool) {
+    for (const std::int64_t phone :
+         pools.at(static_cast<std::size_t>(record.slot.value() - 1))) {
       if (!pool.empty()) pool += "  ";
-      pool += std::to_string(phone.value() + 1) + '@' +
-              bids[static_cast<std::size_t>(phone.value())]
-                  .claimed_cost.to_string();
+      pool += std::to_string(phone + 1) + '@' +
+              bids[static_cast<std::size_t>(phone)].claimed_cost.to_string();
     }
     std::string winner;
     for (const PhoneId phone : record.winners) {

@@ -1,7 +1,6 @@
 // Computational-efficiency microbenches for the full mechanisms
 // (Theorems 3 and 7): end-to-end run time of the offline VCG and online
-// greedy mechanisms as the round scales, plus the incremental-vs-naive
-// VCG payment ablation at mechanism level.
+// greedy mechanisms as the round scales.
 #include <benchmark/benchmark.h>
 
 #include "auction/offline_vcg.hpp"
@@ -33,18 +32,6 @@ void BM_OfflineVcg(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(s.task_count());
 }
 BENCHMARK(BM_OfflineVcg)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_OfflineVcg_NaiveMarginals(benchmark::State& state) {
-  const model::Scenario s =
-      scaled_scenario(static_cast<int>(state.range(0)), 7);
-  const model::BidProfile bids = s.truthful_bids();
-  const auction::OfflineVcgMechanism mechanism(
-      auction::OfflineVcgConfig{.naive_marginals = true});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.run(s, bids));
-  }
-}
-BENCHMARK(BM_OfflineVcg_NaiveMarginals)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_OnlineGreedy(benchmark::State& state) {
   const model::Scenario s =

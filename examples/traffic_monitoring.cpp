@@ -9,7 +9,9 @@
 // winners -- the Fig. 4 view, at application scale.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <variant>
 #include <vector>
 
 #include "analysis/metrics.hpp"
@@ -17,6 +19,7 @@
 #include "common/rng.hpp"
 #include "io/table.hpp"
 #include "model/workload.hpp"
+#include "obs/event_log.hpp"
 
 int main() {
   using namespace mcs;
@@ -50,7 +53,25 @@ int main() {
             << " probe requests over " << kHours << " hours\n\n";
 
   const model::BidProfile bids = scenario.truthful_bids();
-  const auction::GreedyRun run = auction::run_greedy_allocation(scenario, bids);
+  // Each slot's candidate pool is its slot_pool event; the trail holds one
+  // record per bid, per task and per slot, and the log header.
+  obs::RingEventSink trail(static_cast<std::size_t>(
+      scenario.phone_count() + scenario.task_count() + kHours + 1));
+  auction::GreedyRun run;
+  {
+    obs::EventLog log(&trail);
+    const obs::ScopedEventLog install(&log);
+    run = auction::run_greedy_allocation(scenario, bids);
+  }
+  std::vector<std::size_t> pool_sizes;
+  for (const obs::Event& event : trail.events()) {
+    if (event.type != "slot_pool") continue;
+    for (const auto& [key, value] : event.attrs) {
+      if (key == "pool") {
+        pool_sizes.push_back(std::get<std::vector<std::int64_t>>(value).size());
+      }
+    }
+  }
 
   io::TextTable timeline({"hour", "pool", "probes", "hired", "marginal cost"});
   for (const auction::GreedySlotRecord& record : run.slots) {
@@ -59,11 +80,11 @@ int main() {
       dearest = std::max(
           dearest, bids[static_cast<std::size_t>(winner.value())].claimed_cost);
     }
-    const int probes = static_cast<int>(record.winners.size()) +
-                       record.unallocated_tasks;
+    const auto probes = record.winners.size() + record.unserved.size();
     timeline.row()
         .cell(static_cast<std::int64_t>(record.slot.value()))
-        .cell(static_cast<std::int64_t>(record.pool.size()))
+        .cell(static_cast<std::int64_t>(pool_sizes.at(
+            static_cast<std::size_t>(record.slot.value() - 1))))
         .cell(static_cast<std::int64_t>(probes))
         .cell(static_cast<std::int64_t>(record.winners.size()))
         .cell(record.winners.empty() ? std::string("-") : dearest.to_string());

@@ -25,12 +25,28 @@ CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
                                            const model::BidProfile& bids,
                                            const OnlineGreedyConfig& config)
     : scenario_(scenario), bids_(bids), config_(config) {
-  // The internal factual pass exists only to record the slot pools probes
-  // fork from; its allocation decisions are not decisions of any recorded
-  // run.
+  // The internal factual pass exists only to record the allocation probes
+  // fork from; its decisions are not decisions of any recorded run.
   const obs::ScopedEventLog suppress_factual(nullptr);
-  factual_ = run_greedy_allocation(scenario_, bids_, config_).slots;
+  const Allocation factual =
+      run_greedy_allocation(scenario_, bids_, config_).allocation;
   obs::count("auction.counterfactual.engine_builds");
+  win_slot_.assign(bids_.size(), 0);
+  for (const model::Task& task : scenario_.tasks) {
+    if (const std::optional<PhoneId> winner = factual.phone_for(task.id)) {
+      win_slot_[static_cast<std::size_t>(winner->value())] =
+          task.slot.value();
+    }
+  }
+  for (int i = 0; i < scenario_.phone_count(); ++i) {
+    const Money cost = bids_[static_cast<std::size_t>(i)].claimed_cost;
+    if (!config_.reserve_price || cost <= *config_.reserve_price) {
+      arrivals_.push_back(i);
+    }
+  }
+  std::stable_sort(arrivals_.begin(), arrivals_.end(), [&](int a, int b) {
+    return arrival_of(a) < arrival_of(b);
+  });
 }
 
 bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
@@ -40,8 +56,8 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
     return false;  // above the platform reserve: never admitted
   }
   const Slot::rep_type fork = own.window.begin().value();
-  const Slot::rep_type last = std::min(
-      own.window.end().value(), static_cast<Slot::rep_type>(factual_.size()));
+  const Slot::rep_type last =
+      std::min(own.window.end().value(), scenario_.num_slots);
   if (fork > last) {
     count_probe_fork(0, 0);
     return false;
@@ -58,20 +74,27 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
   auto task = std::partition_point(
       scenario_.tasks.begin(), scenario_.tasks.end(),
       [&](const model::Task& queued) { return queued.slot.value() < fork; });
-  GreedyCore::Handle probed = 0;
-  for (Slot::rep_type t = fork; t <= last; ++t) {
-    // The slot's factual pool, after its arrivals: at the fork it is the
-    // whole pool (the bids that arrived earlier and are still unallocated
-    // are the same in both runs), later only the bids arriving at t.
-    const GreedySlotRecord& record = factual_[static_cast<std::size_t>(t) - 1];
-    for (const PhoneId member : record.pool) {
-      const model::Bid& bid = bids_[static_cast<std::size_t>(member.value())];
-      if (t == fork ? member == phone : bid.window.begin().value() != t) {
-        continue;
-      }
-      (void)core.admit(member.value(), bid);
+  // At the fork the pool is the factual one: the bids that arrived by then,
+  // are still active and had not won are the same in both runs.
+  auto arrival = arrivals_.begin();
+  for (; arrival != arrivals_.end() && arrival_of(*arrival) <= fork;
+       ++arrival) {
+    const model::Bid& bid = bids_[static_cast<std::size_t>(*arrival)];
+    const Slot::rep_type won = win_slot_[static_cast<std::size_t>(*arrival)];
+    if (*arrival == phone.value() || bid.window.end().value() < fork ||
+        (won != 0 && won < fork)) {
+      continue;
     }
-    if (t == fork) probed = core.admit(phone.value(), {own.window, cost});
+    (void)core.admit(*arrival, bid);
+  }
+  const GreedyCore::Handle probed =
+      core.admit(phone.value(), {own.window, cost});
+  for (Slot::rep_type t = fork; t <= last; ++t) {
+    // Later slots admit only their own arrivals.
+    for (; arrival != arrivals_.end() && arrival_of(*arrival) == t;
+         ++arrival) {
+      (void)core.admit(*arrival, bids_[static_cast<std::size_t>(*arrival)]);
+    }
     for (; task != scenario_.tasks.end() && task->slot.value() == t; ++task) {
       core.add_task(GreedyCore::Task{task->id, scenario_.value_of(task->id)});
     }

@@ -5,13 +5,13 @@
 // from the bid arrivals, so that run is *identical* to the factual run
 // for every slot before the bid's reported arrival a~_i: B_i cannot
 // influence a pool it has not joined yet. The engine therefore keeps the
-// factual run's per-slot pools (GreedySlotRecord::pool, taken after each
-// slot's arrivals), and each probe forks at a~_i: it restarts a GreedyCore
-// there, seeds it with that slot's factual pool minus B_i plus the probed
-// bid, and steps the core over the suffix [a~_i, d~_i], admitting later
-// arrivals as the factual pools show them. A full replay costs
-// O(m (n log n + gamma)); a fork costs only the suffix, and exits at the
-// probed bid's first win.
+// factual allocation (each phone's win slot) and the admitted bids in
+// arrival order, and each probe forks at a~_i: it restarts a GreedyCore
+// there, seeds it with the factual pool at a~_i -- every other admitted
+// bid whose window holds a~_i and that had not won before a~_i -- plus the
+// probed bid, and steps the core over the suffix [a~_i, d~_i], admitting
+// each later slot's arrivals. A full replay costs O(m (n log n + gamma));
+// a fork costs only the suffix, and exits at the probed bid's first win.
 //
 // Payments do not fork: Algorithm 2 settles on the displacement walk of
 // auction/greedy_core.hpp. The engine is read-only after construction and
@@ -34,9 +34,9 @@ namespace mcs::auction {
 /// recorded through the caller thread's obs::current_registry().
 class CounterfactualEngine {
  public:
-  /// Records the factual run's slot pools with an internal factual pass
-  /// (event recording is suppressed for its scope: the factual trail, if
-  /// wanted, is the caller's to record).
+  /// Records the factual allocation with an internal factual pass (event
+  /// recording is suppressed for its scope: the factual trail, if wanted,
+  /// is the caller's to record) and indexes the admitted bids by arrival.
   CounterfactualEngine(const model::Scenario& scenario,
                        const model::BidProfile& bids,
                        const OnlineGreedyConfig& config);
@@ -72,11 +72,18 @@ class CounterfactualEngine {
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
 
  private:
+  [[nodiscard]] Slot::rep_type arrival_of(int phone) const {
+    return bids_[static_cast<std::size_t>(phone)].window.begin().value();
+  }
+
   const model::Scenario& scenario_;
   const model::BidProfile& bids_;
   OnlineGreedyConfig config_;
-  /// The factual run's slot records; index t-1 describes slot t.
-  std::vector<GreedySlotRecord> factual_;
+  /// The factual run's win slot of each phone; 0 for a loser.
+  std::vector<Slot::rep_type> win_slot_;
+  /// Phones whose bid passes the reserve, by reported arrival slot (ties
+  /// in id order).
+  std::vector<int> arrivals_;
 };
 
 }  // namespace mcs::auction

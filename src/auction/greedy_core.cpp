@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <string>
 
 #include "common/assert.hpp"
@@ -38,10 +37,6 @@ bool later(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
   return b.key < a.key;
 }
 
-bool cheaper(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
-  return a.key < b.key;
-}
-
 }  // namespace
 
 GreedyCore::GreedyCore(OnlineGreedyConfig config) : config_(config) {}
@@ -55,9 +50,6 @@ void GreedyCore::restart(const OnlineGreedyConfig& config,
   heap_.clear();
   live_ = 0;
   stale_ = 0;
-  view_.clear();
-  viewed_ = 0;
-  view_current_ = true;
   tasks_.clear();
   departures_.clear();
   winners_.clear();
@@ -77,34 +69,9 @@ GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
   heap_.push_back(Pooled{PoolBid{bid.claimed_cost.micros(), id}, handle});
   std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
-  view_current_ = false;
   departures_.emplace_back(bid.window.end().value(), handle);
   std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
   return handle;
-}
-
-const std::vector<GreedyCore::Pooled>& GreedyCore::pool() {
-  if (view_current_) return view_;
-  std::erase_if(view_, [&](const Pooled& pooled) {
-    return !entry(pooled.handle).pooled;
-  });
-  const auto kept = static_cast<std::ptrdiff_t>(view_.size());
-  for (; viewed_ < entries_.size(); ++viewed_) {
-    const Entry& fresh = entries_[viewed_];
-    if (!fresh.pooled) continue;
-    view_.push_back(Pooled{PoolBid{fresh.bid.claimed_cost.micros(), fresh.id},
-                           static_cast<Handle>(viewed_)});
-  }
-  const auto mid = view_.begin() + kept;
-  std::sort(mid, view_.end(), cheaper);
-  if (kept > 0 && mid != view_.end()) {
-    merged_.clear();
-    std::merge(view_.begin(), mid, mid, view_.end(),
-               std::back_inserter(merged_), cheaper);
-    view_.swap(merged_);
-  }
-  view_current_ = true;
-  return view_;
 }
 
 void GreedyCore::drop_departed_front() {
@@ -131,12 +98,17 @@ const GreedyCore::Step& GreedyCore::step() {
   obs::log_event([&] {
     obs::Event event("slot_pool");
     event.slot = static_cast<std::int32_t>(t);
-    const std::vector<Pooled>& ordered = pool();
+    std::vector<PoolBid> ordered;
+    ordered.reserve(live_);
+    for (const Pooled& pooled : heap_) {
+      if (entry(pooled.handle).pooled) ordered.push_back(pooled.key);
+    }
+    std::sort(ordered.begin(), ordered.end());
     std::vector<std::int64_t> ids;
     std::vector<std::int64_t> costs_micros;
     ids.reserve(ordered.size());
     costs_micros.reserve(ordered.size());
-    for (const auto& [pooled, handle] : ordered) {
+    for (const PoolBid& pooled : ordered) {
       ids.push_back(pooled.phone);
       costs_micros.push_back(pooled.cost_micros);
     }
@@ -149,7 +121,6 @@ const GreedyCore::Step& GreedyCore::step() {
   step_.assignments.clear();
   step_.unserved.clear();
   step_.departing.clear();
-  view_current_ = false;
 
   SlotLog log;
   for (const Task& task : tasks_) {

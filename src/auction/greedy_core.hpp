@@ -7,9 +7,9 @@
 // departed bid stays in the pool heap as a stale element until it reaches
 // the front or stale elements outnumber live ones, when one pass compacts
 // the heap; so admit, win and departure are O(log P) amortized with no
-// per-bid heap node. The ordered pool view (the slot_pool event, the batch
-// slot records) is built only when one of those readers asks, by merging
-// the newly admitted bids into the previous view.
+// per-bid heap node. The pool is never kept in order: the slot_pool event
+// (Fig. 4's dynamic pool, the only record of it) sorts the live heap
+// elements when a log is installed.
 // Each step records what settlement needs from the slot:
 // its dearest winner (winners come out cheapest first), the runner-up
 // (the cheapest bid left after allocation), the value of the last served
@@ -33,8 +33,8 @@
 // drive this one core; the full re-run of Algorithm 2 in
 // tests/support/full_replay.hpp is the independent oracle it is tested
 // against. A probe restart()s a core at its fork slot and seeds it with
-// the factual pool, so one core serves many probes without reallocating
-// its buffers.
+// the pool the factual allocation implies there, so one core serves many
+// probes without reallocating its buffers.
 #pragma once
 
 #include <cstdint>
@@ -151,13 +151,6 @@ class GreedyCore {
   /// caller's check: the pool heap does not look for duplicates).
   Handle admit(int id, const model::Bid& bid);
 
-  /// Active unallocated bids, cheapest first, with their handles. Built on
-  /// demand into a reused buffer, at most once per pool change: the bids
-  /// admitted since the last call are sorted and merged into the previous
-  /// view, and those that left are dropped, O(P + A log A) for A new bids.
-  /// The reference stays valid until the next admit() or step().
-  [[nodiscard]] const std::vector<Pooled>& pool();
-
   /// Queues a task arriving in the current slot.
   void add_task(const Task& task) { tasks_.push_back(task); }
 
@@ -210,11 +203,6 @@ class GreedyCore {
   std::vector<Pooled> heap_;
   std::size_t live_{0};
   std::size_t stale_{0};
-  /// The ordered view pool() returns, and the merge buffer that rebuilds it.
-  std::vector<Pooled> view_;
-  std::vector<Pooled> merged_;
-  std::size_t viewed_{0};  ///< handles below this have entered view_
-  bool view_current_{true};
   std::vector<Task> tasks_;  ///< the current slot's
   /// Min-heap of (reported departure, handle).
   std::vector<std::pair<Slot::rep_type, Handle>> departures_;

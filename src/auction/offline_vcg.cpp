@@ -93,12 +93,7 @@ Outcome OfflineVcgMechanism::run(const model::Scenario& scenario,
   for (const PhoneId winner : outcome.allocation.winners()) {
     const int col = winner.value();
     const Money welfare_without =  // omega*(B_{-i})
-        config_.naive_marginals
-            ? [&] {
-                matching::MaxWeightMatcher reduced(graph.without_column(col));
-                return reduced.total_weight();
-              }()
-            : matcher.total_weight_without_column(col);
+        matcher.total_weight_without_column(col);
     // Eq. (7): p_i = (omega*(B) - (-b_i)) - omega*(B_{-i}).
     const Money payment =
         welfare_all +

@@ -12,10 +12,8 @@
 // individually rational (Theorem 2).
 //
 // omega*(B_{-i}) is obtained from the matcher's incremental column-removal
-// query (one augmenting path per winner) instead of a full re-solve; set
-// OfflineVcgConfig::naive_marginals to force full re-solves (used by tests
-// to cross-validate the incremental path and by the ablation bench to
-// measure the speedup).
+// query (one augmenting path per winner) instead of a full re-solve; the
+// tests cross-validate it against full re-solves of the reduced graph.
 #pragma once
 
 #include "auction/mechanism.hpp"
@@ -23,17 +21,8 @@
 
 namespace mcs::auction {
 
-struct OfflineVcgConfig {
-  /// Recompute each omega*(B_{-i}) with a fresh full solve instead of the
-  /// incremental dual query. Same results, cubically slower.
-  bool naive_marginals = false;
-};
-
 class OfflineVcgMechanism final : public Mechanism {
  public:
-  OfflineVcgMechanism() = default;
-  explicit OfflineVcgMechanism(OfflineVcgConfig config) : config_(config) {}
-
   [[nodiscard]] Outcome run(const model::Scenario& scenario,
                             const model::BidProfile& bids) const override;
 
@@ -50,9 +39,6 @@ class OfflineVcgMechanism final : public Mechanism {
   /// benchmark value used by the competitive-ratio analysis (Theorem 6).
   [[nodiscard]] static Money optimal_claimed_welfare(
       const model::Scenario& scenario, const model::BidProfile& bids);
-
- private:
-  OfflineVcgConfig config_;
 };
 
 }  // namespace mcs::auction

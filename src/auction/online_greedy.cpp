@@ -82,11 +82,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
 
     GreedySlotRecord record;
     record.slot = Slot{t};
-    const std::vector<GreedyCore::Pooled>& pool = core.pool();
-    record.pool.reserve(pool.size());
-    for (const auto& [pooled, handle] : pool) {
-      record.pool.push_back(PhoneId{pooled.phone});
-    }
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
     const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
     for (int k = 0; k < r_t; ++k) {
@@ -107,7 +102,9 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     for (const GreedyCore::Task& task : step.unserved) {
       record.unserved.push_back(task.id);
     }
-    record.unallocated_tasks = static_cast<int>(record.unserved.size());
+    if (step.runner_up) {
+      record.runner_up = PhoneId{core.entry(*step.runner_up).id};
+    }
     tasks_assigned += static_cast<std::int64_t>(record.winners.size());
     tasks_unserved += static_cast<std::int64_t>(record.unserved.size());
     if (pool_hist != nullptr) {

@@ -51,13 +51,11 @@ struct OnlineGreedyConfig {
   ScarcePayment scarce_payment = ScarcePayment::kCapAtValue;
 };
 
-/// Per-slot record of one greedy run (introspection for tests, examples,
-/// and the Fig. 4 walkthrough bench).
+/// Per-slot record of one greedy run (the second-price baseline, tests and
+/// examples). The slot's whole "dynamic pool" of Fig. 4 is not kept here:
+/// the slot_pool event records it when an event log is installed.
 struct GreedySlotRecord {
   Slot slot{0};
-  /// Active unallocated bids at the start of the slot, sorted by
-  /// (claimed cost, id) -- the "dynamic pool" of Fig. 4.
-  std::vector<PhoneId> pool;
   /// Winners this slot in allocation order (cheapest first).
   std::vector<PhoneId> winners;
   /// Tasks of this slot left unserved (pool ran dry, or -- under
@@ -65,8 +63,9 @@ struct GreedySlotRecord {
   /// value). With weighted tasks the highest-value tasks are served first,
   /// so the unserved ones are the least valuable of the slot.
   std::vector<TaskId> unserved;
-  /// Convenience: unserved.size().
-  int unallocated_tasks{0};
+  /// The cheapest bid left in the pool after allocation (the best losing
+  /// bid of the slot), if any.
+  std::optional<PhoneId> runner_up;
 };
 
 /// Result of running Algorithm 1 alone (no payments).
@@ -77,8 +76,8 @@ struct GreedyRun {
 
 /// Runs Algorithm 1 on `bids` over the whole round. Exposed publicly
 /// because the second-price baseline, the CounterfactualEngine (whose
-/// probes fork from the factual run's slot pools), the Fig. 4 walkthrough
-/// and several tests build on it. The pass drives one GreedyCore
+/// probes fork from the factual allocation), the Fig. 4 walkthrough and
+/// several tests build on it. The pass drives one GreedyCore
 /// (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,

@@ -15,14 +15,13 @@ Outcome SecondPriceBaseline::run(const model::Scenario& scenario,
 
   for (const GreedySlotRecord& record : greedy.slots) {
     if (record.winners.empty()) continue;
-    // The pool is recorded sorted by (cost, id); winners are its first
-    // entries, so the best losing bid is the entry right after them.
-    const std::size_t runner_up_index = record.winners.size();
+    // Winners are the cheapest pool members, so the best losing bid is
+    // the cheapest one left after allocation: the slot's runner-up.
     std::optional<Money> runner_up_cost;
-    if (runner_up_index < record.pool.size()) {
-      const PhoneId runner_up = record.pool[runner_up_index];
+    if (record.runner_up) {
       runner_up_cost =
-          bids[static_cast<std::size_t>(runner_up.value())].claimed_cost;
+          bids[static_cast<std::size_t>(record.runner_up->value())]
+              .claimed_cost;
     }
     for (const PhoneId winner : record.winners) {
       const Money own =

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "analysis/truthfulness.hpp"
 #include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
@@ -188,6 +192,98 @@ TEST(SecondPrice, ManipulableSystematicallyAcrossRandomInstances) {
   EXPECT_GE(instances_with_violation, 3)
       << "the baseline should be manipulable on a healthy fraction of "
          "random instances";
+}
+
+TEST(SecondPrice, MatchesBruteForcePoolOracle) {
+  // Oracle: rebuild each slot's dynamic pool from its definition -- bids
+  // under the reserve whose window holds the slot and that won no earlier
+  // slot, in (claimed cost, id) order -- and pay the slot's winners the
+  // pool entry right after them, or their own bid when there is none.
+  struct Family {
+    const char* name;
+    OnlineGreedyConfig config;
+    std::int64_t value;
+    bool weighted;  ///< task values 5..40 and costs 1..6 (ties likely)
+  };
+  OnlineGreedyConfig reserve;
+  reserve.reserve_price = mu(15);
+  OnlineGreedyConfig profitable;
+  profitable.allocate_only_profitable = true;
+  const std::vector<Family> families = {
+      {"default", {}, 40, false},
+      {"binding reserve", reserve, 40, false},
+      {"profitable-only", profitable, 12, false},
+      {"weighted ties", {}, 40, true}};
+  Rng rng(5150);
+  for (const Family& family : families) {
+    const SecondPriceBaseline mechanism(family.config);
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::string where =
+          std::string(family.name) + " trial " + std::to_string(trial);
+      model::ScenarioBuilder builder(6);
+      builder.value(family.value);
+      const int phones = static_cast<int>(rng.uniform_int(1, 10));
+      for (int i = 0; i < phones; ++i) {
+        const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, 6));
+        const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, 6));
+        builder.phone(a, d, rng.uniform_int(1, family.weighted ? 6 : 25));
+      }
+      const int tasks = static_cast<int>(rng.uniform_int(1, 9));
+      for (int k = 0; k < tasks; ++k) {
+        const auto t = static_cast<Slot::rep_type>(rng.uniform_int(1, 6));
+        if (family.weighted) {
+          builder.valued_task(t, rng.uniform_int(5, 40));
+        } else {
+          builder.task(t);
+        }
+      }
+      const model::Scenario s = builder.build();
+      const model::BidProfile bids = s.truthful_bids();
+      const Outcome outcome = mechanism.run(s, bids);
+      const auto cost_of = [&](PhoneId phone) {
+        return bids[static_cast<std::size_t>(phone.value())].claimed_cost;
+      };
+
+      std::vector<Slot::rep_type> win_slot(bids.size(), 0);
+      for (const model::Task& task : s.tasks) {
+        if (const auto winner = outcome.allocation.phone_for(task.id)) {
+          win_slot[static_cast<std::size_t>(winner->value())] =
+              task.slot.value();
+        }
+      }
+      std::vector<Money> expected(bids.size());
+      for (Slot::rep_type t = 1; t <= s.num_slots; ++t) {
+        std::vector<PhoneId> pool;
+        for (std::size_t i = 0; i < bids.size(); ++i) {
+          const model::Bid& bid = bids[i];
+          if ((!family.config.reserve_price ||
+               bid.claimed_cost <= *family.config.reserve_price) &&
+              bid.window.contains(Slot{t}) &&
+              (win_slot[i] == 0 || win_slot[i] >= t)) {
+            pool.push_back(PhoneId{static_cast<std::int32_t>(i)});
+          }
+        }
+        std::sort(pool.begin(), pool.end(), [&](PhoneId a, PhoneId b) {
+          if (cost_of(a) != cost_of(b)) return cost_of(a) < cost_of(b);
+          return a.value() < b.value();
+        });
+        std::size_t won = 0;
+        while (won < pool.size() &&
+               win_slot[static_cast<std::size_t>(pool[won].value())] == t) {
+          ++won;
+        }
+        for (std::size_t k = won; k < pool.size(); ++k) {
+          ASSERT_NE(win_slot[static_cast<std::size_t>(pool[k].value())], t)
+              << where << " slot " << t << ": winners are not the cheapest";
+        }
+        for (std::size_t k = 0; k < won; ++k) {
+          expected[static_cast<std::size_t>(pool[k].value())] =
+              won < pool.size() ? cost_of(pool[won]) : cost_of(pool[k]);
+        }
+      }
+      EXPECT_EQ(outcome.payments, expected) << where;
+    }
+  }
 }
 
 // -------------------------------------------------------- naive baselines

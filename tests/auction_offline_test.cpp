@@ -16,6 +16,7 @@
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
 #include "common/rng.hpp"
+#include "matching/hungarian.hpp"
 #include "support/brute_force.hpp"
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
@@ -183,9 +184,10 @@ TEST(OfflineVcg, DuopolyPaysSecondPrice) {
 }
 
 TEST(OfflineVcg, NaiveAndIncrementalMarginalsAgree) {
+  // The mechanism takes each omega*(B_{-i}) from the matcher's incremental
+  // column-removal query; the oracle re-solves the graph without column i.
   Rng rng(909);
-  const OfflineVcgMechanism fast;
-  const OfflineVcgMechanism naive(OfflineVcgConfig{.naive_marginals = true});
+  const OfflineVcgMechanism mechanism;
   for (int trial = 0; trial < 25; ++trial) {
     model::ScenarioBuilder builder(5);
     builder.value(25);
@@ -200,9 +202,21 @@ TEST(OfflineVcg, NaiveAndIncrementalMarginalsAgree) {
       builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 5)));
     }
     const model::Scenario s = builder.build();
-    const Outcome a = fast.run_truthful(s);
-    const Outcome b = naive.run_truthful(s);
-    ASSERT_EQ(a.payments, b.payments) << "trial " << trial;
+    const model::BidProfile bids = s.truthful_bids();
+    const Outcome outcome = mechanism.run(s, bids);
+
+    const matching::WeightMatrix graph =
+        OfflineVcgMechanism::build_graph(s, bids);
+    const Money welfare_all = matching::MaxWeightMatcher(graph).total_weight();
+    std::vector<Money> naive(bids.size());
+    for (const PhoneId winner : outcome.allocation.winners()) {
+      const auto i = static_cast<std::size_t>(winner.value());
+      const Money welfare_without =
+          matching::MaxWeightMatcher(graph.without_column(winner.value()))
+              .total_weight();
+      naive[i] = welfare_all + bids[i].claimed_cost - welfare_without;
+    }
+    ASSERT_EQ(outcome.payments, naive) << "trial " << trial;
   }
 }
 

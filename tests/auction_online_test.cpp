@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <variant>
 #include <vector>
 
 #include "analysis/rationality.hpp"
@@ -24,6 +25,7 @@
 #include "model/paper_examples.hpp"
 #include "model/scenario_io.hpp"
 #include "model/strategy.hpp"
+#include "obs/event_log.hpp"
 #include "support/full_replay.hpp"
 #include "support/monotonicity.hpp"
 
@@ -31,6 +33,48 @@ namespace mcs::auction {
 namespace {
 
 Money mu(std::int64_t units) { return Money::from_units(units); }
+
+/// A greedy run with each slot's dynamic pool as its slot_pool event
+/// records it: phone ids, cheapest first.
+struct RecordedRun {
+  GreedyRun run;
+  std::vector<std::vector<PhoneId>> pools;  ///< index t-1 describes slot t
+};
+
+RecordedRun record_run(const model::Scenario& s, const model::BidProfile& bids,
+                       const OnlineGreedyConfig& config = {}) {
+  constexpr std::size_t kCapacity = 1 << 14;
+  obs::RingEventSink sink(kCapacity);
+  RecordedRun recorded;
+  {
+    obs::EventLog log(&sink);
+    const obs::ScopedEventLog install(&log);
+    recorded.run = run_greedy_allocation(s, bids, config);
+  }
+  EXPECT_LT(sink.total_appended(), kCapacity) << "ring wrapped";
+  for (const obs::Event& event : sink.events()) {
+    if (event.type != "slot_pool") continue;
+    EXPECT_EQ(event.slot, static_cast<std::int32_t>(recorded.pools.size()) + 1);
+    std::vector<std::int64_t> ids;
+    std::vector<std::int64_t> costs_micros;
+    for (const auto& [key, value] : event.attrs) {
+      if (key == "pool") ids = std::get<std::vector<std::int64_t>>(value);
+      if (key == "pool_costs_micros") {
+        costs_micros = std::get<std::vector<std::int64_t>>(value);
+      }
+    }
+    EXPECT_EQ(ids.size(), costs_micros.size()) << "slot " << event.slot;
+    std::vector<PhoneId>& pool = recorded.pools.emplace_back();
+    for (std::size_t k = 0; k < ids.size() && k < costs_micros.size(); ++k) {
+      pool.push_back(PhoneId{static_cast<std::int32_t>(ids[k])});
+      EXPECT_EQ(costs_micros[k],
+                bids[static_cast<std::size_t>(ids[k])].claimed_cost.micros())
+          << "slot " << event.slot;
+    }
+  }
+  EXPECT_EQ(recorded.pools.size(), recorded.run.slots.size());
+  return recorded;
+}
 
 // ------------------------------------------------------------- allocation
 
@@ -46,7 +90,7 @@ TEST(OnlineGreedy, Fig4SlotBySlotAllocationMatchesPaper) {
   EXPECT_EQ(run.slots[3].winners, std::vector<PhoneId>{PhoneId{5}});
   EXPECT_EQ(run.slots[4].winners, std::vector<PhoneId>{PhoneId{3}});
   for (const GreedySlotRecord& record : run.slots) {
-    EXPECT_EQ(record.unallocated_tasks, 0);
+    EXPECT_TRUE(record.unserved.empty());
   }
 }
 
@@ -54,8 +98,9 @@ TEST(OnlineGreedy, Fig4DynamicPoolAtSlot3MatchesPaper) {
   // Fig. 4's dotted rectangle: Smartphones 3, 6, 7 (0-based 2, 5, 6) are
   // the active unallocated pool in slot 3, cheapest first.
   const model::Scenario s = model::fig4_scenario();
-  const GreedyRun run = run_greedy_allocation(s, s.truthful_bids());
-  EXPECT_EQ(run.slots[2].pool,
+  const RecordedRun recorded = record_run(s, s.truthful_bids());
+  ASSERT_EQ(recorded.pools.size(), 5u);
+  EXPECT_EQ(recorded.pools[2],
             (std::vector<PhoneId>{PhoneId{6}, PhoneId{5}, PhoneId{2}}));
 }
 
@@ -102,7 +147,7 @@ TEST(OnlineGreedy, EmptyPoolLeavesTasksUnallocated) {
   const model::Scenario s =
       model::ScenarioBuilder(2).value(10).phone(1, 1, 3).tasks(2, 2).build();
   const GreedyRun run = run_greedy_allocation(s, s.truthful_bids());
-  EXPECT_EQ(run.slots[1].unallocated_tasks, 2);
+  EXPECT_EQ(run.slots[1].unserved.size(), 2u);
   EXPECT_EQ(run.allocation.allocated_count(), 0);
 }
 
@@ -237,11 +282,12 @@ TEST(OnlineGreedy, ReservePriceExcludesExpensiveBids) {
                                 .build();
   OnlineGreedyConfig config;
   config.reserve_price = mu(10);
-  const GreedyRun run = run_greedy_allocation(s, s.truthful_bids(), config);
-  EXPECT_TRUE(run.allocation.is_winner(PhoneId{1}));
-  EXPECT_FALSE(run.allocation.is_winner(PhoneId{0}));
+  const RecordedRun recorded = record_run(s, s.truthful_bids(), config);
+  EXPECT_TRUE(recorded.run.allocation.is_winner(PhoneId{1}));
+  EXPECT_FALSE(recorded.run.allocation.is_winner(PhoneId{0}));
   // Phone 0 never entered the pool at all.
-  EXPECT_EQ(run.slots[0].pool, std::vector<PhoneId>{PhoneId{1}});
+  ASSERT_EQ(recorded.pools.size(), 1u);
+  EXPECT_EQ(recorded.pools[0], std::vector<PhoneId>{PhoneId{1}});
 }
 
 TEST(OnlineGreedy, ReservePriceIsTheScarcePaymentAndRestoresTruthfulness) {
@@ -512,51 +558,78 @@ TEST(OnlineGreedy, WindowedRandomInstancesStayRationalAndMonotone) {
 
 TEST(OnlineGreedy, DepartureIndexedPoolMatchesDefinitionOnRandomWindows) {
   // The departure sweep is indexed by reported departure slot (erase only
-  // actual departures) instead of scanning every pool entry each slot.
-  // Pin the observable contract: at every slot t the recorded pool is
-  // exactly the phones with a~ <= t <= d~ that no earlier slot allocated,
-  // in (claimed cost, id) order -- recomputed here from the definition.
+  // actual departures) instead of scanning every pool entry each slot, and
+  // the slot_pool event sorts the live pool heap on demand. Pin the
+  // observable contract: at every slot t the recorded pool is exactly the
+  // phones under the reserve with a~ <= t <= d~ that no earlier slot
+  // allocated, in (claimed cost, id) order -- recomputed here from the
+  // definition. The reserve family leaves bids out of the pool; the
+  // profitable-only family (costs up to 25 against a value of 12) leaves
+  // tasks unserved with the pool non-empty.
+  struct Family {
+    const char* name;
+    OnlineGreedyConfig config;
+    std::int64_t value;
+  };
+  OnlineGreedyConfig reserve;
+  reserve.reserve_price = mu(15);
+  OnlineGreedyConfig profitable;
+  profitable.allocate_only_profitable = true;
+  const std::vector<Family> families = {
+      {"default", {}, 40}, {"reserve", reserve, 40},
+      {"profitable-only", profitable, 12}};
   Rng rng(8642);
-  for (int trial = 0; trial < 30; ++trial) {
-    model::ScenarioBuilder builder(7);
-    builder.value(40);
-    const int phones = static_cast<int>(rng.uniform_int(1, 10));
-    for (int i = 0; i < phones; ++i) {
-      const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, 7));
-      const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, 7));
-      builder.phone(a, d, rng.uniform_int(1, 25));  // duplicate costs likely
-    }
-    const int tasks = static_cast<int>(rng.uniform_int(1, 8));
-    for (int k = 0; k < tasks; ++k) {
-      builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 7)));
-    }
-    const model::Scenario s = builder.build();
-    const model::BidProfile bids = s.truthful_bids();
-    const GreedyRun run = run_greedy_allocation(s, bids);
-
-    std::vector<bool> allocated(bids.size(), false);
-    for (const GreedySlotRecord& record : run.slots) {
-      const auto t = record.slot.value();
-      std::vector<PhoneId> expected;
-      for (std::size_t i = 0; i < bids.size(); ++i) {
-        if (!allocated[i] && bids[i].window.begin().value() <= t &&
-            t <= bids[i].window.end().value()) {
-          expected.push_back(PhoneId{static_cast<std::int32_t>(i)});
-        }
+  for (const Family& family : families) {
+    for (int trial = 0; trial < 30; ++trial) {
+      model::ScenarioBuilder builder(7);
+      builder.value(family.value);
+      const int phones = static_cast<int>(rng.uniform_int(1, 10));
+      for (int i = 0; i < phones; ++i) {
+        const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, 7));
+        const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, 7));
+        builder.phone(a, d, rng.uniform_int(1, 25));  // duplicate costs likely
       }
-      std::sort(expected.begin(), expected.end(),
-                [&](PhoneId a, PhoneId b) {
-                  const Money ca = bids[static_cast<std::size_t>(a.value())]
-                                       .claimed_cost;
-                  const Money cb = bids[static_cast<std::size_t>(b.value())]
-                                       .claimed_cost;
-                  if (ca != cb) return ca < cb;
-                  return a.value() < b.value();
-                });
-      EXPECT_EQ(record.pool, expected)
-          << "trial " << trial << " slot " << t;
-      for (const PhoneId winner : record.winners) {
-        allocated[static_cast<std::size_t>(winner.value())] = true;
+      const int tasks = static_cast<int>(rng.uniform_int(1, 8));
+      for (int k = 0; k < tasks; ++k) {
+        builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 7)));
+      }
+      const model::Scenario s = builder.build();
+      const model::BidProfile bids = s.truthful_bids();
+      const RecordedRun recorded = record_run(s, bids, family.config);
+      const std::optional<Money> cap = family.config.reserve_price;
+
+      std::vector<bool> allocated(bids.size(), false);
+      for (const GreedySlotRecord& record : recorded.run.slots) {
+        const auto t = record.slot.value();
+        std::vector<PhoneId> expected;
+        for (std::size_t i = 0; i < bids.size(); ++i) {
+          if (!allocated[i] && (!cap || bids[i].claimed_cost <= *cap) &&
+              bids[i].window.begin().value() <= t &&
+              t <= bids[i].window.end().value()) {
+            expected.push_back(PhoneId{static_cast<std::int32_t>(i)});
+          }
+        }
+        std::sort(expected.begin(), expected.end(),
+                  [&](PhoneId a, PhoneId b) {
+                    const Money ca = bids[static_cast<std::size_t>(a.value())]
+                                         .claimed_cost;
+                    const Money cb = bids[static_cast<std::size_t>(b.value())]
+                                         .claimed_cost;
+                    if (ca != cb) return ca < cb;
+                    return a.value() < b.value();
+                  });
+        ASSERT_LE(static_cast<std::size_t>(t), recorded.pools.size());
+        EXPECT_EQ(recorded.pools[static_cast<std::size_t>(t) - 1], expected)
+            << family.name << " trial " << trial << " slot " << t;
+        // The slot's runner-up is the pool entry right after its winners.
+        const std::size_t won = record.winners.size();
+        EXPECT_EQ(record.runner_up, won < expected.size()
+                                        ? std::optional(expected[won])
+                                        : std::nullopt)
+            << family.name << " trial " << trial << " slot " << t;
+        for (const PhoneId winner : record.winners) {
+          allocated[static_cast<std::size_t>(winner.value())] = true;
+        }
       }
     }
   }

@@ -8,7 +8,7 @@
 // every configuration corner -- reserve prices, profitable-only
 // allocation, weighted tasks, supply scarcity, misreports and cost ties --
 // through both the batch mechanism and the slot-by-slot platform. Probes
-// forked from the factual slot pools must match full re-runs too, in every
+// forked from the factual allocation must match full re-runs too, in every
 // config corner.
 #include "auction/counterfactual.hpp"
 

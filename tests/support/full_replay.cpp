@@ -84,8 +84,8 @@ GreedyRun run_greedy_without(const model::Scenario& scenario,
   }
   run.allocation = std::move(allocation);
   for (GreedySlotRecord& record : run.slots) {
-    for (PhoneId& phone : record.pool) phone = original(phone);
     for (PhoneId& phone : record.winners) phone = original(phone);
+    if (record.runner_up) record.runner_up = original(*record.runner_up);
   }
   return run;
 }

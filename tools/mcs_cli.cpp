@@ -19,6 +19,7 @@
 // evaluation figures; replay re-executes a recorded run and verifies the
 // outcome byte-for-byte; explain narrates one phone's round from the log.
 #include <chrono>
+#include <exception>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -1361,7 +1362,9 @@ int main(int argc, char** argv) {
     }
     const int code = dispatch(subcommand, argc - 1, argv + 1);
     return code == -1 ? unknown_subcommand(subcommand) : code;
-  } catch (const mcs::Error& e) {
+  } catch (const std::exception& e) {
+    // Library errors and runtime failures alike (a scenario too large to
+    // allocate throws std::bad_alloc).
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
