@@ -42,7 +42,8 @@ BENCHMARK(BM_Payments_DisplacementWalk)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
   // Every bisection probe forks at the phone's arrival from the factual
   // slot pool, on the thread's restarted GreedyCore, instead of replaying
-  // from slot 1.
+  // from slot 1. Each iteration also runs the factual allocation the
+  // engine is built from, as a caller with no outcome at hand does.
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();
@@ -51,7 +52,9 @@ void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
       auction::OnlineGreedyMechanism(config).run(s, bids);
   const auto winners = outcome.allocation.winners();
   for (auto _ : state) {
-    const auction::CounterfactualEngine engine(s, bids, config);
+    const auction::CounterfactualEngine engine(
+        s, bids, config,
+        auction::run_greedy_allocation(s, bids, config).allocation);
     for (const PhoneId winner : winners) {
       benchmark::DoNotOptimize(auction::greedy_critical_value(engine, winner));
     }

@@ -132,10 +132,10 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
     // Winner probe trails: the bisection records every probe into the
     // installed log (its inner allocation re-runs stay suppressed), so
     // explain_phone can trace the payment back to the critical bid. One
-    // shared-prefix engine serves every winner's probes -- a single
-    // factual pass, then per-probe forks at each winner's arrival.
-    const auction::OnlineGreedyConfig config = online_config(spec);
-    const auction::CounterfactualEngine engine(scenario, bids, config);
+    // shared-prefix engine, built from the outcome just produced, serves
+    // every winner's probes by per-probe forks at each winner's arrival.
+    const auction::CounterfactualEngine engine(
+        scenario, bids, online_config(spec), outcome.allocation);
     for (const PhoneId winner : outcome.allocation.winners()) {
       (void)auction::greedy_critical_value(engine, winner);
     }

@@ -7,6 +7,7 @@
 #include "auction/offline_vcg.hpp"
 #include "common/assert.hpp"
 #include "obs/econ_metrics.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcs::arena {
@@ -91,8 +92,13 @@ model::BidProfile build_round_bids(const MatchConfig& config,
       }
     }
     if (any_adaptive) {
+      const auction::Allocation factual = [&] {
+        const obs::ScopedEventLog suppress(nullptr);
+        return auction::run_greedy_allocation(scenario, bids, config.greedy)
+            .allocation;
+      }();
       const auction::CounterfactualEngine engine(scenario, bids,
-                                                 config.greedy);
+                                                 config.greedy, factual);
       model::BidProfile refined = bids;
       for (std::size_t i = 0; i < phones; ++i) {
         const BidderPolicy& policy = *mix.entries()[assignment[i]].policy;

@@ -4,6 +4,7 @@
 
 #include "auction/critical_value.hpp"
 #include "auction/greedy_core.hpp"
+#include "common/assert.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 
@@ -23,13 +24,14 @@ void count_probe_fork(std::int64_t replayed, std::int64_t skipped) {
 
 CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
                                            const model::BidProfile& bids,
-                                           const OnlineGreedyConfig& config)
+                                           const OnlineGreedyConfig& config,
+                                           const Allocation& factual)
     : scenario_(scenario), bids_(bids), config_(config) {
-  // The internal factual pass exists only to record the allocation probes
-  // fork from; its decisions are not decisions of any recorded run.
-  const obs::ScopedEventLog suppress_factual(nullptr);
-  const Allocation factual =
-      run_greedy_allocation(scenario_, bids_, config_).allocation;
+  MCS_EXPECTS(factual.task_count() == scenario_.task_count() &&
+                  factual.phone_count() == scenario_.phone_count() &&
+                  bids_.size() == scenario_.phones.size(),
+              "counterfactual engine: allocation and bids must match the "
+              "scenario");
   obs::count("auction.counterfactual.engine_builds");
   win_slot_.assign(bids_.size(), 0);
   for (const model::Task& task : scenario_.tasks) {

@@ -4,8 +4,10 @@
 // bid's claimed cost changed. The greedy pool evolves deterministically
 // from the bid arrivals, so that run is *identical* to the factual run
 // for every slot before the bid's reported arrival a~_i: B_i cannot
-// influence a pool it has not joined yet. The engine therefore keeps the
-// factual allocation (each phone's win slot) and the admitted bids in
+// influence a pool it has not joined yet. The engine is built from the
+// factual allocation its caller already has -- the outcome a mechanism
+// just produced, or the round a serve shard just served -- and runs none
+// of its own. It keeps each phone's win slot and the admitted bids in
 // arrival order, and each probe forks at a~_i: it restarts a GreedyCore
 // there, seeds it with the factual pool at a~_i -- every other admitted
 // bid whose window holds a~_i and that had not won before a~_i -- plus the
@@ -27,19 +29,22 @@
 
 namespace mcs::auction {
 
-/// Counterfactual evaluator over one (scenario, bids, config) triple.
+/// Counterfactual evaluator over one (scenario, bids, config) triple and
+/// the allocation Algorithm 1 made of it.
 ///
 /// Holds references to the scenario and bid profile: both must outlive the
 /// engine. All public methods are const and thread-safe; counters are
 /// recorded through the caller thread's obs::current_registry().
 class CounterfactualEngine {
  public:
-  /// Records the factual allocation with an internal factual pass (event
-  /// recording is suppressed for its scope: the factual trail, if wanted,
-  /// is the caller's to record) and indexes the admitted bids by arrival.
+  /// Records each phone's win slot from `factual` and indexes the admitted
+  /// bids by arrival; runs no allocation. Probes are exact only if
+  /// `factual` is the allocation Algorithm 1 made of (scenario, bids)
+  /// under `config` (a caller without one runs run_greedy_allocation).
   CounterfactualEngine(const model::Scenario& scenario,
                        const model::BidProfile& bids,
-                       const OnlineGreedyConfig& config);
+                       const OnlineGreedyConfig& config,
+                       const Allocation& factual);
 
   /// Does `phone` win when claiming `cost`, all other bids fixed? Forks at
   /// phone's reported arrival and exits early on the first assignment (a

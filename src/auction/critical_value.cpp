@@ -118,7 +118,13 @@ std::optional<Money> greedy_critical_value(const model::Scenario& scenario,
                                            const model::BidProfile& bids,
                                            PhoneId phone,
                                            const OnlineGreedyConfig& config) {
-  const CounterfactualEngine engine(scenario, bids, config);
+  const Allocation factual = [&] {
+    // The factual pass is the engine's input, not a decision of any
+    // recorded run: only the bisection's probes reach the caller's trail.
+    const obs::ScopedEventLog suppress(nullptr);
+    return run_greedy_allocation(scenario, bids, config).allocation;
+  }();
+  const CounterfactualEngine engine(scenario, bids, config, factual);
   return greedy_critical_value(engine, phone);
 }
 

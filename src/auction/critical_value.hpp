@@ -51,16 +51,17 @@ class CounterfactualEngine;  // auction/counterfactual.hpp
 /// maximum claimed cost in `bids` (saturating at Money::max() on
 /// adversarial inputs), which exceeds any bounded critical value of the
 /// greedy rule. Probes evaluate on a shared-prefix CounterfactualEngine
-/// built on the spot; the bisection *algorithm* stays independent of
+/// built on the spot over a factual run_greedy_allocation (its events
+/// suppressed); the bisection *algorithm* stays independent of
 /// Algorithm 2's max-over-winners derivation, preserving the
 /// payment-equals-critical-value cross-check.
 [[nodiscard]] std::optional<Money> greedy_critical_value(
     const model::Scenario& scenario, const model::BidProfile& bids,
     PhoneId phone, const OnlineGreedyConfig& config = {});
 
-/// Same search on a caller-provided engine: amortizes the factual pass
-/// when probing many phones of one (scenario, bids, config) triple, as
-/// the flight recorder's record_run does.
+/// Same search on a caller-provided engine: one engine, built over the
+/// allocation the caller already has, serves every phone of a (scenario,
+/// bids, config) triple, as in the flight recorder's record_run.
 [[nodiscard]] std::optional<Money> greedy_critical_value(
     const CounterfactualEngine& engine, PhoneId phone);
 
@@ -91,8 +92,7 @@ struct PaymentAudit {
 /// (a) the phone still wins when re-run at its reported cost, and (b) its
 /// payment `paid` equals the greedy critical value -- within the one-micro
 /// bisection granularity -- when that value is bounded. Probes run on the
-/// shared-prefix engine, so the factual pass is amortized across winners
-/// of the same round.
+/// shared-prefix engine, so one engine serves every winner of the round.
 [[nodiscard]] PaymentAudit audit_winner_payment(
     const CounterfactualEngine& engine, PhoneId phone, Money paid);
 

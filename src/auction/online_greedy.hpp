@@ -74,10 +74,20 @@ struct GreedyRun {
   std::vector<GreedySlotRecord> slots;  ///< index t-1 describes slot t
 };
 
+/// The per-slot second-price rule (auction/second_price.hpp) over a greedy
+/// run's slot records: each phone's payment, zero for losers, indexed by
+/// phone id. SecondPriceBaseline feeds it its own run; the live econ plane
+/// feeds it a served round's records, so it re-runs no allocation.
+[[nodiscard]] std::vector<Money> second_price_payments(
+    const std::vector<GreedySlotRecord>& slots, const model::BidProfile& bids);
+
 /// Runs Algorithm 1 on `bids` over the whole round. Exposed publicly
-/// because the second-price baseline, the CounterfactualEngine (whose
-/// probes fork from the factual allocation), the Fig. 4 walkthrough and
-/// several tests build on it. The pass drives one GreedyCore
+/// because the second-price baseline, the Fig. 4 walkthrough, the
+/// charging and competitive-ratio analyses, and the CounterfactualEngine
+/// builders that have no outcome at hand (the scenario overload of
+/// greedy_critical_value, the arena's respond pass, the probe bench and
+/// tests) build on it; the flight recorder and the econ plane hand the
+/// engine the allocation they already have. The pass drives one GreedyCore
 /// (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,

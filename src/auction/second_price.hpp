@@ -10,6 +10,8 @@
 // move its win into a slot with a pricier runner-up and raise its payment
 // (4 -> 8 in Fig. 5) -- the truthfulness audit reproduces this violation,
 // which motivates Algorithm 2's over-time critical value.
+// The rule is second_price_payments (declared in auction/online_greedy.hpp
+// with the slot records it reads), which the live econ plane shares.
 #pragma once
 
 #include "auction/mechanism.hpp"

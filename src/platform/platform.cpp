@@ -69,6 +69,7 @@ const SlotReport& OnlinePlatform::advance_slot() {
   report.slot = Slot{t};
   report.assignments.clear();
   report.unserved_tasks.clear();
+  report.runner_up.reset();
   report.payments.clear();
   report.unpaid_departures.clear();
 
@@ -80,6 +81,9 @@ const SlotReport& OnlinePlatform::advance_slot() {
   }
   for (const GreedyCore::Task& task : step.unserved) {
     report.unserved_tasks.push_back(task.id);
+  }
+  if (step.runner_up) {
+    report.runner_up = AgentId{core_.entry(*step.runner_up).id};
   }
 
   // --- Departures: settle everyone whose reported departure is this slot.

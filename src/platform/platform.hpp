@@ -35,6 +35,9 @@ struct SlotReport {
   Slot slot{0};
   std::vector<std::pair<TaskId, AgentId>> assignments;
   std::vector<TaskId> unserved_tasks;
+  /// Cheapest bid left in the pool after allocation (the slot's best
+  /// losing bid), if any.
+  std::optional<AgentId> runner_up;
   /// Winners whose reported departure is this slot, with their payment.
   std::vector<std::pair<AgentId, Money>> payments;
   /// Losers whose reported departure is this slot (they get nothing).
@@ -78,6 +81,10 @@ class OnlinePlatform {
 
   /// Total money paid out so far.
   [[nodiscard]] Money total_paid() const { return total_paid_; }
+
+  [[nodiscard]] const auction::OnlineGreedyConfig& config() const {
+    return core_.config();
+  }
 
  private:
   Slot::rep_type num_slots_;

@@ -10,7 +10,7 @@
 #include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
 #include "auction/offline_vcg.hpp"
-#include "auction/second_price.hpp"
+#include "auction/online_greedy.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
 #include "io/json.hpp"
@@ -151,10 +151,10 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
     }
 
     try {
-      const auction::SecondPriceBaseline reference(config_.greedy);
-      second_price_micros = reference.run(captured.scenario, captured.bids)
-                                .total_payment()
-                                .micros();
+      for (const Money payment :
+           auction::second_price_payments(captured.slots, captured.bids)) {
+        second_price_micros += payment.micros();
+      }
       have_second_price = true;
     } catch (const Error&) {
     }
@@ -175,7 +175,8 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
     if (sampled) {
       try {
         const auction::CounterfactualEngine engine(
-            captured.scenario, captured.bids, config_.greedy);
+            captured.scenario, captured.bids, captured.config,
+            result.outcome.allocation);
         for (const PhoneId winner : result.outcome.allocation.winners()) {
           const Money paid = result.outcome.payments[static_cast<std::size_t>(
               winner.value())];

@@ -3,23 +3,27 @@
 //
 // serve/telemetry.hpp watches the engine as a *system* (throughput,
 // latency, queues); this file watches it as a *mechanism*. At every
-// round_close the shard worker hands the closed round's claimed-cost
-// reconstruction (RoundMachine capture mode) to observe_round, which
+// round_close the shard worker hands the closed round to observe_round:
+// its claimed-cost reconstruction and the served core's slot records
+// (RoundMachine capture mode), the config it was served under, and its
+// outcome. observe_round reads that round rather than re-running it:
 //
-//  * computes the round's economics through the very same
+//  * it computes the round's economics through the very same
 //    analysis::compute_metrics the offline audits use (welfare, payment,
 //    overpayment ratio sigma, coverage, Jain payment fairness),
-//  * prices the round under reference mechanisms -- the per-slot
-//    second-price baseline every round, offline VCG for rounds of at most
-//    12 phones and 12 tasks (fixed gates; the matching is cubic) -- so
-//    overpayment is visible against a yardstick, and
-//  * runs the sentinel: cheap exact invariants every round
+//  * it prices the round against yardsticks so overpayment is visible:
+//    every round, the per-slot second price of the served slots
+//    (auction::second_price_payments over their winners and runner-ups);
+//    for rounds of at most 12 phones and 12 tasks, offline VCG re-solved
+//    on the reported bids (fixed gates; the matching is cubic), and
+//  * it runs the sentinel: cheap exact invariants every round
 //    (analysis::check_round_invariants -- winner paid >= claimed cost,
 //    losers paid zero, payment-total accounting), plus, for a seeded
-//    1-in-N sample of rounds, deep probes through the shared-prefix
-//    CounterfactualEngine (auction::audit_winner_payment -- the winner
-//    still wins at its claim and its payment equals the critical value,
-//    Theorem 4's characterization).
+//    1-in-N sample of rounds, deep probes through a shared-prefix
+//    CounterfactualEngine forked from the served allocation
+//    (auction::audit_winner_payment -- the winner still wins at its claim
+//    and its payment equals the critical value, Theorem 4's
+//    characterization).
 //
 // Plane separation contract: every reference run and probe executes under
 // obs::ScopedRegistry(nullptr) + obs::ScopedEventLog(nullptr), so the
@@ -47,7 +51,6 @@
 #include <ostream>
 #include <vector>
 
-#include "auction/online_greedy.hpp"
 #include "obs/econ_metrics.hpp"
 #include "obs/event_log.hpp"
 #include "obs/latency_sketch.hpp"
@@ -66,11 +69,6 @@ struct EconTelemetryConfig {
   /// set is a pure function of the stream, never of wall time.
   std::int64_t probe_every = 16;
   std::uint64_t probe_seed = 0;
-
-  /// Mechanism knobs the counterfactual probes replay under; must match
-  /// the engine's ServeConfig::greedy for the payment == critical-value
-  /// check to be meaningful.
-  auction::OnlineGreedyConfig greedy;
 
   /// Destination for "econ_violation" records (non-owning; must be
   /// thread-safe and outlive the plane). nullptr = no event records.

@@ -84,6 +84,15 @@ bool RoundMachine::apply(const ServeEvent& event) {
       for (const auto& payment : report.payments) {
         payments_.push_back(payment);
       }
+      if (capture_) {
+        auction::GreedySlotRecord& record = captured_slots_.emplace_back();
+        record.slot = report.slot;
+        for (const auto& [task, agent] : report.assignments) {
+          record.winners.push_back(agent);
+        }
+        record.unserved = report.unserved_tasks;
+        record.runner_up = report.runner_up;
+      }
       return false;
     }
 
@@ -148,6 +157,8 @@ CapturedRound RoundMachine::take_captured() {
         model::TrueProfile{bid.window, bid.claimed_cost});
     captured.bids.push_back(bid);
   }
+  captured.slots = std::move(captured_slots_);
+  captured.config = platform_.config();
   return captured;
 }
 

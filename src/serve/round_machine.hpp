@@ -44,19 +44,24 @@ struct RoundOutcome {
 };
 
 /// Claimed-cost reconstruction of a completed round: the world as the
-/// phones *reported* it. The live econ plane audits against this (the
-/// engine never sees private costs), under the truthful interpretation
-/// claimed == true that the paper's mechanism incentivizes.
+/// phones *reported* it, plus what the served core recorded of each slot.
+/// The live econ plane audits against this (the engine never sees private
+/// costs), under the truthful interpretation claimed == true that the
+/// paper's mechanism incentivizes.
 struct CapturedRound {
   model::Scenario scenario;  ///< phones carry their reported window/cost
   model::BidProfile bids;    ///< equals scenario.truthful_bids()
+  /// The served slot records (winners, unserved tasks, runner-up); index
+  /// t-1 describes slot t.
+  std::vector<auction::GreedySlotRecord> slots;
+  auction::OnlineGreedyConfig config;  ///< the round was served under this
 };
 
 class RoundMachine {
  public:
   /// Boots the round from its round_open event. With `capture` on, the
-  /// machine additionally records tasks and bids so the closed round can
-  /// be reconstructed as a (Scenario, BidProfile) pair for econ auditing.
+  /// machine additionally records tasks, bids and each slot's record so
+  /// the closed round can be reconstructed for econ auditing.
   RoundMachine(const ServeEvent& open, auction::OnlineGreedyConfig config,
                bool capture = false);
 
@@ -98,6 +103,7 @@ class RoundMachine {
   /// Captured bids in arrival order. Nothing here is sized by an agent
   /// id's value: ids are untrusted input.
   std::vector<std::pair<platform::AgentId, model::Bid>> captured_bids_;
+  std::vector<auction::GreedySlotRecord> captured_slots_;
   RoundOutcome outcome_;
 };
 

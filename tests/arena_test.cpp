@@ -73,8 +73,10 @@ TEST(ArenaPolicy, BestResponderShadesToJustBelowItsCriticalValue) {
   // claim to one micro below that threshold -- and must still win.
   const model::Scenario s = model::fig4_scenario();
   const model::BidProfile bids = s.truthful_bids();
-  const auction::CounterfactualEngine engine(s, bids,
-                                             auction::OnlineGreedyConfig{});
+  const auction::OnlineGreedyConfig config;
+  const auction::CounterfactualEngine engine(
+      s, bids, config,
+      auction::run_greedy_allocation(s, bids, config).allocation);
   const PhoneId self{1};
 
   const auto probe = engine.critical_value_of(self);

@@ -282,8 +282,11 @@ std::vector<CounterfactualEngine> engines_for(
   std::vector<CounterfactualEngine> engines;
   engines.reserve(cases.size());
   for (const ProbeCase& probe_case : cases) {
-    engines.emplace_back(probe_case.scenario, probe_case.bids,
-                         probe_case.config);
+    engines.emplace_back(
+        probe_case.scenario, probe_case.bids, probe_case.config,
+        run_greedy_allocation(probe_case.scenario, probe_case.bids,
+                              probe_case.config)
+            .allocation);
   }
   return engines;
 }
@@ -355,7 +358,8 @@ TEST(PaymentEquivalence, FastPaymentsEqualBisectedCriticalValues) {
     const OnlineGreedyConfig config;
     const OnlineGreedyMechanism mechanism(config);
     const Outcome outcome = mechanism.run(scenario, bids);
-    const CounterfactualEngine engine(scenario, bids, config);
+    const CounterfactualEngine engine(scenario, bids, config,
+                                      outcome.allocation);
     for (const PhoneId winner : outcome.allocation.winners()) {
       const std::optional<Money> fast_critical =
           greedy_critical_value(engine, winner);

@@ -111,11 +111,11 @@ TEST(ProbeAlloc, WarmCriticalValueProbesAllocateNothing) {
       model::generate_scenario(model::WorkloadConfig{}, rng);  // Table I
   const model::BidProfile bids = scenario.truthful_bids();
   const auction::OnlineGreedyConfig config;
-  const std::vector<PhoneId> winners =
-      auction::OnlineGreedyMechanism(config).run(scenario, bids)
-          .allocation.winners();
+  const auction::Allocation factual =
+      auction::OnlineGreedyMechanism(config).run(scenario, bids).allocation;
+  const std::vector<PhoneId> winners = factual.winners();
   ASSERT_FALSE(winners.empty());
-  const auction::CounterfactualEngine engine(scenario, bids, config);
+  const auction::CounterfactualEngine engine(scenario, bids, config, factual);
 
   // Probe costs sweep [0, 2 nu): low ones win at the fork, high ones walk
   // the bid's whole window. A losing probe per winner warms the thread's

@@ -15,9 +15,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/metrics.hpp"
+#include "auction/second_price.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/wallclock.hpp"
@@ -54,13 +56,14 @@ struct DrivenRound {
   RoundOutcome outcome;
 };
 
-DrivenRound drive_round(std::int64_t round, const LoadGenConfig& load) {
+DrivenRound drive_round(std::int64_t round, const LoadGenConfig& load,
+                        const auction::OnlineGreedyConfig& served = {}) {
   const model::Scenario scenario = loadgen_scenario(load, round);
   const std::vector<ServeEvent> events =
       round_events(round, scenario, scenario.truthful_bids());
   DrivenRound driven;
-  driven.machine = std::make_unique<RoundMachine>(
-      events.front(), auction::OnlineGreedyConfig{}, /*capture=*/true);
+  driven.machine =
+      std::make_unique<RoundMachine>(events.front(), served, /*capture=*/true);
   for (std::size_t i = 1; i < events.size(); ++i) {
     driven.machine->apply(events[i]);
   }
@@ -180,6 +183,71 @@ TEST(EconSentinel, DeepProbeCatchesInflatedWinnerPayment) {
       << sink.str();
 }
 
+TEST(EconSentinel, ProbesForkingFromTheServedAllocationCatchASwappedWinner) {
+  // Probes fork from the allocation the round reports. Hand one winner's
+  // task to a loser whose window holds the task's slot and whose claim is
+  // covered by the moved payment: the cheap invariants and the total still
+  // balance, so only the loser's probe -- it loses at its claim -- catches
+  // the swap.
+  std::ostringstream sink;
+  obs::JsonlEventSink jsonl(sink);
+  obs::EventLog log(&jsonl);
+  EconTelemetryConfig config;
+  config.probe_every = 1;
+  config.events = &log;
+  EconTelemetry econ(config);
+  econ.attach(1);
+
+  const LoadGenConfig load = small_load();
+  DrivenRound driven = drive_round(0, load);
+  const model::Scenario scenario = loadgen_scenario(load, 0);
+  auction::Outcome& outcome = driven.outcome.outcome;
+  std::optional<TaskId> moved_task;
+  std::optional<PhoneId> loser;
+  for (const model::Task& task : scenario.tasks) {
+    const std::optional<PhoneId> winner = outcome.allocation.phone_for(task.id);
+    if (!winner) continue;
+    const Money paid =
+        outcome.payments[static_cast<std::size_t>(winner->value())];
+    for (int p = 0; p < scenario.phone_count() && !loser; ++p) {
+      const model::TrueProfile& phone =
+          scenario.phones[static_cast<std::size_t>(p)];
+      if (!outcome.allocation.is_winner(PhoneId{p}) &&
+          phone.active.contains(task.slot) && phone.cost <= paid) {
+        loser = PhoneId{p};
+      }
+    }
+    if (loser) {
+      moved_task = task.id;
+      break;
+    }
+  }
+  ASSERT_TRUE(loser.has_value()) << "test round must offer a swap";
+
+  const PhoneId winner = *outcome.allocation.phone_for(*moved_task);
+  auction::Allocation swapped(outcome.allocation.task_count(),
+                              outcome.allocation.phone_count());
+  for (const model::Task& task : scenario.tasks) {
+    if (task.id == *moved_task) {
+      swapped.assign(task.id, *loser);
+    } else if (const std::optional<PhoneId> phone =
+                   outcome.allocation.phone_for(task.id)) {
+      swapped.assign(task.id, *phone);
+    }
+  }
+  outcome.allocation = std::move(swapped);
+  std::swap(outcome.payments[static_cast<std::size_t>(winner.value())],
+            outcome.payments[static_cast<std::size_t>(loser->value())]);
+
+  econ.observe_round(0, *driven.machine, driven.outcome);
+  EXPECT_GE(econ.violations(), 1);
+  EXPECT_NE(sink.str().find("\"kind\":\"probe-loses-at-claim\""),
+            std::string::npos)
+      << sink.str();
+  EXPECT_EQ(sink.str().find("payment-mismatch"), std::string::npos)
+      << "the swap must keep the payment total balanced";
+}
+
 TEST(EconSentinel, CapturelessRoundIsSkippedNotAudited) {
   EconTelemetry econ;
   econ.attach(1);
@@ -230,6 +298,43 @@ TEST(EconTelemetry, SnapshotTotalsMatchOfflineMetricsExactly) {
   EXPECT_EQ(snapshot.cumulative.tasks_allocated, allocated);
   EXPECT_EQ(snapshot.total.payment_micros, payment_micros)
       << "first window covers everything";
+}
+
+TEST(EconTelemetry, SecondPriceReferenceEqualsTheBatchBaselineExactly) {
+  // The plane prices each round from the served slot records; the batch
+  // SecondPriceBaseline re-runs Algorithm 1 on the same reports. The two
+  // feeders of the one pricing rule must agree to the micro under every
+  // served config.
+  LoadGenConfig load = small_load();
+  load.workload.task_value = Money::from_units(30);  // profitable-only bites
+  auction::OnlineGreedyConfig reserve;
+  reserve.reserve_price = Money::from_units(20);
+  auction::OnlineGreedyConfig profitable;
+  profitable.allocate_only_profitable = true;
+  std::vector<std::int64_t> totals;
+  for (const auction::OnlineGreedyConfig& served :
+       {auction::OnlineGreedyConfig{}, reserve, profitable}) {
+    EconTelemetryConfig config;
+    config.probe_every = 0;
+    EconTelemetry econ(config);
+    econ.attach(1);
+    std::int64_t expected = 0;
+    for (std::int64_t round = 0; round < 4; ++round) {
+      DrivenRound driven = drive_round(round, load, served);
+      econ.observe_round(0, *driven.machine, driven.outcome);
+      const model::Scenario scenario = loadgen_scenario(load, round);
+      expected += auction::SecondPriceBaseline(served)
+                      .run(scenario, scenario.truthful_bids())
+                      .total_payment()
+                      .micros();
+    }
+    const EconSnapshot snapshot = econ.take_snapshot();
+    EXPECT_EQ(snapshot.cumulative.rounds, 4);
+    EXPECT_EQ(snapshot.cumulative.second_price_payment_micros, expected);
+    totals.push_back(expected);
+  }
+  EXPECT_NE(totals[1], totals[0]) << "the reserve must bind";
+  EXPECT_NE(totals[2], totals[0]) << "profitable-only must bind";
 }
 
 // ------------------------------------------------------- golden snapshots
@@ -348,6 +453,31 @@ TEST(EconTelemetry, TruthfulTrafficIsViolationFreeOverManyRounds) {
   EXPECT_GT(snapshot.cumulative.payment_micros, 0);
   EXPECT_GT(snapshot.cumulative.second_price_payment_micros, 0)
       << "the per-slot second-price reference priced the stream";
+}
+
+TEST(EconTelemetry, ProbesReplayUnderTheServedConfig) {
+  // The plane takes the mechanism knobs from the served round: a
+  // default-configured plane audits a reserve + profitable-only engine
+  // without a false alarm.
+  const LoadGenConfig load = small_load(40);
+  EconTelemetryConfig econ_config;
+  econ_config.probe_every = 1;
+  EconTelemetry econ(econ_config);
+
+  ServeConfig config;
+  config.shards = 2;
+  config.greedy.reserve_price = Money::from_units(30);
+  config.greedy.allocate_only_profitable = true;
+  config.econ = &econ;
+  ServeEngine engine(config);
+  for (const ServeEvent& event : events_of(load)) engine.submit(event);
+  engine.drain();
+
+  EXPECT_EQ(econ.violations(), 0);
+  const EconSnapshot snapshot = econ.take_snapshot();
+  EXPECT_EQ(snapshot.state, obs::HealthState::kHealthy);
+  EXPECT_EQ(snapshot.cumulative.rounds, 40);
+  EXPECT_GT(snapshot.cumulative.probe_checks, 0);
 }
 
 TEST(EconTelemetry, PublisherEmitsEconStreamAlongsideStats) {

@@ -822,7 +822,6 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!econ_path.empty() || !econ_prom_path.empty() ||
       !econ_events_path.empty()) {
     serve::EconTelemetryConfig econ_config;
-    econ_config.greedy = config.greedy;
     econ_config.probe_every = cli.get_int("econ-probe-every");
     econ_config.probe_seed =
         static_cast<std::uint64_t>(cli.get_int("econ-probe-seed"));
