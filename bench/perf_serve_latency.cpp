@@ -19,6 +19,7 @@
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/queue.hpp"
 #include "serve/telemetry.hpp"
 #include "telemetry_main.hpp"
 
@@ -68,8 +69,8 @@ void BM_ServeLiveLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLiveLatency)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-/// The raw hook cost: one sketch record per call, the engine's per-event
-/// overhead when the live plane is attached.
+/// The raw sketch cost: one record per call. The engine pays it once per
+/// stretch of equal queue waits in an acquired batch (BM_LiveBatchHook).
 void BM_LatencySketchRecord(benchmark::State& state) {
   obs::LatencySketch sketch;
   std::uint64_t value = 1;
@@ -83,6 +84,31 @@ void BM_LatencySketchRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencySketchRecord);
 
+/// The worker's per-batch live-plane cost: one on_batch over a 64-event
+/// batch from `range(0)` pushes (so as many stretches of equal enqueue
+/// stamps), items = events.
+void BM_LiveBatchHook(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  const auto pushes = static_cast<std::size_t>(state.range(0));
+  std::vector<serve::QueuedEvent> events;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    events.push_back({serve::slot_tick(0, Slot{1}),
+                      1000 + 100 * (i * pushes / kBatch)});
+  }
+  const serve::RingView batch{events, {}, static_cast<std::int64_t>(kBatch)};
+  serve::LiveTelemetry live;
+  live.attach(1, 4096);
+  std::uint64_t pickup_ns = 1'000'000;
+  for (auto _ : state) {
+    live.on_batch(0, batch, pickup_ns);
+    pickup_ns += 64;
+  }
+  benchmark::DoNotOptimize(live.summary());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_LiveBatchHook)->Arg(1)->Arg(4)->Arg(64);
+
 /// Snapshot + window roll + health classification -- the publisher's
 /// periodic cost, off the hot path but worth pinning down.
 void BM_ServeSnapshot(benchmark::State& state) {
@@ -94,7 +120,9 @@ void BM_ServeSnapshot(benchmark::State& state) {
   for (int shard = 0; shard < 4; ++shard) {
     for (int i = 0; i < 256; ++i) {
       live.on_submit(shard, 1, i % 7);
-      live.on_process(shard, static_cast<std::uint64_t>(1000 + i), i % 5);
+      const serve::QueuedEvent queued{serve::slot_tick(0, Slot{1}), 0};
+      live.on_batch(shard, serve::RingView{{&queued, 1}, {}, 1},
+                    static_cast<std::uint64_t>(1000 + i));
     }
     live.on_round_close(shard, 2'000'000);
   }

@@ -39,11 +39,12 @@ std::uint64_t bucket_upper_edge(std::size_t bucket) noexcept {
 
 // ------------------------------------------------------------- live sketch
 
-void LatencySketch::record_ns(std::uint64_t ns) noexcept {
-  counts_[sketch_detail::bucket_of(ns)].fetch_add(1,
+void LatencySketch::record_ns(std::uint64_t ns, std::uint64_t n) noexcept {
+  if (n == 0) return;
+  counts_[sketch_detail::bucket_of(ns)].fetch_add(n,
                                                   std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_ns_.fetch_add(ns * n, std::memory_order_relaxed);
   std::uint64_t seen = min_ns_.load(std::memory_order_relaxed);
   while (ns < seen &&
          !min_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {

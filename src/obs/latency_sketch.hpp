@@ -4,9 +4,11 @@
 // are counted exactly, everything above lands in one of 16 linear
 // sub-buckets per power of two, so the relative quantile error is bounded
 // by 1/16 (6.25%) across the full uint64 range. Recording is a handful of
-// relaxed atomic operations (no locks, no allocation), cheap enough to sit
-// on the serve engine's per-event path; snapshots are taken concurrently
-// by the stats publisher thread.
+// relaxed atomic operations (no locks, no allocation), and record_ns(ns, n)
+// records n equal samples for the price of one: the serve engine records
+// queue waits once per stretch of a popped batch whose events share an
+// enqueue stamp, not once per event. Snapshots are taken concurrently by
+// the stats publisher thread.
 //
 // Sketches are mergeable (bucket-wise sums, associative and commutative),
 // and snapshots additionally support delta_since() so a rolling window can
@@ -85,7 +87,10 @@ class LatencySketch {
   LatencySketch(const LatencySketch&) = delete;
   LatencySketch& operator=(const LatencySketch&) = delete;
 
-  void record_ns(std::uint64_t ns) noexcept;
+  void record_ns(std::uint64_t ns) noexcept { record_ns(ns, 1); }
+  /// `n` samples of `ns` at once (snapshot-identical to n record_ns(ns)
+  /// calls); n == 0 records nothing.
+  void record_ns(std::uint64_t ns, std::uint64_t n) noexcept;
   [[nodiscard]] LatencySketchSnapshot snapshot() const;
   /// Total samples recorded so far (cheaper than a full snapshot).
   [[nodiscard]] std::uint64_t count() const noexcept {

@@ -42,7 +42,7 @@ inline constexpr std::string_view kTraceSchema = "mcs.trace.v1";
 /// Phases of one round's timeline, in canonical (chronological) order.
 enum class TracePhase : std::uint8_t {
   kIngest = 0,   ///< intended (paced) send time -> actual submit
-  kQueueWait,    ///< enqueue -> dequeue on the shard queue
+  kQueueWait,    ///< handoff -> batch pickup on the shard queue
   kSlotTick,     ///< one slot_tick: the allocation step, plus Algorithm-2
                  ///< settlement of the winners departing in that slot
   kPayment,      ///< round_close materialization of the round's outcome

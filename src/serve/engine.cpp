@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -120,8 +121,10 @@ SubmitStatus ServeEngine::submit_batch(int shard_index,
     throw InvalidArgumentError("serve: submit_batch shard out of range");
   }
   // A misrouted event would split its round across two workers and
-  // silently corrupt the outcome; the hash re-check is a few ns per event.
+  // silently corrupt the outcome. Every event is checked, but a round is
+  // hashed only when it differs from the previous event's.
   for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0 && events[i].round == events[i - 1].round) continue;
     if (shard_of_round(events[i].round, config_.shards) != shard_index) {
       throw InvalidArgumentError(
           "serve: submit_batch event routed to the wrong shard");
@@ -165,47 +168,50 @@ void ServeEngine::worker_main(Shard& shard) {
   LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
   RoundTable rounds;
-  // Consumer-side batching mirrors the producer side: up to kPopBatch
-  // events leave the ring under one lock. The buffer is reused across
-  // iterations, so the steady-state loop performs no allocation.
-  constexpr std::size_t kPopBatch = 64;
-  std::vector<PoppedEvent> batch;
-  batch.reserve(kPopBatch);
-  while (shard.queue.pop_batch(batch, kPopBatch) > 0) {
-    for (const PoppedEvent& popped : batch) {
-      const std::uint64_t now = stamp_ns();
-      const std::uint64_t queue_wait_ns =
-          now >= popped.enqueue_ns ? now - popped.enqueue_ns : 0;
-      if (live != nullptr) {
-        live->on_process(shard.index, queue_wait_ns, popped.depth_left);
-      }
-      if (trace != nullptr) {
-        trace->on_event(shard.index, queue_wait_ns,
-                        popped.event.client_lag_ns);
-      }
-      if (!shard.error.empty()) continue;  // poisoned: drain without work
-      try {
-        process_event(shard, rounds, popped.event, now, popped.enqueue_ns);
-      } catch (const std::exception& e) {
-        // Any failure -- a malformed stream (mcs::Error) or a resource
-        // failure such as std::bad_alloc on a hostile round -- stays with
-        // its round or its stream; it never unwinds the worker thread.
-        if (config_.admission == ServeConfig::Admission::kReject) {
-          // Shedding already made the stream lossy; a hole in one round's
-          // event sequence drops that round, not the whole engine.
-          if (trace != nullptr) {
-            trace->on_round_corrupted(shard.index, popped.event.round,
-                                      stamp_ns());
+  // The worker consumes its ring in place: each acquire exposes up to
+  // kBatch queued events and releases the previous batch. One clock read
+  // per batch is every event's pickup stamp (the planes' queue wait);
+  // span edges read their own stamps in process_event.
+  constexpr std::size_t kBatch = 64;
+  RingView batch;
+  std::size_t released = 0;
+  while ((released = shard.queue.acquire(batch, kBatch, released)) > 0) {
+    const std::uint64_t pickup_ns = stamp_ns();
+    if (live != nullptr) live->on_batch(shard.index, batch, pickup_ns);
+    if (trace != nullptr) trace->on_batch(shard.index, batch, pickup_ns);
+    for (const std::span<const QueuedEvent> run : batch.runs()) {
+      for (const QueuedEvent& queued : run) {
+        if (!shard.error.empty()) break;  // poisoned: drain without work
+        try {
+          process_event(shard, rounds, queued);
+        } catch (const std::exception& e) {
+          // Any failure -- a malformed stream (mcs::Error) or a resource
+          // failure such as std::bad_alloc on a hostile round -- stays
+          // with its round or its stream; it never unwinds the worker.
+          if (config_.admission == ServeConfig::Admission::kReject) {
+            // Shedding already made the stream lossy; a hole in one
+            // round's event sequence drops that round, not the engine.
+            if (trace != nullptr) {
+              trace->on_round_corrupted(shard.index, queued.event.round,
+                                        stamp_ns());
+            }
+            rounds.erase(queued.event.round);
+            ++shard.stats.rounds_corrupted;
+            obs::count("serve.rounds_corrupted");
+          } else {
+            shard.error = e.what();
           }
-          rounds.erase(popped.event.round);
-          ++shard.stats.rounds_corrupted;
-          obs::count("serve.rounds_corrupted");
-        } else {
-          shard.error = e.what();
         }
       }
     }
-    batch.clear();
+  }
+  // Per-kind event counts publish once, at exit; kinds never seen stay
+  // absent, exactly as per-event counting left them.
+  for (std::size_t kind = 0; kind < shard.event_counts.size(); ++kind) {
+    if (shard.event_counts[kind] > 0) {
+      obs::count(event_counter_name(static_cast<ServeEventKind>(kind)),
+                 shard.event_counts[kind]);
+    }
   }
   if (trace != nullptr) trace->on_worker_exit(shard.index, stamp_ns());
   shard.stats.rounds_abandoned += static_cast<std::int64_t>(rounds.size());
@@ -220,10 +226,10 @@ void ServeEngine::worker_main(Shard& shard) {
 }
 
 void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
-                                const ServeEvent& event, std::uint64_t now_ns,
-                                std::uint64_t enqueue_ns) {
+                                const QueuedEvent& queued) {
+  const ServeEvent& event = queued.event;
   ++shard.stats.processed;
-  obs::count(event_counter_name(event.kind));
+  ++shard.event_counts[static_cast<std::size_t>(event.kind)];
   TracePlane* const trace = config_.trace;
 
   if (event.kind == ServeEventKind::kRoundOpen) {
@@ -232,13 +238,15 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
                                  std::to_string(event.round) +
                                  ": duplicate round_open");
     }
+    // Span edge: the open pickup, which round latency is measured from.
+    const std::uint64_t open_ns = stamp_ns();
     rounds.emplace(event.round,
                    OpenRound{RoundMachine(event, config_.greedy,
                                           /*capture=*/config_.econ != nullptr),
-                             now_ns});
+                             open_ns});
     if (trace != nullptr) {
-      trace->on_round_open(shard.index, event.round, enqueue_ns, now_ns,
-                           event.client_lag_ns);
+      trace->on_round_open(shard.index, event.round, queued.enqueue_ns,
+                           open_ns, event.client_lag_ns);
     }
     return;
   }
@@ -250,7 +258,7 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
       ++shard.stats.orphaned_events;
       obs::count("serve.events.orphaned");
       if (trace != nullptr) {
-        trace->on_orphaned_event(shard.index, event.round, now_ns);
+        trace->on_orphaned_event(shard.index, event.round, stamp_ns());
       }
       return;
     }
@@ -258,12 +266,19 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
         "serve stream, round " + std::to_string(event.round) + ": " +
         std::string(to_string(event.kind)) + " for a round never opened");
   }
+  // Span edges: the close pickup (round latency stays exact) and, with the
+  // trace plane on, each slot_tick's begin.
+  const bool traced_tick =
+      trace != nullptr && event.kind == ServeEventKind::kSlotTick;
+  const std::uint64_t begin_ns =
+      traced_tick || event.kind == ServeEventKind::kRoundClose ? stamp_ns()
+                                                               : 0;
   RoundMachine& machine = it->second.machine;
   const bool done = machine.apply(event);
-  if (trace != nullptr && event.kind == ServeEventKind::kSlotTick) {
+  if (traced_tick) {
     trace->on_slot_tick(shard.index, event.round,
-                        static_cast<std::int32_t>(event.slot.value()), now_ns,
-                        stamp_ns());
+                        static_cast<std::int32_t>(event.slot.value()),
+                        begin_ns, stamp_ns());
   }
   if (!done) return;
 
@@ -283,10 +298,10 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   rounds.erase(it);
   if (config_.live != nullptr) {
     config_.live->on_round_close(shard.index,
-                                 now_ns >= open_ns ? now_ns - open_ns : 0);
+                                 begin_ns >= open_ns ? begin_ns - open_ns : 0);
   }
   if (trace != nullptr) {
-    trace->on_round_complete(shard.index, event.round, now_ns, settled_ns,
+    trace->on_round_complete(shard.index, event.round, begin_ns, settled_ns,
                              stamp_ns(), violations);
   }
   ++shard.stats.rounds_completed;
@@ -387,12 +402,16 @@ SubmitStatus ShardBatcher::flush_shard(std::size_t shard) {
 }
 
 SubmitStatus ShardBatcher::add(const ServeEvent& event) {
-  const int shard = shard_of_round(event.round, engine_.config().shards);
+  // Events of one round arrive in runs; hash only when the round changes.
+  if (last_shard_ < 0 || event.round != last_round_) {
+    last_round_ = event.round;
+    last_shard_ = shard_of_round(event.round, engine_.config().shards);
+  }
   std::vector<ServeEvent>& buffer =
-      buffers_[static_cast<std::size_t>(shard)];
+      buffers_[static_cast<std::size_t>(last_shard_)];
   buffer.push_back(event);
   if (buffer.size() < batch_size_) return SubmitStatus::kAccepted;
-  return flush_shard(static_cast<std::size_t>(shard));
+  return flush_shard(static_cast<std::size_t>(last_shard_));
 }
 
 SubmitStatus ShardBatcher::flush() {

@@ -21,15 +21,19 @@
 // That is the deterministic plane. The optional live, econ and trace
 // planes in the config are the wall-clock side (serve/telemetry.hpp,
 // serve/econ_telemetry.hpp, serve/trace_plane.hpp). The engine is their
-// one clock: with a live or trace plane attached it stamps each event on
-// the steady clock at handoff and at pickup, and keeps each round's open
-// stamp next to its RoundMachine, so both timed planes get the same queue
-// wait and round latency (close pickup minus open pickup). With every
-// plane off the clock is never read. No plane writes a registry counter
-// (econ's deliberate `econ.violations` aside), so the deterministic merge
-// stays bit-identical whether they are on or off.
+// one clock: with a live or trace plane attached it stamps each handoff
+// batch on the steady clock, and each batch a worker acquires from its
+// ring once at pickup -- that stamp is every event's pickup time and gives
+// its queue wait. Events whose time is a span edge read their own stamp:
+// round_open (open pickup) and round_close (close pickup), whose
+// difference is the round latency both timed planes report, and each
+// slot_tick's begin and end when the trace plane is on. With every plane
+// off the clock is never read. No plane writes a registry counter (econ's
+// deliberate `econ.violations` aside), so the deterministic merge stays
+// bit-identical whether they are on or off.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -179,6 +183,9 @@ class ServeEngine {
   [[nodiscard]] const ServeStats& stats() const;
 
  private:
+  static constexpr std::size_t kEventKinds =
+      static_cast<std::size_t>(ServeEventKind::kRoundClose) + 1;
+
   struct Shard {
     Shard(int shard_index, std::size_t queue_capacity)
         : index(shard_index), queue(queue_capacity) {}
@@ -189,6 +196,9 @@ class ServeEngine {
     obs::MetricsRegistry registry;  ///< used only when telemetry is on
     std::vector<RoundOutcome> outcomes;
     ServeStats stats;    ///< worker-local; folded into totals at drain
+    /// Worker-local serve.events.* counts by ServeEventKind, published to
+    /// `registry` when the worker exits.
+    std::array<std::int64_t, kEventKinds> event_counts{};
     std::string error;   ///< first stream error, empty = clean
   };
 
@@ -202,8 +212,7 @@ class ServeEngine {
 
   void worker_main(Shard& shard);
   void process_event(Shard& shard, RoundTable& rounds,
-                     const ServeEvent& event, std::uint64_t now_ns,
-                     std::uint64_t enqueue_ns);
+                     const QueuedEvent& queued);
   /// Nanoseconds since construction on the steady clock when a live or
   /// trace plane is attached; 0 (and no clock read) otherwise.
   [[nodiscard]] std::uint64_t stamp_ns() const;
@@ -264,6 +273,8 @@ class ShardBatcher {
   ServeEngine& engine_;
   std::size_t batch_size_;
   std::vector<std::vector<ServeEvent>> buffers_;  ///< one per shard
+  std::int64_t last_round_{0};  ///< round of the previous add()
+  int last_shard_{-1};          ///< its shard; -1 before the first add()
   std::int64_t accepted_{0};
   std::int64_t rejected_{0};
 };

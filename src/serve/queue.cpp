@@ -5,13 +5,17 @@
 #include <memory>
 #include <type_traits>
 
+#include "common/assert.hpp"
 #include "common/error.hpp"
 
 namespace mcs::serve {
 
 // enqueue_locked constructs a slot in place before it is first read and
 // again on every later write; no slot is ever destroyed, which is valid
-// only for a trivially destructible type.
+// only for a trivially destructible type. The consumer reads the slots
+// acquire() exposes after the lock is dropped: the producer's writes
+// happened before that acquire's lock, and has_space() keeps producers off
+// those slots until the next acquire releases them.
 static_assert(std::is_trivially_copyable_v<QueuedEvent> &&
               std::is_trivially_destructible_v<QueuedEvent>);
 
@@ -33,8 +37,8 @@ EventRing::~EventRing() {
 void EventRing::enqueue_locked(const ServeEvent* events, std::size_t count,
                                std::uint64_t enqueue_ns) {
   for (std::size_t i = 0; i < count; ++i) {
-    std::construct_at(&slots_[(head_ + size_ + i) % capacity_],
-                      QueuedEvent{events[i], enqueue_ns});
+    std::construct_at(&slots_[tail_], QueuedEvent{events[i], enqueue_ns});
+    if (++tail_ == capacity_) tail_ = 0;
   }
   size_ += count;
   high_watermark_ = std::max(high_watermark_,
@@ -50,51 +54,60 @@ std::int64_t EventRing::push_block(const ServeEvent* events,
         "serve queue: batch larger than the ring capacity");
   }
   std::unique_lock lock(mutex_);
-  not_full_.wait(lock, [&] { return closed_ || has_space(count); });
+  if (!closed_ && !has_space(count)) {
+    ++producers_waiting_;
+    not_full_.wait(lock, [&] { return closed_ || has_space(count); });
+    --producers_waiting_;
+  }
   if (closed_) return -1;
   enqueue_locked(events, count, enqueue_ns);
   const auto depth = static_cast<std::int64_t>(size_);
+  const bool wake = consumer_waiting_;
   lock.unlock();
-  // One wake regardless of batch size: the single consumer drains in
-  // batches anyway.
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
   return depth;
 }
 
 std::int64_t EventRing::try_push(const ServeEvent* events, std::size_t count,
                                  std::uint64_t enqueue_ns) {
   if (count == 0) return 0;  // nothing to enqueue; depth not inspected
-  std::int64_t depth = -1;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (closed_ || !has_space(count)) return -1;
-    enqueue_locked(events, count, enqueue_ns);
-    depth = static_cast<std::int64_t>(size_);
-  }
-  not_empty_.notify_one();
+  std::unique_lock lock(mutex_);
+  if (closed_ || !has_space(count)) return -1;
+  enqueue_locked(events, count, enqueue_ns);
+  const auto depth = static_cast<std::int64_t>(size_);
+  const bool wake = consumer_waiting_;
+  lock.unlock();
+  if (wake) not_empty_.notify_one();
   return depth;
 }
 
-std::size_t EventRing::pop_batch(std::vector<PoppedEvent>& out,
-                                 std::size_t max) {
+std::size_t EventRing::acquire(RingView& view, std::size_t max,
+                               std::size_t released) {
   std::unique_lock lock(mutex_);
-  not_empty_.wait(lock, [&] { return closed_ || size_ > 0; });
-  const std::size_t taken = std::min(size_, std::max<std::size_t>(max, 1));
-  if (taken == 0) return 0;  // closed and drained
-  for (std::size_t i = 0; i < taken; ++i) {
-    QueuedEvent& slot = slots_[(head_ + i) % capacity_];
-    // depth_left = ring occupancy after this batch + the batch tail still
-    // ahead of the consumer, i.e. exactly what a one-at-a-time pop would
-    // have reported for this event.
-    out.push_back(PoppedEvent{std::move(slot.event), slot.enqueue_ns,
-                              static_cast<std::int64_t>(size_ - i - 1)});
+  MCS_EXPECTS(released == acquired_,
+              "serve queue: acquire must release the previous view");
+  head_ += released;
+  if (head_ >= capacity_) head_ -= capacity_;
+  acquired_ = 0;
+  bool wake_producers = released > 0 && producers_waiting_ > 0;
+  if (!closed_ && size_ == 0) {
+    // About to park: hand the freed slots over first.
+    if (wake_producers) not_full_.notify_all();
+    wake_producers = false;
+    consumer_waiting_ = true;
+    not_empty_.wait(lock, [&] { return closed_ || size_ > 0; });
+    consumer_waiting_ = false;
   }
-  head_ = (head_ + taken) % capacity_;
+  const std::size_t taken = std::min(size_, std::max<std::size_t>(max, 1));
+  const std::size_t first = std::min(taken, capacity_ - head_);
+  view.first = {slots_ + head_, first};
+  view.second = {slots_, taken - first};
+  view.depth = static_cast<std::int64_t>(size_);
+  acquired_ = taken;
   size_ -= taken;
   lock.unlock();
-  // Batch removal may have made room for several blocked producers.
-  not_full_.notify_all();
-  return taken;
+  if (wake_producers) not_full_.notify_all();
+  return taken;  // 0: closed and drained
 }
 
 std::int64_t EventRing::high_watermark() const {

@@ -1,34 +1,48 @@
-// The shard event queue: a bounded MPSC ring with batched handoff.
+// The shard event queue: a bounded MPSC ring with batched handoff and an
+// in-place consumer.
 //
-// Two properties matter on the serve hot path and both are structural
+// Four properties matter on the serve hot path and all are structural
 // here rather than best-effort:
 //
 //   * No allocator traffic. The ring's slots are allocated at
 //     construction (ServeEvent is allocation-free by design: fixed-width
-//     fields, Money as int64, no strings), so pushing and popping move
-//     events through memory the queue already owns. The old deque-backed
-//     queue hit the global allocator on every push block -- on a
-//     multi-producer hot path that is both latency and contention. The
-//     slots are left uninitialized until first written, so a deep ring
-//     costs no zero-fill at construction.
+//     fields, Money as int64, no strings), so pushing and consuming move
+//     events through memory the queue already owns. The slots are left
+//     uninitialized until first written, so a deep ring costs no
+//     zero-fill at construction.
 //
 //   * Batched, all-or-nothing handoff. Producers hand over k events under
-//     one lock acquisition (and consumers take up to k under one), so the
-//     per-event cost of the mutex amortizes away. A batch either fits
-//     entirely or not at all: under try_push nothing is partially
-//     enqueued, and under push_block the producer waits until the whole
-//     batch fits. That makes depth reporting exact -- the returned
-//     depth-after-push is the real instantaneous occupancy the batch
-//     produced, and high_watermark() is the true maximum occupancy ever
-//     reached (the serve.queue_high_watermark gauge is audited against
-//     exactly this).
+//     one lock acquisition, so the per-event cost of the mutex amortizes
+//     away. A batch either fits entirely or not at all: under try_push
+//     nothing is partially enqueued, and under push_block the producer
+//     waits until the whole batch fits. That makes depth reporting exact
+//     -- the returned depth-after-push is the real number of events
+//     queued and not yet acquired, and high_watermark() is the true
+//     maximum of it (the serve.queue_high_watermark gauge is audited
+//     against exactly this).
+//
+//   * In-place consume. The single consumer never copies an event out:
+//     acquire() exposes up to `max` queued events where they sit, as at
+//     most two contiguous runs (two only when the batch wraps past the end
+//     of the slot array), and the next acquire() releases them. Until that
+//     release the slots stay the consumer's: a producer's space check
+//     counts them as occupied, so it cannot overwrite an event the
+//     consumer is still reading.
+//
+//   * Waiter-gated wakeups. A producer notifies the consumer only when the
+//     consumer is parked in acquire(), and a release notifies producers
+//     only when one is parked in push_block(); both flags live under the
+//     mutex, so a wakeup is never lost. Producers are woken as soon as a
+//     release frees slots (no low-water mark): one producer feeding several
+//     shards must not stall on one shard while the others drain.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
-#include <vector>
+#include <span>
+#include <utility>
 
 #include "serve/event.hpp"
 
@@ -42,14 +56,56 @@ struct QueuedEvent {
   std::uint64_t enqueue_ns{0};
 };
 
-/// One popped event with the queue state the consumer observed:
-/// depth_left counts the items still pending behind this one (ring
-/// occupancy after the batch pop, plus the batch's own not-yet-consumed
-/// tail), preserving the exact per-event depth the unbatched pop reported.
-struct PoppedEvent {
-  ServeEvent event;
-  std::uint64_t enqueue_ns{0};
-  std::int64_t depth_left{0};
+/// The events one EventRing::acquire exposes, read in place: FIFO order is
+/// `first` then `second` (`second` is empty unless the batch wraps).
+struct RingView {
+  std::span<const QueuedEvent> first;
+  std::span<const QueuedEvent> second;
+  /// Events queued at acquire, this batch included: the event at batch
+  /// index i has depth - i - 1 events queued behind it.
+  std::int64_t depth{0};
+
+  [[nodiscard]] std::size_t size() const {
+    return first.size() + second.size();
+  }
+  [[nodiscard]] std::array<std::span<const QueuedEvent>, 2> runs() const {
+    return {first, second};
+  }
+
+  /// Calls fn(value, n) once per maximal stretch of n consecutive events
+  /// whose key(event) equals value, in FIFO order across both runs. Events
+  /// of one push share their enqueue stamp, so keyed on it a batch is a
+  /// handful of stretches.
+  template <class Key, class Fn>
+  void for_each_stretch(Key key, Fn fn) const {
+    std::size_t n = 0;
+    decltype(key(std::declval<const QueuedEvent&>())) current{};
+    for (const std::span<const QueuedEvent> run : runs()) {
+      for (const QueuedEvent& queued : run) {
+        const auto value = key(queued);
+        if (n > 0 && value == current) {
+          ++n;
+          continue;
+        }
+        if (n > 0) fn(current, n);
+        current = value;
+        n = 1;
+      }
+    }
+    if (n > 0) fn(current, n);
+  }
+
+  /// Calls fn(wait_ns, n) per stretch of events sharing an enqueue stamp,
+  /// where wait_ns is `pickup_ns` minus that stamp (0 if the stamp is
+  /// later).
+  template <class Fn>
+  void for_each_wait(std::uint64_t pickup_ns, Fn fn) const {
+    for_each_stretch(
+        [](const QueuedEvent& queued) { return queued.enqueue_ns; },
+        [&](std::uint64_t enqueue_ns, std::size_t n) {
+          fn(pickup_ns >= enqueue_ns ? pickup_ns - enqueue_ns : 0, n);
+        });
+  }
 };
 
 class EventRing {
@@ -61,33 +117,36 @@ class EventRing {
   EventRing& operator=(const EventRing&) = delete;
 
   /// Blocks until all `count` events fit, then enqueues them atomically.
-  /// Returns the occupancy after the push, or -1 when the ring was closed
-  /// (nothing enqueued). Requires count <= capacity() (a larger batch
-  /// could never fit and would deadlock); throws InvalidArgumentError.
+  /// Returns the depth after the push (events queued and not yet
+  /// acquired), or -1 when the ring was closed (nothing enqueued).
+  /// Requires count <= capacity() (a larger batch could never fit and
+  /// would deadlock); throws InvalidArgumentError.
   std::int64_t push_block(const ServeEvent* events, std::size_t count,
                           std::uint64_t enqueue_ns);
 
   /// All-or-nothing fast-fail: -1 when closed or the whole batch does not
-  /// fit (nothing enqueued), else the occupancy after the push.
+  /// fit (nothing enqueued), else the depth after the push.
   std::int64_t try_push(const ServeEvent* events, std::size_t count,
                         std::uint64_t enqueue_ns);
 
-  /// Blocks for at least one event, then moves up to `max` into `out`
-  /// (appended; caller clears). Returns the number taken; 0 means closed
-  /// and fully drained.
-  std::size_t pop_batch(std::vector<PoppedEvent>& out, std::size_t max);
+  /// The consumer's one call (single consumer only). Releases the
+  /// `released` slots of the previous acquire (pass that view's size(), or
+  /// 0 on the first call), then blocks for at least one queued event and
+  /// exposes up to `max` of them in `view`, in place. Returns the number
+  /// exposed; 0 means closed and fully drained.
+  std::size_t acquire(RingView& view, std::size_t max, std::size_t released);
 
-  /// Wakes every waiter; further pushes fail, pops drain the remainder.
+  /// Wakes every waiter; further pushes fail, acquires drain the remainder.
   void close();
 
-  /// Highest occupancy ever reached (exact; see header comment).
+  /// Highest depth ever reached (exact; see header comment).
   [[nodiscard]] std::int64_t high_watermark() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   [[nodiscard]] bool has_space(std::size_t count) const {
-    return size_ + count <= capacity_;
+    return acquired_ + size_ + count <= capacity_;
   }
   void enqueue_locked(const ServeEvent* events, std::size_t count,
                       std::uint64_t enqueue_ns);
@@ -99,9 +158,13 @@ class EventRing {
   /// capacity_ slots from std::allocator: storage only, each slot is
   /// constructed when enqueue_locked first writes it.
   QueuedEvent* slots_{nullptr};
-  std::size_t head_{0};  ///< index of the oldest queued event
-  std::size_t size_{0};
+  std::size_t head_{0};      ///< oldest slot the consumer holds or will get
+  std::size_t tail_{0};      ///< next slot a push writes (wrapping index)
+  std::size_t acquired_{0};  ///< slots exposed by the last acquire
+  std::size_t size_{0};      ///< queued events not yet acquired
   std::int64_t high_watermark_{0};
+  int producers_waiting_{0};     ///< producers parked in push_block
+  bool consumer_waiting_{false};  ///< the consumer is parked in acquire
   bool closed_{false};
 };
 

@@ -10,6 +10,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "serve/econ_telemetry.hpp"
+#include "serve/queue.hpp"
 
 namespace mcs::serve {
 
@@ -50,7 +51,6 @@ void LiveTelemetry::on_submit(int shard, std::int64_t count,
                               std::int64_t depth_after) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
   slot.submitted.fetch_add(count, std::memory_order_relaxed);
-  slot.depth.store(depth_after, std::memory_order_relaxed);
   std::int64_t seen = slot.window_watermark.load(std::memory_order_relaxed);
   while (depth_after > seen &&
          !slot.window_watermark.compare_exchange_weak(
@@ -68,18 +68,23 @@ void LiveTelemetry::on_reject(int shard, std::int64_t count) {
       count, std::memory_order_relaxed);
 }
 
-void LiveTelemetry::on_process(int shard, std::uint64_t queue_wait_ns,
-                               std::int64_t depth_after) {
+void LiveTelemetry::on_batch(int shard, const RingView& batch,
+                             std::uint64_t pickup_ns) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.processed.fetch_add(1, std::memory_order_relaxed);
-  slot.depth.store(depth_after, std::memory_order_relaxed);
-  slot.queue_wait.record_ns(queue_wait_ns);
+  slot.processed.store(slot.processed.load(std::memory_order_relaxed) +
+                           static_cast<std::int64_t>(batch.size()),
+                       std::memory_order_relaxed);
+  batch.for_each_wait(pickup_ns, [&](std::uint64_t wait_ns, std::size_t n) {
+    slot.queue_wait.record_ns(wait_ns, n);
+  });
 }
 
 void LiveTelemetry::on_round_close(int shard,
                                    std::uint64_t round_latency_ns) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.rounds_closed.fetch_add(1, std::memory_order_relaxed);
+  slot.rounds_closed.store(
+      slot.rounds_closed.load(std::memory_order_relaxed) + 1,
+      std::memory_order_relaxed);
   slot.round_latency.record_ns(round_latency_ns);
 }
 
@@ -87,11 +92,14 @@ obs::LiveCumulative LiveTelemetry::sample_shard(ShardSlot& slot,
                                                 std::uint64_t at_ns) {
   obs::LiveCumulative sample;
   sample.at_ns = at_ns;
-  sample.submitted = slot.submitted.load(std::memory_order_relaxed);
   sample.processed = slot.processed.load(std::memory_order_relaxed);
+  sample.submitted = slot.submitted.load(std::memory_order_relaxed);
   sample.rejected = slot.rejected.load(std::memory_order_relaxed);
   sample.rounds_closed = slot.rounds_closed.load(std::memory_order_relaxed);
-  sample.queue_depth = slot.depth.load(std::memory_order_relaxed);
+  // A worker may count a batch before its producer's on_submit lands, so
+  // the difference can dip below zero for an instant.
+  sample.queue_depth = std::max<std::int64_t>(
+      0, sample.submitted - sample.processed);
   // The window watermark resets to the current depth, not zero: a queue
   // that stays backlogged across a whole window must still show it.
   sample.window_watermark =

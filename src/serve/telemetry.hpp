@@ -9,9 +9,12 @@
 // on must not change a single deterministic counter (pinned by
 // serve_telemetry_test).
 //
-// Wiring: the engine calls the on_* hooks (a few relaxed atomics each)
-// when a LiveTelemetry is installed in its ServeConfig, passing durations
-// it measured on its own clock (queue wait, round latency). A
+// Wiring: the engine calls the on_* hooks when a LiveTelemetry is
+// installed in its ServeConfig, passing stamps it read on its own clock.
+// Producers report each handoff batch (on_submit/on_reject); the shard
+// worker reports each batch it acquires from its ring (on_batch: one clock
+// reading, one processed update, one sketch record per stretch of equal
+// queue waits) and each round latency (on_round_close). A
 // StatsPublisher thread periodically calls take_snapshot(), which rolls
 // one window per shard (obs::RollingWindowAggregator), classifies shard
 // and engine health (obs::classify_health with the default
@@ -39,6 +42,8 @@
 #include "obs/wallclock.hpp"
 
 namespace mcs::serve {
+
+struct RingView;  // serve/queue.hpp
 
 struct LiveTelemetryConfig {
   /// Time source of window edges and uptime; nullptr = the process
@@ -95,14 +100,18 @@ class LiveTelemetry {
 
   [[nodiscard]] int shards() const { return static_cast<int>(slots_.size()); }
 
-  // Engine hooks. Thread-safe, wait-free (relaxed atomics only). Submits
-  // and rejects arrive once per handoff batch: `count` events at the
-  // batch's depth-after (the exact instantaneous occupancy -- batch pushes
-  // are all-or-nothing).
+  // Engine hooks, wait-free (relaxed atomics only). Submits and rejects
+  // come from any producer, once per handoff batch: `count` events at the
+  // batch's depth-after (the exact instantaneous depth -- batch pushes are
+  // all-or-nothing). on_batch and on_round_close come only from the
+  // shard's worker.
   void on_submit(int shard, std::int64_t count, std::int64_t depth_after);
   void on_reject(int shard, std::int64_t count);
-  void on_process(int shard, std::uint64_t queue_wait_ns,
-                  std::int64_t depth_after);
+  /// One acquired batch, picked up at `pickup_ns` (the engine's stamp):
+  /// counts its events processed and records each event's queue wait
+  /// (pickup minus its enqueue stamp), one sketch record per stretch of
+  /// equal stamps.
+  void on_batch(int shard, const RingView& batch, std::uint64_t pickup_ns);
   void on_round_close(int shard, std::uint64_t round_latency_ns);
 
   /// Rolls one window per shard and aggregates. Serialized internally, so
@@ -113,16 +122,23 @@ class LiveTelemetry {
   [[nodiscard]] LiveSummary summary();
 
  private:
-  /// Written by producers (on_submit/on_reject) and the shard worker
-  /// (on_process/on_round_close); read by the snapshot thread.
+  /// Producer-written and worker-written fields are kept a cache line
+  /// apart, so the two threads never write the same line; the snapshot
+  /// thread only reads (and resets the window watermark). Queue depth is
+  /// derived as submitted - processed rather than stored by both sides.
+  /// (Padding, not alignas: an over-aligned slot makes every engine
+  /// construction pay for aligned operator new.)
   struct ShardSlot {
+    // Producers (on_submit/on_reject): any number, so read-modify-writes.
     std::atomic<std::int64_t> submitted{0};
-    std::atomic<std::int64_t> processed{0};
     std::atomic<std::int64_t> rejected{0};
-    std::atomic<std::int64_t> rounds_closed{0};
-    std::atomic<std::int64_t> depth{0};
     std::atomic<std::int64_t> window_watermark{0};  ///< reset per snapshot
     std::atomic<std::int64_t> high_watermark{0};
+    char line_gap[64]{};
+    // The shard's worker (on_batch/on_round_close): the one writer, so
+    // plain load + store.
+    std::atomic<std::int64_t> processed{0};
+    std::atomic<std::int64_t> rounds_closed{0};
     obs::LatencySketch queue_wait;
     obs::LatencySketch round_latency;
   };

@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
+#include "serve/queue.hpp"
 
 namespace mcs::serve {
 
@@ -38,13 +39,21 @@ void TracePlane::attach(int shards) {
   }
 }
 
-void TracePlane::on_event(int shard, std::uint64_t queue_wait_ns,
-                          std::uint64_t client_lag_ns) {
+void TracePlane::on_batch(int shard, const RingView& batch,
+                          std::uint64_t pickup_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kQueueWait)]
-      .record_ns(queue_wait_ns);
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kIngest)]
-      .record_ns(client_lag_ns);
+  auto& queue_wait =
+      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kQueueWait)];
+  batch.for_each_wait(pickup_ns, [&](std::uint64_t wait_ns, std::size_t n) {
+    queue_wait.record_ns(wait_ns, n);
+  });
+  auto& ingest =
+      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kIngest)];
+  batch.for_each_stretch(
+      [](const QueuedEvent& queued) { return queued.event.client_lag_ns; },
+      [&](std::uint64_t lag_ns, std::size_t n) {
+        ingest.record_ns(lag_ns, n);
+      });
 }
 
 void TracePlane::on_round_open(int shard, std::int64_t round,

@@ -55,6 +55,8 @@
 
 namespace mcs::serve {
 
+struct RingView;  // serve/queue.hpp
+
 struct TracePlaneConfig {
   /// Retained-trace capacity per shard (pinned-priority ring).
   std::size_t ring_capacity = 256;
@@ -107,13 +109,14 @@ class TracePlane {
   [[nodiscard]] int shards() const { return static_cast<int>(lanes_.size()); }
 
   // Engine hooks. Each shard's timeline state is owned by that shard's
-  // worker thread (on_event..on_worker_exit run only there); cross-thread
+  // worker thread (on_batch..on_worker_exit run only there); cross-thread
   // visibility is limited to the relaxed-atomic counters and sketches.
 
-  /// Every dequeued event: folds queue wait and client-side ingest lag
-  /// into the shard's phase sketches.
-  void on_event(int shard, std::uint64_t queue_wait_ns,
-                std::uint64_t client_lag_ns);
+  /// One batch the worker acquired from its ring, picked up at
+  /// `pickup_ns`: folds every event's queue wait (pickup minus its enqueue
+  /// stamp) and client-side ingest lag into the shard's phase sketches,
+  /// one sketch record per stretch of equal values.
+  void on_batch(int shard, const RingView& batch, std::uint64_t pickup_ns);
   /// round_open processing began: opens the trace with its ingest span
   /// ([enqueue - lag, enqueue], producer side) and queue span
   /// ([enqueue, begin]).

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "obs/latency_sketch.hpp"
@@ -160,6 +161,25 @@ TEST(LatencySketch, MergeWithEmptyIsIdentity) {
   LatencySketchSnapshot onto_empty;
   onto_empty.merge(a);
   expect_same(onto_empty, a);
+}
+
+TEST(LatencySketch, CountedRecordEqualsRepeatedRecords) {
+  // record_ns(ns, n) is how the serve engine records a stretch of equal
+  // queue waits: its snapshot must be exactly n single records.
+  LatencySketch counted;
+  LatencySketch repeated;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> stretches = {
+      {7, 3}, {123'456, 64}, {3, 1}, {5'000'000'000ULL, 2}, {900, 0}};
+  for (const auto& [ns, n] : stretches) {
+    counted.record_ns(ns, n);
+    for (std::uint64_t i = 0; i < n; ++i) repeated.record_ns(ns);
+  }
+  expect_same(counted.snapshot(), repeated.snapshot());
+  EXPECT_EQ(counted.count(), 70u);
+  // n == 0 records nothing, extrema included.
+  LatencySketch none;
+  none.record_ns(42, 0);
+  expect_same(none.snapshot(), LatencySketch{}.snapshot());
 }
 
 TEST(LatencySketch, DeltaSinceIsolatesTheWindow) {

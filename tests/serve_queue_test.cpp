@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,52 +37,118 @@ std::vector<ServeEvent> ticks(int count) {
 
 // ------------------------------------------------------------- EventRing
 
+/// The events of `view` in FIFO order (copied out for assertions).
+std::vector<QueuedEvent> events_in(const RingView& view) {
+  std::vector<QueuedEvent> out;
+  for (const std::span<const QueuedEvent> run : view.runs()) {
+    out.insert(out.end(), run.begin(), run.end());
+  }
+  return out;
+}
+
 TEST(EventRing, BatchPushReportsExactDepthAndWatermark) {
   EventRing ring(8);
   const std::vector<ServeEvent> five = ticks(5);
   EXPECT_EQ(ring.push_block(five.data(), 5, 0), 5);
   EXPECT_EQ(ring.high_watermark(), 5);
 
-  std::vector<PoppedEvent> out;
-  EXPECT_EQ(ring.pop_batch(out, 3), 3u);
-  ASSERT_EQ(out.size(), 3u);
-  // Per-event depth_left matches what one-at-a-time pops would have seen.
-  EXPECT_EQ(out[0].depth_left, 4);
-  EXPECT_EQ(out[1].depth_left, 3);
-  EXPECT_EQ(out[2].depth_left, 2);
+  RingView view;
+  EXPECT_EQ(ring.acquire(view, 3, 0), 3u);
+  ASSERT_EQ(view.size(), 3u);
+  // Per-event depth behind (depth - i - 1) matches what one-at-a-time
+  // pops would have seen.
+  EXPECT_EQ(view.depth, 5);
+  EXPECT_EQ(view.depth - 0 - 1, 4);
+  EXPECT_EQ(view.depth - 1 - 1, 3);
+  EXPECT_EQ(view.depth - 2 - 1, 2);
 
+  // The acquired slots stay the consumer's until the next acquire: with 3
+  // held and 2 queued, a batch of 4 does not fit in 8.
   const std::vector<ServeEvent> four = ticks(4);
-  EXPECT_EQ(ring.push_block(four.data(), 4, 0), 6);  // 2 remained + 4
+  EXPECT_EQ(ring.try_push(four.data(), 4, 0), -1);
+  EXPECT_EQ(ring.try_push(four.data(), 3, 0), 5);  // 2 queued + 3
+  EXPECT_EQ(ring.high_watermark(), 5);
+
+  // Releasing the 3 and taking 1 leaves 4 queued and 1 held.
+  EXPECT_EQ(ring.acquire(view, 1, 3), 1u);
+  EXPECT_EQ(view.depth, 5);
+  EXPECT_EQ(ring.push_block(four.data(), 2, 0), 6);  // 4 queued + 2
   EXPECT_EQ(ring.high_watermark(), 6);
 
-  // All-or-nothing: a batch of 3 would need 9 slots; nothing is enqueued
-  // and the watermark is untouched.
-  const std::vector<ServeEvent> three = ticks(3);
-  EXPECT_EQ(ring.try_push(three.data(), 3, 0), -1);
-  EXPECT_EQ(ring.high_watermark(), 6);
-
+  // All-or-nothing: 1 held + 6 queued leaves room for 1, not 2; nothing
+  // is enqueued and the watermark is untouched.
   const std::vector<ServeEvent> two = ticks(2);
-  EXPECT_EQ(ring.try_push(two.data(), 2, 0), 8);
-  EXPECT_EQ(ring.high_watermark(), 8);
+  EXPECT_EQ(ring.try_push(two.data(), 2, 0), -1);
+  EXPECT_EQ(ring.high_watermark(), 6);
+  EXPECT_EQ(ring.try_push(two.data(), 1, 0), 7);
+  EXPECT_EQ(ring.high_watermark(), 7);
 }
 
 TEST(EventRing, FifoOrderSurvivesWraparound) {
-  EventRing ring(4);
-  std::vector<PoppedEvent> out;
+  // Batches of 2 in a ring of 5 (2 held + 2 pushed fit) start at every
+  // slot in turn, so some of them wrap.
+  EventRing ring(5);
+  RingView view;
+  std::size_t released = 0;
   std::int64_t next_expected = 0;
   std::int64_t next_pushed = 0;
-  for (int cycle = 0; cycle < 10; ++cycle) {
+  for (int cycle = 0; cycle < 12; ++cycle) {
     std::vector<ServeEvent> batch;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       batch.push_back(round_close(next_pushed++));
     }
-    ASSERT_GT(ring.push_block(batch.data(), batch.size(), 0), 0);
-    out.clear();
-    ASSERT_EQ(ring.pop_batch(out, 3), 3u);
-    for (const PoppedEvent& popped : out) {
-      EXPECT_EQ(popped.event.round, next_expected++);
+    ASSERT_GT(ring.try_push(batch.data(), batch.size(), 0), 0);
+    released = ring.acquire(view, 2, released);
+    ASSERT_EQ(released, 2u);
+    for (const QueuedEvent& queued : events_in(view)) {
+      EXPECT_EQ(queued.event.round, next_expected++);
     }
   }
+}
+
+TEST(EventRing, ViewSplitsIntoTwoRunsAtTheWrap) {
+  EventRing ring(5);
+  std::vector<ServeEvent> events;
+  for (int i = 0; i < 4; ++i) events.push_back(round_close(i));
+  ASSERT_EQ(ring.try_push(events.data(), 4, 10), 4);
+  RingView view;
+  ASSERT_EQ(ring.acquire(view, 3, 0), 3u);  // slots 0..2
+  EXPECT_TRUE(view.second.empty());
+  // One queued in slot 3; three more land in slots 4, 0, 1 once the
+  // acquired slots are released.
+  for (int i = 0; i < 3; ++i) {
+    events[static_cast<std::size_t>(i)] = round_close(4 + i);
+  }
+  ASSERT_EQ(ring.acquire(view, 1, 3), 1u);  // releases 0..2, takes slot 3
+  ASSERT_EQ(ring.try_push(events.data(), 3, 20), 3);
+  ASSERT_EQ(ring.acquire(view, 8, 1), 3u);  // slots 4, 0, 1
+  EXPECT_EQ(view.first.size(), 1u);
+  EXPECT_EQ(view.second.size(), 2u);
+  EXPECT_EQ(view.depth, 3);
+  const std::vector<QueuedEvent> got = events_in(view);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].event.round, static_cast<std::int64_t>(4 + i));
+    EXPECT_EQ(got[i].enqueue_ns, 20u);
+  }
+}
+
+TEST(EventRing, StretchesGroupEqualKeysAcrossTheWrap) {
+  const std::vector<QueuedEvent> tail = {{round_close(0), 5},
+                                         {round_close(1), 5}};
+  const std::vector<QueuedEvent> head = {{round_close(2), 5},
+                                         {round_close(3), 9},
+                                         {round_close(4), 5}};
+  const RingView view{tail, head, 5};
+  std::vector<std::pair<std::uint64_t, std::size_t>> stretches;
+  view.for_each_stretch(
+      [](const QueuedEvent& queued) { return queued.enqueue_ns; },
+      [&](std::uint64_t stamp, std::size_t n) {
+        stretches.emplace_back(stamp, n);
+      });
+  const std::vector<std::pair<std::uint64_t, std::size_t>> expected = {
+      {5, 3}, {9, 1}, {5, 1}};
+  EXPECT_EQ(stretches, expected);
 }
 
 TEST(EventRing, OversizedBatchThrowsInsteadOfDeadlocking) {
@@ -101,14 +172,97 @@ TEST(EventRing, CapacityWhoseStorageOverflowsIsRejected) {
 
 TEST(EventRing, CloseFailsPushesAndDrainsPops) {
   EventRing ring(4);
-  const std::vector<ServeEvent> two = ticks(2);
-  EXPECT_EQ(ring.push_block(two.data(), 2, 0), 2);
+  const std::vector<ServeEvent> three = ticks(3);
+  EXPECT_EQ(ring.push_block(three.data(), 3, 0), 3);
   ring.close();
-  EXPECT_EQ(ring.push_block(two.data(), 2, 0), -1);
-  EXPECT_EQ(ring.try_push(two.data(), 2, 0), -1);
-  std::vector<PoppedEvent> out;
-  EXPECT_EQ(ring.pop_batch(out, 8), 2u);  // the queued tail still drains
-  EXPECT_EQ(ring.pop_batch(out, 8), 0u);  // closed and empty
+  EXPECT_EQ(ring.push_block(three.data(), 2, 0), -1);
+  EXPECT_EQ(ring.try_push(three.data(), 2, 0), -1);
+  // The queued tail still drains, batch by batch, in order.
+  RingView view;
+  EXPECT_EQ(ring.acquire(view, 2, 0), 2u);
+  EXPECT_EQ(events_in(view)[0].event.round, 0);
+  EXPECT_EQ(ring.acquire(view, 2, 2), 1u);
+  EXPECT_EQ(events_in(view)[0].event.round, 2);
+  EXPECT_EQ(ring.acquire(view, 2, 1), 0u);  // closed and empty
+  EXPECT_EQ(view.size(), 0u);
+}
+
+TEST(EventRing, CloseWakesAParkedConsumer) {
+  EventRing ring(4);
+  std::size_t got = 99;
+  std::thread consumer([&] {
+    RingView view;
+    got = ring.acquire(view, 4, 0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ring.close();
+  consumer.join();
+  EXPECT_EQ(got, 0u);
+}
+
+TEST(EventRing, NoLostWakeupsUnderBlockingProducers) {
+  // Three producers push_block batches of 3 into a ring of 8 while the one
+  // consumer parks, holds and releases in-place batches and sometimes
+  // sleeps: every waiter-gated wakeup must land, so the run finishes, and
+  // every event arrives exactly once in its producer's order.
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 3000;
+  constexpr std::size_t kBatch = 3;
+  EventRing ring(8);
+  std::vector<std::vector<std::int32_t>> seen(kProducers);
+  std::atomic<bool> finished{false};
+
+  std::thread consumer([&] {
+    RingView view;
+    std::size_t released = 0;
+    std::int64_t batches = 0;
+    while ((released = ring.acquire(view, kBatch, released)) > 0) {
+      for (const QueuedEvent& queued : events_in(view)) {
+        seen[static_cast<std::size_t>(queued.event.round)].push_back(
+            queued.event.task.value());
+      }
+      if (++batches % 97 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ring, p] {
+      std::vector<ServeEvent> batch;
+      for (int i = 0; i < kPerProducer; i += static_cast<int>(kBatch)) {
+        batch.clear();
+        for (int j = i; j < i + static_cast<int>(kBatch); ++j) {
+          batch.push_back(task_arrived(p, Slot{1}, TaskId{j}));
+        }
+        ASSERT_GT(ring.push_block(batch.data(), batch.size(), 0), 0);
+      }
+    });
+  }
+  // A lost wakeup parks a thread forever: close the ring after a generous
+  // deadline so the test fails instead of hanging.
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (!finished.load()) ring.close();
+  });
+  for (std::thread& producer : producers) producer.join();
+  ring.close();
+  consumer.join();
+  finished.store(true);
+  watchdog.join();
+
+  for (int p = 0; p < kProducers; ++p) {
+    const std::vector<std::int32_t>& got = seen[static_cast<std::size_t>(p)];
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kPerProducer))
+        << "producer " << p;
+    for (int i = 0; i < kPerProducer; ++i) {
+      ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "producer " << p;
+    }
+  }
 }
 
 // ----------------------------------------------------- batched engine path

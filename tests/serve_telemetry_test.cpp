@@ -20,6 +20,7 @@
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/queue.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -41,6 +42,17 @@ std::vector<ServeEvent> events_of(const LoadGenConfig& load) {
   return events;
 }
 
+/// Hands the live plane one acquired batch of `n` events, all enqueued at
+/// 0 and picked up `wait_ns` later -- what the engine's worker reports for
+/// a batch from a single push.
+void process_batch(LiveTelemetry& live, int shard, std::uint64_t wait_ns,
+                   std::size_t n = 1) {
+  const std::vector<QueuedEvent> events(n,
+                                        QueuedEvent{slot_tick(0, Slot{1}), 0});
+  live.on_batch(shard, RingView{events, {}, static_cast<std::int64_t>(n)},
+                wait_ns);
+}
+
 // ------------------------------------------------------- golden snapshots
 
 TEST(ServeTelemetry, GoldenSnapshotUnderFakeClock) {
@@ -55,8 +67,7 @@ TEST(ServeTelemetry, GoldenSnapshotUnderFakeClock) {
 
   live.on_submit(0, 1, 1);
   live.on_submit(0, 1, 2);
-  live.on_process(0, 5, 1);
-  live.on_process(0, 5, 0);
+  process_batch(live, 0, 5, 2);
   live.on_round_close(0, 10);
   live.on_reject(0, 1);
   clock.advance_ms(1000);
@@ -107,7 +118,7 @@ TEST(ServeTelemetry, SnapshotWindowsAreMonotoneAndRatesDeterministic) {
 
   for (std::int64_t expected = 0; expected < 5; ++expected) {
     live.on_submit(0, 1, 1);
-    live.on_process(0, 4, 0);
+    process_batch(live, 0, 4);
     clock.advance_ms(500);
     const ServeSnapshot snapshot = live.take_snapshot();
     EXPECT_EQ(snapshot.window, expected);
@@ -126,7 +137,7 @@ TEST(ServeTelemetry, StalledShardDetectedUnderFakeClock) {
   LiveTelemetry live(config);
   live.attach(1, 8);
 
-  live.on_submit(0, 1, 3);  // backlog builds, nothing ever processed
+  live.on_submit(0, 3, 3);  // backlog builds, nothing ever processed
   clock.advance_ms(1000);
   EXPECT_EQ(live.take_snapshot().state, obs::HealthState::kHealthy)
       << "one stalled window is within dwell";
@@ -144,10 +155,10 @@ TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
   live.attach(2, 8);
 
   live.on_submit(0, 1, 5);
-  live.on_process(0, 7, 0);
+  process_batch(live, 0, 7);
   live.on_round_close(0, 9);
   live.on_submit(1, 1, 2);
-  live.on_process(1, 3, 0);
+  process_batch(live, 1, 3);
   live.on_reject(1, 1);
   clock.advance_ms(2000);
 
@@ -172,7 +183,7 @@ TEST(ServeTelemetry, PrometheusRenderingExposesLiveGauges) {
   LiveTelemetry live(config);
   live.attach(2, 8);
   live.on_submit(0, 1, 1);
-  live.on_process(0, 5, 0);
+  process_batch(live, 0, 5);
   clock.advance_ms(1000);
 
   std::ostringstream os;
@@ -256,6 +267,37 @@ TEST(ServeTelemetry, EngineFeedsTheLivePlaneWhileServing) {
   EXPECT_GT(engine.stats().queue_high_watermark, 0);
   EXPECT_GE(engine.stats().queue_high_watermark,
             summary.queue_high_watermark);
+}
+
+TEST(ServeTelemetry, BatchHookCountsEveryProcessedEvent) {
+  // One live-plane update per acquired batch must still account for every
+  // event: processed and the queue-wait sample count both equal the
+  // engine's own processed count, per-event and batched handoff alike.
+  const std::vector<ServeEvent> events = events_of(small_load(8));
+  for (const int shards : {1, 3}) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
+      LiveTelemetry live;
+      ServeConfig config;
+      config.shards = shards;
+      config.batch_size = batch;
+      config.live = &live;
+      ServeEngine engine(config);
+      ShardBatcher batcher(engine);
+      for (const ServeEvent& event : events) batcher.add(event);
+      ASSERT_EQ(batcher.flush(), SubmitStatus::kAccepted);
+      engine.drain();
+      const std::int64_t processed = engine.stats().processed;
+      ASSERT_EQ(processed, static_cast<std::int64_t>(events.size()));
+      const LiveSummary summary = live.summary();
+      EXPECT_EQ(summary.processed, processed)
+          << "shards=" << shards << " batch=" << batch;
+      EXPECT_EQ(summary.queue_wait.count,
+                static_cast<std::uint64_t>(processed))
+          << "shards=" << shards << " batch=" << batch;
+      // Drained: nothing submitted is left queued.
+      EXPECT_EQ(live.take_snapshot().total.queue_depth, 0);
+    }
+  }
 }
 
 TEST(ServeTelemetry, StatsPublisherEmitsParsableLinesAndFinalTail) {

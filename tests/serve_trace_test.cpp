@@ -23,6 +23,7 @@
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/queue.hpp"
 #include "serve/telemetry.hpp"
 
 namespace mcs::serve {
@@ -272,6 +273,35 @@ TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
           std::to_string(le) +
           ",\"latency_ns\":1200,\"trace_id\":\"e220a8397b1dcdaf\","
           "\"round\":0}]}\n");
+}
+
+TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
+  // One on_batch per acquired batch; the phase sketches must still hold
+  // one queue-wait and one ingest sample per event, with the waits
+  // measured from each event's own enqueue stamp to the batch pickup.
+  TracePlane plane(fixed_threshold_config());
+  plane.attach(1);
+  ServeEvent lagged = slot_tick(0, Slot{1});
+  lagged.client_lag_ns = 9;
+  const std::vector<QueuedEvent> tail = {{slot_tick(0, Slot{1}), 10},
+                                         {slot_tick(0, Slot{1}), 10}};
+  const std::vector<QueuedEvent> head = {{lagged, 13}};
+  plane.on_batch(0, RingView{tail, head, 3}, 15);
+
+  const TraceSummary summary = plane.summary();
+  const obs::LatencySketchSnapshot& wait =
+      summary.phases[static_cast<std::size_t>(obs::TracePhase::kQueueWait)]
+          .sketch;
+  EXPECT_EQ(wait.count, 3u);
+  EXPECT_EQ(wait.min_ns, 2u);
+  EXPECT_EQ(wait.max_ns, 5u);
+  EXPECT_DOUBLE_EQ(wait.sum_ns, 12.0);
+  const obs::LatencySketchSnapshot& ingest =
+      summary.phases[static_cast<std::size_t>(obs::TracePhase::kIngest)]
+          .sketch;
+  EXPECT_EQ(ingest.count, 3u);
+  EXPECT_EQ(ingest.min_ns, 0u);
+  EXPECT_EQ(ingest.max_ns, 9u);
 }
 
 // ---------------------------------------------- plane-separation contract
