@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "obs/event_log.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::auction {
 
@@ -238,9 +237,8 @@ Settlement GreedyCore::settle(Handle winner) const {
   MCS_EXPECTS(first != 0, "settle requires an allocated bid");
   MCS_EXPECTS(last < current_slot_,
               "settle requires the winner's whole window to be stepped");
-  obs::count("auction.settlement.slots_walked", last - first + 1);
-
   Settlement settlement;
+  settlement.slots_walked = last - first + 1;
   settlement.payment = own.bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
   // The bid x the counterfactual pool lacks; -1 once the pools agree.
   Handle missing = winner;

@@ -75,6 +75,9 @@ struct Settlement {
   /// Algorithm 2 line 6), if one beat the winner's own bid.
   std::optional<PhoneId> setter_phone;
   Slot setter_slot{0};
+  /// Slot records the walk read, [t'_i, d~_i]. Callers add these up and
+  /// publish auction.settlement.slots_walked once per run or round.
+  std::int64_t slots_walked{0};
 };
 
 /// Applies the configured scarcity policy to a derived settlement.
@@ -164,7 +167,8 @@ class GreedyCore {
 
   /// Algorithm 2 for an allocated bid by the displacement walk. Requires
   /// every slot from its win to its reported departure to have been
-  /// stepped.
+  /// stepped. Counts nothing itself: the walk's length is
+  /// Settlement::slots_walked.
   [[nodiscard]] Settlement settle(Handle winner) const;
 
   [[nodiscard]] const Entry& entry(Handle handle) const {

@@ -174,6 +174,7 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
 
   {
     const obs::TraceSpan payment_span("online_greedy.payments");
+    std::int64_t slots_walked = 0;
     // Winners in allocation order, each settled once its window is over.
     for (const GreedyCore::Handle handle : core.winners()) {
       const GreedyCore::Entry& won = core.entry(handle);
@@ -183,9 +184,13 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
       // over-time analogue of a bisection probe (docs/observability.md).
       obs::count("auction.critical_value.probes");
       const Settlement settlement = core.settle(handle);
+      slots_walked += settlement.slots_walked;
       log_payment_derivation(settlement, won.bid, phone, win_slot);
       outcome.payments[static_cast<std::size_t>(phone.value())] =
           settlement.payment;
+    }
+    if (slots_walked > 0) {
+      obs::count("auction.settlement.slots_walked", slots_walked);
     }
   }
 

@@ -95,6 +95,7 @@ const SlotReport& OnlinePlatform::advance_slot() {
     }
     const auction::Settlement settlement = core_.settle(handle);
     total_paid_ += settlement.payment;
+    slots_walked_ += settlement.slots_walked;
     report.payments.emplace_back(AgentId{leaving.id}, settlement.payment);
     obs::log_event([&] {
       obs::Event event("payment_derivation");

@@ -82,6 +82,10 @@ class OnlinePlatform {
   /// Total money paid out so far.
   [[nodiscard]] Money total_paid() const { return total_paid_; }
 
+  /// Slot records read by the settlements so far. The caller running the
+  /// round publishes it as auction.settlement.slots_walked.
+  [[nodiscard]] std::int64_t slots_walked() const { return slots_walked_; }
+
   [[nodiscard]] const auction::OnlineGreedyConfig& config() const {
     return core_.config();
   }
@@ -93,6 +97,7 @@ class OnlinePlatform {
   SlotReport report_;  // reused slot to slot
   FlatIdSet agents_;  // agents that bid, for the one-bid rule
   Money total_paid_;
+  std::int64_t slots_walked_{0};
   int last_task_id_{-1};
 };
 

@@ -128,6 +128,10 @@ RoundResult run_round(const model::Scenario& scenario,
     registry->counter("platform.rounds").add(1);
     registry->counter("platform.slots")
         .add(static_cast<std::int64_t>(scenario.num_slots));
+    if (platform.slots_walked() > 0) {
+      registry->counter("auction.settlement.slots_walked")
+          .add(platform.slots_walked());
+    }
     for (const RoundEvent& event : result.transcript) {
       registry->counter(event_counter_name(event.kind)).add(1);
     }

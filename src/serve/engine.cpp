@@ -195,7 +195,11 @@ void ServeEngine::worker_main(Shard& shard) {
               trace->on_round_corrupted(shard.index, queued.event.round,
                                         stamp_ns());
             }
-            rounds.erase(queued.event.round);
+            if (const auto it = rounds.find(queued.event.round);
+                it != rounds.end()) {
+              shard.slots_walked += it->second.machine.slots_walked();
+              rounds.erase(it);
+            }
             ++shard.stats.rounds_corrupted;
             obs::count("serve.rounds_corrupted");
           } else {
@@ -205,13 +209,24 @@ void ServeEngine::worker_main(Shard& shard) {
       }
     }
   }
-  // Per-kind event counts publish once, at exit; kinds never seen stay
-  // absent, exactly as per-event counting left them.
+  // Per-kind event counts and per-round totals publish once, at exit. A
+  // counter nothing was added to stays absent, so the key set matches
+  // counting at every event or round.
   for (std::size_t kind = 0; kind < shard.event_counts.size(); ++kind) {
     if (shard.event_counts[kind] > 0) {
       obs::count(event_counter_name(static_cast<ServeEventKind>(kind)),
                  shard.event_counts[kind]);
     }
+  }
+  if (shard.stats.rounds_completed > 0) {
+    obs::count("serve.rounds_completed", shard.stats.rounds_completed);
+    obs::count("serve.payments_micros", shard.stats.total_paid.micros());
+  }
+  for (const auto& [round, open] : rounds) {
+    shard.slots_walked += open.machine.slots_walked();
+  }
+  if (shard.slots_walked > 0) {
+    obs::count("auction.settlement.slots_walked", shard.slots_walked);
   }
   if (trace != nullptr) trace->on_worker_exit(shard.index, stamp_ns());
   shard.stats.rounds_abandoned += static_cast<std::int64_t>(rounds.size());
@@ -282,6 +297,7 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   }
   if (!done) return;
 
+  shard.slots_walked += machine.slots_walked();
   RoundOutcome outcome = machine.take_outcome();
   // Econ sentinel: audit the closed round while its capture is still
   // alive. The shard registry is installed on this thread, so the one
@@ -309,7 +325,6 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   shard.stats.bids_admitted += outcome.bids_admitted;
   shard.stats.bids_rejected_reserve += outcome.bids_rejected;
   shard.stats.total_paid += outcome.total_paid;
-  obs::count("serve.payments_micros", outcome.total_paid.micros());
   shard.outcomes.push_back(std::move(outcome));
 }
 

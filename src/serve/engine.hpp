@@ -199,6 +199,9 @@ class ServeEngine {
     /// Worker-local serve.events.* counts by ServeEventKind, published to
     /// `registry` when the worker exits.
     std::array<std::int64_t, kEventKinds> event_counts{};
+    /// Worker-local auction.settlement.slots_walked of the shard's rounds
+    /// (closed, corrupted or abandoned), published at exit.
+    std::int64_t slots_walked{0};
     std::string error;   ///< first stream error, empty = clean
   };
 

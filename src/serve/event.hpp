@@ -22,6 +22,15 @@
 // Money fields travel as Money::to_string decimal strings (exact; doubles
 // never touch mechanism arithmetic). Encoding and decoding round-trip
 // byte-identically, which the replay determinism tests pin.
+//
+// Decoding: decode_serve_line scans a line's top-level object once into a
+// fixed table of the members the field rules read (string views into the
+// line, integers converted in place), then applies the rules to that
+// table. Lines the scan does not take -- escaped strings, container
+// values, true/false/null, number tokens other than plain integers of at
+// most 15 digits, more than a few unknown members -- are parsed by
+// io::parse_json instead and fill the same table from the tree, so both
+// paths share one set of field rules and accept exactly the same lines.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +42,6 @@
 #include "common/interval.hpp"
 #include "common/money.hpp"
 #include "common/types.hpp"
-#include "io/json_parse.hpp"
 #include "model/bid.hpp"
 
 namespace mcs::serve {
@@ -112,12 +120,12 @@ void write_serve_event(std::ostream& os, const ServeEvent& event);
 /// Renders one event as its JSONL line, without the trailing newline.
 [[nodiscard]] std::string encode_serve_event(const ServeEvent& event);
 
-/// Decodes one parsed line. Throws InvalidArgumentError on an unknown
-/// discriminator, missing/mistyped fields, or out-of-domain values.
-[[nodiscard]] ServeEvent decode_serve_event(const io::JsonValue& line);
-
-/// Decodes one raw line: the header line yields nullopt, anything else is
-/// parsed and decoded (errors as above, including malformed JSON).
+/// Decodes one raw line: a header line (any object with a "schema"
+/// member) yields nullopt, anything else one event. Throws
+/// InvalidArgumentError on malformed JSON, an unknown discriminator,
+/// missing/mistyped fields, or out-of-domain values. A canonical line
+/// decodes in one pass without touching the allocator (see the file
+/// comment).
 [[nodiscard]] std::optional<ServeEvent> decode_serve_line(
     std::string_view line);
 

@@ -2,8 +2,9 @@
 // engine.
 //
 // The decoder treats the stream as untrusted bytes. JSONL goes through
-// io::parse_json (hardened against truncation, deep nesting, and invalid
-// escapes) plus the strict field checks of decode_serve_event; binary
+// decode_serve_line (its one-pass scan, or io::parse_json -- hardened
+// against truncation, deep nesting, and invalid escapes -- for lines the
+// scan does not take) and its strict field checks; binary
 // (mcs.serve.b1, autodetected by its magic) goes through the equally
 // strict decode_wire_frame. A corrupt stream produces a clean
 // InvalidArgumentError naming the line (JSONL) or byte region (binary) --

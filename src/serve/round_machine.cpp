@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::serve {
 
@@ -120,7 +119,6 @@ bool RoundMachine::apply(const ServeEvent& event) {
         outcome_.total_paid += payment;
       }
       done_ = true;
-      obs::count("serve.rounds_completed");
       return true;
     }
   }

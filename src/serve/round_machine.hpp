@@ -75,6 +75,12 @@ class RoundMachine {
   /// The finished round's outcome; requires done(). Moves the result out.
   [[nodiscard]] RoundOutcome take_outcome();
 
+  /// Slot records read by the round's settlements so far, done or not
+  /// (the engine publishes the sum as auction.settlement.slots_walked).
+  [[nodiscard]] std::int64_t slots_walked() const {
+    return platform_.slots_walked();
+  }
+
   /// True when capture was on, the round is done, and every dense agent id
   /// actually bid (a stream may legally skip ids; such rounds cannot be
   /// reconstructed and the econ plane counts them as skipped). Agents bid

@@ -39,32 +39,54 @@ sockaddr_in make_addr(const std::string& host, int port) {
 }
 
 /// Newline-splitting decoder for JSONL connections: the per-connection
-/// mirror of WireDecoder, so both formats share the reader loop.
+/// mirror of WireDecoder, so both formats share the reader loop. Complete
+/// lines decode in place from the chunk; only a partial tail is carried.
 class LineDecoder {
  public:
-  std::int64_t feed(std::string_view bytes,
-                    const SocketServer::Sink& sink) {
-    std::int64_t events = 0;
-    carry_.append(bytes);
-    std::size_t start = 0;
-    for (std::size_t nl = carry_.find('\n', start);
-         nl != std::string::npos; nl = carry_.find('\n', start)) {
-      const std::string_view line(carry_.data() + start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      if (const std::optional<ServeEvent> event = decode_serve_line(line)) {
-        ++events;
-        sink(*event);
+  void feed(std::string_view bytes, const SocketServer::Sink& sink) {
+    if (!carry_.empty()) {
+      const std::size_t nl = bytes.find('\n');
+      if (nl == std::string_view::npos) {
+        carry_.append(bytes);
+        return;
       }
+      carry_.append(bytes.substr(0, nl));
+      decode(carry_, sink);
+      carry_.clear();
+      bytes.remove_prefix(nl + 1);
     }
-    carry_.erase(0, start);
-    return events;
+    for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
+         nl = bytes.find('\n')) {
+      decode(bytes.substr(0, nl), sink);
+      bytes.remove_prefix(nl + 1);
+    }
+    carry_.assign(bytes);
   }
 
   [[nodiscard]] bool idle() const { return carry_.empty(); }
 
  private:
-  std::string carry_;
+  static void decode(std::string_view line, const SocketServer::Sink& sink) {
+    if (line.empty()) return;
+    if (const std::optional<ServeEvent> event = decode_serve_line(line)) {
+      sink(*event);
+    }
+  }
+
+  std::string carry_;  ///< partial line tail; capacity is retained
+};
+
+/// The shared-sink form: every connection forwards to one callable.
+class SharedSink final : public SocketServer::ConnectionSink {
+ public:
+  explicit SharedSink(std::shared_ptr<const SocketServer::Sink> sink)
+      : sink_(std::move(sink)) {}
+
+  void on_event(const ServeEvent& event) override { (*sink_)(event); }
+  void on_close() override {}
+
+ private:
+  std::shared_ptr<const SocketServer::Sink> sink_;
 };
 
 }  // namespace
@@ -72,7 +94,13 @@ class LineDecoder {
 // ------------------------------------------------------------ SocketServer
 
 SocketServer::SocketServer(SocketServerConfig config, Sink sink)
-    : config_(std::move(config)), sink_(std::move(sink)) {}
+    : SocketServer(std::move(config),
+                   [shared = std::make_shared<const Sink>(std::move(sink))] {
+                     return std::make_unique<SharedSink>(shared);
+                   }) {}
+
+SocketServer::SocketServer(SocketServerConfig config, SinkFactory factory)
+    : config_(std::move(config)), factory_(std::move(factory)) {}
 
 SocketServer::~SocketServer() { stop(); }
 
@@ -215,14 +243,23 @@ void SocketServer::connection_loop(int fd) {
   bool format_known = false;
   bool binary = false;
   bool failed = false;
-  char chunk[1 << 16];
-  const Sink count_and_forward = [this](const ServeEvent& event) {
+  std::unique_ptr<ConnectionSink> sink;
+  // Delivered events are counted locally and published once per chunk:
+  // every reader shares events_'s cache line.
+  std::int64_t chunk_events = 0;
+  const Sink forward = [&sink, &chunk_events](const ServeEvent& event) {
     // A throwing sink (e.g. the engine rejecting after stop()) poisons
     // this connection exactly like a decode error would.
-    sink_(event);
-    events_.fetch_add(1, std::memory_order_relaxed);
+    sink->on_event(event);
+    ++chunk_events;
   };
-  while (true) {
+  try {
+    sink = factory_();
+  } catch (const Error&) {
+    failed = true;
+  }
+  char chunk[1 << 16];
+  while (!failed) {
     const ssize_t got = ::read(fd, chunk, sizeof chunk);
     if (got < 0) {
       if (errno == EINTR) continue;
@@ -237,24 +274,66 @@ void SocketServer::connection_loop(int fd) {
     }
     try {
       if (binary) {
-        wire.feed(bytes, count_and_forward);
+        wire.feed(bytes, forward);
       } else {
-        lines.feed(bytes, count_and_forward);
+        lines.feed(bytes, forward);
       }
     } catch (const Error&) {
       failed = true;  // malformed input: drop only this connection
-      break;
     }
+    events_.fetch_add(chunk_events, std::memory_order_relaxed);
+    chunk_events = 0;
   }
   if (!failed && format_known) {
     // A stream that ends mid-frame (or mid-line) was truncated.
     failed = binary ? (!wire.idle() || !wire.header_seen()) : !lines.idle();
+  }
+  if (sink != nullptr) {
+    // The connection's last partial batches go out at its own end, not at
+    // the server's drain.
+    try {
+      sink->on_close();
+    } catch (const Error&) {
+      failed = true;
+    }
   }
   ::shutdown(fd, SHUT_RDWR);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (failed) ++decode_errors_;
   std::erase(conn_fds_, fd);
   ::close(fd);
+}
+
+// -------------------------------------------------------- EngineConnection
+
+EngineConnection::EngineConnection(ServeEngine& engine, HandoffTotals& totals,
+                                   SocketServer::Sink tap)
+    : engine_(engine), totals_(totals), tap_(std::move(tap)) {
+  if (engine.config().batch_size > 1) batcher_.emplace(engine);
+}
+
+void EngineConnection::on_event(const ServeEvent& event) {
+  if (tap_) tap_(event);
+  if (batcher_) {
+    (void)batcher_->add(event);
+    return;
+  }
+  const SubmitStatus status = engine_.submit(event);
+  if (status == SubmitStatus::kAccepted) {
+    ++accepted_;
+  } else if (status == SubmitStatus::kRejectedQueueFull) {
+    ++shed_;
+  }
+}
+
+void EngineConnection::on_close() {
+  if (batcher_) {
+    (void)batcher_->flush();
+    accepted_ = batcher_->accepted_events();
+    shed_ = batcher_->rejected_events();
+  }
+  totals_.accepted.fetch_add(accepted_, std::memory_order_relaxed);
+  totals_.shed.fetch_add(shed_, std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ SocketClient

@@ -5,8 +5,12 @@
 // call so producers in other processes can feed rounds over the wire. One
 // acceptor thread owns the listening socket; each accepted connection gets
 // a reader thread that decodes its byte stream and hands every event to
-// the server's sink (the engine's submit path, which is already
-// thread-safe and applies the usual admission policy).
+// that connection's own sink, made by the server's sink factory. The
+// engine-facing sink, EngineConnection, batches through the connection's
+// own ShardBatcher, so connections never wait on each other's locks, only
+// on the engine's queues, whose submit path takes concurrent producers and
+// applies the usual admission policy. A connection's sink is closed when
+// the connection ends, which flushes whatever it still holds.
 //
 // Per-connection format autodetection: a connection that opens with the
 // binary magic 'M' ('MCSB'...) is decoded as mcs.serve.b1 frames through a
@@ -24,11 +28,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/wire.hpp"
 
@@ -50,9 +57,34 @@ class SocketServer {
  public:
   using Sink = std::function<void(const ServeEvent&)>;
 
-  /// `sink` is invoked from connection reader threads, potentially
-  /// concurrently; it must be thread-safe (ServeEngine::submit is).
+  /// One connection's consumer of decoded events. Each connection gets its
+  /// own, used only from that connection's reader thread.
+  class ConnectionSink {
+   public:
+    ConnectionSink() = default;
+    virtual ~ConnectionSink() = default;
+    ConnectionSink(const ConnectionSink&) = delete;
+    ConnectionSink& operator=(const ConnectionSink&) = delete;
+    ConnectionSink(ConnectionSink&&) = delete;
+    ConnectionSink& operator=(ConnectionSink&&) = delete;
+
+    /// One decoded event. A throw poisons the connection exactly like a
+    /// decode error.
+    virtual void on_event(const ServeEvent& event) = 0;
+    /// Called once when the connection ends (EOF, malformed input, or
+    /// stop()), after its last on_event. A throw counts the connection as
+    /// failed.
+    virtual void on_close() = 0;
+  };
+  using SinkFactory = std::function<std::unique_ptr<ConnectionSink>()>;
+
+  /// `sink` is shared by every connection: it is invoked from connection
+  /// reader threads, potentially concurrently, so it must be thread-safe
+  /// (ServeEngine::submit is).
   SocketServer(SocketServerConfig config, Sink sink);
+  /// `factory` makes one sink per connection, called from that
+  /// connection's reader thread (so possibly concurrently).
+  SocketServer(SocketServerConfig config, SinkFactory factory);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -88,7 +120,7 @@ class SocketServer {
   void close_fds();
 
   SocketServerConfig config_;
-  Sink sink_;
+  SinkFactory factory_;
   int listen_fd_{-1};
   int wake_pipe_[2]{-1, -1};  ///< self-pipe: stop() wakes the acceptor poll
   int port_{0};
@@ -101,8 +133,39 @@ class SocketServer {
   std::vector<std::thread> threads_;
   std::thread acceptor_;
   std::int64_t connections_{0};
-  std::atomic<std::int64_t> events_{0};  ///< hot: one per delivered event
+  std::atomic<std::int64_t> events_{0};  ///< added once per read chunk
   std::int64_t decode_errors_{0};
+};
+
+/// Exact handoff accounting summed over connections, each adding its own
+/// totals once, when it closes.
+struct HandoffTotals {
+  std::atomic<std::int64_t> accepted{0};  ///< events the engine admitted
+  std::atomic<std::int64_t> shed{0};      ///< events lost to admission
+};
+
+/// The engine-facing connection sink. When the engine batches
+/// (batch_size > 1), the connection hands off through its own
+/// ShardBatcher, so connections never wait on each other; its last partial
+/// batches go out at close. Shedding is counted per event under batch
+/// granularity (ShardBatcher::rejected_events), else per rejected submit.
+/// `tap`, when set, sees every event before the handoff (the caller
+/// serializes it if it is shared).
+class EngineConnection final : public SocketServer::ConnectionSink {
+ public:
+  EngineConnection(ServeEngine& engine, HandoffTotals& totals,
+                   SocketServer::Sink tap = {});
+
+  void on_event(const ServeEvent& event) override;
+  void on_close() override;
+
+ private:
+  ServeEngine& engine_;
+  HandoffTotals& totals_;
+  SocketServer::Sink tap_;
+  std::optional<ShardBatcher> batcher_;
+  std::int64_t accepted_{0};  ///< unbatched handoff only
+  std::int64_t shed_{0};      ///< unbatched handoff only
 };
 
 /// Blocking client: connects to host:port and streams bytes. The serve CLI

@@ -1,12 +1,13 @@
 // Compact binary wire codec for mcs.serve.v1 events ("mcs.serve.b1").
 //
 // JSONL is the right interchange format -- human-readable, greppable,
-// diffable -- and the wrong hot path: every event pays a generic JSON
-// parse, a decimal-string Money round trip, and a heap-allocated member
-// tree. The binary codec removes all three. Events travel as
-// length-prefixed frames of fixed-width little-endian fields with Money as
-// its exact int64 micro count; decoding reads straight out of the byte
-// span into a stack ServeEvent, touching no allocator.
+// diffable -- and the costlier hot path: even the one-pass line scan
+// (serve/event.hpp) walks every key and value byte, converts decimal
+// integers and Money strings, and must find the line's end first. The
+// binary codec does none of that. Events travel as length-prefixed frames
+// of fixed-width little-endian fields with Money as its exact int64 micro
+// count; decoding reads straight out of the byte span into a stack
+// ServeEvent, touching no allocator.
 //
 // Stream layout:
 //
@@ -92,7 +93,7 @@ struct DecodedFrame {
 /// Decodes the first frame of `bytes`. Returns nullopt when the bytes are
 /// a proper prefix of a well-formed frame (feed more). Throws
 /// InvalidArgumentError on malformed or out-of-domain frames -- same
-/// domain rules as decode_serve_event, never UB, never zero-filled.
+/// domain rules as decode_serve_line, never UB, never zero-filled.
 [[nodiscard]] std::optional<DecodedFrame> decode_wire_frame(
     std::string_view bytes);
 

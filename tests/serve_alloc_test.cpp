@@ -2,9 +2,12 @@
 // seeded Table-I rounds, and a hostile round whose every bid lands at the
 // front of the pool, which must stay O(log P) per bid and still match the
 // batch mechanism exactly. Also pins critical-value probes as
-// allocation-free once the calling thread's probe core is warm.
+// allocation-free once the calling thread's probe core is warm, and a
+// canonical JSONL line of each kind as decoding without the heap.
 #include <cstdint>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +61,31 @@ TEST(ServeAlloc, HeapAllocationsPerAdmittedBidStayUnderHalf) {
   // core, the outcome. A heap node per pooled bid or per admitted agent
   // alone would put this above 1.
   EXPECT_LT(per_bid, 0.5);
+}
+
+TEST(ServeAlloc, CanonicalJsonlLinesDecodeWithoutTheHeap) {
+  const std::vector<ServeEvent> events = {
+      round_open(3, 12, Money::from_double(30.5)),
+      task_arrived(3, Slot{2}, TaskId{0}),
+      task_arrived(3, Slot{2}, TaskId{1}, Money::from_double(0.75)),
+      bid_submitted(3, PhoneId{7},
+                    model::Bid{SlotInterval::of(2, 5), Money::from_micros(1)}),
+      slot_tick(3, Slot{2}),
+      round_close(3),
+  };
+  for (const ServeEvent& event : events) {
+    const std::string line = encode_serve_event(event);
+    const std::uint64_t before = test::heap_allocations();
+    const std::optional<ServeEvent> decoded = decode_serve_line(line);
+    const std::uint64_t allocations = test::heap_allocations() - before;
+    EXPECT_EQ(allocations, 0u) << line;
+    EXPECT_EQ(decoded, event) << line;
+  }
+  const std::string header = R"({"schema":"mcs.serve.v1"})";
+  const std::uint64_t before = test::heap_allocations();
+  const std::optional<ServeEvent> decoded = decode_serve_line(header);
+  EXPECT_EQ(test::heap_allocations() - before, 0u);
+  EXPECT_EQ(decoded, std::nullopt);
 }
 
 TEST(ServeAlloc, HostileFrontInsertionRoundMatchesBatch) {

@@ -1,19 +1,25 @@
 // Socket front-end smoke tests: an engine fed over the loopback TCP
 // listener must produce byte-identical outcomes to one fed in-process, in
 // both wire formats and across multiple concurrent connections; malformed
-// input must poison exactly its own connection; and a truncated stream
-// must be reported, not silently absorbed.
+// input must poison exactly its own connection; a truncated stream must
+// be reported, not silently absorbed; and per-connection batchers keep
+// outcomes, shedding and end-of-connection handoff exact.
 #include "serve/socket.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/telemetry.hpp"
 #include "serve/wire.hpp"
 
 namespace mcs::serve {
@@ -180,6 +186,131 @@ TEST(ServeSocket, TruncatedStreamCountsAsDecodeError) {
   EXPECT_EQ(run.stats.decode_errors, 1);
   // All complete frames were still delivered.
   EXPECT_EQ(run.stats.events, static_cast<std::int64_t>(events.size()) - 1);
+}
+
+/// Splits the small load's rounds over two streams by round parity: even
+/// rounds binary, odd rounds JSONL.
+std::pair<std::string, std::string> split_by_parity(
+    const std::vector<ServeEvent>& events) {
+  std::vector<ServeEvent> even;
+  std::vector<ServeEvent> odd;
+  for (const ServeEvent& event : events) {
+    (event.round % 2 == 0 ? even : odd).push_back(event);
+  }
+  return {binary_stream(even), jsonl_stream(odd)};
+}
+
+/// Sends each stream over its own connection, all at once from their own
+/// threads, then drains the server.
+void send_concurrently(SocketServer& server,
+                       const std::vector<std::string>& streams) {
+  std::vector<std::thread> senders;
+  senders.reserve(streams.size());
+  for (const std::string& bytes : streams) {
+    senders.emplace_back([&server, &bytes] {
+      SocketClient client = SocketClient::connect("127.0.0.1", server.port());
+      client.send(bytes);
+      client.close();
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  server.drain();
+}
+
+TEST(ServeSocket, PerConnectionBatchersMatchTheSingleFeedReference) {
+  const std::vector<ServeEvent> events = load_events(small_load());
+  const auto [binary, jsonl] = split_by_parity(events);
+  ServeConfig config;
+  config.shards = 2;
+  config.batch_size = 16;
+  ServeEngine engine(config);
+  HandoffTotals handoff;
+  SocketServer server({}, [&] {
+    return std::make_unique<EngineConnection>(engine, handoff);
+  });
+  server.start();
+  send_concurrently(server, {binary, jsonl});
+  engine.drain();
+
+  const SocketServerStats stats = server.stats();
+  EXPECT_EQ(stats.connections, 2);
+  EXPECT_EQ(stats.decode_errors, 0);
+  EXPECT_EQ(stats.events, static_cast<std::int64_t>(events.size()));
+  EXPECT_EQ(handoff.accepted.load(), stats.events);
+  EXPECT_EQ(handoff.shed.load(), 0);
+  expect_same_outcomes(engine.take_outcomes(), reference_outcomes(events, 2));
+}
+
+TEST(ServeSocket, PerConnectionShedAddsUpUnderRejectAdmission) {
+  LoadGenConfig load = small_load();
+  load.rounds = 64;
+  const std::vector<ServeEvent> events = load_events(load);
+  const auto [binary, jsonl] = split_by_parity(events);
+  ServeConfig config;
+  config.shards = 2;
+  config.batch_size = 16;
+  config.queue_capacity = 64;
+  config.admission = ServeConfig::Admission::kReject;
+  ServeEngine engine(config);
+  HandoffTotals handoff;
+  SocketServer server({}, [&] {
+    return std::make_unique<EngineConnection>(engine, handoff);
+  });
+  server.start();
+  send_concurrently(server, {binary, jsonl});
+  engine.drain();
+
+  const SocketServerStats stats = server.stats();
+  EXPECT_EQ(stats.decode_errors, 0);
+  EXPECT_EQ(stats.events, static_cast<std::int64_t>(events.size()));
+  EXPECT_EQ(handoff.accepted.load() + handoff.shed.load(), stats.events);
+  EXPECT_EQ(handoff.shed.load(), engine.stats().rejected_backpressure);
+  EXPECT_EQ(handoff.accepted.load(), engine.stats().submitted);
+  std::cout << "[ shed ] " << handoff.shed.load() << " of " << stats.events
+            << " events\n";
+}
+
+TEST(ServeSocket, ClosingConnectionHandsOverItsPartialBatchAtItsOwnEof) {
+  // One round of fewer events than a batch: nothing reaches the engine
+  // until the connection's batcher flushes at its EOF, while a second
+  // connection stays open (so the server is nowhere near its drain).
+  LoadGenConfig load = small_load();
+  load.rounds = 1;
+  load.workload.num_slots = 2;
+  load.workload.phone_arrival_rate = 2.0;
+  const std::vector<ServeEvent> events = load_events(load);
+  ServeConfig config;
+  config.shards = 1;
+  config.batch_size = 64;
+  ASSERT_LT(events.size(), config.batch_size);
+  LiveTelemetry live;
+  config.live = &live;
+  ServeEngine engine(config);
+  HandoffTotals handoff;
+  SocketServer server({}, [&] {
+    return std::make_unique<EngineConnection>(engine, handoff);
+  });
+  server.start();
+
+  SocketClient idle = SocketClient::connect("127.0.0.1", server.port());
+  SocketClient closing = SocketClient::connect("127.0.0.1", server.port());
+  closing.send(jsonl_stream(events));
+  closing.close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (live.summary().processed < static_cast<std::int64_t>(events.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live.summary().processed,
+            static_cast<std::int64_t>(events.size()));
+  EXPECT_TRUE(idle.is_open());
+  idle.close();
+  server.drain();
+  engine.drain();
+  EXPECT_EQ(server.stats().connections, 2);
+  EXPECT_EQ(server.stats().decode_errors, 0);
+  EXPECT_EQ(engine.stats().rounds_completed, 1);
 }
 
 TEST(ServeSocket, StopIsIdempotentAndRestartForbidden) {

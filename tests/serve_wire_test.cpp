@@ -3,8 +3,10 @@
 // decoding, JSONL<->binary transcoding, and two fuzz suites -- a
 // mutation/truncation fuzz mirroring json_parse_fuzz, and a differential
 // fuzz pinning that the binary and JSONL decoders accept or reject the
-// same logical events with zero divergence. Iteration counts scale with
-// MCS_WIRE_FUZZ_ITERS (the CI smoke job runs 100k).
+// same logical events with zero divergence; plus the JSONL line decoder
+// against its tree-walking oracle, on pinned edge lines and on mutated
+// canonical lines. Iteration counts scale with MCS_WIRE_FUZZ_ITERS (the CI
+// smoke job runs 100k).
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "common/error.hpp"
 #include "model/bid.hpp"
 #include "serve/loadgen.hpp"
+#include "support/serve_event_oracle.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -508,6 +512,200 @@ TEST(WireFuzz, BinaryAndJsonlDecodersAcceptAndRejectInLockstep) {
   // The draw is adversarial but not degenerate: both outcomes must occur.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ------------------------------------------- JSONL decode vs tree oracle
+
+/// One decoder's verdict on a line: accepted (an event, or nullopt for a
+/// header) or rejected with InvalidArgumentError. Any other exception
+/// escapes and fails the test.
+struct Verdict {
+  bool accepted{false};
+  std::optional<ServeEvent> event;
+};
+
+Verdict line_verdict(std::optional<ServeEvent> (*decode)(std::string_view),
+                     const std::string& line) {
+  try {
+    return Verdict{true, decode(line)};
+  } catch (const InvalidArgumentError&) {
+    return Verdict{};
+  }
+}
+
+/// Decodes `line` with decode_serve_line and with the tree oracle; both
+/// must agree on acceptance and on the decoded event.
+Verdict expect_decoders_agree(const std::string& line) {
+  const Verdict scanned = line_verdict(&decode_serve_line, line);
+  const Verdict oracle =
+      line_verdict(&test_support::decode_serve_line_by_tree, line);
+  EXPECT_EQ(scanned.accepted, oracle.accepted)
+      << "divergence on " << line << " (decode_serve_line "
+      << (scanned.accepted ? "accepted" : "rejected") << ", tree oracle "
+      << (oracle.accepted ? "accepted" : "rejected") << ")";
+  EXPECT_EQ(scanned.event, oracle.event) << line;
+  return scanned;
+}
+
+TEST(JsonlDecode, EdgeLinesMatchTheTreeOracle) {
+  struct Edge {
+    std::string line;
+    bool accepted;
+  };
+  const std::string deep_ok = "{\"ev\":\"round_close\",\"round\":0,\"x\":" +
+                              std::string(127, '[') + std::string(127, ']') +
+                              "}";
+  const std::string too_deep = "{\"ev\":\"round_close\",\"round\":0,\"x\":" +
+                               std::string(128, '[') + std::string(128, ']') +
+                               "}";
+  std::string many_unknown = R"({"ev":"round_close","round":0)";
+  for (int i = 0; i < 12; ++i) {
+    many_unknown += ",\"u" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  many_unknown += "}";
+  const std::vector<Edge> edges = {
+      // An unknown member is still validated: a malformed number rejects.
+      {R"({"ev":"slot_tick","round":0,"slot":1,"x":12e})", false},
+      // Escaped key and escaped discriminator decode to the known names.
+      {R"({"ev":"slot_tick","r\u006fund":0,"slot":1})", true},
+      {R"({"ev":"slot\u005ftick","round":0,"slot":1})", true},
+      {R"({"ev":"slot_tick","round":0,"slot":1,"r\u006fund":1})", false},
+      // Duplicate keys nested inside an unknown member's value.
+      {R"({"ev":"slot_tick","round":0,"slot":1,"x":[1,{"a":2,"a":3}]})",
+       false},
+      {R"({"ev":"round_close","round":0,"x":1,"x":2})", false},
+      // Number tokens other than plain integers, as today.
+      {R"({"ev":"slot_tick","round":1e2,"slot":1})", true},
+      {R"({"ev":"slot_tick","round":0,"slot":1.0})", true},
+      {R"({"ev":"slot_tick","round":0,"slot":1.5})", false},
+      {R"({"ev":"round_close","round":-0})", true},
+      {R"({"ev":"round_close","round":007})", true},
+      {R"({"ev":"round_close","round":+1})", true},
+      {R"({"ev":"round_close","round":1E400})", false},
+      // 16-digit integers: exact below 2^53, rounded (then capped) above.
+      {R"({"ev":"round_close","round":1234567890123456})", true},
+      {R"({"ev":"round_close","round":9007199254740993})", false},
+      // Raw control character inside a string.
+      {"{\"ev\":\"round_close\",\"round\":0,\"note\":\"a\tb\"}", false},
+      // Header lines: extra members are fine, a non-string schema is not.
+      {R"({"schema":"mcs.serve.v1","producer":"loadgen","n":3})", true},
+      {R"({"schema":5})", false},
+      // Leading and trailing whitespace.
+      {" \t{\"ev\":\"round_close\",\"round\":0} \r", true},
+      // Literals, containers and many unknown members take the fallback.
+      {R"({"ev":"round_close","round":0,"x":true,"y":null,"z":false})", true},
+      {deep_ok, true},
+      {too_deep, false},
+      {many_unknown, true},
+      // Mistyped fields, non-objects and syntax errors.
+      {R"({"ev":"round_close","round":"0"})", false},
+      {R"({"ev":5,"round":0})", false},
+      {"[]", false},
+      {"5", false},
+      {"{}", false},
+      {R"({"ev":"round_close","round":0}x)", false},
+      {R"({"ev":"round_close","round":0,})", false},
+      {R"({"ev":"round_close","round":0)", false},
+  };
+  for (const Edge& edge : edges) {
+    const Verdict verdict = expect_decoders_agree(edge.line);
+    EXPECT_EQ(verdict.accepted, edge.accepted) << edge.line;
+  }
+}
+
+/// Fragments the JSONL mutation fuzz splices into canonical lines: JSON
+/// punctuation, escapes, literals, number tokens on both sides of the
+/// scan's integer rule, and whole unknown or duplicated members.
+const std::vector<std::string>& jsonl_fragments() {
+  static const std::vector<std::string> fragments = {
+      "{", "}", "[", "]", "\"", ":", ",", "\\", " ", "\t", "\x01", "\x7f",
+      "\xc3\xa9", "-", "+", ".", "e", "E", "0", "7", "true", "false", "null",
+      "1e2", "1.0", "-0", "12e", "0x1", "1E400", "007", "123456789012345",
+      "1234567890123456", "9007199254740993", "\\u0041", "\\\"", "\\t",
+      R"("x":12e)", R"("x":[1,{"a":2,"a":3}])", R"("x":{"y":[]})",
+      R"("round":1)", R"("round":1,)", R"("ev":"slot_tick",)",
+      R"("schema":"mcs.serve.v1",)", R"("value":"1.5",)", R"("x":"a	b")",
+  };
+  return fragments;
+}
+
+std::string mutate_line(std::string line, std::mt19937_64& rng) {
+  const std::vector<std::string>& fragments = jsonl_fragments();
+  const auto at = [&rng](const std::string& text) {
+    return static_cast<std::size_t>(rng() % (text.size() + 1));
+  };
+  const std::string& fragment = fragments[rng() % fragments.size()];
+  switch (rng() % 7) {
+    case 0:
+      if (!line.empty()) {
+        line[rng() % line.size()] ^= static_cast<char>(1 << (rng() % 8));
+      }
+      break;
+    case 1:
+      line.insert(at(line), fragment);
+      break;
+    case 2: {
+      const std::size_t from = at(line);
+      line.erase(from, 1 + rng() % 4);
+      break;
+    }
+    case 3: {
+      const std::size_t from = at(line);
+      line.replace(from, 1 + rng() % 6, fragment);
+      break;
+    }
+    case 4:
+      line.resize(at(line));
+      break;
+    case 5: {
+      const std::size_t from = at(line);
+      const std::string copy = line.substr(from, 1 + rng() % 12);
+      line.insert(at(line), copy);
+      break;
+    }
+    default: {
+      // One or two extra members just before the closing brace. The few
+      // names make duplicates (among unknown and known members) common.
+      static const std::vector<std::string> names = {"m", "n", "round"};
+      static const std::vector<std::string> values = {
+          "1",   "-0",  "007", R"("s")", R"("\u0041")", "12e",
+          "1e2", "[1]", "true", "1234567890123456"};
+      const std::size_t close = line.rfind('}');
+      if (close == std::string::npos) break;
+      std::string members;
+      for (int k = 1 + static_cast<int>(rng() % 2); k > 0; --k) {
+        members += ",\"" + names[rng() % names.size()] +
+                   "\":" + values[rng() % values.size()];
+      }
+      line.insert(close, members);
+      break;
+    }
+  }
+  return line;
+}
+
+TEST(WireFuzz, JsonlLineDecoderMatchesTheTreeOracle) {
+  std::vector<std::string> canonical = {R"({"schema":"mcs.serve.v1"})"};
+  for (const ServeEvent& event : every_kind()) {
+    canonical.push_back(encode_serve_event(event));
+  }
+  std::mt19937_64 rng(20261017);
+  const std::int64_t iters = fuzz_iters(4000);
+  std::int64_t accepted = 0;
+  std::int64_t rejected = 0;
+  for (std::int64_t i = 0; i < iters; ++i) {
+    // Half the bases are fixed canonical lines, half adversarially drawn
+    // events (edge ids, rounds and Money) in canonical form.
+    std::string line = rng() % 2 == 0 ? canonical[rng() % canonical.size()]
+                                      : draw_event(rng).jsonl;
+    const int mutations = static_cast<int>(rng() % 5);
+    for (int m = 0; m < mutations; ++m) line = mutate_line(line, rng);
+    const Verdict verdict = expect_decoders_agree(line);
+    if (::testing::Test::HasFailure()) return;
+    ++(verdict.accepted ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, iters / 10);
+  EXPECT_GT(rejected, iters / 10);
 }
 
 }  // namespace

@@ -609,6 +609,8 @@ class EventRecorder {
     if (file_.is_open() && wire_ && !buffer_.empty()) flush_buffer();
   }
 
+  [[nodiscard]] bool is_open() const { return file_.is_open(); }
+
  private:
   void flush_buffer() {
     file_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
@@ -883,10 +885,10 @@ int cmd_serve(int argc, const char* const* argv) {
           econ.get(), econ_file.is_open() ? &econ_file : nullptr);
     }
 
-    // Producer-side batching: one ShardBatcher per (single) producer; the
-    // replay path batches internally instead.
+    // Producer-side batching: one ShardBatcher for the loadgen producer;
+    // each socket connection and the replay path batch on their own.
     std::unique_ptr<serve::ShardBatcher> batcher;
-    if (config.batch_size > 1 && (use_loadgen || use_listen)) {
+    if (config.batch_size > 1 && use_loadgen) {
       batcher = std::make_unique<serve::ShardBatcher>(engine);
     }
     EventRecorder recorder;
@@ -919,20 +921,21 @@ int cmd_serve(int argc, const char* const* argv) {
       serve::SocketServerConfig socket_config;
       socket_config.host = host;
       socket_config.port = static_cast<std::uint16_t>(port);
-      // The server's reader threads share this sink; one lock serializes
-      // the recorder and the batcher (both single-producer by contract).
-      std::mutex sink_mutex;
-      std::int64_t socket_shed = 0;
-      serve::SocketServer server(
-          socket_config, [&](const serve::ServeEvent& e) {
-            const std::lock_guard<std::mutex> lock(sink_mutex);
-            recorder.record(e);
-            const serve::SubmitStatus status =
-                batcher ? batcher->add(e) : engine.submit(e);
-            if (status == serve::SubmitStatus::kRejectedQueueFull) {
-              ++socket_shed;
-            }
-          });
+      // Each connection hands off through its own batcher; only the
+      // shared recorder, when on, takes a lock.
+      std::mutex recorder_mutex;
+      serve::SocketServer::Sink record;
+      if (recorder.is_open()) {
+        record = [&](const serve::ServeEvent& e) {
+          const std::lock_guard<std::mutex> lock(recorder_mutex);
+          recorder.record(e);
+        };
+      }
+      serve::HandoffTotals handoff;
+      serve::SocketServer server(socket_config, [&] {
+        return std::make_unique<serve::EngineConnection>(engine, handoff,
+                                                         record);
+      });
       server.start();
       const std::int64_t want_conns =
           std::max<std::int64_t>(cli.get_int("listen-conns"), 1);
@@ -945,7 +948,7 @@ int cmd_serve(int argc, const char* const* argv) {
       server.drain();
       const serve::SocketServerStats socket_stats = server.stats();
       offered = socket_stats.events;
-      shed = socket_shed;
+      shed = handoff.shed.load();
       if (socket_stats.decode_errors > 0) {
         std::cout << socket_stats.decode_errors
                   << " connection(s) aborted on malformed or truncated "
