@@ -9,7 +9,8 @@
 // model too.
 #include <iostream>
 
-#include "auction/patience_greedy.hpp"
+#include "auction/offline_vcg.hpp"
+#include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "io/cli.hpp"
@@ -50,8 +51,9 @@ int main(int argc, char** argv) {
       Rng rng = parent.fork(static_cast<std::uint64_t>(rep));
       const model::Scenario s = model::generate_scenario(workload, rng);
       const model::BidProfile bids = s.truthful_bids();
-      const auction::PatienceGreedyMechanism mechanism(
-          auction::PatienceConfig{patience, {}});
+      auction::OnlineGreedyConfig config;
+      config.patience = patience;
+      const auction::OnlineGreedyMechanism mechanism(config);
       const auction::Outcome outcome = mechanism.run(s, bids);
       greedy_welfare.add(outcome.social_welfare(s).to_double());
       optimal_welfare.add(

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "auction/offline_vcg.hpp"
-#include "auction/patience_greedy.hpp"
 #include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "common/assert.hpp"
@@ -90,10 +89,9 @@ std::unique_ptr<auction::Mechanism> make_arena_mechanism(
       throw InvalidArgumentError(
           "patience must be a nonnegative slot count: " + std::string(spec));
     }
-    auction::PatienceConfig config;
+    auction::OnlineGreedyConfig config = match.greedy;
     config.patience = patience;
-    config.scarce_payment = match.greedy.scarce_payment;
-    return std::make_unique<auction::PatienceGreedyMechanism>(config);
+    return std::make_unique<auction::OnlineGreedyMechanism>(config);
   }
   throw InvalidArgumentError(
       "unknown mechanism '" + std::string(spec) +

@@ -52,7 +52,8 @@ struct ArenaResult {
 ///   offline          offline VCG
 ///   second-price     the per-slot second-price baseline (not truthful)
 ///   posted(P)        posted price P (money units)
-///   patience(K)      task-patience greedy, K extra slots
+///   patience(K)      online with task patience K (config.match.greedy's
+///                    reserve and scarcity policy; patience(0) is online)
 /// Throws InvalidArgumentError on an unknown spec.
 [[nodiscard]] std::unique_ptr<auction::Mechanism> make_arena_mechanism(
     std::string_view spec, const MatchConfig& match);

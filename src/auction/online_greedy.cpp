@@ -1,14 +1,26 @@
 #include "auction/online_greedy.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "auction/greedy_core.hpp"
 #include "common/assert.hpp"
+#include "common/error.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mcs::auction {
+
+void validate_config(const OnlineGreedyConfig& config) {
+  if (config.patience < 0) {
+    throw InvalidArgumentError("task patience must be >= 0");
+  }
+  if (config.patience > 0 && config.allocate_only_profitable) {
+    throw InvalidArgumentError(
+        "task patience does not combine with allocate_only_profitable");
+  }
+}
 
 namespace {
 
@@ -64,6 +76,7 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
   }
 
   const std::vector<int> tasks_per_slot = scenario.tasks_per_slot();
+  const Slot::rep_type patience = core.config().patience;
   // Tasks of each slot in id order (dense ids sorted by slot make this a
   // simple running cursor).
   std::size_t next_task = 0;
@@ -83,20 +96,23 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     GreedySlotRecord record;
     record.slot = Slot{t};
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
+    // A task may wait `patience` slots, but not past the round.
     const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
+    const Slot::rep_type deadline =
+        t + std::min(patience, scenario.num_slots - t);
     for (int k = 0; k < r_t; ++k) {
       const TaskId task{static_cast<int>(next_task + static_cast<std::size_t>(k))};
       MCS_ASSERT(scenario.tasks[static_cast<std::size_t>(task.value())].slot ==
                      Slot{t},
                  "task cursor out of sync with slot");
-      core.add_task(GreedyCore::Task{task, scenario.value_of(task)});
+      core.add_task(GreedyCore::Task{task, scenario.value_of(task), deadline});
     }
     next_task += static_cast<std::size_t>(r_t);
     const GreedyCore::Step& step = core.step();
 
     for (const GreedyCore::Assignment& assignment : step.assignments) {
       const PhoneId winner{core.entry(assignment.winner).id};
-      run.allocation.assign(assignment.task.id, winner);
+      run.allocation.assign(assignment.task.id, winner, Slot{t});
       record.winners.push_back(winner);
     }
     for (const GreedyCore::Task& task : step.unserved) {
@@ -157,6 +173,16 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
                                 const OnlineGreedyConfig& config) {
   GreedyCore core(config);
   return allocate_on(core, scenario, bids);
+}
+
+OnlineGreedyMechanism::OnlineGreedyMechanism(OnlineGreedyConfig config)
+    : config_(config) {
+  validate_config(config_);
+}
+
+std::string OnlineGreedyMechanism::name() const {
+  if (config_.patience == 0) return "online-greedy";
+  return "patience-greedy(P=" + std::to_string(config_.patience) + ')';
 }
 
 Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,

@@ -18,6 +18,9 @@ OnlinePlatform::OnlinePlatform(Slot::rep_type num_slots,
       core_(config) {
   MCS_EXPECTS(num_slots >= 1, "round must have at least one slot");
   MCS_EXPECTS(!default_task_value.is_negative(), "task value must be >= 0");
+  // The serve wire format carries no task deadline.
+  MCS_EXPECTS(config.patience == 0,
+              "the online platform serves tasks in their arrival slot");
 }
 
 void OnlinePlatform::announce_task(TaskId id, std::optional<Money> value) {
@@ -25,7 +28,8 @@ void OnlinePlatform::announce_task(TaskId id, std::optional<Money> value) {
   MCS_EXPECTS(id.value() == last_task_id_ + 1,
               "task ids must be dense and increasing");
   last_task_id_ = id.value();
-  core_.add_task(GreedyCore::Task{id, value.value_or(default_task_value_)});
+  core_.add_task(GreedyCore::Task{id, value.value_or(default_task_value_),
+                                  core_.current_slot()});
 }
 
 bool OnlinePlatform::submit_bid(AgentId agent, const model::Bid& bid) {

@@ -48,7 +48,8 @@ class OnlinePlatform {
  public:
   /// A round of `num_slots`; `default_task_value` is nu for tasks announced
   /// without an override. The config carries the same knobs as the batch
-  /// mechanism (profitability guard, reserve price, scarcity policy).
+  /// mechanism (profitability guard, reserve price, scarcity policy),
+  /// except task patience: every task is served in its arrival slot.
   OnlinePlatform(Slot::rep_type num_slots, Money default_task_value,
                  auction::OnlineGreedyConfig config = {});
 

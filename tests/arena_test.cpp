@@ -264,6 +264,34 @@ TEST(Arena, RejectsEmptyGridsAndUnknownSpecs) {
   EXPECT_THROW((void)run_arena(config), InvalidArgumentError);
 }
 
+TEST(Arena, PatienceZeroScoresLikeOnlineUnderAReserve) {
+  // patience(K) runs on the match's greedy config, reserve included, so
+  // patience(0) -- the paper's mechanism -- is the online cell exactly.
+  ArenaConfig config = small_config();
+  config.match.greedy.reserve_price = Money::from_units(30);
+  config.mechanisms = {"online", "patience(0)"};
+  const ArenaResult reserved = run_arena(config);
+  config.match.greedy.reserve_price.reset();
+  const ArenaResult open = run_arena(config);
+  ASSERT_EQ(reserved.cells.size(), 4u);
+  for (std::size_t mix = 0; mix < 2; ++mix) {
+    const CellResult& online = reserved.cells[mix];
+    const CellResult& patience = reserved.cells[2 + mix];
+    EXPECT_EQ(patience.social_welfare, online.social_welfare) << mix;
+    EXPECT_EQ(patience.total_payment, online.total_payment) << mix;
+    EXPECT_EQ(patience.tasks_allocated, online.tasks_allocated) << mix;
+    ASSERT_EQ(patience.policies.size(), online.policies.size());
+    for (std::size_t k = 0; k < online.policies.size(); ++k) {
+      EXPECT_EQ(patience.policies[k].winners, online.policies[k].winners);
+      EXPECT_EQ(patience.policies[k].utility, online.policies[k].utility);
+      EXPECT_EQ(patience.policies[k].max_deviation_gain,
+                online.policies[k].max_deviation_gain);
+    }
+    // The reserve excludes bids: without it the online cell differs.
+    EXPECT_NE(open.cells[mix].total_payment, online.total_payment) << mix;
+  }
+}
+
 TEST(Arena, MechanismSpecsCoverTheInTreeCatalog) {
   const MatchConfig match;
   EXPECT_EQ(make_arena_mechanism("online", match)->name(), "online-greedy");
@@ -277,6 +305,8 @@ TEST(Arena, MechanismSpecsCoverTheInTreeCatalog) {
   EXPECT_THROW((void)make_arena_mechanism("posted", match),
                InvalidArgumentError);
   EXPECT_THROW((void)make_arena_mechanism("online(3)", match),
+               InvalidArgumentError);
+  EXPECT_THROW((void)make_arena_mechanism("patience(-1)", match),
                InvalidArgumentError);
 }
 

@@ -2,22 +2,36 @@
 // mechanism at P = 0, deadline semantics (EDF service, expiry), welfare
 // recovery with patience, and the empirical incentive properties of the
 // generalized Algorithm 2 payments.
-#include "auction/patience_greedy.hpp"
-
 #include <gtest/gtest.h>
 
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
+#include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
 #include "auction/offline_vcg.hpp"
+#include "auction/online_greedy.hpp"
+#include "common/assert.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
 #include "model/workload.hpp"
+#include "platform/platform.hpp"
 
 namespace mcs::auction {
 namespace {
 
 Money mu(std::int64_t units) { return Money::from_units(units); }
+
+/// The paper's mechanism with task patience P.
+OnlineGreedyConfig patience_config(Slot::rep_type patience) {
+  OnlineGreedyConfig config;
+  config.patience = patience;
+  return config;
+}
+
+OnlineGreedyMechanism patience_greedy(Slot::rep_type patience) {
+  return OnlineGreedyMechanism(patience_config(patience));
+}
 
 // --------------------------------------------------- reduction at P = 0
 
@@ -36,8 +50,7 @@ TEST_P(PatienceZeroEquivalence, MatchesOnlineGreedyExactly) {
   const model::BidProfile bids = s.truthful_bids();
 
   const Outcome paper = OnlineGreedyMechanism{}.run(s, bids);
-  const Outcome patience =
-      PatienceGreedyMechanism(PatienceConfig{0, {}}).run(s, bids);
+  const Outcome patience = patience_greedy(0).run(s, bids);
   for (int t = 0; t < s.task_count(); ++t) {
     ASSERT_EQ(patience.allocation.phone_for(TaskId{t}),
               paper.allocation.phone_for(TaskId{t}))
@@ -51,8 +64,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PatienceZeroEquivalence,
 
 TEST(Patience, Fig4AtPZeroReproducesThePaperNumbers) {
   const model::Scenario s = model::fig4_scenario();
-  const Outcome outcome =
-      PatienceGreedyMechanism(PatienceConfig{0, {}}).run_truthful(s);
+  const Outcome outcome = patience_greedy(0).run_truthful(s);
   EXPECT_EQ(outcome.payments[0], mu(9));
   EXPECT_EQ(outcome.total_payment(), mu(50));
 }
@@ -63,23 +75,23 @@ TEST(Patience, TaskWaitsForALatePhone) {
   // No phone in slot 1; with patience 2 the task is served in slot 2.
   const model::Scenario s =
       model::ScenarioBuilder(3).value(10).phone(2, 3, 4).task(1).build();
-  const PatienceRun run =
-      run_patience_allocation(s, s.truthful_bids(), PatienceConfig{2, {}});
+  const GreedyRun run =
+      run_greedy_allocation(s, s.truthful_bids(), patience_config(2));
   EXPECT_EQ(run.allocation.phone_for(TaskId{0}), PhoneId{0});
   EXPECT_EQ(run.allocation.service_slot_for(TaskId{0}, s), Slot{2});
-  EXPECT_TRUE(run.slots[0].served.empty());
-  EXPECT_EQ(run.slots[1].served.size(), 1u);
+  EXPECT_TRUE(run.slots[0].winners.empty());
+  EXPECT_EQ(run.slots[1].winners.size(), 1u);
 }
 
 TEST(Patience, TaskExpiresAfterItsDeadline) {
   const model::Scenario s =
       model::ScenarioBuilder(4).value(10).phone(4, 4, 4).task(1).build();
-  const PatienceRun run =
-      run_patience_allocation(s, s.truthful_bids(), PatienceConfig{1, {}});
+  const GreedyRun run =
+      run_greedy_allocation(s, s.truthful_bids(), patience_config(1));
   EXPECT_FALSE(run.allocation.phone_for(TaskId{0}).has_value());
   // Deadline is slot 2: the expiry is recorded there.
-  ASSERT_EQ(run.slots[1].expired.size(), 1u);
-  EXPECT_EQ(run.slots[1].expired[0], TaskId{0});
+  ASSERT_EQ(run.slots[1].unserved.size(), 1u);
+  EXPECT_EQ(run.slots[1].unserved[0], TaskId{0});
 }
 
 TEST(Patience, EdfServesTheMostUrgentTaskFirst) {
@@ -91,8 +103,8 @@ TEST(Patience, EdfServesTheMostUrgentTaskFirst) {
                                 .task(1)   // deadline 2 with P=1
                                 .task(2)   // deadline 3 with P=1
                                 .build();
-  const PatienceRun run =
-      run_patience_allocation(s, s.truthful_bids(), PatienceConfig{1, {}});
+  const GreedyRun run =
+      run_greedy_allocation(s, s.truthful_bids(), patience_config(1));
   EXPECT_EQ(run.allocation.phone_for(TaskId{0}), PhoneId{0});
   EXPECT_FALSE(run.allocation.phone_for(TaskId{1}).has_value());
 }
@@ -101,8 +113,7 @@ TEST(Patience, ServiceSlotRespectsTheReportedWindow) {
   // Outcome::validate must accept late service inside the phone's window.
   const model::Scenario s =
       model::ScenarioBuilder(5).value(10).phone(3, 5, 2).task(2).build();
-  const Outcome outcome =
-      PatienceGreedyMechanism(PatienceConfig{3, {}}).run_truthful(s);
+  const Outcome outcome = patience_greedy(3).run_truthful(s);
   EXPECT_NO_THROW(outcome.validate(s, s.truthful_bids()));
   EXPECT_EQ(outcome.allocation.service_slot_for(TaskId{0}, s), Slot{3});
 }
@@ -120,13 +131,8 @@ TEST(Patience, PatienceRecoversWelfareOnSupplyGaps) {
                                 .task(2)
                                 .build();
   const model::BidProfile bids = s.truthful_bids();
-  EXPECT_EQ(PatienceGreedyMechanism(PatienceConfig{0, {}})
-                .run(s, bids)
-                .social_welfare(s),
-            Money{});
-  EXPECT_EQ(PatienceGreedyMechanism(PatienceConfig{4, {}})
-                .run(s, bids)
-                .social_welfare(s),
+  EXPECT_EQ(patience_greedy(0).run(s, bids).social_welfare(s), Money{});
+  EXPECT_EQ(patience_greedy(4).run(s, bids).social_welfare(s),
             mu(32));  // (20-3) + (20-5)
 }
 
@@ -161,8 +167,7 @@ TEST(Patience, GreedyNeverBeatsTheMatchingOptimum) {
     const model::Scenario s = model::generate_scenario(workload, rng);
     const model::BidProfile bids = s.truthful_bids();
     for (const Slot::rep_type patience : {0, 2, 5}) {
-      const Outcome greedy =
-          PatienceGreedyMechanism(PatienceConfig{patience, {}}).run(s, bids);
+      const Outcome greedy = patience_greedy(patience).run(s, bids);
       EXPECT_LE(greedy.claimed_welfare(s, bids),
                 optimal_patience_welfare(s, bids, patience))
           << "trial " << trial << " P " << patience;
@@ -179,7 +184,7 @@ TEST(Patience, PaymentsCoverClaimsAndIrHolds) {
   workload.task_value = Money::from_units(50);
   const model::Scenario s = model::generate_scenario(workload, rng);
   const model::BidProfile bids = s.truthful_bids();
-  const PatienceGreedyMechanism mechanism(PatienceConfig{3, {}});
+  const OnlineGreedyMechanism mechanism = patience_greedy(3);
   const Outcome outcome = mechanism.run(s, bids);
   for (const PhoneId winner : outcome.allocation.winners()) {
     EXPECT_GE(outcome.payments[static_cast<std::size_t>(winner.value())],
@@ -207,7 +212,7 @@ TEST_P(PatienceAudit, TruthfulOnScarcityFreeInstances) {
     builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 5)));
   }
   const model::Scenario s = builder.build();
-  const PatienceGreedyMechanism mechanism(PatienceConfig{2, {}});
+  const OnlineGreedyMechanism mechanism = patience_greedy(2);
   const analysis::TruthfulnessReport report =
       analysis::audit_truthfulness(mechanism, s);
   EXPECT_TRUE(report.truthful()) << report.summary();
@@ -231,15 +236,15 @@ TEST(Patience, PaymentEqualsBisectedCriticalValue) {
     }
     const model::Scenario s = builder.build();
     const model::BidProfile bids = s.truthful_bids();
-    const PatienceConfig config{2, {}};
-    const Outcome outcome = PatienceGreedyMechanism(config).run(s, bids);
+    const OnlineGreedyConfig config = patience_config(2);
+    const Outcome outcome = OnlineGreedyMechanism(config).run(s, bids);
 
     for (const PhoneId winner : outcome.allocation.winners()) {
       const model::Bid& own = bids[static_cast<std::size_t>(winner.value())];
       const WinsWithCost wins = [&](Money cost) {
         const model::BidProfile probe =
             model::with_bid(bids, winner, model::Bid{own.window, cost});
-        return run_patience_allocation(s, probe, config)
+        return run_greedy_allocation(s, probe, config)
             .allocation.is_winner(winner);
       };
       const auto critical =
@@ -274,8 +279,8 @@ TEST(Patience, AllocationIsMonotoneInBidImprovements) {
     }
     const model::Scenario s = builder.build();
     const model::BidProfile bids = s.truthful_bids();
-    const PatienceConfig config{2, {}};
-    const PatienceRun base = run_patience_allocation(s, bids, config);
+    const OnlineGreedyConfig config = patience_config(2);
+    const GreedyRun base = run_greedy_allocation(s, bids, config);
 
     for (int i = 0; i < phones; ++i) {
       const PhoneId phone{i};
@@ -293,7 +298,7 @@ TEST(Patience, AllocationIsMonotoneInBidImprovements) {
         } else {
           improved.claimed_cost = Money{};  // bid zero
         }
-        const PatienceRun probe = run_patience_allocation(
+        const GreedyRun probe = run_greedy_allocation(
             s, model::with_bid(bids, phone, improved), config);
         EXPECT_TRUE(probe.allocation.is_winner(phone))
             << "trial " << trial << " phone " << i << " improvement "
@@ -303,9 +308,40 @@ TEST(Patience, AllocationIsMonotoneInBidImprovements) {
   }
 }
 
+// ------------------------------------------------------------- guards
+
+TEST(Patience, RejectsWhatNoDeadlineCanHonour) {
+  const model::Scenario s = model::fig4_scenario();
+  OnlineGreedyConfig profitable = patience_config(1);
+  profitable.allocate_only_profitable = true;
+  EXPECT_THROW((void)OnlineGreedyMechanism{profitable}, InvalidArgumentError);
+  EXPECT_THROW((void)run_greedy_allocation(s, s.truthful_bids(), profitable),
+               InvalidArgumentError);
+  EXPECT_THROW((void)OnlineGreedyMechanism{patience_config(-1)},
+               InvalidArgumentError);
+  profitable.patience = 0;
+  EXPECT_NO_THROW((void)OnlineGreedyMechanism{profitable});
+}
+
+TEST(Patience, CounterfactualEngineRequiresNoPatience) {
+  // A probe fork seeds the pool at the bid's arrival, not the tasks still
+  // pending there.
+  const model::Scenario s = model::fig4_scenario();
+  const model::BidProfile bids = s.truthful_bids();
+  const OnlineGreedyConfig config = patience_config(2);
+  const Allocation factual = run_greedy_allocation(s, bids, config).allocation;
+  EXPECT_THROW((void)CounterfactualEngine(s, bids, config, factual),
+               ContractViolation);
+}
+
+TEST(Patience, OnlinePlatformRequiresNoPatience) {
+  // The serve wire format carries no task deadline.
+  EXPECT_THROW((void)platform::OnlinePlatform(5, mu(10), patience_config(1)),
+               ContractViolation);
+}
+
 TEST(Patience, NameCarriesThePatience) {
-  EXPECT_EQ(PatienceGreedyMechanism(PatienceConfig{3, {}}).name(),
-            "patience-greedy(P=3)");
+  EXPECT_EQ(patience_greedy(3).name(), "patience-greedy(P=3)");
 }
 
 }  // namespace

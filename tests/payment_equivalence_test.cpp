@@ -158,33 +158,37 @@ void expect_records_match(const std::vector<obs::Event>& records,
 }
 
 /// Core oracle: the walk must agree with the full-replay oracle through
-/// the batch mechanism and through the slot-by-slot platform -- payments,
-/// allocation, and every winner's setter and scarcity provenance.
+/// the batch mechanism and, without task patience (which the platform does
+/// not serve), through the slot-by-slot platform -- payments, allocation,
+/// and every winner's setter and scarcity provenance.
 void expect_walk_matches_oracle(const Scenario& scenario,
                                 const model::BidProfile& bids,
                                 const OnlineGreedyConfig& config,
                                 const std::string& label) {
   const test_support::FullReplay oracle =
       test_support::full_replay(scenario, bids, config);
+  const auto expect_matches = [&](const Outcome& outcome,
+                                  const std::vector<obs::Event>& records,
+                                  bool platform) {
+    const std::string where = label + (platform ? " (platform)" : " (batch)");
+    EXPECT_EQ(outcome.payments, oracle.payments) << where;
+    for (int k = 0; k < scenario.task_count(); ++k) {
+      EXPECT_EQ(outcome.allocation.phone_for(TaskId{k}),
+                oracle.allocation.phone_for(TaskId{k}))
+          << where << ": task " << k;
+    }
+    expect_records_match(records, oracle, platform, where);
+  };
+
   Outcome batch;
   const std::vector<obs::Event> batch_records = payment_derivations(
       [&] { batch = OnlineGreedyMechanism(config).run(scenario, bids); });
+  expect_matches(batch, batch_records, false);
+  if (config.patience > 0) return;
   platform::RoundResult served;
   const std::vector<obs::Event> served_records = payment_derivations(
       [&] { served = platform::run_round(scenario, bids, config); });
-
-  EXPECT_EQ(batch.payments, oracle.payments) << label << " (batch)";
-  EXPECT_EQ(served.outcome.payments, oracle.payments) << label << " (platform)";
-  for (int k = 0; k < scenario.task_count(); ++k) {
-    EXPECT_EQ(batch.allocation.phone_for(TaskId{k}),
-              oracle.allocation.phone_for(TaskId{k}))
-        << label << ": task " << k;
-    EXPECT_EQ(served.outcome.allocation.phone_for(TaskId{k}),
-              oracle.allocation.phone_for(TaskId{k}))
-        << label << ": task " << k;
-  }
-  expect_records_match(batch_records, oracle, false, label + " (batch)");
-  expect_records_match(served_records, oracle, true, label + " (platform)");
+  expect_matches(served.outcome, served_records, true);
 }
 
 // ------------------------------------------------ walk == naive property
@@ -555,6 +559,48 @@ TEST(PaymentEquivalence, WalkEndsTheChainInScarcity) {
             Money::from_units(10));
   EXPECT_EQ(OnlineGreedyMechanism(own_bid).run(scenario, bids).payments[0],
             Money::from_units(2));
+}
+
+// ------------------------------------------------------- task patience
+
+TEST(PatienceWalk, MatchesFullReplay) {
+  // The two-state walk (a missing bid, or an extra pending task) against
+  // the full re-run under task patience: 5 patiences x 3 configs x 70
+  // rounds of uniform, weighted and misreported tasks. P = 0 is the
+  // paper's mechanism and must keep matching too.
+  OnlineGreedyConfig reserve;
+  reserve.reserve_price = Money::from_units(20);
+  OnlineGreedyConfig tight;
+  tight.reserve_price = Money::from_units(4);
+  tight.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
+  const std::vector<std::pair<std::string, OnlineGreedyConfig>> families = {
+      {"paper_default", OnlineGreedyConfig{}},
+      {"reserve_20", reserve},
+      {"reserve_4_own_bid", tight}};
+  Rng rng(2026101);
+  for (const Slot::rep_type patience : {0, 1, 2, 4, 8}) {
+    for (auto [name, config] : families) {
+      config.patience = patience;
+      const std::string family =
+          name + "/P=" + std::to_string(patience) + "/";
+      for (int i = 0; i < 30; ++i) {
+        const Scenario uniform = test_support::windowed(
+            rng, {.slots = 8, .max_phones = 9, .max_tasks = 9});
+        expect_walk_matches_oracle(uniform, uniform.truthful_bids(), config,
+                                   family + "uniform#" + std::to_string(i));
+      }
+      for (int i = 0; i < 10; ++i) {
+        const Scenario weighted = weighted_tasks(rng);
+        expect_walk_matches_oracle(weighted, weighted.truthful_bids(), config,
+                                   family + "weighted#" + std::to_string(i));
+      }
+      for (int i = 0; i < 30; ++i) {
+        const auto [scenario, bids] = misreported_round(rng);
+        expect_walk_matches_oracle(scenario, bids, config,
+                                   family + "misreported#" + std::to_string(i));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
-#include "auction/patience_greedy.hpp"
 #include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "support/generators.hpp"
@@ -32,9 +31,11 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
     case 3:
       return std::make_unique<auction::BatchedMatchingMechanism>(
           auction::BatchedMatchingConfig{2});
-    case 4:
-      return std::make_unique<auction::PatienceGreedyMechanism>(
-          auction::PatienceConfig{2, {}});
+    case 4: {
+      auction::OnlineGreedyConfig config;
+      config.patience = 2;
+      return std::make_unique<auction::OnlineGreedyMechanism>(config);
+    }
     case 5:
       return std::make_unique<auction::PostedPriceMechanism>(
           Money::from_units(20));
