@@ -335,8 +335,6 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
         if (record.find("set_in_slot") != nullptr) {
           out << " in slot " << record.int_or("set_in_slot", -1);
         }
-      } else if (record.find("set_in_slot") != nullptr) {
-        out << "; level set in slot " << record.int_or("set_in_slot", -1);
       }
       if (const io::JsonValue* welfare = record.find("welfare_all")) {
         out << "; welfare " << welfare->as_string() << " vs "
@@ -348,8 +346,6 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
             << " applied";
       }
       out << " (own bid " << attr_or(record, "own_bid", "?") << ")\n";
-    } else if (type == "phone_departed_unpaid") {
-      out << "slot " << slot << ": departed without an allocation (paid 0)\n";
     }
   }
 

@@ -70,6 +70,25 @@ bool GreedyCore::admits(Money cost) const {
   return !config_.reserve_price || cost <= *config_.reserve_price;
 }
 
+bool GreedyCore::screen(int id, const model::Bid& bid) const {
+  const bool admitted = admits(bid.claimed_cost);
+  obs::log_event([&] {
+    obs::Event event(admitted ? "bid_admitted" : "bid_rejected");
+    event.phone = id;
+    event.slot = static_cast<std::int32_t>(bid.window.begin().value());
+    if (!admitted) {
+      event.with("reason", std::string("reserve"))
+          .with("bid", bid.claimed_cost)
+          .with("reserve", *config_.reserve_price);
+      return event;
+    }
+    event.with("bid", bid.claimed_cost)
+        .with("departs", static_cast<std::int64_t>(bid.window.end().value()));
+    return event;
+  });
+  return admitted;
+}
+
 GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
   MCS_EXPECTS(bid.window.contains(Slot{current_slot_}),
               "bids join the pool within their reported window");
@@ -252,6 +271,17 @@ void GreedyCore::log_step() const {
   }
 }
 
+GreedySlotRecord GreedyCore::slot_record(const Step& step) const {
+  GreedySlotRecord record;
+  record.slot = Slot{step.slot};
+  for (const Assignment& assignment : step.assignments) {
+    record.winners.push_back(PhoneId{entry(assignment.winner).id});
+  }
+  for (const Task& task : step.unserved) record.unserved.push_back(task.id);
+  if (step.runner_up) record.runner_up = PhoneId{entry(*step.runner_up).id};
+  return record;
+}
+
 Settlement GreedyCore::settle(Handle winner) const {
   const Entry& own = entry(winner);
   const Slot::rep_type first = own.win_slot;
@@ -322,6 +352,30 @@ Settlement GreedyCore::settle(Handle winner) const {
   }
   apply_scarcity_policy(settlement, config_);
   return settlement;
+}
+
+void log_payment_derivation(const GreedyCore::Entry& winner,
+                            const Settlement& settlement) {
+  obs::log_event([&] {
+    obs::Event event("payment_derivation");
+    event.phone = winner.id;
+    event.slot = static_cast<std::int32_t>(winner.win_slot);
+    event.with("rule", std::string("algorithm2.counterfactual_max"))
+        .with("payment", settlement.payment)
+        .with("own_bid", winner.bid.claimed_cost)
+        .with("window_end",
+              static_cast<std::int64_t>(winner.bid.window.end().value()));
+    if (settlement.setter_phone) {
+      event.with("set_by_phone",
+                 static_cast<std::int64_t>(settlement.setter_phone->value()))
+          .with("set_in_slot",
+                static_cast<std::int64_t>(settlement.setter_slot.value()));
+    }
+    event.with("scarce", settlement.scarce);
+    if (settlement.scarce) event.with("scarce_cap", settlement.scarce_cap);
+    event.with("scarce_applied", settlement.scarce_applied);
+    return event;
+  });
 }
 
 }  // namespace mcs::auction

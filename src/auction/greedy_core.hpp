@@ -43,14 +43,17 @@
 // the slot that created it. One payment is therefore O(d~_i - t'_i) slot
 // reads, with no pool copy and no replay.
 //
-// The batch run_greedy_allocation / OnlineGreedyMechanism, the
-// slot-by-slot platform::OnlinePlatform (and through it the serve
-// RoundMachine) and the CounterfactualEngine's critical-value probes all
-// drive this one core; the full re-run of Algorithm 2 in
-// tests/support/full_replay.hpp is the independent oracle it is tested
-// against. A probe restart()s a core at its fork slot and seeds it with
-// the pool the factual allocation implies there, so one core serves many
-// probes without reallocating its buffers.
+// The batch run_greedy_allocation / OnlineGreedyMechanism, the serve
+// RoundMachine (one served round, slot_tick by slot_tick, paying each
+// winner in its reported departure slot) and the CounterfactualEngine's
+// critical-value probes all drive this one core; the full re-run of
+// Algorithm 2 in tests/support/full_replay.hpp is the independent oracle
+// it is tested against. Both round drivers record a slot, a bid's
+// admission and a payment through the same three functions below
+// (slot_record, screen, log_payment_derivation). A probe restart()s a core
+// at its fork slot and seeds it with the pool the factual allocation
+// implies there, so one core serves many probes without reallocating its
+// buffers.
 #pragma once
 
 #include <cstdint>
@@ -168,6 +171,10 @@ class GreedyCore {
   /// Whether the platform reserve lets a bid claiming `cost` in.
   [[nodiscard]] bool admits(Money cost) const;
 
+  /// admits(bid.claimed_cost), recorded as the bid's bid_admitted or
+  /// bid_rejected event (slot = its reported arrival).
+  [[nodiscard]] bool screen(int id, const model::Bid& bid) const;
+
   /// Pools a bid whose reported window holds the current slot (a restarted
   /// core pools bids that arrived before its first slot); requires
   /// admits(bid.claimed_cost). Ids must be unique among admitted bids (the
@@ -188,10 +195,15 @@ class GreedyCore {
   /// next step().
   const Step& step();
 
+  /// The per-slot record of a step: its winners' ids, unserved task ids
+  /// and runner-up id.
+  [[nodiscard]] GreedySlotRecord slot_record(const Step& step) const;
+
   /// Algorithm 2 for an allocated bid by the displacement walk. Requires
   /// every slot from its win to its reported departure to have been
-  /// stepped. Counts nothing itself: the walk's length is
-  /// Settlement::slots_walked.
+  /// stepped, so a winner is settled in its reported departure slot (it is
+  /// in that step's `departing`) and no earlier. Counts nothing itself: the
+  /// walk's length is Settlement::slots_walked.
   [[nodiscard]] Settlement settle(Handle winner) const;
 
   [[nodiscard]] const Entry& entry(Handle handle) const {
@@ -237,5 +249,10 @@ class GreedyCore {
   std::vector<SlotLog> slots_;  ///< index t - first_slot_ describes slot t
   Step step_;
 };
+
+/// The winner's payment_derivation record (rule
+/// algorithm2.counterfactual_max, slot = its win slot).
+void log_payment_derivation(const GreedyCore::Entry& winner,
+                            const Settlement& settlement);
 
 }  // namespace mcs::auction

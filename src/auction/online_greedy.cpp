@@ -6,7 +6,6 @@
 #include "auction/greedy_core.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -51,27 +50,8 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
       static_cast<std::size_t>(scenario.num_slots) + 1);
   for (int i = 0; i < scenario.phone_count(); ++i) {
     const model::Bid& bid = bids[static_cast<std::size_t>(i)];
-    if (!core.admits(bid.claimed_cost)) {
-      obs::log_event([&] {
-        obs::Event event("bid_rejected");
-        event.phone = i;
-        event.slot = static_cast<std::int32_t>(bid.window.begin().value());
-        event.with("reason", std::string("reserve"))
-            .with("bid", bid.claimed_cost)
-            .with("reserve", *core.config().reserve_price);
-        return event;
-      });
-      continue;  // above the platform reserve: never admitted
-    }
-    obs::log_event([&] {
-      obs::Event event("bid_admitted");
-      event.phone = i;
-      event.slot = static_cast<std::int32_t>(bid.window.begin().value());
-      event.with("bid", bid.claimed_cost)
-          .with("departs",
-                static_cast<std::int64_t>(bid.window.end().value()));
-      return event;
-    });
+    // Above the platform reserve: never admitted.
+    if (!core.screen(i, bid)) continue;
     arrivals[static_cast<std::size_t>(bid.window.begin().value())].push_back(i);
   }
 
@@ -93,8 +73,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
       ++pool_insertions;
     }
 
-    GreedySlotRecord record;
-    record.slot = Slot{t};
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
     // A task may wait `patience` slots, but not past the round.
     const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
@@ -109,17 +87,10 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     }
     next_task += static_cast<std::size_t>(r_t);
     const GreedyCore::Step& step = core.step();
-
-    for (const GreedyCore::Assignment& assignment : step.assignments) {
-      const PhoneId winner{core.entry(assignment.winner).id};
-      run.allocation.assign(assignment.task.id, winner, Slot{t});
-      record.winners.push_back(winner);
-    }
-    for (const GreedyCore::Task& task : step.unserved) {
-      record.unserved.push_back(task.id);
-    }
-    if (step.runner_up) {
-      record.runner_up = PhoneId{core.entry(*step.runner_up).id};
+    GreedySlotRecord record = core.slot_record(step);
+    for (std::size_t k = 0; k < record.winners.size(); ++k) {
+      run.allocation.assign(step.assignments[k].task.id, record.winners[k],
+                            Slot{t});
     }
     tasks_assigned += static_cast<std::int64_t>(record.winners.size());
     tasks_unserved += static_cast<std::int64_t>(record.unserved.size());
@@ -139,31 +110,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     registry->counter("auction.greedy.tasks_unserved").add(tasks_unserved);
   }
   return run;
-}
-
-void log_payment_derivation(const Settlement& settlement,
-                            const model::Bid& own_bid, PhoneId winner,
-                            Slot win_slot) {
-  obs::log_event([&] {
-    obs::Event event("payment_derivation");
-    event.phone = winner.value();
-    event.slot = static_cast<std::int32_t>(win_slot.value());
-    event.with("rule", std::string("algorithm2.counterfactual_max"))
-        .with("payment", settlement.payment)
-        .with("own_bid", own_bid.claimed_cost)
-        .with("window_end",
-              static_cast<std::int64_t>(own_bid.window.end().value()));
-    if (settlement.setter_phone) {
-      event.with("set_by_phone",
-                 static_cast<std::int64_t>(settlement.setter_phone->value()))
-          .with("set_in_slot",
-                static_cast<std::int64_t>(settlement.setter_slot.value()));
-    }
-    event.with("scarce", settlement.scarce);
-    if (settlement.scarce) event.with("scarce_cap", settlement.scarce_cap);
-    event.with("scarce_applied", settlement.scarce_applied);
-    return event;
-  });
 }
 
 }  // namespace
@@ -204,16 +150,13 @@ Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
     // Winners in allocation order, each settled once its window is over.
     for (const GreedyCore::Handle handle : core.winners()) {
       const GreedyCore::Entry& won = core.entry(handle);
-      const PhoneId phone{won.id};
-      const Slot win_slot{won.win_slot};
       // Each derivation is one evaluation of i's critical value -- the
       // over-time analogue of a bisection probe (docs/observability.md).
       obs::count("auction.critical_value.probes");
       const Settlement settlement = core.settle(handle);
       slots_walked += settlement.slots_walked;
-      log_payment_derivation(settlement, won.bid, phone, win_slot);
-      outcome.payments[static_cast<std::size_t>(phone.value())] =
-          settlement.payment;
+      log_payment_derivation(won, settlement);
+      outcome.payments[static_cast<std::size_t>(won.id)] = settlement.payment;
     }
     if (slots_walked > 0) {
       obs::count("auction.settlement.slots_walked", slots_walked);

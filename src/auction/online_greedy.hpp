@@ -67,9 +67,11 @@ struct OnlineGreedyConfig {
 /// negative patience, or patience with allocate_only_profitable.
 void validate_config(const OnlineGreedyConfig& config);
 
-/// Per-slot record of one greedy run (the second-price baseline, tests and
-/// examples). The slot's whole "dynamic pool" of Fig. 4 is not kept here:
-/// the slot_pool event records it when an event log is installed.
+/// Per-slot record of one greedy run (the second-price baseline, the econ
+/// plane's served capture, tests and examples), built by
+/// GreedyCore::slot_record. The slot's whole "dynamic pool" of Fig. 4 is
+/// not kept here: the slot_pool event records it when an event log is
+/// installed.
 struct GreedySlotRecord {
   Slot slot{0};
   /// Winners this slot in allocation order (cheapest first).

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/assert.hpp"
 #include "common/error.hpp"
 
 namespace mcs::serve {
@@ -21,16 +22,32 @@ namespace {
 RoundMachine::RoundMachine(const ServeEvent& open,
                            auction::OnlineGreedyConfig config, bool capture)
     : round_(open.round),
-      clock_(open.num_slots),
-      platform_(open.num_slots, open.round_value, config),
-      capture_(capture),
       num_slots_(open.num_slots),
-      round_value_(open.round_value) {
+      round_value_(open.round_value),
+      core_(config),
+      capture_(capture) {
   if (open.kind != ServeEventKind::kRoundOpen) {
     stream_error(open.round, "round must start with round_open");
   }
+  if (num_slots_ < 1) stream_error(round_, "a round needs at least one slot");
+  if (round_value_.is_negative()) {
+    stream_error(round_, "round value must be >= 0");
+  }
+  MCS_EXPECTS(config.patience == 0,
+              "a served round serves tasks in their arrival slot");
   outcome_.round = round_;
   outcome_.events_consumed = 1;  // the round_open itself
+}
+
+void RoundMachine::expect_now(Slot slot) const {
+  if (core_.current_slot() > num_slots_) {
+    stream_error(round_, "event after the round's last slot_tick");
+  }
+  if (slot.value() != core_.current_slot()) {
+    stream_error(round_, "event names slot " + std::to_string(slot.value()) +
+                             " but the round is inside slot " +
+                             std::to_string(core_.current_slot()));
+  }
 }
 
 bool RoundMachine::apply(const ServeEvent& event) {
@@ -45,8 +62,17 @@ bool RoundMachine::apply(const ServeEvent& event) {
       stream_error(round_, "duplicate round_open");
 
     case ServeEventKind::kTaskArrived:
-      clock_.expect_now(event.slot);
-      platform_.announce_task(event.task, event.task_value);
+      expect_now(event.slot);
+      if (event.task.value() != outcome_.tasks_announced) {
+        stream_error(round_, "task ids must be dense and increasing");
+      }
+      if (event.task_value && (event.task_value->is_negative() ||
+                               *event.task_value >= Money::max())) {
+        stream_error(round_, "task value out of range");
+      }
+      core_.add_task(auction::GreedyCore::Task{
+          event.task, event.task_value.value_or(round_value_),
+          core_.current_slot()});
       ++outcome_.tasks_announced;
       if (capture_) {
         captured_tasks_.push_back(
@@ -55,18 +81,23 @@ bool RoundMachine::apply(const ServeEvent& event) {
       return false;
 
     case ServeEventKind::kBidSubmitted: {
-      clock_.expect_now(event.window.begin());
-      if (event.window.end().value() > clock_.horizon()) {
+      expect_now(event.window.begin());
+      if (event.window.end().value() > num_slots_) {
         stream_error(round_, "bid window extends past the round horizon");
       }
-      if (platform_.has_bid(event.agent)) {
+      if (event.claimed_cost.is_negative()) {
+        stream_error(round_, "claimed cost must be >= 0");
+      }
+      if (!agents_.insert(event.agent.value())) {
         stream_error(round_, "agent " + std::to_string(event.agent.value()) +
                                  " bid twice");
       }
       phone_count_ = std::max(phone_count_,
                               std::int64_t{event.agent.value()} + 1);
-      if (capture_) captured_bids_.emplace_back(event.agent, bid_of(event));
-      if (platform_.submit_bid(event.agent, bid_of(event))) {
+      const model::Bid bid = bid_of(event);
+      if (capture_) captured_bids_.emplace_back(event.agent, bid);
+      if (core_.screen(event.agent.value(), bid)) {
+        (void)core_.admit(event.agent.value(), bid);
         ++outcome_.bids_admitted;
       } else {
         ++outcome_.bids_rejected;  // platform reserve said no
@@ -75,33 +106,34 @@ bool RoundMachine::apply(const ServeEvent& event) {
     }
 
     case ServeEventKind::kSlotTick: {
-      clock_.tick(event.slot);
-      const platform::SlotReport& report = platform_.advance_slot();
-      for (const auto& assignment : report.assignments) {
-        assignments_.push_back(assignment);
+      expect_now(event.slot);
+      const auction::GreedyCore::Step& step = core_.step();
+      for (const auction::GreedyCore::Assignment& assignment :
+           step.assignments) {
+        assignments_.emplace_back(assignment.task.id,
+                                  PhoneId{core_.entry(assignment.winner).id});
       }
-      for (const auto& payment : report.payments) {
-        payments_.push_back(payment);
-      }
-      if (capture_) {
-        auction::GreedySlotRecord& record = captured_slots_.emplace_back();
-        record.slot = report.slot;
-        for (const auto& [task, agent] : report.assignments) {
-          record.winners.push_back(agent);
-        }
-        record.unserved = report.unserved_tasks;
-        record.runner_up = report.runner_up;
+      if (capture_) captured_slots_.push_back(core_.slot_record(step));
+      // Winners whose reported departure is this slot are paid now; losers
+      // leave unpaid.
+      for (const auction::GreedyCore::Handle handle : step.departing) {
+        const auction::GreedyCore::Entry& leaving = core_.entry(handle);
+        if (leaving.win_slot == 0) continue;
+        const auction::Settlement settlement = core_.settle(handle);
+        slots_walked_ += settlement.slots_walked;
+        auction::log_payment_derivation(leaving, settlement);
+        payments_.emplace_back(PhoneId{leaving.id}, settlement.payment);
       }
       return false;
     }
 
     case ServeEventKind::kRoundClose: {
-      if (!clock_.finished()) {
+      if (core_.current_slot() <= num_slots_) {
         stream_error(round_, "round_close before the last slot_tick");
       }
       // Materialize the batch-comparable outcome. Agent ids are dense per
       // the scenario convention, so the bid events seen fix the phone
-      // count; task ids were validated dense by the platform.
+      // count; task ids were checked dense on arrival.
       if (phone_count_ > std::numeric_limits<int>::max()) {
         stream_error(round_, "agent ids exceed the phone count range");
       }
@@ -156,7 +188,7 @@ CapturedRound RoundMachine::take_captured() {
     captured.bids.push_back(bid);
   }
   captured.slots = std::move(captured_slots_);
-  captured.config = platform_.config();
+  captured.config = core_.config();
   return captured;
 }
 

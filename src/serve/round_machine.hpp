@@ -1,33 +1,40 @@
-// Per-round state machine of the streaming engine.
+// Per-round state machine of the streaming engine: the one driver of a
+// served round.
 //
-// A RoundMachine owns one in-flight auction round: it is created by the
-// round_open event and then fed that round's stream in order, translating
-// events into platform::OnlinePlatform calls -- task_arrived becomes
-// announce_task, bid_submitted becomes submit_bid, slot_tick becomes
-// advance_slot. The machine accumulates the assignments and
-// departure-slot payments the platform reports and materializes them as a
-// batch-comparable auction::Outcome at round_close. Because OnlinePlatform
-// is the same state machine the round driver drives, a replayed event
-// stream reproduces the batch OnlineGreedyMechanism outcome byte for byte
-// (the streaming/batch equivalence oracle pins this).
+// A RoundMachine owns one in-flight auction round and the
+// auction::GreedyCore that runs it (the paper's platform of Figs. 1-2). It
+// is created by the round_open event and then fed that round's stream in
+// order: task_arrived becomes GreedyCore::add_task, bid_submitted becomes
+// screen/admit (a bid above the platform reserve is turned away at the
+// door), and slot_tick becomes step() followed by settle() for each winner
+// in the step's `departing` -- so every winner is paid in its reported
+// departure slot, the earliest moment its Algorithm-2 critical value is
+// determined (Section V-C). At round_close the machine materializes the
+// assignments and payments as a batch-comparable auction::Outcome. The
+// batch OnlineGreedyMechanism drives the same core, so a replayed event
+// stream reproduces its outcome byte for byte (the streaming/batch
+// equivalence oracle pins this).
 //
 // The machine is strict about stream well-formedness (untrusted input):
-// events must carry the clock's current slot, every slot must be ticked
-// before round_close, agents may bid once, and ids must be dense.
-// Violations throw InvalidArgumentError / ContractViolation; the engine
-// surfaces them as stream errors.
+// events must name the core's current slot, every slot must be ticked
+// before round_close, bids must end within the round, agents may bid once
+// (admitted or not), task ids must be dense, and values must lie in the
+// batch Scenario's domain (nu >= 0, a task's own value in
+// [0, Money::max())). Violations throw InvalidArgumentError; the engine
+// surfaces them as stream errors. A config with task patience is a
+// ContractViolation: the wire format carries no task deadline.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "auction/greedy_core.hpp"
 #include "auction/online_greedy.hpp"
 #include "auction/outcome.hpp"
+#include "common/flat_id_set.hpp"
 #include "common/money.hpp"
 #include "model/scenario.hpp"
-#include "platform/platform.hpp"
-#include "serve/clock.hpp"
 #include "serve/event.hpp"
 
 namespace mcs::serve {
@@ -77,9 +84,7 @@ class RoundMachine {
 
   /// Slot records read by the round's settlements so far, done or not
   /// (the engine publishes the sum as auction.settlement.slots_walked).
-  [[nodiscard]] std::int64_t slots_walked() const {
-    return platform_.slots_walked();
-  }
+  [[nodiscard]] std::int64_t slots_walked() const { return slots_walked_; }
 
   /// True when capture was on, the round is done, and every dense agent id
   /// actually bid (a stream may legally skip ids; such rounds cannot be
@@ -94,21 +99,25 @@ class RoundMachine {
   [[nodiscard]] CapturedRound take_captured();
 
  private:
+  /// Throws unless the round is still open and inside `slot`.
+  void expect_now(Slot slot) const;
+
   std::int64_t round_;
-  VirtualClock clock_;
-  platform::OnlinePlatform platform_;
+  Slot::rep_type num_slots_;
+  Money round_value_;
+  auction::GreedyCore core_;  ///< its current_slot() is the round's clock
+  FlatIdSet agents_;  ///< agents that bid, for the one-bid rule
   bool done_{false};
   bool capture_{false};
-  Slot::rep_type num_slots_{0};
-  Money round_value_;
+  std::int64_t slots_walked_{0};
 
-  std::vector<std::pair<TaskId, platform::AgentId>> assignments_;
-  std::vector<std::pair<platform::AgentId, Money>> payments_;
+  std::vector<std::pair<TaskId, PhoneId>> assignments_;
+  std::vector<std::pair<PhoneId, Money>> payments_;
   std::int64_t phone_count_{0};  ///< one past the largest agent id that bid
   std::vector<model::Task> captured_tasks_;
   /// Captured bids in arrival order. Nothing here is sized by an agent
   /// id's value: ids are untrusted input.
-  std::vector<std::pair<platform::AgentId, model::Bid>> captured_bids_;
+  std::vector<std::pair<PhoneId, model::Bid>> captured_bids_;
   std::vector<auction::GreedySlotRecord> captured_slots_;
   RoundOutcome outcome_;
 };

@@ -4,9 +4,9 @@
 // for every completed round, the streamed outcome has to reproduce the
 // batch auction::OnlineGreedyMechanism outcome on the regenerated scenario
 // byte for byte -- same task->phone allocation, same exact Money payment
-// per phone. This is the serving-path extension of the round-driver
-// equivalence the platform tests pin, and both the CLI (`serve --verify`)
-// and the test suite run it.
+// per phone. The platform tests pin it round by round on one RoundMachine;
+// this is the engine-wide check (any shard count, loadgen or replayed
+// rounds), and both the CLI (`serve --verify`) and the test suite run it.
 #pragma once
 
 #include <cstdint>

@@ -16,10 +16,10 @@
 #include "auction/critical_value.hpp"
 #include "model/paper_examples.hpp"
 #include "obs/event_log.hpp"
-#include "platform/round_driver.hpp"
 #include "sim/simulator.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/generators.hpp"
+#include "support/served_round.hpp"
 
 namespace mcs {
 namespace {
@@ -288,33 +288,42 @@ TEST(TranscriptAgreement, EveryPaymentIssuedHasADerivationRecord) {
 
     obs::RingEventSink ring(65536);
     obs::EventLog log(&ring);
-    platform::RoundResult result;
+    serve::RoundOutcome served;
     {
       const obs::ScopedEventLog install(&log);
-      result = platform::run_round(scenario, bids);
+      served = test_support::serve_round(scenario, bids);
     }
     const std::vector<obs::Event> events = ring.events();
     ASSERT_EQ(ring.total_appended(), events.size()) << "ring overflowed";
 
-    // The transcript (round_driver) and the derivation records (platform
-    // payment rule) are produced by different layers; they must agree on
-    // phone, slot, and amount for every issued payment.
-    for (const platform::RoundEvent& issued :
-         result.events_of(platform::EventKind::kPaymentIssued)) {
+    // Every winner the served round paid has exactly one derivation record,
+    // in the slot it won and with the amount the outcome carries.
+    std::size_t records = 0;
+    for (const obs::Event& event : events) {
+      if (event.type == "payment_derivation") ++records;
+    }
+    const std::vector<PhoneId> winners = served.outcome.allocation.winners();
+    EXPECT_EQ(records, winners.size());
+    for (const PhoneId winner : winners) {
+      std::int32_t won_in = -1;
+      for (const obs::Event& event : events) {
+        if (event.type == "task_assigned" && event.phone == winner.value()) {
+          won_in = event.slot;
+        }
+      }
       bool matched = false;
       for (const obs::Event& event : events) {
         if (event.type != "payment_derivation") continue;
-        if (event.phone != issued.agent.value()) continue;
-        if (event.slot != static_cast<std::int32_t>(issued.slot.value())) {
-          continue;
-        }
-        EXPECT_EQ(attr_money(event, "payment"), issued.amount);
+        if (event.phone != winner.value()) continue;
+        EXPECT_EQ(event.slot, won_in) << "phone " << winner.value();
+        EXPECT_EQ(attr_money(event, "payment"),
+                  served.outcome.payments[static_cast<std::size_t>(
+                      winner.value())]);
         matched = true;
         break;
       }
       EXPECT_TRUE(matched) << "no payment_derivation record for phone "
-                           << issued.agent.value() << " departing slot "
-                           << issued.slot.value();
+                           << winner.value();
     }
   }
 }

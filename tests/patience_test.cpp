@@ -15,7 +15,8 @@
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
 #include "model/workload.hpp"
-#include "platform/platform.hpp"
+#include "serve/event.hpp"
+#include "serve/round_machine.hpp"
 
 namespace mcs::auction {
 namespace {
@@ -334,9 +335,10 @@ TEST(Patience, CounterfactualEngineRequiresNoPatience) {
                ContractViolation);
 }
 
-TEST(Patience, OnlinePlatformRequiresNoPatience) {
+TEST(Patience, RoundMachineRequiresNoPatience) {
   // The serve wire format carries no task deadline.
-  EXPECT_THROW((void)platform::OnlinePlatform(5, mu(10), patience_config(1)),
+  EXPECT_THROW((void)serve::RoundMachine(serve::round_open(0, 5, mu(10)),
+                                         patience_config(1)),
                ContractViolation);
 }
 

@@ -7,7 +7,7 @@
 // without the winner (the full-replay oracle, support/full_replay.hpp), on
 // every configuration corner -- reserve prices, profitable-only
 // allocation, weighted tasks, supply scarcity, misreports and cost ties --
-// through both the batch mechanism and the slot-by-slot platform. Probes
+// through both the batch mechanism and a served round (RoundMachine). Probes
 // forked from the factual allocation must match full re-runs too, in every
 // config corner.
 #include "auction/counterfactual.hpp"
@@ -29,9 +29,9 @@
 #include "model/strategy.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "platform/round_driver.hpp"
 #include "support/full_replay.hpp"
 #include "support/generators.hpp"
+#include "support/served_round.hpp"
 
 namespace mcs::auction {
 namespace {
@@ -115,12 +115,10 @@ std::vector<obs::Event> payment_derivations(Run&& run) {
 }
 
 /// Checks a run's payment_derivation records against the oracle, winner
-/// by winner. The platform's record names the win slot as an attribute and
-/// carries no set_by_phone; it omits set_in_slot when the scarcity cap set
-/// the payment.
+/// by winner.
 void expect_records_match(const std::vector<obs::Event>& records,
                           const test_support::FullReplay& oracle,
-                          bool platform, const std::string& label) {
+                          const std::string& label) {
   ASSERT_EQ(records.size(), oracle.winners.size()) << label;
   std::map<int, const obs::Event*> by_phone;
   for (const obs::Event& record : records) by_phone[record.phone] = &record;
@@ -131,21 +129,14 @@ void expect_records_match(const std::vector<obs::Event>& records,
     ASSERT_NE(found, by_phone.end()) << where;
     const obs::Event& record = *found->second;
     const Settlement& expected = winner.settlement;
-    const std::int64_t win_slot = winner.win_slot.value();
-    if (platform) {
-      EXPECT_EQ(attr(record, "win_slot"), int_attr(true, win_slot)) << where;
-    } else {
-      EXPECT_EQ(record.slot, win_slot) << where;
-    }
+    EXPECT_EQ(record.slot, winner.win_slot.value()) << where;
     EXPECT_EQ(attr(record, "payment"), Value(expected.payment)) << where;
     const bool setter = expected.setter_phone.has_value();
     EXPECT_EQ(attr(record, "set_by_phone"),
-              int_attr(setter && !platform,
-                       setter ? expected.setter_phone->value() : 0))
+              int_attr(setter, setter ? expected.setter_phone->value() : 0))
         << where;
     EXPECT_EQ(attr(record, "set_in_slot"),
-              int_attr(setter && !(platform && expected.scarce_applied),
-                       expected.setter_slot.value()))
+              int_attr(setter, expected.setter_slot.value()))
         << where;
     EXPECT_EQ(attr(record, "scarce"), Value(expected.scarce)) << where;
     EXPECT_EQ(attr(record, "scarce_cap"),
@@ -158,9 +149,10 @@ void expect_records_match(const std::vector<obs::Event>& records,
 }
 
 /// Core oracle: the walk must agree with the full-replay oracle through
-/// the batch mechanism and, without task patience (which the platform does
-/// not serve), through the slot-by-slot platform -- payments, allocation,
-/// and every winner's setter and scarcity provenance.
+/// the batch mechanism and, without task patience (which a served round
+/// does not carry), through a RoundMachine fed the round's events --
+/// payments, allocation, and every winner's setter and scarcity
+/// provenance.
 void expect_walk_matches_oracle(const Scenario& scenario,
                                 const model::BidProfile& bids,
                                 const OnlineGreedyConfig& config,
@@ -169,26 +161,27 @@ void expect_walk_matches_oracle(const Scenario& scenario,
       test_support::full_replay(scenario, bids, config);
   const auto expect_matches = [&](const Outcome& outcome,
                                   const std::vector<obs::Event>& records,
-                                  bool platform) {
-    const std::string where = label + (platform ? " (platform)" : " (batch)");
+                                  const std::string& driver) {
+    const std::string where = label + " (" + driver + ")";
     EXPECT_EQ(outcome.payments, oracle.payments) << where;
     for (int k = 0; k < scenario.task_count(); ++k) {
       EXPECT_EQ(outcome.allocation.phone_for(TaskId{k}),
                 oracle.allocation.phone_for(TaskId{k}))
           << where << ": task " << k;
     }
-    expect_records_match(records, oracle, platform, where);
+    expect_records_match(records, oracle, where);
   };
 
   Outcome batch;
   const std::vector<obs::Event> batch_records = payment_derivations(
       [&] { batch = OnlineGreedyMechanism(config).run(scenario, bids); });
-  expect_matches(batch, batch_records, false);
+  expect_matches(batch, batch_records, "batch");
   if (config.patience > 0) return;
-  platform::RoundResult served;
-  const std::vector<obs::Event> served_records = payment_derivations(
-      [&] { served = platform::run_round(scenario, bids, config); });
-  expect_matches(served.outcome, served_records, true);
+  Outcome served;
+  const std::vector<obs::Event> served_records = payment_derivations([&] {
+    served = test_support::serve_round(scenario, bids, config).outcome;
+  });
+  expect_matches(served, served_records, "served");
 }
 
 // ------------------------------------------------ walk == naive property

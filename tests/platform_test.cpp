@@ -1,140 +1,214 @@
-// Tests for the incremental platform: protocol-level behavior (message
-// ordering, payment timing at reported departure), and the headline
-// equivalence -- the slot-by-slot platform and the batch
+// Tests for the platform as it serves a round: the stream contract a
+// serve::RoundMachine enforces (arrival in the current slot, dense task
+// ids, one bid per agent, nothing after the last tick), payment timing at
+// the reported departure on auction::GreedyCore, and the headline
+// equivalence -- a round served event by event and the batch
 // OnlineGreedyMechanism must produce identical allocations and payments on
 // the same inputs, across config variants and randomized rounds.
-#include "platform/round_driver.hpp"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "analysis/truthfulness.hpp"
+#include "auction/greedy_core.hpp"
 #include "auction/online_greedy.hpp"
+#include "common/assert.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
 #include "model/workload.hpp"
+#include "serve/event.hpp"
+#include "serve/round_machine.hpp"
+#include "support/served_round.hpp"
 
-namespace mcs::platform {
+namespace mcs::serve {
 namespace {
 
+using test_support::serve_round;
+
 Money mu(std::int64_t units) { return Money::from_units(units); }
+
+model::Bid bid(Slot::rep_type from, Slot::rep_type to, std::int64_t cost) {
+  return model::Bid{SlotInterval::of(from, to), mu(cost)};
+}
 
 // -------------------------------------------------------------- protocol
 
 TEST(Platform, Fig4TranscriptHighlights) {
   const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
+  const RoundOutcome served = serve_round(s, s.truthful_bids());
 
   // One announcement per task, one accepted bid per phone.
-  EXPECT_EQ(result.events_of(EventKind::kTaskAnnounced).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kBidSubmitted).size(), 7u);
-  // Five assignments, each followed by a sensing report.
-  EXPECT_EQ(result.events_of(EventKind::kTaskAssigned).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kSensingReported).size(), 5u);
-  // Five winners paid, two losers depart unpaid.
-  EXPECT_EQ(result.events_of(EventKind::kPaymentIssued).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kDeparted).size(), 2u);
-  EXPECT_TRUE(result.events_of(EventKind::kTaskUnserved).empty());
+  EXPECT_EQ(served.tasks_announced, 5);
+  EXPECT_EQ(served.bids_admitted, 7);
+  EXPECT_EQ(served.bids_rejected, 0);
+  // Every task assigned: five winners, all paid; two losers depart unpaid.
+  for (int t = 0; t < s.task_count(); ++t) {
+    EXPECT_TRUE(served.outcome.allocation.phone_for(TaskId{t}).has_value())
+        << "task " << t;
+  }
+  EXPECT_EQ(served.outcome.allocation.winners().size(), 5u);
+  EXPECT_EQ(std::count_if(served.outcome.payments.begin(),
+                          served.outcome.payments.end(),
+                          [](Money paid) { return !paid.is_zero(); }),
+            5);
+  EXPECT_EQ(served.events_consumed,
+            1 + 5 + 7 + s.num_slots + 1);  // open, tasks, bids, ticks, close
 }
 
 TEST(Platform, PaymentsLandInTheReportedDepartureSlot) {
   // Section V-C: "each smartphone receives its payment in its reported
-  // departure slot."
+  // departure slot." A winner shows up in step().departing exactly in
+  // that slot, and the core refuses to settle it any earlier.
   const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  for (const RoundEvent& event : result.events_of(EventKind::kPaymentIssued)) {
-    const model::TrueProfile& profile = s.phone(event.agent);
-    EXPECT_EQ(event.slot, profile.active.end()) << "phone " << event.agent;
-  }
-  // Phone 0 (wins slot 2, departs slot 5) is the paper's worked example.
-  const auto payments = result.events_of(EventKind::kPaymentIssued);
-  bool found = false;
-  for (const RoundEvent& event : payments) {
-    if (event.agent == AgentId{0}) {
-      EXPECT_EQ(event.slot, Slot{5});
-      EXPECT_EQ(event.amount, mu(9));
-      found = true;
+  const model::BidProfile bids = s.truthful_bids();
+  auction::GreedyCore core;
+  std::map<int, Slot::rep_type> settled_in;  // phone -> slot it was paid
+  std::map<int, Money> paid;
+  std::size_t next_task = 0;
+  for (Slot::rep_type t = 1; t <= s.num_slots; ++t) {
+    for (; next_task < s.tasks.size() && s.tasks[next_task].slot.value() == t;
+         ++next_task) {
+      core.add_task({s.tasks[next_task].id, s.task_value, t});
+    }
+    for (int i = 0; i < s.phone_count(); ++i) {
+      const model::Bid& own = bids[static_cast<std::size_t>(i)];
+      if (own.window.begin().value() == t) (void)core.admit(i, own);
+    }
+    const auction::GreedyCore::Step& step = core.step();
+    for (const auction::GreedyCore::Handle handle : step.departing) {
+      const auction::GreedyCore::Entry& leaving = core.entry(handle);
+      EXPECT_EQ(leaving.bid.window.end().value(), t) << "phone " << leaving.id;
+      if (leaving.win_slot == 0) continue;
+      EXPECT_TRUE(settled_in.emplace(leaving.id, t).second)
+          << "phone " << leaving.id << " departs twice";
+      paid[leaving.id] = core.settle(handle).payment;
+    }
+    // Every winner still in the market is not payable yet.
+    for (const auction::GreedyCore::Handle handle : core.winners()) {
+      const auction::GreedyCore::Entry& won = core.entry(handle);
+      if (won.bid.window.end().value() > t) {
+        EXPECT_THROW((void)core.settle(handle), ContractViolation)
+            << "phone " << won.id << " after slot " << t;
+      }
     }
   }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(settled_in.size(), 5u);
+  for (const auto& [phone, slot] : settled_in) {
+    EXPECT_EQ(slot, s.phone(PhoneId{phone}).active.end().value())
+        << "phone " << phone;
+  }
+  // Phone 0 (wins slot 2, departs slot 5) is the paper's worked example.
+  EXPECT_EQ(settled_in.at(0), 5);
+  EXPECT_EQ(paid.at(0), mu(9));
 }
 
 TEST(Platform, BidSubmissionRules) {
-  OnlinePlatform platform(5, mu(20));
+  RoundMachine machine(round_open(0, 5, mu(20)), {});
   // Arrival must match the current slot.
-  EXPECT_THROW(platform.submit_bid(
-                   AgentId{0}, model::Bid{SlotInterval::of(2, 4), mu(3)}),
-               ContractViolation);
-  EXPECT_TRUE(platform.submit_bid(
-      AgentId{0}, model::Bid{SlotInterval::of(1, 4), mu(3)}));
+  EXPECT_THROW(machine.apply(bid_submitted(0, PhoneId{0}, bid(2, 4, 3))),
+               InvalidArgumentError);
+  EXPECT_FALSE(machine.apply(bid_submitted(0, PhoneId{0}, bid(1, 4, 3))));
   // One bid per agent per round.
-  EXPECT_THROW(platform.submit_bid(
-                   AgentId{0}, model::Bid{SlotInterval::of(1, 2), mu(5)}),
-               ContractViolation);
+  EXPECT_THROW(machine.apply(bid_submitted(0, PhoneId{0}, bid(1, 2, 5))),
+               InvalidArgumentError);
+  // A reported departure past the horizon.
+  EXPECT_THROW(machine.apply(bid_submitted(0, PhoneId{1}, bid(1, 6, 5))),
+               InvalidArgumentError);
 }
 
 TEST(Platform, ReserveRejectsAtTheDoor) {
   auction::OnlineGreedyConfig config;
   config.reserve_price = mu(10);
-  OnlinePlatform platform(3, mu(20), config);
-  EXPECT_FALSE(platform.submit_bid(
-      AgentId{0}, model::Bid{SlotInterval::of(1, 3), mu(11)}));
-  EXPECT_TRUE(platform.submit_bid(
-      AgentId{1}, model::Bid{SlotInterval::of(1, 3), mu(10)}));
+  RoundMachine machine(round_open(0, 3, mu(20)), config);
+  machine.apply(bid_submitted(0, PhoneId{0}, bid(1, 3, 11)));
+  machine.apply(bid_submitted(0, PhoneId{1}, bid(1, 3, 10)));
   // A rejected bid still uses up the agent's one bid for the round.
-  EXPECT_TRUE(platform.has_bid(AgentId{0}));
-  EXPECT_FALSE(platform.has_bid(AgentId{2}));
-  EXPECT_THROW(platform.submit_bid(
-                   AgentId{0}, model::Bid{SlotInterval::of(1, 3), mu(9)}),
-               ContractViolation);
+  EXPECT_THROW(machine.apply(bid_submitted(0, PhoneId{0}, bid(1, 3, 9))),
+               InvalidArgumentError);
+  machine.apply(task_arrived(0, Slot{1}, TaskId{0}));
+  for (Slot::rep_type t = 1; t <= 3; ++t) machine.apply(slot_tick(0, Slot{t}));
+  ASSERT_TRUE(machine.apply(round_close(0)));
+  const RoundOutcome served = machine.take_outcome();
+  EXPECT_EQ(served.bids_rejected, 1);
+  EXPECT_EQ(served.bids_admitted, 1);
+  EXPECT_EQ(served.outcome.allocation.phone_for(TaskId{0}), PhoneId{1});
 }
 
 TEST(Platform, TaskIdsMustBeDense) {
-  OnlinePlatform platform(3, mu(20));
-  platform.announce_task(TaskId{0});
-  EXPECT_THROW(platform.announce_task(TaskId{2}), ContractViolation);
+  RoundMachine machine(round_open(0, 3, mu(20)), {});
+  EXPECT_THROW(machine.apply(task_arrived(0, Slot{1}, TaskId{1})),
+               InvalidArgumentError);
+  machine.apply(task_arrived(0, Slot{1}, TaskId{0}));
+  EXPECT_THROW(machine.apply(task_arrived(0, Slot{1}, TaskId{2})),
+               InvalidArgumentError);
+  EXPECT_THROW(machine.apply(task_arrived(0, Slot{1}, TaskId{0})),
+               InvalidArgumentError);
 }
 
 TEST(Platform, FinishedRoundRejectsFurtherInput) {
-  OnlinePlatform platform(1, mu(20));
-  platform.advance_slot();
-  EXPECT_TRUE(platform.finished());
-  EXPECT_THROW(platform.announce_task(TaskId{0}), ContractViolation);
-  EXPECT_THROW(platform.advance_slot(), ContractViolation);
+  RoundMachine machine(round_open(0, 1, mu(20)), {});
+  EXPECT_THROW(machine.apply(round_close(0)), InvalidArgumentError);
+  EXPECT_FALSE(machine.apply(slot_tick(0, Slot{1})));
+  EXPECT_THROW(machine.apply(task_arrived(0, Slot{1}, TaskId{0})),
+               InvalidArgumentError);
+  EXPECT_THROW(machine.apply(bid_submitted(0, PhoneId{0}, bid(1, 1, 3))),
+               InvalidArgumentError);
+  EXPECT_THROW(machine.apply(slot_tick(0, Slot{1})), InvalidArgumentError);
+  EXPECT_THROW(machine.apply(slot_tick(0, Slot{2})), InvalidArgumentError);
+  EXPECT_TRUE(machine.apply(round_close(0)));
+  EXPECT_THROW(machine.apply(slot_tick(0, Slot{2})), InvalidArgumentError);
 }
 
 TEST(Platform, UnservedTaskExpires) {
-  OnlinePlatform platform(2, mu(20));
-  platform.announce_task(TaskId{0});
-  const SlotReport report = platform.advance_slot();
-  ASSERT_EQ(report.unserved_tasks.size(), 1u);
-  EXPECT_EQ(report.unserved_tasks[0], TaskId{0});
-  EXPECT_TRUE(report.assignments.empty());
+  RoundMachine machine(round_open(0, 2, mu(20)), {}, /*capture=*/true);
+  machine.apply(task_arrived(0, Slot{1}, TaskId{0}));
+  machine.apply(slot_tick(0, Slot{1}));
+  machine.apply(bid_submitted(0, PhoneId{0}, bid(2, 2, 3)));
+  machine.apply(slot_tick(0, Slot{2}));
+  ASSERT_TRUE(machine.apply(round_close(0)));
+  ASSERT_TRUE(machine.capture_complete());
+  const CapturedRound captured = machine.take_captured();
+  ASSERT_EQ(captured.slots.size(), 2u);
+  ASSERT_EQ(captured.slots[0].unserved.size(), 1u);
+  EXPECT_EQ(captured.slots[0].unserved[0], TaskId{0});
+  EXPECT_TRUE(captured.slots[0].winners.empty());
+  // The phone that joins a slot later finds no task waiting.
+  EXPECT_TRUE(captured.slots[1].winners.empty());
+  const RoundOutcome served = machine.take_outcome();
+  EXPECT_FALSE(served.outcome.allocation.phone_for(TaskId{0}).has_value());
+  EXPECT_EQ(served.total_paid, Money{});
 }
 
 TEST(Platform, TotalPaidAccumulates) {
   const model::Scenario s = model::fig4_scenario();
-  OnlinePlatform platform(5, s.task_value);
-  std::size_t cursor = 0;
+  const RoundOutcome served = serve_round(s, s.truthful_bids());
   Money total;
-  for (Slot::rep_type t = 1; t <= 5; ++t) {
-    while (cursor < s.tasks.size() && s.tasks[cursor].slot.value() == t) {
-      platform.announce_task(s.tasks[cursor].id);
-      ++cursor;
-    }
-    for (int i = 0; i < s.phone_count(); ++i) {
-      if (s.phone(PhoneId{i}).active.begin().value() == t) {
-        platform.submit_bid(AgentId{i},
-                            model::truthful_bid(s.phone(PhoneId{i})));
-      }
-    }
-    for (const auto& [agent, payment] : platform.advance_slot().payments) {
-      total += payment;
-    }
-  }
-  EXPECT_EQ(platform.total_paid(), total);
+  for (const Money payment : served.outcome.payments) total += payment;
+  EXPECT_EQ(served.total_paid, total);
   EXPECT_EQ(total, mu(50));  // the hand-computed Fig. 4 total
+}
+
+TEST(RoundMachine, RejectsValuesTheBatchScenarioRejects) {
+  // Scenario::validate requires nu >= 0 and each task's own value in
+  // [0, Money::max()); a served round holds the stream to the same domain.
+  EXPECT_THROW(RoundMachine(round_open(0, 2, mu(-7)), {}),
+               InvalidArgumentError);
+  for (const Money bad : {Money::max(), mu(-7)}) {
+    RoundMachine machine(round_open(0, 2, mu(20)), {});
+    EXPECT_THROW(machine.apply(task_arrived(0, Slot{1}, TaskId{0}, bad)),
+                 InvalidArgumentError)
+        << bad;
+  }
+  RoundMachine machine(round_open(0, 1, Money{}), {});
+  machine.apply(task_arrived(0, Slot{1}, TaskId{0}, Money{}));
+  machine.apply(task_arrived(
+      0, Slot{1}, TaskId{1}, Money::max() - Money::from_micros(1)));
+  machine.apply(slot_tick(0, Slot{1}));
+  EXPECT_TRUE(machine.apply(round_close(0)));
+  EXPECT_EQ(machine.take_outcome().tasks_announced, 2);
 }
 
 // ------------------------------------------------------------ equivalence
@@ -180,15 +254,14 @@ TEST_P(PlatformEquivalence, MatchesBatchMechanismExactly) {
 
   const auction::Outcome batch =
       auction::OnlineGreedyMechanism(config).run(scenario, bids);
-  const RoundResult incremental = run_round(scenario, bids, config);
+  const auction::Outcome served = serve_round(scenario, bids, config).outcome;
 
   for (int t = 0; t < scenario.task_count(); ++t) {
-    ASSERT_EQ(incremental.outcome.allocation.phone_for(TaskId{t}),
+    ASSERT_EQ(served.allocation.phone_for(TaskId{t}),
               batch.allocation.phone_for(TaskId{t}))
         << "task " << t << " config " << config_id;
   }
-  ASSERT_EQ(incremental.outcome.payments, batch.payments)
-      << "config " << config_id;
+  ASSERT_EQ(served.payments, batch.payments) << "config " << config_id;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,10 +287,10 @@ TEST(Platform, EquivalenceOnWeightedTasks) {
 
   const auction::Outcome batch =
       auction::OnlineGreedyMechanism{}.run(scenario, bids);
-  const RoundResult incremental = run_round(scenario, bids);
-  EXPECT_EQ(incremental.outcome.payments, batch.payments);
+  const auction::Outcome served = serve_round(scenario, bids).outcome;
+  EXPECT_EQ(served.payments, batch.payments);
   for (int t = 0; t < scenario.task_count(); ++t) {
-    EXPECT_EQ(incremental.outcome.allocation.phone_for(TaskId{t}),
+    EXPECT_EQ(served.allocation.phone_for(TaskId{t}),
               batch.allocation.phone_for(TaskId{t}));
   }
 }
@@ -230,116 +303,32 @@ TEST(Platform, EquivalenceUnderMisreports) {
       s.truthful_bids(), PhoneId{0}, model::fig5_delayed_bid_phone1());
   const auction::Outcome batch =
       auction::OnlineGreedyMechanism{}.run(s, bids);
-  const RoundResult incremental = run_round(s, bids);
-  EXPECT_EQ(incremental.outcome.payments, batch.payments);
+  EXPECT_EQ(serve_round(s, bids).outcome.payments, batch.payments);
 }
 
 TEST(Platform, DeployablePathIsItselfTruthful) {
-  // Belt and braces: run the exhaustive deviation audit THROUGH the
-  // incremental platform (not the batch mechanism it is equivalent to), by
-  // adapting run_round to the Mechanism interface. Catches any future
-  // drift between the two implementations at the incentive level.
-  class PlatformAdapter final : public auction::Mechanism {
+  // Belt and braces: run the exhaustive deviation audit THROUGH the served
+  // path (not the batch mechanism it is equivalent to), by adapting a
+  // RoundMachine fed round_events to the Mechanism interface. Catches any
+  // future drift between the two drivers at the incentive level.
+  class ServedAdapter final : public auction::Mechanism {
    public:
     [[nodiscard]] auction::Outcome run(
         const model::Scenario& scenario,
         const model::BidProfile& bids) const override {
-      return run_round(scenario, bids).outcome;
+      return serve_round(scenario, bids).outcome;
     }
     [[nodiscard]] std::string name() const override {
-      return "online-platform";
+      return "served-round";
     }
   };
 
   const model::Scenario s = model::fig4_scenario();
-  const PlatformAdapter platform_mechanism;
+  const ServedAdapter served_mechanism;
   const analysis::TruthfulnessReport report =
-      analysis::audit_truthfulness(platform_mechanism, s);
+      analysis::audit_truthfulness(served_mechanism, s);
   EXPECT_TRUE(report.truthful()) << report.summary();
 }
 
-TEST(Platform, EventStreamOrderingWithinSlot) {
-  // Within a slot: announcements, then bids, then assignments/reports,
-  // then settlements.
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  const auto rank = [](EventKind kind) {
-    switch (kind) {
-      case EventKind::kTaskAnnounced:
-        return 0;
-      case EventKind::kBidSubmitted:
-        return 1;
-      case EventKind::kTaskAssigned:
-      case EventKind::kSensingReported:
-      case EventKind::kTaskUnserved:
-        return 2;
-      default:
-        return 3;
-    }
-  };
-  for (std::size_t k = 1; k < result.transcript.size(); ++k) {
-    const RoundEvent& prev = result.transcript[k - 1];
-    const RoundEvent& cur = result.transcript[k];
-    ASSERT_LE(prev.slot.value(), cur.slot.value());
-    if (prev.slot == cur.slot) {
-      ASSERT_LE(rank(prev.kind), rank(cur.kind))
-          << prev << " before " << cur;
-    }
-  }
-}
-
-// ---------------------------------------------------- events_of view
-
-TEST(RoundEventView, BorrowsTheTranscriptInsteadOfCopying) {
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  // Every element the view yields lives inside result.transcript -- the
-  // view filters in place, it does not materialize a copy.
-  const RoundEvent* const first = result.transcript.data();
-  const RoundEvent* const last = first + result.transcript.size();
-  std::size_t seen = 0;
-  for (const RoundEvent& event : result.events_of(EventKind::kPaymentIssued)) {
-    EXPECT_GE(&event, first);
-    EXPECT_LT(&event, last);
-    ++seen;
-  }
-  EXPECT_EQ(seen, result.events_of(EventKind::kPaymentIssued).size());
-}
-
-TEST(RoundEventView, MatchesAManualFilterInOrder) {
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  for (const EventKind kind :
-       {EventKind::kTaskAnnounced, EventKind::kBidSubmitted,
-        EventKind::kTaskAssigned, EventKind::kTaskUnserved,
-        EventKind::kPaymentIssued, EventKind::kDeparted}) {
-    std::vector<const RoundEvent*> manual;
-    for (const RoundEvent& event : result.transcript) {
-      if (event.kind == kind) manual.push_back(&event);
-    }
-    const RoundEventView view = result.events_of(kind);
-    EXPECT_EQ(view.size(), manual.size());
-    EXPECT_EQ(view.empty(), manual.empty());
-    std::size_t k = 0;
-    for (const RoundEvent& event : view) {
-      ASSERT_LT(k, manual.size());
-      EXPECT_EQ(&event, manual[k]) << "kind mismatch or order broken";
-      ++k;
-    }
-    EXPECT_EQ(k, manual.size());
-    if (!manual.empty()) {
-      EXPECT_EQ(&view.front(), manual.front());
-    }
-  }
-}
-
-TEST(RoundEventView, EmptyViewIteratesZeroTimes) {
-  const RoundResult result;  // empty transcript
-  const RoundEventView view = result.events_of(EventKind::kTaskAssigned);
-  EXPECT_TRUE(view.empty());
-  EXPECT_EQ(view.size(), 0u);
-  EXPECT_EQ(view.begin(), view.end());
-}
-
 }  // namespace
-}  // namespace mcs::platform
+}  // namespace mcs::serve

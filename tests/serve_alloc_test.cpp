@@ -57,8 +57,8 @@ TEST(ServeAlloc, HeapAllocationsPerAdmittedBidStayUnderHalf) {
   std::cout << "[ alloc ] " << allocations << " heap allocations over "
             << admitted << " admitted bids in " << rounds
             << " rounds: " << per_bid << " per bid\n";
-  // Everything a round allocates counts: the machine, its platform and
-  // core, the outcome. A heap node per pooled bid or per admitted agent
+  // Everything a round allocates counts: the machine, its core, the
+  // outcome. A heap node per pooled bid or per admitted agent
   // alone would put this above 1.
   EXPECT_LT(per_bid, 0.5);
 }

@@ -473,6 +473,55 @@ TEST(ServeEngine, BlockPolicyFailsOnAgentIdBeyondThePhoneRange) {
   }
 }
 
+TEST(ServeEngine, OutOfDomainValuesAreStreamErrors) {
+  // Values the batch Scenario rejects -- a negative round value nu, a task
+  // value of Money::max() or below zero -- fail the stream under kBlock
+  // and are one corrupted round, beside a normal one that completes, under
+  // kReject.
+  const model::Bid bid{SlotInterval::of(1, 2), Money::from_units(3)};
+  const auto craft = [](int which) -> std::vector<ServeEvent> {
+    if (which == 0) return {round_open(0, 2, Money::from_units(-7))};
+    const Money value = which == 1 ? Money::max() : Money::from_units(-7);
+    return {round_open(0, 2, Money::from_units(10)),
+            task_arrived(0, Slot{1}, TaskId{0}, value)};
+  };
+  for (int which = 0; which < 3; ++which) {
+    for (const ServeConfig::Admission admission :
+         {ServeConfig::Admission::kBlock, ServeConfig::Admission::kReject}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "case " << which << ", admission "
+                   << (admission == ServeConfig::Admission::kBlock
+                           ? "block"
+                           : "reject"));
+      ServeConfig config;
+      config.admission = admission;
+      ServeEngine engine(config);
+      for (const ServeEvent& event : craft(which)) engine.submit(event);
+      engine.submit(bid_submitted(0, PhoneId{0}, bid));
+      engine.submit(slot_tick(0, Slot{1}));
+      engine.submit(slot_tick(0, Slot{2}));
+      engine.submit(round_close(0));
+      engine.submit(round_open(1, 2, Money::from_units(10)));
+      engine.submit(task_arrived(1, Slot{1}, TaskId{0}));
+      engine.submit(bid_submitted(1, PhoneId{0}, bid));
+      engine.submit(slot_tick(1, Slot{1}));
+      engine.submit(slot_tick(1, Slot{2}));
+      engine.submit(round_close(1));
+      if (admission == ServeConfig::Admission::kBlock) {
+        EXPECT_THROW(engine.drain(), InvalidArgumentError);
+        continue;
+      }
+      engine.drain();
+      EXPECT_EQ(engine.stats().rounds_corrupted, 1);
+      EXPECT_EQ(engine.stats().rounds_completed, 1);
+      const std::vector<RoundOutcome> outcomes = engine.take_outcomes();
+      ASSERT_EQ(outcomes.size(), 1u);
+      EXPECT_EQ(outcomes[0].round, 1);
+      EXPECT_EQ(outcomes[0].total_paid, Money::from_units(10));
+    }
+  }
+}
+
 // ------------------------------------------------------ drain semantics
 
 TEST(ServeEngine, DrainIsIdempotentAndStopsAdmission) {
