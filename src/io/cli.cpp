@@ -132,6 +132,13 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   return parse_int(name, find(name, Kind::kInt).value);
 }
 
+void CliParser::throw_out_of_range(const std::string& name,
+                                   std::int64_t value, const std::string& min,
+                                   const std::string& max) {
+  throw InvalidArgumentError("flag --" + name + " must be in [" + min + ", " +
+                             max + "], got " + std::to_string(value));
+}
+
 double CliParser::get_double(const std::string& name) const {
   return parse_double(name, find(name, Kind::kDouble).value);
 }

@@ -9,10 +9,13 @@
 // strict: unknown flags are an error (catches typos in scripted runs).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcs::io {
@@ -38,6 +41,18 @@ class CliParser {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// get_int narrowed to T. A value outside [min, max] throws
+  /// InvalidArgumentError naming the flag instead of wrapping.
+  template <std::integral T>
+  [[nodiscard]] T get_int_in(const std::string& name, T min,
+                             T max = std::numeric_limits<T>::max()) const {
+    const std::int64_t value = get_int(name);
+    if (std::cmp_less(value, min) || std::cmp_greater(value, max)) {
+      throw_out_of_range(name, value, std::to_string(min),
+                         std::to_string(max));
+    }
+    return static_cast<T>(value);
+  }
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_switch(const std::string& name) const;
 
@@ -56,6 +71,10 @@ class CliParser {
   };
 
   const Flag& find(const std::string& name, Kind kind) const;
+  [[noreturn]] static void throw_out_of_range(const std::string& name,
+                                              std::int64_t value,
+                                              const std::string& min,
+                                              const std::string& max);
 
   std::string summary_;
   std::map<std::string, Flag> flags_;

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -210,7 +211,7 @@ int cmd_generate(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   model::WorkloadConfig workload;
-  workload.num_slots = static_cast<Slot::rep_type>(cli.get_int("slots"));
+  workload.num_slots = cli.get_int_in<Slot::rep_type>("slots", 1);
   workload.phone_arrival_rate = cli.get_double("lambda");
   workload.task_arrival_rate = cli.get_double("lambda-t");
   workload.mean_cost = cli.get_double("mean-cost");
@@ -379,7 +380,7 @@ int cmd_report(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimulationConfig base;
-  base.repetitions = static_cast<int>(cli.get_int("reps"));
+  base.repetitions = cli.get_int_in<int>("reps", 1);
   base.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const int figures = sim::write_html_report(cli.get_string("out"), base);
   std::cout << "wrote " << figures << " figures to " << cli.get_string("out")
@@ -403,7 +404,7 @@ int cmd_figure(int argc, const char* const* argv) {
 
   const sim::FigureSpec& spec = sim::figure(cli.get_string("id"));
   sim::SimulationConfig base;
-  base.repetitions = static_cast<int>(cli.get_int("reps"));
+  base.repetitions = cli.get_int_in<int>("reps", 1);
   base.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   CliTelemetry telemetry(cli.get_string("metrics-out"),
@@ -745,9 +746,8 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   serve::ServeConfig config;
-  config.shards = static_cast<int>(cli.get_int("shards"));
-  config.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
+  config.shards = cli.get_int_in<int>("shards", 1);
+  config.queue_capacity = cli.get_int_in<std::size_t>("queue-depth", 1);
   const std::string admission = cli.get_string("admission");
   if (admission == "block") {
     config.admission = serve::ServeConfig::Admission::kBlock;
@@ -769,7 +769,7 @@ int cmd_serve(int argc, const char* const* argv) {
   serve::LoadGenConfig load;
   load.rounds = cli.get_int("rounds");
   load.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  load.workload.num_slots = static_cast<Slot::rep_type>(cli.get_int("slots"));
+  load.workload.num_slots = cli.get_int_in<Slot::rep_type>("slots", 1);
   load.workload.phone_arrival_rate = cli.get_double("lambda");
   load.workload.task_arrival_rate = cli.get_double("lambda-t");
 
@@ -824,7 +824,8 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!econ_path.empty() || !econ_prom_path.empty() ||
       !econ_events_path.empty()) {
     serve::EconTelemetryConfig econ_config;
-    econ_config.probe_every = cli.get_int("econ-probe-every");
+    econ_config.probe_every =
+        cli.get_int_in<std::int64_t>("econ-probe-every", 0);
     econ_config.probe_seed =
         static_cast<std::uint64_t>(cli.get_int("econ-probe-seed"));
     if (!econ_events_path.empty()) {
@@ -850,9 +851,12 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!trace_jsonl_path.empty() || !trace_chrome_path.empty()) {
     serve::TracePlaneConfig trace_config;
     trace_config.ring_capacity =
-        static_cast<std::size_t>(cli.get_int("trace-capacity"));
+        cli.get_int_in<std::size_t>("trace-capacity", 1);
+    // The threshold is written to the trace header as int64 nanoseconds.
     trace_config.slow_threshold_ns =
-        static_cast<std::uint64_t>(cli.get_int("trace-threshold-us")) *
+        cli.get_int_in<std::uint64_t>(
+            "trace-threshold-us", 0,
+            std::numeric_limits<std::int64_t>::max() / 1000) *
         1000ULL;
     trace_plane = std::make_unique<serve::TracePlane>(trace_config);
     config.trace = trace_plane.get();
@@ -1137,8 +1141,7 @@ int cmd_econ_report(int argc, const char* const* argv) {
     serve::LoadGenConfig load;
     load.rounds = cli.get_int("rounds");
     load.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    load.workload.num_slots =
-        static_cast<Slot::rep_type>(cli.get_int("slots"));
+    load.workload.num_slots = cli.get_int_in<Slot::rep_type>("slots", 1);
     load.workload.phone_arrival_rate = cli.get_double("lambda");
     load.workload.task_arrival_rate = cli.get_double("lambda-t");
     const analysis::ScenarioGenerator generator =
@@ -1189,6 +1192,7 @@ int cmd_trace_report(int argc, const char* const* argv) {
   cli.add_string("from", positional, "mcs.trace.v1 JSONL stream to digest");
   cli.add_int("top", 5, "slowest retained rounds to render");
   if (!cli.parse(argc, argv)) return 0;
+  const int top = cli.get_int_in<int>("top", 0);
 
   const std::string path = cli.get_string("from");
   if (path.empty()) {
@@ -1199,8 +1203,7 @@ int cmd_trace_report(int argc, const char* const* argv) {
   if (!stream) throw IoError("cannot open trace stream: " + path);
   const analysis::TraceStreamSummary summary =
       analysis::summarize_trace_stream(stream);
-  analysis::render_trace_report(std::cout, summary,
-                                static_cast<int>(cli.get_int("top")));
+  analysis::render_trace_report(std::cout, summary, top);
   return 0;
 }
 
@@ -1214,6 +1217,7 @@ int cmd_explain(int argc, const char* const* argv) {
   cli.add_string("file", positional, "events.jsonl decision log");
   cli.add_int("phone", 0, "phone id to explain");
   if (!cli.parse(argc, argv)) return 0;
+  const int phone = cli.get_int_in<int>("phone", 0);
 
   const std::string path = cli.get_string("file");
   if (path.empty()) {
@@ -1222,8 +1226,7 @@ int cmd_explain(int argc, const char* const* argv) {
   }
   std::ifstream events(path);
   if (!events) throw IoError("cannot open events file: " + path);
-  std::cout << analysis::explain_phone(events,
-                                       static_cast<int>(cli.get_int("phone")));
+  std::cout << analysis::explain_phone(events, phone);
   return 0;
 }
 
@@ -1265,11 +1268,11 @@ int cmd_arena(int argc, const char* const* argv) {
 
   arena::ArenaConfig config;
   config.rounds = cli.get_int("rounds");
-  config.threads = static_cast<int>(cli.get_int("threads"));
+  config.threads = cli.get_int_in<int>("threads", 0);
   config.match.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.match.probes_per_policy = cli.get_int("probes");
   config.match.workload.num_slots =
-      static_cast<Slot::rep_type>(cli.get_int("slots"));
+      cli.get_int_in<Slot::rep_type>("slots", 1);
   config.match.workload.phone_arrival_rate = cli.get_double("lambda");
   config.match.workload.task_arrival_rate = cli.get_double("lambda-t");
   if (cli.get_double("reserve") > 0.0) {

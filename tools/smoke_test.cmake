@@ -15,6 +15,40 @@ function(run_cli)
   endif()
 endfunction()
 
+# Integer flags are range-checked: a value that would narrow or wrap is
+# an error naming the flag (exit 1), never a silently different run.
+function(expect_flag_error flag)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "flag --${flag} must be in")
+    message(FATAL_ERROR "mcs_cli ${ARGN}: want exit 1 naming --${flag}, "
+                        "got (${code}):\n${out}\n${err}")
+  endif()
+endfunction()
+
+expect_flag_error(shards serve --rounds 1 --shards 4294967297)
+expect_flag_error(slots serve --rounds 1 --slots 4294967346)
+expect_flag_error(queue-depth serve --rounds 1 --queue-depth -1)
+expect_flag_error(trace-threshold-us serve --rounds 1
+                  --trace-jsonl ${WORKDIR}/cli_smoke_flag.jsonl
+                  --trace-threshold-us -1)
+expect_flag_error(trace-capacity serve --rounds 1
+                  --trace-jsonl ${WORKDIR}/cli_smoke_flag.jsonl
+                  --trace-capacity -1)
+expect_flag_error(econ-probe-every serve --rounds 1
+                  --econ-out ${WORKDIR}/cli_smoke_flag.jsonl
+                  --econ-probe-every -3)
+expect_flag_error(slots generate --out ${SCENARIO} --slots 4294967346)
+expect_flag_error(reps figure --id fig7 --reps 4294967298)
+expect_flag_error(threads arena --rounds 1 --threads 4294967297)
+expect_flag_error(top trace-report ${WORKDIR}/cli_smoke_flag.jsonl --top -1)
+expect_flag_error(phone explain ${WORKDIR}/cli_smoke_flag.jsonl
+                  --phone 4294967296)
+file(REMOVE ${WORKDIR}/cli_smoke_flag.jsonl)
+
 run_cli(generate --out ${SCENARIO} --slots 8 --lambda 3 --lambda-t 1.5
         --mean-cost 10 --value 25 --seed 7)
 if(NOT EXISTS ${SCENARIO})
