@@ -3,22 +3,9 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace mcs::obs {
-
-namespace {
-
-// Same finalizer family the engine uses for shard_of_round, so a trace id
-// is a pure function of the round id: replaying the same stream yields
-// the same ids regardless of shard count or wall-clock.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::string_view to_string(TracePhase phase) {
   switch (phase) {
@@ -66,7 +53,10 @@ std::string_view to_string(TraceStatus status) {
 }
 
 std::uint64_t trace_id_of(std::int64_t round) {
-  return splitmix64(static_cast<std::uint64_t>(round));
+  // The finalizer the engine's shard router uses, so a trace id is a pure
+  // function of the round id: replaying the same stream yields the same
+  // ids regardless of shard count or wall-clock.
+  return SplitMix64(static_cast<std::uint64_t>(round)).next();
 }
 
 std::string format_trace_id(std::uint64_t trace_id) {

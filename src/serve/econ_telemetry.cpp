@@ -13,6 +13,7 @@
 #include "auction/online_greedy.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -26,22 +27,13 @@ namespace {
 constexpr int kVcgMaxPhones = 12;
 constexpr int kVcgMaxTasks = 12;
 
-/// Same mixer the engine's shard router uses; duplicated locally so the
-/// probe sampler cannot drift if the router ever changes.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 bool econ_probe_sampled(std::int64_t round, std::int64_t probe_every,
                         std::uint64_t probe_seed) {
   if (probe_every <= 0) return false;
   const std::uint64_t mixed =
-      splitmix64(static_cast<std::uint64_t>(round) ^ probe_seed);
+      SplitMix64(static_cast<std::uint64_t>(round) ^ probe_seed).next();
   return mixed % static_cast<std::uint64_t>(probe_every) == 0;
 }
 

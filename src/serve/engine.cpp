@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/wallclock.hpp"
 #include "serve/econ_telemetry.hpp"
 #include "serve/telemetry.hpp"
@@ -60,11 +61,7 @@ std::string_view to_string(SubmitStatus status) {
 int shard_of_round(std::int64_t round, int shards) {
   // splitmix64 finalizer: deterministic and well-mixed regardless of the
   // platform's std::hash.
-  auto x = static_cast<std::uint64_t>(round);
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  x ^= x >> 31;
+  const std::uint64_t x = SplitMix64(static_cast<std::uint64_t>(round)).next();
   return static_cast<int>(x % static_cast<std::uint64_t>(shards));
 }
 

@@ -8,10 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "obs/round_trace.hpp"
+#include "serve/econ_telemetry.hpp"
+#include "serve/engine.hpp"
 
 namespace mcs {
 namespace {
@@ -232,6 +236,50 @@ TEST(DiscreteSampler, RejectsBadWeights) {
   EXPECT_THROW(DiscreteSampler({}), ContractViolation);
   EXPECT_THROW(DiscreteSampler({0.0, 0.0}), ContractViolation);
   EXPECT_THROW(DiscreteSampler({-1.0, 2.0}), ContractViolation);
+}
+
+// The shard router, the econ probe sampler and the trace id all hash a
+// round id with SplitMix64::next(). These outputs are pinned, so none of
+// the three can drift: a change moves rounds between shards, changes
+// which rounds the econ plane deep-probes, or renames recorded traces.
+TEST(SplitMix64, RoundHashesArePinned) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Pin {
+    std::int64_t round;
+    std::uint64_t trace_id;
+    int shard_of_3, shard_of_4, shard_of_7;
+  };
+  const std::vector<Pin> pins = {
+      {0, 0xe220a8397b1dcdafULL, 1, 3, 2},
+      {1, 0x910a2dec89025cc1ULL, 2, 1, 2},
+      {7, 0x63cbe1e459320dd7ULL, 0, 3, 2},
+      {42, 0xbdd732262feb6e95ULL, 1, 1, 5},
+      {1000, 0x3c1eba8b4dccc148ULL, 1, 0, 0},
+      {-1, 0xe4d971771b652c20ULL, 2, 0, 0},
+      {kMin, 0x481ec0a212a9f3dbULL, 1, 3, 6},
+      {kMax, 0x2a67d7552e039ea7ULL, 0, 3, 2},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(obs::trace_id_of(pin.round), pin.trace_id) << pin.round;
+    EXPECT_EQ(serve::shard_of_round(pin.round, 3), pin.shard_of_3);
+    EXPECT_EQ(serve::shard_of_round(pin.round, 4), pin.shard_of_4);
+    EXPECT_EQ(serve::shard_of_round(pin.round, 7), pin.shard_of_7);
+  }
+
+  const auto sampled = [](std::int64_t rounds, std::int64_t every,
+                          std::uint64_t seed) {
+    std::vector<std::int64_t> out;
+    for (std::int64_t round = 0; round < rounds; ++round) {
+      if (serve::econ_probe_sampled(round, every, seed)) out.push_back(round);
+    }
+    return out;
+  };
+  EXPECT_EQ(sampled(200, 16, 0),
+            (std::vector<std::int64_t>{6, 29, 38, 103, 131, 149, 155, 160,
+                                       164, 175}));
+  EXPECT_EQ(sampled(40, 4, 99),
+            (std::vector<std::int64_t>{4, 5, 7, 8, 15, 16, 18, 25, 28, 32}));
 }
 
 }  // namespace
