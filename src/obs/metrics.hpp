@@ -8,11 +8,11 @@
 //     been installed for the current thread (ScopedRegistry); the fast path
 //     of every helper is one thread-local load and a branch, so hot loops
 //     (Hungarian relabels, SPFA pops) can instrument unconditionally.
-//  2. Deterministic parallel reduction. Each simulate_parallel worker
-//     records into its own registry; merge() is associative and
+//  2. Deterministic parallel reduction. Each arena worker and each serve
+//     shard records into its own registry; merge() is associative and
 //     commutative for counters and histograms (sums), so the reduced
 //     counters are identical to a single-threaded run over the same
-//     repetitions -- the same identity RunningStats::merge guarantees.
+//     work.
 //  3. Thread safety anyway. A registry may be shared (the CLI installs one
 //     registry for the whole process lifetime), so individual instruments
 //     are safe for concurrent recording.

@@ -68,11 +68,9 @@ HealthState worse(HealthState a, HealthState b) {
 }
 
 HealthState classify_health(const std::deque<WindowStats>& windows,
-                            std::int64_t queue_capacity,
-                            const HealthConfig& config) {
+                            std::int64_t queue_capacity) {
   if (windows.empty()) return HealthState::kHealthy;
-  const std::size_t dwell =
-      static_cast<std::size_t>(std::max(config.dwell_windows, 1));
+  constexpr std::size_t dwell = kHealthDwellWindows;
 
   if (windows.size() >= dwell) {
     bool stalled = true;
@@ -86,12 +84,12 @@ HealthState classify_health(const std::deque<WindowStats>& windows,
     if (stalled) return HealthState::kStalled;
   }
 
-  if (windows.back().reject_rate > config.shed_reject_rate) {
+  if (windows.back().reject_rate > kShedRejectRate) {
     return HealthState::kShedding;
   }
 
   if (windows.size() >= dwell && queue_capacity > 0) {
-    const double threshold = config.saturated_queue_fraction *
+    const double threshold = kSaturatedQueueFraction *
                              static_cast<double>(queue_capacity);
     bool saturated = true;
     for (std::size_t i = windows.size() - dwell; i < windows.size(); ++i) {

@@ -18,6 +18,7 @@
 // deterministic counter plane that bench-diff gates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string_view>
@@ -112,22 +113,19 @@ enum class HealthState {
 /// then stalled).
 [[nodiscard]] HealthState worse(HealthState a, HealthState b);
 
-struct HealthConfig {
-  /// A window whose reject_rate exceeds this is shedding.
-  double shed_reject_rate = 0.01;
-  /// A window whose watermark reaches this fraction of queue capacity
-  /// counts toward saturation dwell.
-  double saturated_queue_fraction = 0.5;
-  /// Consecutive qualifying windows before saturated/stalled is declared
-  /// (one noisy window is not an incident).
-  int dwell_windows = 2;
-};
+/// A window whose reject_rate exceeds this is shedding.
+inline constexpr double kShedRejectRate = 0.01;
+/// A window whose watermark reaches this fraction of queue capacity counts
+/// toward saturation dwell.
+inline constexpr double kSaturatedQueueFraction = 0.5;
+/// Consecutive qualifying windows before saturated/stalled is declared
+/// (one noisy window is not an incident).
+inline constexpr std::size_t kHealthDwellWindows = 2;
 
 /// Classifies the newest windows of one lane. Stalled takes precedence
-/// over shedding over saturated; with fewer than dwell_windows windows
-/// only shedding can be declared.
+/// over shedding over saturated; with fewer than kHealthDwellWindows
+/// windows only shedding can be declared.
 [[nodiscard]] HealthState classify_health(
-    const std::deque<WindowStats>& windows, std::int64_t queue_capacity,
-    const HealthConfig& config = {});
+    const std::deque<WindowStats>& windows, std::int64_t queue_capacity);
 
 }  // namespace mcs::obs

@@ -20,8 +20,7 @@ namespace {
 
 /// classify_health reads only the newest dwell windows, so that is all
 /// each shard's ring keeps.
-constexpr std::size_t kWindowRing =
-    static_cast<std::size_t>(obs::HealthConfig{}.dwell_windows);
+constexpr std::size_t kWindowRing = obs::kHealthDwellWindows;
 
 }  // namespace
 

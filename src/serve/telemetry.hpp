@@ -17,9 +17,8 @@
 // queue waits) and each round latency (on_round_close). A
 // StatsPublisher thread periodically calls take_snapshot(), which rolls
 // one window per shard (obs::RollingWindowAggregator), classifies shard
-// and engine health (obs::classify_health with the default
-// obs::HealthConfig), and emits one JSONL line of schema
-// "mcs.serve_stats.v1" (write_serve_snapshot) and/or a Prometheus text
+// and engine health (obs::classify_health), and emits one JSONL line of
+// schema "mcs.serve_stats.v1" (write_serve_snapshot) and/or a Prometheus text
 // rendering (render_live_prometheus, via the existing exporter). Each
 // shard's window ring keeps exactly the health dwell's worth of windows,
 // the only ones classify_health reads. Window edges and uptime come from

@@ -1,9 +1,7 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
@@ -55,21 +53,7 @@ void run_repetition(const SimulationConfig& config,
                     int rep, SimulationResult& result) {
   const obs::ScopedTimer rep_timer("sim.repetition_duration_us");
   obs::count("sim.repetitions");
-  // Event sampling: keep the decision log for every n-th repetition,
-  // suppress the rest (an unsampled sim would otherwise record every
-  // decision of every repetition -- far too noisy for 30+ reps).
-  const bool sample_events =
-      config.log_every_n > 0 && rep % config.log_every_n == 0;
-  std::optional<obs::ScopedEventLog> suppress_events;
-  if (!sample_events) suppress_events.emplace(nullptr);
-  if (sample_events) {
-    obs::log_event([&] {
-      obs::Event event("repetition_started");
-      event.with("rep", static_cast<std::int64_t>(rep))
-          .with("seed", static_cast<std::int64_t>(config.base_seed));
-      return event;
-    });
-  }
+  const obs::ScopedEventLog suppress_events(nullptr);
   // The shared (seed, rep) fork discipline of model::round_scenario keeps
   // repetition k reproducible and independent of execution order.
   const model::Scenario scenario =
@@ -102,22 +86,6 @@ void run_repetition(const SimulationConfig& config,
   }
 }
 
-void merge_into(SimulationResult& into, const SimulationResult& from) {
-  MCS_ASSERT(into.mechanisms.size() == from.mechanisms.size(),
-             "merge shape mismatch");
-  for (std::size_t k = 0; k < into.mechanisms.size(); ++k) {
-    MechanismAggregate& a = into.mechanisms[k];
-    const MechanismAggregate& b = from.mechanisms[k];
-    a.social_welfare.merge(b.social_welfare);
-    a.overpayment_ratio.merge(b.overpayment_ratio);
-    a.total_payment.merge(b.total_payment);
-    a.completion_rate.merge(b.completion_rate);
-    a.platform_utility.merge(b.platform_utility);
-  }
-  into.phones_per_round.merge(from.phones_per_round);
-  into.tasks_per_round.merge(from.tasks_per_round);
-}
-
 }  // namespace
 
 SimulationResult simulate(
@@ -129,59 +97,6 @@ SimulationResult simulate(
   for (int rep = 0; rep < config.repetitions; ++rep) {
     run_repetition(config, mechanisms, rep, result);
     MCS_LOG_DEBUG("simulate: repetition " << rep << " done");
-  }
-  return result;
-}
-
-SimulationResult simulate_parallel(
-    const SimulationConfig& config,
-    const std::vector<const auction::Mechanism*>& mechanisms, int threads) {
-  check_inputs(config, mechanisms);
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads, config.repetitions);
-  if (threads == 1) return simulate(config, mechanisms);
-
-  const obs::TraceSpan span("sim.simulate_parallel");
-  std::vector<SimulationResult> partials(
-      static_cast<std::size_t>(threads));
-  for (auto& partial : partials) partial = make_result_shell(mechanisms);
-
-  // Worker-local registries: each worker records into its own registry
-  // (new threads inherit no thread-local state), and the partials are
-  // folded into the caller's registry in worker order after the join.
-  // Counter and histogram merges are sums, so the reduced counts equal a
-  // sequential run over the same repetitions exactly.
-  obs::MetricsRegistry* const parent_registry = obs::current_registry();
-  std::vector<obs::MetricsRegistry> worker_metrics(
-      static_cast<std::size_t>(threads));
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      std::optional<obs::ScopedRegistry> telemetry;
-      if (parent_registry != nullptr) {
-        telemetry.emplace(&worker_metrics[static_cast<std::size_t>(w)]);
-      }
-      for (int rep = w; rep < config.repetitions; rep += threads) {
-        run_repetition(config, mechanisms, rep,
-                       partials[static_cast<std::size_t>(w)]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  SimulationResult result = std::move(partials.front());
-  for (std::size_t w = 1; w < partials.size(); ++w) {
-    merge_into(result, partials[w]);
-  }
-  if (parent_registry != nullptr) {
-    for (const obs::MetricsRegistry& partial : worker_metrics) {
-      parent_registry->merge(partial);
-    }
   }
   return result;
 }

@@ -24,14 +24,6 @@ struct SimulationConfig {
   model::WorkloadConfig workload;
   int repetitions = 30;
   std::uint64_t base_seed = 42;
-  /// Decision-event sampling: when an obs::EventLog is installed and
-  /// log_every_n > 0, every n-th repetition (0, n, 2n, ...) records its
-  /// full decision trail, bracketed by a "repetition_started" marker; the
-  /// others run with event recording suppressed. 0 disables sampling (no
-  /// repetition records events). simulate_parallel workers inherit no
-  /// thread-local event log, so sampling only applies to the sequential
-  /// path (and to parallel runs that fall back to it).
-  int log_every_n = 0;
 };
 
 /// Aggregated metrics of one mechanism over all repetitions.
@@ -55,21 +47,12 @@ struct SimulationResult {
 };
 
 /// Runs the simulation. `mechanisms` are non-owning pointers; each must be
-/// valid for the duration of the call.
+/// valid for the duration of the call. Repetitions record no decision
+/// events, even with an obs::EventLog installed (30+ rounds of every
+/// decision would drown the log).
 [[nodiscard]] SimulationResult simulate(
     const SimulationConfig& config,
     const std::vector<const auction::Mechanism*>& mechanisms);
-
-/// Multi-threaded variant. Repetitions are dealt round-robin to `threads`
-/// workers (0 = hardware concurrency); per-repetition RNG streams are the
-/// same deterministic forks the sequential run uses, so the sample set is
-/// identical to simulate() -- aggregates may differ only in floating-point
-/// accumulation order. Mechanisms must be safe to call concurrently (all
-/// mechanisms in this library are: run() is const and stateless).
-[[nodiscard]] SimulationResult simulate_parallel(
-    const SimulationConfig& config,
-    const std::vector<const auction::Mechanism*>& mechanisms,
-    int threads = 0);
 
 /// The mechanism pair every figure compares: online greedy and offline VCG,
 /// in that order (matching the paper's plot legends).

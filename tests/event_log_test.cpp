@@ -328,38 +328,23 @@ TEST(TranscriptAgreement, EveryPaymentIssuedHasADerivationRecord) {
   }
 }
 
-// --------------------------------------------------- simulator sampling
+// ------------------------------------------------------ simulator events
 
-TEST(SimulatorSampling, LogEveryNRecordsOnlySampledRepetitions) {
+TEST(SimulatorEvents, RepetitionsRecordNoDecisionEvents) {
   sim::StandardMechanisms mechanisms;
   sim::SimulationConfig config;
   config.repetitions = 10;
   config.workload.num_slots = 4;
   config.workload.phone_arrival_rate = 2.0;
   config.workload.task_arrival_rate = 1.0;
-  config.log_every_n = 3;  // samples repetitions 0, 3, 6, 9
 
-  obs::RingEventSink ring(65536);
+  obs::RingEventSink ring(1024);
   obs::EventLog log(&ring);
   {
     const obs::ScopedEventLog install(&log);
     (void)sim::simulate(config, mechanisms.pointers());
   }
-  int sampled = 0;
-  for (const obs::Event& event : ring.events()) {
-    if (event.type == "repetition_started") ++sampled;
-  }
-  EXPECT_EQ(sampled, 4);
-
-  // log_every_n = 0 (the default) suppresses everything.
-  obs::RingEventSink quiet_ring(1024);
-  obs::EventLog quiet_log(&quiet_ring);
-  config.log_every_n = 0;
-  {
-    const obs::ScopedEventLog install(&quiet_log);
-    (void)sim::simulate(config, mechanisms.pointers());
-  }
-  EXPECT_EQ(quiet_log.count(), 1u);  // header only
+  EXPECT_EQ(log.count(), 1u);  // header only
 }
 
 }  // namespace

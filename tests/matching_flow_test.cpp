@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "support/brute_force.hpp"
 #include "matching/hungarian.hpp"
-#include "matching/validation.hpp"
+#include "support/validation.hpp"
 
 namespace mcs::matching {
 namespace {

@@ -12,7 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "support/brute_force.hpp"
-#include "matching/validation.hpp"
+#include "support/validation.hpp"
 
 namespace mcs::matching {
 namespace {

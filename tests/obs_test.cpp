@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: instrument semantics, deterministic
-// registry merging (the simulate_parallel reduction identity), span
+// registry merging (the per-worker reduction identity), span
 // nesting, scoped installation, and exporter golden output.
 #include "obs/metrics.hpp"
 
@@ -131,7 +131,7 @@ TEST(MetricsRegistry, SnapshotSkipsUnsetGauges) {
 
 TEST(MetricsRegistry, MergeIsAssociativeOnCountersAndHistograms) {
   // merge(merge(a, b), c) == merge(a, merge(b, c)) -- the property that
-  // makes the simulate_parallel reduction order-independent.
+  // makes the per-worker reduction order-independent.
   MetricsRegistry left_a, left_b, left_c;
   left_a.counter("work.items").add(1);
   left_b.counter("work.items").add(2);

@@ -1,4 +1,4 @@
-#include "matching/validation.hpp"
+#include "support/validation.hpp"
 
 #include <vector>
 

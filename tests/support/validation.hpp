@@ -1,10 +1,9 @@
-// Structural validation of matchings.
+// Structural validation of matchings -- a test check.
 //
-// Solvers assert their own invariants, but the auction layer also re-checks
-// any matching it consumes (defense in depth: a subtle solver bug would
-// otherwise silently corrupt welfare and payments). validate_matching throws
-// on the first inconsistency; recompute_weight re-derives the total from the
-// graph so callers never trust a cached sum.
+// Solvers assert their own invariants; the matching tests re-check every
+// solver's output against the graph independently. validate_matching
+// throws on the first inconsistency; recompute_weight re-derives the total
+// from the graph so a test never trusts a cached sum.
 #pragma once
 
 #include "common/money.hpp"
