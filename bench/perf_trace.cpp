@@ -138,15 +138,15 @@ void BM_TraceSpanRecord(benchmark::State& state) {
   std::int64_t round = 0;
   std::int32_t slot = 0;
   std::uint64_t t = 0;
-  plane.on_round_open(0, round, t, t, 0);
+  obs::RoundTrace trace = plane.on_round_open(0, round, t, t, 0);
   for (auto _ : state) {
-    plane.on_slot_tick(0, round, slot, t, t + 10);
+    plane.on_slot_tick(0, trace, slot, t, t + 10);
     t += 20;
     if (++slot == 64) {
       slot = 0;
-      plane.on_round_complete(0, round, t, t, t, 0);
+      plane.on_round_complete(0, std::move(trace), t, t, t, 0);
       ++round;
-      plane.on_round_open(0, round, t, t, 0);
+      trace = plane.on_round_open(0, round, t, t, 0);
     }
   }
   state.SetItemsProcessed(state.iterations());

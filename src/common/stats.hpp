@@ -35,9 +35,6 @@ class RunningStats {
   /// mean; 0 for fewer than two samples.
   [[nodiscard]] double ci95_half_width() const;
 
-  /// Merges another accumulator (parallel reduction identity holds).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t count_{0};
   double mean_{0.0};

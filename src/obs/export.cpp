@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/csv.hpp"
 #include "io/json.hpp"
 
 namespace mcs::obs {
@@ -121,33 +120,6 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry,
   }
   json.end_object();
   os << '\n';
-}
-
-void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry) {
-  const MetricsSnapshot snap = registry.snapshot();
-  io::CsvWriter csv(os);
-  csv.set_header({"kind", "name", "field", "value"});
-  for (const auto& [name, value] : snap.counters) {
-    csv.write_row({"counter", name, "value", std::to_string(value)});
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    csv.write_row({"gauge", name, "value", format_number(value)});
-  }
-  for (const auto& [name, data] : snap.histograms) {
-    csv.write_row({"histogram", name, "count", std::to_string(data.count)});
-    csv.write_row({"histogram", name, "sum", format_number(data.sum)});
-    if (data.count > 0) {
-      csv.write_row({"histogram", name, "min", format_number(data.min)});
-      csv.write_row({"histogram", name, "max", format_number(data.max)});
-    }
-    for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
-      const std::string edge = i < data.boundaries.size()
-                                   ? format_number(data.boundaries[i])
-                                   : std::string("+Inf");
-      csv.write_row({"histogram", name, "le=" + edge,
-                     std::to_string(data.bucket_counts[i])});
-    }
-  }
 }
 
 namespace {

@@ -1,7 +1,6 @@
 // Exporters for the telemetry registry and trace: JSON (machine-readable
-// run report, schema "mcs.telemetry.v1"), CSV (one row per metric sample
-// point, for spreadsheets), and Prometheus text exposition format (for
-// scrape-style tooling). All exporters render a deterministic order
+// run report, schema "mcs.telemetry.v1") and Prometheus text exposition
+// format (for scrape-style tooling). All exporters render a deterministic order
 // (snapshot maps are name-sorted), so golden tests and diff-based perf
 // regression checks are stable.
 #pragma once
@@ -26,11 +25,6 @@ void write_metrics_json(
     std::ostream& os, const MetricsRegistry& registry,
     const TraceCollector* trace = nullptr,
     const std::map<std::string, std::string>& meta = {});
-
-/// CSV with header kind,name,field,value -- counters one row each,
-/// gauges one row each, histograms one row per (count|sum|min|max) plus
-/// one per bucket ("le=<edge>").
-void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry);
 
 /// Sanitizes a dotted metric name into a legal Prometheus identifier:
 /// prefixes "mcs_" and maps every byte outside [a-zA-Z0-9_:] to '_'

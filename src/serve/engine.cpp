@@ -188,14 +188,10 @@ void ServeEngine::worker_main(Shard& shard) {
           if (config_.admission == ServeConfig::Admission::kReject) {
             // Shedding already made the stream lossy; a hole in one
             // round's event sequence drops that round, not the engine.
-            if (trace != nullptr) {
-              trace->on_round_corrupted(shard.index, queued.event.round,
-                                        stamp_ns());
-            }
             if (const auto it = rounds.find(queued.event.round);
                 it != rounds.end()) {
-              shard.slots_walked += it->second.machine.slots_walked();
-              rounds.erase(it);
+              end_round(shard, rounds, it, obs::TraceStatus::kCorrupted,
+                        stamp_ns());
             }
             ++shard.stats.rounds_corrupted;
             obs::count("serve.rounds_corrupted");
@@ -219,17 +215,22 @@ void ServeEngine::worker_main(Shard& shard) {
     obs::count("serve.rounds_completed", shard.stats.rounds_completed);
     obs::count("serve.payments_micros", shard.stats.total_paid.micros());
   }
-  for (const auto& [round, open] : rounds) {
-    shard.slots_walked += open.machine.slots_walked();
+  // Rounds still open at drain are abandoned, in round-id order so the
+  // trace rings fill deterministically.
+  std::vector<std::int64_t> abandoned;
+  for (const auto& [round, open] : rounds) abandoned.push_back(round);
+  std::sort(abandoned.begin(), abandoned.end());
+  const std::uint64_t exit_ns = stamp_ns();
+  for (const std::int64_t round : abandoned) {
+    end_round(shard, rounds, rounds.find(round), obs::TraceStatus::kAbandoned,
+              exit_ns);
+  }
+  shard.stats.rounds_abandoned = static_cast<std::int64_t>(abandoned.size());
+  if (shard.stats.rounds_abandoned > 0) {
+    obs::count("serve.rounds_abandoned", shard.stats.rounds_abandoned);
   }
   if (shard.slots_walked > 0) {
     obs::count("auction.settlement.slots_walked", shard.slots_walked);
-  }
-  if (trace != nullptr) trace->on_worker_exit(shard.index, stamp_ns());
-  shard.stats.rounds_abandoned += static_cast<std::int64_t>(rounds.size());
-  if (!rounds.empty()) {
-    obs::count("serve.rounds_abandoned",
-               static_cast<std::int64_t>(rounds.size()));
   }
   shard.stats.queue_high_watermark = shard.queue.high_watermark();
   obs::set_gauge(
@@ -252,14 +253,18 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
     }
     // Span edge: the open pickup, which round latency is measured from.
     const std::uint64_t open_ns = stamp_ns();
-    rounds.emplace(event.round,
-                   OpenRound{RoundMachine(event, config_.greedy,
-                                          /*capture=*/config_.econ != nullptr),
-                             open_ns});
+    OpenRound& open =
+        rounds
+            .emplace(event.round,
+                     RoundMachine(event, config_.greedy,
+                                  /*capture=*/config_.econ != nullptr))
+            .first->second;
     if (trace != nullptr) {
-      trace->on_round_open(shard.index, event.round, queued.enqueue_ns,
-                           open_ns, event.client_lag_ns);
+      open.trace = trace->on_round_open(shard.index, event.round,
+                                        queued.enqueue_ns, open_ns,
+                                        event.client_lag_ns);
     }
+    open.trace.open_ns = open_ns;
     return;
   }
 
@@ -288,13 +293,12 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   RoundMachine& machine = it->second.machine;
   const bool done = machine.apply(event);
   if (traced_tick) {
-    trace->on_slot_tick(shard.index, event.round,
+    trace->on_slot_tick(shard.index, it->second.trace,
                         static_cast<std::int32_t>(event.slot.value()),
                         begin_ns, stamp_ns());
   }
   if (!done) return;
 
-  shard.slots_walked += machine.slots_walked();
   RoundOutcome outcome = machine.take_outcome();
   // Econ sentinel: audit the closed round while its capture is still
   // alive. The shard registry is installed on this thread, so the one
@@ -305,24 +309,41 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   if (config_.econ != nullptr) {
     violations = config_.econ->observe_round(shard.index, machine, outcome);
   }
-  // Round latency: close pickup minus open pickup, the one definition
-  // both timed planes report.
-  const std::uint64_t open_ns = it->second.open_ns;
-  rounds.erase(it);
-  if (config_.live != nullptr) {
-    config_.live->on_round_close(shard.index,
-                                 begin_ns >= open_ns ? begin_ns - open_ns : 0);
-  }
-  if (trace != nullptr) {
-    trace->on_round_complete(shard.index, event.round, begin_ns, settled_ns,
-                             stamp_ns(), violations);
-  }
+  end_round(shard, rounds, it, obs::TraceStatus::kCompleted, begin_ns,
+            settled_ns, violations);
   ++shard.stats.rounds_completed;
   shard.stats.tasks_announced += outcome.tasks_announced;
   shard.stats.bids_admitted += outcome.bids_admitted;
   shard.stats.bids_rejected_reserve += outcome.bids_rejected;
   shard.stats.total_paid += outcome.total_paid;
   shard.outcomes.push_back(std::move(outcome));
+}
+
+void ServeEngine::end_round(Shard& shard, RoundTable& rounds,
+                            RoundTable::iterator it, obs::TraceStatus status,
+                            std::uint64_t end_ns, std::uint64_t settled_ns,
+                            std::int64_t violations) {
+  shard.slots_walked += it->second.machine.slots_walked();
+  obs::RoundTrace round_trace = std::move(it->second.trace);
+  rounds.erase(it);
+  const bool completed = status == obs::TraceStatus::kCompleted;
+  // Round latency: close pickup minus open pickup, the one definition
+  // both timed planes report.
+  if (completed && config_.live != nullptr) {
+    config_.live->on_round_close(shard.index,
+                                 end_ns >= round_trace.open_ns
+                                     ? end_ns - round_trace.open_ns
+                                     : 0);
+  }
+  if (config_.trace == nullptr) return;
+  if (completed) {
+    config_.trace->on_round_complete(shard.index, std::move(round_trace),
+                                     end_ns, settled_ns, stamp_ns(),
+                                     violations);
+  } else {
+    config_.trace->on_round_failed(shard.index, std::move(round_trace),
+                                   status, end_ns);
+  }
 }
 
 void ServeEngine::drain() {

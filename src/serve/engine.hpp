@@ -2,11 +2,12 @@
 //
 // Rounds are independent auctions, so the engine scales horizontally by
 // hashing each event's round id onto one of N shards; every shard owns a
-// bounded MPSC queue and one worker thread that drives the per-round
-// RoundMachines to completion. Determinism: a round's events are consumed
-// in submission order by exactly one worker, so the merged outcomes (and
-// the merged per-shard work counters) are identical for any shard count --
-// the same reduction identity the parallel simulator relies on.
+// bounded MPSC queue and one worker thread whose round table holds each
+// open round's RoundMachine and trace (the trace plane keeps no table) and
+// ends every round -- closed, corrupted or abandoned -- through one path,
+// end_round. Determinism: a round's events are consumed in submission
+// order by exactly one worker, so the merged outcomes (and the merged
+// per-shard work counters) are identical for any shard count.
 //
 // Backpressure is an explicit admission-control policy, chosen at
 // construction:
@@ -45,6 +46,7 @@
 
 #include "auction/online_greedy.hpp"
 #include "obs/metrics.hpp"
+#include "obs/round_trace.hpp"
 #include "serve/event.hpp"
 #include "serve/queue.hpp"
 #include "serve/round_machine.hpp"
@@ -205,17 +207,24 @@ class ServeEngine {
     std::string error;   ///< first stream error, empty = clean
   };
 
-  /// One in-flight round of a worker: its machine and the stamp of its
-  /// round_open pickup (0 when no timed plane is attached).
+  /// One in-flight round of a worker. trace.open_ns stamps its round_open
+  /// pickup (0 with no timed plane); the trace plane fills the rest.
   struct OpenRound {
     RoundMachine machine;
-    std::uint64_t open_ns;
+    obs::RoundTrace trace;
   };
   using RoundTable = std::unordered_map<std::int64_t, OpenRound>;
 
   void worker_main(Shard& shard);
   void process_event(Shard& shard, RoundTable& rounds,
                      const QueuedEvent& queued);
+  /// Removes a round that ended at `end_ns` (kCompleted: its close pickup,
+  /// with its settle stamp and econ verdict; or kCorrupted, kAbandoned):
+  /// adds its slots_walked, reports a completed round's latency to the
+  /// live plane, and seals its trace.
+  void end_round(Shard& shard, RoundTable& rounds, RoundTable::iterator it,
+                 obs::TraceStatus status, std::uint64_t end_ns,
+                 std::uint64_t settled_ns = 0, std::int64_t violations = 0);
   /// Nanoseconds since construction on the steady clock when a live or
   /// trace plane is attached; 0 (and no clock read) otherwise.
   [[nodiscard]] std::uint64_t stamp_ns() const;

@@ -56,10 +56,10 @@ void TracePlane::on_batch(int shard, const RingView& batch,
       });
 }
 
-void TracePlane::on_round_open(int shard, std::int64_t round,
-                               std::uint64_t enqueue_ns,
-                               std::uint64_t begin_ns,
-                               std::uint64_t client_lag_ns) {
+obs::RoundTrace TracePlane::on_round_open(int shard, std::int64_t round,
+                                          std::uint64_t enqueue_ns,
+                                          std::uint64_t begin_ns,
+                                          std::uint64_t client_lag_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
   obs::RoundTrace trace;
   trace.trace_id = obs::trace_id_of(round);
@@ -75,32 +75,26 @@ void TracePlane::on_round_open(int shard, std::int64_t round,
                  config_.max_spans);
   trace.add_span(obs::TracePhase::kQueueWait, -1, enqueue_ns,
                  std::max(begin_ns, enqueue_ns), config_.max_spans);
-  lane.open.insert_or_assign(round, std::move(trace));
   lane.rounds_traced.fetch_add(1, std::memory_order_relaxed);
+  return trace;
 }
 
-void TracePlane::on_slot_tick(int shard, std::int64_t round, std::int32_t slot,
-                              std::uint64_t begin_ns, std::uint64_t end_ns) {
+void TracePlane::on_slot_tick(int shard, obs::RoundTrace& trace,
+                              std::int32_t slot, std::uint64_t begin_ns,
+                              std::uint64_t end_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  const auto it = lane.open.find(round);
-  if (it == lane.open.end()) return;
-  it->second.add_span(obs::TracePhase::kSlotTick, slot, begin_ns, end_ns,
-                      config_.max_spans);
+  trace.add_span(obs::TracePhase::kSlotTick, slot, begin_ns, end_ns,
+                 config_.max_spans);
   lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kSlotTick)]
       .record_ns(end_ns >= begin_ns ? end_ns - begin_ns : 0);
 }
 
-void TracePlane::on_round_complete(int shard, std::int64_t round,
+void TracePlane::on_round_complete(int shard, obs::RoundTrace trace,
                                    std::uint64_t close_begin_ns,
                                    std::uint64_t settled_ns,
                                    std::uint64_t done_ns,
                                    std::int64_t econ_violations) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  const auto it = lane.open.find(round);
-  if (it == lane.open.end()) return;
-  obs::RoundTrace trace = std::move(it->second);
-  lane.open.erase(it);
-
   trace.add_span(obs::TracePhase::kPayment, -1, close_begin_ns, settled_ns,
                  config_.max_spans);
   if (done_ns > settled_ns) {
@@ -148,20 +142,17 @@ void TracePlane::on_round_complete(int shard, std::int64_t round,
   if (trace.latency_ns >= lane.auto_threshold_ns) reasons |= obs::retain::kSlow;
   if (econ_violations > 0) reasons |= obs::retain::kEconViolation;
 
-  exemplars_.offer(trace.latency_ns, trace.trace_id, round);
+  exemplars_.offer(trace.latency_ns, trace.trace_id, trace.round);
   seal(lane, std::move(trace), reasons);
 }
 
-void TracePlane::on_round_corrupted(int shard, std::int64_t round,
-                                    std::uint64_t at_ns) {
+void TracePlane::on_round_failed(int shard, obs::RoundTrace trace,
+                                 obs::TraceStatus status,
+                                 std::uint64_t at_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  const auto it = lane.open.find(round);
-  if (it == lane.open.end()) return;
-  obs::RoundTrace trace = std::move(it->second);
-  lane.open.erase(it);
   // The round's later events arrive as orphans; they belong to this trace.
-  lane.orphan_rounds.insert(round);
-  trace.status = obs::TraceStatus::kCorrupted;
+  lane.orphan_rounds.insert(trace.round);
+  trace.status = status;
   trace.close_ns = at_ns;
   trace.latency_ns = at_ns >= trace.open_ns ? at_ns - trace.open_ns : 0;
   seal(lane, std::move(trace), obs::retain::kError);
@@ -171,40 +162,18 @@ void TracePlane::on_orphaned_event(int shard, std::int64_t round,
                                    std::uint64_t at_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
   // One stub per shed round: later orphans of the same round (or of a
-  // round we already sealed as corrupted) do not multiply records.
-  if (lane.open.contains(round) || !lane.orphan_rounds.insert(round).second) {
-    return;
-  }
+  // round we already sealed as corrupted) do not multiply records. The
+  // stub has no spans, so it is sealed at once with zero latency.
+  if (!lane.orphan_rounds.insert(round).second) return;
   obs::RoundTrace trace;
   trace.trace_id = obs::trace_id_of(round);
   trace.round = round;
   trace.shard = shard;
   trace.status = obs::TraceStatus::kOrphaned;
   trace.open_ns = at_ns;
+  trace.close_ns = at_ns;
   lane.rounds_traced.fetch_add(1, std::memory_order_relaxed);
-  lane.open.insert_or_assign(round, std::move(trace));
-}
-
-void TracePlane::on_worker_exit(int shard, std::uint64_t at_ns) {
-  Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  // Seal leftovers in round order so the ring contents are deterministic
-  // for a given event stream.
-  std::vector<std::int64_t> rounds;
-  rounds.reserve(lane.open.size());
-  for (const auto& [round, trace] : lane.open) rounds.push_back(round);
-  std::sort(rounds.begin(), rounds.end());
-  for (const std::int64_t round : rounds) {
-    const auto it = lane.open.find(round);
-    obs::RoundTrace trace = std::move(it->second);
-    lane.open.erase(it);
-    if (trace.status == obs::TraceStatus::kOpen) {
-      trace.status = obs::TraceStatus::kAbandoned;
-    }
-    trace.close_ns = at_ns;
-    trace.latency_ns = at_ns >= trace.open_ns ? at_ns - trace.open_ns : 0;
-    seal(lane, std::move(trace), obs::retain::kError);
-  }
-  lane.orphan_rounds.clear();
+  seal(lane, std::move(trace), obs::retain::kError);
 }
 
 void TracePlane::seal(Lane& lane, obs::RoundTrace trace,

@@ -46,7 +46,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -108,43 +107,43 @@ class TracePlane {
 
   [[nodiscard]] int shards() const { return static_cast<int>(lanes_.size()); }
 
-  // Engine hooks. Each shard's timeline state is owned by that shard's
-  // worker thread (on_batch..on_worker_exit run only there); cross-thread
-  // visibility is limited to the relaxed-atomic counters and sketches.
+  // Engine hooks, called only by the shard's worker. The plane owns no
+  // round table: the engine's holds each trace on_round_open returns and
+  // hands it to one sealing hook. Cross-thread visibility is limited to
+  // the relaxed-atomic counters and sketches.
 
   /// One batch the worker acquired from its ring, picked up at
   /// `pickup_ns`: folds every event's queue wait (pickup minus its enqueue
   /// stamp) and client-side ingest lag into the shard's phase sketches,
   /// one sketch record per stretch of equal values.
   void on_batch(int shard, const RingView& batch, std::uint64_t pickup_ns);
-  /// round_open processing began: opens the trace with its ingest span
-  /// ([enqueue - lag, enqueue], producer side) and queue span
+  /// round_open processing began: returns the round's trace with its
+  /// ingest span ([enqueue - lag, enqueue], producer side) and queue span
   /// ([enqueue, begin]).
-  void on_round_open(int shard, std::int64_t round, std::uint64_t enqueue_ns,
-                     std::uint64_t begin_ns, std::uint64_t client_lag_ns);
+  [[nodiscard]] obs::RoundTrace on_round_open(
+      int shard, std::int64_t round, std::uint64_t enqueue_ns,
+      std::uint64_t begin_ns, std::uint64_t client_lag_ns);
   /// One slot_tick of an open round: allocation plus the settlement of the
   /// winners departing in that slot.
-  void on_slot_tick(int shard, std::int64_t round, std::int32_t slot,
+  void on_slot_tick(int shard, obs::RoundTrace& trace, std::int32_t slot,
                     std::uint64_t begin_ns, std::uint64_t end_ns);
   /// round_close: seals the trace (payment span [close_begin, settled]
   /// timing the outcome's materialization,
   /// audit span [settled, done] when the econ plane ran, terminal
   /// round_close marker at done) and runs the tail sampler.
   /// `econ_violations` is the sentinel's verdict for this round.
-  void on_round_complete(int shard, std::int64_t round,
+  void on_round_complete(int shard, obs::RoundTrace trace,
                          std::uint64_t close_begin_ns,
                          std::uint64_t settled_ns, std::uint64_t done_ns,
                          std::int64_t econ_violations);
-  /// Shedding punched a hole in the round's event sequence (kReject):
-  /// seals whatever timeline exists as corrupted, always retained. The
-  /// round's later (orphaned) events add no second trace.
-  void on_round_corrupted(int shard, std::int64_t round, std::uint64_t at_ns);
-  /// Event for a round whose open was shed: records a stub trace
-  /// (sealed as orphaned at worker exit), always retained.
+  /// Seals a round that ended unclosed, always retained: kCorrupted
+  /// (shedding punched a hole in it; its orphaned events add no second
+  /// trace) or kAbandoned (still open at drain).
+  void on_round_failed(int shard, obs::RoundTrace trace,
+                       obs::TraceStatus status, std::uint64_t at_ns);
+  /// Event for a round whose open was shed: at the round's first such
+  /// event, seals a zero-latency orphaned stub trace, always retained.
   void on_orphaned_event(int shard, std::int64_t round, std::uint64_t at_ns);
-  /// Worker drained: seals every still-open trace as abandoned
-  /// (orphan stubs keep their status), always retained.
-  void on_worker_exit(int shard, std::uint64_t at_ns);
 
   /// Whole-run totals + merged per-phase sketches. Safe any time
   /// (counters and sketches are atomic), but per-phase counts are only
@@ -160,17 +159,16 @@ class TracePlane {
   }
 
  private:
-  /// One shard's lane. Timeline state (open, orphans, ring, auto
-  /// threshold) is worker-owned; the atomics and sketches below the
-  /// fence are the cross-thread summary surface.
+  /// One shard's lane. Timeline state (orphans, ring, auto threshold) is
+  /// worker-owned; the atomics and sketches below the fence are the
+  /// cross-thread summary surface.
   struct Lane {
     explicit Lane(const TracePlaneConfig& config)
         : ring(config.ring_capacity) {}
 
     // -- worker-owned ------------------------------------------------
-    std::unordered_map<std::int64_t, obs::RoundTrace> open;
-    /// Rounds whose orphaned events are already traced: a stub was made,
-    /// or the round was sealed as corrupted.
+    /// Rounds whose orphaned events are already traced: a stub was
+    /// sealed, or the round was sealed as corrupted.
     std::unordered_set<std::int64_t> orphan_rounds;
     obs::TraceRing ring;
     /// Auto-mode threshold, refreshed from the round-close sketch.

@@ -52,36 +52,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(stats.max(), 8.25);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(4);
-  RunningStats sequential;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform_real(-5.0, 5.0);
-    sequential.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), sequential.count());
-  EXPECT_NEAR(left.mean(), sequential.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), sequential.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), sequential.min());
-  EXPECT_DOUBLE_EQ(left.max(), sequential.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats stats;
-  stats.add(1.0);
-  stats.add(2.0);
-  RunningStats empty;
-  stats.merge(empty);
-  EXPECT_EQ(stats.count(), 2u);
-  empty.merge(stats);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
   Rng rng(6);
   RunningStats small;

@@ -324,25 +324,6 @@ TEST(Exporters, JsonIncludesTraceWhenGiven) {
       << text;
 }
 
-TEST(Exporters, CsvGolden) {
-  MetricsRegistry registry;
-  fill_golden_registry(registry);
-  std::ostringstream out;
-  write_metrics_csv(out, registry);
-  EXPECT_EQ(out.str(),
-            "kind,name,field,value\n"
-            "counter,a.counter,value,3\n"
-            "counter,b.counter,value,7\n"
-            "gauge,g.level,value,2.5\n"
-            "histogram,h.sizes,count,3\n"
-            "histogram,h.sizes,sum,45\n"
-            "histogram,h.sizes,min,1\n"
-            "histogram,h.sizes,max,40\n"
-            "histogram,h.sizes,le=1,1\n"
-            "histogram,h.sizes,le=10,1\n"
-            "histogram,h.sizes,le=+Inf,1\n");
-}
-
 TEST(Exporters, PrometheusGolden) {
   MetricsRegistry registry;
   fill_golden_registry(registry);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_report.hpp"
@@ -63,22 +64,21 @@ TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
   plane.attach(1);
 
   // Round 0: fast and clean -- folded into summaries, not retained.
-  plane.on_round_open(0, 0, 100, 200, 0);
-  plane.on_slot_tick(0, 0, 1, 250, 300);
-  plane.on_round_complete(0, 0, 500, 600, 700, 0);
+  obs::RoundTrace round0 = plane.on_round_open(0, 0, 100, 200, 0);
+  plane.on_slot_tick(0, round0, 1, 250, 300);
+  plane.on_round_complete(0, std::move(round0), 500, 600, 700, 0);
   // Round 1: slow (latency 1400 ns >= 1000 ns threshold).
-  plane.on_round_open(0, 1, 1000, 1100, 0);
-  plane.on_round_complete(0, 1, 2500, 2600, 2700, 0);
+  plane.on_round_complete(0, plane.on_round_open(0, 1, 1000, 1100, 0), 2500,
+                          2600, 2700, 0);
   // Round 2: fast but economically violating.
-  plane.on_round_open(0, 2, 3000, 3100, 0);
-  plane.on_round_complete(0, 2, 3300, 3400, 3500, 2);
+  plane.on_round_complete(0, plane.on_round_open(0, 2, 3000, 3100, 0), 3300,
+                          3400, 3500, 2);
   // Round 3: corrupted mid-flight by shedding.
-  plane.on_round_open(0, 3, 4000, 4100, 0);
-  plane.on_round_corrupted(0, 3, 4200);
+  plane.on_round_failed(0, plane.on_round_open(0, 3, 4000, 4100, 0),
+                        obs::TraceStatus::kCorrupted, 4200);
   // Round 7: orphaned events (open was shed); duplicates collapse.
   plane.on_orphaned_event(0, 7, 5000);
   plane.on_orphaned_event(0, 7, 5100);
-  plane.on_worker_exit(0, 6000);
 
   const TraceSummary summary = plane.summary();
   EXPECT_EQ(summary.rounds_traced, 5);
@@ -122,8 +122,8 @@ TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
 TEST(TracePlane, AbandonedOpenRoundsAreSealedAtWorkerExit) {
   TracePlane plane(fixed_threshold_config());
   plane.attach(1);
-  plane.on_round_open(0, 4, 100, 200, 0);
-  plane.on_worker_exit(0, 900);
+  plane.on_round_failed(0, plane.on_round_open(0, 4, 100, 200, 0),
+                        obs::TraceStatus::kAbandoned, 900);
 
   const std::vector<obs::RoundTrace> retained = plane.retained();
   ASSERT_EQ(retained.size(), 1u);
@@ -142,8 +142,8 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   // 31 uniform closes: below the warm-up floor, nothing qualifies as slow.
   std::uint64_t t = 0;
   for (std::int64_t round = 0; round < 31; ++round) {
-    plane.on_round_open(0, round, t, t, 0);
-    plane.on_round_complete(0, round, t + 1000, t + 1000, t + 1000, 0);
+    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
+                            t + 1000, t + 1000, t + 1000, 0);
     t += 2000;
   }
   EXPECT_EQ(plane.summary().retained_slow, 0);
@@ -152,8 +152,8 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   // Keep closing until the refresh fires with >= 32 samples banked, then
   // a 100x outlier must be caught by the rolling p99.
   for (std::int64_t round = 31; round < 48; ++round) {
-    plane.on_round_open(0, round, t, t, 0);
-    plane.on_round_complete(0, round, t + 1000, t + 1000, t + 1000, 0);
+    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
+                            t + 1000, t + 1000, t + 1000, 0);
     t += 2000;
   }
   EXPECT_NE(plane.summary().slow_threshold_ns, ~0ULL);
@@ -161,8 +161,8 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   // value, so baseline rounds may legitimately qualify now; the property
   // under test is that a 100x outlier is always caught from here on.
   const std::int64_t slow_before = plane.summary().retained_slow;
-  plane.on_round_open(0, 100, t, t, 0);
-  plane.on_round_complete(0, 100, t + 100000, t + 100000, t + 100000, 0);
+  plane.on_round_complete(0, plane.on_round_open(0, 100, t, t, 0),
+                          t + 100000, t + 100000, t + 100000, 0);
   EXPECT_EQ(plane.summary().retained_slow, slow_before + 1);
   bool outlier_retained = false;
   for (const obs::RoundTrace& trace : plane.retained()) {
@@ -186,14 +186,14 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
 
   std::uint64_t t = 0;
   for (std::int64_t round = 0; round < 10; ++round) {
-    plane.on_round_open(0, round, t, t, 0);
+    obs::RoundTrace trace = plane.on_round_open(0, round, t, t, 0);
     const bool slow = round == 2;        // latency 5000 >= 1000
     const bool violating = round == 5;   // sentinel trips
     const std::uint64_t close = t + (slow ? 5000 : 100);
-    plane.on_round_complete(0, round, close, close, close, violating ? 1 : 0);
+    plane.on_round_complete(0, std::move(trace), close, close, close,
+                            violating ? 1 : 0);
     t = close + 100;
   }
-  plane.on_worker_exit(0, t);
 
   const TraceSummary summary = plane.summary();
   EXPECT_EQ(summary.rounds_traced, 10);
@@ -211,8 +211,8 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
 
   // Overflowing the ring with retained traces is lossy but accounted.
   for (std::int64_t round = 20; round < 24; ++round) {
-    plane.on_round_open(0, round, t, t, 0);
-    plane.on_round_complete(0, round, t + 5000, t + 5000, t + 5000, 0);
+    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
+                            t + 5000, t + 5000, t + 5000, 0);
     t += 6000;
   }
   EXPECT_EQ(plane.summary().retained, 6);
@@ -232,9 +232,9 @@ TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
   TracePlane plane(config);
   plane.attach(1);
 
-  plane.on_round_open(0, 0, 100, 200, 50);
-  plane.on_slot_tick(0, 0, 1, 200, 300);
-  plane.on_round_complete(0, 0, 1400, 1500, 1600, 1);
+  obs::RoundTrace trace = plane.on_round_open(0, 0, 100, 200, 50);
+  plane.on_slot_tick(0, trace, 1, 200, 300);
+  plane.on_round_complete(0, std::move(trace), 1400, 1500, 1600, 1);
 
   std::ostringstream os;
   write_trace_stream(os, plane);
@@ -486,6 +486,43 @@ TEST(TracePlane, RoundCorruptedMidStreamIsTracedOnce) {
   EXPECT_EQ(round_one[0].status, obs::TraceStatus::kCorrupted);
 }
 
+TEST(TracePlane, OrphanStubIsSealedAtItsFirstEventWithZeroLatency) {
+  // Round 200's open was shed: its events come first, then a healthy
+  // stream keeps the worker busy. The stub has no spans, so it is sealed
+  // at its first orphaned event -- it must not read the time to drain as
+  // its latency.
+  std::vector<ServeEvent> events = {task_arrived(200, Slot{1}, TaskId{0}),
+                                    slot_tick(200, Slot{1})};
+  const std::vector<ServeEvent> traffic = events_of(small_load(6));
+  events.insert(events.end(), traffic.begin(), traffic.end());
+
+  TracePlane trace;
+  ServeConfig config;
+  config.shards = 1;
+  config.admission = ServeConfig::Admission::kReject;
+  config.trace = &trace;
+  ServeEngine engine(config);
+  for (const ServeEvent& event : events) {
+    ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
+  }
+  engine.drain();
+
+  EXPECT_EQ(engine.stats().orphaned_events, 2);
+  EXPECT_EQ(engine.stats().rounds_completed, 6);
+  std::vector<obs::RoundTrace> orphans;
+  for (const obs::RoundTrace& round_trace : trace.retained()) {
+    if (round_trace.status == obs::TraceStatus::kOrphaned) {
+      orphans.push_back(round_trace);
+    }
+  }
+  ASSERT_EQ(orphans.size(), 1u);
+  EXPECT_EQ(orphans[0].round, 200);
+  EXPECT_EQ(orphans[0].retained, obs::retain::kError);
+  EXPECT_TRUE(orphans[0].spans.empty());
+  EXPECT_EQ(orphans[0].close_ns, orphans[0].open_ns);
+  EXPECT_EQ(orphans[0].latency_ns, 0u);
+}
+
 // ------------------------------------------------------ loadgen lag stamp
 
 TEST(ServePacing, StampsClientLagOnLateEvents) {
@@ -531,12 +568,11 @@ TEST(ServePacing, OnScheduleEventsCarryNoLag) {
 TEST(TraceReport, DigestsAndRendersAPlaneStream) {
   TracePlane plane(fixed_threshold_config());
   plane.attach(1);
-  plane.on_round_open(0, 0, 100, 200, 50);
-  plane.on_slot_tick(0, 0, 1, 200, 300);
-  plane.on_round_complete(0, 0, 1400, 1500, 1600, 1);
-  plane.on_round_open(0, 1, 2000, 2100, 0);
-  plane.on_round_complete(0, 1, 2200, 2300, 2400, 0);
-  plane.on_worker_exit(0, 3000);
+  obs::RoundTrace round0 = plane.on_round_open(0, 0, 100, 200, 50);
+  plane.on_slot_tick(0, round0, 1, 200, 300);
+  plane.on_round_complete(0, std::move(round0), 1400, 1500, 1600, 1);
+  plane.on_round_complete(0, plane.on_round_open(0, 1, 2000, 2100, 0), 2200,
+                          2300, 2400, 0);
 
   std::ostringstream stream;
   write_trace_stream(stream, plane);
