@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/assert.hpp"
+#include "common/buffers.hpp"
 #include "obs/event_log.hpp"
 
 namespace mcs::auction {
@@ -61,9 +62,16 @@ void GreedyCore::restart(const OnlineGreedyConfig& config,
   live_ = 0;
   stale_ = 0;
   tasks_.clear();
-  departures_.clear();
+  calendar_.fill(DepartureList{});
+  far_departures_.clear();
   winners_.clear();
   slots_.clear();
+}
+
+std::size_t GreedyCore::retained_bytes() const {
+  return capacity_bytes(entries_, heap_, tasks_, far_departures_, winners_,
+                        slots_, step_.assignments, step_.unserved,
+                        step_.departing);
 }
 
 bool GreedyCore::admits(Money cost) const {
@@ -98,9 +106,25 @@ GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
   heap_.push_back(Pooled{PoolBid{bid.claimed_cost.micros(), id}, handle});
   std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
-  departures_.emplace_back(bid.window.end().value(), handle);
-  std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
+  const Slot::rep_type end = bid.window.end().value();
+  if (std::int64_t{end} - current_slot_ < kCalendarSlots) {
+    enlist_departure(handle, end);
+  } else {
+    far_departures_.emplace_back(end, handle);
+    std::push_heap(far_departures_.begin(), far_departures_.end(),
+                   std::greater<>{});
+  }
   return handle;
+}
+
+void GreedyCore::enlist_departure(Handle handle, Slot::rep_type slot) {
+  DepartureList& list = departures_in(slot);
+  if (list.tail >= 0) {
+    entries_[static_cast<std::size_t>(list.tail)].next_departing = handle;
+  } else {
+    list.head = handle;
+  }
+  list.tail = handle;
 }
 
 void GreedyCore::add_task(const Task& task) {
@@ -200,10 +224,8 @@ const GreedyCore::Step& GreedyCore::step() {
   // A bid reporting window [a~, d~] leaves the pool after slot d~. Its heap
   // element goes stale; once stale elements outnumber live ones, one pass
   // drops them all, which keeps the heap within twice the pool.
-  while (!departures_.empty() && departures_.front().first == t) {
-    const Handle leaving = departures_.front().second;
-    std::pop_heap(departures_.begin(), departures_.end(), std::greater<>{});
-    departures_.pop_back();
+  DepartureList& due = departures_in(t);
+  for (Handle leaving = due.head; leaving >= 0;) {
     Entry& left = entries_[static_cast<std::size_t>(leaving)];
     if (left.pooled) {
       left.pooled = false;
@@ -211,7 +233,9 @@ const GreedyCore::Step& GreedyCore::step() {
       ++stale_;
     }
     step_.departing.push_back(leaving);
+    leaving = left.next_departing;
   }
+  due = DepartureList{};
   if (stale_ > live_) {
     std::erase_if(heap_, [&](const Pooled& pooled) {
       return !entry(pooled.handle).pooled;
@@ -220,6 +244,17 @@ const GreedyCore::Step& GreedyCore::step() {
     stale_ = 0;
   }
   ++current_slot_;
+  // The ring now reaches slot t + kCalendarSlots, in the list t vacated:
+  // far departures due there move in, in admission order, before any bid
+  // admitted from now on can join that list.
+  const std::int64_t reach = std::int64_t{t} + kCalendarSlots;
+  while (!far_departures_.empty() && far_departures_.front().first == reach) {
+    const Handle moving = far_departures_.front().second;
+    std::pop_heap(far_departures_.begin(), far_departures_.end(),
+                  std::greater<>{});
+    far_departures_.pop_back();
+    enlist_departure(moving, static_cast<Slot::rep_type>(reach));
+  }
   return step_;
 }
 

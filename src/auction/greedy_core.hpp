@@ -3,13 +3,22 @@
 //
 // Allocation keeps the dynamic pool as a flat (claimed cost, id) min-heap
 // across slots: admitted bids are pushed once, winners are popped from the
-// front, and a departure heap marks bids whose reported window ends. A
+// front, and a departure calendar marks bids whose reported window ends. A
 // departed bid stays in the pool heap as a stale element until it reaches
 // the front or stale elements outnumber live ones, when one pass compacts
-// the heap; so admit, win and departure are O(log P) amortized with no
-// per-bid heap node. The pool is never kept in order: the slot_pool event
-// (Fig. 4's dynamic pool, the only record of it) sorts the live heap
-// elements when a log is installed.
+// the heap; so admit and win are O(log P) amortized with no per-bid heap
+// node. The pool is never kept in order: the slot_pool event (Fig. 4's
+// dynamic pool, the only record of it) sorts the live heap elements when a
+// log is installed.
+//
+// The departure calendar keeps, for each slot, the bids whose reported
+// window ends there, in admission order: a list threaded through the
+// entries, whose head and tail sit in a fixed ring of kCalendarSlots
+// slots covering [current slot, current slot + kCalendarSlots). A bid
+// ending further out waits in an (end, handle) min-heap and moves into the
+// ring when its slot enters it, one slot per step. So admitting a bid and
+// sweeping a slot's departures are O(1) for windows shorter than the ring;
+// memory grows with admitted bids, never with a slot's value.
 //
 // Every task carries a deadline, and each slot serves its pending tasks in
 // one order: earliest deadline first (EDF), then highest value, then
@@ -56,6 +65,7 @@
 // buffers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -124,6 +134,9 @@ class GreedyCore {
     model::Bid bid;
     Slot::rep_type win_slot{0};  ///< 0 while unallocated
     bool pooled{true};  ///< in the pool: neither allocated nor departed
+    /// The next bid (in admission order) leaving in the same slot; -1 ends
+    /// the calendar list.
+    Handle next_departing{-1};
   };
 
   /// A task, serviceable from the slot it is added in through `deadline`.
@@ -160,9 +173,16 @@ class GreedyCore {
   /// Validates `config` (validate_config).
   explicit GreedyCore(OnlineGreedyConfig config = {});
 
+  /// Slots the departure calendar's ring covers (see the file comment); a
+  /// power of two.
+  static constexpr Slot::rep_type kCalendarSlots = 64;
+
   /// Empties the core (keeping its buffers) and starts it at `first_slot`
   /// under `config` (validated): the next step() allocates that slot.
   void restart(const OnlineGreedyConfig& config, Slot::rep_type first_slot);
+
+  /// Heap bytes the core's buffers hold; restart() keeps them.
+  [[nodiscard]] std::size_t retained_bytes() const;
 
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
   /// The slot the next step() allocates (1-based).
@@ -233,6 +253,21 @@ class GreedyCore {
   /// (if any) is the cheapest pooled bid.
   void drop_departed_front();
 
+  /// One slot's calendar list.
+  struct DepartureList {
+    Handle head{-1};
+    Handle tail{-1};
+  };
+
+  /// The ring's list for `slot`, which the ring must cover.
+  DepartureList& departures_in(Slot::rep_type slot) {
+    return calendar_[static_cast<std::size_t>(slot) &
+                     static_cast<std::size_t>(kCalendarSlots - 1)];
+  }
+
+  /// Appends `handle` to the calendar list of `slot`, which the ring covers.
+  void enlist_departure(Handle handle, Slot::rep_type slot);
+
   OnlineGreedyConfig config_;
   Slot::rep_type first_slot_{1};
   Slot::rep_type current_slot_{1};
@@ -243,8 +278,11 @@ class GreedyCore {
   std::size_t live_{0};
   std::size_t stale_{0};
   std::vector<Task> tasks_;  ///< pending: unserved, deadline not passed
-  /// Min-heap of (reported departure, handle).
-  std::vector<std::pair<Slot::rep_type, Handle>> departures_;
+  /// Departure calendar: slot t's list is calendar_[t % kCalendarSlots].
+  std::array<DepartureList, kCalendarSlots> calendar_;
+  /// Min-heap of (reported departure, handle) of the bids whose departure
+  /// the ring does not cover yet.
+  std::vector<std::pair<Slot::rep_type, Handle>> far_departures_;
   std::vector<Handle> winners_;
   std::vector<SlotLog> slots_;  ///< index t - first_slot_ describes slot t
   Step step_;

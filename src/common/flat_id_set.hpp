@@ -12,10 +12,13 @@
 // that all land in one probe run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
+
+#include "common/buffers.hpp"
 
 namespace mcs {
 
@@ -45,6 +48,18 @@ class FlatIdSet {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Empties the set, keeping its table: O(table size), with no
+  /// allocation when the set is refilled to no more than before.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    size_ = 0;
+  }
+
+  /// Heap bytes the table holds.
+  [[nodiscard]] std::size_t retained_bytes() const {
+    return capacity_bytes(slots_);
+  }
 
  private:
   static constexpr std::size_t kMinSlots = 64;

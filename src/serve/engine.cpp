@@ -37,8 +37,9 @@ std::string_view event_counter_name(ServeEventKind kind) {
 
 void ServeConfig::validate() const {
   if (shards < 1) throw InvalidArgumentError("serve: shards must be >= 1");
-  if (queue_capacity < 1) {
-    throw InvalidArgumentError("serve: queue_capacity must be >= 1");
+  if (queue_capacity < 1 || queue_capacity > kMaxQueueCapacity) {
+    throw InvalidArgumentError("serve: queue_capacity must be in [1, " +
+                               std::to_string(kMaxQueueCapacity) + "]");
   }
   if (batch_size < 1 || batch_size > queue_capacity) {
     throw InvalidArgumentError(
@@ -164,7 +165,7 @@ void ServeEngine::worker_main(Shard& shard) {
 
   LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
-  RoundTable rounds;
+  Rounds rounds;
   // The worker consumes its ring in place: each acquire exposes up to
   // kBatch queued events and releases the previous batch. One clock read
   // per batch is every event's pickup stamp (the planes' queue wait);
@@ -188,8 +189,8 @@ void ServeEngine::worker_main(Shard& shard) {
           if (config_.admission == ServeConfig::Admission::kReject) {
             // Shedding already made the stream lossy; a hole in one
             // round's event sequence drops that round, not the engine.
-            if (const auto it = rounds.find(queued.event.round);
-                it != rounds.end()) {
+            if (const auto it = rounds.open.find(queued.event.round);
+                it != rounds.open.end()) {
               end_round(shard, rounds, it, obs::TraceStatus::kCorrupted,
                         stamp_ns());
             }
@@ -218,12 +219,12 @@ void ServeEngine::worker_main(Shard& shard) {
   // Rounds still open at drain are abandoned, in round-id order so the
   // trace rings fill deterministically.
   std::vector<std::int64_t> abandoned;
-  for (const auto& [round, open] : rounds) abandoned.push_back(round);
+  for (const auto& [round, open] : rounds.open) abandoned.push_back(round);
   std::sort(abandoned.begin(), abandoned.end());
   const std::uint64_t exit_ns = stamp_ns();
   for (const std::int64_t round : abandoned) {
-    end_round(shard, rounds, rounds.find(round), obs::TraceStatus::kAbandoned,
-              exit_ns);
+    end_round(shard, rounds, rounds.open.find(round),
+              obs::TraceStatus::kAbandoned, exit_ns);
   }
   shard.stats.rounds_abandoned = static_cast<std::int64_t>(abandoned.size());
   if (shard.stats.rounds_abandoned > 0) {
@@ -238,7 +239,7 @@ void ServeEngine::worker_main(Shard& shard) {
       static_cast<double>(shard.stats.queue_high_watermark));
 }
 
-void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
+void ServeEngine::process_event(Shard& shard, Rounds& rounds,
                                 const QueuedEvent& queued) {
   const ServeEvent& event = queued.event;
   ++shard.stats.processed;
@@ -246,30 +247,40 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   TracePlane* const trace = config_.trace;
 
   if (event.kind == ServeEventKind::kRoundOpen) {
-    if (rounds.contains(event.round)) {
+    if (rounds.open.contains(event.round)) {
       throw InvalidArgumentError("serve stream, round " +
                                  std::to_string(event.round) +
                                  ": duplicate round_open");
     }
     // Span edge: the open pickup, which round latency is measured from.
     const std::uint64_t open_ns = stamp_ns();
-    OpenRound& open =
-        rounds
-            .emplace(event.round,
-                     RoundMachine(event, config_.greedy,
-                                  /*capture=*/config_.econ != nullptr))
-            .first->second;
-    if (trace != nullptr) {
-      open.trace = trace->on_round_open(shard.index, event.round,
-                                        queued.enqueue_ns, open_ns,
-                                        event.client_lag_ns);
+    RoundTable::iterator it;
+    if (rounds.spares.empty()) {
+      it = rounds.open
+               .emplace(event.round,
+                        RoundMachine(event, config_.greedy,
+                                     /*capture=*/config_.econ != nullptr))
+               .first;
+    } else {
+      // A malformed round_open throws here and leaves the spare as it was.
+      RoundTable::node_type& spare = rounds.spares.back();
+      spare.mapped().machine.reset(event);
+      spare.key() = event.round;
+      it = rounds.open.insert(std::move(spare)).position;
+      rounds.spares.pop_back();
     }
+    OpenRound& open = it->second;
+    open.trace = trace != nullptr
+                     ? trace->on_round_open(shard.index, event.round,
+                                            queued.enqueue_ns, open_ns,
+                                            event.client_lag_ns)
+                     : obs::RoundTrace{};
     open.trace.open_ns = open_ns;
     return;
   }
 
-  const auto it = rounds.find(event.round);
-  if (it == rounds.end()) {
+  const auto it = rounds.open.find(event.round);
+  if (it == rounds.open.end()) {
     if (config_.admission == ServeConfig::Admission::kReject) {
       // The round's open (or the whole round) was shed; drop silently.
       ++shard.stats.orphaned_events;
@@ -319,13 +330,17 @@ void ServeEngine::process_event(Shard& shard, RoundTable& rounds,
   shard.outcomes.push_back(std::move(outcome));
 }
 
-void ServeEngine::end_round(Shard& shard, RoundTable& rounds,
+void ServeEngine::end_round(Shard& shard, Rounds& rounds,
                             RoundTable::iterator it, obs::TraceStatus status,
                             std::uint64_t end_ns, std::uint64_t settled_ns,
                             std::int64_t violations) {
   shard.slots_walked += it->second.machine.slots_walked();
   obs::RoundTrace round_trace = std::move(it->second.trace);
-  rounds.erase(it);
+  RoundTable::node_type retired = rounds.open.extract(it);
+  if (rounds.spares.size() < kMaxSpareRounds &&
+      retired.mapped().machine.retained_bytes() <= kMaxSpareBytes) {
+    rounds.spares.push_back(std::move(retired));
+  }
   const bool completed = status == obs::TraceStatus::kCompleted;
   // Round latency: close pickup minus open pickup, the one definition
   // both timed planes report.

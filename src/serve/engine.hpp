@@ -9,6 +9,16 @@
 // order by exactly one worker, so the merged outcomes (and the merged
 // per-shard work counters) are identical for any shard count.
 //
+// Rounds recycle: each worker keeps the machines of its retired rounds
+// (completed, corrupted or abandoned) as spares, each still in its round
+// table node, and a round_open reuses one through RoundMachine::reset, so
+// a shard at steady state allocates per round only the outcome's own
+// buffers. Retention bound: at most kMaxSpareRounds spares per shard, each
+// holding at most kMaxSpareBytes of buffers; a retired machine holding
+// more (one that served a hostile 100k-bid round, say) is freed instead,
+// so no later round resets its buffers. Spares are freed when the worker
+// exits.
+//
 // Backpressure is an explicit admission-control policy, chosen at
 // construction:
 //   * kBlock  -- submit() waits for queue space (lossless ingestion; the
@@ -63,8 +73,11 @@ struct ServeConfig {
   /// Bounded depth of each shard's event queue. Room for several of the
   /// largest rounds the paper evaluates (m=80, lambda=8: ~960 events):
   /// rounds are hashed to shards, so a ring that holds only one lets an
-  /// in-order producer stall on one shard while the others run dry.
+  /// in-order producer stall on one shard while the others run dry. At
+  /// most kMaxQueueCapacity: each shard allocates its ring up front.
   std::size_t queue_capacity = 4096;
+  /// Upper bound of queue_capacity: 2^20 events, 96 MiB of ring per shard.
+  static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 20;
   /// Producer-side batch size used by ShardBatcher (and the flush
   /// threshold of each of its per-shard buffers). 1 keeps the historical
   /// event-at-a-time handoff; larger values amortize the queue lock over
@@ -108,7 +121,8 @@ struct ServeConfig {
   /// bit-identical trace-on vs trace-off.
   TracePlane* trace = nullptr;
 
-  /// Throws InvalidArgumentError when out of domain.
+  /// Throws InvalidArgumentError when out of domain (before the engine
+  /// allocates anything).
   void validate() const;
 };
 
@@ -156,6 +170,12 @@ class ServeEngine {
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
+
+  /// Retention bound of each shard's spare round machines (see the file
+  /// comment), by RoundMachine::retained_bytes. A machine recycled over the
+  /// paper's largest rounds (m = 80, lambda = 8) holds ~83 KB.
+  static constexpr std::size_t kMaxSpareRounds = 8;
+  static constexpr std::size_t kMaxSpareBytes = std::size_t{1} << 20;
 
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 
@@ -214,15 +234,20 @@ class ServeEngine {
     obs::RoundTrace trace;
   };
   using RoundTable = std::unordered_map<std::int64_t, OpenRound>;
+  /// A worker's rounds: the open ones by id, and the table nodes of retired
+  /// ones kept for the next round_open (within the retention bound).
+  struct Rounds {
+    RoundTable open;
+    std::vector<RoundTable::node_type> spares;
+  };
 
   void worker_main(Shard& shard);
-  void process_event(Shard& shard, RoundTable& rounds,
-                     const QueuedEvent& queued);
+  void process_event(Shard& shard, Rounds& rounds, const QueuedEvent& queued);
   /// Removes a round that ended at `end_ns` (kCompleted: its close pickup,
   /// with its settle stamp and econ verdict; or kCorrupted, kAbandoned):
   /// adds its slots_walked, reports a completed round's latency to the
-  /// live plane, and seals its trace.
-  void end_round(Shard& shard, RoundTable& rounds, RoundTable::iterator it,
+  /// live plane, seals its trace, and keeps its machine as a spare.
+  void end_round(Shard& shard, Rounds& rounds, RoundTable::iterator it,
                  obs::TraceStatus status, std::uint64_t end_ns,
                  std::uint64_t settled_ns = 0, std::int64_t violations = 0);
   /// Nanoseconds since construction on the steady clock when a live or

@@ -5,8 +5,8 @@
 // decode_serve_line (its one-pass scan, or io::parse_json -- hardened
 // against truncation, deep nesting, and invalid escapes -- for lines the
 // scan does not take) and its strict field checks; binary
-// (mcs.serve.b1, autodetected by its magic) goes through the equally
-// strict decode_wire_frame. A corrupt stream produces a clean
+// (mcs.serve.b1, autodetected by its magic) goes through WireDecoder's
+// equally strict in-place frame decoder. A corrupt stream produces a clean
 // InvalidArgumentError naming the line (JSONL) or byte region (binary) --
 // never UB. Admission rejections (kReject policy under load) are counted,
 // not fatal: shedding is the policy working as configured.

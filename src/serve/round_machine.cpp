@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/buffers.hpp"
 #include "common/error.hpp"
 
 namespace mcs::serve {
@@ -21,22 +22,44 @@ namespace {
 
 RoundMachine::RoundMachine(const ServeEvent& open,
                            auction::OnlineGreedyConfig config, bool capture)
-    : round_(open.round),
-      num_slots_(open.num_slots),
-      round_value_(open.round_value),
-      core_(config),
-      capture_(capture) {
+    : core_(config), capture_(capture) {
+  reset(open);
+  MCS_EXPECTS(config.patience == 0,
+              "a served round serves tasks in their arrival slot");
+}
+
+void RoundMachine::reset(const ServeEvent& open) {
   if (open.kind != ServeEventKind::kRoundOpen) {
     stream_error(open.round, "round must start with round_open");
   }
-  if (num_slots_ < 1) stream_error(round_, "a round needs at least one slot");
-  if (round_value_.is_negative()) {
-    stream_error(round_, "round value must be >= 0");
+  if (open.num_slots < 1) {
+    stream_error(open.round, "a round needs at least one slot");
   }
-  MCS_EXPECTS(config.patience == 0,
-              "a served round serves tasks in their arrival slot");
+  if (open.round_value.is_negative()) {
+    stream_error(open.round, "round value must be >= 0");
+  }
+  round_ = open.round;
+  num_slots_ = open.num_slots;
+  round_value_ = open.round_value;
+  core_.restart(core_.config(), 1);
+  agents_.clear();
+  done_ = false;
+  slots_walked_ = 0;
+  assignments_.clear();
+  payments_.clear();
+  phone_count_ = 0;
+  captured_tasks_.clear();
+  captured_bids_.clear();
+  captured_slots_.clear();
+  outcome_ = RoundOutcome{};
   outcome_.round = round_;
   outcome_.events_consumed = 1;  // the round_open itself
+}
+
+std::size_t RoundMachine::retained_bytes() const {
+  return core_.retained_bytes() + agents_.retained_bytes() +
+         capacity_bytes(assignments_, payments_, captured_tasks_,
+                        captured_bids_, captured_slots_);
 }
 
 void RoundMachine::expect_now(Slot slot) const {

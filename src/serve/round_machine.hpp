@@ -15,6 +15,13 @@
 // stream reproduces its outcome byte for byte (the streaming/batch
 // equivalence oracle pins this).
 //
+// A machine outlives its round: reset() starts it on the next round_open
+// under the same config and capture mode, keeping every buffer (the core's
+// through GreedyCore::restart, the one-bid set's through FlatIdSet::clear),
+// so a recycled machine allocates only its outcome's own buffers once it
+// has served a round as large (the engine keeps retired machines for this;
+// serve/engine.hpp bounds what they may hold).
+//
 // The machine is strict about stream well-formedness (untrusted input):
 // events must name the core's current slot, every slot must be ticked
 // before round_close, bids must end within the round, agents may bid once
@@ -72,6 +79,14 @@ class RoundMachine {
   RoundMachine(const ServeEvent& open, auction::OnlineGreedyConfig config,
                bool capture = false);
 
+  /// Starts the machine on a new round as if constructed from `open` with
+  /// its config and capture mode, keeping its buffers. Throws like the
+  /// constructor on a malformed round_open, leaving the machine as it was.
+  void reset(const ServeEvent& open);
+
+  /// Heap bytes the machine's buffers hold; reset() keeps them.
+  [[nodiscard]] std::size_t retained_bytes() const;
+
   [[nodiscard]] std::int64_t round() const { return round_; }
   [[nodiscard]] bool done() const { return done_; }
 
@@ -102,8 +117,8 @@ class RoundMachine {
   /// Throws unless the round is still open and inside `slot`.
   void expect_now(Slot slot) const;
 
-  std::int64_t round_;
-  Slot::rep_type num_slots_;
+  std::int64_t round_{0};
+  Slot::rep_type num_slots_{0};
   Money round_value_;
   auction::GreedyCore core_;  ///< its current_slot() is the round's clock
   FlatIdSet agents_;  ///< agents that bid, for the one-bid rule

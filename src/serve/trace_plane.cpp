@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "common/error.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "serve/queue.hpp"
@@ -22,8 +23,17 @@ std::int64_t i64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
 }  // namespace
 
+void TracePlaneConfig::validate() const {
+  if (ring_capacity < 1 || ring_capacity > kMaxRingCapacity) {
+    throw InvalidArgumentError("trace plane: ring_capacity must be in [1, " +
+                               std::to_string(kMaxRingCapacity) + "]");
+  }
+}
+
 TracePlane::TracePlane(TracePlaneConfig config)
-    : config_(config), exemplars_(config.exemplar_threshold_ns) {}
+    : config_(config), exemplars_(config.exemplar_threshold_ns) {
+  config_.validate();
+}
 
 void TracePlane::attach(int shards) {
   MCS_EXPECTS(shards >= 1, "trace plane: shards must be >= 1");

@@ -57,8 +57,13 @@ namespace mcs::serve {
 struct RingView;  // serve/queue.hpp
 
 struct TracePlaneConfig {
-  /// Retained-trace capacity per shard (pinned-priority ring).
+  /// Retained-trace capacity per shard (pinned-priority ring), at most
+  /// kMaxRingCapacity.
   std::size_t ring_capacity = 256;
+  /// Upper bound of ring_capacity: 2^14 traces per shard, whose slots are
+  /// reserved up front (~2 MiB) and, retained with max_spans spans each,
+  /// hold ~40 MiB.
+  static constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 14;
   /// Span cap per trace; appends beyond it are counted, not stored.
   std::size_t max_spans = 96;
   /// Retain rounds with latency >= this. 0 = auto: track each shard's
@@ -67,6 +72,9 @@ struct TracePlaneConfig {
   /// Sketch-exemplar floor: buckets at or above this latency remember
   /// the trace id of their worst round.
   std::uint64_t exemplar_threshold_ns = 1'000'000;  // 1 ms
+
+  /// Throws InvalidArgumentError when out of domain.
+  void validate() const;
 };
 
 /// Aggregated view of one phase across all shards (cumulative sketch).

@@ -10,8 +10,28 @@ namespace mcs::serve {
 
 namespace {
 
-[[noreturn]] void bad_frame(const std::string& what) {
-  throw InvalidArgumentError(std::string(kWireSchema) + " frame: " + what);
+// Every rejection leaves the decoder through one of these out-of-line cold
+// calls, so the decoder's own body is a straight run of loads and compares.
+[[noreturn, gnu::cold, gnu::noinline]] void bad_frame(std::string_view what) {
+  throw InvalidArgumentError(std::string(kWireSchema) + " frame: " +
+                             std::string(what));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void bad_length(std::uint32_t length) {
+  bad_frame("implausible frame length " + std::to_string(length));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void bad_layout(std::uint32_t length) {
+  bad_frame("frame length " + std::to_string(length) +
+            " does not match its kind's layout");
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void bad_kind(std::uint8_t kind) {
+  bad_frame("unknown event kind " + std::to_string(kind));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void bad_money(const char* field) {
+  bad_frame("field '" + std::string(field) + "' outside the Money envelope");
 }
 
 // ---------------------------------------------------- little-endian fields
@@ -58,10 +78,8 @@ std::int32_t get_i32(const char* p) {
 }
 
 std::int64_t get_i64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t u = 0;
-  for (int i = 7; i >= 0; --i) u = (u << 8) | b[i];
-  return static_cast<std::int64_t>(u);
+  return static_cast<std::int64_t>(
+      get_u32(p) | (static_cast<std::uint64_t>(get_u32(p + 4)) << 32));
 }
 
 // -------------------------------------------------------------- frame ABI
@@ -82,19 +100,120 @@ constexpr std::size_t kBidSubmittedBytes = 1 + 8 + 4 + 4 + 4 + 8;
 constexpr std::size_t kSlotTickBytes = 1 + 8 + 4;
 constexpr std::size_t kRoundCloseBytes = 1 + 8;
 
+/// Exact payload size of each kind; a task_arrived frame with a value is
+/// kTaskArrivedValueBytes.
+constexpr std::size_t kLayoutBytes[] = {kRoundOpenBytes, kTaskArrivedBytes,
+                                        kBidSubmittedBytes, kSlotTickBytes,
+                                        kRoundCloseBytes};
+
 /// Shared Money envelope check (the JSONL side enforces the same bound
 /// through Money::parse).
-Money money_field(std::int64_t micros, std::string_view field) {
-  if (micros > Money::max().micros() || micros < (-Money::max()).micros()) {
-    bad_frame("field '" + std::string(field) +
-              "' outside the Money envelope");
+Money money_field(std::int64_t micros, const char* field) {
+  if (micros > Money::max().micros() || micros < (-Money::max()).micros())
+      [[unlikely]] {
+    bad_money(field);
   }
   return Money::from_micros(micros);
 }
 
-std::int64_t round_field(std::int64_t round) {
-  if (round < 0 || round > kMaxServeRound) bad_frame("round out of domain");
-  return round;
+/// The one frame decoder. Decodes the frame at the front of `bytes`
+/// straight into `event`, writing every field, so no field of an earlier
+/// event survives. Returns the frame's size (length prefix included), or 0
+/// when `bytes` is a proper prefix of a well-formed frame (feed more).
+/// Checks run in one fixed order -- the length, the kind, the frame's size
+/// for its kind, the round, then each field in layout order -- so a frame
+/// with several faults always reports the same one.
+std::size_t decode_frame_into(std::string_view bytes, ServeEvent& event) {
+  if (bytes.size() < 4) return 0;
+  const std::uint32_t length = get_u32(bytes.data());
+  if (length < 1 || length > kMaxWireFrameBytes) [[unlikely]] {
+    bad_length(length);
+  }
+  if (bytes.size() < 4 + static_cast<std::size_t>(length)) return 0;
+  const char* p = bytes.data() + 4;
+  const auto kind = static_cast<std::uint8_t>(p[0]);
+  if (kind > kKindRoundClose) [[unlikely]] bad_kind(kind);
+  if (length != kLayoutBytes[kind] &&
+      (kind != kKindTaskArrived || length != kTaskArrivedValueBytes))
+      [[unlikely]] {
+    bad_layout(length);
+  }
+  const std::int64_t round = get_i64(p + 1);
+  if (round < 0 || round > kMaxServeRound) [[unlikely]] {
+    bad_frame("round out of domain");
+  }
+  // Every field is written, the kind's own below: nothing of the previous
+  // event survives. (Field stores, not `event = ServeEvent{}`, which
+  // compiles to a block fill that costs more than the whole decode.)
+  static_assert(sizeof(ServeEvent) == 88, "reset every ServeEvent field");
+  event.round = round;
+  event.num_slots = 0;
+  event.round_value = Money{};
+  event.slot = Slot{0};
+  event.task = TaskId{-1};
+  event.task_value.reset();
+  event.agent = PhoneId{-1};
+  event.window = SlotInterval::of(1, 1);
+  event.claimed_cost = Money{};
+  event.client_lag_ns = 0;
+  switch (kind) {
+    case kKindRoundOpen: {
+      const std::int32_t slots = get_i32(p + 9);
+      if (slots < 1) [[unlikely]] bad_frame("slots out of domain");
+      event.kind = ServeEventKind::kRoundOpen;
+      event.num_slots = slots;
+      event.round_value = money_field(get_i64(p + 13), "value");
+      break;
+    }
+    case kKindTaskArrived: {
+      const std::int32_t slot = get_i32(p + 9);
+      const std::int32_t task = get_i32(p + 13);
+      const char has_value = p[17];
+      if (slot < 1) [[unlikely]] bad_frame("slot out of domain");
+      if (task < 0) [[unlikely]] bad_frame("task out of domain");
+      if (has_value != '\0' && has_value != '\1') [[unlikely]] {
+        bad_frame("invalid has_value flag");
+      }
+      if ((has_value == '\1') != (length == kTaskArrivedValueBytes))
+          [[unlikely]] {
+        bad_frame("has_value flag contradicts the frame length");
+      }
+      event.kind = ServeEventKind::kTaskArrived;
+      event.slot = Slot{slot};
+      event.task = TaskId{task};
+      if (has_value == '\1') {
+        event.task_value = money_field(get_i64(p + 18), "value");
+      }
+      break;
+    }
+    case kKindBidSubmitted: {
+      const std::int32_t agent = get_i32(p + 9);
+      const std::int32_t from = get_i32(p + 13);
+      const std::int32_t to = get_i32(p + 17);
+      if (agent < 0) [[unlikely]] bad_frame("agent out of domain");
+      if (from < 1) [[unlikely]] bad_frame("bid window begins before slot 1");
+      if (to < from) [[unlikely]] bad_frame("bid window end precedes begin");
+      const Money cost = money_field(get_i64(p + 21), "cost");
+      if (cost.is_negative()) [[unlikely]] bad_frame("negative claimed cost");
+      event.kind = ServeEventKind::kBidSubmitted;
+      event.slot = Slot{from};  // phones bid when they join
+      event.agent = PhoneId{agent};
+      event.window = SlotInterval::of(from, to);
+      event.claimed_cost = cost;
+      break;
+    }
+    case kKindSlotTick: {
+      const std::int32_t slot = get_i32(p + 9);
+      if (slot < 1) [[unlikely]] bad_frame("slot out of domain");
+      event.kind = ServeEventKind::kSlotTick;
+      event.slot = Slot{slot};
+      break;
+    }
+    default:  // kKindRoundClose
+      event.kind = ServeEventKind::kRoundClose;
+      break;
+  }
+  return 4 + static_cast<std::size_t>(length);
 }
 
 }  // namespace
@@ -180,89 +299,10 @@ std::optional<std::size_t> decode_wire_header(std::string_view bytes) {
 }
 
 std::optional<DecodedFrame> decode_wire_frame(std::string_view bytes) {
-  if (bytes.size() < 4) return std::nullopt;
-  const std::uint32_t length = get_u32(bytes.data());
-  if (length < 1 || length > kMaxWireFrameBytes) {
-    bad_frame("implausible frame length " + std::to_string(length));
-  }
-  if (bytes.size() < 4 + static_cast<std::size_t>(length)) {
-    return std::nullopt;  // incomplete: feed more bytes
-  }
-  const char* p = bytes.data() + 4;
-  const auto kind = static_cast<std::uint8_t>(p[0]);
-  const auto expect_length = [&](std::size_t want) {
-    if (length != want) {
-      bad_frame("frame length " + std::to_string(length) +
-                " does not match its kind's layout");
-    }
-  };
-
-  DecodedFrame decoded;
-  decoded.consumed = 4 + static_cast<std::size_t>(length);
-  switch (kind) {
-    case kKindRoundOpen: {
-      expect_length(kRoundOpenBytes);
-      const std::int64_t round = round_field(get_i64(p + 1));
-      const std::int32_t slots = get_i32(p + 9);
-      if (slots < 1) bad_frame("slots out of domain");
-      decoded.event =
-          round_open(round, slots, money_field(get_i64(p + 13), "value"));
-      return decoded;
-    }
-    case kKindTaskArrived: {
-      if (length != kTaskArrivedBytes && length != kTaskArrivedValueBytes) {
-        bad_frame("frame length " + std::to_string(length) +
-                  " does not match its kind's layout");
-      }
-      const std::int64_t round = round_field(get_i64(p + 1));
-      const std::int32_t slot = get_i32(p + 9);
-      const std::int32_t task = get_i32(p + 13);
-      if (slot < 1) bad_frame("slot out of domain");
-      if (task < 0) bad_frame("task out of domain");
-      const char has_value = p[17];
-      if (has_value != '\0' && has_value != '\1') {
-        bad_frame("invalid has_value flag");
-      }
-      if ((has_value == '\1') != (length == kTaskArrivedValueBytes)) {
-        bad_frame("has_value flag contradicts the frame length");
-      }
-      std::optional<Money> value;
-      if (has_value == '\1') value = money_field(get_i64(p + 18), "value");
-      decoded.event = task_arrived(round, Slot{slot}, TaskId{task}, value);
-      return decoded;
-    }
-    case kKindBidSubmitted: {
-      expect_length(kBidSubmittedBytes);
-      const std::int64_t round = round_field(get_i64(p + 1));
-      const std::int32_t agent = get_i32(p + 9);
-      const std::int32_t from = get_i32(p + 13);
-      const std::int32_t to = get_i32(p + 17);
-      if (agent < 0) bad_frame("agent out of domain");
-      if (from < 1) bad_frame("bid window begins before slot 1");
-      if (to < from) bad_frame("bid window end precedes begin");
-      const Money cost = money_field(get_i64(p + 21), "cost");
-      if (cost.is_negative()) bad_frame("negative claimed cost");
-      decoded.event =
-          bid_submitted(round, PhoneId{agent},
-                        model::Bid{SlotInterval::of(from, to), cost});
-      return decoded;
-    }
-    case kKindSlotTick: {
-      expect_length(kSlotTickBytes);
-      const std::int64_t round = round_field(get_i64(p + 1));
-      const std::int32_t slot = get_i32(p + 9);
-      if (slot < 1) bad_frame("slot out of domain");
-      decoded.event = slot_tick(round, Slot{slot});
-      return decoded;
-    }
-    case kKindRoundClose: {
-      expect_length(kRoundCloseBytes);
-      decoded.event = round_close(round_field(get_i64(p + 1)));
-      return decoded;
-    }
-    default:
-      bad_frame("unknown event kind " + std::to_string(kind));
-  }
+  std::optional<DecodedFrame> decoded(std::in_place);
+  decoded->consumed = decode_frame_into(bytes, decoded->event);
+  if (decoded->consumed == 0) decoded.reset();
+  return decoded;
 }
 
 std::int64_t WireDecoder::feed(
@@ -278,6 +318,7 @@ std::int64_t WireDecoder::feed(
     view = carry_;
   }
   std::size_t consumed = 0;
+  ServeEvent event;  // every frame is decoded into it in place
   try {
     while (consumed < view.size()) {
       const std::string_view rest = view.substr(consumed);
@@ -288,12 +329,12 @@ std::int64_t WireDecoder::feed(
         header_done_ = true;
         continue;
       }
-      const std::optional<DecodedFrame> frame = decode_wire_frame(rest);
-      if (!frame) break;  // incomplete frame prefix
-      consumed += frame->consumed;
+      const std::size_t frame = decode_frame_into(rest, event);
+      if (frame == 0) break;  // incomplete frame prefix
+      consumed += frame;
       ++events;
       ++decoded_;
-      sink(frame->event);
+      sink(event);
     }
   } catch (...) {
     poisoned_ = true;

@@ -6,8 +6,15 @@
 // integers and Money strings, and must find the line's end first. The
 // binary codec does none of that. Events travel as length-prefixed frames
 // of fixed-width little-endian fields with Money as its exact int64 micro
-// count; decoding reads straight out of the byte span into a stack
-// ServeEvent, touching no allocator.
+// count.
+//
+// Decoding: one frame decoder behind decode_wire_frame and
+// WireDecoder::feed (and so behind replay, the socket front-end and the
+// benches) reads each field straight out of the byte span into the event,
+// touching no allocator. Its rejections leave through out-of-line cold
+// calls, so the accepting path is a short run of loads and compares; it
+// writes every field of the event, so a decoder that reuses one event per
+// stream carries nothing over from the previous frame.
 //
 // Stream layout:
 //
@@ -100,7 +107,9 @@ struct DecodedFrame {
 /// Incremental decoder for chunked transports (sockets deliver frames
 /// split at arbitrary byte boundaries). The carry buffer holding a partial
 /// frame tail is owned by the decoder and reused across feeds, so a
-/// steady-state connection performs no per-event allocation.
+/// steady-state connection performs no per-event allocation. Each frame is
+/// decoded in place into one event per feed, which the sink sees until it
+/// returns (copy it to keep it).
 class WireDecoder {
  public:
   /// Consumes `bytes`, invoking `sink` once per completed event frame (the

@@ -173,5 +173,21 @@ TEST(FlatIdSet, MatchesAReferenceSetThroughGrowth) {
   EXPECT_FALSE(FlatIdSet{}.contains(0));
 }
 
+TEST(FlatIdSet, ClearEmptiesTheSetAndKeepsItsTable) {
+  FlatIdSet set;
+  for (int id = 0; id < 1'000; ++id) set.insert(id * 31);
+  const std::size_t table_bytes = set.retained_bytes();
+  ASSERT_GT(table_bytes, 0u);
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.retained_bytes(), table_bytes);
+  for (int id = 0; id < 1'000; ++id) EXPECT_FALSE(set.contains(id * 31));
+  // Refilled to the same size, the table does not grow.
+  for (int id = 0; id < 1'000; ++id) EXPECT_TRUE(set.insert(id * 31 + 1));
+  EXPECT_FALSE(set.insert(31 + 1));
+  EXPECT_EQ(set.size(), 1'000u);
+  EXPECT_EQ(set.retained_bytes(), table_bytes);
+}
+
 }  // namespace
 }  // namespace mcs

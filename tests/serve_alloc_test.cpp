@@ -1,22 +1,30 @@
 // Bid admission on the served path: heap allocations per admitted bid over
 // seeded Table-I rounds, and a hostile round whose every bid lands at the
 // front of the pool, which must stay O(log P) per bid and still match the
-// batch mechanism exactly. Also pins critical-value probes as
-// allocation-free once the calling thread's probe core is warm, and a
-// canonical JSONL line of each kind as decoding without the heap.
+// batch mechanism exactly. Round recycling: a reset machine allocates only
+// its outcome's buffers, serves every round exactly like a fresh one, and
+// an engine shard serving hostile, weighted, corrupted and Table-I rounds
+// back to back matches fresh machines and the batch mechanism. Also pins
+// critical-value probes as allocation-free once the calling thread's probe
+// core is warm, and a canonical JSONL line of each kind as decoding
+// without the heap.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "auction/counterfactual.hpp"
 #include "auction/online_greedy.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/scenario.hpp"
 #include "model/workload.hpp"
+#include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/round_machine.hpp"
@@ -130,6 +138,249 @@ TEST(ServeAlloc, HostileFrontInsertionRoundMatchesBatch) {
   for (int t = 0; t < kSlots; ++t) {
     EXPECT_EQ(outcome.outcome.allocation.phone_for(TaskId{t}),
               std::optional(PhoneId{t}));
+  }
+}
+
+/// A round as served events, with the scenario and bids the batch
+/// mechanism runs it on.
+struct ServedRound {
+  model::Scenario scenario;
+  model::BidProfile bids;
+  std::vector<ServeEvent> events;
+};
+
+/// A Table-I round (loadgen's scenario for (2014, round)).
+ServedRound table1_round(std::int64_t round) {
+  LoadGenConfig load;
+  load.seed = 2014;
+  ServedRound served;
+  served.scenario = loadgen_scenario(load, round);
+  served.bids = served.scenario.truthful_bids();
+  served.events = round_events(round, served.scenario, served.bids);
+  return served;
+}
+
+/// A Table-I round whose tasks carry their own values (weighted queries).
+ServedRound weighted_round(std::int64_t round) {
+  ServedRound served = table1_round(round);
+  for (model::Task& task : served.scenario.tasks) {
+    task.value = Money::from_units(10 + 20 * (task.id.value() % 4));
+  }
+  served.events = round_events(round, served.scenario, served.bids);
+  return served;
+}
+
+/// HostileFrontInsertionRoundMatchesBatch's round: 100k bids in slot 1,
+/// each cheaper than all before it and from a lower agent id.
+ServedRound hostile_round(std::int64_t round) {
+  constexpr int kBids = 100'000;
+  constexpr Slot::rep_type kSlots = 20;
+  ServedRound served;
+  served.scenario.num_slots = kSlots;
+  served.scenario.task_value = Money::from_units(1'000'000);
+  for (int t = 1; t <= kSlots; ++t) {
+    served.scenario.tasks.push_back(model::Task{TaskId{t - 1}, Slot{t}, {}});
+  }
+  for (int agent = 0; agent < kBids; ++agent) {
+    served.scenario.phones.push_back(model::TrueProfile{
+        SlotInterval::of(1, kSlots), Money::from_micros(1'000 * (agent + 1))});
+  }
+  served.bids = served.scenario.truthful_bids();
+  served.events.push_back(
+      round_open(round, kSlots, served.scenario.task_value));
+  for (Slot::rep_type t = 1; t <= kSlots; ++t) {
+    served.events.push_back(task_arrived(round, Slot{t}, TaskId{t - 1}));
+    if (t == 1) {
+      for (int agent = kBids - 1; agent >= 0; --agent) {
+        served.events.push_back(bid_submitted(
+            round, PhoneId{agent}, served.bids[static_cast<std::size_t>(agent)]));
+      }
+    }
+    served.events.push_back(slot_tick(round, Slot{t}));
+  }
+  served.events.push_back(round_close(round));
+  return served;
+}
+
+/// A Table-I round with its slot-10 tick missing: the event after the
+/// hole names a slot the round is not in, a stream error.
+ServedRound corrupted_round(std::int64_t round) {
+  ServedRound served = table1_round(round);
+  std::erase_if(served.events, [](const ServeEvent& event) {
+    return event.kind == ServeEventKind::kSlotTick && event.slot == Slot{10};
+  });
+  return served;
+}
+
+/// Feeds `events` (one whole round) to `machine`, already opened on the
+/// first of them.
+RoundOutcome finish_round(RoundMachine& machine,
+                          const std::vector<ServeEvent>& events) {
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (machine.apply(events[i])) break;
+  }
+  return machine.take_outcome();
+}
+
+void expect_same_outcome(const RoundOutcome& got, const RoundOutcome& want) {
+  EXPECT_EQ(got.round, want.round);
+  EXPECT_EQ(got.outcome.payments, want.outcome.payments);
+  EXPECT_EQ(got.total_paid, want.total_paid);
+  EXPECT_EQ(got.tasks_announced, want.tasks_announced);
+  EXPECT_EQ(got.bids_admitted, want.bids_admitted);
+  EXPECT_EQ(got.bids_rejected, want.bids_rejected);
+  EXPECT_EQ(got.events_consumed, want.events_consumed);
+  const auction::Allocation& a = got.outcome.allocation;
+  const auction::Allocation& b = want.outcome.allocation;
+  ASSERT_EQ(a.task_count(), b.task_count());
+  ASSERT_EQ(a.phone_count(), b.phone_count());
+  for (int task = 0; task < a.task_count(); ++task) {
+    EXPECT_EQ(a.phone_for(TaskId{task}), b.phone_for(TaskId{task}))
+        << "round " << got.round << " task " << task;
+  }
+}
+
+/// The round through a machine of its own.
+RoundOutcome fresh_outcome(const ServedRound& served,
+                           const auction::OnlineGreedyConfig& config) {
+  RoundMachine machine(served.events.front(), config);
+  return finish_round(machine, served.events);
+}
+
+TEST(ServeAlloc, RecycledMachineAllocatesOnlyItsOutcomeBuffers) {
+  LoadGenConfig load;  // the paper's Table I operating point
+  load.rounds = 200;
+  load.seed = 2014;
+  std::vector<std::vector<ServeEvent>> rounds;
+  generate_events(load, [&](const ServeEvent& event) {
+    if (event.kind == ServeEventKind::kRoundOpen) rounds.emplace_back();
+    rounds.back().push_back(event);
+    return true;
+  });
+  RoundMachine machine(rounds.front().front(), auction::OnlineGreedyConfig{});
+  const auto serve_all = [&] {
+    for (const std::vector<ServeEvent>& events : rounds) {
+      machine.reset(events.front());
+      (void)finish_round(machine, events);
+    }
+  };
+  serve_all();  // warm-up: the buffers grow to the largest round's needs
+  const std::uint64_t before = test::heap_allocations();
+  serve_all();
+  const std::uint64_t allocations = test::heap_allocations() - before;
+  const auto round_count = static_cast<std::uint64_t>(rounds.size());
+  std::cout << "[ alloc ] " << allocations << " heap allocations over "
+            << round_count << " recycled rounds: "
+            << static_cast<double>(allocations) /
+                   static_cast<double>(round_count)
+            << " per round\n";
+  // The outcome's own buffers: the allocation's three per-task/per-phone
+  // vectors and the payments.
+  EXPECT_LE(allocations, 4 * round_count);
+}
+
+TEST(ServeAlloc, SparesKeepNoHostileRoundsBuffers) {
+  const ServedRound hostile = hostile_round(0);
+  RoundMachine machine(hostile.events.front(), auction::OnlineGreedyConfig{});
+  (void)finish_round(machine, hostile.events);
+  // The engine frees this machine instead of keeping it as a spare, so no
+  // later round clears its 100k-bid buffers.
+  EXPECT_GT(machine.retained_bytes(), ServeEngine::kMaxSpareBytes);
+
+  // A machine recycled over the paper's largest rounds stays a spare.
+  LoadGenConfig large;
+  large.rounds = 20;
+  large.workload.num_slots = 80;
+  large.workload.phone_arrival_rate = 8.0;
+  std::optional<RoundMachine> recycled;
+  generate_events(large, [&](const ServeEvent& event) {
+    if (event.kind == ServeEventKind::kRoundOpen) {
+      if (recycled) {
+        recycled->reset(event);
+      } else {
+        recycled.emplace(event, auction::OnlineGreedyConfig{});
+      }
+    } else {
+      (void)recycled->apply(event);
+    }
+    return true;
+  });
+  std::cout << "[ alloc ] a machine recycled over m=80, lambda=8 rounds "
+            << "retains " << recycled->retained_bytes() << " bytes\n";
+  EXPECT_LE(recycled->retained_bytes(), ServeEngine::kMaxSpareBytes);
+}
+
+TEST(RoundRecycling, AResetMachineServesLikeAFreshOne) {
+  auction::OnlineGreedyConfig config;
+  config.reserve_price = Money::from_units(40);  // some bids turned away
+  const std::vector<ServedRound> rounds = {
+      hostile_round(0),  weighted_round(1), corrupted_round(2),
+      table1_round(3),   table1_round(4),   weighted_round(5),
+      table1_round(6)};
+  RoundMachine machine(rounds.front().events.front(), config,
+                       /*capture=*/true);
+  for (std::size_t k = 0; k < rounds.size(); ++k) {
+    const ServedRound& served = rounds[k];
+    machine.reset(served.events.front());
+    if (k == 2) {
+      EXPECT_THROW((void)finish_round(machine, served.events),
+                   InvalidArgumentError);
+      continue;
+    }
+    const RoundOutcome outcome = finish_round(machine, served.events);
+    EXPECT_EQ(diff_against_batch(served.scenario, served.bids, outcome,
+                                 config),
+              "")
+        << "round " << k;
+    RoundMachine fresh(served.events.front(), config, /*capture=*/true);
+    expect_same_outcome(outcome, finish_round(fresh, served.events));
+    // The capture the econ plane audits starts empty too.
+    ASSERT_TRUE(machine.capture_complete());
+    const CapturedRound got = machine.take_captured();
+    const CapturedRound want = fresh.take_captured();
+    EXPECT_EQ(got.bids, want.bids);
+    EXPECT_EQ(got.scenario.tasks, want.scenario.tasks);
+    ASSERT_EQ(got.slots.size(), want.slots.size());
+    for (std::size_t t = 0; t < got.slots.size(); ++t) {
+      EXPECT_EQ(got.slots[t].winners, want.slots[t].winners);
+      EXPECT_EQ(got.slots[t].unserved, want.slots[t].unserved);
+      EXPECT_EQ(got.slots[t].runner_up, want.slots[t].runner_up);
+    }
+  }
+}
+
+TEST(RoundRecycling, OneShardServesHostileWeightedCorruptedAndTableIRounds) {
+  std::vector<ServedRound> rounds;
+  rounds.push_back(hostile_round(0));
+  rounds.push_back(weighted_round(1));
+  rounds.push_back(corrupted_round(2));
+  for (std::int64_t round = 3; round < 12; ++round) {
+    rounds.push_back(table1_round(round));
+  }
+  ServeConfig config;
+  config.shards = 1;  // every round on the one shard, back to back
+  config.admission = ServeConfig::Admission::kReject;
+  ServeEngine engine(config);
+  for (const ServedRound& served : rounds) {
+    for (const ServeEvent& event : served.events) {
+      // Shedding would punch holes; wait for room instead.
+      while (engine.submit(event) == SubmitStatus::kRejectedQueueFull) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  engine.drain();
+  EXPECT_EQ(engine.stats().rounds_corrupted, 1);
+  const std::vector<RoundOutcome> outcomes = engine.take_outcomes();
+  ASSERT_EQ(outcomes.size(), rounds.size() - 1);
+  for (const RoundOutcome& outcome : outcomes) {
+    ASSERT_NE(outcome.round, 2);
+    const ServedRound& served = rounds[static_cast<std::size_t>(outcome.round)];
+    EXPECT_EQ(diff_against_batch(served.scenario, served.bids, outcome,
+                                 config.greedy),
+              "")
+        << "round " << outcome.round;
+    expect_same_outcome(outcome, fresh_outcome(served, config.greedy));
   }
 }
 

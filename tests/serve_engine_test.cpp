@@ -22,6 +22,7 @@
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/replay.hpp"
+#include "serve/trace_plane.hpp"
 #include "serve/verify.hpp"
 #include "serve/wire.hpp"
 
@@ -633,6 +634,29 @@ TEST(ServeConfigTest, ValidateRejectsOutOfDomainKnobs) {
   ServeConfig bad_queue;
   bad_queue.queue_capacity = 0;
   EXPECT_THROW(bad_queue.validate(), InvalidArgumentError);
+}
+
+TEST(ServeConfigTest, QueueAndTraceRingCapsAreCheckedBeforeAllocating) {
+  // Both are allocated up front, so each has an explicit upper bound; a
+  // value above it is refused before the engine or plane allocates.
+  ServeConfig at_cap;
+  at_cap.queue_capacity = ServeConfig::kMaxQueueCapacity;
+  EXPECT_NO_THROW(at_cap.validate());
+  ServeConfig above_cap;
+  above_cap.queue_capacity = ServeConfig::kMaxQueueCapacity + 1;
+  EXPECT_THROW(above_cap.validate(), InvalidArgumentError);
+  EXPECT_THROW((void)ServeEngine{above_cap}, InvalidArgumentError);
+
+  TracePlaneConfig ring_at_cap;
+  ring_at_cap.ring_capacity = TracePlaneConfig::kMaxRingCapacity;
+  EXPECT_NO_THROW(ring_at_cap.validate());
+  TracePlaneConfig ring_above_cap;
+  ring_above_cap.ring_capacity = TracePlaneConfig::kMaxRingCapacity + 1;
+  EXPECT_THROW(ring_above_cap.validate(), InvalidArgumentError);
+  EXPECT_THROW((void)TracePlane{ring_above_cap}, InvalidArgumentError);
+  TracePlaneConfig empty_ring;
+  empty_ring.ring_capacity = 0;
+  EXPECT_THROW((void)TracePlane{empty_ring}, InvalidArgumentError);
 }
 
 }  // namespace

@@ -255,6 +255,34 @@ TEST(WireDecoderTest, OneByteAtATimeFeedsDecodeTheFullStream) {
   EXPECT_EQ(got, every_kind());
 }
 
+TEST(WireDecoderTest, BidAfterAWeightedTaskCarriesNoTaskValue) {
+  // The decoder reuses one event for every frame: a bid decoded after a
+  // weighted task_arrived must not inherit the task's value (or any other
+  // field), whether the frames arrive byte by byte or in one chunk.
+  const ServeEvent task = task_arrived(4, Slot{2}, TaskId{0},
+                                       Money::from_double(12.5));
+  const ServeEvent bid_event = bid_submitted(4, PhoneId{3}, bid(2, 5, 7.25));
+  std::string stream = header_bytes();
+  append_wire_frame(stream, task);
+  append_wire_frame(stream, bid_event);
+  const std::optional<ServeEvent> jsonl =
+      decode_serve_line(encode_serve_event(bid_event));
+  ASSERT_TRUE(jsonl.has_value());
+  for (const std::size_t chunk : {std::size_t{1}, stream.size()}) {
+    WireDecoder decoder;
+    std::vector<ServeEvent> got;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      decoder.feed(std::string_view(stream).substr(at, chunk),
+                   [&](const ServeEvent& event) { got.push_back(event); });
+    }
+    ASSERT_EQ(got.size(), 2u) << "chunk " << chunk;
+    EXPECT_EQ(got[0], task);
+    EXPECT_EQ(got[1].task_value, std::nullopt) << "chunk " << chunk;
+    EXPECT_EQ(got[1], *jsonl) << "chunk " << chunk;
+    EXPECT_EQ(got[1], bid_event) << "chunk " << chunk;
+  }
+}
+
 TEST(WireDecoderTest, PoisonsAfterMalformedInput) {
   WireDecoder decoder;
   const auto sink = [](const ServeEvent&) {};

@@ -2,11 +2,12 @@
 //
 // Replaces every global allocation form -- plain, array, nothrow and
 // aligned operator new, with every matching operator delete -- by a
-// malloc/free pair that counts each allocation. All forms must be
-// replaced together: a library path that allocates through a form left
-// out (std::stable_sort's temporary buffer uses the nothrow one) would
-// hand the replaced operator delete a block the toolchain's own operator
-// new made, which AddressSanitizer reports as an alloc-dealloc mismatch.
+// malloc/free pair that counts each allocation and its bytes. All forms
+// must be replaced together: a library path that allocates through a form
+// left out (std::stable_sort's temporary buffer uses the nothrow one)
+// would hand the replaced operator delete a block the toolchain's own
+// operator new made, which AddressSanitizer reports as an alloc-dealloc
+// mismatch.
 //
 // The replacements are definitions: include this header from exactly one
 // translation unit of a test binary. Counting is the only extra work, so
@@ -22,22 +23,30 @@
 namespace mcs::test {
 
 inline std::atomic<std::uint64_t> g_heap_allocations{0};
+inline std::atomic<std::uint64_t> g_heap_bytes{0};
 
 /// Heap allocations made by this process so far, through any operator new.
 inline std::uint64_t heap_allocations() {
   return g_heap_allocations.load(std::memory_order_relaxed);
 }
 
+/// Bytes those allocations requested, in total (frees are not subtracted).
+inline std::uint64_t heap_bytes() {
+  return g_heap_bytes.load(std::memory_order_relaxed);
+}
+
 namespace alloc_detail {
 
 inline void* counted_malloc(std::size_t size) noexcept {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 inline void* counted_aligned(std::size_t size,
                              std::align_val_t align) noexcept {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto alignment = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;

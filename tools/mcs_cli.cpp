@@ -700,7 +700,7 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_int("shards", 4, "worker shards (rounds are hashed across them)");
   cli.add_int("queue-depth",
               static_cast<std::int64_t>(serve::ServeConfig{}.queue_capacity),
-              "bounded per-shard queue capacity");
+              "bounded per-shard queue capacity (at most 2^20 events)");
   cli.add_string("admission", "block",
                  "backpressure policy: block | reject (shed when full)");
   cli.add_double("reserve", 0.0, "platform reserve price (0 = none)");
@@ -742,12 +742,13 @@ int cmd_serve(int argc, const char* const* argv) {
               "retain every round slower than this many microseconds "
               "(0 = auto: track the rolling per-shard p99)");
   cli.add_int("trace-capacity", 256,
-              "per-shard retained-trace ring capacity");
+              "per-shard retained-trace ring capacity (at most 2^14)");
   if (!cli.parse(argc, argv)) return 0;
 
   serve::ServeConfig config;
   config.shards = cli.get_int_in<int>("shards", 1);
-  config.queue_capacity = cli.get_int_in<std::size_t>("queue-depth", 1);
+  config.queue_capacity = cli.get_int_in<std::size_t>(
+      "queue-depth", 1, serve::ServeConfig::kMaxQueueCapacity);
   const std::string admission = cli.get_string("admission");
   if (admission == "block") {
     config.admission = serve::ServeConfig::Admission::kBlock;
@@ -850,8 +851,8 @@ int cmd_serve(int argc, const char* const* argv) {
   std::unique_ptr<serve::TracePlane> trace_plane;
   if (!trace_jsonl_path.empty() || !trace_chrome_path.empty()) {
     serve::TracePlaneConfig trace_config;
-    trace_config.ring_capacity =
-        cli.get_int_in<std::size_t>("trace-capacity", 1);
+    trace_config.ring_capacity = cli.get_int_in<std::size_t>(
+        "trace-capacity", 1, serve::TracePlaneConfig::kMaxRingCapacity);
     // The threshold is written to the trace header as int64 nanoseconds.
     trace_config.slow_threshold_ns =
         cli.get_int_in<std::uint64_t>(

@@ -32,12 +32,18 @@ endfunction()
 expect_flag_error(shards serve --rounds 1 --shards 4294967297)
 expect_flag_error(slots serve --rounds 1 --slots 4294967346)
 expect_flag_error(queue-depth serve --rounds 1 --queue-depth -1)
+# One past each documented cap (ServeConfig::kMaxQueueCapacity,
+# TracePlaneConfig::kMaxRingCapacity): refused before anything is allocated.
+expect_flag_error(queue-depth serve --rounds 1 --queue-depth 1048577)
 expect_flag_error(trace-threshold-us serve --rounds 1
                   --trace-jsonl ${WORKDIR}/cli_smoke_flag.jsonl
                   --trace-threshold-us -1)
 expect_flag_error(trace-capacity serve --rounds 1
                   --trace-jsonl ${WORKDIR}/cli_smoke_flag.jsonl
                   --trace-capacity -1)
+expect_flag_error(trace-capacity serve --rounds 1
+                  --trace-jsonl ${WORKDIR}/cli_smoke_flag.jsonl
+                  --trace-capacity 16385)
 expect_flag_error(econ-probe-every serve --rounds 1
                   --econ-out ${WORKDIR}/cli_smoke_flag.jsonl
                   --econ-probe-every -3)
