@@ -45,7 +45,7 @@ enum class TracePhase : std::uint8_t {
   kQueueWait,    ///< handoff -> batch pickup on the shard queue
   kSlotTick,     ///< one slot_tick: the allocation step, plus Algorithm-2
                  ///< settlement of the winners departing in that slot
-  kPayment,      ///< round_close materialization of the round's outcome
+  kPayment,      ///< round_close, with any dense build of its outcome
   kAudit,        ///< econ sentinel audit of the closed round
   kRoundClose,   ///< terminal zero-length marker; latency_ns is the field
 };

@@ -114,7 +114,7 @@ class EconTelemetry {
 
   /// Audits one closed round. Called by the shard worker after the round
   /// machine reported done and before it is erased; `machine` gives the
-  /// captured reconstruction, `result` the materialized outcome. Never
+  /// captured reconstruction, `result` its dense outcome. Never
   /// throws on malformed rounds -- they are counted as skipped.
   /// Registry-plane effect: exactly one "econ.violations" count per
   /// violation found, nothing else. Returns the number of violations this

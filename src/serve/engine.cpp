@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -310,7 +311,14 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
   }
   if (!done) return;
 
-  RoundOutcome outcome = machine.take_outcome();
+  // The dense outcome is built only for a caller that takes outcomes or
+  // for the econ audit; the trace's payment span covers the build. The
+  // totals are copied: end_round may free the machine.
+  const RoundTotals totals = machine.totals();
+  std::optional<RoundOutcome> outcome;
+  if (config_.retain_outcomes || config_.econ != nullptr) {
+    outcome.emplace(machine.take_outcome());
+  }
   // Econ sentinel: audit the closed round while its capture is still
   // alive. The shard registry is installed on this thread, so the one
   // sanctioned counter (econ.violations) lands in the deterministic
@@ -318,16 +326,16 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
   const std::uint64_t settled_ns = trace != nullptr ? stamp_ns() : 0;
   std::int64_t violations = 0;
   if (config_.econ != nullptr) {
-    violations = config_.econ->observe_round(shard.index, machine, outcome);
+    violations = config_.econ->observe_round(shard.index, machine, *outcome);
   }
   end_round(shard, rounds, it, obs::TraceStatus::kCompleted, begin_ns,
             settled_ns, violations);
   ++shard.stats.rounds_completed;
-  shard.stats.tasks_announced += outcome.tasks_announced;
-  shard.stats.bids_admitted += outcome.bids_admitted;
-  shard.stats.bids_rejected_reserve += outcome.bids_rejected;
-  shard.stats.total_paid += outcome.total_paid;
-  shard.outcomes.push_back(std::move(outcome));
+  shard.stats.tasks_announced += totals.tasks_announced;
+  shard.stats.bids_admitted += totals.bids_admitted;
+  shard.stats.bids_rejected_reserve += totals.bids_rejected;
+  shard.stats.total_paid += totals.total_paid;
+  if (config_.retain_outcomes) shard.outcomes.push_back(std::move(*outcome));
 }
 
 void ServeEngine::end_round(Shard& shard, Rounds& rounds,
@@ -403,6 +411,8 @@ void ServeEngine::drain() {
 
 std::vector<RoundOutcome> ServeEngine::take_outcomes() {
   MCS_EXPECTS(drained_, "take_outcomes requires drain()");
+  MCS_EXPECTS(config_.retain_outcomes,
+              "take_outcomes requires ServeConfig::retain_outcomes");
   std::vector<RoundOutcome> all;
   for (auto& shard : shards_) {
     for (RoundOutcome& outcome : shard->outcomes) {

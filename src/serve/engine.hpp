@@ -9,11 +9,20 @@
 // order by exactly one worker, so the merged outcomes (and the merged
 // per-shard work counters) are identical for any shard count.
 //
+// What a finished round leaves behind: its totals are added to the
+// shard's ServeStats when it closes. With ServeConfig::retain_outcomes on
+// (the default) the worker also builds its dense RoundOutcome
+// (RoundMachine::take_outcome) and keeps it until take_outcomes(); with it
+// off the round leaves nothing else, so a long-running server's memory
+// does not grow with the rounds it has served. The econ plane, when on,
+// audits the dense outcome either way, then it is dropped.
+//
 // Rounds recycle: each worker keeps the machines of its retired rounds
 // (completed, corrupted or abandoned) as spares, each still in its round
 // table node, and a round_open reuses one through RoundMachine::reset, so
-// a shard at steady state allocates per round only the outcome's own
-// buffers. Retention bound: at most kMaxSpareRounds spares per shard, each
+// a non-retaining shard with the econ plane off allocates nothing per
+// round at steady state (a retaining one allocates only the outcomes it
+// keeps). Retention bound: at most kMaxSpareRounds spares per shard, each
 // holding at most kMaxSpareBytes of buffers; a retired machine holding
 // more (one that served a hostile 100k-bid round, say) is freed instead,
 // so no later round resets its buffers. Spares are freed when the worker
@@ -99,6 +108,12 @@ struct ServeConfig {
 
   /// Mechanism knobs applied to every round (reserve, profitability, ...).
   auction::OnlineGreedyConfig greedy;
+
+  /// Keep every completed round's dense RoundOutcome for take_outcomes().
+  /// Off, a completed round feeds ServeStats (and the econ plane) and is
+  /// dropped: set it off when nothing will take the outcomes, as a
+  /// long-running server.
+  bool retain_outcomes = true;
 
   /// Optional wall-clock plane (non-owning; must outlive the engine). The
   /// engine attaches it at construction and records queue waits, round
@@ -198,7 +213,8 @@ class ServeEngine {
   /// error by shard index).
   void drain();
 
-  /// Completed rounds, sorted by round id. Requires drain(); moves out.
+  /// Completed rounds, sorted by round id. Requires drain() and
+  /// config().retain_outcomes; moves out.
   [[nodiscard]] std::vector<RoundOutcome> take_outcomes();
 
   /// Aggregated stats. Requires drain().
@@ -216,7 +232,7 @@ class ServeEngine {
     EventRing queue;  ///< preallocated bounded ring; see serve/queue.hpp
     std::thread worker;
     obs::MetricsRegistry registry;  ///< used only when telemetry is on
-    std::vector<RoundOutcome> outcomes;
+    std::vector<RoundOutcome> outcomes;  ///< only with retain_outcomes
     ServeStats stats;    ///< worker-local; folded into totals at drain
     /// Worker-local serve.events.* counts by ServeEventKind, published to
     /// `registry` when the worker exits.

@@ -51,9 +51,9 @@ void RoundMachine::reset(const ServeEvent& open) {
   captured_tasks_.clear();
   captured_bids_.clear();
   captured_slots_.clear();
-  outcome_ = RoundOutcome{};
-  outcome_.round = round_;
-  outcome_.events_consumed = 1;  // the round_open itself
+  totals_ = RoundTotals{};
+  totals_.round = round_;
+  totals_.events_consumed = 1;  // the round_open itself
 }
 
 std::size_t RoundMachine::retained_bytes() const {
@@ -78,7 +78,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
     stream_error(round_, "event routed to the wrong round");
   }
   if (done_) stream_error(round_, "event after round_close");
-  ++outcome_.events_consumed;
+  ++totals_.events_consumed;
 
   switch (event.kind) {
     case ServeEventKind::kRoundOpen:
@@ -86,7 +86,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
 
     case ServeEventKind::kTaskArrived:
       expect_now(event.slot);
-      if (event.task.value() != outcome_.tasks_announced) {
+      if (event.task.value() != totals_.tasks_announced) {
         stream_error(round_, "task ids must be dense and increasing");
       }
       if (event.task_value && (event.task_value->is_negative() ||
@@ -96,7 +96,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
       core_.add_task(auction::GreedyCore::Task{
           event.task, event.task_value.value_or(round_value_),
           core_.current_slot()});
-      ++outcome_.tasks_announced;
+      ++totals_.tasks_announced;
       if (capture_) {
         captured_tasks_.push_back(
             model::Task{event.task, event.slot, event.task_value});
@@ -121,9 +121,9 @@ bool RoundMachine::apply(const ServeEvent& event) {
       if (capture_) captured_bids_.emplace_back(event.agent, bid);
       if (core_.screen(event.agent.value(), bid)) {
         (void)core_.admit(event.agent.value(), bid);
-        ++outcome_.bids_admitted;
+        ++totals_.bids_admitted;
       } else {
-        ++outcome_.bids_rejected;  // platform reserve said no
+        ++totals_.bids_rejected;  // platform reserve said no
       }
       return false;
     }
@@ -146,6 +146,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
         slots_walked_ += settlement.slots_walked;
         auction::log_payment_derivation(leaving, settlement);
         payments_.emplace_back(PhoneId{leaving.id}, settlement.payment);
+        totals_.total_paid += settlement.payment;
       }
       return false;
     }
@@ -154,24 +155,9 @@ bool RoundMachine::apply(const ServeEvent& event) {
       if (core_.current_slot() <= num_slots_) {
         stream_error(round_, "round_close before the last slot_tick");
       }
-      // Materialize the batch-comparable outcome. Agent ids are dense per
-      // the scenario convention, so the bid events seen fix the phone
-      // count; task ids were checked dense on arrival.
+      // The phone count take_outcome() sizes by must fit an int.
       if (phone_count_ > std::numeric_limits<int>::max()) {
         stream_error(round_, "agent ids exceed the phone count range");
-      }
-      const auto phone_count = static_cast<int>(phone_count_);
-      const int task_count = static_cast<int>(outcome_.tasks_announced);
-      outcome_.outcome.allocation = auction::Allocation(task_count, phone_count);
-      for (const auto& [task, agent] : assignments_) {
-        outcome_.outcome.allocation.assign(task, agent);
-      }
-      outcome_.outcome.payments.assign(static_cast<std::size_t>(phone_count),
-                                       Money{});
-      for (const auto& [agent, payment] : payments_) {
-        outcome_.outcome.payments[static_cast<std::size_t>(agent.value())] =
-            payment;
-        outcome_.total_paid += payment;
       }
       done_ = true;
       return true;
@@ -180,9 +166,24 @@ bool RoundMachine::apply(const ServeEvent& event) {
   stream_error(round_, "unhandled event kind");
 }
 
-RoundOutcome RoundMachine::take_outcome() {
+RoundOutcome RoundMachine::take_outcome() const {
   MCS_EXPECTS(done_, "take_outcome requires a closed round");
-  return std::move(outcome_);
+  // Agent ids are dense per the scenario convention, so the bid events
+  // seen fix the phone count; task ids were checked dense on arrival.
+  RoundOutcome result{totals_, {}};
+  const auto phone_count = static_cast<int>(phone_count_);
+  const int task_count = static_cast<int>(totals_.tasks_announced);
+  result.outcome.allocation = auction::Allocation(task_count, phone_count);
+  for (const auto& [task, agent] : assignments_) {
+    result.outcome.allocation.assign(task, agent);
+  }
+  result.outcome.payments.assign(static_cast<std::size_t>(phone_count),
+                                 Money{});
+  for (const auto& [agent, payment] : payments_) {
+    result.outcome.payments[static_cast<std::size_t>(agent.value())] =
+        payment;
+  }
+  return result;
 }
 
 bool RoundMachine::capture_complete() const {

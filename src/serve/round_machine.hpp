@@ -9,18 +9,25 @@
 // door), and slot_tick becomes step() followed by settle() for each winner
 // in the step's `departing` -- so every winner is paid in its reported
 // departure slot, the earliest moment its Algorithm-2 critical value is
-// determined (Section V-C). At round_close the machine materializes the
-// assignments and payments as a batch-comparable auction::Outcome. The
-// batch OnlineGreedyMechanism drives the same core, so a replayed event
-// stream reproduces its outcome byte for byte (the streaming/batch
-// equivalence oracle pins this).
+// determined (Section V-C).
+//
+// What a finished round keeps: its RoundTotals (total_paid summed as each
+// settlement is paid) and the winners sparsely, one (task, phone) pair per
+// assignment and one (phone, payment) pair per settlement -- memory linear
+// in its events. round_close checks the round and builds nothing.
+// take_outcome() is the one builder of the batch-comparable
+// auction::Outcome, sized by the largest agent id that bid; only a caller
+// that wants the dense outcome (a retaining engine, the econ audit, tests)
+// pays for it. The batch OnlineGreedyMechanism drives the same core, so a
+// replayed event stream reproduces its outcome byte for byte (the
+// streaming/batch equivalence oracle pins this).
 //
 // A machine outlives its round: reset() starts it on the next round_open
 // under the same config and capture mode, keeping every buffer (the core's
 // through GreedyCore::restart, the one-bid set's through FlatIdSet::clear),
-// so a recycled machine allocates only its outcome's own buffers once it
-// has served a round as large (the engine keeps retired machines for this;
-// serve/engine.hpp bounds what they may hold).
+// so a recycled machine allocates nothing once it has served a round as
+// large, unless take_outcome() builds a dense outcome (the engine keeps
+// retired machines for this; serve/engine.hpp bounds what they may hold).
 //
 // The machine is strict about stream well-formedness (untrusted input):
 // events must name the core's current slot, every slot must be ticked
@@ -46,15 +53,21 @@
 
 namespace mcs::serve {
 
-/// What one completed round produced.
-struct RoundOutcome {
+/// A round's running totals; the engine's ServeStats sum them over the
+/// completed rounds.
+struct RoundTotals {
   std::int64_t round{0};
-  auction::Outcome outcome;  ///< batch-comparable allocation + payments
-  Money total_paid;
+  Money total_paid;  ///< summed as each settlement is paid
   std::int64_t tasks_announced{0};
   std::int64_t bids_admitted{0};
   std::int64_t bids_rejected{0};  ///< turned away by the platform reserve
   std::int64_t events_consumed{0};
+};
+
+/// What one completed round produced: its totals and the dense outcome
+/// RoundMachine::take_outcome() builds.
+struct RoundOutcome : RoundTotals {
+  auction::Outcome outcome;  ///< batch-comparable allocation + payments
 };
 
 /// Claimed-cost reconstruction of a completed round: the world as the
@@ -94,8 +107,13 @@ class RoundMachine {
   /// Returns true when the event was kRoundClose and the round completed.
   bool apply(const ServeEvent& event);
 
-  /// The finished round's outcome; requires done(). Moves the result out.
-  [[nodiscard]] RoundOutcome take_outcome();
+  /// The round's totals so far (final once done()).
+  [[nodiscard]] const RoundTotals& totals() const { return totals_; }
+
+  /// Builds the finished round's batch-comparable outcome, the machine's
+  /// one dense builder: its allocation and payments are sized by the
+  /// largest agent id that bid. Requires done().
+  [[nodiscard]] RoundOutcome take_outcome() const;
 
   /// Slot records read by the round's settlements so far, done or not
   /// (the engine publishes the sum as auction.settlement.slots_walked).
@@ -134,7 +152,7 @@ class RoundMachine {
   /// id's value: ids are untrusted input.
   std::vector<std::pair<PhoneId, model::Bid>> captured_bids_;
   std::vector<auction::GreedySlotRecord> captured_slots_;
-  RoundOutcome outcome_;
+  RoundTotals totals_;
 };
 
 }  // namespace mcs::serve

@@ -6,8 +6,10 @@
 // (obs::trace_id_of, a pure function of the round id) and a bounded span
 // timeline: client-side ingest lag (stamped by the paced loadgen), queue
 // wait, one span per slot_tick (allocation plus the Algorithm-2 settlement
-// of that slot's departing winners), round_close materialization (the
-// `payment` phase), the econ audit, and a terminal round_close marker.
+// of that slot's departing winners), round_close (the `payment` phase: the
+// round's checks, plus the dense outcome build when the engine retains
+// outcomes or audits them), the econ audit, and a terminal round_close
+// marker.
 //
 // The plane owns no clock: every hook takes its timestamps from the
 // engine, which stamps each event once on its one clock and hands the
@@ -136,7 +138,7 @@ class TracePlane {
   void on_slot_tick(int shard, obs::RoundTrace& trace, std::int32_t slot,
                     std::uint64_t begin_ns, std::uint64_t end_ns);
   /// round_close: seals the trace (payment span [close_begin, settled]
-  /// timing the outcome's materialization,
+  /// timing round_close and any dense outcome build,
   /// audit span [settled, done] when the econ plane ran, terminal
   /// round_close marker at done) and runs the tail sampler.
   /// `econ_violations` is the sentinel's verdict for this round.

@@ -2,9 +2,12 @@
 // seeded Table-I rounds, and a hostile round whose every bid lands at the
 // front of the pool, which must stay O(log P) per bid and still match the
 // batch mechanism exactly. Round recycling: a reset machine allocates only
-// its outcome's buffers, serves every round exactly like a fresh one, and
-// an engine shard serving hostile, weighted, corrupted and Table-I rounds
-// back to back matches fresh machines and the batch mechanism. Also pins
+// the buffers take_outcome() builds, serves every round exactly like a
+// fresh one, and an engine shard serving hostile, weighted, corrupted and
+// Table-I rounds back to back matches fresh machines and the batch
+// mechanism. A non-retaining engine allocates nothing per round at steady
+// state, and serves a round with a huge agent id in memory linear in its
+// events under both admission policies. Also pins
 // critical-value probes as allocation-free once the calling thread's probe
 // core is warm, and a canonical JSONL line of each kind as decoding
 // without the heap.
@@ -274,9 +277,90 @@ TEST(ServeAlloc, RecycledMachineAllocatesOnlyItsOutcomeBuffers) {
             << static_cast<double>(allocations) /
                    static_cast<double>(round_count)
             << " per round\n";
-  // The outcome's own buffers: the allocation's three per-task/per-phone
-  // vectors and the payments.
+  // The dense outcome's own buffers, which take_outcome() builds: the
+  // allocation's three per-task/per-phone vectors and the payments.
   EXPECT_LE(allocations, 4 * round_count);
+}
+
+/// Heap allocations and bytes one non-retaining, econ-off engine makes from
+/// its construction through drain() while serving `events`.
+struct EngineHeap {
+  std::uint64_t allocations{0};
+  std::uint64_t bytes{0};
+  ServeStats stats;
+};
+
+EngineHeap serve_without_retention(const std::vector<ServeEvent>& events,
+                                   ServeConfig::Admission admission) {
+  ServeConfig config;
+  config.retain_outcomes = false;
+  config.admission = admission;
+  EngineHeap heap;
+  const std::uint64_t allocations = test::heap_allocations();
+  const std::uint64_t bytes = test::heap_bytes();
+  ServeEngine engine(config);
+  for (const ServeEvent& event : events) {
+    // A kReject engine waits out a full queue too: nothing is shed.
+    while (engine.submit(event) == SubmitStatus::kRejectedQueueFull) {
+      std::this_thread::yield();
+    }
+  }
+  engine.drain();
+  heap.allocations = test::heap_allocations() - allocations;
+  heap.bytes = test::heap_bytes() - bytes;
+  heap.stats = engine.stats();
+  return heap;
+}
+
+TEST(ServeAlloc, NonRetainingEngineAllocatesNothingPerRound) {
+  const auto table1_events = [](std::int64_t rounds) {
+    LoadGenConfig load;  // the paper's Table I operating point
+    load.rounds = rounds;
+    load.seed = 2014;
+    std::vector<ServeEvent> events;
+    generate_events(load, [&](const ServeEvent& event) {
+      events.push_back(event);
+      return true;
+    });
+    return events;
+  };
+  // One shard: its worker serves every round on one recycled machine.
+  const EngineHeap two_hundred = serve_without_retention(
+      table1_events(200), ServeConfig::Admission::kBlock);
+  const EngineHeap four_hundred = serve_without_retention(
+      table1_events(400), ServeConfig::Admission::kBlock);
+  ASSERT_EQ(two_hundred.stats.rounds_completed, 200);
+  ASSERT_EQ(four_hundred.stats.rounds_completed, 400);
+  std::cout << "[ alloc ] a non-retaining engine made "
+            << two_hundred.allocations << " heap allocations over 200 rounds, "
+            << four_hundred.allocations << " over 400\n";
+  // The engine, its ring and the recycled machine's buffers; the second
+  // 200 rounds add nothing.
+  EXPECT_EQ(four_hundred.allocations, two_hundred.allocations);
+}
+
+TEST(ServeAlloc, HugeAgentIdServesInMemoryLinearInItsEvents) {
+  // A bid from agent 2^30 - 1: a dense outcome's two per-phone vectors
+  // would take 16 GB. A non-retaining, econ-off engine never builds one.
+  const model::Bid bid{SlotInterval::of(1, 1), Money::from_units(5)};
+  const std::vector<ServeEvent> events = {
+      round_open(0, 1, Money::from_units(50)),
+      task_arrived(0, Slot{1}, TaskId{0}),
+      bid_submitted(0, PhoneId{1073741823}, bid),
+      slot_tick(0, Slot{1}),
+      round_close(0),
+  };
+  for (const ServeConfig::Admission admission :
+       {ServeConfig::Admission::kBlock, ServeConfig::Admission::kReject}) {
+    const EngineHeap heap = serve_without_retention(events, admission);
+    std::cout << "[ alloc ] a huge-agent-id round took " << heap.bytes
+              << " heap bytes, the engine's ring included\n";
+    EXPECT_EQ(heap.stats.rounds_completed, 1);
+    EXPECT_EQ(heap.stats.rounds_corrupted, 0);
+    EXPECT_EQ(heap.stats.bids_admitted, 1);
+    EXPECT_EQ(heap.stats.total_paid, Money::from_units(50));
+    EXPECT_LT(heap.bytes, std::uint64_t{1} << 20);
+  }
 }
 
 TEST(ServeAlloc, SparesKeepNoHostileRoundsBuffers) {

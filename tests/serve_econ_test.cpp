@@ -431,7 +431,9 @@ TEST(EconTelemetry, PrometheusRenderingExposesEconGauges) {
 
 TEST(EconTelemetry, TruthfulTrafficIsViolationFreeOverManyRounds) {
   // The acceptance bar: >= 200 truthful rounds through the real engine
-  // with the sentinel sampling, zero violations, healthy state.
+  // with the sentinel sampling, zero violations, healthy state. The engine
+  // keeps no outcomes, as mcs_cli serve runs it: each round's dense outcome
+  // is built for the audit alone.
   const LoadGenConfig load = small_load(200);
   EconTelemetryConfig econ_config;
   econ_config.probe_every = 8;
@@ -440,6 +442,7 @@ TEST(EconTelemetry, TruthfulTrafficIsViolationFreeOverManyRounds) {
   ServeConfig config;
   config.shards = 2;
   config.econ = &econ;
+  config.retain_outcomes = false;
   ServeEngine engine(config);
   for (const ServeEvent& event : events_of(load)) engine.submit(event);
   engine.drain();
@@ -451,6 +454,8 @@ TEST(EconTelemetry, TruthfulTrafficIsViolationFreeOverManyRounds) {
   EXPECT_EQ(snapshot.cumulative.rounds_skipped, 0);
   EXPECT_GT(snapshot.cumulative.probe_rounds, 0);
   EXPECT_GT(snapshot.cumulative.payment_micros, 0);
+  EXPECT_EQ(snapshot.cumulative.payment_micros,
+            engine.stats().total_paid.micros());
   EXPECT_GT(snapshot.cumulative.second_price_payment_micros, 0)
       << "the per-slot second-price reference priced the stream";
 }

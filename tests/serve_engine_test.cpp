@@ -2,8 +2,8 @@
 // oracle (replaying an event file through the engine reproduces the batch
 // OnlineGreedyMechanism byte for byte, for any shard count), shard-count
 // determinism of both outcomes and merged telemetry counters, admission
-// control under both policies, strict stream validation, and drain
-// semantics.
+// control under both policies, strict stream validation, drain semantics,
+// and outcome retention (on or off, stats and counters are the same).
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "auction/online_greedy.hpp"
@@ -583,13 +584,112 @@ TEST(ServeEngine, StatsAggregateAcrossShards) {
   EXPECT_EQ(stats.rounds_completed, load.rounds);
 
   Money total;
+  Money paid;  // summed over the dense payments take_outcome() built
   std::int64_t tasks = 0;
   for (const RoundOutcome& outcome : engine.take_outcomes()) {
     total += outcome.total_paid;
     tasks += outcome.tasks_announced;
+    for (const Money payment : outcome.outcome.payments) paid += payment;
   }
   EXPECT_EQ(stats.total_paid, total);
+  EXPECT_EQ(stats.total_paid, paid);
   EXPECT_EQ(stats.tasks_announced, tasks);
+}
+
+/// One engine run's stats and merged deterministic counters, and the
+/// events its engine admitted.
+struct CountedRun {
+  ServeStats stats;
+  std::map<std::string, std::int64_t> counters;
+  std::vector<ServeEvent> admitted;
+};
+
+/// Serves `events` event by event with a registry installed. Unless `shed`,
+/// a full queue is waited out, so every event is admitted.
+CountedRun serve_counted(const std::vector<ServeEvent>& events,
+                         const ServeConfig& config, bool shed) {
+  CountedRun run;
+  obs::MetricsRegistry registry;
+  {
+    const obs::ScopedRegistry guard(&registry);
+    ServeEngine engine(config);
+    for (const ServeEvent& event : events) {
+      SubmitStatus status = engine.submit(event);
+      while (!shed && status == SubmitStatus::kRejectedQueueFull) {
+        std::this_thread::yield();
+        status = engine.submit(event);
+      }
+      if (status == SubmitStatus::kAccepted) run.admitted.push_back(event);
+    }
+    engine.drain();
+    run.stats = engine.stats();
+  }
+  run.counters = registry.snapshot().counters;
+  return run;
+}
+
+/// Every ServeStats field the processed events fix. The queue high
+/// watermark and rejected_backpressure (a waited-out submit counts its
+/// refusals too) depend on scheduling, so both are left out.
+void expect_same_stats(const ServeStats& a, const ServeStats& b) {
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.processed, b.processed);
+  EXPECT_EQ(a.rounds_completed, b.rounds_completed);
+  EXPECT_EQ(a.rounds_abandoned, b.rounds_abandoned);
+  EXPECT_EQ(a.orphaned_events, b.orphaned_events);
+  EXPECT_EQ(a.rounds_corrupted, b.rounds_corrupted);
+  EXPECT_EQ(a.tasks_announced, b.tasks_announced);
+  EXPECT_EQ(a.bids_admitted, b.bids_admitted);
+  EXPECT_EQ(a.bids_rejected_reserve, b.bids_rejected_reserve);
+  EXPECT_EQ(a.total_paid, b.total_paid);
+}
+
+TEST(ServeEngine, RetentionChangesNoStatOrCounter) {
+  const std::vector<ServeEvent> events = events_of(small_load(24));
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    ServeConfig config;
+    config.shards = shards;
+    config.retain_outcomes = true;
+    const CountedRun kept = serve_counted(events, config, /*shed=*/false);
+    config.retain_outcomes = false;
+    const CountedRun dropped = serve_counted(events, config, /*shed=*/false);
+    EXPECT_EQ(kept.stats.rounds_completed, 24);
+    expect_same_stats(kept.stats, dropped.stats);
+    EXPECT_EQ(kept.stats.rejected_backpressure, 0);
+    EXPECT_EQ(dropped.stats.rejected_backpressure, 0);
+    EXPECT_EQ(kept.counters, dropped.counters);
+
+    // Which events a tiny kReject queue sheds depends on timing, so the
+    // events one shedding run admitted are served again, waited out, with
+    // retention flipped: the same processed stream must give the same
+    // stats and counters.
+    config.admission = ServeConfig::Admission::kReject;
+    config.queue_capacity = 2;
+    for (const bool retain : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "shedding with retention "
+                                        << retain);
+      config.retain_outcomes = retain;
+      const CountedRun shedding = serve_counted(events, config, /*shed=*/true);
+      config.retain_outcomes = !retain;
+      const CountedRun again =
+          serve_counted(shedding.admitted, config, /*shed=*/false);
+      expect_same_stats(shedding.stats, again.stats);
+      EXPECT_EQ(shedding.counters, again.counters);
+    }
+  }
+}
+
+TEST(ServeEngine, TakeOutcomesRequiresRetention) {
+  ServeConfig config;
+  config.retain_outcomes = false;
+  ServeEngine engine(config);
+  engine.submit(round_open(0, 1, Money::from_units(10)));
+  engine.submit(slot_tick(0, Slot{1}));
+  engine.submit(round_close(0));
+  engine.drain();
+  EXPECT_EQ(engine.stats().rounds_completed, 1);
+  EXPECT_THROW((void)engine.take_outcomes(), ContractViolation);
 }
 
 TEST(ServeEngine, QueueHighWatermarkIsTrackedAndMaxMerged) {

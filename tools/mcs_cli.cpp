@@ -708,7 +708,8 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_string("events-out", "",
                  "also record the generated stream as mcs.serve.v1 JSONL");
   cli.add_switch("verify",
-                 "batch-compare every completed round (loadgen only)");
+                 "batch-compare every completed round (loadgen only); "
+                 "only then are outcomes kept until the run ends");
   cli.add_string("metrics-out", "",
                  "write a telemetry report (counters, histograms) as JSON");
   cli.add_string("stats-out", "",
@@ -796,6 +797,9 @@ int cmd_serve(int argc, const char* const* argv) {
         "--verify regenerates rounds from loadgen seeds; it cannot be "
         "combined with --replay or --listen");
   }
+  // Only --verify reads the outcomes; without it a served round is
+  // dropped once it has fed the stats.
+  config.retain_outcomes = cli.get_switch("verify");
 
   const std::string stats_path = cli.get_string("stats-out");
   const std::string prom_path = cli.get_string("stats-prom");
@@ -1008,7 +1012,7 @@ int cmd_serve(int argc, const char* const* argv) {
         serve::write_trace_chrome(trace_file, *trace_plane);
       }
     }
-    outcomes = engine.take_outcomes();
+    if (config.retain_outcomes) outcomes = engine.take_outcomes();
     stats = engine.stats();
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -1022,16 +1026,12 @@ int cmd_serve(int argc, const char* const* argv) {
                                                  : replay_path)},
                     {"shards", std::to_string(config.shards)}});
 
-  Money total_paid;
-  for (const serve::RoundOutcome& outcome : outcomes) {
-    total_paid += outcome.total_paid;
-  }
   std::cout << "served " << stats.processed << "/" << offered
             << " events across " << config.shards << " shard(s): "
             << stats.rounds_completed << " rounds completed, "
             << stats.tasks_announced << " tasks, " << stats.bids_admitted
             << " bids admitted (" << stats.bids_rejected_reserve
-            << " reserve-rejected), total paid " << total_paid << '\n';
+            << " reserve-rejected), total paid " << stats.total_paid << '\n';
   if (shed > 0) {
     std::cout << "admission control shed " << shed
               << " events (policy: " << admission << "); downstream: "

@@ -196,3 +196,52 @@ if(NOT EXISTS ${WORKDIR}/cli_smoke_report.html)
   message(FATAL_ERROR "report did not write the HTML file")
 endif()
 file(REMOVE ${WORKDIR}/cli_smoke_report.html)
+
+# Served outcomes are kept only for --verify; the summary line reads the
+# engine's stats, so it is the same with or without it.
+function(serve_summary out_var)
+  execute_process(COMMAND ${CLI} serve ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "mcs_cli serve ${ARGN} failed (${code}):\n${out}\n${err}")
+  endif()
+  string(REGEX MATCH "served [^\n]*" line "${out}")
+  set(${out_var} "${line}" PARENT_SCOPE)
+endfunction()
+serve_summary(plain_summary --rounds 40)
+serve_summary(verified_summary --rounds 40 --verify)
+if(plain_summary STREQUAL "" OR NOT plain_summary STREQUAL verified_summary)
+  message(FATAL_ERROR "serve summary differs with --verify:\n"
+                      "${plain_summary}\n${verified_summary}")
+endif()
+
+# Untrusted stream: one bid from agent 2^30 - 1. A served round keeps its
+# winners sparsely and builds no outcome sized by the id, so the round
+# completes under a 4 GB address-space cap with either admission policy.
+if(VMEM_CAP)
+  set(HUGE_ID ${WORKDIR}/cli_smoke_huge_id.jsonl)
+  file(WRITE ${HUGE_ID} [=[{"schema":"mcs.serve.v1"}
+{"ev":"round_open","round":0,"slots":1,"value":"50"}
+{"ev":"task_arrived","round":0,"slot":1,"task":0}
+{"ev":"bid_submitted","round":0,"agent":1073741823,"from":1,"to":1,"cost":"5"}
+{"ev":"slot_tick","round":0,"slot":1}
+{"ev":"round_close","round":0}
+]=])
+  foreach(admission block reject)
+    execute_process(COMMAND sh -c "ulimit -v 4000000 && exec \"$0\" \"$@\""
+                            ${CLI} serve --replay ${HUGE_ID}
+                            --admission ${admission}
+                    WORKING_DIRECTORY ${WORKDIR}
+                    RESULT_VARIABLE code
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT code EQUAL 0 OR NOT out MATCHES ": 1 rounds completed")
+      message(FATAL_ERROR "huge agent id under --admission ${admission} "
+                          "(${code}):\n${out}\n${err}")
+    endif()
+  endforeach()
+  file(REMOVE ${HUGE_ID})
+endif()
