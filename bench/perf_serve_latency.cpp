@@ -13,6 +13,7 @@
 // run to run and trip the exact gate -- so shedding stays out of benches.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "obs/latency_sketch.hpp"
@@ -20,6 +21,7 @@
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
+#include "serve/system_lane.hpp"
 #include "serve/telemetry.hpp"
 #include "telemetry_main.hpp"
 
@@ -84,9 +86,9 @@ void BM_LatencySketchRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencySketchRecord);
 
-/// The worker's per-batch live-plane cost: one on_batch over a 64-event
-/// batch from `range(0)` pushes (so as many stretches of equal enqueue
-/// stamps), items = events.
+/// The worker's per-batch timed-plane cost: one system-lane record_batch
+/// over a 64-event batch from `range(0)` pushes (so as many stretches of
+/// equal enqueue stamps), items = events.
 void BM_LiveBatchHook(benchmark::State& state) {
   constexpr std::size_t kBatch = 64;
   const auto pushes = static_cast<std::size_t>(state.range(0));
@@ -96,14 +98,13 @@ void BM_LiveBatchHook(benchmark::State& state) {
                       1000 + 100 * (i * pushes / kBatch)});
   }
   const serve::RingView batch{events, {}, static_cast<std::int64_t>(kBatch)};
-  serve::LiveTelemetry live;
-  live.attach(1, 4096);
+  serve::SystemLane lane;
   std::uint64_t pickup_ns = 1'000'000;
   for (auto _ : state) {
-    live.on_batch(0, batch, pickup_ns);
+    lane.record_batch(batch, pickup_ns);
     pickup_ns += 64;
   }
-  benchmark::DoNotOptimize(live.summary());
+  benchmark::DoNotOptimize(lane.queue_wait.snapshot());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBatch));
 }
@@ -116,15 +117,17 @@ void BM_ServeSnapshot(benchmark::State& state) {
   serve::LiveTelemetryConfig live_config;
   live_config.clock = &clock;
   serve::LiveTelemetry live(live_config);
-  live.attach(4, 1024);
+  const auto lanes = std::make_shared<serve::SystemLanes>(4);
+  live.attach(lanes, 1024);
   for (int shard = 0; shard < 4; ++shard) {
+    serve::SystemLane& lane = (*lanes)[static_cast<std::size_t>(shard)];
     for (int i = 0; i < 256; ++i) {
       live.on_submit(shard, 1, i % 7);
       const serve::QueuedEvent queued{serve::slot_tick(0, Slot{1}), 0};
-      live.on_batch(shard, serve::RingView{{&queued, 1}, {}, 1},
-                    static_cast<std::uint64_t>(1000 + i));
+      lane.record_batch(serve::RingView{{&queued, 1}, {}, 1},
+                        static_cast<std::uint64_t>(1000 + i));
     }
-    live.on_round_close(shard, 2'000'000);
+    lane.record_round(2'000'000);
   }
   for (auto _ : state) {
     clock.advance_ms(100);

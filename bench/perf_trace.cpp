@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -134,7 +135,7 @@ void BM_TraceSpanRecord(benchmark::State& state) {
   serve::TracePlaneConfig config;
   config.slow_threshold_ns = 1'000'000'000;  // keep the ring cold
   serve::TracePlane plane(config);
-  plane.attach(1);
+  plane.attach(std::make_shared<serve::SystemLanes>(1));
   std::int64_t round = 0;
   std::int32_t slot = 0;
   std::uint64_t t = 0;

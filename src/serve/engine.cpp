@@ -72,18 +72,25 @@ int shard_of_round(std::int64_t round, int shards) {
 ServeEngine::ServeEngine(ServeConfig config)
     : config_(std::move(config)), parent_registry_(obs::current_registry()) {
   config_.validate();
-  timed_ = config_.live != nullptr || config_.trace != nullptr;
-  if (timed_) epoch_ns_ = obs::steady_clock().now_ns();
-  if (config_.live != nullptr) {
-    config_.live->attach(config_.shards,
-                         static_cast<std::int64_t>(config_.queue_capacity));
-  }
-  if (config_.econ != nullptr) config_.econ->attach(config_.shards);
-  if (config_.trace != nullptr) config_.trace->attach(config_.shards);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, config_.queue_capacity));
   }
+  // Lanes come after the rings: made first, while a plane still held the
+  // previous run's lanes, they made engine setup ~40% slower at 3 shards.
+  if (config_.live != nullptr || config_.trace != nullptr) {
+    epoch_ns_ = obs::steady_clock().now_ns();
+    lanes_ = std::make_shared<SystemLanes>(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      shards_[i]->lane = &(*lanes_)[i];
+    }
+  }
+  if (config_.live != nullptr) {
+    config_.live->attach(lanes_,
+                         static_cast<std::int64_t>(config_.queue_capacity));
+  }
+  if (config_.econ != nullptr) config_.econ->attach(config_.shards);
+  if (config_.trace != nullptr) config_.trace->attach(lanes_);
   // Start the workers only after every shard exists (shard_of_round may
   // route to any of them from the first submit on).
   for (auto& shard : shards_) {
@@ -103,7 +110,7 @@ ServeEngine::~ServeEngine() {
 }
 
 std::uint64_t ServeEngine::stamp_ns() const {
-  if (!timed_) return 0;
+  if (lanes_ == nullptr) return 0;
   const std::uint64_t now = obs::steady_clock().now_ns();
   return now >= epoch_ns_ ? now - epoch_ns_ : 0;
 }
@@ -164,20 +171,19 @@ void ServeEngine::worker_main(Shard& shard) {
   std::optional<obs::ScopedRegistry> guard;
   if (parent_registry_ != nullptr) guard.emplace(&shard.registry);
 
-  LiveTelemetry* const live = config_.live;
+  SystemLane* const lane = shard.lane;
   TracePlane* const trace = config_.trace;
   Rounds rounds;
   // The worker consumes its ring in place: each acquire exposes up to
   // kBatch queued events and releases the previous batch. One clock read
-  // per batch is every event's pickup stamp (the planes' queue wait);
+  // per batch is every event's pickup stamp (the lane's queue wait);
   // span edges read their own stamps in process_event.
   constexpr std::size_t kBatch = 64;
   RingView batch;
   std::size_t released = 0;
   while ((released = shard.queue.acquire(batch, kBatch, released)) > 0) {
-    const std::uint64_t pickup_ns = stamp_ns();
-    if (live != nullptr) live->on_batch(shard.index, batch, pickup_ns);
-    if (trace != nullptr) trace->on_batch(shard.index, batch, pickup_ns);
+    if (lane != nullptr) lane->record_batch(batch, stamp_ns());
+    if (trace != nullptr) trace->on_batch(shard.index, batch);
     for (const std::span<const QueuedEvent> run : batch.runs()) {
       for (const QueuedEvent& queued : run) {
         if (!shard.error.empty()) break;  // poisoned: drain without work
@@ -312,21 +318,24 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
   if (!done) return;
 
   // The dense outcome is built only for a caller that takes outcomes or
-  // for the econ audit; the trace's payment span covers the build. The
-  // totals are copied: end_round may free the machine.
+  // for the econ audit of a complete capture; the trace's payment span
+  // covers the build. The totals are copied: end_round may free the machine.
   const RoundTotals totals = machine.totals();
   std::optional<RoundOutcome> outcome;
-  if (config_.retain_outcomes || config_.econ != nullptr) {
+  if (config_.retain_outcomes ||
+      (config_.econ != nullptr && machine.capture_complete())) {
     outcome.emplace(machine.take_outcome());
   }
   // Econ sentinel: audit the closed round while its capture is still
-  // alive. The shard registry is installed on this thread, so the one
-  // sanctioned counter (econ.violations) lands in the deterministic
-  // merge like any other shard counter.
+  // alive; it counts an incomplete capture skipped without reading the
+  // outcome. The shard registry is installed on this thread, so the one
+  // sanctioned counter (econ.violations) lands in the deterministic merge.
   const std::uint64_t settled_ns = trace != nullptr ? stamp_ns() : 0;
   std::int64_t violations = 0;
   if (config_.econ != nullptr) {
-    violations = config_.econ->observe_round(shard.index, machine, *outcome);
+    static const RoundOutcome kUnread;
+    violations = config_.econ->observe_round(shard.index, machine,
+                                             outcome ? *outcome : kUnread);
   }
   end_round(shard, rounds, it, obs::TraceStatus::kCompleted, begin_ns,
             settled_ns, violations);
@@ -350,13 +359,11 @@ void ServeEngine::end_round(Shard& shard, Rounds& rounds,
     rounds.spares.push_back(std::move(retired));
   }
   const bool completed = status == obs::TraceStatus::kCompleted;
-  // Round latency: close pickup minus open pickup, the one definition
-  // both timed planes report.
-  if (completed && config_.live != nullptr) {
-    config_.live->on_round_close(shard.index,
-                                 end_ns >= round_trace.open_ns
-                                     ? end_ns - round_trace.open_ns
-                                     : 0);
+  // Round latency: close pickup minus open pickup, recorded before the
+  // trace plane's sampler reads the lane.
+  if (completed && shard.lane != nullptr) {
+    shard.lane->record_round(
+        end_ns >= round_trace.open_ns ? end_ns - round_trace.open_ns : 0);
   }
   if (config_.trace == nullptr) return;
   if (completed) {

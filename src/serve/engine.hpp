@@ -15,7 +15,8 @@
 // (RoundMachine::take_outcome) and keeps it until take_outcomes(); with it
 // off the round leaves nothing else, so a long-running server's memory
 // does not grow with the rounds it has served. The econ plane, when on,
-// audits the dense outcome either way, then it is dropped.
+// audits the dense outcome of a fully captured round either way, then it
+// is dropped; it skips any other round without one being built.
 //
 // Rounds recycle: each worker keeps the machines of its retired rounds
 // (completed, corrupted or abandoned) as spares, each still in its round
@@ -46,11 +47,12 @@
 // ring once at pickup -- that stamp is every event's pickup time and gives
 // its queue wait. Events whose time is a span edge read their own stamp:
 // round_open (open pickup) and round_close (close pickup), whose
-// difference is the round latency both timed planes report, and each
-// slot_tick's begin and end when the trace plane is on. With every plane
-// off the clock is never read. No plane writes a registry counter (econ's
-// deliberate `econ.violations` aside), so the deterministic merge stays
-// bit-identical whether they are on or off.
+// difference is the round latency, and each slot_tick's begin and end
+// when the trace plane is on. Each wait and latency goes once into the
+// shard's system lane (serve/system_lane.hpp), which both timed planes
+// read; with every plane off the clock is never read. No plane writes a
+// registry counter (econ's deliberate `econ.violations` aside), so the
+// deterministic merge stays bit-identical whether they are on or off.
 #pragma once
 
 #include <array>
@@ -69,6 +71,7 @@
 #include "serve/event.hpp"
 #include "serve/queue.hpp"
 #include "serve/round_machine.hpp"
+#include "serve/system_lane.hpp"
 
 namespace mcs::serve {
 
@@ -116,8 +119,7 @@ struct ServeConfig {
   bool retain_outcomes = true;
 
   /// Optional wall-clock plane (non-owning; must outlive the engine). The
-  /// engine attaches it at construction and records queue waits, round
-  /// latencies, and watermarks into it while serving.
+  /// engine attaches it at construction and feeds it while serving.
   LiveTelemetry* live = nullptr;
 
   /// Optional economic plane (non-owning; must outlive the engine). When
@@ -130,10 +132,10 @@ struct ServeConfig {
   /// Optional causal tracing plane (non-owning; must outlive the engine).
   /// When set, every round gets a bounded span timeline and the
   /// tail-based sampler decides at round_close what to retain
-  /// (serve/trace_plane.hpp). Its hooks take the engine's stamps, the
-  /// same ones `live` gets. Same quarantine discipline as `live`: no
-  /// registry counter is ever written, so the deterministic merge is
-  /// bit-identical trace-on vs trace-off.
+  /// (serve/trace_plane.hpp). Its hooks take the engine's stamps, and it
+  /// reads the system lanes `live` reads. Same quarantine discipline as
+  /// `live`: no registry counter is ever written, so the deterministic
+  /// merge is bit-identical trace-on vs trace-off.
   TracePlane* trace = nullptr;
 
   /// Throws InvalidArgumentError when out of domain (before the engine
@@ -230,6 +232,7 @@ class ServeEngine {
 
     int index;
     EventRing queue;  ///< preallocated bounded ring; see serve/queue.hpp
+    SystemLane* lane{nullptr};  ///< in lanes_; null with no timed plane
     std::thread worker;
     obs::MetricsRegistry registry;  ///< used only when telemetry is on
     std::vector<RoundOutcome> outcomes;  ///< only with retain_outcomes
@@ -261,8 +264,8 @@ class ServeEngine {
   void process_event(Shard& shard, Rounds& rounds, const QueuedEvent& queued);
   /// Removes a round that ended at `end_ns` (kCompleted: its close pickup,
   /// with its settle stamp and econ verdict; or kCorrupted, kAbandoned):
-  /// adds its slots_walked, reports a completed round's latency to the
-  /// live plane, seals its trace, and keeps its machine as a spare.
+  /// adds its slots_walked, records a completed round's latency in the
+  /// system lane, seals its trace, and keeps its machine as a spare.
   void end_round(Shard& shard, Rounds& rounds, RoundTable::iterator it,
                  obs::TraceStatus status, std::uint64_t end_ns,
                  std::uint64_t settled_ns = 0, std::int64_t violations = 0);
@@ -271,8 +274,9 @@ class ServeEngine {
   [[nodiscard]] std::uint64_t stamp_ns() const;
 
   ServeConfig config_;
-  bool timed_{false};           ///< a live or trace plane is attached
   std::uint64_t epoch_ns_{0};   ///< steady-clock reading at construction
+  /// One per shard when a timed plane is attached, shared with its attach.
+  std::shared_ptr<SystemLanes> lanes_;
   obs::MetricsRegistry* parent_registry_;  ///< merge target; may be null
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::int64_t> submitted_{0};

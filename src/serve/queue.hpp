@@ -94,18 +94,6 @@ struct RingView {
     }
     if (n > 0) fn(current, n);
   }
-
-  /// Calls fn(wait_ns, n) per stretch of events sharing an enqueue stamp,
-  /// where wait_ns is `pickup_ns` minus that stamp (0 if the stamp is
-  /// later).
-  template <class Fn>
-  void for_each_wait(std::uint64_t pickup_ns, Fn fn) const {
-    for_each_stretch(
-        [](const QueuedEvent& queued) { return queued.enqueue_ns; },
-        [&](std::uint64_t enqueue_ns, std::size_t n) {
-          fn(pickup_ns >= enqueue_ns ? pickup_ns - enqueue_ns : 0, n);
-        });
-  }
 };
 
 class EventRing {

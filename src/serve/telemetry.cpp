@@ -10,7 +10,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "serve/econ_telemetry.hpp"
-#include "serve/queue.hpp"
 
 namespace mcs::serve {
 
@@ -27,15 +26,17 @@ constexpr std::size_t kWindowRing = obs::kHealthDwellWindows;
 LiveTelemetry::LiveTelemetry(LiveTelemetryConfig config)
     : clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()) {}
 
-void LiveTelemetry::attach(int shards, std::int64_t queue_capacity) {
-  MCS_EXPECTS(shards >= 1, "live telemetry requires >= 1 shard");
+void LiveTelemetry::attach(std::shared_ptr<const SystemLanes> lanes,
+                           std::int64_t queue_capacity) {
+  MCS_EXPECTS(lanes && !lanes->empty(), "live telemetry requires >= 1 shard");
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
   start_ns_ = clock_->now_ns();
   queue_capacity_ = queue_capacity;
+  lanes_ = std::move(lanes);
   slots_.clear();
   aggregators_.clear();
   next_window_ = 0;
-  for (int i = 0; i < shards; ++i) {
+  for (std::size_t i = 0; i < lanes_->size(); ++i) {
     slots_.push_back(std::make_unique<ShardSlot>());
     aggregators_.emplace_back(0, kWindowRing);
   }
@@ -67,47 +68,24 @@ void LiveTelemetry::on_reject(int shard, std::int64_t count) {
       count, std::memory_order_relaxed);
 }
 
-void LiveTelemetry::on_batch(int shard, const RingView& batch,
-                             std::uint64_t pickup_ns) {
-  ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.processed.store(slot.processed.load(std::memory_order_relaxed) +
-                           static_cast<std::int64_t>(batch.size()),
-                       std::memory_order_relaxed);
-  batch.for_each_wait(pickup_ns, [&](std::uint64_t wait_ns, std::size_t n) {
-    slot.queue_wait.record_ns(wait_ns, n);
-  });
-}
-
-void LiveTelemetry::on_round_close(int shard,
-                                   std::uint64_t round_latency_ns) {
-  ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.rounds_closed.store(
-      slot.rounds_closed.load(std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
-  slot.round_latency.record_ns(round_latency_ns);
-}
-
-obs::LiveCumulative LiveTelemetry::sample_shard(ShardSlot& slot,
-                                                std::uint64_t at_ns) {
+obs::LiveCumulative LiveTelemetry::sample_shard(std::size_t shard,
+                                                std::uint64_t at_ns) const {
+  const ShardSlot& slot = *slots_[shard];
+  const SystemLane& lane = (*lanes_)[shard];
   obs::LiveCumulative sample;
   sample.at_ns = at_ns;
-  sample.processed = slot.processed.load(std::memory_order_relaxed);
+  sample.processed = lane.processed.load(std::memory_order_relaxed);
   sample.submitted = slot.submitted.load(std::memory_order_relaxed);
   sample.rejected = slot.rejected.load(std::memory_order_relaxed);
-  sample.rounds_closed = slot.rounds_closed.load(std::memory_order_relaxed);
+  sample.rounds_closed = lane.rounds_closed.load(std::memory_order_relaxed);
   // A worker may count a batch before its producer's on_submit lands, so
   // the difference can dip below zero for an instant.
   sample.queue_depth = std::max<std::int64_t>(
       0, sample.submitted - sample.processed);
-  // The window watermark resets to the current depth, not zero: a queue
-  // that stays backlogged across a whole window must still show it.
-  sample.window_watermark =
-      slot.window_watermark.exchange(sample.queue_depth,
-                                     std::memory_order_relaxed);
   sample.queue_high_watermark =
       slot.high_watermark.load(std::memory_order_relaxed);
-  sample.queue_wait = slot.queue_wait.snapshot();
-  sample.round_latency = slot.round_latency.snapshot();
+  sample.queue_wait = lane.queue_wait.snapshot();
+  sample.round_latency = lane.round_latency.snapshot();
   return sample;
 }
 
@@ -124,7 +102,12 @@ ServeSnapshot LiveTelemetry::take_snapshot() {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     ShardWindow shard;
     shard.shard = static_cast<int>(i);
-    shard.window = aggregators_[i].roll(sample_shard(*slots_[i], now));
+    obs::LiveCumulative sample = sample_shard(i, now);
+    // The window watermark resets to the current depth, not zero: a queue
+    // that stays backlogged across a whole window must still show it.
+    sample.window_watermark = slots_[i]->window_watermark.exchange(
+        sample.queue_depth, std::memory_order_relaxed);
+    shard.window = aggregators_[i].roll(sample);
     shard.state =
         obs::classify_health(aggregators_[i].windows(), queue_capacity_);
     snapshot.state = obs::worse(snapshot.state, shard.state);
@@ -162,17 +145,16 @@ LiveSummary LiveTelemetry::summary() {
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
   LiveSummary total;
   total.uptime_ns = now_ns();
-  for (const std::unique_ptr<ShardSlot>& slot : slots_) {
-    total.submitted += slot->submitted.load(std::memory_order_relaxed);
-    total.processed += slot->processed.load(std::memory_order_relaxed);
-    total.rejected += slot->rejected.load(std::memory_order_relaxed);
-    total.rounds_closed +=
-        slot->rounds_closed.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const obs::LiveCumulative shard = sample_shard(i, total.uptime_ns);
+    total.submitted += shard.submitted;
+    total.processed += shard.processed;
+    total.rejected += shard.rejected;
+    total.rounds_closed += shard.rounds_closed;
     total.queue_high_watermark =
-        std::max(total.queue_high_watermark,
-                 slot->high_watermark.load(std::memory_order_relaxed));
-    total.queue_wait.merge(slot->queue_wait.snapshot());
-    total.round_latency.merge(slot->round_latency.snapshot());
+        std::max(total.queue_high_watermark, shard.queue_high_watermark);
+    total.queue_wait.merge(shard.queue_wait);
+    total.round_latency.merge(shard.round_latency);
   }
   return total;
 }

@@ -9,12 +9,10 @@
 // on must not change a single deterministic counter (pinned by
 // serve_telemetry_test).
 //
-// Wiring: the engine calls the on_* hooks when a LiveTelemetry is
-// installed in its ServeConfig, passing stamps it read on its own clock.
-// Producers report each handoff batch (on_submit/on_reject); the shard
-// worker reports each batch it acquires from its ring (on_batch: one clock
-// reading, one processed update, one sketch record per stretch of equal
-// queue waits) and each round latency (on_round_close). A
+// Wiring: the plane reads the engine's per-shard system lanes
+// (serve/system_lane.hpp: events processed, rounds closed, the queue-wait
+// and round-latency sketches), which the engine feeds and attach() shares.
+// Its own hooks are the producers' handoffs (on_submit/on_reject). A
 // StatsPublisher thread periodically calls take_snapshot(), which rolls
 // one window per shard (obs::RollingWindowAggregator), classifies shard
 // and engine health (obs::classify_health), and emits one JSONL line of
@@ -39,10 +37,9 @@
 #include "obs/latency_sketch.hpp"
 #include "obs/rolling_window.hpp"
 #include "obs/wallclock.hpp"
+#include "serve/system_lane.hpp"
 
 namespace mcs::serve {
-
-struct RingView;  // serve/queue.hpp
 
 struct LiveTelemetryConfig {
   /// Time source of window edges and uptime; nullptr = the process
@@ -92,26 +89,18 @@ class LiveTelemetry {
   LiveTelemetry(const LiveTelemetry&) = delete;
   LiveTelemetry& operator=(const LiveTelemetry&) = delete;
 
-  /// Binds to one engine run: sizes the per-shard slots, records the queue
-  /// capacity (for health classification), and restarts uptime at now.
-  /// Called by the engine constructor; discards any previous run's data.
-  void attach(int shards, std::int64_t queue_capacity);
+  /// Binds to one engine run: reads `lanes` (one per shard), records the
+  /// queue capacity (for health classification), and restarts uptime at
+  /// now. Called by the engine constructor; discards any previous run's
+  /// data.
+  void attach(std::shared_ptr<const SystemLanes> lanes,
+              std::int64_t queue_capacity);
 
-  [[nodiscard]] int shards() const { return static_cast<int>(slots_.size()); }
-
-  // Engine hooks, wait-free (relaxed atomics only). Submits and rejects
-  // come from any producer, once per handoff batch: `count` events at the
-  // batch's depth-after (the exact instantaneous depth -- batch pushes are
-  // all-or-nothing). on_batch and on_round_close come only from the
-  // shard's worker.
+  // Producer hooks, wait-free (relaxed atomics only), from any producer,
+  // once per handoff batch: `count` events at the batch's depth-after (the
+  // exact instantaneous depth -- batch pushes are all-or-nothing).
   void on_submit(int shard, std::int64_t count, std::int64_t depth_after);
   void on_reject(int shard, std::int64_t count);
-  /// One acquired batch, picked up at `pickup_ns` (the engine's stamp):
-  /// counts its events processed and records each event's queue wait
-  /// (pickup minus its enqueue stamp), one sketch record per stretch of
-  /// equal stamps.
-  void on_batch(int shard, const RingView& batch, std::uint64_t pickup_ns);
-  void on_round_close(int shard, std::uint64_t round_latency_ns);
 
   /// Rolls one window per shard and aggregates. Serialized internally, so
   /// the publisher thread and a final end-of-run call cannot interleave.
@@ -121,35 +110,28 @@ class LiveTelemetry {
   [[nodiscard]] LiveSummary summary();
 
  private:
-  /// Producer-written and worker-written fields are kept a cache line
-  /// apart, so the two threads never write the same line; the snapshot
-  /// thread only reads (and resets the window watermark). Queue depth is
-  /// derived as submitted - processed rather than stored by both sides.
-  /// (Padding, not alignas: an over-aligned slot makes every engine
-  /// construction pay for aligned operator new.)
+  /// One shard's producer side: any number of producers, so
+  /// read-modify-writes; the snapshot thread only reads (and resets the
+  /// window watermark). Queue depth is derived as submitted - processed
+  /// (the lane's) rather than stored by both sides.
   struct ShardSlot {
-    // Producers (on_submit/on_reject): any number, so read-modify-writes.
     std::atomic<std::int64_t> submitted{0};
     std::atomic<std::int64_t> rejected{0};
     std::atomic<std::int64_t> window_watermark{0};  ///< reset per snapshot
     std::atomic<std::int64_t> high_watermark{0};
-    char line_gap[64]{};
-    // The shard's worker (on_batch/on_round_close): the one writer, so
-    // plain load + store.
-    std::atomic<std::int64_t> processed{0};
-    std::atomic<std::int64_t> rounds_closed{0};
-    obs::LatencySketch queue_wait;
-    obs::LatencySketch round_latency;
+    char line_gap[64]{};  ///< keeps the next shard's slot off this line
   };
 
   /// Uptime timestamp (ns since attach) from the injected clock.
   [[nodiscard]] std::uint64_t now_ns();
-  [[nodiscard]] obs::LiveCumulative sample_shard(ShardSlot& slot,
-                                                 std::uint64_t at_ns);
+  /// One shard's cumulative totals (its window watermark left unread).
+  [[nodiscard]] obs::LiveCumulative sample_shard(std::size_t shard,
+                                                 std::uint64_t at_ns) const;
 
   obs::MonotonicClock* clock_;
   std::uint64_t start_ns_{0};
   std::int64_t queue_capacity_{0};
+  std::shared_ptr<const SystemLanes> lanes_;
   std::vector<std::unique_ptr<ShardSlot>> slots_;
   std::mutex snapshot_mutex_;  ///< guards aggregators_ + next_window_
   std::vector<obs::RollingWindowAggregator> aggregators_;

@@ -6,14 +6,13 @@
 #include "common/error.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
-#include "serve/queue.hpp"
 
 namespace mcs::serve {
 
 namespace {
 
 /// Auto mode: refresh the rolling-p99 threshold every this many closes...
-constexpr std::int64_t kAutoRefreshEvery = 16;
+constexpr std::uint64_t kAutoRefreshEvery = 16;
 /// ...once the shard has at least this many round latencies (warm-up: an
 /// unwarmed sampler retains nothing as slow, so startup jitter does not
 /// flood the rings).
@@ -35,30 +34,18 @@ TracePlane::TracePlane(TracePlaneConfig config)
   config_.validate();
 }
 
-void TracePlane::attach(int shards) {
-  MCS_EXPECTS(shards >= 1, "trace plane: shards must be >= 1");
+void TracePlane::attach(std::shared_ptr<const SystemLanes> system) {
+  MCS_EXPECTS(system && !system->empty(), "trace plane: shards must be >= 1");
+  system_ = std::move(system);
   lanes_.clear();
-  lanes_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
+  lanes_.reserve(system_->size());
+  for (std::size_t i = 0; i < system_->size(); ++i) {
     lanes_.push_back(std::make_unique<Lane>(config_));
-    if (config_.slow_threshold_ns != 0) {
-      lanes_.back()->auto_threshold_ns = config_.slow_threshold_ns;
-      lanes_.back()->effective_threshold_ns.store(config_.slow_threshold_ns,
-                                                  std::memory_order_relaxed);
-    }
   }
 }
 
-void TracePlane::on_batch(int shard, const RingView& batch,
-                          std::uint64_t pickup_ns) {
-  Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  auto& queue_wait =
-      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kQueueWait)];
-  batch.for_each_wait(pickup_ns, [&](std::uint64_t wait_ns, std::size_t n) {
-    queue_wait.record_ns(wait_ns, n);
-  });
-  auto& ingest =
-      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kIngest)];
+void TracePlane::on_batch(int shard, const RingView& batch) {
+  obs::LatencySketch& ingest = lanes_[static_cast<std::size_t>(shard)]->ingest;
   batch.for_each_stretch(
       [](const QueuedEvent& queued) { return queued.event.client_lag_ns; },
       [&](std::uint64_t lag_ns, std::size_t n) {
@@ -95,8 +82,7 @@ void TracePlane::on_slot_tick(int shard, obs::RoundTrace& trace,
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
   trace.add_span(obs::TracePhase::kSlotTick, slot, begin_ns, end_ns,
                  config_.max_spans);
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kSlotTick)]
-      .record_ns(end_ns >= begin_ns ? end_ns - begin_ns : 0);
+  lane.slot_tick.record_ns(end_ns >= begin_ns ? end_ns - begin_ns : 0);
 }
 
 void TracePlane::on_round_complete(int shard, obs::RoundTrace trace,
@@ -116,40 +102,31 @@ void TracePlane::on_round_complete(int shard, obs::RoundTrace trace,
   trace.status = obs::TraceStatus::kCompleted;
   trace.violations = econ_violations;
   trace.close_ns = done_ns;
-  // Same latency definition as the live plane: close processing begin
-  // minus open processing begin, so trace-report quantiles line up with
-  // the live sketch snapshots.
   trace.latency_ns =
       close_begin_ns >= trace.open_ns ? close_begin_ns - trace.open_ns : 0;
 
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kPayment)]
-      .record_ns(settled_ns >= close_begin_ns ? settled_ns - close_begin_ns
-                                              : 0);
-  if (done_ns > settled_ns) {
-    lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kAudit)]
-        .record_ns(done_ns - settled_ns);
-  }
-  auto& close_sketch =
-      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kRoundClose)];
-  close_sketch.record_ns(trace.latency_ns);
-  lane.rounds_completed.fetch_add(1, std::memory_order_relaxed);
+  lane.payment.record_ns(
+      settled_ns >= close_begin_ns ? settled_ns - close_begin_ns : 0);
+  if (done_ns > settled_ns) lane.audit.record_ns(done_ns - settled_ns);
 
   // Tail sampler. In auto mode the threshold trails the shard's own p99
-  // round latency (refreshed every few closes after a warm-up).
-  if (config_.slow_threshold_ns == 0) {
-    if (++lane.closes_since_refresh >= kAutoRefreshEvery) {
-      lane.closes_since_refresh = 0;
-      if (close_sketch.count() >= kAutoWarmupSamples) {
-        const double p99 = close_sketch.snapshot().quantile_ns(0.99);
-        lane.auto_threshold_ns =
-            p99 > 0.0 ? static_cast<std::uint64_t>(p99) : ~0ULL;
-        lane.effective_threshold_ns.store(lane.auto_threshold_ns,
-                                          std::memory_order_relaxed);
-      }
-    }
+  // round latency, refreshed every few closes after a warm-up from its
+  // system lane, which already holds this round.
+  const obs::LatencySketch& close_sketch =
+      (*system_)[static_cast<std::size_t>(shard)].round_latency;
+  const std::uint64_t closes = close_sketch.count();
+  if (config_.slow_threshold_ns == 0 && closes % kAutoRefreshEvery == 0 &&
+      closes >= kAutoWarmupSamples) {
+    const double p99 = close_sketch.snapshot().quantile_ns(0.99);
+    lane.effective_threshold_ns.store(
+        p99 > 0.0 ? static_cast<std::uint64_t>(p99) : ~0ULL,
+        std::memory_order_relaxed);
   }
   unsigned reasons = 0;
-  if (trace.latency_ns >= lane.auto_threshold_ns) reasons |= obs::retain::kSlow;
+  if (trace.latency_ns >=
+      lane.effective_threshold_ns.load(std::memory_order_relaxed)) {
+    reasons |= obs::retain::kSlow;
+  }
   if (econ_violations > 0) reasons |= obs::retain::kEconViolation;
 
   exemplars_.offer(trace.latency_ns, trace.trace_id, trace.round);
@@ -219,10 +196,12 @@ TraceSummary TracePlane::summary() const {
   for (std::size_t p = 0; p < obs::kTracePhaseCount; ++p) {
     out.phases[p].phase = static_cast<obs::TracePhase>(p);
   }
-  for (const auto& lane : lanes_) {
+  for (std::size_t s = 0; s < lanes_.size(); ++s) {
+    const std::unique_ptr<Lane>& lane = lanes_[s];
+    const SystemLane& system = (*system_)[s];
     out.rounds_traced += lane->rounds_traced.load(std::memory_order_relaxed);
     out.rounds_completed +=
-        lane->rounds_completed.load(std::memory_order_relaxed);
+        system.rounds_closed.load(std::memory_order_relaxed);
     out.retained += lane->retained.load(std::memory_order_relaxed);
     out.retained_slow +=
         lane->retained_slow.load(std::memory_order_relaxed);
@@ -238,8 +217,12 @@ TraceSummary TracePlane::summary() const {
     out.slow_threshold_ns =
         std::max(out.slow_threshold_ns,
                  lane->effective_threshold_ns.load(std::memory_order_relaxed));
+    // In obs::TracePhase order.
+    const std::array<const obs::LatencySketch*, obs::kTracePhaseCount>
+        sketches = {&lane->ingest,  &system.queue_wait, &lane->slot_tick,
+                    &lane->payment, &lane->audit,       &system.round_latency};
     for (std::size_t p = 0; p < obs::kTracePhaseCount; ++p) {
-      out.phases[p].sketch.merge(lane->phase_sketch[p].snapshot());
+      out.phases[p].sketch.merge(sketches[p]->snapshot());
     }
   }
   if (lanes_.empty()) out.slow_threshold_ns = ~0ULL;

@@ -12,8 +12,9 @@
 // marker.
 //
 // The plane owns no clock: every hook takes its timestamps from the
-// engine, which stamps each event once on its one clock and hands the
-// live plane the same readings. Quarantine discipline is identical to
+// engine, which stamps each event once on its one clock; its queue_wait
+// and round_close phases read the engine's per-shard system lanes
+// (serve/system_lane.hpp). Quarantine discipline is identical to
 // LiveTelemetry: the engine's hooks record into per-shard state owned by
 // that shard's worker (plain writes, no locks) plus relaxed-atomic
 // summary counters and latency sketches -- never a MetricsRegistry
@@ -53,10 +54,9 @@
 
 #include "obs/latency_sketch.hpp"
 #include "obs/round_trace.hpp"
+#include "serve/system_lane.hpp"
 
 namespace mcs::serve {
-
-struct RingView;  // serve/queue.hpp
 
 struct TracePlaneConfig {
   /// Retained-trace capacity per shard (pinned-priority ring), at most
@@ -89,7 +89,7 @@ struct TracePhaseSummary {
 /// summary record.
 struct TraceSummary {
   std::int64_t rounds_traced{0};     ///< round_open seen (trace started)
-  std::int64_t rounds_completed{0};  ///< sealed via round_close
+  std::int64_t rounds_completed{0};  ///< closed (the system lanes' count)
   std::int64_t retained{0};          ///< pinned into the rings
   std::int64_t retained_slow{0};
   std::int64_t retained_econ{0};
@@ -111,9 +111,9 @@ class TracePlane {
 
   [[nodiscard]] const TracePlaneConfig& config() const { return config_; }
 
-  /// Binds to one engine run: sizes the per-shard lanes. Called by the
+  /// Binds to one engine run's system lanes, one per shard. Called by the
   /// engine constructor; discards any previous run's traces.
-  void attach(int shards);
+  void attach(std::shared_ptr<const SystemLanes> system);
 
   [[nodiscard]] int shards() const { return static_cast<int>(lanes_.size()); }
 
@@ -122,11 +122,10 @@ class TracePlane {
   // hands it to one sealing hook. Cross-thread visibility is limited to
   // the relaxed-atomic counters and sketches.
 
-  /// One batch the worker acquired from its ring, picked up at
-  /// `pickup_ns`: folds every event's queue wait (pickup minus its enqueue
-  /// stamp) and client-side ingest lag into the shard's phase sketches,
-  /// one sketch record per stretch of equal values.
-  void on_batch(int shard, const RingView& batch, std::uint64_t pickup_ns);
+  /// One batch the worker acquired from its ring: folds every event's
+  /// client-side ingest lag into the shard's ingest sketch, one record per
+  /// stretch of equal lags.
+  void on_batch(int shard, const RingView& batch);
   /// round_open processing began: returns the round's trace with its
   /// ingest span ([enqueue - lag, enqueue], producer side) and queue span
   /// ([enqueue, begin]).
@@ -140,7 +139,8 @@ class TracePlane {
   /// round_close: seals the trace (payment span [close_begin, settled]
   /// timing round_close and any dense outcome build,
   /// audit span [settled, done] when the econ plane ran, terminal
-  /// round_close marker at done) and runs the tail sampler.
+  /// round_close marker at done) and runs the tail sampler, whose auto
+  /// threshold reads the system lane: record the round's latency first.
   /// `econ_violations` is the sentinel's verdict for this round.
   void on_round_complete(int shard, obs::RoundTrace trace,
                          std::uint64_t close_begin_ns,
@@ -169,25 +169,24 @@ class TracePlane {
   }
 
  private:
-  /// One shard's lane. Timeline state (orphans, ring, auto threshold) is
-  /// worker-owned; the atomics and sketches below the fence are the
-  /// cross-thread summary surface.
+  /// One shard's lane. Timeline state (orphans, ring) is worker-owned;
+  /// the atomics and sketches below the fence are the cross-thread
+  /// summary surface.
   struct Lane {
     explicit Lane(const TracePlaneConfig& config)
-        : ring(config.ring_capacity) {}
+        : ring(config.ring_capacity),
+          effective_threshold_ns(config.slow_threshold_ns != 0
+                                     ? config.slow_threshold_ns
+                                     : ~0ULL) {}
 
     // -- worker-owned ------------------------------------------------
     /// Rounds whose orphaned events are already traced: a stub was
     /// sealed, or the round was sealed as corrupted.
     std::unordered_set<std::int64_t> orphan_rounds;
     obs::TraceRing ring;
-    /// Auto-mode threshold, refreshed from the round-close sketch.
-    std::uint64_t auto_threshold_ns{~0ULL};
-    std::int64_t closes_since_refresh{0};
 
     // -- shared (relaxed atomics / concurrent sketches) --------------
     std::atomic<std::int64_t> rounds_traced{0};
-    std::atomic<std::int64_t> rounds_completed{0};
     std::atomic<std::int64_t> retained{0};
     std::atomic<std::int64_t> retained_slow{0};
     std::atomic<std::int64_t> retained_econ{0};
@@ -195,14 +194,16 @@ class TracePlane {
     std::atomic<std::int64_t> dropped{0};
     std::atomic<std::int64_t> retained_evicted{0};
     std::atomic<std::int64_t> spans_truncated{0};
-    std::atomic<std::uint64_t> effective_threshold_ns{~0ULL};
-    std::array<obs::LatencySketch, obs::kTracePhaseCount> phase_sketch;
+    /// Fixed, or in auto mode refreshed from the system lane.
+    std::atomic<std::uint64_t> effective_threshold_ns;
+    obs::LatencySketch ingest, slot_tick, payment, audit;  ///< own phases
   };
 
   /// Tail sampler + ring push of one sealed trace (worker thread).
   void seal(Lane& lane, obs::RoundTrace trace, unsigned extra_reasons);
 
   TracePlaneConfig config_;
+  std::shared_ptr<const SystemLanes> system_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   obs::SketchExemplars exemplars_;
 };

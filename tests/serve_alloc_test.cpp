@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "model/scenario.hpp"
 #include "model/workload.hpp"
+#include "serve/econ_telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
@@ -291,10 +292,12 @@ struct EngineHeap {
 };
 
 EngineHeap serve_without_retention(const std::vector<ServeEvent>& events,
-                                   ServeConfig::Admission admission) {
+                                   ServeConfig::Admission admission,
+                                   EconTelemetry* econ = nullptr) {
   ServeConfig config;
   config.retain_outcomes = false;
   config.admission = admission;
+  config.econ = econ;
   EngineHeap heap;
   const std::uint64_t allocations = test::heap_allocations();
   const std::uint64_t bytes = test::heap_bytes();
@@ -341,7 +344,10 @@ TEST(ServeAlloc, NonRetainingEngineAllocatesNothingPerRound) {
 
 TEST(ServeAlloc, HugeAgentIdServesInMemoryLinearInItsEvents) {
   // A bid from agent 2^30 - 1: a dense outcome's two per-phone vectors
-  // would take 16 GB. A non-retaining, econ-off engine never builds one.
+  // would take 16 GB. A non-retaining engine never builds one: with the
+  // econ plane off nothing reads it, and with it on the round's capture is
+  // incomplete (its agent ids are not 0..n-1), so the plane counts the
+  // round skipped without an outcome.
   const model::Bid bid{SlotInterval::of(1, 1), Money::from_units(5)};
   const std::vector<ServeEvent> events = {
       round_open(0, 1, Money::from_units(50)),
@@ -360,6 +366,16 @@ TEST(ServeAlloc, HugeAgentIdServesInMemoryLinearInItsEvents) {
     EXPECT_EQ(heap.stats.bids_admitted, 1);
     EXPECT_EQ(heap.stats.total_paid, Money::from_units(50));
     EXPECT_LT(heap.bytes, std::uint64_t{1} << 20);
+
+    EconTelemetry econ;
+    const EngineHeap audited =
+        serve_without_retention(events, admission, &econ);
+    std::cout << "[ alloc ] with the econ plane on it took " << audited.bytes
+              << " heap bytes\n";
+    EXPECT_EQ(audited.stats.rounds_completed, 1);
+    EXPECT_EQ(audited.stats.rounds_corrupted, 0);
+    EXPECT_EQ(econ.take_snapshot().cumulative.rounds_skipped, 1);
+    EXPECT_LT(audited.bytes, std::uint64_t{1} << 20);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
+#include "serve/system_lane.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -42,15 +43,24 @@ std::vector<ServeEvent> events_of(const LoadGenConfig& load) {
   return events;
 }
 
-/// Hands the live plane one acquired batch of `n` events, all enqueued at
-/// 0 and picked up `wait_ns` later -- what the engine's worker reports for
-/// a batch from a single push.
-void process_batch(LiveTelemetry& live, int shard, std::uint64_t wait_ns,
+/// Attaches `live` to one fresh system lane per shard, as the engine does,
+/// and returns the lanes for the test to feed.
+std::shared_ptr<SystemLanes> attach_lanes(LiveTelemetry& live, int shards,
+                                          std::int64_t queue_capacity) {
+  auto lanes = std::make_shared<SystemLanes>(static_cast<std::size_t>(shards));
+  live.attach(lanes, queue_capacity);
+  return lanes;
+}
+
+/// Records one acquired batch of `n` events in a shard's lane, all enqueued
+/// at 0 and picked up `wait_ns` later -- what the engine's worker records
+/// for a batch from a single push.
+void process_batch(SystemLane& lane, std::uint64_t wait_ns,
                    std::size_t n = 1) {
   const std::vector<QueuedEvent> events(n,
                                         QueuedEvent{slot_tick(0, Slot{1}), 0});
-  live.on_batch(shard, RingView{events, {}, static_cast<std::int64_t>(n)},
-                wait_ns);
+  lane.record_batch(RingView{events, {}, static_cast<std::int64_t>(n)},
+                    wait_ns);
 }
 
 // ------------------------------------------------------- golden snapshots
@@ -63,12 +73,12 @@ TEST(ServeTelemetry, GoldenSnapshotUnderFakeClock) {
   LiveTelemetryConfig config;
   config.clock = &clock;
   LiveTelemetry live(config);
-  live.attach(1, 8);
+  const auto lanes = attach_lanes(live, 1, 8);
 
   live.on_submit(0, 1, 1);
   live.on_submit(0, 1, 2);
-  process_batch(live, 0, 5, 2);
-  live.on_round_close(0, 10);
+  process_batch((*lanes)[0], 5, 2);
+  (*lanes)[0].record_round(10);
   live.on_reject(0, 1);
   clock.advance_ms(1000);
 
@@ -114,11 +124,11 @@ TEST(ServeTelemetry, SnapshotWindowsAreMonotoneAndRatesDeterministic) {
   LiveTelemetryConfig config;
   config.clock = &clock;
   LiveTelemetry live(config);
-  live.attach(2, 16);
+  const auto lanes = attach_lanes(live, 2, 16);
 
   for (std::int64_t expected = 0; expected < 5; ++expected) {
     live.on_submit(0, 1, 1);
-    process_batch(live, 0, 4);
+    process_batch((*lanes)[0], 4);
     clock.advance_ms(500);
     const ServeSnapshot snapshot = live.take_snapshot();
     EXPECT_EQ(snapshot.window, expected);
@@ -135,7 +145,7 @@ TEST(ServeTelemetry, StalledShardDetectedUnderFakeClock) {
   LiveTelemetryConfig config;
   config.clock = &clock;
   LiveTelemetry live(config);
-  live.attach(1, 8);
+  const auto lanes = attach_lanes(live, 1, 8);
 
   live.on_submit(0, 3, 3);  // backlog builds, nothing ever processed
   clock.advance_ms(1000);
@@ -152,13 +162,13 @@ TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
   LiveTelemetryConfig config;
   config.clock = &clock;
   LiveTelemetry live(config);
-  live.attach(2, 8);
+  const auto lanes = attach_lanes(live, 2, 8);
 
   live.on_submit(0, 1, 5);
-  process_batch(live, 0, 7);
-  live.on_round_close(0, 9);
+  process_batch((*lanes)[0], 7);
+  (*lanes)[0].record_round(9);
   live.on_submit(1, 1, 2);
-  process_batch(live, 1, 3);
+  process_batch((*lanes)[1], 3);
   live.on_reject(1, 1);
   clock.advance_ms(2000);
 
@@ -181,9 +191,9 @@ TEST(ServeTelemetry, PrometheusRenderingExposesLiveGauges) {
   LiveTelemetryConfig config;
   config.clock = &clock;
   LiveTelemetry live(config);
-  live.attach(2, 8);
+  const auto lanes = attach_lanes(live, 2, 8);
   live.on_submit(0, 1, 1);
-  process_batch(live, 0, 5);
+  process_batch((*lanes)[0], 5);
   clock.advance_ms(1000);
 
   std::ostringstream os;

@@ -25,6 +25,7 @@
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
+#include "serve/system_lane.hpp"
 #include "serve/telemetry.hpp"
 
 namespace mcs::serve {
@@ -57,22 +58,41 @@ TracePlaneConfig fixed_threshold_config() {
   return config;
 }
 
+/// A hand-driven plane over one shard's system lane. complete() ends a
+/// round the way ServeEngine::end_round does: the lane records the round's
+/// latency (close begin minus open) before the plane's sampler reads it.
+struct DrivenPlane {
+  explicit DrivenPlane(TracePlaneConfig config) : plane(config) {
+    plane.attach(lanes);
+  }
+  void complete(obs::RoundTrace trace, std::uint64_t close_begin_ns,
+                std::uint64_t settled_ns, std::uint64_t done_ns,
+                std::int64_t violations) {
+    lanes->front().record_round(close_begin_ns - trace.open_ns);
+    plane.on_round_complete(0, std::move(trace), close_begin_ns, settled_ns,
+                            done_ns, violations);
+  }
+
+  std::shared_ptr<SystemLanes> lanes = std::make_shared<SystemLanes>(1);
+  TracePlane plane;
+};
+
 // ------------------------------------------------------- tail retention
 
 TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
-  TracePlane plane(fixed_threshold_config());
-  plane.attach(1);
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
 
   // Round 0: fast and clean -- folded into summaries, not retained.
   obs::RoundTrace round0 = plane.on_round_open(0, 0, 100, 200, 0);
   plane.on_slot_tick(0, round0, 1, 250, 300);
-  plane.on_round_complete(0, std::move(round0), 500, 600, 700, 0);
+  driven.complete(std::move(round0), 500, 600, 700, 0);
   // Round 1: slow (latency 1400 ns >= 1000 ns threshold).
-  plane.on_round_complete(0, plane.on_round_open(0, 1, 1000, 1100, 0), 2500,
-                          2600, 2700, 0);
+  driven.complete(plane.on_round_open(0, 1, 1000, 1100, 0), 2500, 2600,
+                  2700, 0);
   // Round 2: fast but economically violating.
-  plane.on_round_complete(0, plane.on_round_open(0, 2, 3000, 3100, 0), 3300,
-                          3400, 3500, 2);
+  driven.complete(plane.on_round_open(0, 2, 3000, 3100, 0), 3300, 3400,
+                  3500, 2);
   // Round 3: corrupted mid-flight by shedding.
   plane.on_round_failed(0, plane.on_round_open(0, 3, 4000, 4100, 0),
                         obs::TraceStatus::kCorrupted, 4200);
@@ -120,8 +140,8 @@ TEST(TracePlane, TailSamplerRetainsSlowEconAndErrorRounds) {
 }
 
 TEST(TracePlane, AbandonedOpenRoundsAreSealedAtWorkerExit) {
-  TracePlane plane(fixed_threshold_config());
-  plane.attach(1);
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
   plane.on_round_failed(0, plane.on_round_open(0, 4, 100, 200, 0),
                         obs::TraceStatus::kAbandoned, 900);
 
@@ -136,14 +156,14 @@ TEST(TracePlane, AbandonedOpenRoundsAreSealedAtWorkerExit) {
 TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   TracePlaneConfig config;
   config.slow_threshold_ns = 0;  // auto
-  TracePlane plane(config);
-  plane.attach(1);
+  DrivenPlane driven(config);
+  TracePlane& plane = driven.plane;
 
   // 31 uniform closes: below the warm-up floor, nothing qualifies as slow.
   std::uint64_t t = 0;
   for (std::int64_t round = 0; round < 31; ++round) {
-    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
-                            t + 1000, t + 1000, t + 1000, 0);
+    driven.complete(plane.on_round_open(0, round, t, t, 0), t + 1000,
+                    t + 1000, t + 1000, 0);
     t += 2000;
   }
   EXPECT_EQ(plane.summary().retained_slow, 0);
@@ -152,8 +172,8 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   // Keep closing until the refresh fires with >= 32 samples banked, then
   // a 100x outlier must be caught by the rolling p99.
   for (std::int64_t round = 31; round < 48; ++round) {
-    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
-                            t + 1000, t + 1000, t + 1000, 0);
+    driven.complete(plane.on_round_open(0, round, t, t, 0), t + 1000,
+                    t + 1000, t + 1000, 0);
     t += 2000;
   }
   EXPECT_NE(plane.summary().slow_threshold_ns, ~0ULL);
@@ -161,8 +181,8 @@ TEST(TracePlane, AutoThresholdStaysQuietUntilWarmedUp) {
   // value, so baseline rounds may legitimately qualify now; the property
   // under test is that a 100x outlier is always caught from here on.
   const std::int64_t slow_before = plane.summary().retained_slow;
-  plane.on_round_complete(0, plane.on_round_open(0, 100, t, t, 0),
-                          t + 100000, t + 100000, t + 100000, 0);
+  driven.complete(plane.on_round_open(0, 100, t, t, 0), t + 100000,
+                  t + 100000, t + 100000, 0);
   EXPECT_EQ(plane.summary().retained_slow, slow_before + 1);
   bool outlier_retained = false;
   for (const obs::RoundTrace& trace : plane.retained()) {
@@ -181,8 +201,8 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
   // survives in full, healthy context traces are the eviction fodder.
   TracePlaneConfig config = fixed_threshold_config();
   config.ring_capacity = 3;
-  TracePlane plane(config);
-  plane.attach(1);
+  DrivenPlane driven(config);
+  TracePlane& plane = driven.plane;
 
   std::uint64_t t = 0;
   for (std::int64_t round = 0; round < 10; ++round) {
@@ -190,8 +210,8 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
     const bool slow = round == 2;        // latency 5000 >= 1000
     const bool violating = round == 5;   // sentinel trips
     const std::uint64_t close = t + (slow ? 5000 : 100);
-    plane.on_round_complete(0, std::move(trace), close, close, close,
-                            violating ? 1 : 0);
+    driven.complete(std::move(trace), close, close, close,
+                    violating ? 1 : 0);
     t = close + 100;
   }
 
@@ -211,8 +231,8 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
 
   // Overflowing the ring with retained traces is lossy but accounted.
   for (std::int64_t round = 20; round < 24; ++round) {
-    plane.on_round_complete(0, plane.on_round_open(0, round, t, t, 0),
-                            t + 5000, t + 5000, t + 5000, 0);
+    driven.complete(plane.on_round_open(0, round, t, t, 0), t + 5000,
+                    t + 5000, t + 5000, 0);
     t += 6000;
   }
   EXPECT_EQ(plane.summary().retained, 6);
@@ -229,12 +249,12 @@ TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
   config.max_spans = 8;
   config.slow_threshold_ns = 1000;
   config.exemplar_threshold_ns = 1000;
-  TracePlane plane(config);
-  plane.attach(1);
+  DrivenPlane driven(config);
+  TracePlane& plane = driven.plane;
 
   obs::RoundTrace trace = plane.on_round_open(0, 0, 100, 200, 50);
   plane.on_slot_tick(0, trace, 1, 200, 300);
-  plane.on_round_complete(0, std::move(trace), 1400, 1500, 1600, 1);
+  driven.complete(std::move(trace), 1400, 1500, 1600, 1);
 
   std::ostringstream os;
   write_trace_stream(os, plane);
@@ -276,17 +296,20 @@ TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
 }
 
 TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
-  // One on_batch per acquired batch; the phase sketches must still hold
-  // one queue-wait and one ingest sample per event, with the waits
-  // measured from each event's own enqueue stamp to the batch pickup.
-  TracePlane plane(fixed_threshold_config());
-  plane.attach(1);
+  // One lane record and one on_batch per acquired batch, as the engine's
+  // worker makes them; the summary's queue_wait (the lane's) and ingest
+  // (the plane's) phases must still hold one sample per event, with the
+  // waits measured from each event's own enqueue stamp to the pickup.
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
   ServeEvent lagged = slot_tick(0, Slot{1});
   lagged.client_lag_ns = 9;
   const std::vector<QueuedEvent> tail = {{slot_tick(0, Slot{1}), 10},
                                          {slot_tick(0, Slot{1}), 10}};
   const std::vector<QueuedEvent> head = {{lagged, 13}};
-  plane.on_batch(0, RingView{tail, head, 3}, 15);
+  const RingView batch{tail, head, 3};
+  driven.lanes->front().record_batch(batch, 15);
+  plane.on_batch(0, batch);
 
   const TraceSummary summary = plane.summary();
   const obs::LatencySketchSnapshot& wait =
@@ -307,16 +330,19 @@ TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
 // ---------------------------------------------- plane-separation contract
 
 std::map<std::string, std::int64_t> counters_for(
-    const std::vector<ServeEvent>& events, int shards, bool with_trace) {
+    const std::vector<ServeEvent>& events, int shards, bool with_trace,
+    bool with_live = false) {
   obs::MetricsRegistry registry;
   TracePlaneConfig trace_config;
   trace_config.slow_threshold_ns = 1;  // retain everything
   TracePlane trace(trace_config);
+  LiveTelemetry live;
   {
     const obs::ScopedRegistry guard(&registry);
     ServeConfig config;
     config.shards = shards;
     if (with_trace) config.trace = &trace;
+    if (with_live) config.live = &live;
     ServeEngine engine(config);
     for (const ServeEvent& event : events) engine.submit(event);
     engine.drain();
@@ -326,14 +352,17 @@ std::map<std::string, std::int64_t> counters_for(
 
 TEST(TracePlane, TracingNeverPerturbsDeterministicCounters) {
   // The acceptance contract: identical merged counters with the trace
-  // plane off and on, for 1 and 8 shards.
+  // plane off and on -- and with both timed planes sharing their system
+  // lanes -- for 1 and 8 shards.
   const std::vector<ServeEvent> events = events_of(small_load());
   const std::map<std::string, std::int64_t> baseline =
       counters_for(events, 1, false);
   ASSERT_GT(baseline.at("serve.events.round_open"), 0);
   EXPECT_EQ(baseline, counters_for(events, 1, true));
+  EXPECT_EQ(baseline, counters_for(events, 1, true, /*with_live=*/true));
   EXPECT_EQ(baseline, counters_for(events, 8, false));
   EXPECT_EQ(baseline, counters_for(events, 8, true));
+  EXPECT_EQ(baseline, counters_for(events, 8, true, /*with_live=*/true));
 }
 
 // ----------------------------------------------------- engine integration
@@ -566,13 +595,13 @@ TEST(ServePacing, OnScheduleEventsCarryNoLag) {
 // ------------------------------------------------------------ trace-report
 
 TEST(TraceReport, DigestsAndRendersAPlaneStream) {
-  TracePlane plane(fixed_threshold_config());
-  plane.attach(1);
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
   obs::RoundTrace round0 = plane.on_round_open(0, 0, 100, 200, 50);
   plane.on_slot_tick(0, round0, 1, 200, 300);
-  plane.on_round_complete(0, std::move(round0), 1400, 1500, 1600, 1);
-  plane.on_round_complete(0, plane.on_round_open(0, 1, 2000, 2100, 0), 2200,
-                          2300, 2400, 0);
+  driven.complete(std::move(round0), 1400, 1500, 1600, 1);
+  driven.complete(plane.on_round_open(0, 1, 2000, 2100, 0), 2200, 2300,
+                  2400, 0);
 
   std::ostringstream stream;
   write_trace_stream(stream, plane);

@@ -1034,9 +1034,14 @@ int cmd_serve(int argc, const char* const* argv) {
             << " reserve-rejected), total paid " << stats.total_paid << '\n';
   if (shed > 0) {
     std::cout << "admission control shed " << shed
-              << " events (policy: " << admission << "); downstream: "
-              << stats.orphaned_events << " orphaned events dropped, "
-              << stats.rounds_corrupted << " rounds abandoned mid-flight\n";
+              << " events (policy: " << admission << ")\n";
+  }
+  // A round is lost to shedding or, under --admission reject, to a stream
+  // error in it: report either whether or not anything was shed.
+  if (stats.orphaned_events > 0 || stats.rounds_corrupted > 0) {
+    std::cout << "lost rounds: " << stats.orphaned_events
+              << " orphaned events dropped, " << stats.rounds_corrupted
+              << " rounds abandoned mid-flight\n";
   }
   if (seconds > 0.0) {
     std::cout << "sustained "

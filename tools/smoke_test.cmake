@@ -218,9 +218,34 @@ if(plain_summary STREQUAL "" OR NOT plain_summary STREQUAL verified_summary)
                       "${plain_summary}\n${verified_summary}")
 endif()
 
+# A round lost to a stream error (a duplicate bid) under --admission
+# reject is reported even though nothing was shed.
+set(DUP_BID ${WORKDIR}/cli_smoke_dup_bid.jsonl)
+file(WRITE ${DUP_BID} [=[{"schema":"mcs.serve.v1"}
+{"ev":"round_open","round":0,"slots":1,"value":"50"}
+{"ev":"task_arrived","round":0,"slot":1,"task":0}
+{"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"5"}
+{"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"5"}
+{"ev":"slot_tick","round":0,"slot":1}
+{"ev":"round_close","round":0}
+]=])
+execute_process(COMMAND ${CLI} serve --replay ${DUP_BID} --admission reject
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT code EQUAL 0 OR NOT out MATCHES " 1 rounds abandoned mid-flight"
+   OR out MATCHES "admission control shed")
+  message(FATAL_ERROR "duplicate bid under --admission reject "
+                      "(${code}):\n${out}\n${err}")
+endif()
+file(REMOVE ${DUP_BID})
+
 # Untrusted stream: one bid from agent 2^30 - 1. A served round keeps its
 # winners sparsely and builds no outcome sized by the id, so the round
-# completes under a 4 GB address-space cap with either admission policy.
+# completes under a 4 GB address-space cap with either admission policy,
+# with the econ plane off or on (it skips a round whose ids are not
+# 0..n-1 without building its outcome).
 if(VMEM_CAP)
   set(HUGE_ID ${WORKDIR}/cli_smoke_huge_id.jsonl)
   file(WRITE ${HUGE_ID} [=[{"schema":"mcs.serve.v1"}
@@ -231,17 +256,23 @@ if(VMEM_CAP)
 {"ev":"round_close","round":0}
 ]=])
   foreach(admission block reject)
-    execute_process(COMMAND sh -c "ulimit -v 4000000 && exec \"$0\" \"$@\""
-                            ${CLI} serve --replay ${HUGE_ID}
-                            --admission ${admission}
-                    WORKING_DIRECTORY ${WORKDIR}
-                    RESULT_VARIABLE code
-                    OUTPUT_VARIABLE out
-                    ERROR_VARIABLE err)
-    if(NOT code EQUAL 0 OR NOT out MATCHES ": 1 rounds completed")
-      message(FATAL_ERROR "huge agent id under --admission ${admission} "
-                          "(${code}):\n${out}\n${err}")
-    endif()
+    foreach(econ OFF ON)
+      set(econ_args)
+      if(econ)
+        set(econ_args --econ-out ${WORKDIR}/cli_smoke_huge_id_econ.jsonl)
+      endif()
+      execute_process(COMMAND sh -c "ulimit -v 4000000 && exec \"$0\" \"$@\""
+                              ${CLI} serve --replay ${HUGE_ID}
+                              --admission ${admission} ${econ_args}
+                      WORKING_DIRECTORY ${WORKDIR}
+                      RESULT_VARIABLE code
+                      OUTPUT_VARIABLE out
+                      ERROR_VARIABLE err)
+      if(NOT code EQUAL 0 OR NOT out MATCHES ": 1 rounds completed")
+        message(FATAL_ERROR "huge agent id under --admission ${admission}, "
+                            "econ ${econ} (${code}):\n${out}\n${err}")
+      endif()
+    endforeach()
   endforeach()
-  file(REMOVE ${HUGE_ID})
+  file(REMOVE ${HUGE_ID} ${WORKDIR}/cli_smoke_huge_id_econ.jsonl)
 endif()
