@@ -97,7 +97,7 @@ void BM_LiveBatchHook(benchmark::State& state) {
     events.push_back({serve::slot_tick(0, Slot{1}),
                       1000 + 100 * (i * pushes / kBatch)});
   }
-  const serve::RingView batch{events, {}, static_cast<std::int64_t>(kBatch)};
+  const serve::RingView batch{events, {}};
   serve::SystemLane lane;
   std::uint64_t pickup_ns = 1'000'000;
   for (auto _ : state) {
@@ -124,7 +124,7 @@ void BM_ServeSnapshot(benchmark::State& state) {
     for (int i = 0; i < 256; ++i) {
       live.on_submit(shard, 1, i % 7);
       const serve::QueuedEvent queued{serve::slot_tick(0, Slot{1}), 0};
-      lane.record_batch(serve::RingView{{&queued, 1}, {}, 1},
+      lane.record_batch(serve::RingView{{&queued, 1}, {}},
                         static_cast<std::uint64_t>(1000 + i));
     }
     lane.record_round(2'000'000);

@@ -367,9 +367,11 @@ void ServeEngine::end_round(Shard& shard, Rounds& rounds,
   }
   if (config_.trace == nullptr) return;
   if (completed) {
+    // Without the econ plane nothing ran after settlement: no audit span.
+    const std::uint64_t done_ns =
+        config_.econ != nullptr ? stamp_ns() : settled_ns;
     config_.trace->on_round_complete(shard.index, std::move(round_trace),
-                                     end_ns, settled_ns, stamp_ns(),
-                                     violations);
+                                     end_ns, settled_ns, done_ns, violations);
   } else {
     config_.trace->on_round_failed(shard.index, std::move(round_trace),
                                    status, end_ns);

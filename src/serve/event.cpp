@@ -1,6 +1,7 @@
 #include "serve/event.hpp"
 
 #include <array>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -24,236 +25,25 @@ namespace {
 constexpr std::int64_t kMaxNarrowField =
     std::numeric_limits<std::int32_t>::max();
 
-/// The top-level members the field rules read. Other members are checked
-/// for syntax (and duplicates) like any JSON, then ignored.
-enum class Key : std::uint8_t {
-  kSchema,
-  kEv,
-  kRound,
-  kSlots,
-  kValue,
-  kSlot,
-  kTask,
-  kAgent,
-  kFrom,
-  kTo,
-  kCost,
-};
-constexpr std::array<std::string_view, 11> kKeyNames = {
-    "schema", "ev",    "round", "slots", "value", "slot",
-    "task",   "agent", "from",  "to",    "cost"};
-
-std::optional<Key> key_of(std::string_view name) {
-  for (std::size_t i = 0; i < kKeyNames.size(); ++i) {
-    if (name == kKeyNames[i]) return static_cast<Key>(i);
-  }
-  return std::nullopt;
-}
-
-/// One member's value as the field rules read it. The flat scan fills
-/// `text` (a string's bytes) or `integer`; the io::parse_json fallback
-/// points `tree` at the parsed value, whose accessors apply the same type
-/// checks.
-struct Scalar {
-  bool present{false};
-  bool is_string{false};
-  std::string_view text;
-  std::int64_t integer{0};
-  const io::JsonValue* tree{nullptr};
-};
-
-/// A line's known top-level members, by Key. The views point into the line
-/// (flat scan) or into its parse tree (fallback).
-struct MemberTable {
-  std::array<Scalar, kKeyNames.size()> members{};
-  bool object{true};  ///< false: valid JSON, but not an object
-
-  [[nodiscard]] const Scalar* find(Key key) const {
-    const Scalar& member = members[static_cast<std::size_t>(key)];
-    return member.present ? &member : nullptr;
-  }
-};
-
-bool is_json_space(char ch) {
-  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r';
-}
-
-/// Integer tokens of at most this many digits are converted by the scan:
-/// they stay below 2^53, so the value is exactly the double io::parse_json
-/// would produce.
-constexpr std::size_t kMaxScanDigits = 15;
-
-/// Unknown members the scan tracks for the duplicate-key rule; a line with
-/// more goes to the fallback.
-constexpr std::size_t kMaxScanUnknown = 8;
-
-/// `-?[0-9]{1,15}` (leading zeros allowed, as strtod allows them).
-bool parse_short_integer(std::string_view token, std::int64_t& out) {
-  const bool negative = !token.empty() && token.front() == '-';
-  if (negative) token.remove_prefix(1);
-  if (token.empty() || token.size() > kMaxScanDigits) return false;
-  std::int64_t value = 0;
-  for (const char ch : token) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + (ch - '0');
-  }
-  out = negative ? -value : value;
-  return true;
-}
-
-/// One pass over a line that is a flat JSON object whose members are
-/// escape-free strings or short integers -- every line the encoder writes.
-/// Fills `table` and returns true only when io::parse_json would accept the
-/// line and build the same members. Anything else (escapes, raw control
-/// characters, containers, true/false/null, other number tokens, duplicate
-/// keys, syntax errors) returns false, and the caller decodes the line
-/// through io::parse_json, whose verdict then stands.
-bool scan_flat_object(std::string_view line, MemberTable& table) {
-  const char* at = line.data();
-  const char* const end = at + line.size();
-  const auto skip_space = [&] {
-    while (at != end && is_json_space(*at)) ++at;
-  };
-  // A string body after its opening quote, up to and past the closing one.
-  const auto string_body = [&](std::string_view& out) {
-    const char* const begin = at;
-    for (; at != end; ++at) {
-      const auto ch = static_cast<unsigned char>(*at);
-      if (ch == '"') {
-        out = std::string_view(begin, static_cast<std::size_t>(at - begin));
-        ++at;
-        return true;
-      }
-      if (ch == '\\' || ch < 0x20) return false;
-    }
-    return false;
-  };
-  std::array<std::string_view, kMaxScanUnknown> unknown;
-  std::size_t unknown_count = 0;
-
-  skip_space();
-  if (at == end || *at != '{') return false;
-  ++at;
-  skip_space();
-  if (at != end && *at == '}') {
-    ++at;
-    skip_space();
-    return at == end;
-  }
-  while (true) {
-    std::string_view name;
-    if (at == end || *at != '"') return false;
-    ++at;
-    if (!string_body(name)) return false;
-    skip_space();
-    if (at == end || *at != ':') return false;
-    ++at;
-    skip_space();
-    if (at == end) return false;
-    Scalar value;
-    value.present = true;
-    if (*at == '"') {
-      ++at;
-      if (!string_body(value.text)) return false;
-      value.is_string = true;
-    } else {
-      // The token io::parse_json's number rule would take.
-      const char* const begin = at;
-      while (at != end && ((*at >= '0' && *at <= '9') || *at == '.' ||
-                           *at == 'e' || *at == 'E' || *at == '+' ||
-                           *at == '-')) {
-        ++at;
-      }
-      if (!parse_short_integer(
-              std::string_view(begin, static_cast<std::size_t>(at - begin)),
-              value.integer)) {
-        return false;
-      }
-    }
-    if (const std::optional<Key> key = key_of(name)) {
-      Scalar& member = table.members[static_cast<std::size_t>(*key)];
-      if (member.present) return false;  // duplicate key
-      member = value;
-    } else {
-      for (std::size_t i = 0; i < unknown_count; ++i) {
-        if (unknown[i] == name) return false;  // duplicate key
-      }
-      if (unknown_count == unknown.size()) return false;
-      unknown[unknown_count++] = name;
-    }
-    skip_space();
-    if (at == end) return false;
-    if (*at == ',') {
-      ++at;
-      skip_space();
-      continue;
-    }
-    if (*at != '}') return false;
-    ++at;
-    skip_space();
-    return at == end;
-  }
-}
-
-/// The known members of a parse tree.
-MemberTable table_of(const io::JsonValue& parsed) {
-  MemberTable table;
-  if (!parsed.is_object()) {
-    table.object = false;
-    return table;
-  }
-  for (const auto& [name, value] : parsed.as_object()) {
-    if (const std::optional<Key> key = key_of(name)) {
-      Scalar& member = table.members[static_cast<std::size_t>(*key)];
-      member.present = true;
-      member.tree = &value;
-    }
-  }
-  return table;
-}
-
-std::int64_t int_of(const Scalar& member) {
-  if (member.tree != nullptr) return member.tree->as_int();
-  if (member.is_string) {
-    throw InvalidArgumentError("JSON value is not a number");
-  }
-  return member.integer;
-}
-
-std::string_view string_of(const Scalar& member) {
-  if (member.tree != nullptr) return member.tree->as_string();
-  if (!member.is_string) {
-    throw InvalidArgumentError("JSON value is not a string");
-  }
-  return member.text;
-}
-
-const Scalar& require(const MemberTable& table, Key key) {
-  const Scalar* member = table.find(key);
-  if (member == nullptr) {
-    bad_event("missing field '" +
-              std::string(kKeyNames[static_cast<std::size_t>(key)]) + "'");
-  }
-  return *member;
-}
-
 /// Required integral member with an inclusive domain check. Values outside
 /// [min_value, max_value] are rejected -- never narrowed or wrapped.
-std::int64_t require_int(const MemberTable& table, Key key,
+std::int64_t require_int(const io::JsonValue& line, std::string_view key,
                          std::int64_t min_value,
                          std::int64_t max_value = kMaxNarrowField) {
-  const std::int64_t value = int_of(require(table, key));
+  const io::JsonValue* member = line.find(key);
+  if (member == nullptr) bad_event("missing field '" + std::string(key) + "'");
+  const std::int64_t value = member->as_int();
   if (value < min_value || value > max_value) {
-    bad_event("field '" +
-              std::string(kKeyNames[static_cast<std::size_t>(key)]) +
-              "' out of domain");
+    bad_event("field '" + std::string(key) + "' out of domain");
   }
   return value;
 }
 
 /// Required Money member (decimal string, Money::parse format).
-Money require_money(const MemberTable& table, Key key) {
-  return Money::parse(string_of(require(table, key)));
+Money require_money(const io::JsonValue& line, std::string_view key) {
+  const io::JsonValue* member = line.find(key);
+  if (member == nullptr) bad_event("missing field '" + std::string(key) + "'");
+  return Money::parse(member->as_string());
 }
 
 Slot::rep_type to_slot_rep(std::int64_t value) {
@@ -382,64 +172,205 @@ std::string encode_serve_event(const ServeEvent& event) {
 
 namespace {
 
-/// The field rules, once, over either decode path's member table. Any
-/// object with a "schema" member is a header line (nullopt).
-std::optional<ServeEvent> decode_members(const MemberTable& table) {
-  if (const Scalar* schema = table.find(Key::kSchema)) {
-    const std::string_view name = string_of(*schema);
-    if (name != kServeSchema) {
-      bad_event("unsupported schema '" + std::string(name) + "'");
+/// The line write_stream_header writes.
+constexpr std::string_view kCanonicalHeader = R"({"schema":"mcs.serve.v1"})";
+
+/// Each kind's line as write_serve_event opens it, up to the round's
+/// digits; the most frequent kinds first.
+constexpr std::array<std::pair<std::string_view, ServeEventKind>, 5>
+    kCanonicalHeads = {{
+        {R"({"ev":"bid_submitted","round":)", ServeEventKind::kBidSubmitted},
+        {R"({"ev":"slot_tick","round":)", ServeEventKind::kSlotTick},
+        {R"({"ev":"task_arrived","round":)", ServeEventKind::kTaskArrived},
+        {R"({"ev":"round_open","round":)", ServeEventKind::kRoundOpen},
+        {R"({"ev":"round_close","round":)", ServeEventKind::kRoundClose},
+    }};
+
+/// A bounds-checked cursor over one line for the canonical reader. A read
+/// that fails may leave the cursor anywhere: the reader then gives up.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view line)
+      : at_(line.data()), end_(line.data() + line.size()) {}
+
+  [[nodiscard]] bool done() const { return at_ == end_; }
+
+  /// Consumes `text` if the line continues with it.
+  bool take(std::string_view text) {
+    if (static_cast<std::size_t>(end_ - at_) < text.size() ||
+        std::memcmp(at_, text.data(), text.size()) != 0) {
+      return false;
+    }
+    at_ += text.size();
+    return true;
+  }
+
+  /// Consumes a run of digits whose value lies in [min_value, max_value].
+  /// max_value is at most 2^53, so no prefix overflows.
+  bool digits(std::int64_t min_value, std::int64_t max_value,
+              std::int64_t& out) {
+    const char* const begin = at_;
+    std::int64_t value = 0;
+    for (; at_ != end_ && is_digit(*at_); ++at_) {
+      value = value * 10 + (*at_ - '0');
+      if (value > max_value) return false;
+    }
+    out = value;
+    return at_ != begin && value >= min_value;
+  }
+
+  /// Consumes `key` and an integer member value in [min_value, max_value].
+  bool integer(std::string_view key, std::int64_t min_value,
+               std::int64_t& out,
+               std::int64_t max_value = kMaxNarrowField) {
+    return take(key) && digits(min_value, max_value, out);
+  }
+
+  /// Consumes a quoted non-negative Money literal, `"D+(.D{1,6})?"` of at
+  /// most Money::max(): the unsigned amounts Money::parse reads, converted
+  /// the way it converts them.
+  bool money(Money& out) {
+    constexpr std::int64_t kMaxWhole = Money::max().micros() / Money::kScale;
+    std::int64_t whole = 0;
+    if (!take("\"") || !digits(0, kMaxWhole, whole)) return false;
+    std::int64_t micros = whole * Money::kScale;
+    if (take(".")) {
+      const char* const begin = at_;
+      for (std::int64_t unit = Money::kScale / 10;
+           unit > 0 && at_ != end_ && is_digit(*at_); unit /= 10, ++at_) {
+        micros += (*at_ - '0') * unit;
+      }
+      if (at_ == begin) return false;
+    }
+    if (micros > Money::max().micros() || !take("\"")) return false;
+    out = Money::from_micros(micros);
+    return true;
+  }
+
+ private:
+  static bool is_digit(char ch) { return ch >= '0' && ch <= '9'; }
+
+  const char* at_;
+  const char* const end_;
+};
+
+/// Reads an event line in exactly the layout write_serve_event writes
+/// (leading zeros and trailing fraction zeros aside, which read as the
+/// field rules read them) and fills `event`'s own fields, the others
+/// staying at their defaults. Returns false for every other line, and for
+/// a line in that layout whose values the field rules would reject, so a
+/// true return is always decode_members' verdict too.
+bool read_canonical(std::string_view line, ServeEvent& event) {
+  LineCursor in(line);
+  const auto* head = kCanonicalHeads.begin();
+  while (head != kCanonicalHeads.end() && !in.take(head->first)) ++head;
+  if (head == kCanonicalHeads.end() ||
+      !in.digits(0, kMaxServeRound, event.round)) {
+    return false;
+  }
+  event.kind = head->second;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  std::int64_t c = 0;
+  switch (event.kind) {
+    case ServeEventKind::kRoundOpen:
+      if (!in.integer(R"(,"slots":)", 1, a) ||
+          !in.take(R"(,"value":)") || !in.money(event.round_value)) {
+        return false;
+      }
+      event.num_slots = to_slot_rep(a);
+      break;
+    case ServeEventKind::kTaskArrived: {
+      if (!in.integer(R"(,"slot":)", 1, a) ||
+          !in.integer(R"(,"task":)", 0, b)) {
+        return false;
+      }
+      event.slot = Slot{to_slot_rep(a)};
+      event.task = TaskId{static_cast<TaskId::rep_type>(b)};
+      if (in.take(R"(,"value":)")) {
+        Money value;
+        if (!in.money(value)) return false;
+        event.task_value = value;
+      }
+      break;
+    }
+    case ServeEventKind::kBidSubmitted:
+      if (!in.integer(R"(,"agent":)", 0, a) ||
+          !in.integer(R"(,"from":)", 1, b) ||
+          !in.integer(R"(,"to":)", b, c) ||
+          !in.take(R"(,"cost":)") || !in.money(event.claimed_cost)) {
+        return false;
+      }
+      event.agent = PhoneId{static_cast<PhoneId::rep_type>(a)};
+      event.slot = Slot{to_slot_rep(b)};  // phones bid when they join
+      event.window = SlotInterval::of(to_slot_rep(b), to_slot_rep(c));
+      break;
+    case ServeEventKind::kSlotTick:
+      if (!in.integer(R"(,"slot":)", 1, a)) return false;
+      event.slot = Slot{to_slot_rep(a)};
+      break;
+    case ServeEventKind::kRoundClose:
+      break;
+  }
+  return in.take("}") && in.done();
+}
+
+/// The field rules over a parsed line: the verdict, and the error text, for
+/// every line the canonical reader does not take. Any object with a
+/// "schema" member is a header line (nullopt).
+std::optional<ServeEvent> decode_members(const io::JsonValue& line) {
+  if (const io::JsonValue* schema = line.find("schema")) {
+    if (schema->as_string() != kServeSchema) {
+      bad_event("unsupported schema '" + schema->as_string() + "'");
     }
     return std::nullopt;
   }
-  if (!table.object) bad_event("line is not a JSON object");
-  const std::string_view ev = string_of(require(table, Key::kEv));
-  const std::int64_t round = require_int(table, Key::kRound, 0, kMaxServeRound);
+  if (!line.is_object()) bad_event("line is not a JSON object");
+  const io::JsonValue* discriminator = line.find("ev");
+  if (discriminator == nullptr) bad_event("missing field 'ev'");
+  const std::string& ev = discriminator->as_string();
+  const std::int64_t round = require_int(line, "round", 0, kMaxServeRound);
 
   if (ev == "round_open") {
-    const std::int64_t slots = require_int(table, Key::kSlots, 1);
-    return round_open(round, to_slot_rep(slots),
-                      require_money(table, Key::kValue));
+    const std::int64_t slots = require_int(line, "slots", 1);
+    return round_open(round, to_slot_rep(slots), require_money(line, "value"));
   }
   if (ev == "task_arrived") {
-    const Slot slot{to_slot_rep(require_int(table, Key::kSlot, 1))};
+    const Slot slot{to_slot_rep(require_int(line, "slot", 1))};
     const TaskId task{
-        static_cast<TaskId::rep_type>(require_int(table, Key::kTask, 0))};
+        static_cast<TaskId::rep_type>(require_int(line, "task", 0))};
     std::optional<Money> value;
-    if (table.find(Key::kValue) != nullptr) {
-      value = require_money(table, Key::kValue);
-    }
+    if (line.find("value") != nullptr) value = require_money(line, "value");
     return task_arrived(round, slot, task, value);
   }
   if (ev == "bid_submitted") {
     const PhoneId agent{
-        static_cast<PhoneId::rep_type>(require_int(table, Key::kAgent, 0))};
-    const std::int64_t from = require_int(table, Key::kFrom, 1);
-    const std::int64_t to = require_int(table, Key::kTo, 1);
+        static_cast<PhoneId::rep_type>(require_int(line, "agent", 0))};
+    const std::int64_t from = require_int(line, "from", 1);
+    const std::int64_t to = require_int(line, "to", 1);
     if (to < from) bad_event("bid window end precedes begin");
-    const Money cost = require_money(table, Key::kCost);
+    const Money cost = require_money(line, "cost");
     if (cost.is_negative()) bad_event("negative claimed cost");
     return bid_submitted(
         round, agent,
         model::Bid{SlotInterval::of(to_slot_rep(from), to_slot_rep(to)), cost});
   }
   if (ev == "slot_tick") {
-    return slot_tick(round,
-                     Slot{to_slot_rep(require_int(table, Key::kSlot, 1))});
+    return slot_tick(round, Slot{to_slot_rep(require_int(line, "slot", 1))});
   }
   if (ev == "round_close") {
     return round_close(round);
   }
-  bad_event("unknown event kind '" + std::string(ev) + "'");
+  bad_event("unknown event kind '" + ev + "'");
 }
 
 }  // namespace
 
 std::optional<ServeEvent> decode_serve_line(std::string_view line) {
-  MemberTable table;
-  if (scan_flat_object(line, table)) return decode_members(table);
-  const io::JsonValue parsed = io::parse_json(line);
-  return decode_members(table_of(parsed));
+  if (line == kCanonicalHeader) return std::nullopt;
+  std::optional<ServeEvent> event(std::in_place);
+  if (read_canonical(line, *event)) return event;
+  return decode_members(io::parse_json(line));
 }
 
 }  // namespace mcs::serve

@@ -23,14 +23,17 @@
 // never touch mechanism arithmetic). Encoding and decoding round-trip
 // byte-identically, which the replay determinism tests pin.
 //
-// Decoding: decode_serve_line scans a line's top-level object once into a
-// fixed table of the members the field rules read (string views into the
-// line, integers converted in place), then applies the rules to that
-// table. Lines the scan does not take -- escaped strings, container
-// values, true/false/null, number tokens other than plain integers of at
-// most 15 digits, more than a few unknown members -- are parsed by
-// io::parse_json instead and fill the same table from the tree, so both
-// paths share one set of field rules and accept exactly the same lines.
+// Decoding: decode_serve_line reads a line in exactly the layout the
+// encoder writes (the header, or an event's members in encoder order with
+// no whitespace, unsigned integers and unsigned Money strings) straight
+// into the event, checking every field's bounds as it reads. Every other
+// line -- reordered keys, whitespace, escapes, unknown members, other
+// number tokens, out-of-domain values -- is parsed by io::parse_json and
+// checked by the field rules, which alone give the verdict and error text
+// for it. The reader takes only lines the field rules accept, with the
+// same event, so the two tiers together accept exactly what the field
+// rules accept (the JSONL edge lines and differential fuzz pin this
+// against a tree-walking oracle).
 #pragma once
 
 #include <cstdint>
@@ -123,8 +126,8 @@ void write_serve_event(std::ostream& os, const ServeEvent& event);
 /// Decodes one raw line: a header line (any object with a "schema"
 /// member) yields nullopt, anything else one event. Throws
 /// InvalidArgumentError on malformed JSON, an unknown discriminator,
-/// missing/mistyped fields, or out-of-domain values. A canonical line
-/// decodes in one pass without touching the allocator (see the file
+/// missing/mistyped fields, or out-of-domain values. A line the encoder
+/// wrote decodes in one pass without touching the allocator (see the file
 /// comment).
 [[nodiscard]] std::optional<ServeEvent> decode_serve_line(
     std::string_view line);

@@ -102,7 +102,6 @@ std::size_t EventRing::acquire(RingView& view, std::size_t max,
   const std::size_t first = std::min(taken, capacity_ - head_);
   view.first = {slots_ + head_, first};
   view.second = {slots_, taken - first};
-  view.depth = static_cast<std::int64_t>(size_);
   acquired_ = taken;
   size_ -= taken;
   lock.unlock();

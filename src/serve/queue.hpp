@@ -61,9 +61,6 @@ struct QueuedEvent {
 struct RingView {
   std::span<const QueuedEvent> first;
   std::span<const QueuedEvent> second;
-  /// Events queued at acquire, this batch included: the event at batch
-  /// index i has depth - i - 1 events queued behind it.
-  std::int64_t depth{0};
 
   [[nodiscard]] std::size_t size() const {
     return first.size() + second.size();

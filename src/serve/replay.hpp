@@ -2,9 +2,9 @@
 // engine.
 //
 // The decoder treats the stream as untrusted bytes. JSONL goes through
-// decode_serve_line (its one-pass scan, or io::parse_json -- hardened
-// against truncation, deep nesting, and invalid escapes -- for lines the
-// scan does not take) and its strict field checks; binary
+// decode_serve_line (its reader for the encoder's own layout, or
+// io::parse_json -- hardened against truncation, deep nesting, and invalid
+// escapes -- and the strict field checks for every other line); binary
 // (mcs.serve.b1, autodetected by its magic) goes through WireDecoder's
 // equally strict in-place frame decoder. A corrupt stream produces a clean
 // InvalidArgumentError naming the line (JSONL) or byte region (binary) --

@@ -1,9 +1,10 @@
 // Compact binary wire codec for mcs.serve.v1 events ("mcs.serve.b1").
 //
 // JSONL is the right interchange format -- human-readable, greppable,
-// diffable -- and the costlier hot path: even the one-pass line scan
-// (serve/event.hpp) walks every key and value byte, converts decimal
-// integers and Money strings, and must find the line's end first. The
+// diffable -- and the costlier hot path: even the reader for the
+// encoder's own layout (serve/event.hpp) compares every key byte,
+// converts decimal integers and Money strings, and must find the line's
+// end first. The
 // binary codec does none of that. Events travel as length-prefixed frames
 // of fixed-width little-endian fields with Money as its exact int64 micro
 // count.

@@ -55,12 +55,6 @@ TEST(EventRing, BatchPushReportsExactDepthAndWatermark) {
   RingView view;
   EXPECT_EQ(ring.acquire(view, 3, 0), 3u);
   ASSERT_EQ(view.size(), 3u);
-  // Per-event depth behind (depth - i - 1) matches what one-at-a-time
-  // pops would have seen.
-  EXPECT_EQ(view.depth, 5);
-  EXPECT_EQ(view.depth - 0 - 1, 4);
-  EXPECT_EQ(view.depth - 1 - 1, 3);
-  EXPECT_EQ(view.depth - 2 - 1, 2);
 
   // The acquired slots stay the consumer's until the next acquire: with 3
   // held and 2 queued, a batch of 4 does not fit in 8.
@@ -71,7 +65,7 @@ TEST(EventRing, BatchPushReportsExactDepthAndWatermark) {
 
   // Releasing the 3 and taking 1 leaves 4 queued and 1 held.
   EXPECT_EQ(ring.acquire(view, 1, 3), 1u);
-  EXPECT_EQ(view.depth, 5);
+  EXPECT_EQ(view.size(), 1u);
   EXPECT_EQ(ring.push_block(four.data(), 2, 0), 6);  // 4 queued + 2
   EXPECT_EQ(ring.high_watermark(), 6);
 
@@ -124,13 +118,15 @@ TEST(EventRing, ViewSplitsIntoTwoRunsAtTheWrap) {
   ASSERT_EQ(ring.acquire(view, 8, 1), 3u);  // slots 4, 0, 1
   EXPECT_EQ(view.first.size(), 1u);
   EXPECT_EQ(view.second.size(), 2u);
-  EXPECT_EQ(view.depth, 3);
   const std::vector<QueuedEvent> got = events_in(view);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].event.round, static_cast<std::int64_t>(4 + i));
     EXPECT_EQ(got[i].enqueue_ns, 20u);
   }
+  // Nothing is queued behind the 3 held: 2 free slots, depth 2 after.
+  EXPECT_EQ(ring.try_push(events.data(), 3, 30), -1);
+  EXPECT_EQ(ring.try_push(events.data(), 2, 30), 2);
 }
 
 TEST(EventRing, StretchesGroupEqualKeysAcrossTheWrap) {
@@ -139,7 +135,7 @@ TEST(EventRing, StretchesGroupEqualKeysAcrossTheWrap) {
   const std::vector<QueuedEvent> head = {{round_close(2), 5},
                                          {round_close(3), 9},
                                          {round_close(4), 5}};
-  const RingView view{tail, head, 5};
+  const RingView view{tail, head};
   std::vector<std::pair<std::uint64_t, std::size_t>> stretches;
   view.for_each_stretch(
       [](const QueuedEvent& queued) { return queued.enqueue_ns; },

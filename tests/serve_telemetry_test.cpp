@@ -59,8 +59,7 @@ void process_batch(SystemLane& lane, std::uint64_t wait_ns,
                    std::size_t n = 1) {
   const std::vector<QueuedEvent> events(n,
                                         QueuedEvent{slot_tick(0, Slot{1}), 0});
-  lane.record_batch(RingView{events, {}, static_cast<std::int64_t>(n)},
-                    wait_ns);
+  lane.record_batch(RingView{events, {}}, wait_ns);
 }
 
 // ------------------------------------------------------- golden snapshots

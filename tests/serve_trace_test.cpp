@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/round_trace.hpp"
 #include "obs/wallclock.hpp"
+#include "serve/econ_telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
@@ -307,7 +308,7 @@ TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
   const std::vector<QueuedEvent> tail = {{slot_tick(0, Slot{1}), 10},
                                          {slot_tick(0, Slot{1}), 10}};
   const std::vector<QueuedEvent> head = {{lagged, 13}};
-  const RingView batch{tail, head, 3};
+  const RingView batch{tail, head};
   driven.lanes->front().record_batch(batch, 15);
   plane.on_batch(0, batch);
 
@@ -412,6 +413,43 @@ TEST(TracePlane, EngineFeedsTheTracePlaneWhileServing) {
   EXPECT_EQ(digest.rounds, load.rounds);
   EXPECT_EQ(digest.traces.size(), static_cast<std::size_t>(load.rounds));
   EXPECT_EQ(digest.phases.at("round_close").count, load.rounds);
+}
+
+TEST(TracePlane, AuditSpanAppearsOnlyWithTheEconPlane) {
+  // The audit span covers the econ plane's work after settlement; without
+  // the plane a completed round has none, and its sketch stays empty.
+  const LoadGenConfig load = small_load(4);
+  const std::vector<ServeEvent> events = events_of(load);
+  for (const bool with_econ : {false, true}) {
+    SCOPED_TRACE(with_econ ? "econ on" : "econ off");
+    TracePlaneConfig trace_config;
+    trace_config.slow_threshold_ns = 1;  // every round is retained
+    TracePlane trace(trace_config);
+    EconTelemetry econ;
+    ServeConfig config;
+    config.shards = 2;
+    config.trace = &trace;
+    if (with_econ) config.econ = &econ;
+    ServeEngine engine(config);
+    for (const ServeEvent& event : events) engine.submit(event);
+    engine.drain();
+
+    const std::vector<obs::RoundTrace> retained = trace.retained();
+    ASSERT_EQ(retained.size(), static_cast<std::size_t>(load.rounds));
+    for (const obs::RoundTrace& round_trace : retained) {
+      const bool has_audit = std::any_of(
+          round_trace.spans.begin(), round_trace.spans.end(),
+          [](const obs::RoundSpan& span) {
+            return span.phase == obs::TracePhase::kAudit;
+          });
+      EXPECT_EQ(has_audit, with_econ) << "round " << round_trace.round;
+    }
+    const TraceSummary summary = trace.summary();
+    const obs::LatencySketchSnapshot& audit =
+        summary.phases[static_cast<std::size_t>(obs::TracePhase::kAudit)]
+            .sketch;
+    EXPECT_EQ(audit.count, with_econ ? load.rounds : 0);
+  }
 }
 
 TEST(TracePlane, LiveAndTraceRoundLatencySketchesAgree) {

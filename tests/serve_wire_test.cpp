@@ -564,15 +564,15 @@ Verdict line_verdict(std::optional<ServeEvent> (*decode)(std::string_view),
 /// Decodes `line` with decode_serve_line and with the tree oracle; both
 /// must agree on acceptance and on the decoded event.
 Verdict expect_decoders_agree(const std::string& line) {
-  const Verdict scanned = line_verdict(&decode_serve_line, line);
+  const Verdict decoded = line_verdict(&decode_serve_line, line);
   const Verdict oracle =
       line_verdict(&test_support::decode_serve_line_by_tree, line);
-  EXPECT_EQ(scanned.accepted, oracle.accepted)
+  EXPECT_EQ(decoded.accepted, oracle.accepted)
       << "divergence on " << line << " (decode_serve_line "
-      << (scanned.accepted ? "accepted" : "rejected") << ", tree oracle "
+      << (decoded.accepted ? "accepted" : "rejected") << ", tree oracle "
       << (oracle.accepted ? "accepted" : "rejected") << ")";
-  EXPECT_EQ(scanned.event, oracle.event) << line;
-  return scanned;
+  EXPECT_EQ(decoded.event, oracle.event) << line;
+  return decoded;
 }
 
 TEST(JsonlDecode, EdgeLinesMatchTheTreeOracle) {
@@ -634,6 +634,68 @@ TEST(JsonlDecode, EdgeLinesMatchTheTreeOracle) {
       {R"({"ev":"round_close","round":0}x)", false},
       {R"({"ev":"round_close","round":0,})", false},
       {R"({"ev":"round_close","round":0)", false},
+      // The canonical reader's boundary: in-layout lines at and just past
+      // every bound it checks itself.
+      {R"({"ev":"round_close","round":9007199254740991})", true},
+      {R"({"ev":"round_close","round":9007199254740992})", false},
+      {R"({"ev":"slot_tick","round":123456789012345,"slot":1})", true},
+      {R"({"ev":"slot_tick","round":1234567890123456,"slot":1})", true},
+      {R"({"ev":"slot_tick","round":0,"slot":123456789012345})", false},
+      {R"({"ev":"slot_tick","round":0,"slot":1234567890123456})", false},
+      {R"({"ev":"slot_tick","round":00,"slot":007})", true},
+      {R"({"ev":"slot_tick","round":0,"slot":0002147483647})", true},
+      {R"({"ev":"round_open","round":0,"slots":0,"value":"1"})", false},
+      {R"({"ev":"task_arrived","round":0,"slot":0,"task":0})", false},
+      {R"({"ev":"slot_tick","round":0,"slot":0})", false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":0,"to":1,"cost":"1"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":3,"to":2,"cost":"1"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":3,"to":3,"cost":"1"})",
+       true},
+      {R"({"ev":"bid_submitted","round":0,"agent":2147483647,"from":1,"to":1,"cost":"1"})",
+       true},
+      {R"({"ev":"bid_submitted","round":0,"agent":2147483648,"from":1,"to":1,"cost":"1"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"+1"})",
+       true},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"-0"})",
+       true},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"-1"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"1."})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":".5"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"0.123456"})",
+       true},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"0.1234567"})",
+       false},
+      {R"({"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"1.500"})",
+       true},
+      {R"({"ev":"round_open","round":0,"slots":1,"value":"2305843009213.693951"})",
+       true},
+      {R"({"ev":"round_open","round":0,"slots":1,"value":"2305843009213.693952"})",
+       false},
+      {R"({"ev":"round_open","round":0,"slots":1,"value":"2305843009213.999999"})",
+       false},
+      {R"({"ev":"round_open","round":0,"slots":1,"value":"2305843009214"})",
+       false},
+      {R"({"ev":"round_open","round":0,"slots":1,"value":"-3"})", true},
+      {R"({"ev":"task_arrived","round":0,"slot":1,"task":0})", true},
+      {R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":"2.5"})",
+       true},
+      {R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":})", false},
+      {R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":"x"})",
+       false},
+      {R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":""})",
+       false},
+      {R"({"ev":"slot_tick","round":0,"slot":1} )", true},
+      {R"({"ev": "slot_tick","round":0,"slot":1})", true},
+      {R"({"ev":"slot_tick","round": 0,"slot":1})", true},
+      {R"({"ev":"slot_tick","slot":1,"round":0})", true},
+      {R"({"schema":"mcs.serve.v1"} )", true},
+      {R"({"schema":"mcs.serve.v2"})", false},
   };
   for (const Edge& edge : edges) {
     const Verdict verdict = expect_decoders_agree(edge.line);
@@ -641,9 +703,30 @@ TEST(JsonlDecode, EdgeLinesMatchTheTreeOracle) {
   }
 }
 
+TEST(JsonlDecode, ReorderedKeysDecodeLikeTheCanonicalLine) {
+  for (const ServeEvent& event : every_kind()) {
+    // Canonical values hold no commas, so the members split on them.
+    const std::string canonical = encode_serve_event(event);
+    std::vector<std::string> members;
+    std::stringstream body(canonical.substr(1, canonical.size() - 2));
+    for (std::string member; std::getline(body, member, ',');) {
+      members.push_back(member);
+    }
+    std::string reversed = "{";
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      reversed += (it == members.rbegin() ? "" : ",") + *it;
+    }
+    reversed += "}";
+    ASSERT_NE(reversed, canonical);
+    EXPECT_EQ(expect_decoders_agree(reversed).event, event) << reversed;
+    EXPECT_EQ(decode_serve_line(canonical), event) << canonical;
+  }
+}
+
 /// Fragments the JSONL mutation fuzz splices into canonical lines: JSON
 /// punctuation, escapes, literals, number tokens on both sides of the
-/// scan's integer rule, and whole unknown or duplicated members.
+/// canonical reader's integer rule, and whole unknown or duplicated
+/// members.
 const std::vector<std::string>& jsonl_fragments() {
   static const std::vector<std::string> fragments = {
       "{", "}", "[", "]", "\"", ":", ",", "\\", " ", "\t", "\x01", "\x7f",

@@ -1,11 +1,11 @@
 // The mcs.serve.v1 line decoder by parse tree -- the JSONL decode oracle.
 //
-// serve::decode_serve_line scans a canonical line once into a member
-// table and falls back to io::parse_json only for lines the scan does not
-// take. This oracle is the decoder it replaced: every line goes through
+// serve::decode_serve_line reads a line in the encoder's own layout
+// straight into the event and parses only the other lines with
+// io::parse_json. This oracle takes no shortcut: every line goes through
 // io::parse_json, and the field rules walk the resulting JsonValue tree.
-// The JSONL differential fuzz in serve_wire_test checks that both accept
-// the same lines and decode the same events.
+// The JSONL edge lines and differential fuzz in serve_wire_test check that
+// both accept the same lines and decode the same events.
 #pragma once
 
 #include <optional>
