@@ -5,7 +5,8 @@ Each subcommand checks one stream that `mcs_cli` wrote and exits non-zero
 with the failing record on the first broken invariant:
 
   stats FILE --shards N           mcs.serve_stats.v1 snapshot stream
-  econ FILE --shards N --rounds N mcs.serve_econ.v1 snapshot stream
+  econ FILE --shards N --rounds N [--probe-rounds N]
+                                  mcs.serve_econ.v1 snapshot stream
   econ-events FILE                econ violation event log (must be clean)
   arena FILE                      mcs.arena.v1 leaderboard document
   trace JSONL CHROME --shards N   mcs.trace.v1 stream + its Chrome export
@@ -58,6 +59,8 @@ def check_econ(args):
     assert cum["violations"] == 0, cum
     assert cum["rounds"] + cum["rounds_skipped"] == args.rounds, cum
     assert cum["probe_rounds"] > 0, cum
+    if args.probe_rounds is not None:
+        assert cum["probe_rounds"] == args.probe_rounds, cum
     float(cum["payment"])  # exact decimal Money string
     print(f"{len(windows)} econ snapshots, {cum['rounds']} rounds "
           f"audited, {cum['probe_rounds']} deep-probed, 0 violations")
@@ -163,6 +166,8 @@ def main():
     econ.add_argument("file")
     econ.add_argument("--shards", type=int, required=True)
     econ.add_argument("--rounds", type=int, required=True)
+    econ.add_argument("--probe-rounds", type=int,
+                      help="exact number of deep-probed rounds expected")
     econ.set_defaults(run=check_econ)
 
     events = sub.add_parser("econ-events", help="econ violation event log")

@@ -1,7 +1,6 @@
 #include "auction/critical_value.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "auction/counterfactual.hpp"
 #include "common/assert.hpp"
@@ -139,31 +138,32 @@ std::optional<Money> greedy_critical_value(const CounterfactualEngine& engine,
 
 PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
                                   PhoneId phone, Money paid) {
-  PaymentAudit audit;
   const auto index = static_cast<std::size_t>(phone.value());
   MCS_EXPECTS(index < engine.bids().size(),
               "audit_winner_payment: phone outside the bid profile");
   const Money claimed = engine.bids()[index].claimed_cost;
   if (!engine.wins_with_cost(phone, claimed)) {
-    audit.verdict = PaymentAuditVerdict::kLosesAtClaim;
-    return audit;
+    return {PaymentAuditVerdict::kLosesAtClaim, std::nullopt};
   }
-  // Winning at `claimed` >= 0 plus monotonicity gives wins(0), so the
-  // bisection's precondition holds.
+  // By monotonicity a winner at `claimed` wins at every lower claim.
+  const auto wins = [&](Money cost) {
+    return cost <= claimed || engine.wins_with_cost(phone, cost);
+  };
+  // The bisection passes `paid` when its first losing micro T on [0, U]
+  // lies within one micro (a cost tie) of it; by monotonicity exactly when
+  // the winner loses at min(paid + 1 micro, U) and wins at paid - 2 micros.
+  const Money upper_bound = probe_upper_bound(engine.scenario(), engine.bids());
+  const Money above = std::min(
+      Money::saturating_add(paid, Money::from_micros(1)), upper_bound);
+  const Money below = Money::saturating_add(paid, Money::from_micros(-2));
+  const bool loses_above = !wins(above);
+  if (loses_above && wins(below)) return {};  // kOk
+  if (!loses_above && wins(upper_bound)) {
+    return {PaymentAuditVerdict::kUnboundedSkipped, std::nullopt};
+  }
   const std::optional<Money> critical = greedy_critical_value(engine, phone);
-  if (!critical) {
-    audit.verdict = PaymentAuditVerdict::kUnboundedSkipped;
-    return audit;
-  }
-  audit.critical = critical;
-  // The bisection reports the first *losing* micro; at a cost tie the
-  // winner still wins at exactly the runner-up's bid, so payment and
-  // bisected threshold legitimately differ by one micro (the same
-  // tolerance payment_equivalence_test pins for Theorem 4).
-  const std::int64_t gap = std::abs(critical->micros() - paid.micros());
-  audit.verdict = gap <= 1 ? PaymentAuditVerdict::kOk
-                           : PaymentAuditVerdict::kPaymentNotCritical;
-  return audit;
+  MCS_ENSURES(critical, "audit_winner_payment: probes not monotone");
+  return {PaymentAuditVerdict::kPaymentNotCritical, critical};
 }
 
 }  // namespace mcs::auction

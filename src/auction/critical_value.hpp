@@ -80,19 +80,17 @@ enum class PaymentAuditVerdict {
 
 struct PaymentAudit {
   PaymentAuditVerdict verdict{PaymentAuditVerdict::kOk};
-  std::optional<Money> critical;  ///< bounded critical value when found
-
-  [[nodiscard]] bool violated() const {
-    return verdict == PaymentAuditVerdict::kLosesAtClaim ||
-           verdict == PaymentAuditVerdict::kPaymentNotCritical;
-  }
+  /// The bisected critical value, filled only on kPaymentNotCritical.
+  std::optional<Money> critical;
 };
 
 /// Audits one factual winner against Theorem 4's payment characterization:
 /// (a) the phone still wins when re-run at its reported cost, and (b) its
-/// payment `paid` equals the greedy critical value -- within the one-micro
-/// bisection granularity -- when that value is bounded. Probes run on the
-/// shared-prefix engine, so one engine serves every winner of the round.
+/// payment `paid` equals the greedy critical value -- within the one micro
+/// of a cost tie -- when that value is bounded. Certifies rather than
+/// searches (same verdicts): the phone loses at paid + 1 micro and wins at
+/// paid - 2 micros; only a failed certificate bisects. One shared-prefix
+/// engine serves every winner of the round.
 [[nodiscard]] PaymentAudit audit_winner_payment(
     const CounterfactualEngine& engine, PhoneId phone, Money paid);
 

@@ -22,8 +22,10 @@
 //    1-in-N sample of rounds, deep probes through a shared-prefix
 //    CounterfactualEngine forked from the served allocation
 //    (auction::audit_winner_payment -- the winner still wins at its claim
-//    and its payment equals the critical value, Theorem 4's
-//    characterization).
+//    and its payment is the critical value to within a cost tie's one
+//    micro, Theorem 4's characterization, certified in ~3 forks: it loses
+//    at paid + 1 micro and wins at paid - 2 micros; only a failed
+//    certificate bisects, for the value its violation record reports).
 //
 // Plane separation contract: every reference run and probe executes under
 // obs::ScopedRegistry(nullptr) + obs::ScopedEventLog(nullptr), so the

@@ -17,6 +17,8 @@ namespace mcs::serve {
 
 namespace {
 
+constexpr int kListenBacklog = 64;  ///< pending connections for listen()
+
 [[noreturn]] void socket_fail(const std::string& what) {
   throw IoError("serve socket: " + what + " (" + std::strerror(errno) + ")");
 }
@@ -117,7 +119,7 @@ void SocketServer::start() {
     socket_fail("bind to " + config_.host + ":" +
                 std::to_string(config_.port));
   }
-  if (::listen(listen_fd_, config_.backlog) != 0) socket_fail("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) socket_fail("listen");
   socklen_t len = sizeof addr;
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
       0) {

@@ -44,7 +44,6 @@ namespace mcs::serve {
 struct SocketServerConfig {
   std::string host{"127.0.0.1"};  ///< bind address (loopback by default)
   int port{0};                    ///< 0 picks an ephemeral port
-  int backlog{64};
 };
 
 struct SocketServerStats {

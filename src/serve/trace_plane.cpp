@@ -30,7 +30,7 @@ void TracePlaneConfig::validate() const {
 }
 
 TracePlane::TracePlane(TracePlaneConfig config)
-    : config_(config), exemplars_(config.exemplar_threshold_ns) {
+    : config_(config), exemplars_(kTraceExemplarThresholdNs) {
   config_.validate();
 }
 
@@ -69,9 +69,9 @@ obs::RoundTrace TracePlane::on_round_open(int shard, std::int64_t round,
   const std::uint64_t intended_ns =
       enqueue_ns >= client_lag_ns ? enqueue_ns - client_lag_ns : 0;
   trace.add_span(obs::TracePhase::kIngest, -1, intended_ns, enqueue_ns,
-                 config_.max_spans);
+                 kTraceMaxSpans);
   trace.add_span(obs::TracePhase::kQueueWait, -1, enqueue_ns,
-                 std::max(begin_ns, enqueue_ns), config_.max_spans);
+                 std::max(begin_ns, enqueue_ns), kTraceMaxSpans);
   lane.rounds_traced.fetch_add(1, std::memory_order_relaxed);
   return trace;
 }
@@ -81,7 +81,7 @@ void TracePlane::on_slot_tick(int shard, obs::RoundTrace& trace,
                               std::uint64_t end_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
   trace.add_span(obs::TracePhase::kSlotTick, slot, begin_ns, end_ns,
-                 config_.max_spans);
+                 kTraceMaxSpans);
   lane.slot_tick.record_ns(end_ns >= begin_ns ? end_ns - begin_ns : 0);
 }
 
@@ -92,13 +92,13 @@ void TracePlane::on_round_complete(int shard, obs::RoundTrace trace,
                                    std::int64_t econ_violations) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
   trace.add_span(obs::TracePhase::kPayment, -1, close_begin_ns, settled_ns,
-                 config_.max_spans);
+                 kTraceMaxSpans);
   if (done_ns > settled_ns) {
     trace.add_span(obs::TracePhase::kAudit, -1, settled_ns, done_ns,
-                   config_.max_spans);
+                   kTraceMaxSpans);
   }
   trace.add_span(obs::TracePhase::kRoundClose, -1, done_ns, done_ns,
-                 config_.max_spans);
+                 kTraceMaxSpans);
   trace.status = obs::TraceStatus::kCompleted;
   trace.violations = econ_violations;
   trace.close_ns = done_ns;
@@ -254,8 +254,7 @@ void write_trace_stream(std::ostream& os, const TracePlane& plane) {
     json.field("shards", static_cast<std::int64_t>(plane.shards()));
     json.field("ring_capacity",
                static_cast<std::int64_t>(plane.config().ring_capacity));
-    json.field("max_spans",
-               static_cast<std::int64_t>(plane.config().max_spans));
+    json.field("max_spans", static_cast<std::int64_t>(kTraceMaxSpans));
     json.key("slow_threshold_ns");
     if (plane.config().slow_threshold_ns == 0) {
       json.value("auto");

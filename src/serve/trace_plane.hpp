@@ -58,22 +58,22 @@
 
 namespace mcs::serve {
 
+/// Span cap per trace (appends beyond it are counted, not stored) and the
+/// latency from which sketch buckets remember their worst round's trace.
+inline constexpr std::size_t kTraceMaxSpans = 96;
+inline constexpr std::uint64_t kTraceExemplarThresholdNs = 1'000'000;
+
 struct TracePlaneConfig {
   /// Retained-trace capacity per shard (pinned-priority ring), at most
   /// kMaxRingCapacity.
   std::size_t ring_capacity = 256;
   /// Upper bound of ring_capacity: 2^14 traces per shard, whose slots are
-  /// reserved up front (~2 MiB) and, retained with max_spans spans each,
-  /// hold ~40 MiB.
+  /// reserved up front (~2 MiB) and, retained with kTraceMaxSpans spans
+  /// each, hold ~40 MiB.
   static constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 14;
-  /// Span cap per trace; appends beyond it are counted, not stored.
-  std::size_t max_spans = 96;
   /// Retain rounds with latency >= this. 0 = auto: track each shard's
   /// rolling p99 round latency and use that as the threshold.
   std::uint64_t slow_threshold_ns = 0;
-  /// Sketch-exemplar floor: buckets at or above this latency remember
-  /// the trace id of their worst round.
-  std::uint64_t exemplar_threshold_ns = 1'000'000;  // 1 ms
 
   /// Throws InvalidArgumentError when out of domain.
   void validate() const;

@@ -424,6 +424,165 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
                               "phones that cannot win at any claim";
 }
 
+// ------------------------------------------------ winner-payment audit
+
+/// The audit as the bisection reaches it: a claim probe, the bisected
+/// threshold T, and the one-micro rule |T - paid| <= 1.
+PaymentAudit bisected_audit(const CounterfactualEngine& engine, PhoneId phone,
+                            Money paid) {
+  PaymentAudit audit;
+  const Money claimed =
+      engine.bids()[static_cast<std::size_t>(phone.value())].claimed_cost;
+  if (!engine.wins_with_cost(phone, claimed)) {
+    audit.verdict = PaymentAuditVerdict::kLosesAtClaim;
+    return audit;
+  }
+  const std::optional<Money> critical = greedy_critical_value(engine, phone);
+  if (!critical) {
+    audit.verdict = PaymentAuditVerdict::kUnboundedSkipped;
+  } else if (std::abs(critical->micros() - paid.micros()) > 1) {
+    audit.verdict = PaymentAuditVerdict::kPaymentNotCritical;
+    audit.critical = critical;
+  }
+  return audit;
+}
+
+void expect_same_audit(const PaymentAudit& certified,
+                       const PaymentAudit& bisected, const std::string& where) {
+  EXPECT_EQ(certified.verdict, bisected.verdict) << where;
+  EXPECT_EQ(certified.critical, bisected.critical) << where;
+}
+
+TEST(PaymentAudit, CertificateMatchesTheBisectionOnServedRounds) {
+  // Served rounds under the four probe corners (default, reserve,
+  // profitable-only, weighted tasks), over windowed (scarce) and
+  // scarcity-free bases. Each winner is audited at its served payment,
+  // at +-1 and +-2 micros and +-1 unit of it, at every other winner's
+  // payment, and at T - 2 .. T + 2 micros around its bisected threshold T,
+  // where the one-micro tolerance flips.
+  Rng rng(29);
+  std::map<PaymentAuditVerdict, int> seen;
+  for (int i = 0; i < 30; ++i) {
+    const Scenario base = i % 2 == 0 ? test_support::windowed(rng)
+                                     : test_support::scarcity_free(rng);
+    for (const ProbeCase& probe_case : probe_cases(base, rng)) {
+      const Outcome served =
+          test_support::serve_round(probe_case.scenario, probe_case.bids,
+                                    probe_case.config)
+              .outcome;
+      const CounterfactualEngine engine(probe_case.scenario, probe_case.bids,
+                                        probe_case.config, served.allocation);
+      const std::vector<PhoneId> winners = served.allocation.winners();
+      for (const PhoneId winner : winners) {
+        const Money paid =
+            served.payments[static_cast<std::size_t>(winner.value())];
+        std::vector<Money> amounts;
+        for (const std::int64_t delta :
+             {std::int64_t{0}, std::int64_t{1}, std::int64_t{-1},
+              std::int64_t{2}, std::int64_t{-2}, Money::kScale,
+              -Money::kScale}) {
+          amounts.push_back(Money::from_micros(paid.micros() + delta));
+        }
+        for (const PhoneId other : winners) {
+          amounts.push_back(
+              served.payments[static_cast<std::size_t>(other.value())]);
+        }
+        if (const std::optional<Money> critical =
+                greedy_critical_value(engine, winner)) {
+          for (std::int64_t delta = -2; delta <= 2; ++delta) {
+            amounts.push_back(Money::from_micros(critical->micros() + delta));
+          }
+        }
+        for (const Money amount : amounts) {
+          const PaymentAudit certified =
+              audit_winner_payment(engine, winner, amount);
+          expect_same_audit(certified,
+                            bisected_audit(engine, winner, amount),
+                            probe_case.label + " round#" + std::to_string(i) +
+                                " phone " + std::to_string(winner.value()) +
+                                " paid " + amount.to_string());
+          ++seen[certified.verdict];
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen[PaymentAuditVerdict::kOk], 0);
+  EXPECT_GT(seen[PaymentAuditVerdict::kPaymentNotCritical], 0);
+  EXPECT_GT(seen[PaymentAuditVerdict::kUnboundedSkipped], 0)
+      << "windowed rounds without a reserve should reach supply scarcity";
+}
+
+TEST(PaymentAudit, PinsEachVerdictOnTheWorkedExamples) {
+  // Fig. 4: Smartphone 1 (phone 0) wins and is paid 9.
+  const Scenario fig4 = model::fig4_scenario();
+  const model::BidProfile bids = fig4.truthful_bids();
+  const Outcome outcome = OnlineGreedyMechanism().run(fig4, bids);
+  ASSERT_EQ(outcome.payments[0], Money::from_units(9));
+  const CounterfactualEngine engine(fig4, bids, OnlineGreedyConfig{},
+                                    outcome.allocation);
+  const PhoneId phone{0};
+
+  const PaymentAudit ok =
+      audit_winner_payment(engine, phone, Money::from_units(9));
+  EXPECT_EQ(ok.verdict, PaymentAuditVerdict::kOk);
+  EXPECT_FALSE(ok.critical.has_value());
+
+  const PaymentAudit overpaid =
+      audit_winner_payment(engine, phone, Money::from_units(10));
+  EXPECT_EQ(overpaid.verdict, PaymentAuditVerdict::kPaymentNotCritical);
+  EXPECT_EQ(overpaid.critical, greedy_critical_value(engine, phone));
+  const PaymentAudit underpaid =
+      audit_winner_payment(engine, phone, Money::from_units(8));
+  EXPECT_EQ(underpaid.verdict, PaymentAuditVerdict::kPaymentNotCritical);
+  EXPECT_EQ(underpaid.critical, overpaid.critical);
+
+  // Hand one winner's task to a loser whose window holds its slot: an
+  // allocation Algorithm 1 did not make, so the loser's fork from it loses
+  // at the loser's own claim.
+  std::optional<PhoneId> loser;
+  std::optional<TaskId> moved;
+  for (const model::Task& task : fig4.tasks) {
+    for (int p = 0; p < fig4.phone_count() && !loser; ++p) {
+      if (!outcome.allocation.is_winner(PhoneId{p}) &&
+          bids[static_cast<std::size_t>(p)].window.contains(task.slot)) {
+        loser = PhoneId{p};
+        moved = task.id;
+      }
+    }
+  }
+  ASSERT_TRUE(loser.has_value()) << "Fig. 4 must offer a swap";
+  Allocation swapped(fig4.task_count(), fig4.phone_count());
+  for (const model::Task& task : fig4.tasks) {
+    if (task.id == *moved) {
+      swapped.assign(task.id, *loser);
+    } else if (const std::optional<PhoneId> owner =
+                   outcome.allocation.phone_for(task.id)) {
+      swapped.assign(task.id, *owner);
+    }
+  }
+  const CounterfactualEngine forged(fig4, bids, OnlineGreedyConfig{}, swapped);
+  EXPECT_EQ(audit_winner_payment(forged, *loser, Money::from_units(9)).verdict,
+            PaymentAuditVerdict::kLosesAtClaim);
+
+  // Two phones, two tasks: without phone 0, slot 2's task goes unserved,
+  // so phone 0 wins at any claim and the equality check does not apply.
+  model::ScenarioBuilder builder(2);
+  builder.value(10);
+  builder.phone(1, 2, 1).phone(1, 2, 2);
+  builder.task(1).task(2);
+  const Scenario scarce = builder.build();
+  const model::BidProfile scarce_bids = scarce.truthful_bids();
+  const Outcome scarce_outcome =
+      OnlineGreedyMechanism().run(scarce, scarce_bids);
+  const CounterfactualEngine scarce_engine(scarce, scarce_bids,
+                                           OnlineGreedyConfig{},
+                                           scarce_outcome.allocation);
+  const PaymentAudit unbounded =
+      audit_winner_payment(scarce_engine, phone, scarce_outcome.payments[0]);
+  EXPECT_EQ(unbounded.verdict, PaymentAuditVerdict::kUnboundedSkipped);
+  EXPECT_FALSE(unbounded.critical.has_value());
+}
+
 // ----------------------------------------------------- counter contract
 
 TEST(PaymentEquivalence, WalkReplacesFullRunsWithSlotReads) {

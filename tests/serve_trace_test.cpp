@@ -50,12 +50,12 @@ std::vector<ServeEvent> events_of(const LoadGenConfig& load) {
 }
 
 /// A small plane with a fixed 1 us slow threshold. Hooks take explicit
-/// stamps, so hand-driven tests are deterministic without any clock.
+/// stamps, so hand-driven tests are deterministic without any clock; a
+/// round reaches the fixed 1 ms exemplar floor by its stamps alone.
 TracePlaneConfig fixed_threshold_config() {
   TracePlaneConfig config;
   config.ring_capacity = 8;
   config.slow_threshold_ns = 1000;
-  config.exemplar_threshold_ns = 1000;
   return config;
 }
 
@@ -247,35 +247,35 @@ TEST(TracePlane, RingWraparoundKeepsTailSampledSetAndEvictsHealthyFirst) {
 TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
   TracePlaneConfig config;
   config.ring_capacity = 4;
-  config.max_spans = 8;
   config.slow_threshold_ns = 1000;
-  config.exemplar_threshold_ns = 1000;
   DrivenPlane driven(config);
   TracePlane& plane = driven.plane;
 
+  // Latency 1.2 ms: slow, and above the 1 ms exemplar floor.
   obs::RoundTrace trace = plane.on_round_open(0, 0, 100, 200, 50);
   plane.on_slot_tick(0, trace, 1, 200, 300);
-  driven.complete(std::move(trace), 1400, 1500, 1600, 1);
+  driven.complete(std::move(trace), 1'200'200, 1'200'300, 1'200'400, 1);
 
   std::ostringstream os;
   write_trace_stream(os, plane);
   const std::uint64_t le = obs::sketch_detail::bucket_upper_edge(
-      obs::sketch_detail::bucket_of(1200));
+      obs::sketch_detail::bucket_of(1'200'000));
   EXPECT_EQ(
       os.str(),
       "{\"schema\":\"mcs.trace.v1\",\"shards\":1,\"ring_capacity\":4,"
-      "\"max_spans\":8,\"slow_threshold_ns\":1000}\n"
+      "\"max_spans\":96,\"slow_threshold_ns\":1000}\n"
       "{\"type\":\"trace\",\"trace_id\":\"e220a8397b1dcdaf\",\"round\":0,"
       "\"shard\":0,\"status\":\"completed\","
       "\"retained\":[\"slow\",\"econ_violation\"],\"violations\":1,"
-      "\"open_ns\":200,\"close_ns\":1600,\"latency_ns\":1200,"
+      "\"open_ns\":200,\"close_ns\":1200400,\"latency_ns\":1200000,"
       "\"spans_dropped\":0,\"spans\":["
       "{\"phase\":\"ingest\",\"start_ns\":50,\"end_ns\":100},"
       "{\"phase\":\"queue_wait\",\"start_ns\":100,\"end_ns\":200},"
       "{\"phase\":\"slot_tick\",\"slot\":1,\"start_ns\":200,\"end_ns\":300},"
-      "{\"phase\":\"payment\",\"start_ns\":1400,\"end_ns\":1500},"
-      "{\"phase\":\"audit\",\"start_ns\":1500,\"end_ns\":1600},"
-      "{\"phase\":\"round_close\",\"start_ns\":1600,\"end_ns\":1600}]}\n"
+      "{\"phase\":\"payment\",\"start_ns\":1200200,\"end_ns\":1200300},"
+      "{\"phase\":\"audit\",\"start_ns\":1200300,\"end_ns\":1200400},"
+      "{\"phase\":\"round_close\",\"start_ns\":1200400,"
+      "\"end_ns\":1200400}]}\n"
       "{\"type\":\"summary\",\"rounds\":1,\"completed\":1,\"retained\":1,"
       "\"retained_slow\":1,\"retained_econ\":1,\"retained_error\":0,"
       "\"dropped\":0,\"retained_evicted\":0,\"spans_truncated\":0,"
@@ -287,13 +287,35 @@ TEST(TracePlane, GoldenJsonlStreamUnderFakeClock) {
       "\"max_ns\":100},"
       "\"payment\":{\"count\":1,\"p50_ns\":100,\"p99_ns\":100,\"max_ns\":100},"
       "\"audit\":{\"count\":1,\"p50_ns\":100,\"p99_ns\":100,\"max_ns\":100},"
-      "\"round_close\":{\"count\":1,\"p50_ns\":1200,\"p99_ns\":1200,"
-      "\"max_ns\":1200}}}\n"
-      "{\"type\":\"exemplars\",\"threshold_ns\":1000,\"entries\":["
+      "\"round_close\":{\"count\":1,\"p50_ns\":1200000,\"p99_ns\":1200000,"
+      "\"max_ns\":1200000}}}\n"
+      "{\"type\":\"exemplars\",\"threshold_ns\":1000000,\"entries\":["
       "{\"le_ns\":" +
           std::to_string(le) +
-          ",\"latency_ns\":1200,\"trace_id\":\"e220a8397b1dcdaf\","
+          ",\"latency_ns\":1200000,\"trace_id\":\"e220a8397b1dcdaf\","
           "\"round\":0}]}\n");
+}
+
+TEST(TracePlane, SpanCapTruncatesTimelinesAtNinetySixSpans) {
+  // Ingest and queue spans at open, 100 slot ticks, then payment, audit
+  // and the round_close marker: 105 appends, of which the first 96 are
+  // stored and the other 9 counted.
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
+  obs::RoundTrace trace = plane.on_round_open(0, 0, 100, 200, 50);
+  std::uint64_t t = 200;
+  for (std::int32_t slot = 1; slot <= 100; ++slot, t += 10) {
+    plane.on_slot_tick(0, trace, slot, t, t + 10);
+  }
+  driven.complete(std::move(trace), t, t + 10, t + 20, 1);
+
+  const std::vector<obs::RoundTrace> retained = plane.retained();
+  ASSERT_EQ(retained.size(), 1u);
+  EXPECT_EQ(retained[0].spans.size(), 96u);
+  EXPECT_EQ(retained[0].spans_dropped, 9u);
+  EXPECT_EQ(retained[0].spans.back().phase, obs::TracePhase::kSlotTick);
+  EXPECT_EQ(retained[0].spans.back().slot, 94);
+  EXPECT_EQ(plane.summary().spans_truncated, 9);
 }
 
 TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
@@ -635,11 +657,12 @@ TEST(ServePacing, OnScheduleEventsCarryNoLag) {
 TEST(TraceReport, DigestsAndRendersAPlaneStream) {
   DrivenPlane driven(fixed_threshold_config());
   TracePlane& plane = driven.plane;
+  // Round 0 takes 1.2 ms (slow, and an exemplar); round 1 takes 100 ns.
   obs::RoundTrace round0 = plane.on_round_open(0, 0, 100, 200, 50);
   plane.on_slot_tick(0, round0, 1, 200, 300);
-  driven.complete(std::move(round0), 1400, 1500, 1600, 1);
-  driven.complete(plane.on_round_open(0, 1, 2000, 2100, 0), 2200, 2300,
-                  2400, 0);
+  driven.complete(std::move(round0), 1'200'200, 1'200'300, 1'200'400, 1);
+  driven.complete(plane.on_round_open(0, 1, 2'000'000, 2'000'100, 0),
+                  2'000'200, 2'000'300, 2'000'400, 0);
 
   std::ostringstream stream;
   write_trace_stream(stream, plane);
@@ -653,7 +676,7 @@ TEST(TraceReport, DigestsAndRendersAPlaneStream) {
   ASSERT_EQ(summary.traces.size(), 1u);
   EXPECT_EQ(summary.traces[0].round, 0);
   ASSERT_EQ(summary.exemplars.size(), 1u);
-  EXPECT_EQ(summary.exemplars[0].latency_ns, 1200u);
+  EXPECT_EQ(summary.exemplars[0].latency_ns, 1'200'000u);
 
   std::ostringstream report;
   analysis::render_trace_report(report, summary, 5);

@@ -725,8 +725,8 @@ TEST(JsonlDecode, ReorderedKeysDecodeLikeTheCanonicalLine) {
 
 /// Fragments the JSONL mutation fuzz splices into canonical lines: JSON
 /// punctuation, escapes, literals, number tokens on both sides of the
-/// canonical reader's integer rule, and whole unknown or duplicated
-/// members.
+/// canonical reader's integer rule, and whole unknown, duplicated or
+/// damaged members.
 const std::vector<std::string>& jsonl_fragments() {
   static const std::vector<std::string> fragments = {
       "{", "}", "[", "]", "\"", ":", ",", "\\", " ", "\t", "\x01", "\x7f",
@@ -736,6 +736,7 @@ const std::vector<std::string>& jsonl_fragments() {
       R"("x":12e)", R"("x":[1,{"a":2,"a":3}])", R"("x":{"y":[]})",
       R"("round":1)", R"("round":1,)", R"("ev":"slot_tick",)",
       R"("schema":"mcs.serve.v1",)", R"("value":"1.5",)", R"("x":"a	b")",
+      R"("value":)", R"("value":"")", R"("value":"x")",
   };
   return fragments;
 }
@@ -746,7 +747,7 @@ std::string mutate_line(std::string line, std::mt19937_64& rng) {
     return static_cast<std::size_t>(rng() % (text.size() + 1));
   };
   const std::string& fragment = fragments[rng() % fragments.size()];
-  switch (rng() % 7) {
+  switch (rng() % 8) {
     case 0:
       if (!line.empty()) {
         line[rng() % line.size()] ^= static_cast<char>(1 << (rng() % 8));
@@ -772,6 +773,23 @@ std::string mutate_line(std::string line, std::mt19937_64& rng) {
       const std::size_t from = at(line);
       const std::string copy = line.substr(from, 1 + rng() % 12);
       line.insert(at(line), copy);
+      break;
+    }
+    case 6: {
+      // The last member's value damaged in place, closing brace kept
+      // (`"value":}`, `"value":"0.}` on a task line, whose optional value
+      // the canonical reader reads last): missing, unterminated, empty,
+      // not a number, a point without fraction digits.
+      static const std::vector<std::string> damaged = {"", "\"", R"("")",
+                                                       R"("x")", "\"0."};
+      const std::size_t colon = line.rfind(':');
+      const std::size_t close = line.rfind('}');
+      if (colon == std::string::npos || close == std::string::npos ||
+          close < colon) {
+        break;
+      }
+      line.replace(colon + 1, close - colon - 1,
+                   damaged[rng() % damaged.size()]);
       break;
     }
     default: {
