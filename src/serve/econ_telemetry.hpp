@@ -111,9 +111,6 @@ class EconTelemetry {
   /// Binds to one engine run; discards any previous run's data.
   void attach(int shards);
 
-  [[nodiscard]] int shards() const { return static_cast<int>(slots_.size()); }
-  [[nodiscard]] const EconTelemetryConfig& config() const { return config_; }
-
   /// Audits one closed round. Called by the shard worker after the round
   /// machine reported done and before it is erased; `machine` gives the
   /// captured reconstruction, `result` its dense outcome. Never

@@ -493,12 +493,4 @@ SubmitStatus ShardBatcher::flush() {
   return verdict;
 }
 
-std::int64_t ShardBatcher::buffered() const {
-  std::int64_t total = 0;
-  for (const auto& buffer : buffers_) {
-    total += static_cast<std::int64_t>(buffer.size());
-  }
-  return total;
-}
-
 }  // namespace mcs::serve

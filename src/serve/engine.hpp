@@ -293,7 +293,10 @@ class ServeEngine {
 /// batch_size -- so the queue lock is taken once per batch instead of once
 /// per event. Events of one round keep their submission order (they share
 /// a shard and a buffer), which preserves the engine's determinism
-/// guarantee.
+/// guarantee. At batch_size 1 each add() is one single-event submit_batch,
+/// the handoff and per-event accounting submit() gives, so every producer
+/// (the load generator, each socket connection, a replay) feeds the engine
+/// through its own ShardBatcher.
 ///
 /// Under kReject admission the shed granularity becomes the batch: a full
 /// queue drops the whole flushed buffer (every event counted rejected).
@@ -314,9 +317,6 @@ class ShardBatcher {
   /// Flushes every non-empty buffer (in shard order). Returns kAccepted
   /// only if every flush was accepted, else the first failure's verdict.
   SubmitStatus flush();
-
-  /// Events currently buffered and not yet handed to the engine.
-  [[nodiscard]] std::int64_t buffered() const;
 
   /// Exact per-event accounting across all flushes so far: events the
   /// engine admitted, and events lost to non-accepted flushes (shed or

@@ -1,14 +1,13 @@
 #include "serve/event.hpp"
 
 #include <array>
+#include <charconv>
 #include <cstring>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
-#include "io/json.hpp"
 #include "io/json_parse.hpp"
 
 namespace mcs::serve {
@@ -123,59 +122,73 @@ model::Bid bid_of(const ServeEvent& event) {
 }
 
 void write_stream_header(std::ostream& os) {
-  io::JsonWriter writer(os);
-  writer.begin_object().field("schema", kServeSchema).end_object();
-  os << '\n';
+  os << kServeStreamHeader << '\n';
 }
 
-void write_serve_event(std::ostream& os, const ServeEvent& event) {
-  io::JsonWriter writer(os);
-  writer.begin_object();
-  writer.field("ev", to_string(event.kind));
-  writer.field("round", event.round);
+namespace {
+
+void append_int(std::string& out, std::int64_t value) {
+  char digits[24];  // an int64 is at most 20 characters
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+}  // namespace
+
+void append_serve_line(std::string& out, const ServeEvent& event) {
+  out += R"({"ev":")";
+  out += to_string(event.kind);
+  out += R"(","round":)";
+  append_int(out, event.round);
   switch (event.kind) {
     case ServeEventKind::kRoundOpen:
-      writer.field("slots", static_cast<std::int64_t>(event.num_slots));
-      writer.field("value", event.round_value.to_string());
+      out += R"(,"slots":)";
+      append_int(out, event.num_slots);
+      out += R"(,"value":")";
+      out += event.round_value.to_string();
+      out += '"';
       break;
     case ServeEventKind::kTaskArrived:
-      writer.field("slot", static_cast<std::int64_t>(event.slot.value()));
-      writer.field("task", static_cast<std::int64_t>(event.task.value()));
+      out += R"(,"slot":)";
+      append_int(out, event.slot.value());
+      out += R"(,"task":)";
+      append_int(out, event.task.value());
       if (event.task_value) {
-        writer.field("value", event.task_value->to_string());
+        out += R"(,"value":")";
+        out += event.task_value->to_string();
+        out += '"';
       }
       break;
     case ServeEventKind::kBidSubmitted:
-      writer.field("agent", static_cast<std::int64_t>(event.agent.value()));
-      writer.field("from",
-                   static_cast<std::int64_t>(event.window.begin().value()));
-      writer.field("to", static_cast<std::int64_t>(event.window.end().value()));
-      writer.field("cost", event.claimed_cost.to_string());
+      out += R"(,"agent":)";
+      append_int(out, event.agent.value());
+      out += R"(,"from":)";
+      append_int(out, event.window.begin().value());
+      out += R"(,"to":)";
+      append_int(out, event.window.end().value());
+      out += R"(,"cost":")";
+      out += event.claimed_cost.to_string();
+      out += '"';
       break;
     case ServeEventKind::kSlotTick:
-      writer.field("slot", static_cast<std::int64_t>(event.slot.value()));
+      out += R"(,"slot":)";
+      append_int(out, event.slot.value());
       break;
     case ServeEventKind::kRoundClose:
       break;
   }
-  writer.end_object();
-  os << '\n';
+  out += "}\n";
 }
 
 std::string encode_serve_event(const ServeEvent& event) {
-  std::ostringstream os;
-  write_serve_event(os, event);
-  std::string line = std::move(os).str();
-  if (!line.empty() && line.back() == '\n') line.pop_back();
+  std::string line;
+  append_serve_line(line, event);
+  line.pop_back();
   return line;
 }
 
 namespace {
 
-/// The line write_stream_header writes.
-constexpr std::string_view kCanonicalHeader = R"({"schema":"mcs.serve.v1"})";
-
-/// Each kind's line as write_serve_event opens it, up to the round's
+/// Each kind's line as append_serve_line opens it, up to the round's
 /// digits; the most frequent kinds first.
 constexpr std::array<std::pair<std::string_view, ServeEventKind>, 5>
     kCanonicalHeads = {{
@@ -254,7 +267,7 @@ class LineCursor {
   const char* const end_;
 };
 
-/// Reads an event line in exactly the layout write_serve_event writes
+/// Reads an event line in exactly the layout append_serve_line writes
 /// (leading zeros and trailing fraction zeros aside, which read as the
 /// field rules read them) and fills `event`'s own fields, the others
 /// staying at their defaults. Returns false for every other line, and for
@@ -367,7 +380,7 @@ std::optional<ServeEvent> decode_members(const io::JsonValue& line) {
 }  // namespace
 
 std::optional<ServeEvent> decode_serve_line(std::string_view line) {
-  if (line == kCanonicalHeader) return std::nullopt;
+  if (line == kServeStreamHeader) return std::nullopt;
   std::optional<ServeEvent> event(std::in_place);
   if (read_canonical(line, *event)) return event;
   return decode_members(io::parse_json(line));

@@ -114,11 +114,15 @@ struct ServeEvent {
 /// The bid carried by a kBidSubmitted event.
 [[nodiscard]] model::Bid bid_of(const ServeEvent& event);
 
-/// Writes the stream header line ({"schema":"mcs.serve.v1"}\n).
+/// The stream header line, without its newline.
+inline constexpr std::string_view kServeStreamHeader =
+    R"({"schema":"mcs.serve.v1"})";
+
+/// Writes the stream header line (kServeStreamHeader and '\n').
 void write_stream_header(std::ostream& os);
 
-/// Writes one event as a single JSONL line (terminated by '\n').
-void write_serve_event(std::ostream& os, const ServeEvent& event);
+/// Appends one event as its JSONL line, terminated by '\n'.
+void append_serve_line(std::string& out, const ServeEvent& event);
 
 /// Renders one event as its JSONL line, without the trailing newline.
 [[nodiscard]] std::string encode_serve_event(const ServeEvent& event);

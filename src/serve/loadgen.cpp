@@ -62,34 +62,30 @@ std::int64_t generate_events(
   return emitted;
 }
 
+namespace {
+
+std::int64_t write_stream(std::ostream& os, const LoadGenConfig& config,
+                          WireFormat format) {
+  StreamWriter writer(format, os);
+  const std::int64_t events =
+      generate_events(config, [&](const ServeEvent& event) {
+        writer.write(event);
+        return static_cast<bool>(os);
+      });
+  writer.flush();
+  return events;
+}
+
+}  // namespace
+
 std::int64_t write_event_stream(std::ostream& os,
                                 const LoadGenConfig& config) {
-  write_stream_header(os);
-  return generate_events(config, [&os](const ServeEvent& event) {
-    write_serve_event(os, event);
-    return static_cast<bool>(os);
-  });
+  return write_stream(os, config, WireFormat::kJsonl);
 }
 
 std::int64_t write_wire_stream(std::ostream& os,
                                const LoadGenConfig& config) {
-  // Frames are encoded into a reused buffer and flushed in chunks so the
-  // stream write cost is amortized like the engine's batched handoff.
-  std::string buffer;
-  append_wire_header(buffer);
-  const std::int64_t frames =
-      generate_events(config, [&](const ServeEvent& event) {
-        append_wire_frame(buffer, event);
-        if (buffer.size() >= std::size_t{64} * 1024) {
-          os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-          buffer.clear();
-        }
-        return static_cast<bool>(os);
-      });
-  if (!buffer.empty()) {
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  }
-  return frames;
+  return write_stream(os, config, WireFormat::kBinary);
 }
 
 PaceReport run_paced_load(

@@ -1,128 +1,29 @@
 #include "serve/replay.hpp"
 
-#include <istream>
-#include <memory>
-#include <optional>
-#include <string>
-
 #include "common/error.hpp"
 #include "serve/wire.hpp"
 
 namespace mcs::serve {
 namespace {
 
-// Shared submission front for both wire formats: either straight
-// engine.submit() with per-event accounting, or a ShardBatcher whose
-// exact accepted/rejected event counts are folded in at finish().
-class Feeder {
- public:
-  Feeder(ServeEngine& engine, bool batch) : engine_(engine) {
-    if (batch) batcher_ = std::make_unique<ShardBatcher>(engine);
-  }
-
-  // Returns false when the engine is shut down (fatal for a replay: the
-  // caller owns the engine and drained it under us).
-  [[nodiscard]] bool feed(const ServeEvent& event, ReplayStats& stats) {
-    ++stats.events;
-    if (batcher_) {
-      return batcher_->add(event) != SubmitStatus::kRejectedStopped;
-    }
-    switch (engine_.submit(event)) {
-      case SubmitStatus::kAccepted:
-        ++stats.accepted;
-        return true;
-      case SubmitStatus::kRejectedQueueFull:
-        ++stats.shed;
-        return true;
-      case SubmitStatus::kRejectedStopped:
-        return false;
-    }
-    return false;  // unreachable
-  }
-
-  // Flushes the partial batches; false on a stopped engine. Batched
-  // accounting lands here because only the batcher knows how many
-  // events each all-or-nothing flush carried.
-  [[nodiscard]] bool finish(ReplayStats& stats) {
-    if (!batcher_) return true;
-    const SubmitStatus verdict = batcher_->flush();
-    stats.accepted += batcher_->accepted_events();
-    stats.shed += batcher_->rejected_events();
-    return verdict != SubmitStatus::kRejectedStopped;
-  }
-
- private:
-  ServeEngine& engine_;
-  std::unique_ptr<ShardBatcher> batcher_;
-};
-
 [[noreturn]] void throw_stopped() {
   throw InvalidArgumentError(
       "serve replay: engine is shut down; cannot replay into it");
 }
 
-ReplayStats replay_jsonl(std::istream& is, Feeder& feeder) {
-  ReplayStats stats;
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    ++stats.lines;
-    std::optional<ServeEvent> event;
-    try {
-      event = decode_serve_line(line);
-    } catch (const Error& e) {
-      throw InvalidArgumentError("line " + std::to_string(line_number) + ": " +
-                                 e.what());
-    }
-    if (!event) continue;  // header line
-    if (!feeder.feed(*event, stats)) throw_stopped();
-  }
-  if (!feeder.finish(stats)) throw_stopped();
-  return stats;
-}
-
-ReplayStats replay_binary(std::istream& is, Feeder& feeder) {
-  ReplayStats stats;  // .lines stays 0: frames are not line-shaped
-  WireDecoder decoder;
-  std::string chunk(std::size_t{64} * 1024, '\0');
-  std::int64_t offset = 0;
-  bool stopped = false;
-  while (is.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
-         is.gcount() > 0) {
-    const std::string_view bytes(chunk.data(),
-                                 static_cast<std::size_t>(is.gcount()));
-    try {
-      decoder.feed(bytes, [&](const ServeEvent& event) {
-        if (!feeder.feed(event, stats)) stopped = true;
-      });
-    } catch (const Error& e) {
-      throw InvalidArgumentError("byte offset " + std::to_string(offset) +
-                                 "-" +
-                                 std::to_string(offset + static_cast<
-                                     std::int64_t>(bytes.size())) +
-                                 ": " + std::string(e.what()));
-    }
-    if (stopped) throw_stopped();
-    offset += static_cast<std::int64_t>(bytes.size());
-  }
-  if (!decoder.idle() || !decoder.header_seen()) {
-    throw InvalidArgumentError(
-        "mcs.serve.b1 stream: truncated at byte " + std::to_string(offset));
-  }
-  if (!feeder.finish(stats)) throw_stopped();
-  return stats;
-}
-
 }  // namespace
 
 ReplayStats replay_event_stream(std::istream& is, ServeEngine& engine,
-                                bool batch) {
-  Feeder feeder(engine, batch);
-  return detect_stream_format(is) == WireFormat::kBinary
-             ? replay_binary(is, feeder)
-             : replay_jsonl(is, feeder);
+                                bool /*batch*/) {
+  ShardBatcher batcher(engine);
+  ReplayStats stats;
+  stats.events = read_serve_stream(is, [&batcher](const ServeEvent& event) {
+    if (batcher.add(event) == SubmitStatus::kRejectedStopped) throw_stopped();
+  });
+  if (batcher.flush() == SubmitStatus::kRejectedStopped) throw_stopped();
+  stats.accepted = batcher.accepted_events();
+  stats.shed = batcher.rejected_events();
+  return stats;
 }
 
 }  // namespace mcs::serve

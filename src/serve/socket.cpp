@@ -40,44 +40,6 @@ sockaddr_in make_addr(const std::string& host, int port) {
   return addr;
 }
 
-/// Newline-splitting decoder for JSONL connections: the per-connection
-/// mirror of WireDecoder, so both formats share the reader loop. Complete
-/// lines decode in place from the chunk; only a partial tail is carried.
-class LineDecoder {
- public:
-  void feed(std::string_view bytes, const SocketServer::Sink& sink) {
-    if (!carry_.empty()) {
-      const std::size_t nl = bytes.find('\n');
-      if (nl == std::string_view::npos) {
-        carry_.append(bytes);
-        return;
-      }
-      carry_.append(bytes.substr(0, nl));
-      decode(carry_, sink);
-      carry_.clear();
-      bytes.remove_prefix(nl + 1);
-    }
-    for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
-         nl = bytes.find('\n')) {
-      decode(bytes.substr(0, nl), sink);
-      bytes.remove_prefix(nl + 1);
-    }
-    carry_.assign(bytes);
-  }
-
-  [[nodiscard]] bool idle() const { return carry_.empty(); }
-
- private:
-  static void decode(std::string_view line, const SocketServer::Sink& sink) {
-    if (line.empty()) return;
-    if (const std::optional<ServeEvent> event = decode_serve_line(line)) {
-      sink(*event);
-    }
-  }
-
-  std::string carry_;  ///< partial line tail; capacity is retained
-};
-
 /// The shared-sink form: every connection forwards to one callable.
 class SharedSink final : public SocketServer::ConnectionSink {
  public:
@@ -240,10 +202,7 @@ bool SocketServer::accept_one(bool blocking) {
 }
 
 void SocketServer::connection_loop(int fd) {
-  WireDecoder wire;
-  LineDecoder lines;
-  bool format_known = false;
-  bool binary = false;
+  StreamDecoder decoder;
   bool failed = false;
   std::unique_ptr<ConnectionSink> sink;
   // Delivered events are counted locally and published once per chunk:
@@ -261,34 +220,27 @@ void SocketServer::connection_loop(int fd) {
     failed = true;
   }
   char chunk[1 << 16];
-  while (!failed) {
+  bool ended = false;
+  while (!failed && !ended) {
     const ssize_t got = ::read(fd, chunk, sizeof chunk);
     if (got < 0) {
       if (errno == EINTR) continue;
       failed = true;
       break;
     }
-    if (got == 0) break;  // clean EOF (or shutdown() from stop())
-    const std::string_view bytes(chunk, static_cast<std::size_t>(got));
-    if (!format_known) {
-      binary = bytes.front() == kWireMagic[0];
-      format_known = true;
-    }
+    ended = got == 0;  // clean EOF (or shutdown() from stop())
     try {
-      if (binary) {
-        wire.feed(bytes, forward);
+      if (ended) {
+        decoder.finish(forward);
       } else {
-        lines.feed(bytes, forward);
+        decoder.feed(std::string_view(chunk, static_cast<std::size_t>(got)),
+                     forward);
       }
     } catch (const Error&) {
-      failed = true;  // malformed input: drop only this connection
+      failed = true;  // malformed or truncated input: drop only this one
     }
     events_.fetch_add(chunk_events, std::memory_order_relaxed);
     chunk_events = 0;
-  }
-  if (!failed && format_known) {
-    // A stream that ends mid-frame (or mid-line) was truncated.
-    failed = binary ? (!wire.idle() || !wire.header_seen()) : !lines.idle();
   }
   if (sink != nullptr) {
     // The connection's last partial batches go out at its own end, not at
@@ -310,32 +262,19 @@ void SocketServer::connection_loop(int fd) {
 
 EngineConnection::EngineConnection(ServeEngine& engine, HandoffTotals& totals,
                                    SocketServer::Sink tap)
-    : engine_(engine), totals_(totals), tap_(std::move(tap)) {
-  if (engine.config().batch_size > 1) batcher_.emplace(engine);
-}
+    : totals_(totals), tap_(std::move(tap)), batcher_(engine) {}
 
 void EngineConnection::on_event(const ServeEvent& event) {
   if (tap_) tap_(event);
-  if (batcher_) {
-    (void)batcher_->add(event);
-    return;
-  }
-  const SubmitStatus status = engine_.submit(event);
-  if (status == SubmitStatus::kAccepted) {
-    ++accepted_;
-  } else if (status == SubmitStatus::kRejectedQueueFull) {
-    ++shed_;
-  }
+  (void)batcher_.add(event);
 }
 
 void EngineConnection::on_close() {
-  if (batcher_) {
-    (void)batcher_->flush();
-    accepted_ = batcher_->accepted_events();
-    shed_ = batcher_->rejected_events();
-  }
-  totals_.accepted.fetch_add(accepted_, std::memory_order_relaxed);
-  totals_.shed.fetch_add(shed_, std::memory_order_relaxed);
+  (void)batcher_.flush();
+  totals_.accepted.fetch_add(batcher_.accepted_events(),
+                             std::memory_order_relaxed);
+  totals_.shed.fetch_add(batcher_.rejected_events(),
+                         std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ SocketClient

@@ -12,13 +12,14 @@
 // applies the usual admission policy. A connection's sink is closed when
 // the connection ends, which flushes whatever it still holds.
 //
-// Per-connection format autodetection: a connection that opens with the
-// binary magic 'M' ('MCSB'...) is decoded as mcs.serve.b1 frames through a
-// WireDecoder; anything else is treated as mcs.serve.v1 JSONL, split on
-// newlines. Malformed input poisons only its own connection -- the
-// connection is dropped and counted in stats().decode_errors; other
-// connections and the engine keep running. That containment is what makes
-// the socket path safe to expose to untrusted producers.
+// Each connection's bytes go, one read() chunk at a time, through its own
+// StreamDecoder (serve/wire.hpp), the reader replay and transcode use too:
+// the same format autodetection and the same end-of-stream rule, so a
+// stream a replay accepts a connection accepts. Malformed or truncated
+// input poisons only its own connection -- the connection is dropped and
+// counted in stats().decode_errors; other connections and the engine keep
+// running. That containment is what makes the socket path safe to expose
+// to untrusted producers.
 //
 // Lifecycle: construct, start() (binds; an ephemeral port is readable via
 // port()), stop() (idempotent; wakes the acceptor, shuts down every open
@@ -30,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,13 +143,13 @@ struct HandoffTotals {
   std::atomic<std::int64_t> shed{0};      ///< events lost to admission
 };
 
-/// The engine-facing connection sink. When the engine batches
-/// (batch_size > 1), the connection hands off through its own
-/// ShardBatcher, so connections never wait on each other; its last partial
-/// batches go out at close. Shedding is counted per event under batch
-/// granularity (ShardBatcher::rejected_events), else per rejected submit.
-/// `tap`, when set, sees every event before the handoff (the caller
-/// serializes it if it is shared).
+/// The engine-facing connection sink. The connection hands off through
+/// its own ShardBatcher (at batch_size 1 each event is its own
+/// submit_batch), so connections never wait on each other; its last
+/// partial batches go out at close, when it adds the batcher's exact
+/// accepted and rejected event counts to `totals`. `tap`, when set, sees
+/// every event before the handoff (the caller serializes it if it is
+/// shared).
 class EngineConnection final : public SocketServer::ConnectionSink {
  public:
   EngineConnection(ServeEngine& engine, HandoffTotals& totals,
@@ -159,12 +159,9 @@ class EngineConnection final : public SocketServer::ConnectionSink {
   void on_close() override;
 
  private:
-  ServeEngine& engine_;
   HandoffTotals& totals_;
   SocketServer::Sink tap_;
-  std::optional<ShardBatcher> batcher_;
-  std::int64_t accepted_{0};  ///< unbatched handoff only
-  std::int64_t shed_{0};      ///< unbatched handoff only
+  ShardBatcher batcher_;
 };
 
 /// Blocking client: connects to host:port and streams bytes. The serve CLI
@@ -187,8 +184,6 @@ class SocketClient {
 
   /// Half-closes the write side so the server sees EOF, then closes.
   void close();
-
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
  private:
   int fd_{-1};

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -278,12 +279,6 @@ void append_wire_frame(std::string& out, const ServeEvent& event) {
   }
 }
 
-std::string encode_wire_frame(const ServeEvent& event) {
-  std::string out;
-  append_wire_frame(out, event);
-  return out;
-}
-
 std::optional<std::size_t> decode_wire_header(std::string_view bytes) {
   const std::size_t check = std::min(bytes.size(), sizeof kWireMagic);
   if (bytes.compare(0, check, kWireMagic, check) != 0) {
@@ -333,7 +328,6 @@ std::int64_t WireDecoder::feed(
       if (frame == 0) break;  // incomplete frame prefix
       consumed += frame;
       ++events;
-      ++decoded_;
       sink(event);
     }
   } catch (...) {
@@ -349,7 +343,7 @@ std::int64_t WireDecoder::feed(
   return events;
 }
 
-// ------------------------------------------------------ stream transcoding
+// ------------------------------------------------------------ serve streams
 
 std::string_view to_string(WireFormat format) {
   switch (format) {
@@ -362,86 +356,141 @@ std::string_view to_string(WireFormat format) {
 }
 
 WireFormat detect_stream_format(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) {
-    // Unseekable source: a single peeked byte still separates the formats
-    // (a JSONL stream begins with '{' or whitespace, never 'M').
-    return is.peek() == 'M' ? WireFormat::kBinary : WireFormat::kJsonl;
-  }
-  char magic[sizeof kWireMagic] = {};
-  is.read(magic, sizeof magic);
-  const bool binary =
-      is.gcount() == sizeof magic &&
-      std::string_view(magic, sizeof magic) ==
-          std::string_view(kWireMagic, sizeof kWireMagic);
-  is.clear();
-  is.seekg(pos);
-  return binary ? WireFormat::kBinary : WireFormat::kJsonl;
+  return is.peek() == kWireMagic[0] ? WireFormat::kBinary : WireFormat::kJsonl;
 }
 
-std::int64_t read_serve_stream(
-    std::istream& is, const std::function<void(const ServeEvent&)>& sink) {
-  std::int64_t events = 0;
-  if (detect_stream_format(is) == WireFormat::kBinary) {
-    WireDecoder decoder;
-    char chunk[1 << 16];
-    std::uint64_t offset = 0;
-    while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-      const auto got = static_cast<std::size_t>(is.gcount());
+void StreamDecoder::feed(std::string_view bytes, const Sink& sink) {
+  if (bytes.empty()) return;
+  if (format_ == Format::kUnknown) {
+    format_ = bytes.front() == kWireMagic[0] ? Format::kBinary : Format::kJsonl;
+  }
+  switch (format_) {
+    case Format::kJsonl:
+      feed_lines(bytes, sink);
+      break;
+    case Format::kBinary:
       try {
-        events += decoder.feed(std::string_view(chunk, got), sink);
+        events_ += wire_.feed(bytes, sink);
       } catch (const Error& e) {
-        throw InvalidArgumentError("binary stream (chunk at byte " +
-                                   std::to_string(offset) + "): " + e.what());
+        format_ = Format::kFailed;
+        throw InvalidArgumentError(
+            std::string(kWireSchema) + " stream, chunk at bytes " +
+            std::to_string(offset_) + "-" +
+            std::to_string(offset_ + bytes.size()) + ": " + e.what());
       }
-      offset += got;
-    }
-    if (!decoder.idle() || !decoder.header_seen()) {
-      throw InvalidArgumentError(
-          "binary stream: truncated (ends mid-frame or without a header)");
-    }
-    return events;
+      break;
+    default:
+      throw InvalidArgumentError("serve stream: fed after it failed");
   }
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::optional<ServeEvent> event;
+  offset_ += bytes.size();
+}
+
+void StreamDecoder::finish(const Sink& sink) {
+  if (format_ == Format::kFailed) {
+    throw InvalidArgumentError("serve stream: finished after it failed");
+  }
+  if (format_ == Format::kBinary && (!wire_.idle() || !wire_.header_seen())) {
+    format_ = Format::kFailed;
+    throw InvalidArgumentError(
+        std::string(kWireSchema) + " stream: truncated at byte " +
+        std::to_string(offset_) + " (ends mid-frame or inside its header)");
+  }
+  if (carry_.empty()) return;
+  decode_line(carry_, sink, /*unterminated=*/true);
+  carry_.clear();
+}
+
+void StreamDecoder::feed_lines(std::string_view bytes, const Sink& sink) {
+  if (!carry_.empty()) {
+    const std::size_t nl = bytes.find('\n');
+    if (nl == std::string_view::npos) {
+      carry_.append(bytes);
+      return;
+    }
+    carry_.append(bytes.substr(0, nl));
+    decode_line(carry_, sink, false);
+    carry_.clear();
+    bytes.remove_prefix(nl + 1);
+  }
+  for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
+       nl = bytes.find('\n')) {
+    decode_line(bytes.substr(0, nl), sink, false);
+    bytes.remove_prefix(nl + 1);
+  }
+  carry_.assign(bytes);
+}
+
+void StreamDecoder::decode_line(std::string_view line, const Sink& sink,
+                                bool unterminated) {
+  ++line_;
+  if (line.empty()) return;
+  // Decoded straight into `event`; only the decoder's errors are named.
+  const std::optional<ServeEvent> event = [&] {
     try {
-      event = decode_serve_line(line);
+      return decode_serve_line(line);
     } catch (const Error& e) {
-      throw InvalidArgumentError("line " + std::to_string(line_number) +
-                                 ": " + e.what());
+      format_ = Format::kFailed;
+      // A last line without its '\n' that does not decode is a cut one.
+      throw InvalidArgumentError(
+          "line " + std::to_string(line_) + ": " + e.what() +
+          (unterminated ? " (truncated: the stream ends inside this line)"
+                        : ""));
     }
-    if (!event) continue;  // header line
-    ++events;
-    sink(*event);
+  }();
+  if (!event) return;  // header line
+  sink(*event);
+  ++events_;
+}
+
+std::int64_t read_serve_stream(std::istream& is,
+                               const StreamDecoder::Sink& sink) {
+  StreamDecoder decoder;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+    decoder.feed(std::string_view(chunk, static_cast<std::size_t>(
+                                             is.gcount())),
+                 sink);
   }
-  return events;
+  decoder.finish(sink);
+  return decoder.events();
+}
+
+StreamWriter::StreamWriter(WireFormat format, Out out)
+    : format_(format), out_(std::move(out)) {
+  if (format_ == WireFormat::kBinary) {
+    append_wire_header(buffer_);
+  } else {
+    buffer_.append(kServeStreamHeader);
+    buffer_ += '\n';
+  }
+}
+
+StreamWriter::StreamWriter(WireFormat format, std::ostream& os)
+    : StreamWriter(format, [&os](std::string_view bytes) {
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }) {}
+
+void StreamWriter::write(const ServeEvent& event) {
+  if (format_ == WireFormat::kBinary) {
+    append_wire_frame(buffer_, event);
+  } else {
+    append_serve_line(buffer_, event);
+  }
+  if (buffer_.size() >= std::size_t{64} * 1024) flush();
+}
+
+void StreamWriter::flush() {
+  if (buffer_.empty()) return;
+  out_(buffer_);
+  buffer_.clear();
 }
 
 std::int64_t transcode_serve_stream(std::istream& is, std::ostream& os,
                                     WireFormat to) {
-  std::string buffer;
-  if (to == WireFormat::kBinary) append_wire_header(buffer);
-  if (to == WireFormat::kJsonl) write_stream_header(os);
-  const std::int64_t events =
-      read_serve_stream(is, [&](const ServeEvent& event) {
-        if (to == WireFormat::kBinary) {
-          append_wire_frame(buffer, event);
-          if (buffer.size() >= (1 << 16)) {
-            os.write(buffer.data(),
-                     static_cast<std::streamsize>(buffer.size()));
-            buffer.clear();
-          }
-        } else {
-          write_serve_event(os, event);
-        }
-      });
-  if (!buffer.empty()) {
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  }
+  StreamWriter writer(to, os);
+  const std::int64_t events = read_serve_stream(
+      is, [&writer](const ServeEvent& event) { writer.write(event); });
+  writer.flush();
   return events;
 }
 

@@ -10,8 +10,8 @@
 // count.
 //
 // Decoding: one frame decoder behind decode_wire_frame and
-// WireDecoder::feed (and so behind replay, the socket front-end and the
-// benches) reads each field straight out of the byte span into the event,
+// WireDecoder::feed (and so behind StreamDecoder, the one stream reader of
+// replay, transcode and the socket front-end) reads each field straight out of the byte span into the event,
 // touching no allocator. Its rejections leave through out-of-line cold
 // calls, so the accepting path is a short run of loads and compares; it
 // writes every field of the event, so a decoder that reuses one event per
@@ -50,6 +50,10 @@
 // differential fuzz in serve_wire_test pins zero divergence. JSONL stays
 // the debug/interop format; `mcs_cli transcode` converts losslessly in
 // both directions.
+//
+// Streams: StreamDecoder reads a serve stream of either format from
+// chunks of any size, and StreamWriter writes one; every reader and
+// writer of serve streams goes through these two.
 #pragma once
 
 #include <cstddef>
@@ -82,9 +86,6 @@ void append_wire_header(std::string& out);
 
 /// Appends one event as a length-prefixed frame.
 void append_wire_frame(std::string& out, const ServeEvent& event);
-
-/// One event as its frame bytes (length prefix included).
-[[nodiscard]] std::string encode_wire_frame(const ServeEvent& event);
 
 /// Checks a stream header prefix. Returns the bytes consumed
 /// (kWireHeaderBytes) or nullopt when `bytes` is a proper prefix of a
@@ -126,17 +127,13 @@ class WireDecoder {
 
   [[nodiscard]] bool header_seen() const { return header_done_; }
 
-  /// Events decoded over the decoder's lifetime.
-  [[nodiscard]] std::int64_t events_decoded() const { return decoded_; }
-
  private:
   std::string carry_;  ///< partial frame tail; capacity is retained
   bool header_done_{false};
   bool poisoned_{false};
-  std::int64_t decoded_{0};
 };
 
-// ------------------------------------------------------ stream transcoding
+// ------------------------------------------------------------ serve streams
 
 enum class WireFormat {
   kJsonl,   ///< mcs.serve.v1 JSON lines (debug / interop)
@@ -145,17 +142,87 @@ enum class WireFormat {
 
 [[nodiscard]] std::string_view to_string(WireFormat format);
 
-/// Sniffs a stream's format from its first bytes without consuming them:
-/// the binary magic 'MCSB' selects kBinary, anything else kJsonl (whose
-/// own parser then reports precise errors).
+/// A stream's format by the rule StreamDecoder applies: a first byte of
+/// 'M' (the binary magic's) is kBinary, anything else kJsonl. Peeks
+/// without consuming.
 [[nodiscard]] WireFormat detect_stream_format(std::istream& is);
 
-/// Reads a whole serve stream in either format (autodetected), invoking
-/// `sink` per event. Throws InvalidArgumentError naming the line (JSONL)
-/// or byte offset (binary) on malformed input, including a truncated
-/// final frame. Returns the number of events.
-std::int64_t read_serve_stream(
-    std::istream& is, const std::function<void(const ServeEvent&)>& sink);
+/// The one serve-stream reader, for every transport: replay and transcode
+/// feed it 64 KiB reads, the socket front-end each read() chunk. A chunk
+/// may end anywhere. The stream's first byte picks the format (see
+/// detect_stream_format): binary frames go through a WireDecoder, JSONL
+/// is split on '\n' and each line decoded in place from the chunk (only a
+/// line cut by a chunk end is carried), blank lines skipped, header lines
+/// consumed. The sink sees each event only until it returns (copy it to
+/// keep it).
+///
+/// End-of-stream rule (finish()), the same on every transport: a last
+/// JSONL line without its '\n' is decoded like any other line; anything
+/// else left over -- a partial frame, a binary stream without a complete
+/// header -- is truncation. A JSONL line cut mid-object still fails, since
+/// no proper prefix of a JSON object parses. An empty stream holds no
+/// events and is not an error.
+///
+/// Errors are InvalidArgumentError naming the 1-based line (JSONL) or the
+/// byte range of the failing chunk (binary); truncation says "truncated".
+/// After a decode error the stream is over: further calls throw.
+class StreamDecoder {
+ public:
+  using Sink = std::function<void(const ServeEvent&)>;
+
+  /// Decodes the next chunk of the stream, calling `sink` per event.
+  void feed(std::string_view bytes, const Sink& sink);
+
+  /// Ends the stream by the end-of-stream rule above.
+  void finish(const Sink& sink);
+
+  /// Events handed to the sink so far.
+  [[nodiscard]] std::int64_t events() const { return events_; }
+
+ private:
+  enum class Format : std::uint8_t { kUnknown, kJsonl, kBinary, kFailed };
+
+  void feed_lines(std::string_view bytes, const Sink& sink);
+  void decode_line(std::string_view line, const Sink& sink,
+                   bool unterminated);
+
+  Format format_{Format::kUnknown};
+  WireDecoder wire_;
+  std::string carry_;         ///< a JSONL line cut by a chunk end
+  std::int64_t line_{0};      ///< JSONL lines read so far
+  std::uint64_t offset_{0};   ///< stream bytes fed before this chunk
+  std::int64_t events_{0};
+};
+
+/// Reads a whole serve stream in either format through one StreamDecoder,
+/// invoking `sink` per event, and ends it by the end-of-stream rule.
+/// Returns the number of events; throws as StreamDecoder does.
+std::int64_t read_serve_stream(std::istream& is,
+                               const StreamDecoder::Sink& sink);
+
+/// The one serve-stream writer, for every destination: loadgen's
+/// write_*_stream, transcode, `serve --events-out` and `serve --connect`.
+/// The stream header goes first, then one line or frame per event; bytes
+/// are buffered and handed to `out` whenever 64 KiB have collected, and
+/// the rest at flush(). A writer destroyed unflushed drops its tail.
+class StreamWriter {
+ public:
+  using Out = std::function<void(std::string_view)>;
+
+  StreamWriter(WireFormat format, Out out);
+  /// Writes to `os` (its error state is the caller's to check).
+  StreamWriter(WireFormat format, std::ostream& os);
+
+  void write(const ServeEvent& event);
+
+  /// Hands every buffered byte to `out`.
+  void flush();
+
+ private:
+  WireFormat format_;
+  Out out_;
+  std::string buffer_;
+};
 
 /// Losslessly transcodes a serve stream (autodetected input format) into
 /// `to`. Event-preserving and, for canonical streams, byte-exact on a

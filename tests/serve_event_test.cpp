@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "model/bid.hpp"
+#include "serve/wire.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -81,9 +82,10 @@ TEST(ServeWire, MoneyTravelsExactly) {
 
 TEST(ServeWire, WriteEventStreamStartsWithHeader) {
   std::ostringstream os;
-  write_stream_header(os);
-  write_serve_event(os, round_open(0, 3, Money::from_units(10)));
-  write_serve_event(os, round_close(0));
+  StreamWriter writer(WireFormat::kJsonl, os);
+  writer.write(round_open(0, 3, Money::from_units(10)));
+  writer.write(round_close(0));
+  writer.flush();
   std::istringstream is(os.str());
   std::string line;
   ASSERT_TRUE(std::getline(is, line));

@@ -309,7 +309,7 @@ TEST(ShardBatcherTest, BatchedFeedMatchesPerEventFeedForAnyGeometry) {
         EXPECT_EQ(batcher.add(event), SubmitStatus::kAccepted);
       }
       EXPECT_EQ(batcher.flush(), SubmitStatus::kAccepted);
-      EXPECT_EQ(batcher.buffered(), 0);
+      EXPECT_EQ(batcher.accepted_events(), expected);
       engine.drain();
       EXPECT_EQ(engine.stats().submitted, expected)
           << "shards=" << shards << " batch=" << batch;

@@ -50,8 +50,9 @@ std::string binary_stream(const std::vector<ServeEvent>& events) {
 
 std::string jsonl_stream(const std::vector<ServeEvent>& events) {
   std::ostringstream os;
-  write_stream_header(os);
-  for (const ServeEvent& event : events) write_serve_event(os, event);
+  StreamWriter writer(WireFormat::kJsonl, os);
+  for (const ServeEvent& event : events) writer.write(event);
+  writer.flush();
   return os.str();
 }
 
@@ -304,7 +305,8 @@ TEST(ServeSocket, ClosingConnectionHandsOverItsPartialBatchAtItsOwnEof) {
   }
   EXPECT_EQ(live.summary().processed,
             static_cast<std::int64_t>(events.size()));
-  EXPECT_TRUE(idle.is_open());
+  // Both connections were accepted, and only the closing one handed off.
+  EXPECT_EQ(server.stats().connections, 2);
   idle.close();
   server.drain();
   engine.drain();

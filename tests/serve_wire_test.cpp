@@ -11,19 +11,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "model/bid.hpp"
+#include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/replay.hpp"
+#include "serve/socket.hpp"
 #include "support/serve_event_oracle.hpp"
 
 namespace mcs::serve {
@@ -69,6 +75,13 @@ std::string header_bytes() {
   return out;
 }
 
+/// One event's frame bytes, length prefix included.
+std::string wire_frame(const ServeEvent& event) {
+  std::string out;
+  append_wire_frame(out, event);
+  return out;
+}
+
 /// Decodes exactly one complete frame or throws.
 ServeEvent decode_one(const std::string& bytes) {
   const auto decoded = decode_wire_frame(bytes);
@@ -97,23 +110,23 @@ TEST(WireCodec, GoldenHeader) {
 
 TEST(WireCodec, GoldenFrames) {
   // round_open(0, 12, "30"): kind 0, round 0, slots 12, 30'000'000 micros.
-  EXPECT_EQ(encode_wire_frame(round_open(0, 12, Money::from_units(30))),
+  EXPECT_EQ(wire_frame(round_open(0, 12, Money::from_units(30))),
             frame(std::string(1, '\0') + le64(0) + le32(12) + le64(30000000)));
   // task_arrived without a value: has_value byte 0, no trailing micros.
-  EXPECT_EQ(encode_wire_frame(task_arrived(0, Slot{1}, TaskId{0})),
+  EXPECT_EQ(wire_frame(task_arrived(0, Slot{1}, TaskId{0})),
             frame(std::string(1, '\1') + le64(0) + le32(1) + le32(0) +
                   std::string(1, '\0')));
   EXPECT_EQ(
-      encode_wire_frame(
+      wire_frame(
           task_arrived(2, Slot{3}, TaskId{4}, Money::from_double(2.5))),
       frame(std::string(1, '\1') + le64(2) + le32(3) + le32(4) +
             std::string(1, '\1') + le64(2500000)));
-  EXPECT_EQ(encode_wire_frame(bid_submitted(0, PhoneId{3}, bid(1, 4, 7.5))),
+  EXPECT_EQ(wire_frame(bid_submitted(0, PhoneId{3}, bid(1, 4, 7.5))),
             frame(std::string(1, '\2') + le64(0) + le32(3) + le32(1) +
                   le32(4) + le64(7500000)));
-  EXPECT_EQ(encode_wire_frame(slot_tick(0, Slot{1})),
+  EXPECT_EQ(wire_frame(slot_tick(0, Slot{1})),
             frame(std::string(1, '\3') + le64(0) + le32(1)));
-  EXPECT_EQ(encode_wire_frame(round_close(7)),
+  EXPECT_EQ(wire_frame(round_close(7)),
             frame(std::string(1, '\4') + le64(7)));
 }
 
@@ -121,7 +134,7 @@ TEST(WireCodec, GoldenFrames) {
 
 TEST(WireCodec, EncodeDecodeRoundTripsEveryKind) {
   for (const ServeEvent& event : every_kind()) {
-    const std::string bytes = encode_wire_frame(event);
+    const std::string bytes = wire_frame(event);
     EXPECT_LE(bytes.size(), 4 + kMaxWireFrameBytes);
     EXPECT_EQ(decode_one(bytes), event) << encode_serve_event(event);
   }
@@ -135,13 +148,13 @@ TEST(WireCodec, MoneyExtremesTravelExactly) {
   };
   for (const Money amount : amounts) {
     const ServeEvent event = round_open(0, 1, amount);
-    EXPECT_EQ(decode_one(encode_wire_frame(event)).round_value.micros(),
+    EXPECT_EQ(decode_one(wire_frame(event)).round_value.micros(),
               amount.micros());
   }
 }
 
 TEST(WireCodec, RoundIdBoundsAreExact) {
-  EXPECT_EQ(decode_one(encode_wire_frame(round_close(kMaxServeRound))).round,
+  EXPECT_EQ(decode_one(wire_frame(round_close(kMaxServeRound))).round,
             kMaxServeRound);
   EXPECT_THROW(decode_one(frame(std::string(1, '\4') +
                                 le64(kMaxServeRound + 1))),
@@ -227,7 +240,7 @@ TEST(WireCodec, EveryTruncationAsksForMoreBytesNotGarbage) {
   // never UB -- except prefixes shorter than the length word are also just
   // incomplete. Mirrors json_parse_fuzz's EveryTruncationFailsCleanly.
   for (const ServeEvent& event : every_kind()) {
-    const std::string bytes = encode_wire_frame(event);
+    const std::string bytes = wire_frame(event);
     for (std::size_t len = 0; len < bytes.size(); ++len) {
       EXPECT_EQ(decode_wire_frame(bytes.substr(0, len)), std::nullopt)
           << "prefix of length " << len;
@@ -244,14 +257,16 @@ TEST(WireDecoderTest, OneByteAtATimeFeedsDecodeTheFullStream) {
   }
   WireDecoder decoder;
   std::vector<ServeEvent> got;
+  std::int64_t decoded = 0;
   for (char byte : stream) {
-    decoder.feed(std::string_view(&byte, 1),
-                 [&](const ServeEvent& event) { got.push_back(event); });
+    decoded += decoder.feed(std::string_view(&byte, 1),
+                            [&](const ServeEvent& event) {
+                              got.push_back(event);
+                            });
   }
   EXPECT_TRUE(decoder.idle());
   EXPECT_TRUE(decoder.header_seen());
-  EXPECT_EQ(decoder.events_decoded(),
-            static_cast<std::int64_t>(every_kind().size()));
+  EXPECT_EQ(decoded, static_cast<std::int64_t>(every_kind().size()));
   EXPECT_EQ(got, every_kind());
 }
 
@@ -292,14 +307,14 @@ TEST(WireDecoderTest, PoisonsAfterMalformedInput) {
   EXPECT_THROW(decoder.feed(frame(std::string(1, '\7') + le64(0)), sink),
                InvalidArgumentError);
   // Even valid bytes are refused now: the stream is corrupt.
-  EXPECT_THROW(decoder.feed(encode_wire_frame(round_close(1)), sink),
+  EXPECT_THROW(decoder.feed(wire_frame(round_close(1)), sink),
                InvalidArgumentError);
   EXPECT_FALSE(decoder.idle());
 }
 
 TEST(WireDecoderTest, MissingHeaderIsRejected) {
   WireDecoder decoder;
-  EXPECT_THROW(decoder.feed(encode_wire_frame(round_close(0)),
+  EXPECT_THROW(decoder.feed(wire_frame(round_close(0)),
                             [](const ServeEvent&) {}),
                InvalidArgumentError);
 }
@@ -532,7 +547,7 @@ TEST(WireFuzz, BinaryAndJsonlDecodersAcceptAndRejectInLockstep) {
       ++accepted;
       // Acceptance must also agree on the decoded value, byte for byte.
       ASSERT_EQ(*from_jsonl, *from_binary) << drawn.jsonl;
-      ASSERT_EQ(encode_wire_frame(*from_jsonl), drawn.binary) << drawn.jsonl;
+      ASSERT_EQ(wire_frame(*from_jsonl), drawn.binary) << drawn.jsonl;
     } else {
       ++rejected;
     }
@@ -835,6 +850,160 @@ TEST(WireFuzz, JsonlLineDecoderMatchesTheTreeOracle) {
   }
   EXPECT_GT(accepted, iters / 10);
   EXPECT_GT(rejected, iters / 10);
+}
+
+// ---------------------------------------------------------- transport parity
+
+/// What one transport made of a byte stream: the events it delivered and
+/// whether it took the whole stream.
+struct Reading {
+  std::vector<ServeEvent> events;
+  bool accepted{false};
+};
+
+/// `bytes` cut at random points, pieces of 1-8 bytes mixed with pieces of
+/// up to 8 KiB.
+std::vector<std::string_view> random_pieces(std::string_view bytes,
+                                            std::mt19937_64& rng) {
+  std::vector<std::string_view> pieces;
+  while (!bytes.empty()) {
+    const std::size_t size =
+        rng() % 2 == 0 ? 1 + rng() % 8 : 1 + rng() % 8192;
+    pieces.push_back(bytes.substr(0, size));
+    bytes.remove_prefix(std::min(size, bytes.size()));
+  }
+  return pieces;
+}
+
+Reading by_decoder(std::string_view bytes, std::mt19937_64& rng) {
+  Reading reading;
+  StreamDecoder decoder;
+  const auto sink = [&](const ServeEvent& e) { reading.events.push_back(e); };
+  try {
+    for (const std::string_view piece : random_pieces(bytes, rng)) {
+      decoder.feed(piece, sink);
+    }
+    decoder.finish(sink);
+    reading.accepted = true;
+  } catch (const InvalidArgumentError&) {
+  }
+  return reading;
+}
+
+Reading by_read_serve_stream(const std::string& bytes) {
+  Reading reading;
+  std::istringstream is(bytes);
+  try {
+    read_serve_stream(
+        is, [&](const ServeEvent& e) { reading.events.push_back(e); });
+    reading.accepted = true;
+  } catch (const InvalidArgumentError&) {
+  }
+  return reading;
+}
+
+Reading by_socket(std::string_view bytes, std::mt19937_64& rng) {
+  Reading reading;
+  std::mutex mutex;
+  SocketServer server({}, [&](const ServeEvent& event) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    reading.events.push_back(event);
+  });
+  server.start();
+  SocketClient client = SocketClient::connect("127.0.0.1", server.port());
+  for (const std::string_view piece : random_pieces(bytes, rng)) {
+    client.send(piece);
+  }
+  client.close();
+  server.drain();  // joins the reader: `reading` is complete
+  reading.accepted = server.stats().decode_errors == 0;
+  return reading;
+}
+
+/// The replay's verdict, and what the engine got: events handed off and
+/// rounds completed.
+struct ReplayReading {
+  bool accepted{false};
+  std::int64_t submitted{0};
+  std::int64_t rounds_completed{0};
+};
+
+ReplayReading by_replay(const std::string& bytes, std::size_t batch_size) {
+  ServeConfig config;
+  config.shards = 2;
+  config.batch_size = batch_size;
+  ReplayReading reading;
+  ServeEngine engine(config);
+  std::istringstream is(bytes);
+  try {
+    replay_event_stream(is, engine);
+    reading.accepted = true;
+  } catch (const InvalidArgumentError&) {
+  }
+  engine.drain();
+  reading.submitted = engine.stats().submitted;
+  reading.rounds_completed = engine.stats().rounds_completed;
+  return reading;
+}
+
+TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
+  LoadGenConfig load;
+  load.rounds = 40;  // both formats span more than one 64 KiB read
+  load.seed = 11;
+  std::ostringstream jsonl_out;
+  std::ostringstream binary_out;
+  const auto n = static_cast<std::size_t>(write_event_stream(jsonl_out, load));
+  write_wire_stream(binary_out, load);
+  const std::string jsonl = jsonl_out.str();
+  const std::string binary = binary_out.str();
+  ASSERT_GT(binary.size(), std::size_t{1} << 16);
+
+  struct Row {
+    const char* name;
+    std::string bytes;
+    bool accepted;
+    std::size_t events;
+  };
+  const std::vector<Row> table = {
+      {"jsonl", jsonl, true, n},
+      {"binary", binary, true, n},
+      {"jsonl without its final newline", jsonl.substr(0, jsonl.size() - 1),
+       true, n},
+      {"jsonl cut mid-object", jsonl.substr(0, jsonl.size() - 6), false,
+       n - 1},
+      {"binary cut mid-frame", binary.substr(0, binary.size() - 3), false,
+       n - 1},
+      {"jsonl header only", std::string(kServeStreamHeader) + "\n", true, 0},
+      {"binary header only", header_bytes(), true, 0},
+      {"empty", "", true, 0},
+      {"MCSB then junk", "MCSB junk, not a version", false, 0},
+  };
+  std::mt19937_64 rng(20261019);
+  for (const Row& row : table) {
+    SCOPED_TRACE(row.name);
+    const Reading read = by_read_serve_stream(row.bytes);
+    EXPECT_EQ(read.accepted, row.accepted);
+    ASSERT_EQ(read.events.size(), row.events);
+    std::int64_t closes = 0;
+    for (const ServeEvent& event : read.events) {
+      closes += event.kind == ServeEventKind::kRoundClose ? 1 : 0;
+    }
+    for (int draw = 0; draw < 3; ++draw) {
+      const Reading decoded = by_decoder(row.bytes, rng);
+      EXPECT_EQ(decoded.accepted, read.accepted);
+      EXPECT_EQ(decoded.events, read.events);
+    }
+    const Reading socket = by_socket(row.bytes, rng);
+    EXPECT_EQ(socket.accepted, read.accepted);
+    EXPECT_EQ(socket.events, read.events);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
+      const ReplayReading replay = by_replay(row.bytes, batch);
+      EXPECT_EQ(replay.accepted, read.accepted) << "batch " << batch;
+      EXPECT_EQ(replay.submitted, static_cast<std::int64_t>(row.events))
+          << "batch " << batch;
+      EXPECT_EQ(replay.rounds_completed, closes) << "batch " << batch;
+    }
+  }
 }
 
 }  // namespace

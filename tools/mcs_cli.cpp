@@ -581,82 +581,24 @@ std::pair<std::string, int> parse_endpoint(const std::string& spec) {
   return {host, port};
 }
 
-/// --events-out recorder, in either wire format. Binary frames are
-/// buffered and flushed in 64 KiB chunks like the library writers.
-class EventRecorder {
- public:
-  void open(const std::string& path, bool wire) {
-    file_.open(path, std::ios::binary);
-    if (!file_) throw IoError("cannot open events file: " + path);
-    wire_ = wire;
-    if (wire_) {
-      serve::append_wire_header(buffer_);
-    } else {
-      serve::write_stream_header(file_);
-    }
-  }
-
-  void record(const serve::ServeEvent& event) {
-    if (!file_.is_open()) return;
-    if (wire_) {
-      serve::append_wire_frame(buffer_, event);
-      if (buffer_.size() >= std::size_t{64} * 1024) flush_buffer();
-    } else {
-      serve::write_serve_event(file_, event);
-    }
-  }
-
-  void finish() {
-    if (file_.is_open() && wire_ && !buffer_.empty()) flush_buffer();
-  }
-
-  [[nodiscard]] bool is_open() const { return file_.is_open(); }
-
- private:
-  void flush_buffer() {
-    file_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-
-  std::ofstream file_;
-  bool wire_ = false;
-  std::string buffer_;
-};
-
 /// serve --connect: push the loadgen stream to a listening server.
 int run_connect_client(const std::string& endpoint,
                        const serve::LoadGenConfig& load, bool wire) {
   const auto [host, port] = parse_endpoint(endpoint);
   serve::SocketClient client = serve::SocketClient::connect(host, port);
-  std::int64_t sent = 0;
   std::int64_t bytes = 0;
-  std::string buffer;
-  const auto flush = [&] {
-    if (buffer.empty()) return;
-    bytes += static_cast<std::int64_t>(buffer.size());
-    client.send(buffer);
-    buffer.clear();
-  };
-  if (wire) {
-    serve::append_wire_header(buffer);
-    sent = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-      serve::append_wire_frame(buffer, e);
-      if (buffer.size() >= std::size_t{64} * 1024) flush();
-      return true;
-    });
-  } else {
-    std::ostringstream header;
-    serve::write_stream_header(header);
-    buffer = header.str();
-    sent = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-      std::ostringstream line;
-      serve::write_serve_event(line, e);
-      buffer += line.str();
-      if (buffer.size() >= std::size_t{64} * 1024) flush();
-      return true;
-    });
-  }
-  flush();
+  serve::StreamWriter writer(
+      wire ? serve::WireFormat::kBinary : serve::WireFormat::kJsonl,
+      [&](std::string_view chunk) {
+        bytes += static_cast<std::int64_t>(chunk.size());
+        client.send(chunk);
+      });
+  const std::int64_t sent =
+      serve::generate_events(load, [&](const serve::ServeEvent& e) {
+        writer.write(e);
+        return true;
+      });
+  writer.flush();
   client.close();
   std::cout << "sent " << sent << " events (" << bytes << " bytes, "
             << (wire ? "binary" : "jsonl") << ") to " << host << ":" << port
@@ -894,37 +836,40 @@ int cmd_serve(int argc, const char* const* argv) {
           econ.get(), econ_file.is_open() ? &econ_file : nullptr);
     }
 
-    // Producer-side batching: one ShardBatcher for the loadgen producer;
-    // each socket connection and the replay path batch on their own.
-    std::unique_ptr<serve::ShardBatcher> batcher;
-    if (config.batch_size > 1 && use_loadgen) {
-      batcher = std::make_unique<serve::ShardBatcher>(engine);
-    }
-    EventRecorder recorder;
+    std::ofstream events_file;
+    std::optional<serve::StreamWriter> recorder;
     if (const std::string events_path = cli.get_string("events-out");
         !events_path.empty()) {
-      recorder.open(events_path, cli.get_switch("wire"));
+      events_file.open(events_path, std::ios::binary);
+      if (!events_file) {
+        throw IoError("cannot open events file: " + events_path);
+      }
+      recorder.emplace(cli.get_switch("wire") ? serve::WireFormat::kBinary
+                                              : serve::WireFormat::kJsonl,
+                       events_file);
     }
 
     if (use_loadgen) {
+      // Each producer hands off through its own ShardBatcher: this one for
+      // the load generator, one per socket connection, one per replay.
+      serve::ShardBatcher batcher(engine);
       const auto submit = [&](const serve::ServeEvent& e) {
-        recorder.record(e);
-        const serve::SubmitStatus status =
-            batcher ? batcher->add(e) : engine.submit(e);
-        return status == serve::SubmitStatus::kAccepted;
+        if (recorder) recorder->write(e);
+        return batcher.add(e) == serve::SubmitStatus::kAccepted;
       };
       if (target_eps > 0.0) {
         serve::PaceConfig pace;
         pace.target_eps = target_eps;
         pace_report = serve::run_paced_load(load, pace, submit);
         offered = pace_report.offered;
-        shed = pace_report.shed;
       } else {
         offered = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-          if (!submit(e)) ++shed;
+          (void)submit(e);
           return true;
         });
       }
+      (void)batcher.flush();
+      shed = batcher.rejected_events();  // exact under batch granularity
     } else if (use_listen) {
       const auto [host, port] = parse_endpoint(listen_spec);
       serve::SocketServerConfig socket_config;
@@ -934,10 +879,10 @@ int cmd_serve(int argc, const char* const* argv) {
       // shared recorder, when on, takes a lock.
       std::mutex recorder_mutex;
       serve::SocketServer::Sink record;
-      if (recorder.is_open()) {
+      if (recorder) {
         record = [&](const serve::ServeEvent& e) {
           const std::lock_guard<std::mutex> lock(recorder_mutex);
-          recorder.record(e);
+          recorder->write(e);
         };
       }
       serve::HandoffTotals handoff;
@@ -971,11 +916,7 @@ int cmd_serve(int argc, const char* const* argv) {
       offered = replayed.events;
       shed = replayed.shed;
     }
-    if (batcher) {
-      batcher->flush();
-      shed = batcher->rejected_events();  // exact under batch granularity
-    }
-    recorder.finish();
+    if (recorder) recorder->flush();
     engine.drain();
     if (publisher) publisher->stop();  // flushes the final tail snapshot
     if (econ_file.is_open() && !publisher) {
@@ -1036,12 +977,15 @@ int cmd_serve(int argc, const char* const* argv) {
     std::cout << "admission control shed " << shed
               << " events (policy: " << admission << ")\n";
   }
-  // A round is lost to shedding or, under --admission reject, to a stream
-  // error in it: report either whether or not anything was shed.
-  if (stats.orphaned_events > 0 || stats.rounds_corrupted > 0) {
+  // A round is lost to shedding, under --admission reject to a stream
+  // error in it, or to a stream that ends before its round_close: report
+  // each whether or not anything was shed.
+  if (stats.orphaned_events > 0 || stats.rounds_corrupted > 0 ||
+      stats.rounds_abandoned > 0) {
     std::cout << "lost rounds: " << stats.orphaned_events
               << " orphaned events dropped, " << stats.rounds_corrupted
-              << " rounds abandoned mid-flight\n";
+              << " rounds abandoned mid-flight, " << stats.rounds_abandoned
+              << " rounds open at drain\n";
   }
   if (seconds > 0.0) {
     std::cout << "sustained "

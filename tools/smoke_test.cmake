@@ -241,6 +241,34 @@ if(NOT code EQUAL 0 OR NOT out MATCHES " 1 rounds abandoned mid-flight"
 endif()
 file(REMOVE ${DUP_BID})
 
+# A stream that ends before its last round_close: the open round is
+# abandoned at drain and reported under either admission policy.
+set(NO_CLOSE ${WORKDIR}/cli_smoke_no_close.jsonl)
+file(WRITE ${NO_CLOSE} [=[{"schema":"mcs.serve.v1"}
+{"ev":"round_open","round":0,"slots":1,"value":"50"}
+{"ev":"task_arrived","round":0,"slot":1,"task":0}
+{"ev":"bid_submitted","round":0,"agent":0,"from":1,"to":1,"cost":"5"}
+{"ev":"slot_tick","round":0,"slot":1}
+{"ev":"round_close","round":0}
+{"ev":"round_open","round":1,"slots":1,"value":"50"}
+{"ev":"task_arrived","round":1,"slot":1,"task":0}
+{"ev":"slot_tick","round":1,"slot":1}
+]=])
+foreach(admission block reject)
+  execute_process(COMMAND ${CLI} serve --replay ${NO_CLOSE}
+                          --admission ${admission}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 0 OR NOT out MATCHES " 1 rounds completed"
+     OR NOT out MATCHES "lost rounds: 0 orphaned events dropped, 0 rounds abandoned mid-flight, 1 rounds open at drain")
+    message(FATAL_ERROR "stream without its last round_close under "
+                        "--admission ${admission} (${code}):\n${out}\n${err}")
+  endif()
+endforeach()
+file(REMOVE ${NO_CLOSE})
+
 # Untrusted stream: one bid from agent 2^30 - 1. A served round keeps its
 # winners sparsely and builds no outcome sized by the id, so the round
 # completes under a 4 GB address-space cap with either admission policy,
