@@ -1,6 +1,6 @@
 // The whole mechanism zoo side by side on the Table-I workload: the
-// paper's two designs, the untruthful per-slot second price, the naive
-// allocation baselines, and the truthful-but-rigid posted-price family.
+// paper's two designs, the untruthful per-slot second price, and the
+// truthful-but-rigid posted-price family.
 // One table answers "what does each design property cost in welfare and
 // payments?"
 #include <iostream>
@@ -9,7 +9,6 @@
 
 #include "analysis/metrics.hpp"
 #include "analysis/truthfulness.hpp"
-#include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
 #include "auction/posted_price.hpp"
@@ -52,9 +51,6 @@ int main(int argc, char** argv) {
       std::make_unique<auction::PostedPriceMechanism>(Money::from_units(25)));
   mechanisms.push_back(
       std::make_unique<auction::PostedPriceMechanism>(Money::from_units(37)));
-  mechanisms.push_back(std::make_unique<auction::FifoAllocationMechanism>());
-  mechanisms.push_back(
-      std::make_unique<auction::RandomAllocationMechanism>(1));
 
   std::cout << "=== Mechanism comparison (Table-I defaults, " << reps
             << " reps) ===\n\n";
@@ -86,8 +82,6 @@ int main(int argc, char** argv) {
       << "\nReading the table: the paper's mechanisms combine near-optimal "
          "welfare with truthfulness; second price matches greedy welfare "
          "but is manipulable; posted prices are truthful but either starve "
-         "tasks (low p) or overpay (high p); cost-blind FIFO/random burn "
-         "welfare. (FIFO/random pay first-price, so their audit verdict "
-         "reflects cost-misreport incentives.)\n";
+         "tasks (low p) or overpay (high p).\n";
   return 0;
 }

@@ -3,13 +3,11 @@
 //
 // Benchmarks the Hungarian solve as a function of instance size, the
 // incremental column-removal query against a full re-solve (the ablation
-// behind DESIGN.md Section 5, item 2), and the min-cost-flow cross-check
-// solver for scale comparison.
+// behind DESIGN.md Section 5, item 2).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "matching/hungarian.hpp"
-#include "matching/min_cost_flow.hpp"
 #include "telemetry_main.hpp"
 
 namespace {
@@ -64,15 +62,6 @@ void BM_VcgMarginal_FullResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VcgMarginal_FullResolve)->RangeMultiplier(2)->Range(8, 128);
-
-void BM_MinCostFlowMatching(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const matching::WeightMatrix g = random_graph(n, 2 * n, 44);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::max_weight_matching_via_flow(g));
-  }
-}
-BENCHMARK(BM_MinCostFlowMatching)->RangeMultiplier(2)->Range(8, 64);
 
 }  // namespace
 

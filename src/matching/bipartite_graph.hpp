@@ -5,9 +5,8 @@
 // smartphones, and the edge (task in slot j, phone i) exists with weight
 // nu - b_i exactly when phone i's reported active window covers slot j
 // (paper Fig. 3). This header provides the graph representation and the
-// matching result type; solvers live in hungarian.hpp and min_cost_flow.hpp
-// (the exhaustive subset-DP oracle the tests check them against lives in
-// tests/support).
+// matching result type; the solver lives in hungarian.hpp (the exhaustive
+// subset-DP oracle the tests check it against lives in tests/support).
 #pragma once
 
 #include <cstdint>

@@ -260,8 +260,6 @@ void preregister_headline_counters(MetricsRegistry& registry) {
                    "do-while relabel rounds inside the Hungarian augment_row");
   registry.counter("matching.hungarian.augmenting_paths",
                    "augmenting paths found by the Hungarian solver");
-  registry.counter("matching.flow.augmenting_paths",
-                   "SPFA augmentations in the min-cost-flow matcher");
   registry.counter("auction.critical_value.probes",
                    "wins(b)? evaluations during critical-value search");
   registry.counter("auction.greedy.allocation_runs",

@@ -403,6 +403,8 @@ void StreamDecoder::finish(const Sink& sink) {
 void StreamDecoder::feed_lines(std::string_view bytes, const Sink& sink) {
   if (!carry_.empty()) {
     const std::size_t nl = bytes.find('\n');
+    const std::size_t rest = nl == std::string_view::npos ? bytes.size() : nl;
+    if (rest > kMaxJsonlLineBytes - carry_.size()) line_too_long();
     if (nl == std::string_view::npos) {
       carry_.append(bytes);
       return;
@@ -414,10 +416,19 @@ void StreamDecoder::feed_lines(std::string_view bytes, const Sink& sink) {
   }
   for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
        nl = bytes.find('\n')) {
+    if (nl > kMaxJsonlLineBytes) line_too_long();
     decode_line(bytes.substr(0, nl), sink, false);
     bytes.remove_prefix(nl + 1);
   }
+  if (bytes.size() > kMaxJsonlLineBytes) line_too_long();
   carry_.assign(bytes);
+}
+
+void StreamDecoder::line_too_long() {
+  format_ = Format::kFailed;
+  throw InvalidArgumentError("line " + std::to_string(line_ + 1) +
+                             ": longer than " +
+                             std::to_string(kMaxJsonlLineBytes) + " bytes");
 }
 
 void StreamDecoder::decode_line(std::string_view line, const Sink& sink,

@@ -142,6 +142,10 @@ enum class WireFormat {
 
 [[nodiscard]] std::string_view to_string(WireFormat format);
 
+/// Hard cap on one JSONL line, '\n' not counted. The encoder's longest
+/// line is under 256 bytes, so a longer line is garbage (or hostile).
+inline constexpr std::size_t kMaxJsonlLineBytes = 4096;
+
 /// A stream's format by the rule StreamDecoder applies: a first byte of
 /// 'M' (the binary magic's) is kBinary, anything else kJsonl. Peeks
 /// without consuming.
@@ -163,6 +167,10 @@ enum class WireFormat {
 /// no proper prefix of a JSON object parses. An empty stream holds no
 /// events and is not an error.
 ///
+/// A JSONL line longer than kMaxJsonlLineBytes, whether it ends in this
+/// chunk or would be carried, fails the stream the moment its length
+/// crosses the cap, so a line never holds more than the cap in memory.
+///
 /// Errors are InvalidArgumentError naming the 1-based line (JSONL) or the
 /// byte range of the failing chunk (binary); truncation says "truncated".
 /// After a decode error the stream is over: further calls throw.
@@ -183,12 +191,13 @@ class StreamDecoder {
   enum class Format : std::uint8_t { kUnknown, kJsonl, kBinary, kFailed };
 
   void feed_lines(std::string_view bytes, const Sink& sink);
+  [[noreturn, gnu::cold, gnu::noinline]] void line_too_long();
   void decode_line(std::string_view line, const Sink& sink,
                    bool unterminated);
 
   Format format_{Format::kUnknown};
   WireDecoder wire_;
-  std::string carry_;         ///< a JSONL line cut by a chunk end
+  std::string carry_;         ///< a JSONL line cut by a chunk end (<= cap)
   std::int64_t line_{0};      ///< JSONL lines read so far
   std::uint64_t offset_{0};   ///< stream bytes fed before this chunk
   std::int64_t events_{0};

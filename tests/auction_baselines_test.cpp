@@ -1,6 +1,6 @@
 // Tests for the baseline mechanisms: the per-slot second-price scheme whose
 // manipulability motivates the paper's Algorithm 2 (Fig. 5 is reproduced
-// exactly), and the random/FIFO welfare baselines.
+// exactly).
 #include "auction/second_price.hpp"
 
 #include <gtest/gtest.h>
@@ -10,12 +10,10 @@
 #include <vector>
 
 #include "analysis/truthfulness.hpp"
-#include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
-#include "model/workload.hpp"
 
 namespace mcs::auction {
 namespace {
@@ -284,88 +282,6 @@ TEST(SecondPrice, MatchesBruteForcePoolOracle) {
       EXPECT_EQ(outcome.payments, expected) << where;
     }
   }
-}
-
-// -------------------------------------------------------- naive baselines
-
-TEST(NaiveBaselines, FifoPicksEarliestArrival) {
-  const model::Scenario s = model::ScenarioBuilder(3)
-                                .value(10)
-                                .phone(2, 3, 1)  // cheap but late
-                                .phone(1, 3, 9)  // early and expensive
-                                .task(3)
-                                .build();
-  const Outcome outcome = FifoAllocationMechanism{}.run_truthful(s);
-  EXPECT_TRUE(outcome.allocation.is_winner(PhoneId{1}));
-  EXPECT_EQ(outcome.payments[1], mu(9));  // first price
-}
-
-TEST(NaiveBaselines, FifoBreaksArrivalTiesById) {
-  const model::Scenario s = model::ScenarioBuilder(1)
-                                .value(10)
-                                .phone(1, 1, 5)
-                                .phone(1, 1, 5)
-                                .task(1)
-                                .build();
-  const Outcome outcome = FifoAllocationMechanism{}.run_truthful(s);
-  EXPECT_TRUE(outcome.allocation.is_winner(PhoneId{0}));
-}
-
-TEST(NaiveBaselines, RandomIsDeterministicPerSeed) {
-  const model::Scenario s = model::fig4_scenario();
-  const RandomAllocationMechanism a(7);
-  const RandomAllocationMechanism b(7);
-  const RandomAllocationMechanism c(8);
-  const Outcome oa = a.run_truthful(s);
-  const Outcome ob = b.run_truthful(s);
-  EXPECT_EQ(oa.payments, ob.payments);
-  // A different seed is allowed to differ (and does on this instance for
-  // at least one of a few probes).
-  bool any_difference = false;
-  for (std::uint64_t seed = 8; seed < 16 && !any_difference; ++seed) {
-    any_difference =
-        RandomAllocationMechanism(seed).run_truthful(s).payments !=
-        oa.payments;
-  }
-  EXPECT_TRUE(any_difference);
-}
-
-TEST(NaiveBaselines, OutcomesAreStructurallyValid) {
-  Rng rng(99);
-  model::WorkloadConfig workload;
-  workload.num_slots = 12;
-  const model::Scenario s = model::generate_scenario(workload, rng);
-  const model::BidProfile bids = s.truthful_bids();
-  EXPECT_NO_THROW(RandomAllocationMechanism{}.run(s, bids));
-  EXPECT_NO_THROW(FifoAllocationMechanism{}.run(s, bids));
-}
-
-TEST(NaiveBaselines, GreedyWelfareDominatesNaiveOnAverage) {
-  // Statistical, not per-instance: the cost-aware greedy rule must beat
-  // cost-blind allocation in aggregate welfare over random rounds.
-  Rng rng(123);
-  model::WorkloadConfig workload;
-  workload.num_slots = 15;
-  workload.task_value = mu(50);
-  double greedy_total = 0.0;
-  double random_total = 0.0;
-  double fifo_total = 0.0;
-  for (int rep = 0; rep < 20; ++rep) {
-    const model::Scenario s = model::generate_scenario(workload, rng);
-    const model::BidProfile bids = s.truthful_bids();
-    greedy_total += OnlineGreedyMechanism{}
-                        .run(s, bids)
-                        .social_welfare(s)
-                        .to_double();
-    random_total += RandomAllocationMechanism{static_cast<std::uint64_t>(rep)}
-                        .run(s, bids)
-                        .social_welfare(s)
-                        .to_double();
-    fifo_total +=
-        FifoAllocationMechanism{}.run(s, bids).social_welfare(s).to_double();
-  }
-  EXPECT_GT(greedy_total, random_total);
-  EXPECT_GT(greedy_total, fifo_total);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ TEST(BenchDiff, SelfCompareIsClean) {
   EXPECT_TRUE(report.deterministic_clean());
   EXPECT_FALSE(report.timings_regressed());
   EXPECT_FALSE(report.regression({}));
-  // All nine headline counters plus nothing else.
-  EXPECT_EQ(report.counters_compared, 9);
+  // All eight headline counters plus nothing else.
+  EXPECT_EQ(report.counters_compared, 8);
   EXPECT_EQ(report.histograms_compared, 1);
   ASSERT_EQ(report.timings.size(), 1u);
   EXPECT_EQ(report.timings[0].name, "span.allocation_us");
@@ -177,7 +177,7 @@ TEST(BenchDiff, BareTelemetryReportsDiffAsOneSection) {
   const std::string doc = export_registry(registry, "mcs_cli run");
   const BenchDiffReport report = diff_bench_telemetry(parse(doc), parse(doc));
   EXPECT_TRUE(report.deterministic_clean());
-  EXPECT_EQ(report.counters_compared, 9);
+  EXPECT_EQ(report.counters_compared, 8);
   ASSERT_EQ(report.timings.size(), 1u);
   // The single section is named after meta.tool.
   EXPECT_EQ(report.timings[0].bench, "mcs_cli run");
@@ -210,7 +210,7 @@ TEST(BenchDiff, JsonVerdictRoundTrips) {
   const auto& drifts = doc.at("counters").at("drifts").as_array();
   ASSERT_EQ(drifts.size(), 1u);
   EXPECT_EQ(drifts[0].at("name").as_string(), "matching.hungarian.iterations");
-  EXPECT_EQ(doc.at("counters").at("compared").as_int(), 9);
+  EXPECT_EQ(doc.at("counters").at("compared").as_int(), 8);
   EXPECT_EQ(doc.at("timings").as_array().size(), 1u);
 }
 

@@ -303,7 +303,12 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomGraphParam{7, 9, 30, 40},  // sparse
                       RandomGraphParam{1, 8, 10, 60},
                       RandomGraphParam{8, 1, 10, 60},
-                      RandomGraphParam{6, 6, 1, 80}));  // heavy tie pressure
+                      RandomGraphParam{6, 6, 1, 80},  // heavy tie pressure
+                      RandomGraphParam{4, 4, 25, 100},
+                      RandomGraphParam{5, 7, 25, 60},
+                      RandomGraphParam{7, 5, 25, 60},
+                      RandomGraphParam{6, 6, 3, 80},
+                      RandomGraphParam{2, 10, 50, 50}));
 
 }  // namespace
 }  // namespace mcs::matching

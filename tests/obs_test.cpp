@@ -538,7 +538,7 @@ TEST(PreregisterHeadlineCounters, StableKeySetWithHelp) {
   const MetricsSnapshot snap = registry.snapshot();
   for (const char* name :
        {"matching.hungarian.iterations", "matching.hungarian.augmenting_paths",
-        "matching.flow.augmenting_paths", "auction.critical_value.probes",
+        "auction.critical_value.probes",
         "auction.greedy.allocation_runs",
         "auction.settlement.slots_walked",
         "auction.counterfactual.probe_forks",

@@ -10,7 +10,6 @@
 #include "analysis/metrics.hpp"
 #include "analysis/rationality.hpp"
 #include "auction/batched_matching.hpp"
-#include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
 #include "auction/posted_price.hpp"
@@ -39,20 +38,18 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
     case 5:
       return std::make_unique<auction::PostedPriceMechanism>(
           Money::from_units(20));
-    case 6:
-      return std::make_unique<auction::FifoAllocationMechanism>();
-    case 7: {
+    default: {  // 7
       auction::OnlineGreedyConfig config;
       config.reserve_price = Money::from_units(30);
       config.allocate_only_profitable = true;
       return std::make_unique<auction::OnlineGreedyMechanism>(config);
     }
-    default:
-      return std::make_unique<auction::RandomAllocationMechanism>(5);
   }
 }
 
-constexpr int kMechanismCount = 9;
+// The ids the test names print. 6 and 8 are retired, so no name changes
+// the mechanism it stands for.
+constexpr int kMechanisms[] = {0, 1, 2, 3, 4, 5, 7};
 
 using Param = std::tuple<int, std::uint64_t, bool>;  // mechanism, seed, scarce-free
 
@@ -118,7 +115,7 @@ TEST_P(MechanismInvariants, UniversalOutcomeProperties) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MechanismInvariants,
-    ::testing::Combine(::testing::Range(0, kMechanismCount),
+    ::testing::Combine(::testing::ValuesIn(kMechanisms),
                        ::testing::Range<std::uint64_t>(40000, 40008),
                        ::testing::Bool()));
 

@@ -168,15 +168,22 @@ TEST(ServeSocket, ConcurrentConnectionsPartitionTheRounds) {
 
 TEST(ServeSocket, MalformedConnectionIsContained) {
   const std::vector<ServeEvent> events = load_events(small_load());
-  // One garbage connection (binary magic then junk) alongside one good one.
-  std::string garbage = "MCSB";
-  garbage += std::string(16, '\xff');
-  const SocketRun run = socket_outcomes({garbage, binary_stream(events)}, 1);
-  EXPECT_EQ(run.stats.connections, 2);
-  EXPECT_EQ(run.stats.decode_errors, 1);
-  EXPECT_EQ(run.stats.events, static_cast<std::int64_t>(events.size()));
+  // One garbage connection alongside one good one. The garbage is binary
+  // magic then junk, or a well-formed JSONL event padded past
+  // kMaxJsonlLineBytes (JSON ignores the blanks), refused at the cap.
+  std::string junk = "MCSB";
+  junk += std::string(16, '\xff');
+  const std::string overlong = std::string(kServeStreamHeader) + "\n{" +
+                               std::string(kMaxJsonlLineBytes, ' ') +
+                               R"("ev":"round_close","round":0})" + "\n";
   const std::vector<RoundOutcome> reference = reference_outcomes(events, 1);
-  expect_same_outcomes(run.outcomes, reference);
+  for (const std::string& garbage : {junk, overlong}) {
+    const SocketRun run = socket_outcomes({garbage, binary_stream(events)}, 1);
+    EXPECT_EQ(run.stats.connections, 2);
+    EXPECT_EQ(run.stats.decode_errors, 1);
+    EXPECT_EQ(run.stats.events, static_cast<std::int64_t>(events.size()));
+    expect_same_outcomes(run.outcomes, reference);
+  }
 }
 
 TEST(ServeSocket, TruncatedStreamCountsAsDecodeError) {

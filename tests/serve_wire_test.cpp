@@ -30,6 +30,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/replay.hpp"
 #include "serve/socket.hpp"
+#include "support/alloc_counter.hpp"
 #include "support/serve_event_oracle.hpp"
 
 namespace mcs::serve {
@@ -738,6 +739,36 @@ TEST(JsonlDecode, ReorderedKeysDecodeLikeTheCanonicalLine) {
   }
 }
 
+TEST(JsonlDecode, AnOverlongLineFailsAtTheCapWithoutBuffering) {
+  // A 32 MB line with no '\n', fed in 64 KiB chunks (the replay's read
+  // size) and in 1000-byte chunks (so the line is carried across chunks).
+  constexpr std::size_t kLineBytes = std::size_t{32} << 20;
+  const std::string chunk(std::size_t{1} << 16, 'x');
+  const auto sink = [](const ServeEvent&) { ADD_FAILURE() << "no event"; };
+  for (const std::size_t piece : {chunk.size(), std::size_t{1000}}) {
+    SCOPED_TRACE(piece);
+    StreamDecoder decoder;
+    std::size_t fed = 0;
+    std::uint64_t heap = 0;
+    std::string error;
+    const std::uint64_t before = test::heap_bytes();
+    try {
+      for (; fed < kLineBytes; fed += piece) {
+        decoder.feed(std::string_view(chunk).substr(0, piece), sink);
+      }
+    } catch (const InvalidArgumentError& e) {
+      heap = test::heap_bytes() - before;
+      error = e.what();
+    }
+    EXPECT_EQ(error, "line 1: longer than 4096 bytes");
+    // Refused by the chunk that crosses the cap, holding at most the cap.
+    EXPECT_LE(fed, kMaxJsonlLineBytes);
+    EXPECT_GT(fed + piece, kMaxJsonlLineBytes);
+    EXPECT_LT(heap, 3 * kMaxJsonlLineBytes);
+    EXPECT_THROW(decoder.finish(sink), InvalidArgumentError);
+  }
+}
+
 /// Fragments the JSONL mutation fuzz splices into canonical lines: JSON
 /// punctuation, escapes, literals, number tokens on both sides of the
 /// canonical reader's integer rule, and whole unknown, duplicated or
@@ -911,8 +942,12 @@ Reading by_socket(std::string_view bytes, std::mt19937_64& rng) {
   });
   server.start();
   SocketClient client = SocketClient::connect("127.0.0.1", server.port());
-  for (const std::string_view piece : random_pieces(bytes, rng)) {
-    client.send(piece);
+  try {
+    for (const std::string_view piece : random_pieces(bytes, rng)) {
+      client.send(piece);
+    }
+  } catch (const IoError&) {
+    // The server dropped the connection mid-stream; its stats say why.
   }
   client.close();
   server.drain();  // joins the reader: `reading` is complete
@@ -946,6 +981,23 @@ ReplayReading by_replay(const std::string& bytes, std::size_t batch_size) {
   return reading;
 }
 
+/// `jsonl` with its line `index` (0 is the header) widened to `bytes`
+/// bytes by blanks after its '{', which JSON ignores.
+std::string padded_line(const std::string& jsonl, std::size_t index,
+                        std::size_t bytes) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < index; ++i) begin = jsonl.find('\n', begin) + 1;
+  const std::size_t end = jsonl.find('\n', begin);
+  std::string padded = jsonl;
+  padded.insert(begin + 1, bytes - (end - begin), ' ');
+  return padded;
+}
+
+std::string without_final_newline(std::string bytes) {
+  bytes.pop_back();
+  return bytes;
+}
+
 TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
   LoadGenConfig load;
   load.rounds = 40;  // both formats span more than one 64 KiB read
@@ -977,6 +1029,13 @@ TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
       {"binary header only", header_bytes(), true, 0},
       {"empty", "", true, 0},
       {"MCSB then junk", "MCSB junk, not a version", false, 0},
+      {"jsonl with a line of exactly the cap",
+       padded_line(jsonl, 5, kMaxJsonlLineBytes), true, n},
+      {"jsonl with a line over the cap",
+       padded_line(jsonl, 5, kMaxJsonlLineBytes + 1), false, 4},
+      {"jsonl ending in a line over the cap without its newline",
+       without_final_newline(padded_line(jsonl, n, kMaxJsonlLineBytes + 1)),
+       false, n - 1},
   };
   std::mt19937_64 rng(20261019);
   for (const Row& row : table) {

@@ -90,6 +90,13 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return counted::counted_aligned(size, align);
 }
 
+// Inlined into a caller, GCC sees the replaced operator new's malloc meet
+// this free() through new/delete and warns of a mismatch; the pair is
+// matched by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -114,3 +121,6 @@ void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

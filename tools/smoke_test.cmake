@@ -269,6 +269,24 @@ foreach(admission block reject)
 endforeach()
 file(REMOVE ${NO_CLOSE})
 
+# Untrusted stream: a 32 MB line with no '\n'. It is refused at line 1 as
+# soon as it crosses the 4096-byte line cap (kMaxJsonlLineBytes), not
+# buffered to the end of the stream.
+set(LONG_LINE ${WORKDIR}/cli_smoke_long_line.jsonl)
+string(REPEAT "x" 1024 kib)
+string(REPEAT "${kib}" 32768 long_line)
+file(WRITE ${LONG_LINE} "${long_line}")
+unset(long_line)
+execute_process(COMMAND ${CLI} serve --replay ${LONG_LINE}
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "line 1: longer than 4096 bytes")
+  message(FATAL_ERROR "32 MB line without a newline (${code}):\n${out}\n${err}")
+endif()
+file(REMOVE ${LONG_LINE})
+
 # Untrusted stream: one bid from agent 2^30 - 1. A served round keeps its
 # winners sparsely and builds no outcome sized by the id, so the round
 # completes under a 4 GB address-space cap with either admission policy,
