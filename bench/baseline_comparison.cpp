@@ -1,6 +1,5 @@
-// The whole mechanism zoo side by side on the Table-I workload: the
-// paper's two designs, the untruthful per-slot second price, and the
-// truthful-but-rigid posted-price family.
+// The paper's two designs side by side with the untruthful per-slot
+// second price (Fig. 5) on the Table-I workload.
 // One table answers "what does each design property cost in welfare and
 // payments?"
 #include <iostream>
@@ -11,7 +10,6 @@
 #include "analysis/truthfulness.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
-#include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -44,13 +42,6 @@ int main(int argc, char** argv) {
   mechanisms.push_back(std::make_unique<auction::OnlineGreedyMechanism>());
   mechanisms.push_back(std::make_unique<auction::OfflineVcgMechanism>());
   mechanisms.push_back(std::make_unique<auction::SecondPriceBaseline>());
-  // Posted prices at the 25th/50th/75th percentile of the cost range.
-  mechanisms.push_back(
-      std::make_unique<auction::PostedPriceMechanism>(Money::from_units(13)));
-  mechanisms.push_back(
-      std::make_unique<auction::PostedPriceMechanism>(Money::from_units(25)));
-  mechanisms.push_back(
-      std::make_unique<auction::PostedPriceMechanism>(Money::from_units(37)));
 
   std::cout << "=== Mechanism comparison (Table-I defaults, " << reps
             << " reps) ===\n\n";
@@ -81,7 +72,6 @@ int main(int argc, char** argv) {
   std::cout
       << "\nReading the table: the paper's mechanisms combine near-optimal "
          "welfare with truthfulness; second price matches greedy welfare "
-         "but is manipulable; posted prices are truthful but either starve "
-         "tasks (low p) or overpay (high p).\n";
+         "but is manipulable.\n";
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/flight.hpp"
 #include "arena/arena.hpp"
 #include "arena/match.hpp"
 #include "arena/population.hpp"
@@ -50,8 +51,9 @@ const std::vector<std::string>& bench_mechanisms() {
 /// adaptive timing pass sees the workload's natural variance.
 void BM_ArenaCellRound(benchmark::State& state) {
   const arena::MatchConfig match = bench_match();
-  const auto mechanism = arena::make_arena_mechanism(
-      bench_mechanisms()[static_cast<std::size_t>(state.range(0))], match);
+  const auto mechanism = analysis::make_mechanism(
+      bench_mechanisms()[static_cast<std::size_t>(state.range(0))],
+      match.greedy);
   const arena::PolicyMix mix =
       arena::PolicyMix::parse("shaded=truthful:3,shade(1.5):1");
   constexpr std::int64_t kRoundCycle = 16;

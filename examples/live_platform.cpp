@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
          ++next_task) {
       const TaskId id = scenario.tasks[next_task].id;
       const Money value = scenario.value_of(id);
-      core.add_task(GreedyCore::Task{id, value, t});
+      core.add_task(GreedyCore::Task{id, value});
       say(t, "task-announced", -1, id.value(), value);
     }
     // Phones whose reported arrival is this slot join and bid.

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "auction/batched_matching.hpp"
 #include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
 #include "auction/offline_vcg.hpp"
@@ -30,25 +29,23 @@ auction::OnlineGreedyConfig online_config(const RunSpec& spec) {
 
 }  // namespace
 
-std::unique_ptr<auction::Mechanism> make_mechanism(const RunSpec& spec) {
-  if (spec.mechanism == "online") {
-    return std::make_unique<auction::OnlineGreedyMechanism>(
-        online_config(spec));
+std::unique_ptr<auction::Mechanism> make_mechanism(
+    std::string_view name, const auction::OnlineGreedyConfig& config) {
+  if (name == "online") {
+    return std::make_unique<auction::OnlineGreedyMechanism>(config);
   }
-  if (spec.mechanism == "offline") {
+  if (name == "offline") {
     return std::make_unique<auction::OfflineVcgMechanism>();
   }
-  if (spec.mechanism == "second-price") {
-    return std::make_unique<auction::SecondPriceBaseline>(online_config(spec));
+  if (name == "second-price") {
+    return std::make_unique<auction::SecondPriceBaseline>(config);
   }
-  if (spec.mechanism == "batched") {
-    return std::make_unique<auction::BatchedMatchingMechanism>(
-        auction::BatchedMatchingConfig{
-            static_cast<Slot::rep_type>(spec.batch)});
-  }
-  throw InvalidArgumentError(
-      "unknown mechanism '" + spec.mechanism +
-      "' (expected online, offline, second-price, or batched)");
+  throw InvalidArgumentError("unknown mechanism '" + std::string(name) +
+                             "' (known: online, offline, second-price)");
+}
+
+std::unique_ptr<auction::Mechanism> make_mechanism(const RunSpec& spec) {
+  return make_mechanism(spec.mechanism, online_config(spec));
 }
 
 // --------------------------------------------------------- encodings
@@ -117,7 +114,6 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
     started.with("mechanism", spec.mechanism)
         .with("reserve", spec.reserve)
         .with("profitable_only", spec.profitable_only)
-        .with("batch", spec.batch)
         .with("phones", static_cast<std::int64_t>(scenario.phone_count()))
         .with("tasks", static_cast<std::int64_t>(scenario.task_count()))
         .with("slots", static_cast<std::int64_t>(scenario.num_slots))
@@ -202,11 +198,12 @@ ReplayReport replay_run(std::istream& events_jsonl) {
         "--events-out)");
   }
 
+  // Older recordings also carry a "batch" member (the batch size of a
+  // since-removed mechanism); it is ignored.
   RunSpec spec;
   spec.mechanism = started->at("mechanism").as_string();
   spec.reserve = started->at("reserve").as_number();
   spec.profitable_only = started->at("profitable_only").as_bool();
-  spec.batch = started->at("batch").as_int();
 
   std::istringstream scenario_text(started->at("scenario").as_string());
   const model::Scenario scenario = model::read_scenario(scenario_text);

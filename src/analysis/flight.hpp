@@ -22,8 +22,10 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "auction/mechanism.hpp"
+#include "auction/online_greedy.hpp"
 #include "model/scenario.hpp"
 #include "obs/event_log.hpp"
 
@@ -33,14 +35,19 @@ namespace mcs::analysis {
 /// a Mechanism*) is what travels inside run_started records, so a replay
 /// can reconstruct the exact configuration.
 struct RunSpec {
-  std::string mechanism = "online";  ///< online|offline|second-price|batched
+  std::string mechanism = "online";  ///< online|offline|second-price
   double reserve = 0.0;              ///< online reserve price (0 = none)
   bool profitable_only = false;      ///< skip bids above the task value
-  std::int64_t batch = 5;            ///< batch size for "batched"
 };
 
-/// Builds the mechanism a RunSpec names; throws InvalidArgumentError on an
-/// unknown name.
+/// Builds the named mechanism -- online, offline or second-price, the
+/// greedy ones under `config` -- for the CLI, replays and the arena. Throws
+/// InvalidArgumentError on any other name (a recording whose run_started
+/// names one, too).
+[[nodiscard]] std::unique_ptr<auction::Mechanism> make_mechanism(
+    std::string_view name, const auction::OnlineGreedyConfig& config);
+
+/// The mechanism a RunSpec names.
 [[nodiscard]] std::unique_ptr<auction::Mechanism> make_mechanism(
     const RunSpec& spec);
 

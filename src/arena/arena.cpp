@@ -1,102 +1,17 @@
 #include "arena/arena.hpp"
 
 #include <atomic>
-#include <charconv>
-#include <cmath>
+#include <memory>
 #include <optional>
 #include <thread>
 
-#include "auction/offline_vcg.hpp"
-#include "auction/posted_price.hpp"
-#include "auction/second_price.hpp"
+#include "analysis/flight.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mcs::arena {
-
-namespace {
-
-/// "name(arg)" splitter mirroring policy parsing (kept local: mechanism
-/// specs and policy specs are separate vocabularies).
-struct MechSpec {
-  std::string_view head;
-  std::string_view arg;
-  bool has_arg{false};
-};
-
-MechSpec split_mech(std::string_view spec) {
-  MechSpec parts;
-  const std::size_t open = spec.find('(');
-  if (open == std::string_view::npos) {
-    parts.head = spec;
-    return parts;
-  }
-  if (spec.back() != ')') {
-    throw InvalidArgumentError("mechanism spec has '(' without ')': " +
-                               std::string(spec));
-  }
-  parts.head = spec.substr(0, open);
-  parts.arg = spec.substr(open + 1, spec.size() - open - 2);
-  parts.has_arg = true;
-  return parts;
-}
-
-}  // namespace
-
-std::unique_ptr<auction::Mechanism> make_arena_mechanism(
-    std::string_view spec, const MatchConfig& match) {
-  const MechSpec parts = split_mech(spec);
-  const auto require_arg = [&](bool want) {
-    if (parts.has_arg != want) {
-      throw InvalidArgumentError(
-          want ? "mechanism spec needs a parameter: " + std::string(spec)
-               : "mechanism spec takes no parameter: " + std::string(spec));
-    }
-  };
-  if (parts.head == "online") {
-    require_arg(false);
-    return std::make_unique<auction::OnlineGreedyMechanism>(match.greedy);
-  }
-  if (parts.head == "offline") {
-    require_arg(false);
-    return std::make_unique<auction::OfflineVcgMechanism>();
-  }
-  if (parts.head == "second-price") {
-    require_arg(false);
-    return std::make_unique<auction::SecondPriceBaseline>(match.greedy);
-  }
-  if (parts.head == "posted") {
-    require_arg(true);
-    double price{};
-    const auto* end = parts.arg.data() + parts.arg.size();
-    const auto [ptr, ec] = std::from_chars(parts.arg.data(), end, price);
-    if (ec != std::errc{} || ptr != end || !(price >= 0.0) ||
-        !std::isfinite(price)) {
-      throw InvalidArgumentError("posted price must be a finite number >= 0: " +
-                                 std::string(spec));
-    }
-    return std::make_unique<auction::PostedPriceMechanism>(
-        Money::from_double(price));
-  }
-  if (parts.head == "patience") {
-    require_arg(true);
-    Slot::rep_type patience{};
-    const auto* end = parts.arg.data() + parts.arg.size();
-    const auto [ptr, ec] = std::from_chars(parts.arg.data(), end, patience);
-    if (ec != std::errc{} || ptr != end || patience < 0) {
-      throw InvalidArgumentError(
-          "patience must be a nonnegative slot count: " + std::string(spec));
-    }
-    auction::OnlineGreedyConfig config = match.greedy;
-    config.patience = patience;
-    return std::make_unique<auction::OnlineGreedyMechanism>(config);
-  }
-  throw InvalidArgumentError(
-      "unknown mechanism '" + std::string(spec) +
-      "' (known: online, offline, second-price, posted(P), patience(K))");
-}
 
 ArenaResult run_arena(const ArenaConfig& config) {
   MCS_EXPECTS(config.rounds > 0, "arena needs at least one round");
@@ -110,7 +25,7 @@ ArenaResult run_arena(const ArenaConfig& config) {
   std::vector<std::unique_ptr<auction::Mechanism>> mechanisms;
   mechanisms.reserve(config.mechanisms.size());
   for (const std::string& spec : config.mechanisms) {
-    mechanisms.push_back(make_arena_mechanism(spec, config.match));
+    mechanisms.push_back(analysis::make_mechanism(spec, config.match.greedy));
   }
   std::vector<PolicyMix> mixes;
   mixes.reserve(config.mixes.size());

@@ -16,9 +16,7 @@
 //    the join (counter merges are sums, which commute).
 #pragma once
 
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "arena/match.hpp"
@@ -32,7 +30,8 @@ struct ArenaConfig {
   /// Worker threads for the (cell, round) fan-out; 0 = hardware
   /// concurrency, 1 = serial. Any value yields identical results.
   int threads{1};
-  /// Mechanism specs (see make_arena_mechanism).
+  /// Mechanism names (see analysis::make_mechanism), run under
+  /// match.greedy.
   std::vector<std::string> mechanisms;
   /// Policy-mix specs (see PolicyMix::parse).
   std::vector<std::string> mixes;
@@ -46,17 +45,6 @@ struct ArenaResult {
   Money vcg_reference_payment;  ///< offline VCG on truthful bids, all rounds
   std::vector<CellResult> cells;  ///< grid order: mechanisms x mixes
 };
-
-/// Builds the mechanism an arena spec names:
-///   online           Algorithm 1 + 2 (config.match.greedy)
-///   offline          offline VCG
-///   second-price     the per-slot second-price baseline (not truthful)
-///   posted(P)        posted price P (money units)
-///   patience(K)      online with task patience K (config.match.greedy's
-///                    reserve and scarcity policy; patience(0) is online)
-/// Throws InvalidArgumentError on an unknown spec.
-[[nodiscard]] std::unique_ptr<auction::Mechanism> make_arena_mechanism(
-    std::string_view spec, const MatchConfig& match);
 
 /// Runs the full grid. Throws InvalidArgumentError on empty grids or bad
 /// specs; validates the workload up front.

@@ -32,9 +32,6 @@ CounterfactualEngine::CounterfactualEngine(const model::Scenario& scenario,
                   bids_.size() == scenario_.phones.size(),
               "counterfactual engine: allocation and bids must match the "
               "scenario");
-  // A fork seeds the pool at a~_i but not the tasks still pending there.
-  MCS_EXPECTS(config_.patience == 0,
-              "counterfactual engine: probes do not support task patience");
   obs::count("auction.counterfactual.engine_builds");
   win_slot_.assign(bids_.size(), 0);
   for (const model::Task& task : scenario_.tasks) {
@@ -101,8 +98,7 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
       (void)core.admit(*arrival, bids_[static_cast<std::size_t>(*arrival)]);
     }
     for (; task != scenario_.tasks.end() && task->slot.value() == t; ++task) {
-      core.add_task(
-          GreedyCore::Task{task->id, scenario_.value_of(task->id), t});
+      core.add_task(GreedyCore::Task{task->id, scenario_.value_of(task->id)});
     }
     (void)core.step();
     if (core.entry(probed).win_slot != 0) {

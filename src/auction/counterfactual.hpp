@@ -41,7 +41,6 @@ class CounterfactualEngine {
   /// bids by arrival; runs no allocation. Probes are exact only if
   /// `factual` is the allocation Algorithm 1 made of (scenario, bids)
   /// under `config` (a caller without one runs run_greedy_allocation).
-  /// Requires config.patience == 0: a fork does not seed pending tasks.
   CounterfactualEngine(const model::Scenario& scenario,
                        const model::BidProfile& bids,
                        const OnlineGreedyConfig& config,

@@ -37,23 +37,17 @@ bool later(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
   return b.key < a.key;
 }
 
-/// The one service order: earliest deadline, then highest value, then
-/// arrival (task ids increase in arrival order).
+/// The one service order: highest value, then arrival (task ids increase
+/// in arrival order).
 bool serves_before(const GreedyCore::Task& a, const GreedyCore::Task& b) {
-  if (a.deadline != b.deadline) return a.deadline < b.deadline;
   if (a.value != b.value) return a.value > b.value;
   return a.id < b.id;
 }
 
 }  // namespace
 
-GreedyCore::GreedyCore(OnlineGreedyConfig config) : config_(config) {
-  validate_config(config_);
-}
-
 void GreedyCore::restart(const OnlineGreedyConfig& config,
                          Slot::rep_type first_slot) {
-  validate_config(config);
   config_ = config;
   first_slot_ = first_slot;
   current_slot_ = first_slot;
@@ -127,12 +121,6 @@ void GreedyCore::enlist_departure(Handle handle, Slot::rep_type slot) {
   list.tail = handle;
 }
 
-void GreedyCore::add_task(const Task& task) {
-  MCS_EXPECTS(task.deadline >= current_slot_,
-              "a task's deadline must not precede its arrival");
-  tasks_.push_back(task);
-}
-
 void GreedyCore::drop_departed_front() {
   while (!heap_.empty() && !entry(heap_.front().handle).pooled) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
@@ -143,10 +131,9 @@ void GreedyCore::drop_departed_front() {
 
 const GreedyCore::Step& GreedyCore::step() {
   const Slot::rep_type t = current_slot_;
-  // Serve the most urgent tasks first and, with the weighted-query
-  // extension, high-value ones before others due as soon, so a dry pool
-  // starves only the least valuable ones. With uniform nu and no patience
-  // this is plain arrival order, and the sort is skipped.
+  // With the weighted-query extension, serve high-value tasks first, so a
+  // dry pool starves only the least valuable ones. With uniform nu this is
+  // plain arrival order, and the sort is skipped.
   if (!std::is_sorted(tasks_.begin(), tasks_.end(), serves_before)) {
     std::sort(tasks_.begin(), tasks_.end(), serves_before);
   }
@@ -180,13 +167,10 @@ const GreedyCore::Step& GreedyCore::step() {
   step_.departing.clear();
 
   SlotLog log;
-  // Unserved tasks that wait for a later slot, compacted to the front.
-  std::size_t waiting = 0;
-  for (std::size_t k = 0; k < tasks_.size(); ++k) {
-    const Task task = tasks_[k];
+  for (const Task& task : tasks_) {
     // Served tasks form a prefix of the service order: once the pool is
-    // dry, or (without patience) its cheapest bid exceeds a task's value,
-    // the same holds for every later (no more valuable) task.
+    // dry, or its cheapest bid exceeds a task's value, the same holds for
+    // every later (no more valuable) task.
     drop_departed_front();
     if (live_ > 0 &&
         (!config_.allocate_only_profitable ||
@@ -201,11 +185,7 @@ const GreedyCore::Step& GreedyCore::step() {
       winners_.push_back(winner);
       step_.assignments.push_back(Assignment{task, winner});
       log.dearest = winner;
-      log.last_served = task;
-      continue;
-    }
-    if (task.deadline > t) {
-      tasks_[waiting++] = task;
+      log.last_value = task.value;
       continue;
     }
     step_.unserved.push_back(task);
@@ -218,7 +198,7 @@ const GreedyCore::Step& GreedyCore::step() {
   log.runner_up = step_.runner_up;
   step_.pool_left = live_;
   slots_.push_back(log);
-  tasks_.resize(waiting);
+  tasks_.clear();
   log_step();
 
   // A bid reporting window [a~, d~] leaves the pool after slot d~. Its heap
@@ -327,12 +307,9 @@ Settlement GreedyCore::settle(Handle winner) const {
   Settlement settlement;
   settlement.slots_walked = last - first + 1;
   settlement.payment = own.bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
-  // How the counterfactual differs: its pool lacks bid x (`missing`), or
-  // it holds one extra pending task y (`extra`, while `has_extra`);
-  // neither once the two runs agree (`missing` is then -1).
+  // The counterfactual's pool lacks bid x (`missing`) until the two runs
+  // agree (`missing` is then -1).
   Handle missing = winner;
-  Task extra{};
-  bool has_extra = false;
   for (Slot::rep_type t = first; t <= last; ++t) {
     const SlotLog& log = slots_[static_cast<std::size_t>(t - first_slot_)];
     std::optional<Money> scarce_cap = log.scarce_cap;
@@ -341,38 +318,20 @@ Settlement GreedyCore::settle(Handle winner) const {
       // The missing bid won here, so its task goes to the runner-up.
       const std::optional<Handle> runner_up = log.runner_up;
       if (runner_up && (!config_.allocate_only_profitable ||
-                        cost_of(*runner_up) <= log.last_served.value)) {
+                        cost_of(*runner_up) <= log.last_value)) {
         dearest = runner_up;
         missing = *runner_up;
       } else {
         // Nobody may take the freed task: the slot serves one task fewer,
-        // the last-served one stays pending, and the pools agree from
-        // here on. The counterfactual dearest is the dearest winner other
-        // than x; the factual one stands in, because when that is x itself
-        // its cost is already in the payment (x is the winner, or set an
-        // earlier slot's dearest).
-        extra = log.last_served;
-        has_extra = true;
+        // the last-served one goes unserved (i's critical value for it is
+        // unbounded), and the pools agree from here on. The counterfactual
+        // dearest is the dearest winner other than x; the factual one
+        // stands in, because when that is x itself its cost is already in
+        // the payment (x is the winner, or set an earlier slot's dearest).
+        scarce_cap = std::max(scarce_cap.value_or(Money{}),
+                              scarce_cap_for(log.last_value, config_));
         missing = -1;
       }
-    } else if (has_extra) {
-      if (log.runner_up) {
-        // The slot served all its pending tasks: the runner-up serves y
-        // too, and the counterfactual pool lacks it from here on.
-        dearest = log.runner_up;
-        missing = *log.runner_up;
-        has_extra = false;
-      } else if (log.dearest && serves_before(extra, log.last_served)) {
-        // The same winners serve y ahead of the last-served task, which
-        // stays pending instead.
-        extra = log.last_served;
-      }
-    }
-    if (has_extra && extra.deadline <= t) {
-      // y expires unserved: i's critical value for it is unbounded.
-      scarce_cap = std::max(scarce_cap.value_or(Money{}),
-                            scarce_cap_for(extra.value, config_));
-      has_extra = false;
     }
     if (scarce_cap) {
       settlement.scarce = true;

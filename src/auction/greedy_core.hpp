@@ -20,37 +20,26 @@
 // sweeping a slot's departures are O(1) for windows shorter than the ring;
 // memory grows with admitted bids, never with a slot's value.
 //
-// Every task carries a deadline, and each slot serves its pending tasks in
-// one order: earliest deadline first (EDF), then highest value, then
-// arrival. A task left unserved waits for a later slot until its deadline
-// and expires there. Without patience every deadline is the arrival slot,
-// so the order is the paper's (highest value first, which with uniform nu
-// is arrival order) and no task outlives its slot.
+// Every task is served in the slot it arrives in or not at all (the
+// paper's model). Each slot serves its tasks in one order: highest value
+// first, then arrival; with uniform nu that is arrival order.
 // Each step records what settlement needs from the slot:
 // its dearest winner (winners come out cheapest first), the runner-up
-// (the cheapest bid left after allocation), the last served task (its
-// order key and value), and the largest scarcity cap among the tasks that
-// expired in it.
+// (the cheapest bid left after allocation), the value of the last served
+// task, and the largest scarcity cap among the tasks left unserved in it.
 //
 // Settlement (Algorithm 2) prices winner i at the dearest winning cost
 // over [t'_i, d~_i] of the run without B_i. That counterfactual never has
-// to be replayed. Invariant: at every slot start the counterfactual
-// differs from the factual run in at most one way. Either its pool lacks
-// one bid x (x starts as i), or it holds one extra pending task y.
+// to be replayed. Invariant: at every slot start the counterfactual either
+// agrees with the factual run or its pool lacks exactly one bid x (x
+// starts as i).
 //  * x wins the slot: the runner-up takes x's place, sets the slot's
 //    dearest cost, and becomes the new x. If no runner-up may serve the
-//    freed task, the slot serves one task fewer: its last-served task
-//    becomes y, the pools agree, and the slot's dearest is the dearest
-//    winner other than x.
-//  * State y, the slot has a runner-up: the runner-up serves y, sets the
-//    slot's dearest cost, and becomes x.
-//  * State y, no runner-up: the slot's winners serve the first of y and
-//    its last-served task in EDF order, and the other one becomes y.
-//  * y reaches its deadline: it expires and contributes its scarcity cap,
-//    and the two runs agree from then on.
-// Every other slot reads as recorded. Without patience y always expires in
-// the slot that created it. One payment is therefore O(d~_i - t'_i) slot
-// reads, with no pool copy and no replay.
+//    freed task, the slot serves one task fewer: its last-served task goes
+//    unserved and contributes its scarcity cap, the pools agree from then
+//    on, and the slot's dearest is the dearest winner other than x.
+// Every other slot reads as recorded. One payment is therefore
+// O(d~_i - t'_i) slot reads, with no pool copy and no replay.
 //
 // The batch run_greedy_allocation / OnlineGreedyMechanism, the serve
 // RoundMachine (one served round, slot_tick by slot_tick, paying each
@@ -139,11 +128,10 @@ class GreedyCore {
     Handle next_departing{-1};
   };
 
-  /// A task, serviceable from the slot it is added in through `deadline`.
+  /// A task, serviceable only in the slot it is added in.
   struct Task {
     TaskId id;
     Money value;
-    Slot::rep_type deadline;
   };
 
   struct Assignment {
@@ -154,12 +142,12 @@ class GreedyCore {
   /// What one step() did.
   struct Step {
     Slot::rep_type slot{0};
-    /// Served tasks with their winners, in service order (earliest
-    /// deadline, then highest value; the winners come out cheapest first).
+    /// Served tasks with their winners, in service order (highest value,
+    /// then arrival; the winners come out cheapest first).
     std::vector<Assignment> assignments;
-    /// Tasks that expired unserved this slot, in service order: the pool
-    /// ran dry or, under allocate_only_profitable, its cheapest bid exceeds
-    /// their value. An unserved task before its deadline waits instead.
+    /// Tasks left unserved this slot, in service order: the pool ran dry
+    /// or, under allocate_only_profitable, its cheapest bid exceeds their
+    /// value.
     std::vector<Task> unserved;
     /// Cheapest bid left in the pool after allocation.
     std::optional<Handle> runner_up;
@@ -170,15 +158,14 @@ class GreedyCore {
     std::vector<Handle> departing;
   };
 
-  /// Validates `config` (validate_config).
-  explicit GreedyCore(OnlineGreedyConfig config = {});
+  explicit GreedyCore(OnlineGreedyConfig config = {}) : config_(config) {}
 
   /// Slots the departure calendar's ring covers (see the file comment); a
   /// power of two.
   static constexpr Slot::rep_type kCalendarSlots = 64;
 
   /// Empties the core (keeping its buffers) and starts it at `first_slot`
-  /// under `config` (validated): the next step() allocates that slot.
+  /// under `config`: the next step() allocates that slot.
   void restart(const OnlineGreedyConfig& config, Slot::rep_type first_slot);
 
   /// Heap bytes the core's buffers hold; restart() keeps them.
@@ -201,18 +188,17 @@ class GreedyCore {
   /// caller's check: the pool heap does not look for duplicates).
   Handle admit(int id, const model::Bid& bid);
 
-  /// Queues a task arriving in the current slot; its deadline must not
-  /// precede the slot. Task ids must increase in arrival order (every
-  /// caller's convention): they break the service order's last ties.
-  void add_task(const Task& task);
+  /// Queues a task arriving in the current slot. Task ids must increase in
+  /// arrival order (every caller's convention): they break the service
+  /// order's ties.
+  void add_task(const Task& task) { tasks_.push_back(task); }
 
-  /// Algorithm 1 for the current slot: serves the pending tasks (earliest
-  /// deadline, then highest value, then arrival) from the cheapest pooled
-  /// bids, expires the unserved ones whose deadline is this slot, records
-  /// the slot for settlement, sweeps the slot's departures, and moves to
-  /// the next slot. Emits the slot's slot_pool, task_assigned and
-  /// task_unserved events. The returned reference stays valid until the
-  /// next step().
+  /// Algorithm 1 for the current slot: serves the slot's tasks (highest
+  /// value, then arrival) from the cheapest pooled bids, leaves the rest
+  /// unserved, records the slot for settlement, sweeps the slot's
+  /// departures, and moves to the next slot. Emits the slot's slot_pool,
+  /// task_assigned and task_unserved events. The returned reference stays
+  /// valid until the next step().
   const Step& step();
 
   /// The per-slot record of a step: its winners' ids, unserved task ids
@@ -238,8 +224,8 @@ class GreedyCore {
   struct SlotLog {
     std::optional<Handle> dearest;  ///< last (highest-cost) winner
     std::optional<Handle> runner_up;
-    Task last_served{};  ///< the task `dearest` served, when it is set
-    std::optional<Money> scarce_cap;  ///< of the tasks that expired here
+    Money last_value;  ///< of the task `dearest` served, when it is set
+    std::optional<Money> scarce_cap;  ///< of the tasks left unserved here
   };
 
   /// The task_assigned / task_unserved records of the last step.
@@ -277,7 +263,7 @@ class GreedyCore {
   std::vector<Pooled> heap_;
   std::size_t live_{0};
   std::size_t stale_{0};
-  std::vector<Task> tasks_;  ///< pending: unserved, deadline not passed
+  std::vector<Task> tasks_;  ///< the current slot's, until step()
   /// Departure calendar: slot t's list is calendar_[t % kCalendarSlots].
   std::array<DepartureList, kCalendarSlots> calendar_;
   /// Min-heap of (reported departure, handle) of the bids whose departure

@@ -21,8 +21,7 @@ class Mechanism {
   virtual ~Mechanism() = default;
 
   /// Runs allocation + payments on the submitted bids. Implementations must
-  /// be deterministic functions of (scenario, bids) unless documented
-  /// otherwise (the random baseline takes an explicit seed).
+  /// be deterministic functions of (scenario, bids).
   [[nodiscard]] virtual Outcome run(const model::Scenario& scenario,
                                     const model::BidProfile& bids) const = 0;
 

@@ -1,6 +1,5 @@
 #include "auction/offline_vcg.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -12,19 +11,15 @@
 namespace mcs::auction {
 
 matching::WeightMatrix OfflineVcgMechanism::build_graph(
-    const model::Scenario& scenario, const model::BidProfile& bids,
-    Slot::rep_type patience) {
-  MCS_EXPECTS(patience >= 0, "patience must be >= 0");
+    const model::Scenario& scenario, const model::BidProfile& bids) {
   model::validate_bids(scenario, bids);
   matching::WeightMatrix graph(scenario.task_count(), scenario.phone_count());
   for (int t = 0; t < scenario.task_count(); ++t) {
     const Slot slot = scenario.tasks[static_cast<std::size_t>(t)].slot;
-    const Slot deadline{
-        slot.value() + std::min(patience, scenario.num_slots - slot.value())};
     const Money value = scenario.value_of(TaskId{t});
     for (int i = 0; i < scenario.phone_count(); ++i) {
       const model::Bid& bid = bids[static_cast<std::size_t>(i)];
-      if (bid.window.begin() <= deadline && slot <= bid.window.end()) {
+      if (bid.window.contains(slot)) {
         graph.set(t, i, value - bid.claimed_cost);
       }
     }
@@ -34,14 +29,7 @@ matching::WeightMatrix OfflineVcgMechanism::build_graph(
 
 Money OfflineVcgMechanism::optimal_claimed_welfare(
     const model::Scenario& scenario, const model::BidProfile& bids) {
-  return optimal_patience_welfare(scenario, bids, 0);
-}
-
-Money optimal_patience_welfare(const model::Scenario& scenario,
-                               const model::BidProfile& bids,
-                               Slot::rep_type patience) {
-  matching::MaxWeightMatcher matcher(
-      OfflineVcgMechanism::build_graph(scenario, bids, patience));
+  matching::MaxWeightMatcher matcher(build_graph(scenario, bids));
   return matcher.total_weight();
 }
 

@@ -31,25 +31,14 @@ class OfflineVcgMechanism final : public Mechanism {
   /// The Section IV-B graph construction, exposed for tests (the Fig. 3
   /// example asserts the exact edge set): rows are tasks in scenario order,
   /// columns are phones, edge weight nu - b_i iff the reported window of
-  /// phone i meets the task's service window [slot, min(slot + patience,
-  /// m)] -- the task's slot itself without patience.
+  /// phone i holds the task's slot.
   [[nodiscard]] static matching::WeightMatrix build_graph(
-      const model::Scenario& scenario, const model::BidProfile& bids,
-      Slot::rep_type patience = 0);
+      const model::Scenario& scenario, const model::BidProfile& bids);
 
   /// Optimal claimed welfare omega*(B) of the instance -- the offline
   /// benchmark value used by the competitive-ratio analysis (Theorem 6).
   [[nodiscard]] static Money optimal_claimed_welfare(
       const model::Scenario& scenario, const model::BidProfile& bids);
 };
-
-/// The offline optimum under task patience: maximum-weight matching over
-/// build_graph(scenario, bids, patience). The paper's offline graph is the
-/// P = 0 case. (One phone still serves at most one task, and tasks in the
-/// same slot need distinct phones only -- the paper's model imposes no
-/// per-slot capacity -- so matching remains the exact formulation.)
-[[nodiscard]] Money optimal_patience_welfare(const model::Scenario& scenario,
-                                             const model::BidProfile& bids,
-                                             Slot::rep_type patience);
 
 }  // namespace mcs::auction

@@ -1,25 +1,11 @@
 #include "auction/online_greedy.hpp"
 
-#include <algorithm>
-#include <string>
-
 #include "auction/greedy_core.hpp"
 #include "common/assert.hpp"
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mcs::auction {
-
-void validate_config(const OnlineGreedyConfig& config) {
-  if (config.patience < 0) {
-    throw InvalidArgumentError("task patience must be >= 0");
-  }
-  if (config.patience > 0 && config.allocate_only_profitable) {
-    throw InvalidArgumentError(
-        "task patience does not combine with allocate_only_profitable");
-  }
-}
 
 namespace {
 
@@ -56,7 +42,6 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
   }
 
   const std::vector<int> tasks_per_slot = scenario.tasks_per_slot();
-  const Slot::rep_type patience = core.config().patience;
   // Tasks of each slot in id order (dense ids sorted by slot make this a
   // simple running cursor).
   std::size_t next_task = 0;
@@ -74,23 +59,19 @@ GreedyRun allocate_on(GreedyCore& core, const model::Scenario& scenario,
     }
 
     // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
-    // A task may wait `patience` slots, but not past the round.
     const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
-    const Slot::rep_type deadline =
-        t + std::min(patience, scenario.num_slots - t);
     for (int k = 0; k < r_t; ++k) {
       const TaskId task{static_cast<int>(next_task + static_cast<std::size_t>(k))};
       MCS_ASSERT(scenario.tasks[static_cast<std::size_t>(task.value())].slot ==
                      Slot{t},
                  "task cursor out of sync with slot");
-      core.add_task(GreedyCore::Task{task, scenario.value_of(task), deadline});
+      core.add_task(GreedyCore::Task{task, scenario.value_of(task)});
     }
     next_task += static_cast<std::size_t>(r_t);
     const GreedyCore::Step& step = core.step();
     GreedySlotRecord record = core.slot_record(step);
     for (std::size_t k = 0; k < record.winners.size(); ++k) {
-      run.allocation.assign(step.assignments[k].task.id, record.winners[k],
-                            Slot{t});
+      run.allocation.assign(step.assignments[k].task.id, record.winners[k]);
     }
     tasks_assigned += static_cast<std::int64_t>(record.winners.size());
     tasks_unserved += static_cast<std::int64_t>(record.unserved.size());
@@ -119,16 +100,6 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
                                 const OnlineGreedyConfig& config) {
   GreedyCore core(config);
   return allocate_on(core, scenario, bids);
-}
-
-OnlineGreedyMechanism::OnlineGreedyMechanism(OnlineGreedyConfig config)
-    : config_(config) {
-  validate_config(config_);
-}
-
-std::string OnlineGreedyMechanism::name() const {
-  if (config_.patience == 0) return "online-greedy";
-  return "patience-greedy(P=" + std::to_string(config_.patience) + ')';
 }
 
 Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,

@@ -20,13 +20,6 @@
 //    value nu (kCapAtValue) or falls back to b_i (kOwnBid).
 //  * profitability: Algorithm 1 as printed allocates even when b_i > nu;
 //    allocate_only_profitable = true skips such bids.
-//
-// Task patience is an extension the paper does not cover: a task may wait
-// `patience` extra slots for a phone, as when sensing tasks are scheduled
-// over time. Each slot then serves its pending tasks earliest deadline
-// first, and a task expires unserved at its deadline. Algorithm 2 carries
-// over unchanged: a task *expiring* without i in [t'_i, d~_i] is the
-// scarcity case. Patience 0 is the paper's mechanism.
 #pragma once
 
 #include <optional>
@@ -56,16 +49,7 @@ struct OnlineGreedyConfig {
     kOwnBid,      ///< pay only the claimed cost for such slots
   };
   ScarcePayment scarce_payment = ScarcePayment::kCapAtValue;
-
-  /// Extra slots a task stays serviceable after its arrival: it may be
-  /// served through min(arrival + patience, m). 0 = the paper's model.
-  /// Does not combine with allocate_only_profitable.
-  Slot::rep_type patience = 0;
 };
-
-/// Throws InvalidArgumentError for a config no greedy run can honour: a
-/// negative patience, or patience with allocate_only_profitable.
-void validate_config(const OnlineGreedyConfig& config);
 
 /// Per-slot record of one greedy run (the second-price baseline, the econ
 /// plane's served capture, tests and examples), built by
@@ -76,10 +60,9 @@ struct GreedySlotRecord {
   Slot slot{0};
   /// Winners this slot in allocation order (cheapest first).
   std::vector<PhoneId> winners;
-  /// Tasks that expired unserved this slot, at their deadline (pool ran
-  /// dry, or -- under allocate_only_profitable -- no remaining bid at or
-  /// below the task's value). Without patience that is the tasks' arrival
-  /// slot; with weighted tasks the highest-value tasks are served first,
+  /// Tasks of this slot left unserved (pool ran dry, or -- under
+  /// allocate_only_profitable -- no remaining bid at or below the task's
+  /// value). With weighted tasks the highest-value tasks are served first,
   /// so the unserved ones are the least valuable of the slot.
   std::vector<TaskId> unserved;
   /// The cheapest bid left in the pool after allocation (the best losing
@@ -115,14 +98,12 @@ struct GreedyRun {
 class OnlineGreedyMechanism final : public Mechanism {
  public:
   OnlineGreedyMechanism() = default;
-  /// Validates `config` (validate_config).
-  explicit OnlineGreedyMechanism(OnlineGreedyConfig config);
+  explicit OnlineGreedyMechanism(OnlineGreedyConfig config) : config_(config) {}
 
   [[nodiscard]] Outcome run(const model::Scenario& scenario,
                             const model::BidProfile& bids) const override;
 
-  /// "online-greedy", or "patience-greedy(P=K)" under patience K > 0.
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const override { return "online-greedy"; }
 
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
 

@@ -1,5 +1,6 @@
 #include "model/scenario_io.hpp"
 
+#include <array>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -17,6 +18,28 @@ constexpr const char* kHeader = "mcs-scenario v1";
   std::ostringstream os;
   os << "scenario parse error at line " << line_number << ": " << message;
   throw InvalidScenarioError(os.str());
+}
+
+/// std::getline, except that a line longer than kMaxScenarioLineBytes is a
+/// parse error raised once the cap is crossed, not after the whole line is
+/// buffered.
+bool read_line(std::istream& is, std::string& line, int line_number) {
+  std::array<char, kMaxScenarioLineBytes + 1> buffer;
+  is.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+  const auto extracted = static_cast<std::size_t>(is.gcount());
+  if (is.fail() && !is.eof()) {
+    // getline stops short of the delimiter only when the buffer is full.
+    if (extracted == kMaxScenarioLineBytes) {
+      parse_error(line_number, "longer than " +
+                                   std::to_string(kMaxScenarioLineBytes) +
+                                   " bytes");
+    }
+    return false;
+  }
+  if (extracted == 0) return false;  // end of input
+  // The count includes the '\n' getline consumed, unless input ended first.
+  line.assign(buffer.data(), is.eof() ? extracted : extracted - 1);
+  return true;
 }
 
 /// Splits on whitespace, dropping everything after a '#'.
@@ -83,7 +106,7 @@ Scenario read_scenario(std::istream& is) {
   std::string line;
   int line_number = 0;
 
-  while (std::getline(is, line)) {
+  while (read_line(is, line, line_number + 1)) {
     ++line_number;
     const std::vector<std::string> tokens = tokenize(line);
     if (tokens.empty()) continue;

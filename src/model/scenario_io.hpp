@@ -14,15 +14,21 @@
 //
 // Money fields use the Money::to_string decimal format. Reading validates
 // the result (Scenario::validate), so a loaded scenario carries the same
-// guarantees as a built one; parse errors report the offending line.
+// guarantees as a built one; parse errors report the offending line. A line
+// longer than kMaxScenarioLineBytes is refused before more of it is buffered.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "model/scenario.hpp"
 
 namespace mcs::model {
+
+/// Longest scenario line read_scenario accepts, without its '\n'. The
+/// writer's longest line is under 100 bytes.
+inline constexpr std::size_t kMaxScenarioLineBytes = 4096;
 
 /// Writes the scenario in the format above (deterministic output:
 /// phones in id order, then tasks in id order).

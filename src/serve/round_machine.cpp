@@ -24,8 +24,6 @@ RoundMachine::RoundMachine(const ServeEvent& open,
                            auction::OnlineGreedyConfig config, bool capture)
     : core_(config), capture_(capture) {
   reset(open);
-  MCS_EXPECTS(config.patience == 0,
-              "a served round serves tasks in their arrival slot");
 }
 
 void RoundMachine::reset(const ServeEvent& open) {
@@ -94,8 +92,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
         stream_error(round_, "task value out of range");
       }
       core_.add_task(auction::GreedyCore::Task{
-          event.task, event.task_value.value_or(round_value_),
-          core_.current_slot()});
+          event.task, event.task_value.value_or(round_value_)});
       ++totals_.tasks_announced;
       if (capture_) {
         captured_tasks_.push_back(

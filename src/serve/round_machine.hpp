@@ -35,8 +35,7 @@
 // (admitted or not), task ids must be dense, and values must lie in the
 // batch Scenario's domain (nu >= 0, a task's own value in
 // [0, Money::max())). Violations throw InvalidArgumentError; the engine
-// surfaces them as stream errors. A config with task patience is a
-// ContractViolation: the wire format carries no task deadline.
+// surfaces them as stream errors.
 #pragma once
 
 #include <cstdint>

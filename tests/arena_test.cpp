@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "analysis/flight.hpp"
 #include "arena/leaderboard.hpp"
 #include "arena/match.hpp"
 #include "arena/policy.hpp"
@@ -264,50 +265,45 @@ TEST(Arena, RejectsEmptyGridsAndUnknownSpecs) {
   EXPECT_THROW((void)run_arena(config), InvalidArgumentError);
 }
 
-TEST(Arena, PatienceZeroScoresLikeOnlineUnderAReserve) {
-  // patience(K) runs on the match's greedy config, reserve included, so
-  // patience(0) -- the paper's mechanism -- is the online cell exactly.
+TEST(Arena, MatchReserveReachesTheOnlineCell) {
+  // The online cell runs on the match's greedy config, reserve included:
+  // a reserve that excludes bids changes what the cell pays.
   ArenaConfig config = small_config();
   config.match.greedy.reserve_price = Money::from_units(30);
-  config.mechanisms = {"online", "patience(0)"};
+  config.mechanisms = {"online"};
   const ArenaResult reserved = run_arena(config);
   config.match.greedy.reserve_price.reset();
   const ArenaResult open = run_arena(config);
-  ASSERT_EQ(reserved.cells.size(), 4u);
+  ASSERT_EQ(reserved.cells.size(), 2u);
   for (std::size_t mix = 0; mix < 2; ++mix) {
-    const CellResult& online = reserved.cells[mix];
-    const CellResult& patience = reserved.cells[2 + mix];
-    EXPECT_EQ(patience.social_welfare, online.social_welfare) << mix;
-    EXPECT_EQ(patience.total_payment, online.total_payment) << mix;
-    EXPECT_EQ(patience.tasks_allocated, online.tasks_allocated) << mix;
-    ASSERT_EQ(patience.policies.size(), online.policies.size());
-    for (std::size_t k = 0; k < online.policies.size(); ++k) {
-      EXPECT_EQ(patience.policies[k].winners, online.policies[k].winners);
-      EXPECT_EQ(patience.policies[k].utility, online.policies[k].utility);
-      EXPECT_EQ(patience.policies[k].max_deviation_gain,
-                online.policies[k].max_deviation_gain);
-    }
-    // The reserve excludes bids: without it the online cell differs.
-    EXPECT_NE(open.cells[mix].total_payment, online.total_payment) << mix;
+    EXPECT_NE(open.cells[mix].total_payment,
+              reserved.cells[mix].total_payment)
+        << mix;
   }
 }
 
 TEST(Arena, MechanismSpecsCoverTheInTreeCatalog) {
-  const MatchConfig match;
-  EXPECT_EQ(make_arena_mechanism("online", match)->name(), "online-greedy");
-  EXPECT_EQ(make_arena_mechanism("offline", match)->name(), "offline-vcg");
-  EXPECT_EQ(make_arena_mechanism("second-price", match)->name(),
-            "per-slot-second-price");
-  EXPECT_EQ(make_arena_mechanism("posted(30)", match)->name(),
-            "posted-price(30)");
-  EXPECT_EQ(make_arena_mechanism("patience(2)", match)->name(),
-            "patience-greedy(P=2)");
-  EXPECT_THROW((void)make_arena_mechanism("posted", match),
-               InvalidArgumentError);
-  EXPECT_THROW((void)make_arena_mechanism("online(3)", match),
-               InvalidArgumentError);
-  EXPECT_THROW((void)make_arena_mechanism("patience(-1)", match),
-               InvalidArgumentError);
+  const auction::OnlineGreedyConfig greedy = MatchConfig{}.greedy;
+  const auto make = [&](const char* spec) {
+    return analysis::make_mechanism(spec, greedy);
+  };
+  EXPECT_EQ(make("online")->name(), "online-greedy");
+  EXPECT_EQ(make("offline")->name(), "offline-vcg");
+  EXPECT_EQ(make("second-price")->name(), "per-slot-second-price");
+  // Posted price and task patience are not the paper's mechanisms.
+  for (const char* removed : {"posted(30)", "patience(2)"}) {
+    try {
+      (void)make(removed);
+      ADD_FAILURE() << removed << " built a mechanism";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown mechanism '" + std::string(removed) +
+                    "' (known: online, offline, second-price)");
+    }
+  }
+  EXPECT_THROW((void)make("posted"), InvalidArgumentError);
+  EXPECT_THROW((void)make("online(3)"), InvalidArgumentError);
+  EXPECT_THROW((void)make("patience(-1)"), InvalidArgumentError);
 }
 
 }  // namespace

@@ -479,6 +479,33 @@ TEST_P(OnlineRandomAudit, TruthfulMonotoneAndRationalOnRandomInstance) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineRandomAudit,
                          ::testing::Range<std::uint64_t>(200, 220));
 
+// The same scarcity-free family on a second seed range. The suite keeps the
+// name of the task-patience audit it came from; every task is now served in
+// its arrival slot, so it audits the paper's mechanism itself.
+class PatienceAudit : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PatienceAudit, TruthfulOnScarcityFreeInstances) {
+  Rng rng(GetParam());
+  const int tasks = static_cast<int>(rng.uniform_int(1, 4));
+  const int phones = tasks + 2 + static_cast<int>(rng.uniform_int(0, 3));
+  model::ScenarioBuilder builder(5);
+  builder.value(80);
+  for (int i = 0; i < phones; ++i) {
+    builder.phone(1, 5, rng.uniform_int(1, 50));
+  }
+  for (int k = 0; k < tasks; ++k) {
+    builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 5)));
+  }
+  const model::Scenario s = builder.build();
+  const OnlineGreedyMechanism mechanism;
+  const analysis::TruthfulnessReport report =
+      analysis::audit_truthfulness(mechanism, s);
+  EXPECT_TRUE(report.truthful()) << report.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatienceAudit,
+                         ::testing::Range<std::uint64_t>(5300, 5315));
+
 TEST(OnlineGreedy, TruthfulnessHoldsAgainstStrategicOthers) {
   const model::Scenario s = model::fig4_scenario();
   Rng rng(7);

@@ -236,6 +236,47 @@ TEST(Replay, DetectsTamperedOutcome) {
   EXPECT_NE(report.diff.find("diverge"), std::string::npos);
 }
 
+/// The bracketing records of a run recorded before batched matching was
+/// removed, whose run_started still carries a "batch" member (the
+/// decision records between them are left out: replay reads only these).
+std::string legacy_log(const std::string& mechanism) {
+  return R"({"seq":0,"type":"log_header","schema":"mcs.events.v1"})"
+         "\n"
+         R"({"seq":1,"type":"run_started","mechanism":")" +
+         mechanism +
+         R"(","reserve":0,"profitable_only":false,"batch":5,"phones":9,)"
+         R"("tasks":4,"slots":4,"scenario":"mcs-scenario v1\nslots 4\n)"
+         R"(value 25\nphone 1 3 9\nphone 2 2 7\nphone 2 4 2\n)"
+         R"(phone 2 4 16\nphone 2 2 2\nphone 3 4 19\nphone 3 4 2\n)"
+         R"(phone 3 4 17\nphone 4 4 5\ntask 3\ntask 3\ntask 3\ntask 4\n",)"
+         R"("bids":"1 3 9;2 2 7;2 4 2;2 4 16;2 2 2;3 4 19;3 4 2;3 4 17;)"
+         R"(4 4 5;"})"
+         "\n"
+         R"({"seq":23,"type":"run_finished","outcome":"alloc 2 6 0 8 pay )"
+         R"(16 0 16 0 0 0 16 0 16","winners":4,"total_payment":"64"})"
+         "\n";
+}
+
+TEST(Replay, OlderRecordingWithABatchFieldStillReplays) {
+  std::istringstream is(legacy_log("online"));
+  const analysis::ReplayReport report = analysis::replay_run(is);
+  EXPECT_TRUE(report.clean) << report.diff;
+  EXPECT_EQ(report.mechanism, "online");
+  EXPECT_EQ(report.reproduced, "alloc 2 6 0 8 pay 16 0 16 0 0 0 16 0 16");
+}
+
+TEST(Replay, RecordedBatchedMechanismIsUnknown) {
+  std::istringstream is(legacy_log("batched"));
+  try {
+    (void)analysis::replay_run(is);
+    ADD_FAILURE() << "a batched recording replayed";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown mechanism 'batched' (known: online, offline, "
+              "second-price)");
+  }
+}
+
 TEST(Replay, RejectsForeignStreams) {
   std::istringstream empty("");
   EXPECT_THROW((void)analysis::replay_run(empty), InvalidArgumentError);

@@ -56,9 +56,8 @@ class DepartureCheck {
       for (int a = 0; a < arrivals; ++a) admit(0, random_length());
       const int tasks = static_cast<int>(rng_.uniform_int(0, 3));
       for (int j = 0; j < tasks; ++j) {
-        core_.add_task(GreedyCore::Task{TaskId{next_task_++},
-                                        Money::from_units(10),
-                                        core_.current_slot()});
+        core_.add_task(
+            GreedyCore::Task{TaskId{next_task_++}, Money::from_units(10)});
       }
       const GreedyCore::Step& step = core_.step();
       ASSERT_EQ(step.departing, expected(step.slot)) << "slot " << step.slot;

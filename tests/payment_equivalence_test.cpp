@@ -149,9 +149,8 @@ void expect_records_match(const std::vector<obs::Event>& records,
 }
 
 /// Core oracle: the walk must agree with the full-replay oracle through
-/// the batch mechanism and, without task patience (which a served round
-/// does not carry), through a RoundMachine fed the round's events --
-/// payments, allocation, and every winner's setter and scarcity
+/// the batch mechanism and through a RoundMachine fed the round's events
+/// -- payments, allocation, and every winner's setter and scarcity
 /// provenance.
 void expect_walk_matches_oracle(const Scenario& scenario,
                                 const model::BidProfile& bids,
@@ -176,7 +175,6 @@ void expect_walk_matches_oracle(const Scenario& scenario,
   const std::vector<obs::Event> batch_records = payment_derivations(
       [&] { batch = OnlineGreedyMechanism(config).run(scenario, bids); });
   expect_matches(batch, batch_records, "batch");
-  if (config.patience > 0) return;
   Outcome served;
   const std::vector<obs::Event> served_records = payment_derivations([&] {
     served = test_support::serve_round(scenario, bids, config).outcome;
@@ -713,13 +711,10 @@ TEST(PaymentEquivalence, WalkEndsTheChainInScarcity) {
             Money::from_units(2));
 }
 
-// ------------------------------------------------------- task patience
-
-TEST(PatienceWalk, MatchesFullReplay) {
-  // The two-state walk (a missing bid, or an extra pending task) against
-  // the full re-run under task patience: 5 patiences x 3 configs x 70
-  // rounds of uniform, weighted and misreported tasks. P = 0 is the
-  // paper's mechanism and must keep matching too.
+TEST(PaymentEquivalence, WalkMatchesFullReplayAcrossConfigs) {
+  // The walk against the full re-run: 3 configs x 70 rounds of uniform,
+  // weighted and misreported tasks, a tight reserve with own-bid scarcity
+  // payments among them.
   OnlineGreedyConfig reserve;
   reserve.reserve_price = Money::from_units(20);
   OnlineGreedyConfig tight;
@@ -730,27 +725,23 @@ TEST(PatienceWalk, MatchesFullReplay) {
       {"reserve_20", reserve},
       {"reserve_4_own_bid", tight}};
   Rng rng(2026101);
-  for (const Slot::rep_type patience : {0, 1, 2, 4, 8}) {
-    for (auto [name, config] : families) {
-      config.patience = patience;
-      const std::string family =
-          name + "/P=" + std::to_string(patience) + "/";
-      for (int i = 0; i < 30; ++i) {
-        const Scenario uniform = test_support::windowed(
-            rng, {.slots = 8, .max_phones = 9, .max_tasks = 9});
-        expect_walk_matches_oracle(uniform, uniform.truthful_bids(), config,
-                                   family + "uniform#" + std::to_string(i));
-      }
-      for (int i = 0; i < 10; ++i) {
-        const Scenario weighted = weighted_tasks(rng);
-        expect_walk_matches_oracle(weighted, weighted.truthful_bids(), config,
-                                   family + "weighted#" + std::to_string(i));
-      }
-      for (int i = 0; i < 30; ++i) {
-        const auto [scenario, bids] = misreported_round(rng);
-        expect_walk_matches_oracle(scenario, bids, config,
-                                   family + "misreported#" + std::to_string(i));
-      }
+  for (const auto& [name, config] : families) {
+    const std::string family = name + "/";
+    for (int i = 0; i < 30; ++i) {
+      const Scenario uniform = test_support::windowed(
+          rng, {.slots = 8, .max_phones = 9, .max_tasks = 9});
+      expect_walk_matches_oracle(uniform, uniform.truthful_bids(), config,
+                                 family + "uniform#" + std::to_string(i));
+    }
+    for (int i = 0; i < 10; ++i) {
+      const Scenario weighted = weighted_tasks(rng);
+      expect_walk_matches_oracle(weighted, weighted.truthful_bids(), config,
+                                 family + "weighted#" + std::to_string(i));
+    }
+    for (int i = 0; i < 30; ++i) {
+      const auto [scenario, bids] = misreported_round(rng);
+      expect_walk_matches_oracle(scenario, bids, config,
+                                 family + "misreported#" + std::to_string(i));
     }
   }
 }

@@ -71,7 +71,7 @@ TEST(Platform, PaymentsLandInTheReportedDepartureSlot) {
   for (Slot::rep_type t = 1; t <= s.num_slots; ++t) {
     for (; next_task < s.tasks.size() && s.tasks[next_task].slot.value() == t;
          ++next_task) {
-      core.add_task({s.tasks[next_task].id, s.task_value, t});
+      core.add_task({s.tasks[next_task].id, s.task_value});
     }
     for (int i = 0; i < s.phone_count(); ++i) {
       const model::Bid& own = bids[static_cast<std::size_t>(i)];

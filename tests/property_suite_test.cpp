@@ -9,10 +9,8 @@
 
 #include "analysis/metrics.hpp"
 #include "analysis/rationality.hpp"
-#include "auction/batched_matching.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
-#include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "support/generators.hpp"
 
@@ -27,17 +25,6 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
       return std::make_unique<auction::OfflineVcgMechanism>();
     case 2:
       return std::make_unique<auction::SecondPriceBaseline>();
-    case 3:
-      return std::make_unique<auction::BatchedMatchingMechanism>(
-          auction::BatchedMatchingConfig{2});
-    case 4: {
-      auction::OnlineGreedyConfig config;
-      config.patience = 2;
-      return std::make_unique<auction::OnlineGreedyMechanism>(config);
-    }
-    case 5:
-      return std::make_unique<auction::PostedPriceMechanism>(
-          Money::from_units(20));
     default: {  // 7
       auction::OnlineGreedyConfig config;
       config.reserve_price = Money::from_units(30);
@@ -47,9 +34,9 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
   }
 }
 
-// The ids the test names print. 6 and 8 are retired, so no name changes
-// the mechanism it stands for.
-constexpr int kMechanisms[] = {0, 1, 2, 3, 4, 5, 7};
+// The ids the test names print. 3 to 6 and 8 are retired, so no name
+// changes the mechanism it stands for.
+constexpr int kMechanisms[] = {0, 1, 2, 7};
 
 using Param = std::tuple<int, std::uint64_t, bool>;  // mechanism, seed, scarce-free
 
@@ -99,18 +86,11 @@ TEST_P(MechanismInvariants, UniversalOutcomeProperties) {
   EXPECT_EQ(metrics.total_payment,
             metrics.total_true_cost + metrics.overpayment);
 
-  // 6. No mechanism beats the clairvoyant optimum (claimed welfare)...
-  //    except the patience mechanism, whose service window is genuinely
-  //    larger than the paper's (it may serve tasks the P=0 optimum cannot).
-  if (mechanism_id != 4) {
-    EXPECT_LE(outcome.claimed_welfare(scenario, bids),
-              auction::OfflineVcgMechanism::optimal_claimed_welfare(scenario,
-                                                                    bids))
-        << mechanism->name();
-  } else {
-    EXPECT_LE(outcome.claimed_welfare(scenario, bids),
-              auction::optimal_patience_welfare(scenario, bids, 2));
-  }
+  // 6. No mechanism beats the clairvoyant optimum (claimed welfare).
+  EXPECT_LE(outcome.claimed_welfare(scenario, bids),
+            auction::OfflineVcgMechanism::optimal_claimed_welfare(scenario,
+                                                                  bids))
+      << mechanism->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
-#include "common/rng.hpp"
 #include "model/workload.hpp"
+#include "support/alloc_counter.hpp"
 
 namespace mcs::model {
 namespace {
@@ -256,6 +259,81 @@ TEST(ScenarioIo, FuzzedInputNeverCrashes) {
       // Expected for malformed input.
     }
   }
+}
+
+/// The parse error read_scenario raises for `text`, or "" if it parses.
+std::string parse_error_of(const std::string& text) {
+  std::istringstream input(text);
+  try {
+    std::ignore = read_scenario(input);
+  } catch (const InvalidScenarioError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioIo, ALineAtTheCapIsReadAndOneByteMoreIsRefused) {
+  const std::string head = "mcs-scenario v1\nslots 2\n";
+  // "task 1 #xx..." padded by its comment to `bytes` bytes.
+  const auto task_line = [](std::size_t bytes) {
+    std::string line = "task 1 #";
+    line.resize(bytes, 'x');
+    return line;
+  };
+  const std::string refused =
+      "scenario parse error at line 3: longer than 4096 bytes";
+  for (const char* end : {"\n", ""}) {
+    SCOPED_TRACE(*end == '\n' ? "with its newline" : "ending the input");
+    EXPECT_EQ(parse_error_of(head + task_line(kMaxScenarioLineBytes) + end),
+              "");
+    EXPECT_EQ(parse_error_of(head + task_line(kMaxScenarioLineBytes + 1) + end),
+              refused);
+  }
+  // The line after one at the cap is read whole.
+  std::istringstream input(head + task_line(kMaxScenarioLineBytes) +
+                           "\ntask 2\n");
+  EXPECT_EQ(read_scenario(input).task_count(), 2);
+}
+
+/// Serves `size` bytes of 'x' without a newline, 64 KiB at a time, from
+/// one buffer: an arbitrarily long line that costs the test no memory.
+class EndlessLine : public std::streambuf {
+ public:
+  explicit EndlessLine(std::size_t size) : left_(size) {}
+  [[nodiscard]] std::size_t served() const { return served_; }
+
+ protected:
+  int_type underflow() override {
+    if (left_ == 0) return traits_type::eof();
+    const std::size_t take = std::min(left_, chunk_.size());
+    left_ -= take;
+    served_ += take;
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + take);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::string chunk_ = std::string(std::size_t{1} << 16, 'x');
+  std::size_t left_;
+  std::size_t served_{0};
+};
+
+TEST(ScenarioIo, AnOverlongLineFailsAtTheCapWithoutBuffering) {
+  EndlessLine line(std::size_t{32} << 20);
+  std::istream input(&line);
+  std::string error;
+  const std::uint64_t before = test::heap_bytes();
+  std::uint64_t heap = 0;
+  try {
+    std::ignore = read_scenario(input);
+  } catch (const InvalidScenarioError& e) {
+    heap = test::heap_bytes() - before;
+    error = e.what();
+  }
+  EXPECT_EQ(error, "scenario parse error at line 1: longer than 4096 bytes");
+  // Refused within the first 64 KiB read, holding no copy of the line.
+  EXPECT_EQ(line.served(), std::size_t{1} << 16);
+  EXPECT_LT(heap, 3 * kMaxScenarioLineBytes);
 }
 
 TEST(ScenarioIo, LoadedScenarioIsValidated) {

@@ -79,8 +79,7 @@ GreedyRun run_greedy_without(const model::Scenario& scenario,
   auction::Allocation allocation(scenario.task_count(), scenario.phone_count());
   for (int k = 0; k < scenario.task_count(); ++k) {
     if (const auto phone = run.allocation.phone_for(TaskId{k})) {
-      allocation.assign(TaskId{k}, original(*phone),
-                        run.allocation.service_slot_for(TaskId{k}, reduced));
+      allocation.assign(TaskId{k}, original(*phone));
     }
   }
   run.allocation = std::move(allocation);
@@ -104,12 +103,11 @@ FullReplay full_replay(const model::Scenario& scenario,
   for (const model::Task& task : scenario.tasks) {
     const auto winner = replay.allocation.phone_for(task.id);
     if (!winner) continue;
-    const Slot win_slot = replay.allocation.service_slot_for(task.id, scenario);
     const Settlement settlement =
-        settle_by_rerun(scenario, bids, config, *winner, win_slot);
+        settle_by_rerun(scenario, bids, config, *winner, task.slot);
     replay.payments[static_cast<std::size_t>(winner->value())] =
         settlement.payment;
-    replay.winners.push_back({*winner, win_slot, settlement});
+    replay.winners.push_back({*winner, task.slot, settlement});
   }
   return replay;
 }

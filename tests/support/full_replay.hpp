@@ -7,10 +7,6 @@
 // equivalence tests check the walk against this oracle, payment and
 // provenance alike.
 //
-// Under task patience t'_i is i's service slot, and the scarcity case is
-// a task that *expires* unserved in [t'_i, d~_i] of the counterfactual
-// (its slot record lists the task in the slot of its deadline).
-//
 // The counterfactual drops phone i from the scenario and the bids and
 // re-runs the whole round. Phone ids above i shift down by one, which
 // keeps their relative order, so cost ties break exactly as in the round

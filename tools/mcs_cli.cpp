@@ -178,7 +178,6 @@ analysis::RunSpec spec_from_cli(const io::CliParser& cli) {
   spec.mechanism = cli.get_string("mechanism");
   spec.reserve = cli.get_double("reserve");
   spec.profitable_only = cli.get_switch("profitable-only");
-  spec.batch = cli.get_int("batch");
   return spec;
 }
 
@@ -240,11 +239,9 @@ int cmd_generate(int argc, const char* const* argv) {
 int cmd_run(int argc, const char* const* argv) {
   io::CliParser cli("Runs a mechanism on a scenario file (truthful bids).");
   cli.add_string("file", "scenario.mcs", "scenario file");
-  cli.add_string("mechanism", "online",
-                 "online | offline | second-price | batched");
+  cli.add_string("mechanism", "online", "online | offline | second-price");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for --mechanism batched");
   cli.add_switch("allocation", "also print the per-task allocation");
   cli.add_string("json", "", "also write a machine-readable round report");
   cli.add_string("events-out", "",
@@ -340,11 +337,9 @@ int cmd_audit(int argc, const char* const* argv) {
       "Runs the truthfulness and individual-rationality audits on a "
       "scenario file.");
   cli.add_string("file", "scenario.mcs", "scenario file");
-  cli.add_string("mechanism", "online",
-                 "online | offline | second-price | batched");
+  cli.add_string("mechanism", "online", "online | offline | second-price");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for --mechanism batched");
   if (!cli.parse(argc, argv)) return 0;
 
   const model::Scenario scenario = model::load_scenario(cli.get_string("file"));
@@ -1064,8 +1059,7 @@ int cmd_econ_report(int argc, const char* const* argv) {
                  "summarize an mcs.serve_econ.v1 snapshot stream instead of "
                  "simulating");
   cli.add_string("mechanisms", "online,offline,second-price",
-                 "comma-separated list: online | offline | second-price | "
-                 "batched");
+                 "comma-separated list: online | offline | second-price");
   cli.add_int("rounds", 16, "rounds to simulate per mechanism");
   cli.add_int("slots", 20, "loadgen: slots per round (m)");
   cli.add_double("lambda", 4.0, "loadgen: smartphone arrival rate per slot");
@@ -1073,7 +1067,6 @@ int cmd_econ_report(int argc, const char* const* argv) {
   cli.add_int("seed", 42, "loadgen: base RNG seed (round k forks stream k)");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for the batched mechanism");
   cli.add_string("out", "", "also write the markdown to a file");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -1108,7 +1101,6 @@ int cmd_econ_report(int argc, const char* const* argv) {
       spec.mechanism = name;
       spec.reserve = cli.get_double("reserve");
       spec.profitable_only = cli.get_switch("profitable-only");
-      spec.batch = cli.get_int("batch");
       const std::unique_ptr<auction::Mechanism> mechanism =
           analysis::make_mechanism(spec);
       summaries.push_back(analysis::summarize_mechanism(
@@ -1192,8 +1184,7 @@ int cmd_arena(int argc, const char* const* argv) {
       "over the canonical shade(1.5)/delay(2) deviations). The leaderboard "
       "is byte-identical across runs and worker-thread counts.");
   cli.add_string("mechanisms", "online,offline,second-price",
-                 "comma-separated: online | offline | second-price | "
-                 "posted(P) | patience(K)");
+                 "comma-separated: online | offline | second-price");
   cli.add_string("policies",
                  "truthful;"
                  "shaded=truthful:3,shade(1.5):1;"

@@ -63,7 +63,17 @@ endif()
 
 run_cli(run --file ${SCENARIO} --mechanism online --allocation)
 run_cli(run --file ${SCENARIO} --mechanism offline)
-run_cli(run --file ${SCENARIO} --mechanism batched --batch 3)
+# Batched matching is not one of the paper's mechanisms: the name is
+# refused like any unknown one.
+execute_process(COMMAND ${CLI} run --file ${SCENARIO} --mechanism batched
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "unknown mechanism 'batched'")
+  message(FATAL_ERROR "run --mechanism batched: want exit 1 naming the "
+                      "unknown mechanism, got (${code}):\n${out}\n${err}")
+endif()
 run_cli(run --file ${SCENARIO} --mechanism online --reserve 24
         --profitable-only)
 
@@ -269,22 +279,26 @@ foreach(admission block reject)
 endforeach()
 file(REMOVE ${NO_CLOSE})
 
-# Untrusted stream: a 32 MB line with no '\n'. It is refused at line 1 as
-# soon as it crosses the 4096-byte line cap (kMaxJsonlLineBytes), not
-# buffered to the end of the stream.
+# Untrusted input: a 32 MB line with no '\n', as a serve stream and as a
+# scenario file. It is refused at line 1 as soon as it crosses the
+# 4096-byte line cap (kMaxJsonlLineBytes, kMaxScenarioLineBytes), not
+# buffered to the end of the file.
 set(LONG_LINE ${WORKDIR}/cli_smoke_long_line.jsonl)
 string(REPEAT "x" 1024 kib)
 string(REPEAT "${kib}" 32768 long_line)
 file(WRITE ${LONG_LINE} "${long_line}")
 unset(long_line)
-execute_process(COMMAND ${CLI} serve --replay ${LONG_LINE}
-                WORKING_DIRECTORY ${WORKDIR}
-                RESULT_VARIABLE code
-                OUTPUT_VARIABLE out
-                ERROR_VARIABLE err)
-if(NOT code EQUAL 1 OR NOT err MATCHES "line 1: longer than 4096 bytes")
-  message(FATAL_ERROR "32 MB line without a newline (${code}):\n${out}\n${err}")
-endif()
+foreach(command "serve;--replay" "run;--file")
+  execute_process(COMMAND ${CLI} ${command} ${LONG_LINE}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "line 1: longer than 4096 bytes")
+    message(FATAL_ERROR "${command} on a 32 MB line without a newline "
+                        "(${code}):\n${out}\n${err}")
+  endif()
+endforeach()
 file(REMOVE ${LONG_LINE})
 
 # Untrusted stream: one bid from agent 2^30 - 1. A served round keeps its
