@@ -92,12 +92,14 @@ BENCHMARK(BM_LatencySketchRecord);
 void BM_LiveBatchHook(benchmark::State& state) {
   constexpr std::size_t kBatch = 64;
   const auto pushes = static_cast<std::size_t>(state.range(0));
-  std::vector<serve::QueuedEvent> events;
+  const std::vector<serve::ServeEvent> events(kBatch,
+                                              serve::slot_tick(0, Slot{1}));
+  std::vector<std::uint64_t> stamps;
   for (std::size_t i = 0; i < kBatch; ++i) {
-    events.push_back({serve::slot_tick(0, Slot{1}),
-                      1000 + 100 * (i * pushes / kBatch)});
+    stamps.push_back(1000 + 100 * (i * pushes / kBatch));
   }
-  const serve::RingView batch{events, {}};
+  const serve::RingView batch{.events = {events, {}},
+                              .stamps = {stamps, {}}};
   serve::SystemLane lane;
   std::uint64_t pickup_ns = 1'000'000;
   for (auto _ : state) {
@@ -123,8 +125,10 @@ void BM_ServeSnapshot(benchmark::State& state) {
     serve::SystemLane& lane = (*lanes)[static_cast<std::size_t>(shard)];
     for (int i = 0; i < 256; ++i) {
       live.on_submit(shard, 1, i % 7);
-      const serve::QueuedEvent queued{serve::slot_tick(0, Slot{1}), 0};
-      lane.record_batch(serve::RingView{{&queued, 1}, {}},
+      const serve::ServeEvent event = serve::slot_tick(0, Slot{1});
+      const std::uint64_t stamp = 0;
+      lane.record_batch(serve::RingView{.events = {{{&event, 1}, {}}},
+                                        .stamps = {{{&stamp, 1}, {}}}},
                         static_cast<std::uint64_t>(1000 + i));
     }
     lane.record_round(2'000'000);

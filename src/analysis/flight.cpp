@@ -3,7 +3,6 @@
 #include <optional>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
@@ -152,47 +151,53 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
 
 namespace {
 
-/// Parses the stream line by line; returns every record and checks the
-/// schema header.
-std::vector<io::JsonValue> read_log(std::istream& is) {
-  std::vector<io::JsonValue> records;
+/// Reads a mcs.events.v1 log one record at a time: parses every non-empty
+/// line, checks that the first is the schema header, and hands each record
+/// (the header too) to fn, which may move it out. Nothing else is kept, so
+/// memory follows the longest record, not the log. Returns the number of
+/// records.
+template <class Fn>
+std::uint64_t for_each_record(std::istream& is, Fn fn) {
+  std::uint64_t records = 0;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    records.push_back(io::parse_json(line));
+    io::JsonValue record = io::parse_json(line);
+    if (records++ == 0 &&
+        (record.string_or("type", "") != "log_header" ||
+         record.string_or("schema", "") != obs::EventLog::kSchema)) {
+      throw InvalidArgumentError(
+          "not a mcs.events.v1 log (missing log_header record)");
+    }
+    fn(record);
   }
-  if (records.empty()) {
-    throw InvalidArgumentError("event log is empty");
-  }
-  const io::JsonValue& header = records.front();
-  if (header.string_or("type", "") != "log_header" ||
-      header.string_or("schema", "") != obs::EventLog::kSchema) {
-    throw InvalidArgumentError(
-        "not a mcs.events.v1 log (missing log_header record)");
-  }
+  if (records == 0) throw InvalidArgumentError("event log is empty");
   return records;
 }
 
 }  // namespace
 
 ReplayReport replay_run(std::istream& events_jsonl) {
-  const std::vector<io::JsonValue> records = read_log(events_jsonl);
-
-  const io::JsonValue* started = nullptr;
-  const io::JsonValue* finished = nullptr;
-  for (const io::JsonValue& record : records) {
-    const std::string type = record.string_or("type", "");
-    if (type == "run_started") {
-      if (started != nullptr) {
-        throw InvalidArgumentError(
-            "replay expects exactly one recorded run per log");
-      }
-      started = &record;
-    } else if (type == "run_finished") {
-      finished = &record;
-    }
+  // Only the two bracketing records are kept; every other line is still
+  // parsed, so a malformed one anywhere fails the replay.
+  std::optional<io::JsonValue> started;
+  std::optional<io::JsonValue> finished;
+  bool repeated = false;
+  const std::uint64_t records =
+      for_each_record(events_jsonl, [&](io::JsonValue& record) {
+        const std::string type = record.string_or("type", "");
+        if (type == "run_started") {
+          repeated = repeated || started.has_value();
+          started = std::move(record);
+        } else if (type == "run_finished") {
+          finished = std::move(record);
+        }
+      });
+  if (repeated) {
+    throw InvalidArgumentError(
+        "replay expects exactly one recorded run per log");
   }
-  if (started == nullptr || finished == nullptr) {
+  if (!started || !finished) {
     throw InvalidArgumentError(
         "log holds no complete run (record it with mcs_cli run "
         "--events-out)");
@@ -211,7 +216,7 @@ ReplayReport replay_run(std::istream& events_jsonl) {
 
   ReplayReport report;
   report.mechanism = spec.mechanism;
-  report.events = records.size();
+  report.events = records;
   report.recorded = finished->at("outcome").as_string();
   {
     // The oracle re-run must not append to any installed log.
@@ -244,12 +249,12 @@ std::string attr_or(const io::JsonValue& record, std::string_view key,
 }  // namespace
 
 std::string explain_phone(std::istream& events_jsonl, int phone) {
-  const std::vector<io::JsonValue> records = read_log(events_jsonl);
   std::ostringstream out;
   bool mentioned = false;
   bool won = false;
 
-  for (const io::JsonValue& record : records) {
+  // Narrates each record as it is read.
+  (void)for_each_record(events_jsonl, [&](const io::JsonValue& record) {
     const std::string type = record.string_or("type", "");
     const std::int64_t record_phone = record.int_or("phone", -1);
     const std::int64_t slot = record.int_or("slot", -1);
@@ -261,7 +266,7 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
           << record.int_or("phones", 0) << " phones, "
           << record.int_or("tasks", 0) << " tasks, "
           << record.int_or("slots", 0) << " slots)\n";
-      continue;
+      return;
     }
     if (type == "slot_pool") {
       if (const io::JsonValue* pool = record.find("pool")) {
@@ -274,9 +279,9 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
           break;
         }
       }
-      continue;
+      return;
     }
-    if (record_phone != phone) continue;
+    if (record_phone != phone) return;
     mentioned = true;
 
     if (type == "bid_admitted") {
@@ -344,7 +349,7 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
       }
       out << " (own bid " << attr_or(record, "own_bid", "?") << ")\n";
     }
-  }
+  });
 
   if (!mentioned) {
     out << "phone " << phone << " does not appear in this log\n";

@@ -33,16 +33,25 @@ Money scarce_cap_for(Money task_value, const OnlineGreedyConfig& config) {
 namespace {
 
 /// Heap order of the pool: `a` comes out after `b` (a min-heap on the key).
-bool later(const GreedyCore::Pooled& a, const GreedyCore::Pooled& b) {
-  return b.key < a.key;
-}
+/// A function object, not a function: its type names the comparison, so
+/// push_heap, pop_heap and make_heap inline it. Passed as a function
+/// pointer, every comparison of a sift was an out-of-line call, and that
+/// call, not the stale elements, was the pool's avoidable cost.
+struct Later {
+  bool operator()(const GreedyCore::Pooled& a,
+                  const GreedyCore::Pooled& b) const {
+    return b.key < a.key;
+  }
+};
 
 /// The one service order: highest value, then arrival (task ids increase
-/// in arrival order).
-bool serves_before(const GreedyCore::Task& a, const GreedyCore::Task& b) {
-  if (a.value != b.value) return a.value > b.value;
-  return a.id < b.id;
-}
+/// in arrival order). A function object for the same reason as Later.
+struct ServesBefore {
+  bool operator()(const GreedyCore::Task& a, const GreedyCore::Task& b) const {
+    if (a.value != b.value) return a.value > b.value;
+    return a.id < b.id;
+  }
+};
 
 }  // namespace
 
@@ -98,7 +107,7 @@ GreedyCore::Handle GreedyCore::admit(int id, const model::Bid& bid) {
   const auto handle = static_cast<Handle>(entries_.size());
   entries_.push_back(Entry{id, bid});
   heap_.push_back(Pooled{PoolBid{bid.claimed_cost.micros(), id}, handle});
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   const Slot::rep_type end = bid.window.end().value();
   if (std::int64_t{end} - current_slot_ < kCalendarSlots) {
@@ -123,7 +132,7 @@ void GreedyCore::enlist_departure(Handle handle, Slot::rep_type slot) {
 
 void GreedyCore::drop_departed_front() {
   while (!heap_.empty() && !entry(heap_.front().handle).pooled) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     --stale_;
   }
@@ -134,8 +143,8 @@ const GreedyCore::Step& GreedyCore::step() {
   // With the weighted-query extension, serve high-value tasks first, so a
   // dry pool starves only the least valuable ones. With uniform nu this is
   // plain arrival order, and the sort is skipped.
-  if (!std::is_sorted(tasks_.begin(), tasks_.end(), serves_before)) {
-    std::sort(tasks_.begin(), tasks_.end(), serves_before);
+  if (!std::is_sorted(tasks_.begin(), tasks_.end(), ServesBefore{})) {
+    std::sort(tasks_.begin(), tasks_.end(), ServesBefore{});
   }
   // The candidate pool at the start of the slot, cheapest first --
   // Fig. 4's "dynamic pool" as a replayable record.
@@ -176,7 +185,7 @@ const GreedyCore::Step& GreedyCore::step() {
         (!config_.allocate_only_profitable ||
          Money::from_micros(heap_.front().key.cost_micros) <= task.value)) {
       const Handle winner = heap_.front().handle;
-      std::pop_heap(heap_.begin(), heap_.end(), later);
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
       --live_;
       Entry& won = entries_[static_cast<std::size_t>(winner)];
@@ -220,7 +229,7 @@ const GreedyCore::Step& GreedyCore::step() {
     std::erase_if(heap_, [&](const Pooled& pooled) {
       return !entry(pooled.handle).pooled;
     });
-    std::make_heap(heap_.begin(), heap_.end(), later);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
     stale_ = 0;
   }
   ++current_slot_;

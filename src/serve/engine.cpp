@@ -175,20 +175,25 @@ void ServeEngine::worker_main(Shard& shard) {
   TracePlane* const trace = config_.trace;
   Rounds rounds;
   // The worker consumes its ring in place: each acquire exposes up to
-  // kBatch queued events and releases the previous batch. One clock read
-  // per batch is every event's pickup stamp (the lane's queue wait);
-  // span edges read their own stamps in process_event.
-  constexpr std::size_t kBatch = 64;
+  // kBatch queued events and releases the previous batch. Taking up to
+  // 1024 events per ring lock keeps the worker off the mutex the producers
+  // push under; an acquire still takes only what is queued, so a short
+  // queue is picked up at once. One clock read per batch is every event's
+  // pickup stamp (the lane's queue wait); span edges read their own
+  // stamps in process_event.
+  constexpr std::size_t kBatch = 1024;
   RingView batch;
   std::size_t released = 0;
   while ((released = shard.queue.acquire(batch, kBatch, released)) > 0) {
     if (lane != nullptr) lane->record_batch(batch, stamp_ns());
     if (trace != nullptr) trace->on_batch(shard.index, batch);
-    for (const std::span<const QueuedEvent> run : batch.runs()) {
-      for (const QueuedEvent& queued : run) {
+    for (std::size_t run = 0; run < batch.events.size(); ++run) {
+      const std::span<const ServeEvent> events = batch.events[run];
+      const std::span<const std::uint64_t> stamps = batch.stamps[run];
+      for (std::size_t i = 0; i < events.size(); ++i) {
         if (!shard.error.empty()) break;  // poisoned: drain without work
         try {
-          process_event(shard, rounds, queued);
+          process_event(shard, rounds, events[i], stamps[i]);
         } catch (const std::exception& e) {
           // Any failure -- a malformed stream (mcs::Error) or a resource
           // failure such as std::bad_alloc on a hostile round -- stays
@@ -196,7 +201,7 @@ void ServeEngine::worker_main(Shard& shard) {
           if (config_.admission == ServeConfig::Admission::kReject) {
             // Shedding already made the stream lossy; a hole in one
             // round's event sequence drops that round, not the engine.
-            if (const auto it = rounds.open.find(queued.event.round);
+            if (const auto it = rounds.find(events[i].round);
                 it != rounds.open.end()) {
               end_round(shard, rounds, it, obs::TraceStatus::kCorrupted,
                         stamp_ns());
@@ -247,8 +252,8 @@ void ServeEngine::worker_main(Shard& shard) {
 }
 
 void ServeEngine::process_event(Shard& shard, Rounds& rounds,
-                                const QueuedEvent& queued) {
-  const ServeEvent& event = queued.event;
+                                const ServeEvent& event,
+                                std::uint64_t enqueue_ns) {
   ++shard.stats.processed;
   ++shard.event_counts[static_cast<std::size_t>(event.kind)];
   TracePlane* const trace = config_.trace;
@@ -276,17 +281,18 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
       it = rounds.open.insert(std::move(spare)).position;
       rounds.spares.pop_back();
     }
+    rounds.last = it;  // the insert may have rehashed the table
     OpenRound& open = it->second;
     open.trace = trace != nullptr
                      ? trace->on_round_open(shard.index, event.round,
-                                            queued.enqueue_ns, open_ns,
+                                            enqueue_ns, open_ns,
                                             event.client_lag_ns)
                      : obs::RoundTrace{};
     open.trace.open_ns = open_ns;
     return;
   }
 
-  const auto it = rounds.open.find(event.round);
+  const auto it = rounds.find(event.round);
   if (it == rounds.open.end()) {
     if (config_.admission == ServeConfig::Admission::kReject) {
       // The round's open (or the whole round) was shed; drop silently.
@@ -351,6 +357,7 @@ void ServeEngine::end_round(Shard& shard, Rounds& rounds,
                             RoundTable::iterator it, obs::TraceStatus status,
                             std::uint64_t end_ns, std::uint64_t settled_ns,
                             std::int64_t violations) {
+  rounds.last.reset();
   shard.slots_walked += it->second.machine.slots_walked();
   obs::RoundTrace round_trace = std::move(it->second.trace);
   RoundTable::node_type retired = rounds.open.extract(it);

@@ -59,6 +59,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -258,10 +259,25 @@ class ServeEngine {
   struct Rounds {
     RoundTable open;
     std::vector<RoundTable::node_type> spares;
+    /// The open round the last event named, so a run of one round's events
+    /// is hashed once. Set by round_open and by each find that hits;
+    /// dropped by end_round.
+    std::optional<RoundTable::iterator> last;
+
+    /// The open round `round`, or open.end().
+    RoundTable::iterator find(std::int64_t round) {
+      if (!last || (*last)->first != round) {
+        const RoundTable::iterator it = open.find(round);
+        if (it == open.end()) return it;
+        last = it;
+      }
+      return *last;
+    }
   };
 
   void worker_main(Shard& shard);
-  void process_event(Shard& shard, Rounds& rounds, const QueuedEvent& queued);
+  void process_event(Shard& shard, Rounds& rounds, const ServeEvent& event,
+                     std::uint64_t enqueue_ns);
   /// Removes a round that ended at `end_ns` (kCompleted: its close pickup,
   /// with its settle stamp and econ verdict; or kCorrupted, kAbandoned):
   /// adds its slots_walked, records a completed round's latency in the

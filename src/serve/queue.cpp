@@ -1,6 +1,7 @@
 #include "serve/queue.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <type_traits>
@@ -10,36 +11,41 @@
 
 namespace mcs::serve {
 
-// enqueue_locked constructs a slot in place before it is first read and
-// again on every later write; no slot is ever destroyed, which is valid
-// only for a trivially destructible type. The consumer reads the slots
-// acquire() exposes after the lock is dropped: the producer's writes
-// happened before that acquire's lock, and has_space() keeps producers off
-// those slots until the next acquire releases them.
-static_assert(std::is_trivially_copyable_v<QueuedEvent> &&
-              std::is_trivially_destructible_v<QueuedEvent>);
+// enqueue_locked memcpys events into uninitialized slots, which creates
+// them only for a trivially copyable type; no slot is ever destroyed,
+// which is valid only for a trivially destructible one. The consumer
+// reads the slots acquire() exposes after the lock is dropped: the
+// producer's writes happened before that acquire's lock, and has_space()
+// keeps producers off those slots until the next acquire releases them.
+static_assert(std::is_trivially_copyable_v<ServeEvent> &&
+              std::is_trivially_destructible_v<ServeEvent>);
 
 EventRing::EventRing(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw InvalidArgumentError("serve queue: capacity must be >= 1");
   }
-  if (capacity >
-      std::numeric_limits<std::size_t>::max() / sizeof(QueuedEvent)) {
+  if (capacity > std::numeric_limits<std::size_t>::max() / kSlotBytes) {
     throw InvalidArgumentError("serve queue: capacity too large");
   }
-  slots_ = std::allocator<QueuedEvent>{}.allocate(capacity);
+  events_ = std::allocator<ServeEvent>{}.allocate(capacity);
+  stamps_ = std::allocator<std::uint64_t>{}.allocate(capacity);
 }
 
 EventRing::~EventRing() {
-  std::allocator<QueuedEvent>{}.deallocate(slots_, capacity_);
+  std::allocator<ServeEvent>{}.deallocate(events_, capacity_);
+  std::allocator<std::uint64_t>{}.deallocate(stamps_, capacity_);
 }
 
 void EventRing::enqueue_locked(const ServeEvent* events, std::size_t count,
                                std::uint64_t enqueue_ns) {
-  for (std::size_t i = 0; i < count; ++i) {
-    std::construct_at(&slots_[tail_], QueuedEvent{events[i], enqueue_ns});
-    if (++tail_ == capacity_) tail_ = 0;
-  }
+  // Up to the end of the arrays, then the rest from slot 0.
+  const std::size_t first = std::min(count, capacity_ - tail_);
+  std::memcpy(events_ + tail_, events, first * sizeof(ServeEvent));
+  std::memcpy(events_, events + first, (count - first) * sizeof(ServeEvent));
+  std::fill_n(stamps_ + tail_, first, enqueue_ns);
+  std::fill_n(stamps_, count - first, enqueue_ns);
+  tail_ += count;
+  if (tail_ >= capacity_) tail_ -= capacity_;
   size_ += count;
   high_watermark_ = std::max(high_watermark_,
                              static_cast<std::int64_t>(size_));
@@ -100,8 +106,8 @@ std::size_t EventRing::acquire(RingView& view, std::size_t max,
   }
   const std::size_t taken = std::min(size_, std::max<std::size_t>(max, 1));
   const std::size_t first = std::min(taken, capacity_ - head_);
-  view.first = {slots_ + head_, first};
-  view.second = {slots_, taken - first};
+  expose(view, 0, head_, first);
+  expose(view, 1, 0, taken - first);
   acquired_ = taken;
   size_ -= taken;
   lock.unlock();

@@ -11,6 +11,11 @@
 //     uninitialized until first written, so a deep ring costs no
 //     zero-fill at construction.
 //
+//   * Bulk copy into two arrays. A slot is an event in one array and its
+//     enqueue stamp in a parallel one, so a push is one memcpy of the
+//     caller's events (two at the wrap) plus a fill of the batch's one
+//     stamp, not a per-event construction of an (event, stamp) pair.
+//
 //   * Batched, all-or-nothing handoff. Producers hand over k events under
 //     one lock acquisition, so the per-event cost of the mutex amortizes
 //     away. A batch either fits entirely or not at all: under try_push
@@ -22,12 +27,12 @@
 //     against exactly this).
 //
 //   * In-place consume. The single consumer never copies an event out:
-//     acquire() exposes up to `max` queued events where they sit, as at
-//     most two contiguous runs (two only when the batch wraps past the end
-//     of the slot array), and the next acquire() releases them. Until that
-//     release the slots stay the consumer's: a producer's space check
-//     counts them as occupied, so it cannot overwrite an event the
-//     consumer is still reading.
+//     acquire() exposes up to `max` queued events and their stamps where
+//     they sit, as at most two contiguous runs of each array (two only
+//     when the batch wraps past the end of the slots), and the next
+//     acquire() releases them. Until that release the slots stay the
+//     consumer's: a producer's space check counts them as occupied, so it
+//     cannot overwrite an event the consumer is still reading.
 //
 //   * Waiter-gated wakeups. A producer notifies the consumer only when the
 //     consumer is parked in acquire(), and a release notifies producers
@@ -42,59 +47,57 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "serve/event.hpp"
 
 namespace mcs::serve {
 
-/// One queued event plus its wall-clock enqueue stamp (0 when the live and
-/// trace planes are off -- the clock is never read then). Batch pushes
-/// share one stamp: the batch is handed over at a single instant.
-struct QueuedEvent {
-  ServeEvent event;
-  std::uint64_t enqueue_ns{0};
-};
-
-/// The events one EventRing::acquire exposes, read in place: FIFO order is
-/// `first` then `second` (`second` is empty unless the batch wraps).
+/// The events one EventRing::acquire exposes, read in place, next to their
+/// wall-clock enqueue stamps (0 when the live and trace planes are off --
+/// the clock is never read then; the events of one push share a stamp).
+/// The two arrays are parallel: run k of `stamps` stamps run k of
+/// `events`, and FIFO order is run 0 then run 1 (run 1 is empty unless the
+/// batch wraps).
 struct RingView {
-  std::span<const QueuedEvent> first;
-  std::span<const QueuedEvent> second;
+  std::array<std::span<const ServeEvent>, 2> events;
+  std::array<std::span<const std::uint64_t>, 2> stamps;
 
   [[nodiscard]] std::size_t size() const {
-    return first.size() + second.size();
-  }
-  [[nodiscard]] std::array<std::span<const QueuedEvent>, 2> runs() const {
-    return {first, second};
-  }
-
-  /// Calls fn(value, n) once per maximal stretch of n consecutive events
-  /// whose key(event) equals value, in FIFO order across both runs. Events
-  /// of one push share their enqueue stamp, so keyed on it a batch is a
-  /// handful of stretches.
-  template <class Key, class Fn>
-  void for_each_stretch(Key key, Fn fn) const {
-    std::size_t n = 0;
-    decltype(key(std::declval<const QueuedEvent&>())) current{};
-    for (const std::span<const QueuedEvent> run : runs()) {
-      for (const QueuedEvent& queued : run) {
-        const auto value = key(queued);
-        if (n > 0 && value == current) {
-          ++n;
-          continue;
-        }
-        if (n > 0) fn(current, n);
-        current = value;
-        n = 1;
-      }
-    }
-    if (n > 0) fn(current, n);
+    return events[0].size() + events[1].size();
   }
 };
+
+/// Calls fn(value, n) once per maximal stretch of n consecutive elements
+/// whose key(element) equals value, in order across both runs. Keyed on a
+/// RingView's stamps, a batch is a handful of stretches.
+template <class T, class Key, class Fn>
+void for_each_stretch(const std::array<std::span<const T>, 2>& runs, Key key,
+                      Fn fn) {
+  std::size_t n = 0;
+  std::decay_t<decltype(key(std::declval<const T&>()))> current{};
+  for (const std::span<const T> run : runs) {
+    for (const T& element : run) {
+      const auto value = key(element);
+      if (n > 0 && value == current) {
+        ++n;
+        continue;
+      }
+      if (n > 0) fn(current, n);
+      current = value;
+      n = 1;
+    }
+  }
+  if (n > 0) fn(current, n);
+}
 
 class EventRing {
  public:
+  /// Storage of one slot: the event and its enqueue stamp.
+  static constexpr std::size_t kSlotBytes =
+      sizeof(ServeEvent) + sizeof(std::uint64_t);
+
   explicit EventRing(std::size_t capacity);
   ~EventRing();
 
@@ -135,14 +138,21 @@ class EventRing {
   }
   void enqueue_locked(const ServeEvent* events, std::size_t count,
                       std::uint64_t enqueue_ns);
+  /// Slot i as the first element of a run of n, in both arrays.
+  void expose(RingView& view, std::size_t run, std::size_t i,
+              std::size_t n) const {
+    view.events[run] = {events_ + i, n};
+    view.stamps[run] = {stamps_ + i, n};
+  }
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::size_t capacity_;
-  /// capacity_ slots from std::allocator: storage only, each slot is
-  /// constructed when enqueue_locked first writes it.
-  QueuedEvent* slots_{nullptr};
+  /// capacity_ slots in two parallel arrays from std::allocator: storage
+  /// only, each slot is written when enqueue_locked first copies into it.
+  ServeEvent* events_{nullptr};
+  std::uint64_t* stamps_{nullptr};
   std::size_t head_{0};      ///< oldest slot the consumer holds or will get
   std::size_t tail_{0};      ///< next slot a push writes (wrapping index)
   std::size_t acquired_{0};  ///< slots exposed by the last acquire

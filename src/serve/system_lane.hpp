@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "obs/latency_sketch.hpp"
@@ -31,8 +32,8 @@ struct SystemLane {
     processed.store(processed.load(std::memory_order_relaxed) +
                         static_cast<std::int64_t>(batch.size()),
                     std::memory_order_relaxed);
-    batch.for_each_stretch(
-        [](const QueuedEvent& queued) { return queued.enqueue_ns; },
+    for_each_stretch(
+        batch.stamps, std::identity{},
         [&](std::uint64_t enqueue_ns, std::size_t n) {
           queue_wait.record_ns(
               pickup_ns >= enqueue_ns ? pickup_ns - enqueue_ns : 0, n);

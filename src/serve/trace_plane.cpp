@@ -46,8 +46,9 @@ void TracePlane::attach(std::shared_ptr<const SystemLanes> system) {
 
 void TracePlane::on_batch(int shard, const RingView& batch) {
   obs::LatencySketch& ingest = lanes_[static_cast<std::size_t>(shard)]->ingest;
-  batch.for_each_stretch(
-      [](const QueuedEvent& queued) { return queued.event.client_lag_ns; },
+  for_each_stretch(
+      batch.events,
+      [](const ServeEvent& event) { return event.client_lag_ns; },
       [&](std::uint64_t lag_ns, std::size_t n) {
         ingest.record_ns(lag_ns, n);
       });

@@ -14,6 +14,7 @@
 #include "analysis/flight.hpp"
 #include "common/error.hpp"
 #include "auction/critical_value.hpp"
+#include "io/json_parse.hpp"
 #include "model/paper_examples.hpp"
 #include "obs/event_log.hpp"
 #include "sim/simulator.hpp"
@@ -274,6 +275,26 @@ TEST(Replay, RecordedBatchedMechanismIsUnknown) {
     EXPECT_EQ(std::string(e.what()),
               "unknown mechanism 'batched' (known: online, offline, "
               "second-price)");
+  }
+}
+
+TEST(Replay, MalformedLineAfterRunFinishedStillFails) {
+  // Replay keeps only the bracketing records, but it still parses every
+  // line, also past run_finished, and fails with the parser's own text.
+  const std::string malformed = R"({"seq":24,"type":)";
+  std::string parser_error;
+  try {
+    (void)io::parse_json(malformed);
+  } catch (const InvalidArgumentError& e) {
+    parser_error = e.what();
+  }
+  ASSERT_FALSE(parser_error.empty());
+  std::istringstream is(legacy_log("online") + malformed + "\n");
+  try {
+    (void)analysis::replay_run(is);
+    ADD_FAILURE() << "a log with a malformed last line replayed";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(std::string(e.what()), parser_error);
   }
 }
 

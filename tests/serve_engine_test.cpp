@@ -387,6 +387,88 @@ TEST(ServeEngine, RejectPolicyAbandonsACorruptedRound) {
   EXPECT_TRUE(engine.take_outcomes().empty());
 }
 
+TEST(ServeEngine, RoundLookupFollowsReusedInterleavedAndCorruptedRounds) {
+  // The worker remembers the round its last event named. Each case hands
+  // one shard its whole stream in one batch, so the worker reads it in one
+  // pickup, and every completed round must still pay what the batch
+  // mechanism pays for its scenario.
+  const LoadGenConfig load = small_load(3);
+  std::vector<model::Scenario> scenarios;
+  for (std::int64_t r = 0; r < 3; ++r) {
+    scenarios.push_back(loadgen_scenario(load, r));
+  }
+  const auto events_of_round = [&](std::int64_t round, std::size_t k) {
+    return round_events(round, scenarios[k], scenarios[k].truthful_bids());
+  };
+  const auto serve = [](const std::vector<ServeEvent>& events,
+                        ServeConfig::Admission admission) {
+    ServeConfig config;
+    config.shards = 1;
+    config.admission = admission;
+    ServeEngine engine(config);
+    EXPECT_EQ(engine.submit_batch(0, events.data(), events.size()),
+              SubmitStatus::kAccepted);
+    engine.drain();
+    return std::make_pair(engine.stats(), engine.take_outcomes());
+  };
+  const auto matches = [&](const RoundOutcome& outcome, std::size_t k) {
+    return diff_against_batch(scenarios[k], scenarios[k].truthful_bids(),
+                              outcome, {}) == "";
+  };
+
+  {
+    SCOPED_TRACE("round 7 served twice, with other bids the second time");
+    std::vector<ServeEvent> events = events_of_round(7, 0);
+    const std::vector<ServeEvent> again = events_of_round(7, 1);
+    events.insert(events.end(), again.begin(), again.end());
+    const auto [stats, outcomes] =
+        serve(events, ServeConfig::Admission::kBlock);
+    EXPECT_EQ(stats.rounds_completed, 2);
+    ASSERT_EQ(outcomes.size(), 2u);
+    ASSERT_FALSE(matches(outcomes[0], 0) && matches(outcomes[0], 1))
+        << "the two scenarios must pay differently";
+    // take_outcomes sorts by round id, which ties here.
+    const bool in_order = matches(outcomes[0], 0);
+    EXPECT_TRUE(matches(outcomes[in_order ? 0 : 1], 0));
+    EXPECT_TRUE(matches(outcomes[in_order ? 1 : 0], 1));
+  }
+  {
+    SCOPED_TRACE("rounds 3 and 4 interleaved event by event");
+    const std::vector<ServeEvent> a = events_of_round(3, 0);
+    const std::vector<ServeEvent> b = events_of_round(4, 1);
+    std::vector<ServeEvent> events;
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i < a.size()) events.push_back(a[i]);
+      if (i < b.size()) events.push_back(b[i]);
+    }
+    const auto [stats, outcomes] =
+        serve(events, ServeConfig::Admission::kBlock);
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].round, 3);
+    EXPECT_TRUE(matches(outcomes[0], 0));
+    EXPECT_EQ(outcomes[1].round, 4);
+    EXPECT_TRUE(matches(outcomes[1], 1));
+  }
+  {
+    SCOPED_TRACE("a corrupted round 7, then a clean round 7");
+    // Slot 2's task arrives while the round clock sits at slot 1: the
+    // round is dropped there, and its other events are orphans.
+    const std::vector<ServeEvent> clean = events_of_round(7, 2);
+    std::vector<ServeEvent> events = {
+        round_open(7, 3, Money::from_units(10)),
+        task_arrived(7, Slot{2}, TaskId{0}), slot_tick(7, Slot{1}),
+        slot_tick(7, Slot{2}), round_close(7)};
+    events.insert(events.end(), clean.begin(), clean.end());
+    const auto [stats, outcomes] =
+        serve(events, ServeConfig::Admission::kReject);
+    EXPECT_EQ(stats.rounds_corrupted, 1);
+    EXPECT_EQ(stats.orphaned_events, 3);
+    EXPECT_EQ(stats.rounds_completed, 1);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(matches(outcomes[0], 2));
+  }
+}
+
 // ------------------------------------------------- strict stream errors
 
 TEST(ServeEngine, BlockPolicyFailsOnEventForUnopenedRound) {

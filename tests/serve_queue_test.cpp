@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <span>
@@ -37,11 +39,21 @@ std::vector<ServeEvent> ticks(int count) {
 
 // ------------------------------------------------------------- EventRing
 
-/// The events of `view` in FIFO order (copied out for assertions).
-std::vector<QueuedEvent> events_in(const RingView& view) {
-  std::vector<QueuedEvent> out;
-  for (const std::span<const QueuedEvent> run : view.runs()) {
-    out.insert(out.end(), run.begin(), run.end());
+/// One event of a view with its enqueue stamp.
+struct Queued {
+  ServeEvent event;
+  std::uint64_t enqueue_ns{0};
+};
+
+/// The events of `view` in FIFO order with their stamps (copied out for
+/// assertions); each run of the two arrays must have the same length.
+std::vector<Queued> events_in(const RingView& view) {
+  std::vector<Queued> out;
+  for (std::size_t run = 0; run < 2; ++run) {
+    EXPECT_EQ(view.events[run].size(), view.stamps[run].size());
+    for (std::size_t i = 0; i < view.events[run].size(); ++i) {
+      out.push_back({view.events[run][i], view.stamps[run][i]});
+    }
   }
   return out;
 }
@@ -94,7 +106,7 @@ TEST(EventRing, FifoOrderSurvivesWraparound) {
     ASSERT_GT(ring.try_push(batch.data(), batch.size(), 0), 0);
     released = ring.acquire(view, 2, released);
     ASSERT_EQ(released, 2u);
-    for (const QueuedEvent& queued : events_in(view)) {
+    for (const Queued& queued : events_in(view)) {
       EXPECT_EQ(queued.event.round, next_expected++);
     }
   }
@@ -107,7 +119,7 @@ TEST(EventRing, ViewSplitsIntoTwoRunsAtTheWrap) {
   ASSERT_EQ(ring.try_push(events.data(), 4, 10), 4);
   RingView view;
   ASSERT_EQ(ring.acquire(view, 3, 0), 3u);  // slots 0..2
-  EXPECT_TRUE(view.second.empty());
+  EXPECT_TRUE(view.events[1].empty());
   // One queued in slot 3; three more land in slots 4, 0, 1 once the
   // acquired slots are released.
   for (int i = 0; i < 3; ++i) {
@@ -116,9 +128,9 @@ TEST(EventRing, ViewSplitsIntoTwoRunsAtTheWrap) {
   ASSERT_EQ(ring.acquire(view, 1, 3), 1u);  // releases 0..2, takes slot 3
   ASSERT_EQ(ring.try_push(events.data(), 3, 20), 3);
   ASSERT_EQ(ring.acquire(view, 8, 1), 3u);  // slots 4, 0, 1
-  EXPECT_EQ(view.first.size(), 1u);
-  EXPECT_EQ(view.second.size(), 2u);
-  const std::vector<QueuedEvent> got = events_in(view);
+  EXPECT_EQ(view.events[0].size(), 1u);
+  EXPECT_EQ(view.events[1].size(), 2u);
+  const std::vector<Queued> got = events_in(view);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].event.round, static_cast<std::int64_t>(4 + i));
@@ -129,19 +141,44 @@ TEST(EventRing, ViewSplitsIntoTwoRunsAtTheWrap) {
   EXPECT_EQ(ring.try_push(events.data(), 2, 30), 2);
 }
 
+TEST(EventRing, TwoPushesWrapTheEndWithTheirOwnStamps) {
+  // In a ring of 6, a push stamped 7 fills slots 3 and 4, and a push
+  // stamped 8 fills slots 5, 0 and 1, copying across the end of both
+  // arrays. One view then holds both pushes, split at the wrap, and every
+  // event keeps its push's stamp.
+  EventRing ring(6);
+  const auto rounds = [](int first, int n) {
+    std::vector<ServeEvent> events;
+    for (int i = first; i < first + n; ++i) events.push_back(round_close(i));
+    return events;
+  };
+  RingView view;
+  ASSERT_EQ(ring.try_push(rounds(0, 3).data(), 3, 1), 3);  // slots 0..2
+  ASSERT_EQ(ring.acquire(view, 3, 0), 3u);
+  ASSERT_EQ(ring.try_push(rounds(3, 2).data(), 2, 7), 2);  // slots 3, 4
+  ASSERT_EQ(ring.acquire(view, 1, 3), 1u);  // releases 0..2, takes slot 3
+  ASSERT_EQ(ring.try_push(rounds(5, 3).data(), 3, 8), 4);  // slots 5, 0, 1
+  ASSERT_EQ(ring.acquire(view, 8, 1), 4u);  // slots 4, 5 | 0, 1
+  EXPECT_EQ(view.events[0].size(), 2u);
+  EXPECT_EQ(view.events[1].size(), 2u);
+  const std::vector<Queued> got = events_in(view);
+  ASSERT_EQ(got.size(), 4u);
+  const std::uint64_t stamps[] = {7, 8, 8, 8};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].event.round, static_cast<std::int64_t>(4 + i));
+    EXPECT_EQ(got[i].enqueue_ns, stamps[i]) << "event " << i;
+  }
+}
+
 TEST(EventRing, StretchesGroupEqualKeysAcrossTheWrap) {
-  const std::vector<QueuedEvent> tail = {{round_close(0), 5},
-                                         {round_close(1), 5}};
-  const std::vector<QueuedEvent> head = {{round_close(2), 5},
-                                         {round_close(3), 9},
-                                         {round_close(4), 5}};
-  const RingView view{tail, head};
+  const std::vector<std::uint64_t> tail = {5, 5};
+  const std::vector<std::uint64_t> head = {5, 9, 5};
+  const std::array<std::span<const std::uint64_t>, 2> runs = {tail, head};
   std::vector<std::pair<std::uint64_t, std::size_t>> stretches;
-  view.for_each_stretch(
-      [](const QueuedEvent& queued) { return queued.enqueue_ns; },
-      [&](std::uint64_t stamp, std::size_t n) {
-        stretches.emplace_back(stamp, n);
-      });
+  for_each_stretch(runs, std::identity{},
+                   [&](std::uint64_t stamp, std::size_t n) {
+                     stretches.emplace_back(stamp, n);
+                   });
   const std::vector<std::pair<std::uint64_t, std::size_t>> expected = {
       {5, 3}, {9, 1}, {5, 1}};
   EXPECT_EQ(stretches, expected);
@@ -161,7 +198,7 @@ TEST(EventRing, CapacityWhoseStorageOverflowsIsRejected) {
   EXPECT_THROW((void)EventRing(std::numeric_limits<std::size_t>::max()),
                InvalidArgumentError);
   EXPECT_THROW((void)EventRing(std::numeric_limits<std::size_t>::max() /
-                                   sizeof(QueuedEvent) +
+                                   EventRing::kSlotBytes +
                                1),
                InvalidArgumentError);
 }
@@ -213,7 +250,7 @@ TEST(EventRing, NoLostWakeupsUnderBlockingProducers) {
     std::size_t released = 0;
     std::int64_t batches = 0;
     while ((released = ring.acquire(view, kBatch, released)) > 0) {
-      for (const QueuedEvent& queued : events_in(view)) {
+      for (const Queued& queued : events_in(view)) {
         seen[static_cast<std::size_t>(queued.event.round)].push_back(
             queued.event.task.value());
       }

@@ -57,9 +57,10 @@ std::shared_ptr<SystemLanes> attach_lanes(LiveTelemetry& live, int shards,
 /// for a batch from a single push.
 void process_batch(SystemLane& lane, std::uint64_t wait_ns,
                    std::size_t n = 1) {
-  const std::vector<QueuedEvent> events(n,
-                                        QueuedEvent{slot_tick(0, Slot{1}), 0});
-  lane.record_batch(RingView{events, {}}, wait_ns);
+  const std::vector<ServeEvent> events(n, slot_tick(0, Slot{1}));
+  const std::vector<std::uint64_t> stamps(n, 0);
+  lane.record_batch(RingView{.events = {events, {}}, .stamps = {stamps, {}}},
+                    wait_ns);
 }
 
 // ------------------------------------------------------- golden snapshots

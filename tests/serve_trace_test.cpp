@@ -327,10 +327,13 @@ TEST(TracePlane, BatchHookFoldsQueueWaitAndIngestPerEvent) {
   TracePlane& plane = driven.plane;
   ServeEvent lagged = slot_tick(0, Slot{1});
   lagged.client_lag_ns = 9;
-  const std::vector<QueuedEvent> tail = {{slot_tick(0, Slot{1}), 10},
-                                         {slot_tick(0, Slot{1}), 10}};
-  const std::vector<QueuedEvent> head = {{lagged, 13}};
-  const RingView batch{tail, head};
+  const std::vector<ServeEvent> tail = {slot_tick(0, Slot{1}),
+                                        slot_tick(0, Slot{1})};
+  const std::vector<std::uint64_t> tail_stamps = {10, 10};
+  const std::vector<ServeEvent> head = {lagged};
+  const std::vector<std::uint64_t> head_stamps = {13};
+  const RingView batch{.events = {tail, head},
+                       .stamps = {tail_stamps, head_stamps}};
   driven.lanes->front().record_batch(batch, 15);
   plane.on_batch(0, batch);
 
