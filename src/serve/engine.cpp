@@ -178,9 +178,11 @@ void ServeEngine::worker_main(Shard& shard) {
   // kBatch queued events and releases the previous batch. Taking up to
   // 1024 events per ring lock keeps the worker off the mutex the producers
   // push under; an acquire still takes only what is queued, so a short
-  // queue is picked up at once. One clock read per batch is every event's
-  // pickup stamp (the lane's queue wait); span edges read their own
-  // stamps in process_event.
+  // queue is picked up at once. The held slots count as occupied for a
+  // rejecting producer, which sheds sooner but in longer runs that leave
+  // fewer rounds with holes (docs/serving.md has the measurement). One
+  // clock read per batch is every event's pickup stamp (the lane's queue
+  // wait); span edges read their own stamps in process_event.
   constexpr std::size_t kBatch = 1024;
   RingView batch;
   std::size_t released = 0;
@@ -268,20 +270,17 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
     const std::uint64_t open_ns = stamp_ns();
     RoundTable::iterator it;
     if (rounds.spares.empty()) {
-      it = rounds.open
-               .emplace(event.round,
-                        RoundMachine(event, config_.greedy,
-                                     /*capture=*/config_.econ != nullptr))
-               .first;
+      it = rounds.emplace(event.round,
+                          RoundMachine(event, config_.greedy,
+                                       /*capture=*/config_.econ != nullptr));
     } else {
       // A malformed round_open throws here and leaves the spare as it was.
       RoundTable::node_type& spare = rounds.spares.back();
       spare.mapped().machine.reset(event);
       spare.key() = event.round;
-      it = rounds.open.insert(std::move(spare)).position;
+      it = rounds.insert(std::move(spare));
       rounds.spares.pop_back();
     }
-    rounds.last = it;  // the insert may have rehashed the table
     OpenRound& open = it->second;
     open.trace = trace != nullptr
                      ? trace->on_round_open(shard.index, event.round,
@@ -357,10 +356,9 @@ void ServeEngine::end_round(Shard& shard, Rounds& rounds,
                             RoundTable::iterator it, obs::TraceStatus status,
                             std::uint64_t end_ns, std::uint64_t settled_ns,
                             std::int64_t violations) {
-  rounds.last.reset();
   shard.slots_walked += it->second.machine.slots_walked();
   obs::RoundTrace round_trace = std::move(it->second.trace);
-  RoundTable::node_type retired = rounds.open.extract(it);
+  RoundTable::node_type retired = rounds.extract(it);
   if (rounds.spares.size() < kMaxSpareRounds &&
       retired.mapped().machine.retained_bytes() <= kMaxSpareBytes) {
     rounds.spares.push_back(std::move(retired));

@@ -256,23 +256,39 @@ class ServeEngine {
   using RoundTable = std::unordered_map<std::int64_t, OpenRound>;
   /// A worker's rounds: the open ones by id, and the table nodes of retired
   /// ones kept for the next round_open (within the retention bound).
+  /// Rounds enter and leave `open` only through insert/emplace and extract,
+  /// which keep the remembered lookup valid.
   struct Rounds {
     RoundTable open;
     std::vector<RoundTable::node_type> spares;
-    /// The open round the last event named, so a run of one round's events
-    /// is hashed once. Set by round_open and by each find that hits;
-    /// dropped by end_round.
-    std::optional<RoundTable::iterator> last;
 
-    /// The open round `round`, or open.end().
+    /// The open round `round`, or open.end(). The round last looked up or
+    /// inserted is remembered, so a run of one round's events is hashed
+    /// once.
     RoundTable::iterator find(std::int64_t round) {
-      if (!last || (*last)->first != round) {
+      if (!last_ || (*last_)->first != round) {
         const RoundTable::iterator it = open.find(round);
         if (it == open.end()) return it;
-        last = it;
+        last_ = it;
       }
-      return *last;
+      return *last_;
     }
+    /// Adds an open round; an insert may rehash, so it becomes the one
+    /// remembered.
+    RoundTable::iterator insert(RoundTable::node_type&& node) {
+      return *(last_ = open.insert(std::move(node)).position);
+    }
+    RoundTable::iterator emplace(std::int64_t round, RoundMachine&& machine) {
+      return *(last_ = open.emplace(round, std::move(machine)).first);
+    }
+    /// Takes an open round out; the remembered lookup is dropped with it.
+    RoundTable::node_type extract(RoundTable::iterator it) {
+      last_.reset();
+      return open.extract(it);
+    }
+
+   private:
+    std::optional<RoundTable::iterator> last_;
   };
 
   void worker_main(Shard& shard);
