@@ -15,7 +15,7 @@ std::size_t bucket_of(std::uint64_t ns) noexcept {
   if (ns < kSubBuckets) return static_cast<std::size_t>(ns);
   // bit_width >= 5 here; the top 4 bits after the leading one pick the
   // linear sub-bucket within the octave.
-  const int width = std::bit_width(ns);
+  const int width = static_cast<int>(std::bit_width(ns));
   const std::size_t octave = static_cast<std::size_t>(width - 4);
   const std::uint64_t sub = (ns >> (width - 5)) - kSubBuckets;
   return octave * kSubBuckets + static_cast<std::size_t>(sub);

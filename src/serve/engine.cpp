@@ -434,10 +434,12 @@ std::vector<RoundOutcome> ServeEngine::take_outcomes() {
     }
     shard->outcomes.clear();
   }
-  std::sort(all.begin(), all.end(),
-            [](const RoundOutcome& a, const RoundOutcome& b) {
-              return a.round < b.round;
-            });
+  // A round id hashes to one shard, which keeps its outcomes in completion
+  // order: a stable sort leaves rounds that reuse an id in that order.
+  std::stable_sort(all.begin(), all.end(),
+                   [](const RoundOutcome& a, const RoundOutcome& b) {
+                     return a.round < b.round;
+                   });
   return all;
 }
 

@@ -216,7 +216,8 @@ class ServeEngine {
   /// error by shard index).
   void drain();
 
-  /// Completed rounds, sorted by round id. Requires drain() and
+  /// Completed rounds, sorted by round id; rounds that reuse an id come
+  /// in the order they completed. Requires drain() and
   /// config().retain_outcomes; moves out.
   [[nodiscard]] std::vector<RoundOutcome> take_outcomes();
 

@@ -1,6 +1,5 @@
 #include "serve/event.hpp"
 
-#include <array>
 #include <charconv>
 #include <cstring>
 #include <limits>
@@ -188,33 +187,28 @@ std::string encode_serve_event(const ServeEvent& event) {
 
 namespace {
 
-/// Each kind's line as append_serve_line opens it, up to the round's
-/// digits; the most frequent kinds first.
-constexpr std::array<std::pair<std::string_view, ServeEventKind>, 5>
-    kCanonicalHeads = {{
-        {R"({"ev":"bid_submitted","round":)", ServeEventKind::kBidSubmitted},
-        {R"({"ev":"slot_tick","round":)", ServeEventKind::kSlotTick},
-        {R"({"ev":"task_arrived","round":)", ServeEventKind::kTaskArrived},
-        {R"({"ev":"round_open","round":)", ServeEventKind::kRoundOpen},
-        {R"({"ev":"round_close","round":)", ServeEventKind::kRoundClose},
-    }};
-
-/// A bounds-checked cursor over one line for the canonical reader. A read
-/// that fails may leave the cursor anywhere: the reader then gives up.
-class LineCursor {
+/// A bounds-checked cursor over the front of a byte view. A read that
+/// fails may leave the cursor anywhere: the reader then gives up.
+class Cursor {
  public:
-  explicit LineCursor(std::string_view line)
-      : at_(line.data()), end_(line.data() + line.size()) {}
+  explicit Cursor(std::string_view bytes)
+      : at_(bytes.data()), end_(bytes.data() + bytes.size()) {}
 
-  [[nodiscard]] bool done() const { return at_ == end_; }
+  [[nodiscard]] const char* at() const { return at_; }
 
-  /// Consumes `text` if the line continues with it.
-  bool take(std::string_view text) {
-    if (static_cast<std::size_t>(end_ - at_) < text.size() ||
-        std::memcmp(at_, text.data(), text.size()) != 0) {
+  /// The next byte, or '\0' at the end of the view.
+  [[nodiscard]] char peek() const { return at_ != end_ ? *at_ : '\0'; }
+
+  /// Consumes the literal `text` (its length known at compile time) if the
+  /// view continues with it.
+  template <std::size_t N>
+  bool take(const char (&text)[N]) {
+    constexpr std::size_t kLength = N - 1;  // the literal's '\0' aside
+    if (static_cast<std::size_t>(end_ - at_) < kLength ||
+        std::memcmp(at_, text, kLength) != 0) {
       return false;
     }
-    at_ += text.size();
+    at_ += kLength;
     return true;
   }
 
@@ -224,8 +218,10 @@ class LineCursor {
               std::int64_t& out) {
     const char* const begin = at_;
     std::int64_t value = 0;
-    for (; at_ != end_ && is_digit(*at_); ++at_) {
-      value = value * 10 + (*at_ - '0');
+    for (; at_ != end_; ++at_) {
+      const unsigned digit = static_cast<unsigned char>(*at_) - unsigned{'0'};
+      if (digit > 9) break;
+      value = value * 10 + digit;
       if (value > max_value) return false;
     }
     out = value;
@@ -233,9 +229,9 @@ class LineCursor {
   }
 
   /// Consumes `key` and an integer member value in [min_value, max_value].
-  bool integer(std::string_view key, std::int64_t min_value,
-               std::int64_t& out,
-               std::int64_t max_value = kMaxNarrowField) {
+  template <std::size_t N>
+  bool integer(const char (&key)[N], std::int64_t min_value,
+               std::int64_t& out, std::int64_t max_value = kMaxNarrowField) {
     return take(key) && digits(min_value, max_value, out);
   }
 
@@ -249,9 +245,11 @@ class LineCursor {
     std::int64_t micros = whole * Money::kScale;
     if (take(".")) {
       const char* const begin = at_;
-      for (std::int64_t unit = Money::kScale / 10;
-           unit > 0 && at_ != end_ && is_digit(*at_); unit /= 10, ++at_) {
-        micros += (*at_ - '0') * unit;
+      for (std::int64_t unit = Money::kScale / 10; unit > 0 && at_ != end_;
+           unit /= 10, ++at_) {
+        const unsigned digit = static_cast<unsigned char>(*at_) - unsigned{'0'};
+        if (digit > 9) break;
+        micros += digit * unit;
       }
       if (at_ == begin) return false;
     }
@@ -261,72 +259,94 @@ class LineCursor {
   }
 
  private:
-  static bool is_digit(char ch) { return ch >= '0' && ch <= '9'; }
-
   const char* at_;
   const char* const end_;
 };
 
-/// Reads an event line in exactly the layout append_serve_line writes
-/// (leading zeros and trailing fraction zeros aside, which read as the
-/// field rules read them) and fills `event`'s own fields, the others
-/// staying at their defaults. Returns false for every other line, and for
-/// a line in that layout whose values the field rules would reject, so a
-/// true return is always decode_members' verdict too.
-bool read_canonical(std::string_view line, ServeEvent& event) {
-  LineCursor in(line);
-  const auto* head = kCanonicalHeads.begin();
-  while (head != kCanonicalHeads.end() && !in.take(head->first)) ++head;
-  if (head == kCanonicalHeads.end() ||
-      !in.digits(0, kMaxServeRound, event.round)) {
-    return false;
+/// The kind named after `{"ev":"`, read up to the round's digits: the
+/// discriminator's first byte picks the one literal to compare.
+bool read_head(Cursor& in, ServeEventKind& kind) {
+  if (!in.take(R"({"ev":")")) return false;
+  switch (in.peek()) {
+    case 'b':
+      kind = ServeEventKind::kBidSubmitted;
+      return in.take(R"(bid_submitted","round":)");
+    case 's':
+      kind = ServeEventKind::kSlotTick;
+      return in.take(R"(slot_tick","round":)");
+    case 't':
+      kind = ServeEventKind::kTaskArrived;
+      return in.take(R"(task_arrived","round":)");
+    case 'r':
+      if (!in.take("round_")) return false;
+      if (in.peek() == 'o') {
+        kind = ServeEventKind::kRoundOpen;
+        return in.take(R"(open","round":)");
+      }
+      kind = ServeEventKind::kRoundClose;
+      return in.take(R"(close","round":)");
+    default:
+      return false;
   }
-  event.kind = head->second;
+}
+
+}  // namespace
+
+std::size_t read_canonical_line(std::string_view bytes, ServeEvent& event) {
+  Cursor in(bytes);
+  ServeEventKind kind{};
+  std::int64_t round = 0;
+  if (!read_head(in, kind) || !in.digits(0, kMaxServeRound, round)) return 0;
+  reset_fields(event);
+  event.kind = kind;
+  event.round = round;
   std::int64_t a = 0;
   std::int64_t b = 0;
   std::int64_t c = 0;
-  switch (event.kind) {
+  switch (kind) {
     case ServeEventKind::kRoundOpen:
       if (!in.integer(R"(,"slots":)", 1, a) ||
           !in.take(R"(,"value":)") || !in.money(event.round_value)) {
-        return false;
+        return 0;
       }
       event.num_slots = to_slot_rep(a);
       break;
-    case ServeEventKind::kTaskArrived: {
+    case ServeEventKind::kTaskArrived:
       if (!in.integer(R"(,"slot":)", 1, a) ||
           !in.integer(R"(,"task":)", 0, b)) {
-        return false;
+        return 0;
       }
       event.slot = Slot{to_slot_rep(a)};
       event.task = TaskId{static_cast<TaskId::rep_type>(b)};
       if (in.take(R"(,"value":)")) {
         Money value;
-        if (!in.money(value)) return false;
+        if (!in.money(value)) return 0;
         event.task_value = value;
       }
       break;
-    }
     case ServeEventKind::kBidSubmitted:
       if (!in.integer(R"(,"agent":)", 0, a) ||
           !in.integer(R"(,"from":)", 1, b) ||
           !in.integer(R"(,"to":)", b, c) ||
           !in.take(R"(,"cost":)") || !in.money(event.claimed_cost)) {
-        return false;
+        return 0;
       }
       event.agent = PhoneId{static_cast<PhoneId::rep_type>(a)};
       event.slot = Slot{to_slot_rep(b)};  // phones bid when they join
       event.window = SlotInterval::of(to_slot_rep(b), to_slot_rep(c));
       break;
     case ServeEventKind::kSlotTick:
-      if (!in.integer(R"(,"slot":)", 1, a)) return false;
+      if (!in.integer(R"(,"slot":)", 1, a)) return 0;
       event.slot = Slot{to_slot_rep(a)};
       break;
     case ServeEventKind::kRoundClose:
       break;
   }
-  return in.take("}") && in.done();
+  if (!in.take("}")) return 0;
+  return static_cast<std::size_t>(in.at() - bytes.data());
 }
+
+namespace {
 
 /// The field rules over a parsed line: the verdict, and the error text, for
 /// every line the canonical reader does not take. Any object with a
@@ -382,7 +402,8 @@ std::optional<ServeEvent> decode_members(const io::JsonValue& line) {
 std::optional<ServeEvent> decode_serve_line(std::string_view line) {
   if (line == kServeStreamHeader) return std::nullopt;
   std::optional<ServeEvent> event(std::in_place);
-  if (read_canonical(line, *event)) return event;
+  const std::size_t canonical = read_canonical_line(line, *event);
+  if (canonical != 0 && canonical == line.size()) return event;
   return decode_members(io::parse_json(line));
 }
 

@@ -23,19 +23,24 @@
 // never touch mechanism arithmetic). Encoding and decoding round-trip
 // byte-identically, which the replay determinism tests pin.
 //
-// Decoding: decode_serve_line reads a line in exactly the layout the
-// encoder writes (the header, or an event's members in encoder order with
-// no whitespace, unsigned integers and unsigned Money strings) straight
-// into the event, checking every field's bounds as it reads. Every other
-// line -- reordered keys, whitespace, escapes, unknown members, other
+// Decoding: one canonical reader, read_canonical_line, reads an event line
+// in exactly the layout the encoder writes (members in encoder order, no
+// whitespace, unsigned integers and unsigned Money strings) from the front
+// of a byte view, straight into an event, checking every field's bounds as
+// it reads. The discriminator's first byte picks the kind, so each line
+// costs one literal compare per member. decode_serve_line takes a line the
+// reader reads to its end; StreamDecoder (serve/wire.hpp) runs the same
+// reader where each line sits in its chunk. Every other line -- the
+// header, reordered keys, whitespace, escapes, unknown members, other
 // number tokens, out-of-domain values -- is parsed by io::parse_json and
 // checked by the field rules, which alone give the verdict and error text
 // for it. The reader takes only lines the field rules accept, with the
 // same event, so the two tiers together accept exactly what the field
 // rules accept (the JSONL edge lines and differential fuzz pin this
-// against a tree-walking oracle).
+// against a tree-walking oracle, line by line and through StreamDecoder).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -127,12 +132,40 @@ void append_serve_line(std::string& out, const ServeEvent& event);
 /// Renders one event as its JSONL line, without the trailing newline.
 [[nodiscard]] std::string encode_serve_event(const ServeEvent& event);
 
+/// Sets every field of `event` but its kind and round to its default, one
+/// store per field (`event = ServeEvent{}` compiles to a block fill that
+/// costs more than a whole decode). A decoder that reuses one event calls
+/// it before writing the kind's own fields, so nothing of the previous
+/// event survives.
+inline void reset_fields(ServeEvent& event) {
+  static_assert(sizeof(ServeEvent) == 88, "reset every ServeEvent field");
+  event.num_slots = 0;
+  event.round_value = Money{};
+  event.slot = Slot{0};
+  event.task = TaskId{-1};
+  event.task_value.reset();
+  event.agent = PhoneId{-1};
+  event.window = SlotInterval::of(1, 1);
+  event.claimed_cost = Money{};
+  event.client_lag_ns = 0;
+}
+
+/// The canonical reader (see the file comment). Reads the event line at
+/// the front of `bytes` in exactly append_serve_line's layout (leading
+/// zeros and trailing fraction zeros aside, which read as the field rules
+/// read them) into `event`, writing every field. Returns the line's length
+/// through its closing '}', or 0 when `bytes` does not begin with such a
+/// line or one of its values lies outside the field rules' bounds (`event`
+/// is then unspecified). What follows the '}' is the caller's to check.
+[[nodiscard]] std::size_t read_canonical_line(std::string_view bytes,
+                                              ServeEvent& event);
+
 /// Decodes one raw line: a header line (any object with a "schema"
 /// member) yields nullopt, anything else one event. Throws
 /// InvalidArgumentError on malformed JSON, an unknown discriminator,
 /// missing/mistyped fields, or out-of-domain values. A line the encoder
-/// wrote decodes in one pass without touching the allocator (see the file
-/// comment).
+/// wrote decodes through read_canonical_line without touching the
+/// allocator (see the file comment).
 [[nodiscard]] std::optional<ServeEvent> decode_serve_line(
     std::string_view line);
 

@@ -144,19 +144,9 @@ std::size_t decode_frame_into(std::string_view bytes, ServeEvent& event) {
     bad_frame("round out of domain");
   }
   // Every field is written, the kind's own below: nothing of the previous
-  // event survives. (Field stores, not `event = ServeEvent{}`, which
-  // compiles to a block fill that costs more than the whole decode.)
-  static_assert(sizeof(ServeEvent) == 88, "reset every ServeEvent field");
+  // event survives.
+  reset_fields(event);
   event.round = round;
-  event.num_slots = 0;
-  event.round_value = Money{};
-  event.slot = Slot{0};
-  event.task = TaskId{-1};
-  event.task_value.reset();
-  event.agent = PhoneId{-1};
-  event.window = SlotInterval::of(1, 1);
-  event.claimed_cost = Money{};
-  event.client_lag_ns = 0;
   switch (kind) {
     case kKindRoundOpen: {
       const std::int32_t slots = get_i32(p + 9);
@@ -304,41 +294,50 @@ std::int64_t WireDecoder::feed(
     std::string_view bytes,
     const std::function<void(const ServeEvent&)>& sink) {
   if (poisoned_) bad_frame("decoder already failed on this stream");
+  // The largest thing a decode step reads: a length prefix and the largest
+  // frame it may announce (more than the 8-byte header).
+  constexpr std::size_t kMaxStep = 4 + kMaxWireFrameBytes;
   std::int64_t events = 0;
-  // Fast path: decode directly out of the caller's chunk; only the
-  // partial tail is ever copied into the carry buffer.
-  std::string_view view = bytes;
-  if (!carry_.empty()) {
-    carry_.append(bytes);
-    view = carry_;
-  }
-  std::size_t consumed = 0;
   ServeEvent event;  // every frame is decoded into it in place
-  try {
-    while (consumed < view.size()) {
-      const std::string_view rest = view.substr(consumed);
-      if (!header_done_) {
-        const std::optional<std::size_t> header = decode_wire_header(rest);
-        if (!header) break;  // incomplete header prefix
-        consumed += *header;
-        header_done_ = true;
-        continue;
-      }
-      const std::size_t frame = decode_frame_into(rest, event);
-      if (frame == 0) break;  // incomplete frame prefix
-      consumed += frame;
+  // Decodes the header or one frame at the front of `rest`; returns the
+  // bytes it took, 0 when `rest` is a proper prefix of one (feed more).
+  const auto step = [&](std::string_view rest) -> std::size_t {
+    if (!header_done_) {
+      const std::optional<std::size_t> header = decode_wire_header(rest);
+      if (!header) return 0;
+      header_done_ = true;
+      return *header;
+    }
+    const std::size_t frame = decode_frame_into(rest, event);
+    if (frame != 0) {
       ++events;
       sink(event);
+    }
+    return frame;
+  };
+  try {
+    if (!carry_.empty()) {
+      // A header or frame cut by the last chunk's end is completed from the
+      // front of this one; the rest of the chunk is decoded where it sits.
+      const std::size_t held = carry_.size();
+      carry_.append(bytes.substr(0, kMaxStep - held));
+      const std::size_t taken = step(carry_);
+      if (taken == 0) return events;  // all of `bytes` is carried
+      bytes.remove_prefix(taken - held);
+      carry_.clear();
+    }
+    for (std::size_t taken = 0; !bytes.empty(); bytes.remove_prefix(taken)) {
+      taken = step(bytes);
+      if (taken == 0) break;
     }
   } catch (...) {
     poisoned_ = true;
     carry_.clear();
     throw;
   }
-  if (view.data() == carry_.data()) {
-    carry_.erase(0, consumed);
-  } else if (consumed < view.size()) {
-    carry_.assign(view.substr(consumed));
+  if (!bytes.empty()) {
+    carry_.reserve(kMaxStep);  // sized once: a carry never holds more
+    carry_.assign(bytes);
   }
   return events;
 }
@@ -414,14 +413,29 @@ void StreamDecoder::feed_lines(std::string_view bytes, const Sink& sink) {
     carry_.clear();
     bytes.remove_prefix(nl + 1);
   }
-  for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
-       nl = bytes.find('\n')) {
+  while (!bytes.empty()) {
+    // A canonical line is read where it sits. The view is clipped past the
+    // cap, so a line the reader takes is never longer than the cap.
+    const std::string_view view = bytes.substr(0, kMaxJsonlLineBytes + 1);
+    const std::size_t end = read_canonical_line(view, event_);
+    if (end != 0 && end < view.size() && view[end] == '\n') {
+      ++line_;
+      sink(event_);
+      ++events_;
+      bytes.remove_prefix(end + 1);
+      continue;
+    }
+    const std::size_t nl = bytes.find('\n');
+    if (nl == std::string_view::npos) break;
     if (nl > kMaxJsonlLineBytes) line_too_long();
     decode_line(bytes.substr(0, nl), sink, false);
     bytes.remove_prefix(nl + 1);
   }
   if (bytes.size() > kMaxJsonlLineBytes) line_too_long();
-  carry_.assign(bytes);
+  if (!bytes.empty()) {
+    carry_.reserve(kMaxJsonlLineBytes);  // sized once: a carry never holds more
+    carry_.assign(bytes);
+  }
 }
 
 void StreamDecoder::line_too_long() {

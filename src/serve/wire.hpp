@@ -2,12 +2,10 @@
 //
 // JSONL is the right interchange format -- human-readable, greppable,
 // diffable -- and the costlier hot path: even the reader for the
-// encoder's own layout (serve/event.hpp) compares every key byte,
-// converts decimal integers and Money strings, and must find the line's
-// end first. The
-// binary codec does none of that. Events travel as length-prefixed frames
-// of fixed-width little-endian fields with Money as its exact int64 micro
-// count.
+// encoder's own layout (serve/event.hpp) compares every key byte and
+// converts decimal integers and Money strings. The binary codec does
+// none of that. Events travel as length-prefixed frames of fixed-width
+// little-endian fields with Money as its exact int64 micro count.
 //
 // Decoding: one frame decoder behind decode_wire_frame and
 // WireDecoder::feed (and so behind StreamDecoder, the one stream reader of
@@ -107,11 +105,12 @@ struct DecodedFrame {
     std::string_view bytes);
 
 /// Incremental decoder for chunked transports (sockets deliver frames
-/// split at arbitrary byte boundaries). The carry buffer holding a partial
-/// frame tail is owned by the decoder and reused across feeds, so a
-/// steady-state connection performs no per-event allocation. Each frame is
-/// decoded in place into one event per feed, which the sink sees until it
-/// returns (copy it to keep it).
+/// split at arbitrary byte boundaries). Frames are decoded where they sit
+/// in the chunk; only a header or frame cut by the chunk's end is copied,
+/// into a carry buffer sized once for the largest frame and completed from
+/// the next chunk, so after its first carry a connection allocates
+/// nothing. Each frame is decoded in place into one event per feed, which
+/// the sink sees until it returns (copy it to keep it).
 class WireDecoder {
  public:
   /// Consumes `bytes`, invoking `sink` once per completed event frame (the
@@ -128,7 +127,7 @@ class WireDecoder {
   [[nodiscard]] bool header_seen() const { return header_done_; }
 
  private:
-  std::string carry_;  ///< partial frame tail; capacity is retained
+  std::string carry_;  ///< a header or frame cut by a chunk end
   bool header_done_{false};
   bool poisoned_{false};
 };
@@ -154,11 +153,16 @@ inline constexpr std::size_t kMaxJsonlLineBytes = 4096;
 /// The one serve-stream reader, for every transport: replay and transcode
 /// feed it 64 KiB reads, the socket front-end each read() chunk. A chunk
 /// may end anywhere. The stream's first byte picks the format (see
-/// detect_stream_format): binary frames go through a WireDecoder, JSONL
-/// is split on '\n' and each line decoded in place from the chunk (only a
-/// line cut by a chunk end is carried), blank lines skipped, header lines
-/// consumed. The sink sees each event only until it returns (copy it to
-/// keep it).
+/// detect_stream_format): binary frames go through a WireDecoder. JSONL
+/// lines are read in place from the chunk: at each line start the
+/// canonical reader (read_canonical_line, serve/event.hpp) runs on the
+/// next kMaxJsonlLineBytes + 1 bytes and takes the line when its '}' is
+/// followed by '\n' inside them, decoding into one event the decoder
+/// reuses. Any other line -- the header, other layouts, a line cut by the
+/// chunk end -- is split on '\n' and goes to decode_serve_line, which
+/// gives every verdict and error text for it; only a line cut by a chunk
+/// end is carried, blank lines are skipped, header lines consumed. The
+/// sink sees each event only until it returns (copy it to keep it).
 ///
 /// End-of-stream rule (finish()), the same on every transport: a last
 /// JSONL line without its '\n' is decoded like any other line; anything
@@ -197,6 +201,7 @@ class StreamDecoder {
 
   Format format_{Format::kUnknown};
   WireDecoder wire_;
+  ServeEvent event_;          ///< each canonical JSONL line is read into it
   std::string carry_;         ///< a JSONL line cut by a chunk end (<= cap)
   std::int64_t line_{0};      ///< JSONL lines read so far
   std::uint64_t offset_{0};   ///< stream bytes fed before this chunk

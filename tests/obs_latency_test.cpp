@@ -316,8 +316,8 @@ TEST(RollingWindow, SameInputsSameWindows) {
     std::vector<WindowStats> out;
     for (int i = 1; i <= 5; ++i) {
       out.push_back(agg.roll(cumulative_at(
-          static_cast<std::uint64_t>(i) * 500'000'000ULL, 20 * i, 18 * i,
-          i)));
+          static_cast<std::uint64_t>(i) * std::uint64_t{500'000'000},
+          20 * i, 18 * i, i)));
     }
     return out;
   };

@@ -9,14 +9,18 @@
 // state, and serves a round with a huge agent id in memory linear in its
 // events under both admission policies. Also pins
 // critical-value probes as allocation-free once the calling thread's probe
-// core is warm, and a canonical JSONL line of each kind as decoding
-// without the heap.
+// core is warm, a canonical JSONL line of each kind as decoding
+// without the heap, and a stream of all five kinds, JSONL and binary, as
+// decoding without the heap once its first chunk is read.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +37,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/round_machine.hpp"
 #include "serve/verify.hpp"
+#include "serve/wire.hpp"
 #include "support/alloc_counter.hpp"
 
 namespace mcs::serve {
@@ -98,6 +103,51 @@ TEST(ServeAlloc, CanonicalJsonlLinesDecodeWithoutTheHeap) {
   const std::optional<ServeEvent> decoded = decode_serve_line(header);
   EXPECT_EQ(test::heap_allocations() - before, 0u);
   EXPECT_EQ(decoded, std::nullopt);
+}
+
+TEST(ServeAlloc, StreamDecoderAllocatesNothingAfterTheFirstChunk) {
+  // A Table-I load with every other task weighted: all five kinds, each
+  // line in the encoder's layout, spanning many 64 KiB reads.
+  LoadGenConfig load;
+  load.rounds = 120;
+  load.seed = 2026;
+  std::string jsonl;
+  StreamWriter writer(WireFormat::kJsonl,
+                      [&jsonl](std::string_view bytes) { jsonl += bytes; });
+  const std::int64_t n = generate_events(load, [&](ServeEvent event) {
+    if (event.kind == ServeEventKind::kTaskArrived && event.task.value() % 2) {
+      event.task_value = Money::from_double(2.5);
+    }
+    writer.write(event);
+    return true;
+  });
+  writer.flush();
+  std::istringstream jsonl_in(jsonl);
+  std::ostringstream binary_out;
+  ASSERT_EQ(transcode_serve_stream(jsonl_in, binary_out, WireFormat::kBinary),
+            n);
+  const std::string binary = binary_out.str();
+
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const std::pair<const char*, std::string_view> streams[] = {
+      {"jsonl", jsonl}, {"binary", binary}};
+  for (const auto& [name, bytes] : streams) {
+    SCOPED_TRACE(name);
+    ASSERT_GT(bytes.size(), 4 * kChunk);
+    std::int64_t events = 0;
+    const StreamDecoder::Sink sink = [&events](const ServeEvent&) {
+      ++events;
+    };
+    StreamDecoder decoder;
+    decoder.feed(bytes.substr(0, kChunk), sink);
+    const std::uint64_t before = test::heap_bytes();
+    for (std::size_t at = kChunk; at < bytes.size(); at += kChunk) {
+      decoder.feed(bytes.substr(at, kChunk), sink);
+    }
+    decoder.finish(sink);
+    EXPECT_EQ(test::heap_bytes() - before, 0u);
+    EXPECT_EQ(events, n);
+  }
 }
 
 TEST(ServeAlloc, HostileFrontInsertionRoundMatchesBatch) {

@@ -5,8 +5,9 @@
 // fuzz pinning that the binary and JSONL decoders accept or reject the
 // same logical events with zero divergence; plus the JSONL line decoder
 // against its tree-walking oracle, on pinned edge lines and on mutated
-// canonical lines. Iteration counts scale with MCS_WIRE_FUZZ_ITERS (the CI
-// smoke job runs 100k).
+// canonical lines, and StreamDecoder against the same oracle on runs of
+// mutated lines cut at random points. Iteration counts scale with
+// MCS_WIRE_FUZZ_ITERS (the CI smoke job runs 100k).
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -883,15 +884,6 @@ TEST(WireFuzz, JsonlLineDecoderMatchesTheTreeOracle) {
   EXPECT_GT(rejected, iters / 10);
 }
 
-// ---------------------------------------------------------- transport parity
-
-/// What one transport made of a byte stream: the events it delivered and
-/// whether it took the whole stream.
-struct Reading {
-  std::vector<ServeEvent> events;
-  bool accepted{false};
-};
-
 /// `bytes` cut at random points, pieces of 1-8 bytes mixed with pieces of
 /// up to 8 KiB.
 std::vector<std::string_view> random_pieces(std::string_view bytes,
@@ -906,6 +898,102 @@ std::vector<std::string_view> random_pieces(std::string_view bytes,
   return pieces;
 }
 
+/// What the tree oracle makes of a JSONL stream by StreamDecoder's line
+/// rules: the events before the first line it refuses, and that line's
+/// 1-based number (0 when it takes the whole stream).
+struct TreeReading {
+  std::vector<ServeEvent> events;
+  std::int64_t failed_line{0};
+};
+
+TreeReading read_by_tree(std::string_view stream) {
+  TreeReading reading;
+  for (std::int64_t number = 1; !stream.empty(); ++number) {
+    const std::size_t end = std::min(stream.find('\n'), stream.size());
+    const std::string_view line = stream.substr(0, end);
+    stream.remove_prefix(std::min(end + 1, stream.size()));
+    if (line.empty()) continue;
+    try {
+      if (line.size() > kMaxJsonlLineBytes) {
+        throw InvalidArgumentError("longer than the cap");
+      }
+      const std::optional<ServeEvent> event =
+          test_support::decode_serve_line_by_tree(line);
+      if (event) reading.events.push_back(*event);
+    } catch (const InvalidArgumentError&) {
+      reading.failed_line = number;
+      break;
+    }
+  }
+  return reading;
+}
+
+/// The 1-based line a StreamDecoder error names ("line N: ..."), or -1.
+std::int64_t line_of(const std::string& error) {
+  return error.rfind("line ", 0) == 0 ? std::atoll(error.c_str() + 5) : -1;
+}
+
+TEST(WireFuzz, JsonlStreamDecoderMatchesTheTreeOracle) {
+  // Canonical stream lines are read in place and never reach
+  // decode_serve_line, so the stream gets the oracle too: after the
+  // header, one fuzzed line or a run of them (some with junk after the
+  // closing brace), with or without the last '\n', fed at random cuts. The
+  // decoder must deliver the oracle's events and fail at the line the
+  // oracle refuses.
+  std::vector<std::string> canonical;
+  for (const ServeEvent& event : every_kind()) {
+    canonical.push_back(encode_serve_event(event));
+  }
+  const std::vector<std::string>& fragments = jsonl_fragments();
+  std::mt19937_64 rng(20261020);
+  const std::int64_t iters = fuzz_iters(4000);
+  std::int64_t accepted = 0;
+  std::int64_t rejected = 0;
+  for (std::int64_t i = 0; i < iters; ++i) {
+    std::string stream = std::string(kServeStreamHeader) + "\n";
+    for (int lines = 1 + static_cast<int>(rng() % 6); lines > 0; --lines) {
+      std::string line = rng() % 2 == 0 ? canonical[rng() % canonical.size()]
+                                        : draw_event(rng).jsonl;
+      if (rng() % 4 == 0) {
+        for (int m = 1 + static_cast<int>(rng() % 3); m > 0; --m) {
+          line = mutate_line(line, rng);
+        }
+      }
+      if (rng() % 8 == 0) line += fragments[rng() % fragments.size()];
+      stream += line + "\n";
+    }
+    if (rng() % 2 == 0) stream.pop_back();
+    const TreeReading oracle = read_by_tree(stream);
+    std::vector<ServeEvent> events;
+    std::int64_t failed_line = 0;
+    const auto sink = [&events](const ServeEvent& e) { events.push_back(e); };
+    StreamDecoder decoder;
+    try {
+      for (const std::string_view piece : random_pieces(stream, rng)) {
+        decoder.feed(piece, sink);
+      }
+      decoder.finish(sink);
+    } catch (const InvalidArgumentError& e) {
+      failed_line = line_of(e.what());
+    }
+    ASSERT_EQ(failed_line, oracle.failed_line) << stream;
+    ASSERT_EQ(events, oracle.events) << stream;
+    ++(failed_line == 0 ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, iters / 10);
+  EXPECT_GT(rejected, iters / 10);
+}
+
+// ---------------------------------------------------------- transport parity
+
+/// What one transport made of a byte stream: the events it delivered and
+/// whether it took the whole stream.
+struct Reading {
+  std::vector<ServeEvent> events;
+  bool accepted{false};
+  std::string error;  ///< what the refusal said
+};
+
 Reading by_decoder(std::string_view bytes, std::mt19937_64& rng) {
   Reading reading;
   StreamDecoder decoder;
@@ -916,7 +1004,8 @@ Reading by_decoder(std::string_view bytes, std::mt19937_64& rng) {
     }
     decoder.finish(sink);
     reading.accepted = true;
-  } catch (const InvalidArgumentError&) {
+  } catch (const InvalidArgumentError& e) {
+    reading.error = e.what();
   }
   return reading;
 }
@@ -928,7 +1017,8 @@ Reading by_read_serve_stream(const std::string& bytes) {
     read_serve_stream(
         is, [&](const ServeEvent& e) { reading.events.push_back(e); });
     reading.accepted = true;
-  } catch (const InvalidArgumentError&) {
+  } catch (const InvalidArgumentError& e) {
+    reading.error = e.what();
   }
   return reading;
 }
@@ -998,6 +1088,44 @@ std::string without_final_newline(std::string bytes) {
   return bytes;
 }
 
+/// A one-slot round whose slot_tick, line 2, is exactly `bytes` bytes, its
+/// round widened by leading zeros, then all of `jsonl`.
+std::string with_wide_tick(const std::string& jsonl, std::size_t bytes) {
+  constexpr std::int64_t kRound = 1000000;
+  const std::string head = R"({"ev":"slot_tick","round":)";
+  const std::string tail = std::to_string(kRound) + R"(,"slot":1})";
+  return encode_serve_event(round_open(kRound, 1, Money::from_units(10))) +
+         "\n" + head +
+         std::string(bytes - head.size() - tail.size(), '0') + tail + "\n" +
+         encode_serve_event(round_close(kRound)) + "\n" + jsonl;
+}
+
+/// `jsonl` up to line `index`'s closing '}' (0 is the header).
+std::string cut_after_line(const std::string& jsonl, std::size_t index) {
+  std::size_t end = jsonl.find('\n');
+  for (std::size_t i = 0; i < index; ++i) end = jsonl.find('\n', end + 1);
+  return jsonl.substr(0, end);
+}
+
+/// One served round whose first task carries its own value and whose
+/// second does not.
+std::string weighted_round() {
+  std::string bytes;
+  StreamWriter writer(WireFormat::kJsonl,
+                      [&bytes](std::string_view out) { bytes += out; });
+  for (const ServeEvent& event :
+       {round_open(0, 2, Money::from_units(10)),
+        task_arrived(0, Slot{1}, TaskId{0}, Money::from_double(2.5)),
+        task_arrived(0, Slot{1}, TaskId{1}),
+        bid_submitted(0, PhoneId{0}, bid(1, 2, 1.0)), slot_tick(0, Slot{1}),
+        task_arrived(0, Slot{2}, TaskId{2}), slot_tick(0, Slot{2}),
+        round_close(0)}) {
+    writer.write(event);
+  }
+  writer.flush();
+  return bytes;
+}
+
 TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
   LoadGenConfig load;
   load.rounds = 40;  // both formats span more than one 64 KiB read
@@ -1015,6 +1143,7 @@ TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
     std::string bytes;
     bool accepted;
     std::size_t events;
+    const char* error = nullptr;  ///< the refusal's text, when pinned
   };
   const std::vector<Row> table = {
       {"jsonl", jsonl, true, n},
@@ -1036,6 +1165,15 @@ TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
       {"jsonl ending in a line over the cap without its newline",
        without_final_newline(padded_line(jsonl, n, kMaxJsonlLineBytes + 1)),
        false, n - 1},
+      // Leading zeros are canonical: the in-place reader keeps the cap.
+      {"jsonl with a canonical line of exactly the cap",
+       with_wide_tick(jsonl, kMaxJsonlLineBytes), true, n + 3},
+      {"jsonl with a canonical line over the cap",
+       with_wide_tick(jsonl, kMaxJsonlLineBytes + 1), false, 1,
+       "line 2: longer than 4096 bytes"},
+      {"jsonl cut right after a canonical line's closing brace",
+       cut_after_line(jsonl, 6), true, 6},
+      {"jsonl with a weighted task", weighted_round(), true, 8},
   };
   std::mt19937_64 rng(20261019);
   for (const Row& row : table) {
@@ -1047,10 +1185,20 @@ TEST(TransportParity, EveryTransportReadsEveryStreamAlike) {
     for (const ServeEvent& event : read.events) {
       closes += event.kind == ServeEventKind::kRoundClose ? 1 : 0;
     }
+    if (row.error != nullptr) {
+      EXPECT_EQ(read.error, row.error);
+    }
+    if (row.bytes.empty() || row.bytes.front() != kWireMagic[0]) {
+      // A JSONL stream delivers what the tree oracle reads line by line.
+      EXPECT_EQ(read.events, read_by_tree(row.bytes).events);
+    }
     for (int draw = 0; draw < 3; ++draw) {
       const Reading decoded = by_decoder(row.bytes, rng);
       EXPECT_EQ(decoded.accepted, read.accepted);
       EXPECT_EQ(decoded.events, read.events);
+      if (row.error != nullptr) {
+        EXPECT_EQ(decoded.error, row.error);
+      }
     }
     const Reading socket = by_socket(row.bytes, rng);
     EXPECT_EQ(socket.accepted, read.accepted);
