@@ -99,8 +99,7 @@ std::string encode_outcome(const auction::Outcome& outcome) {
 
 auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
                             const model::Scenario& scenario,
-                            const model::BidProfile& bids,
-                            bool probe_critical_values) {
+                            const model::BidProfile& bids) {
   scenario.validate();
   model::validate_bids(scenario, bids);
   const std::unique_ptr<auction::Mechanism> mechanism = make_mechanism(spec);
@@ -123,16 +122,14 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
 
   const auction::Outcome outcome = mechanism->run(scenario, bids);
 
-  if (probe_critical_values && spec.mechanism == "online") {
-    // Winner probe trails: the bisection records every probe into the
-    // installed log (its inner allocation re-runs stay suppressed), so
-    // explain_phone can trace the payment back to the critical bid. One
-    // shared-prefix engine, built from the outcome just produced, serves
-    // every winner's probes by per-probe forks at each winner's arrival.
+  if (spec.mechanism == "online") {
+    // One payment_certificate per winner, on one engine over the outcome.
     const auction::CounterfactualEngine engine(
         scenario, bids, online_config(spec), outcome.allocation);
     for (const PhoneId winner : outcome.allocation.winners()) {
-      (void)auction::greedy_critical_value(engine, winner);
+      (void)auction::audit_winner_payment(
+          engine, winner,
+          outcome.payments[static_cast<std::size_t>(winner.value())]);
     }
   }
 
@@ -239,15 +236,6 @@ ReplayReport replay_run(std::istream& events_jsonl) {
 
 // ------------------------------------------------------- explain_phone
 
-namespace {
-
-std::string attr_or(const io::JsonValue& record, std::string_view key,
-                    std::string fallback) {
-  return record.string_or(key, std::move(fallback));
-}
-
-}  // namespace
-
 std::string explain_phone(std::istream& events_jsonl, int phone) {
   std::ostringstream out;
   bool mentioned = false;
@@ -262,7 +250,7 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
 
     if (type == "run_started") {
       out << "phone " << phone << " in a '"
-          << attr_or(record, "mechanism", "?") << "' run ("
+          << record.string_or("mechanism", "?") << "' run ("
           << record.int_or("phones", 0) << " phones, "
           << record.int_or("tasks", 0) << " tasks, "
           << record.int_or("slots", 0) << " slots)\n";
@@ -285,53 +273,37 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
     mentioned = true;
 
     if (type == "bid_admitted") {
-      out << "slot " << slot << ": bid " << attr_or(record, "bid", "?")
+      out << "slot " << slot << ": bid " << record.string_or("bid", "?")
           << " admitted, departs slot " << record.int_or("departs", -1)
           << '\n';
     } else if (type == "bid_rejected") {
-      out << "slot " << slot << ": bid " << attr_or(record, "bid", "?")
-          << " REJECTED (" << attr_or(record, "reason", "?") << ", reserve "
-          << attr_or(record, "reserve", "?") << ")\n";
+      out << "slot " << slot << ": bid " << record.string_or("bid", "?")
+          << " REJECTED (" << record.string_or("reason", "?") << ", reserve "
+          << record.string_or("reserve", "?") << ")\n";
     } else if (type == "task_assigned") {
       won = true;
       out << "slot " << slot << ": WON task " << task << " at bid "
-          << attr_or(record, "bid", "?") << " (task value "
-          << attr_or(record, "task_value", "?") << ")";
+          << record.string_or("bid", "?") << " (task value "
+          << record.string_or("task_value", "?") << ")";
       if (record.find("runner_up_phone") != nullptr) {
         out << "; runner-up phone " << record.int_or("runner_up_phone", -1)
-            << " at " << attr_or(record, "runner_up_bid", "?");
+            << " at " << record.string_or("runner_up_bid", "?");
       }
       out << '\n';
     } else if (type == "winner_selected") {
       won = true;
       out << "task " << task << " (slot " << slot << "): SELECTED with weight "
-          << attr_or(record, "weight", "?");
+          << record.string_or("weight", "?");
       if (record.find("runner_up_phone") != nullptr) {
         out << "; runner-up phone " << record.int_or("runner_up_phone", -1)
-            << " at weight " << attr_or(record, "runner_up_weight", "?");
+            << " at weight " << record.string_or("runner_up_weight", "?");
       }
       out << '\n';
-    } else if (type == "critical_probe") {
-      out << "  probe bid " << attr_or(record, "probe", "?") << " -> "
-          << (record.at("won").as_bool() ? "wins" : "loses") << " (bracket ["
-          << attr_or(record, "lo", "?") << ", " << attr_or(record, "hi", "?")
-          << "])\n";
-    } else if (type == "critical_found") {
-      if (const io::JsonValue* unbounded = record.find("unbounded");
-          unbounded != nullptr && unbounded->as_bool()) {
-        out << "critical bid unbounded up to "
-            << attr_or(record, "upper_bound", "?") << " ("
-            << record.int_or("probes", 0)
-            << " probes; supply scarcity keeps the phone winning)\n";
-      } else {
-        out << "critical bid " << attr_or(record, "critical_bid", "?")
-            << " (bisection bracket [" << attr_or(record, "lo", "?") << ", "
-            << attr_or(record, "hi", "?") << "], "
-            << record.int_or("probes", 0) << " probes)\n";
-      }
+    } else if (type == "payment_certificate") {
+      narrate_payment_certificate(out, record);
     } else if (type == "payment_derivation") {
-      out << "paid " << attr_or(record, "payment", "?") << " by rule "
-          << attr_or(record, "rule", "?");
+      out << "paid " << record.string_or("payment", "?") << " by rule "
+          << record.string_or("rule", "?");
       if (const io::JsonValue* setter = record.find("set_by_phone")) {
         out << "; level set by rival phone " << setter->as_int();
         if (record.find("set_in_slot") != nullptr) {
@@ -340,14 +312,14 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
       }
       if (const io::JsonValue* welfare = record.find("welfare_all")) {
         out << "; welfare " << welfare->as_string() << " vs "
-            << attr_or(record, "welfare_without", "?") << " without the phone";
+            << record.string_or("welfare_without", "?") << " without the phone";
       }
       if (const io::JsonValue* scarce = record.find("scarce_applied");
           scarce != nullptr && scarce->as_bool()) {
-        out << "; scarce-supply cap " << attr_or(record, "scarce_cap", "?")
+        out << "; scarce-supply cap " << record.string_or("scarce_cap", "?")
             << " applied";
       }
-      out << " (own bid " << attr_or(record, "own_bid", "?") << ")\n";
+      out << " (own bid " << record.string_or("own_bid", "?") << ")\n";
     }
   });
 
@@ -358,6 +330,28 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
         << '\n';
   }
   return out.str();
+}
+
+void narrate_payment_certificate(std::ostream& out,
+                                 const io::JsonValue& record) {
+  const std::string verdict = record.string_or("verdict", "?");
+  out << "payment certificate " << verdict << ": paid "
+      << record.string_or("paid", "?");
+  if (verdict == "ok") out << " is the critical bid";
+  if (record.find("critical") != nullptr) {
+    out << ", but the critical bid is " << record.string_or("critical", "?");
+  }
+  const char* separator = "; ";
+  for (const auto& [fork, label] :
+       {std::pair{"claim", "its claim "}, std::pair{"above", ""},
+        std::pair{"below", ""}, std::pair{"upper_bound", "the probe bound "}}) {
+    if (const io::JsonValue* won = record.find(std::string(fork) + "_won")) {
+      out << separator << (won->as_bool() ? "wins" : "loses") << " at "
+          << label << record.string_or(fork, "?");
+      separator = ", ";
+    }
+  }
+  out << '\n';
 }
 
 }  // namespace mcs::analysis

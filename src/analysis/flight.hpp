@@ -14,8 +14,8 @@
 // the reproduced outcome encoding against the recorded one. A clean replay
 // certifies the log is a faithful record of a deterministic run -- the CI
 // determinism oracle behind `mcs_cli replay`. explain_phone() renders one
-// bidder's view of the trail (admission, pools, wins, probes, payment) as
-// a plain-text narrative -- `mcs_cli explain`.
+// bidder's view of the trail (admission, pools, wins, payment and its
+// certificate) as a plain-text narrative -- `mcs_cli explain`.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 
 #include "auction/mechanism.hpp"
 #include "auction/online_greedy.hpp"
+#include "io/json_parse.hpp"
 #include "model/scenario.hpp"
 #include "obs/event_log.hpp"
 
@@ -60,14 +61,12 @@ struct RunSpec {
 
 /// Runs `spec`'s mechanism on (scenario, bids) with `log` installed for the
 /// calling thread, recording the full decision trail bracketed by
-/// run_started / run_finished. With `probe_critical_values` set and an
-/// online-greedy spec, additionally runs the critical-value bisection for
-/// every winner so the log carries each winner's probe trail (what
-/// explain_phone uses to name the critical bid).
+/// run_started / run_finished. An online run also certifies every winner's
+/// payment (auction::audit_winner_payment), so the log carries one
+/// payment_certificate record per winner.
 auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
                             const model::Scenario& scenario,
-                            const model::BidProfile& bids,
-                            bool probe_critical_values = false);
+                            const model::BidProfile& bids);
 
 struct ReplayReport {
   bool clean = false;         ///< reproduced encoding == recorded encoding
@@ -86,8 +85,13 @@ struct ReplayReport {
 
 /// Narrates one phone's round from a JSONL event log: admission or
 /// rejection, candidate-pool standing per slot, wins with runner-up
-/// context, the critical-value probe trail, and the payment derivation.
+/// context, the payment derivation and its certificate. Records of kinds
+/// no longer written (an older log's bisection probes) are skipped.
 [[nodiscard]] std::string explain_phone(std::istream& events_jsonl,
                                         int phone);
+
+/// One line for a payment_certificate record: verdict, forks, outcomes.
+void narrate_payment_certificate(std::ostream& out,
+                                 const io::JsonValue& record);
 
 }  // namespace mcs::analysis

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "io/json_parse.hpp"
+#include "io/line_reader.hpp"
 
 namespace mcs::analysis {
 
@@ -136,7 +137,14 @@ TraceStreamSummary summarize_trace_stream(std::istream& in) {
   TraceStreamSummary out;
   bool have_header = false;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::int64_t line_number = 1;; ++line_number) {
+    const io::LineRead read = io::read_line(in, line, kMaxTraceLineBytes);
+    if (read == io::LineRead::kEnd) break;
+    if (read == io::LineRead::kTooLong) {
+      throw InvalidArgumentError(
+          "trace-report: line " + std::to_string(line_number) +
+          ": longer than " + std::to_string(kMaxTraceLineBytes) + " bytes");
+    }
     if (line.empty()) continue;
     const io::JsonValue parsed = io::parse_json(line);
     if (!have_header) {

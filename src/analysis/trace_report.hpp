@@ -9,6 +9,7 @@
 // come from obs/round_trace.hpp, the layer both sides share.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -85,9 +86,15 @@ struct TraceStreamSummary {
   std::vector<TraceExemplar> exemplars;
 };
 
+/// Longest mcs.trace.v1 line summarize_trace_stream reads, without its
+/// '\n'. The writer's widest line, the exemplars record (at most one entry
+/// per sketch bucket above the 1 ms floor), is ~77 KB.
+inline constexpr std::size_t kMaxTraceLineBytes = std::size_t{128} << 10;
+
 /// Parses one mcs.trace.v1 stream. Throws InvalidArgumentError on
-/// malformed JSON, a missing/foreign header, or mistyped records; unknown
-/// record types are skipped (forward compatibility).
+/// malformed JSON, a missing/foreign header, mistyped records, or a line
+/// longer than kMaxTraceLineBytes (refused once the cap is crossed);
+/// unknown record types are skipped (forward compatibility).
 [[nodiscard]] TraceStreamSummary summarize_trace_stream(std::istream& in);
 
 /// The operator view: retention totals, per-phase p50/p99 table, the

@@ -64,9 +64,9 @@ class CounterfactualEngine {
   };
 
   /// Read-only critical-value probe of `phone` under the greedy rule with
-  /// everyone else's reported bids fixed -- the seam the flight recorder's
-  /// explain path uses, exposed so strategic-agent code (the arena's
-  /// best-responder) can ask "what is the highest claim that still wins?"
+  /// everyone else's reported bids fixed, so strategic-agent code (the
+  /// arena's best-responder) can ask "what is the highest claim that still
+  /// wins?"
   /// without duplicating the bisection. Delegates to
   /// greedy_critical_value(*this, phone) after screening out unwinnable
   /// phones (which the bisection preconditions away). Thread-safe.

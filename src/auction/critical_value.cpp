@@ -1,6 +1,8 @@
 #include "auction/critical_value.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "auction/counterfactual.hpp"
 #include "common/assert.hpp"
@@ -9,83 +11,32 @@
 
 namespace mcs::auction {
 
-namespace {
-
-/// One "critical_probe" record: the probed bid, whether the bidder still
-/// won, and the bracket [lo, hi] *after* folding the probe in.
-void log_probe(std::int32_t phone, Money probe, bool won, std::int64_t lo,
-               std::int64_t hi) {
-  obs::log_event([&] {
-    obs::Event event("critical_probe");
-    event.phone = phone;
-    event.with("probe", probe)
-        .with("won", won)
-        .with("lo", Money::from_micros(lo))
-        .with("hi", Money::from_micros(hi));
-    return event;
-  });
-}
-
-}  // namespace
-
 std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
-                                           Money upper_bound,
-                                           std::int64_t tolerance_micros,
-                                           std::int32_t log_phone) {
-  MCS_EXPECTS(tolerance_micros >= 1, "tolerance must be >= 1 micro");
+                                           Money upper_bound) {
   MCS_EXPECTS(!upper_bound.is_negative(), "upper_bound must be >= 0");
   obs::count("auction.critical_value.searches");
-  std::int64_t probes = 1;  // the wins(0) precondition probe below
+  std::int64_t probes = 2;  // wins(0) and wins(upper_bound) below
   MCS_EXPECTS(wins(Money{}), "bisect_critical_value requires wins(0)");
-  log_probe(log_phone, Money{}, true, 0, upper_bound.micros());
-
-  ++probes;
   if (wins(upper_bound)) {
     obs::count("auction.critical_value.probes", probes);
-    log_probe(log_phone, upper_bound, true, upper_bound.micros(),
-              upper_bound.micros());
-    obs::log_event([&] {
-      obs::Event event("critical_found");
-      event.phone = log_phone;
-      event.with("unbounded", true)
-          .with("upper_bound", upper_bound)
-          .with("probes", probes);
-      return event;
-    });
     return std::nullopt;  // unbounded in probed range
   }
 
-  // Invariant: wins at `lo`, loses at `hi`.
+  // Invariant: wins at `lo`, loses at `hi`. `hi` ends on the cheapest
+  // losing claim, one micro above the dearest winning one; the greedy
+  // rule's payment is within that micro (a cost tie may go either way).
   std::int64_t lo = 0;
   std::int64_t hi = upper_bound.micros();
-  log_probe(log_phone, upper_bound, false, lo, hi);
-  while (hi - lo > tolerance_micros) {
+  while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     ++probes;
-    const bool won = wins(Money::from_micros(mid));
-    if (won) {
+    if (wins(Money::from_micros(mid))) {
       lo = mid;
     } else {
       hi = mid;
     }
-    log_probe(log_phone, Money::from_micros(mid), won, lo, hi);
   }
   obs::count("auction.critical_value.probes", probes);
-  // `lo` is the largest probed winning cost; with tolerance 1 micro the
-  // true threshold lies in (lo, lo + 1 micro], and for mechanisms whose
-  // thresholds are exact bid values (the greedy rule) `hi` equals it.
-  // `critical_bid` reports `hi` -- the value this function returns and the
-  // payment path charges -- so explains never drift from the money moved;
-  // the [lo, hi] bracket fields keep the search window inspectable.
-  obs::log_event([&] {
-    obs::Event event("critical_found");
-    event.phone = log_phone;
-    event.with("critical_bid", Money::from_micros(hi))
-        .with("lo", Money::from_micros(lo))
-        .with("hi", Money::from_micros(hi))
-        .with("probes", probes);
-    return event;
-  });
   return Money::from_micros(hi);
 }
 
@@ -113,27 +64,19 @@ Money probe_upper_bound(const model::Scenario& scenario,
 
 }  // namespace
 
-std::optional<Money> greedy_critical_value(const model::Scenario& scenario,
-                                           const model::BidProfile& bids,
-                                           PhoneId phone,
-                                           const OnlineGreedyConfig& config) {
-  const Allocation factual = [&] {
-    // The factual pass is the engine's input, not a decision of any
-    // recorded run: only the bisection's probes reach the caller's trail.
-    const obs::ScopedEventLog suppress(nullptr);
-    return run_greedy_allocation(scenario, bids, config).allocation;
-  }();
-  const CounterfactualEngine engine(scenario, bids, config, factual);
-  return greedy_critical_value(engine, phone);
-}
-
 std::optional<Money> greedy_critical_value(const CounterfactualEngine& engine,
                                            PhoneId phone) {
   const Money upper_bound = probe_upper_bound(engine.scenario(), engine.bids());
   const WinsWithCost wins = [&](Money cost) {
     return engine.wins_with_cost(phone, cost);
   };
-  return bisect_critical_value(wins, upper_bound, 1, phone.value());
+  return bisect_critical_value(wins, upper_bound);
+}
+
+std::string_view to_string(PaymentAuditVerdict verdict) {
+  constexpr std::array<std::string_view, 4> kNames = {
+      "ok", "loses_at_claim", "not_critical", "unbounded"};
+  return kNames[static_cast<std::size_t>(verdict)];
 }
 
 PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
@@ -142,12 +85,16 @@ PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
   MCS_EXPECTS(index < engine.bids().size(),
               "audit_winner_payment: phone outside the bid profile");
   const Money claimed = engine.bids()[index].claimed_cost;
-  if (!engine.wins_with_cost(phone, claimed)) {
-    return {PaymentAuditVerdict::kLosesAtClaim, std::nullopt};
-  }
-  // By monotonicity a winner at `claimed` wins at every lower claim.
-  const auto wins = [&](Money cost) {
-    return cost <= claimed || engine.wins_with_cost(phone, cost);
+  // Each fork run, in order, for the payment_certificate record.
+  struct Fork { const char* name; Money cost; bool won; };
+  std::array<Fork, 4> forks{};
+  std::size_t ran = 0;
+  const auto wins = [&](const char* name, Money cost) {
+    // By monotonicity a winner at `claimed` wins at every lower claim.
+    const bool won = (ran > 0 && cost <= claimed) ||
+                     engine.wins_with_cost(phone, cost);
+    forks[ran++] = Fork{name, cost, won};
+    return won;
   };
   // The bisection passes `paid` when its first losing micro T on [0, U]
   // lies within one micro (a cost tie) of it; by monotonicity exactly when
@@ -156,14 +103,32 @@ PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
   const Money above = std::min(
       Money::saturating_add(paid, Money::from_micros(1)), upper_bound);
   const Money below = Money::saturating_add(paid, Money::from_micros(-2));
-  const bool loses_above = !wins(above);
-  if (loses_above && wins(below)) return {};  // kOk
-  if (!loses_above && wins(upper_bound)) {
-    return {PaymentAuditVerdict::kUnboundedSkipped, std::nullopt};
+  PaymentAudit audit;
+  if (!wins("claim", claimed)) {
+    audit.verdict = PaymentAuditVerdict::kLosesAtClaim;
+  } else if (const bool loses_above = !wins("above", above);
+             loses_above && wins("below", below)) {
+    audit.verdict = PaymentAuditVerdict::kOk;
+  } else if (!loses_above && wins("upper_bound", upper_bound)) {
+    audit.verdict = PaymentAuditVerdict::kUnboundedSkipped;
+  } else {
+    audit.verdict = PaymentAuditVerdict::kPaymentNotCritical;
+    audit.critical = greedy_critical_value(engine, phone);
+    MCS_ENSURES(audit.critical, "audit_winner_payment: probes not monotone");
   }
-  const std::optional<Money> critical = greedy_critical_value(engine, phone);
-  MCS_ENSURES(critical, "audit_winner_payment: probes not monotone");
-  return {PaymentAuditVerdict::kPaymentNotCritical, critical};
+  obs::log_event([&] {
+    obs::Event event("payment_certificate");
+    event.phone = phone.value();
+    event.with("paid", paid).with("verdict",
+                                  std::string(to_string(audit.verdict)));
+    for (std::size_t k = 0; k < ran; ++k) {
+      event.with(forks[k].name, forks[k].cost)
+          .with(std::string(forks[k].name) + "_won", forks[k].won);
+    }
+    if (audit.critical) event.with("critical", *audit.critical);
+    return event;
+  });
+  return audit;
 }
 
 }  // namespace mcs::auction

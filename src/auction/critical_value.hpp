@@ -6,15 +6,16 @@
 // re-running the allocation as a black box. It is deliberately independent
 // of Algorithm 2, so the tests can confirm that Algorithm 2's payment *is*
 // the critical value -- the heart of the Theorem 4 proof -- without sharing
-// any code with it.
+// any code with it. audit_winner_payment certifies a paid amount critical
+// in three forks instead: every winner's payment explanation.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <string_view>
 
-#include "auction/online_greedy.hpp"
 #include "common/money.hpp"
-#include "model/scenario.hpp"
+#include "common/types.hpp"
 
 namespace mcs::auction {
 
@@ -23,45 +24,28 @@ namespace mcs::auction {
 using WinsWithCost = std::function<bool(Money cost)>;
 
 /// Bisects for the threshold between winning and losing claimed costs on
-/// [0, upper_bound].
+/// [0, upper_bound], exact to one micro-unit.
 ///
 /// Preconditions: wins(0) is true (call this only for bidders that win at
 /// some cost) and `wins` is monotone.
 /// Returns nullopt when the bidder wins even at `upper_bound` (the critical
 /// value is unbounded within the probed range, e.g. under supply scarcity);
-/// otherwise returns a value within `tolerance_micros` of the threshold
-/// (default: exact to one micro-unit).
-///
-/// When an obs::EventLog is installed, every probe is recorded as a
-/// "critical_probe" event (probe bid, win/lose, resulting [lo, hi]
-/// bracket) followed by one "critical_found" summary; `log_phone` tags the
-/// records with the bidder under search (-1 = untagged). The `wins`
-/// predicate itself should suppress any instrumentation of its inner
-/// allocation re-run (CounterfactualEngine::wins_with_cost does).
+/// otherwise returns the cheapest losing claim. Records no events: a
+/// payment's explanation is audit_winner_payment's certificate.
 [[nodiscard]] std::optional<Money> bisect_critical_value(
-    const WinsWithCost& wins, Money upper_bound,
-    std::int64_t tolerance_micros = 1, std::int32_t log_phone = -1);
+    const WinsWithCost& wins, Money upper_bound);
 
 class CounterfactualEngine;  // auction/counterfactual.hpp
 
 /// Critical claimed cost of `phone` under the greedy online allocation
-/// (Algorithm 1) with everyone else's bids fixed. Requires that `phone`
-/// wins when claiming 0. Returns nullopt when the phone wins at any probed
-/// cost (supply scarcity). The probe range is the task value plus the
-/// maximum claimed cost in `bids` (saturating at Money::max() on
-/// adversarial inputs), which exceeds any bounded critical value of the
-/// greedy rule. Probes evaluate on a shared-prefix CounterfactualEngine
-/// built on the spot over a factual run_greedy_allocation (its events
-/// suppressed); the bisection *algorithm* stays independent of
-/// Algorithm 2's max-over-winners derivation, preserving the
+/// (Algorithm 1) with everyone else's bids fixed, bisected on `engine`.
+/// Requires that `phone` wins when claiming 0. Returns nullopt when the
+/// phone wins at any probed cost (supply scarcity). The probe range is the
+/// task value plus the maximum claimed cost in the bids (saturating at
+/// Money::max() on adversarial inputs), which exceeds any bounded critical
+/// value of the greedy rule. The bisection *algorithm* stays independent
+/// of Algorithm 2's max-over-winners derivation, preserving the
 /// payment-equals-critical-value cross-check.
-[[nodiscard]] std::optional<Money> greedy_critical_value(
-    const model::Scenario& scenario, const model::BidProfile& bids,
-    PhoneId phone, const OnlineGreedyConfig& config = {});
-
-/// Same search on a caller-provided engine: one engine, built over the
-/// allocation the caller already has, serves every phone of a (scenario,
-/// bids, config) triple, as in the flight recorder's record_run.
 [[nodiscard]] std::optional<Money> greedy_critical_value(
     const CounterfactualEngine& engine, PhoneId phone);
 
@@ -84,6 +68,10 @@ struct PaymentAudit {
   std::optional<Money> critical;
 };
 
+/// The verdict as a payment_certificate record names it: "ok",
+/// "loses_at_claim", "not_critical" or "unbounded".
+[[nodiscard]] std::string_view to_string(PaymentAuditVerdict verdict);
+
 /// Audits one factual winner against Theorem 4's payment characterization:
 /// (a) the phone still wins when re-run at its reported cost, and (b) its
 /// payment `paid` equals the greedy critical value -- within the one micro
@@ -91,6 +79,9 @@ struct PaymentAudit {
 /// searches (same verdicts): the phone loses at paid + 1 micro and wins at
 /// paid - 2 micros; only a failed certificate bisects. One shared-prefix
 /// engine serves every winner of the round.
+/// Writes one "payment_certificate" record to an installed obs::EventLog:
+/// `paid`, the verdict, each fork run (`claim`, `above`, `below`,
+/// `upper_bound`) with a `<fork>_won` flag, and `critical` if bisected.
 [[nodiscard]] PaymentAudit audit_winner_payment(
     const CounterfactualEngine& engine, PhoneId phone, Money paid);
 

@@ -86,11 +86,10 @@ struct GreedyRun {
 /// Runs Algorithm 1 on `bids` over the whole round. Exposed publicly
 /// because the second-price baseline, the Fig. 4 walkthrough, the
 /// charging and competitive-ratio analyses, and the CounterfactualEngine
-/// builders that have no outcome at hand (the scenario overload of
-/// greedy_critical_value, the arena's respond pass, the probe bench and
-/// tests) build on it; the flight recorder and the econ plane hand the
-/// engine the allocation they already have. The pass drives one GreedyCore
-/// (auction/greedy_core.hpp).
+/// builders that have no outcome at hand (the arena's respond pass, the
+/// probe bench and tests) build on it; the flight recorder and the econ
+/// plane hand the engine the allocation they already have. The pass drives
+/// one GreedyCore (auction/greedy_core.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
     const OnlineGreedyConfig& config = {});

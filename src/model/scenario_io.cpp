@@ -1,12 +1,12 @@
 #include "model/scenario_io.hpp"
 
-#include <array>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "io/line_reader.hpp"
 
 namespace mcs::model {
 
@@ -18,28 +18,6 @@ constexpr const char* kHeader = "mcs-scenario v1";
   std::ostringstream os;
   os << "scenario parse error at line " << line_number << ": " << message;
   throw InvalidScenarioError(os.str());
-}
-
-/// std::getline, except that a line longer than kMaxScenarioLineBytes is a
-/// parse error raised once the cap is crossed, not after the whole line is
-/// buffered.
-bool read_line(std::istream& is, std::string& line, int line_number) {
-  std::array<char, kMaxScenarioLineBytes + 1> buffer;
-  is.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  const auto extracted = static_cast<std::size_t>(is.gcount());
-  if (is.fail() && !is.eof()) {
-    // getline stops short of the delimiter only when the buffer is full.
-    if (extracted == kMaxScenarioLineBytes) {
-      parse_error(line_number, "longer than " +
-                                   std::to_string(kMaxScenarioLineBytes) +
-                                   " bytes");
-    }
-    return false;
-  }
-  if (extracted == 0) return false;  // end of input
-  // The count includes the '\n' getline consumed, unless input ended first.
-  line.assign(buffer.data(), is.eof() ? extracted : extracted - 1);
-  return true;
 }
 
 /// Splits on whitespace, dropping everything after a '#'.
@@ -106,8 +84,15 @@ Scenario read_scenario(std::istream& is) {
   std::string line;
   int line_number = 0;
 
-  while (read_line(is, line, line_number + 1)) {
+  for (;;) {
+    const io::LineRead read = io::read_line(is, line, kMaxScenarioLineBytes);
+    if (read == io::LineRead::kEnd) break;
     ++line_number;
+    if (read == io::LineRead::kTooLong) {
+      parse_error(line_number, "longer than " +
+                                   std::to_string(kMaxScenarioLineBytes) +
+                                   " bytes");
+    }
     const std::vector<std::string> tokens = tokenize(line);
     if (tokens.empty()) continue;
 

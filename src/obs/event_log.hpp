@@ -8,8 +8,7 @@
 // The event log records those decisions as append-only structured records
 // (JSONL, schema "mcs.events.v1"): bid admissions and reserve rejections,
 // per-slot candidate pools, winner selections with runner-up weights,
-// every critical-value bisection probe with its bracket, and each payment
-// with its derivation. The log is complete enough to *replay* a run
+// and each payment with its derivation and its certificate. The log is complete enough to *replay* a run
 // (mcs_cli replay) and to narrate one bidder's round (mcs_cli explain).
 //
 // Design constraints mirror obs/metrics.hpp exactly:
@@ -42,9 +41,9 @@
 namespace mcs::obs {
 
 /// One structured decision record. `type` names the record kind
-/// ("critical_probe", "payment", ...); slot/phone/task are the common
-/// correlation keys (negative = not applicable); everything else rides in
-/// `attrs`, serialized in insertion order.
+/// ("task_assigned", "payment_certificate", ...); slot/phone/task are the
+/// common correlation keys (negative = not applicable); everything else
+/// rides in `attrs`, serialized in insertion order.
 struct Event {
   /// Attribute value: integers, reals, flags, exact money amounts
   /// (serialized as decimal strings), free text, or an id list.

@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "model/paper_examples.hpp"
 #include "obs/metrics.hpp"
+#include "support/factual_engine.hpp"
 
 namespace mcs::arena {
 namespace {
@@ -74,10 +75,8 @@ TEST(ArenaPolicy, BestResponderShadesToJustBelowItsCriticalValue) {
   // claim to one micro below that threshold -- and must still win.
   const model::Scenario s = model::fig4_scenario();
   const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyConfig config;
-  const auction::CounterfactualEngine engine(
-      s, bids, config,
-      auction::run_greedy_allocation(s, bids, config).allocation);
+  const auction::CounterfactualEngine engine =
+      test_support::factual_engine(s, bids);
   const PhoneId self{1};
 
   const auto probe = engine.critical_value_of(self);

@@ -26,6 +26,7 @@
 #include "model/scenario_io.hpp"
 #include "model/strategy.hpp"
 #include "obs/event_log.hpp"
+#include "support/factual_engine.hpp"
 #include "support/full_replay.hpp"
 #include "support/monotonicity.hpp"
 
@@ -366,8 +367,9 @@ TEST(OnlineGreedy, Fig4PaymentsEqualBisectedCriticalValues) {
   const model::BidProfile bids = s.truthful_bids();
   const OnlineGreedyMechanism mechanism;
   const Outcome outcome = mechanism.run(s, bids);
+  const CounterfactualEngine engine = test_support::factual_engine(s, bids);
   for (const PhoneId winner : outcome.allocation.winners()) {
-    const auto critical = greedy_critical_value(s, bids, winner);
+    const auto critical = greedy_critical_value(engine, winner);
     ASSERT_TRUE(critical.has_value()) << "phone " << winner;
     const Money payment =
         outcome.payments[static_cast<std::size_t>(winner.value())];
@@ -403,8 +405,9 @@ TEST_P(OnlineCriticalValueProperty, PaymentIsCriticalValue) {
   const OnlineGreedyMechanism mechanism;
   const Outcome outcome = mechanism.run(s, bids);
 
+  const CounterfactualEngine engine = test_support::factual_engine(s, bids);
   for (const PhoneId winner : outcome.allocation.winners()) {
-    const auto critical = greedy_critical_value(s, bids, winner);
+    const auto critical = greedy_critical_value(engine, winner);
     ASSERT_TRUE(critical.has_value());
     const Money payment =
         outcome.payments[static_cast<std::size_t>(winner.value())];
@@ -676,8 +679,9 @@ TEST(OnlineGreedy, CriticalValueBoundSaturatesOnAdversarialScenarioFiles) {
       "task 1\n");
   const model::Scenario s = model::read_scenario(is);
   ASSERT_EQ(s.task_value, Money::max());
+  const model::BidProfile bids = s.truthful_bids();
   const std::optional<Money> critical =
-      greedy_critical_value(s, s.truthful_bids(), PhoneId{0});
+      greedy_critical_value(test_support::factual_engine(s, bids), PhoneId{0});
   ASSERT_TRUE(critical.has_value());
   // Phone 0 beats the rival up to its cost (ties break toward the lower
   // id), so the threshold sits one micro above the rival's 7.

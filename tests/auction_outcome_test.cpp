@@ -122,22 +122,9 @@ TEST(CriticalValueBisect, GuardsPreconditions) {
   EXPECT_THROW(std::ignore = bisect_critical_value(never, mu(10)),
                ContractViolation);
   const WinsWithCost wins = [](Money c) { return c < mu(5); };
-  EXPECT_THROW(std::ignore = bisect_critical_value(wins, mu(10), 0),
-               ContractViolation);
   EXPECT_THROW(
       std::ignore = bisect_critical_value(wins, Money::from_units(-1)),
       ContractViolation);
-}
-
-TEST(CriticalValueBisect, RespectsCustomTolerance) {
-  const WinsWithCost wins = [](Money c) { return c < mu(7); };
-  const auto coarse =
-      bisect_critical_value(wins, mu(100), Money::from_units(1).micros());
-  ASSERT_TRUE(coarse.has_value());
-  const std::int64_t gap = (*coarse - mu(7)).micros() < 0
-                               ? (mu(7) - *coarse).micros()
-                               : (*coarse - mu(7)).micros();
-  EXPECT_LE(gap, Money::from_units(1).micros());
 }
 
 }  // namespace

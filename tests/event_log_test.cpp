@@ -1,8 +1,8 @@
 // Flight-recorder tests: JSONL golden stability, ring-sink bounds, the
-// allocation-free disabled path, probe/record consistency of the
-// critical-value bisection, deterministic replay (clean + tamper
-// detection), the per-bidder explain narrative on the paper's worked
-// example, and the transcript/event-log payment agreement property.
+// allocation-free disabled path, the payment_certificate record of each
+// audit verdict, deterministic replay (clean + tamper detection), the
+// per-bidder explain narrative on the paper's worked example and on an
+// older log, and the transcript/event-log payment agreement property.
 #include <optional>
 #include <sstream>
 #include <string>
@@ -13,12 +13,15 @@
 
 #include "analysis/flight.hpp"
 #include "common/error.hpp"
+#include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
+#include "auction/online_greedy.hpp"
 #include "io/json_parse.hpp"
 #include "model/paper_examples.hpp"
 #include "obs/event_log.hpp"
 #include "sim/simulator.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/factual_engine.hpp"
 #include "support/generators.hpp"
 #include "support/served_round.hpp"
 
@@ -121,58 +124,128 @@ TEST(EventLogDisabled, SuppressionScopeNestsAndRestores) {
   EXPECT_EQ(events[2].type, "outer2");
 }
 
-// --------------------------------------------- bisection probe records
+// ------------------------------------------------ payment certificates
 
-TEST(CriticalValueEvents, ProbeTrailMatchesSummary) {
-  const model::Scenario scenario = model::fig4_scenario();
-  const model::BidProfile bids = scenario.truthful_bids();
+/// What one audit returned, and the one record it wrote.
+struct Certified {
+  auction::PaymentAudit audit;
+  obs::Event record;
+};
 
-  obs::RingEventSink ring(4096);
+Certified certify(const auction::CounterfactualEngine& engine, PhoneId phone,
+                  Money paid) {
+  obs::RingEventSink ring(8);
   obs::EventLog log(&ring);
-  std::optional<Money> critical;
+  Certified certified;
   {
     const obs::ScopedEventLog install(&log);
-    critical = auction::greedy_critical_value(scenario, bids, PhoneId{0});
+    certified.audit = auction::audit_winner_payment(engine, phone, paid);
   }
-  ASSERT_TRUE(critical.has_value());
-
-  // `found` points into this copy, so it must outlive the scan.
+  // Header plus the certificate: the forks' own runs record nothing.
   const std::vector<obs::Event> events = ring.events();
-  std::vector<obs::Event> probes;
-  const obs::Event* found = nullptr;
-  for (const obs::Event& event : events) {
-    if (event.type == "critical_probe") probes.push_back(event);
-    if (event.type == "critical_found") found = &event;
+  EXPECT_EQ(events.size(), 2u);
+  if (events.size() == 2) certified.record = events[1];
+  EXPECT_EQ(certified.record.type, "payment_certificate");
+  EXPECT_EQ(certified.record.phone, phone.value());
+  EXPECT_EQ(attr_money(certified.record, "paid"), paid);
+  // The record's verdict and critical value are the returned audit's.
+  const obs::Event::Value* verdict = attr(certified.record, "verdict");
+  EXPECT_NE(verdict, nullptr);
+  if (verdict != nullptr) {
+    EXPECT_EQ(std::get<std::string>(*verdict),
+              auction::to_string(certified.audit.verdict));
   }
-  ASSERT_NE(found, nullptr);
-  ASSERT_FALSE(probes.empty());
+  if (certified.audit.critical) {
+    EXPECT_EQ(attr_money(certified.record, "critical"),
+              *certified.audit.critical);
+  } else {
+    EXPECT_EQ(attr(certified.record, "critical"), nullptr);
+  }
+  return certified;
+}
 
-  // Every probe is tagged with the bidder and carries a coherent bracket.
-  for (const obs::Event& probe : probes) {
-    EXPECT_EQ(probe.phone, 0);
-    EXPECT_LE(attr_money(probe, "lo"), attr_money(probe, "hi"));
-    ASSERT_NE(attr(probe, "won"), nullptr);
+/// The certificate's forks as "name=cost:won" in record order.
+std::vector<std::string> forks_of(const obs::Event& record) {
+  std::vector<std::string> forks;
+  for (const auto& [name, value] : record.attrs) {
+    const obs::Event::Value* won = attr(record, name + "_won");
+    if (won == nullptr) continue;
+    forks.push_back(name + "=" + std::get<Money>(value).to_string() + ":" +
+                    (std::get<bool>(*won) ? "wins" : "loses"));
   }
-  // The summary's probe count is the number of probe records, and the
-  // reported critical bid is the returned threshold -- the last bracket's
-  // *upper* end (bisect_critical_value returns hi, and that is what the
-  // payment path charges; reporting lo here once made explains drift one
-  // micro below the money actually moved).
-  EXPECT_EQ(std::get<std::int64_t>(*attr(*found, "probes")),
-            static_cast<std::int64_t>(probes.size()));
-  EXPECT_EQ(attr_money(*found, "critical_bid"),
-            attr_money(probes.back(), "hi"));
-  EXPECT_EQ(attr_money(*found, "critical_bid"), *critical);
-  // Paper worked example: Algorithm 2 pays phone 0 (Smartphone 1)
-  // exactly 9; the bisection brackets that threshold to one micro from
-  // above, so the reported critical bid is 9.000001.
-  EXPECT_EQ(attr_money(*found, "critical_bid"), Money::from_micros(9'000'001));
-  EXPECT_EQ(attr_money(*found, "lo"), Money::from_units(9));
-  // The inner counterfactual allocations stay out of the primary trail.
-  for (const obs::Event& event : events) {
-    EXPECT_NE(event.type, "task_assigned");
-    EXPECT_NE(event.type, "slot_pool");
+  return forks;
+}
+
+TEST(PaymentCertificateEvents, RecordMatchesTheAuditForEachVerdict) {
+  using auction::PaymentAuditVerdict;
+  // Fig. 4: Smartphone 1 (phone 0, claim 3) wins and is paid 9.
+  const model::Scenario fig4 = model::fig4_scenario();
+  const model::BidProfile bids = fig4.truthful_bids();
+  const auction::CounterfactualEngine engine =
+      test_support::factual_engine(fig4, bids);
+  const PhoneId phone{0};
+
+  const Certified ok = certify(engine, phone, Money::from_units(9));
+  EXPECT_EQ(ok.audit.verdict, PaymentAuditVerdict::kOk);
+  EXPECT_EQ(forks_of(ok.record),
+            (std::vector<std::string>{"claim=3:wins", "above=9.000001:loses",
+                                      "below=8.999998:wins"}));
+
+  const Certified overpaid = certify(engine, phone, Money::from_units(10));
+  EXPECT_EQ(overpaid.audit.verdict, PaymentAuditVerdict::kPaymentNotCritical);
+  EXPECT_EQ(overpaid.audit.critical, Money::from_micros(9'000'001));
+  EXPECT_EQ(forks_of(overpaid.record),
+            (std::vector<std::string>{"claim=3:wins", "above=10.000001:loses",
+                                      "below=9.999998:loses"}));
+
+  // Phone 0's task handed to a loser whose window holds its slot: the
+  // loser's fork from that allocation loses at its own claim.
+  const auction::Outcome outcome = auction::OnlineGreedyMechanism().run(fig4, bids);
+  const Slot won_in =
+      fig4.tasks[static_cast<std::size_t>(
+                     outcome.allocation.task_for(phone)->value())]
+          .slot;
+  std::optional<PhoneId> loser;
+  for (int p = 0; p < fig4.phone_count() && !loser; ++p) {
+    if (!outcome.allocation.is_winner(PhoneId{p}) &&
+        bids[static_cast<std::size_t>(p)].window.contains(won_in)) {
+      loser = PhoneId{p};
+    }
   }
+  ASSERT_TRUE(loser.has_value()) << "Fig. 4 must offer a swap";
+  auction::Allocation swapped(fig4.task_count(), fig4.phone_count());
+  for (const model::Task& task : fig4.tasks) {
+    if (const std::optional<PhoneId> owner =
+            outcome.allocation.phone_for(task.id)) {
+      swapped.assign(task.id, *owner == phone ? *loser : *owner);
+    }
+  }
+  const auction::CounterfactualEngine forged(fig4, bids, {}, swapped);
+  const Certified loses = certify(forged, *loser, Money::from_units(9));
+  EXPECT_EQ(loses.audit.verdict, PaymentAuditVerdict::kLosesAtClaim);
+  ASSERT_EQ(forks_of(loses.record).size(), 1u);
+  EXPECT_EQ(forks_of(loses.record)[0].find("claim="), 0u);
+
+  // Two phones, two tasks: without phone 0, slot 2's task goes unserved,
+  // so phone 0 wins at any claim.
+  model::ScenarioBuilder builder(2);
+  builder.value(10);
+  builder.phone(1, 2, 1).phone(1, 2, 2);
+  builder.task(1).task(2);
+  const model::Scenario scarce = builder.build();
+  const model::BidProfile scarce_bids = scarce.truthful_bids();
+  const auction::Outcome scarce_outcome =
+      auction::OnlineGreedyMechanism().run(scarce, scarce_bids);
+  const Certified unbounded =
+      certify(test_support::factual_engine(scarce, scarce_bids), phone,
+              scarce_outcome.payments[0]);
+  EXPECT_EQ(unbounded.audit.verdict, PaymentAuditVerdict::kUnboundedSkipped);
+  const std::vector<std::string> scarce_forks = forks_of(unbounded.record);
+  ASSERT_EQ(scarce_forks.size(), 3u);
+  EXPECT_EQ(scarce_forks[0], "claim=1:wins");
+  EXPECT_NE(scarce_forks[1].find(":wins"), std::string::npos);
+  EXPECT_EQ(scarce_forks[2].find("upper_bound="), 0u);
+  EXPECT_NE(scarce_forks[2].find(":wins"), std::string::npos);
 }
 
 // ------------------------------------------------------------- replay
@@ -312,21 +385,70 @@ TEST(Explain, NamesTheCriticalBidOfTheWorkedExampleWinner) {
   std::ostringstream os;
   obs::JsonlEventSink sink(os);
   obs::EventLog log(&sink);
-  const auction::Outcome outcome =
-      analysis::record_run(log, analysis::RunSpec{}, scenario,
-                           scenario.truthful_bids(),
-                           /*probe_critical_values=*/true);
+  const auction::Outcome outcome = analysis::record_run(
+      log, analysis::RunSpec{}, scenario, scenario.truthful_bids());
   // Paper Section V-B: phone 0 (Smartphone 1) wins and is paid exactly 9.
   ASSERT_TRUE(outcome.allocation.is_winner(PhoneId{0}));
   ASSERT_EQ(outcome.payments[0], Money::from_units(9));
 
   std::istringstream is(os.str());
   const std::string story = analysis::explain_phone(is, 0);
-  // The explain renders the returned threshold (one micro above the
-  // bracketed bid of exactly 9), never a value below the payment charged.
-  EXPECT_NE(story.find("critical bid 9.000001"), std::string::npos) << story;
-  EXPECT_NE(story.find("paid 9"), std::string::npos) << story;
+  // The certificate names the payment as the critical bid: the phone
+  // loses one micro above it and wins two micros below it.
+  EXPECT_NE(story.find("paid 9 by rule"), std::string::npos) << story;
+  EXPECT_NE(story.find("payment certificate ok: paid 9 is the critical bid; "
+                       "wins at its claim 3, loses at 9.000001, wins at "
+                       "8.999998\n"),
+            std::string::npos)
+      << story;
   EXPECT_NE(story.find("verdict: phone 0 won"), std::string::npos) << story;
+}
+
+TEST(Explain, OlderLogWithBisectionRecordsReplaysAndExplainsWithoutThem) {
+  // A log as recorded before certificates: each winner's bisection trail
+  // (critical_probe records and a critical_found summary, bounded or not)
+  // between its decision records and run_finished.
+  std::ostringstream os;
+  obs::JsonlEventSink sink(os);
+  obs::EventLog log(&sink);
+  (void)analysis::record_run(log, analysis::RunSpec{}, model::fig4_scenario(),
+                             model::fig4_scenario().truthful_bids());
+  std::istringstream recorded(os.str());
+  std::string older;
+  std::string line;
+  while (std::getline(recorded, line)) {
+    if (line.find("\"type\":\"payment_certificate\"") != std::string::npos) {
+      continue;
+    }
+    if (line.find("\"type\":\"run_finished\"") != std::string::npos) {
+      older +=
+          R"({"seq":90,"type":"critical_probe","phone":0,"probe":"0",)"
+          R"("won":true,"lo":"0","hi":"45"})"
+          "\n"
+          R"({"seq":91,"type":"critical_probe","phone":0,"probe":"22.5",)"
+          R"("won":false,"lo":"0","hi":"22.5"})"
+          "\n"
+          R"({"seq":92,"type":"critical_found","phone":0,)"
+          R"("critical_bid":"9.000001","lo":"9","hi":"9.000001","probes":29})"
+          "\n"
+          R"({"seq":93,"type":"critical_found","phone":1,"unbounded":true,)"
+          R"("upper_bound":"45","probes":2})"
+          "\n";
+    }
+    older += line + "\n";
+  }
+
+  std::istringstream replayed(older);
+  const analysis::ReplayReport report = analysis::replay_run(replayed);
+  EXPECT_TRUE(report.clean) << report.diff;
+
+  std::istringstream explained(older);
+  const std::string story = analysis::explain_phone(explained, 0);
+  EXPECT_NE(story.find("paid 9 by rule"), std::string::npos) << story;
+  EXPECT_NE(story.find("verdict: phone 0 won"), std::string::npos) << story;
+  EXPECT_EQ(story.find("probe"), std::string::npos) << story;
+  EXPECT_EQ(story.find("critical"), std::string::npos) << story;
+  EXPECT_EQ(story.find("certificate"), std::string::npos) << story;
 }
 
 TEST(Explain, ReportsAbsentPhones) {

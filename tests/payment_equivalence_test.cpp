@@ -338,7 +338,7 @@ std::optional<Money> full_rerun_critical_value(const Scenario& scenario,
     return run_greedy_allocation(scenario, probe, config)
         .allocation.is_winner(phone);
   };
-  return bisect_critical_value(wins, upper_bound, 1, phone.value());
+  return bisect_critical_value(wins, upper_bound);
 }
 
 TEST(PaymentEquivalence, FastPaymentsEqualBisectedCriticalValues) {

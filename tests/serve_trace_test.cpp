@@ -2,12 +2,14 @@
 // error), ring wraparound under a fake clock, golden mcs.trace.v1 JSONL,
 // the plane-separation contract (trace-on never perturbs the
 // deterministic counters), engine integration, the paced loadgen's
-// client-lag stamping, and the trace-report digest.
+// client-lag stamping, and the trace-report digest and its line cap.
 #include "serve/trace_plane.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -28,6 +30,7 @@
 #include "serve/queue.hpp"
 #include "serve/system_lane.hpp"
 #include "serve/telemetry.hpp"
+#include "support/alloc_counter.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -697,6 +700,75 @@ TEST(TraceReport, DigestsAndRendersAPlaneStream) {
   EXPECT_NE(text.find("1 violation(s)"), std::string::npos) << text;
   EXPECT_NE(text.find("slot 1"), std::string::npos) << text;
   EXPECT_NE(text.find("sketch exemplars"), std::string::npos) << text;
+}
+
+TEST(TraceReport, TheWritersLongestLinesFitUnderTheReaderCap) {
+  // Every line at its widest: an exemplar in every sketch bucket from the
+  // exemplar floor up, with 19-digit round ids and latencies up to 2^64 - 1,
+  // and a retained trace with kTraceMaxSpans spans at 10-digit slots and
+  // 20-character stamps.
+  DrivenPlane driven(fixed_threshold_config());
+  TracePlane& plane = driven.plane;
+  constexpr std::int64_t kRound =
+      std::numeric_limits<std::int64_t>::max() -
+      static_cast<std::int64_t>(obs::sketch_detail::kBucketCount);
+  const std::size_t first =
+      obs::sketch_detail::bucket_of(kTraceExemplarThresholdNs);
+  for (std::size_t b = first; b < obs::sketch_detail::kBucketCount; ++b) {
+    const std::uint64_t latency = obs::sketch_detail::bucket_upper_edge(b);
+    driven.complete(
+        plane.on_round_open(0, kRound + static_cast<std::int64_t>(b), 0, 0, 0),
+        latency, latency, latency, 0);
+  }
+  constexpr std::uint64_t kStamp = std::uint64_t{1} << 63;
+  obs::RoundTrace wide = plane.on_round_open(0, kRound, kStamp, kStamp, 0);
+  for (std::int32_t k = 0; k <= static_cast<std::int32_t>(kTraceMaxSpans);
+       ++k) {
+    plane.on_slot_tick(0, wide, std::numeric_limits<std::int32_t>::max() - k,
+                       kStamp + 1, kStamp + 2);
+  }
+  driven.complete(std::move(wide), kStamp + 3, kStamp + 4, kStamp + 5, 0);
+
+  std::ostringstream stream;
+  write_trace_stream(stream, plane);
+  std::istringstream lines(stream.str());
+  std::size_t longest = 0;
+  for (std::string line; std::getline(lines, line);) {
+    longest = std::max(longest, line.size());
+  }
+  ASSERT_EQ(plane.exemplars().snapshot().size(),
+            obs::sketch_detail::kBucketCount - first);
+  EXPECT_LE(longest, analysis::kMaxTraceLineBytes);
+  std::cout << "longest mcs.trace.v1 line: " << longest << " of "
+            << analysis::kMaxTraceLineBytes << " bytes\n";
+}
+
+TEST(TraceReport, ALineOneByteOverTheCapFailsWithBoundedHeap) {
+  const std::string header =
+      "{\"schema\":\"mcs.trace.v1\",\"shards\":1}\n";
+  // A record of an unknown type padded to exactly the cap is read.
+  std::string at_cap = "{\"type\":\"pad\",\"x\":\"";
+  at_cap.resize(analysis::kMaxTraceLineBytes - 2, 'x');
+  at_cap += "\"}";
+  std::istringstream fits(header + at_cap + "\n");
+  EXPECT_NO_THROW((void)analysis::summarize_trace_stream(fits));
+
+  std::istringstream over(header +
+                          std::string(analysis::kMaxTraceLineBytes + 1, 'x'));
+  std::string error;
+  const std::uint64_t before = test::heap_bytes();
+  std::uint64_t heap = 0;
+  try {
+    (void)analysis::summarize_trace_stream(over);
+  } catch (const InvalidArgumentError& e) {
+    heap = test::heap_bytes() - before;
+    error = e.what();
+  }
+  EXPECT_EQ(error, "trace-report: line 2: longer than " +
+                       std::to_string(analysis::kMaxTraceLineBytes) +
+                       " bytes");
+  // One line buffer, reserved once; the overlong line is not copied.
+  EXPECT_LT(heap, 2 * analysis::kMaxTraceLineBytes);
 }
 
 TEST(TraceReport, RejectsForeignStreams) {

@@ -11,6 +11,7 @@
 #include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "model/scenario.hpp"
+#include "support/factual_engine.hpp"
 
 namespace mcs {
 namespace {
@@ -193,8 +194,10 @@ TEST(WeightedTasks, OnlinePaymentStillCriticalValueOnWeightedInstances) {
     const model::BidProfile bids = s.truthful_bids();
     const auction::OnlineGreedyMechanism mechanism;
     const auction::Outcome outcome = mechanism.run(s, bids);
+    const auction::CounterfactualEngine engine =
+        test_support::factual_engine(s, bids);
     for (const PhoneId winner : outcome.allocation.winners()) {
-      const auto critical = auction::greedy_critical_value(s, bids, winner);
+      const auto critical = auction::greedy_critical_value(engine, winner);
       ASSERT_TRUE(critical.has_value());
       const Money payment =
           outcome.payments[static_cast<std::size_t>(winner.value())];

@@ -246,9 +246,6 @@ int cmd_run(int argc, const char* const* argv) {
   cli.add_string("json", "", "also write a machine-readable round report");
   cli.add_string("events-out", "",
                  "record the structured decision log (JSONL, mcs.events.v1)");
-  cli.add_switch("probe-critical",
-                 "with --events-out: log each winner's critical-value "
-                 "bisection probes (online mechanism)");
   cli.add_string("metrics-out", "",
                  "write a telemetry report (counters, histograms, trace) as JSON");
   cli.add_switch("trace", "print the nested phase-timing tree");
@@ -289,8 +286,7 @@ int cmd_run(int argc, const char* const* argv) {
       }
       obs::JsonlEventSink sink(events_file);
       obs::EventLog log(&sink);
-      outcome = analysis::record_run(log, spec, scenario, bids,
-                                     cli.get_switch("probe-critical"));
+      outcome = analysis::record_run(log, spec, scenario, bids);
       events_recorded = log.count();
     }
     {

@@ -171,11 +171,11 @@ file(REMOVE ${TRACE})
 
 run_cli(audit --file ${SCENARIO} --mechanism offline)
 
-# Flight recorder: record a decision log, verify the header, and require
-# the replay determinism oracle to pass (exit 0 = byte-identical outcome).
+# Flight recorder: record a decision log, verify the header, require the
+# replay determinism oracle to pass (exit 0 = byte-identical outcome), and
+# require explain to print the first certified winner's certificate.
 set(EVENTS ${WORKDIR}/cli_smoke_events.jsonl)
-run_cli(run --file ${SCENARIO} --mechanism online --events-out ${EVENTS}
-        --probe-critical)
+run_cli(run --file ${SCENARIO} --mechanism online --events-out ${EVENTS})
 if(NOT EXISTS ${EVENTS})
   message(FATAL_ERROR "run --events-out did not write the decision log")
 endif()
@@ -184,7 +184,13 @@ if(NOT events_head MATCHES "mcs\\.events\\.v1")
   message(FATAL_ERROR "decision log lacks the mcs.events.v1 header")
 endif()
 run_cli(replay ${EVENTS})
-run_cli(explain ${EVENTS} --phone 0)
+file(READ ${EVENTS} events_text)
+string(REGEX MATCH "payment_certificate\",\"phone\":([0-9]+)" _ "${events_text}")
+execute_process(COMMAND ${CLI} explain ${EVENTS} --phone "${CMAKE_MATCH_1}"
+                WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE code OUTPUT_VARIABLE out)
+if(NOT code EQUAL 0 OR NOT out MATCHES "\npayment certificate [a-z_]+: ")
+  message(FATAL_ERROR "explain of a certified winner (${code}):\n${out}")
+endif()
 file(REMOVE ${EVENTS})
 
 run_cli(run --file ${SCENARIO} --mechanism offline --events-out ${EVENTS})
