@@ -50,7 +50,9 @@ void run_engine(const std::vector<serve::ServeEvent>& events, int shards,
   config.admission = serve::ServeConfig::Admission::kBlock;
   config.econ = econ;
   serve::ServeEngine engine(config);
-  for (const serve::ServeEvent& event : events) engine.submit(event);
+  serve::ShardBatcher batcher(engine);
+  for (const serve::ServeEvent& event : events) batcher.add(event);
+  batcher.flush();
   engine.drain();
   benchmark::DoNotOptimize(engine.stats());
 }

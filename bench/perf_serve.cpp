@@ -49,7 +49,9 @@ void BM_ServeEngine(benchmark::State& state) {
     config.shards = static_cast<int>(state.range(0));
     config.admission = serve::ServeConfig::Admission::kBlock;
     serve::ServeEngine engine(config);
-    for (const serve::ServeEvent& event : events) engine.submit(event);
+    serve::ShardBatcher batcher(engine);
+    for (const serve::ServeEvent& event : events) batcher.add(event);
+    batcher.flush();
     engine.drain();
     benchmark::DoNotOptimize(engine.stats());
   }

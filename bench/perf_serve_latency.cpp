@@ -54,7 +54,9 @@ void BM_ServeLiveLatency(benchmark::State& state) {
     config.admission = serve::ServeConfig::Admission::kBlock;
     config.live = &live;
     serve::ServeEngine engine(config);
-    for (const serve::ServeEvent& event : events) engine.submit(event);
+    serve::ShardBatcher batcher(engine);
+    for (const serve::ServeEvent& event : events) batcher.add(event);
+    batcher.flush();
     engine.drain();
     benchmark::DoNotOptimize(engine.stats());
     const serve::LiveSummary summary = live.summary();

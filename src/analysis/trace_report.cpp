@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -14,15 +15,25 @@ namespace mcs::analysis {
 
 namespace {
 
+/// An int64 the writer wrote. Numbers parse to doubles, and the writer's
+/// largest values (INT64_MAX, where it saturates stamps) round up to 2^63,
+/// which as_int refuses; they read back as INT64_MAX.
+std::int64_t i64_of(const io::JsonValue& value) {
+  if (value.is_number() && value.as_number() == 0x1p63) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  return value.as_int();
+}
+
 std::uint64_t u64_field(const io::JsonValue& object, std::string_view key) {
-  const std::int64_t v = object.at(key).as_int();
+  const std::int64_t v = i64_of(object.at(key));
   return v > 0 ? static_cast<std::uint64_t>(v) : 0;
 }
 
 TraceRecord decode_trace(const io::JsonValue& line) {
   TraceRecord record;
   record.trace_id = line.at("trace_id").as_string();
-  record.round = line.at("round").as_int();
+  record.round = i64_of(line.at("round"));
   record.shard = static_cast<int>(line.at("shard").as_int());
   record.status = line.at("status").as_string();
   for (const io::JsonValue& reason : line.at("retained").as_array()) {
@@ -55,7 +66,7 @@ void decode_summary(const io::JsonValue& line, TraceStreamSummary& out) {
   out.retained_evicted = line.int_or("retained_evicted", 0);
   out.spans_truncated = line.int_or("spans_truncated", 0);
   const io::JsonValue& threshold = line.at("slow_threshold_ns");
-  out.slow_threshold_ns = threshold.is_null() ? -1 : threshold.as_int();
+  out.slow_threshold_ns = threshold.is_null() ? -1 : i64_of(threshold);
   for (const auto& [name, stats] : line.at("phases").as_object()) {
     TracePhaseStats phase;
     phase.count = stats.int_or("count", 0);
@@ -65,7 +76,8 @@ void decode_summary(const io::JsonValue& line, TraceStreamSummary& out) {
                                                         : 0.0;
     phase.p99_ns = (p99 != nullptr && p99->is_number()) ? p99->as_number()
                                                         : 0.0;
-    phase.max_ns = stats.int_or("max_ns", 0);
+    const io::JsonValue* max = stats.find("max_ns");
+    phase.max_ns = max != nullptr ? i64_of(*max) : 0;
     out.phases.emplace(name, phase);
   }
 }
@@ -77,7 +89,7 @@ void decode_exemplars(const io::JsonValue& line, TraceStreamSummary& out) {
     exemplar.bucket_le_ns = u64_field(entry, "le_ns");
     exemplar.latency_ns = u64_field(entry, "latency_ns");
     exemplar.trace_id = entry.at("trace_id").as_string();
-    exemplar.round = entry.at("round").as_int();
+    exemplar.round = i64_of(entry.at("round"));
     out.exemplars.push_back(std::move(exemplar));
   }
 }

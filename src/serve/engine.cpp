@@ -4,6 +4,7 @@
 #include <exception>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -91,8 +92,8 @@ ServeEngine::ServeEngine(ServeConfig config)
   }
   if (config_.econ != nullptr) config_.econ->attach(config_.shards);
   if (config_.trace != nullptr) config_.trace->attach(lanes_);
-  // Start the workers only after every shard exists (shard_of_round may
-  // route to any of them from the first submit on).
+  // Start the workers only after every shard exists (a batcher may place
+  // a round on any of them from the first handoff on).
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, raw = shard.get()] {
       worker_main(*raw);
@@ -115,26 +116,12 @@ std::uint64_t ServeEngine::stamp_ns() const {
   return now >= epoch_ns_ ? now - epoch_ns_ : 0;
 }
 
-SubmitStatus ServeEngine::submit(const ServeEvent& event) {
-  return submit_batch(shard_of_round(event.round, config_.shards), &event, 1);
-}
-
 SubmitStatus ServeEngine::submit_batch(int shard_index,
                                        const ServeEvent* events,
                                        std::size_t count) {
   if (count == 0) return SubmitStatus::kAccepted;
   if (shard_index < 0 || shard_index >= config_.shards) {
     throw InvalidArgumentError("serve: submit_batch shard out of range");
-  }
-  // A misrouted event would split its round across two workers and
-  // silently corrupt the outcome. Every event is checked, but a round is
-  // hashed only when it differs from the previous event's.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0 && events[i].round == events[i - 1].round) continue;
-    if (shard_of_round(events[i].round, config_.shards) != shard_index) {
-      throw InvalidArgumentError(
-          "serve: submit_batch event routed to the wrong shard");
-    }
   }
   if (stopping_.load(std::memory_order_relaxed)) {
     return SubmitStatus::kRejectedStopped;
@@ -349,7 +336,9 @@ void ServeEngine::process_event(Shard& shard, Rounds& rounds,
   shard.stats.bids_admitted += totals.bids_admitted;
   shard.stats.bids_rejected_reserve += totals.bids_rejected;
   shard.stats.total_paid += totals.total_paid;
-  if (config_.retain_outcomes) shard.outcomes.push_back(std::move(*outcome));
+  if (config_.retain_outcomes) {
+    shard.outcomes.emplace_back(completions_.fetch_add(1), std::move(*outcome));
+  }
 }
 
 void ServeEngine::end_round(Shard& shard, Rounds& rounds,
@@ -427,19 +416,19 @@ std::vector<RoundOutcome> ServeEngine::take_outcomes() {
   MCS_EXPECTS(drained_, "take_outcomes requires drain()");
   MCS_EXPECTS(config_.retain_outcomes,
               "take_outcomes requires ServeConfig::retain_outcomes");
-  std::vector<RoundOutcome> all;
+  std::vector<std::pair<std::uint64_t, RoundOutcome>> ticketed;
   for (auto& shard : shards_) {
-    for (RoundOutcome& outcome : shard->outcomes) {
-      all.push_back(std::move(outcome));
-    }
+    for (auto& entry : shard->outcomes) ticketed.push_back(std::move(entry));
     shard->outcomes.clear();
   }
-  // A round id hashes to one shard, which keeps its outcomes in completion
-  // order: a stable sort leaves rounds that reuse an id in that order.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const RoundOutcome& a, const RoundOutcome& b) {
-                     return a.round < b.round;
-                   });
+  // Rounds that reuse an id may complete on different shards; their
+  // completion tickets keep them in the order they completed.
+  std::sort(ticketed.begin(), ticketed.end(), [](auto& a, auto& b) {
+    return std::tie(a.second.round, a.first) <
+           std::tie(b.second.round, b.first);
+  });
+  std::vector<RoundOutcome> all;
+  for (auto& entry : ticketed) all.push_back(std::move(entry.second));
   return all;
 }
 
@@ -475,11 +464,39 @@ SubmitStatus ShardBatcher::flush_shard(std::size_t shard) {
   return status;
 }
 
+int ShardBatcher::route(const ServeEvent& event) {
+  const auto it = open_.find(event.round);
+  if (it != open_.end()) return it->second;
+  const int shards = static_cast<int>(buffers_.size());
+  if (event.kind != ServeEventKind::kRoundOpen) {
+    return shard_of_round(event.round, shards);
+  }
+  std::size_t least = SIZE_MAX;
+  for (int step = 1, from = last_placed_; step <= shards; ++step) {
+    const int shard = (from + step) % shards;
+    const std::size_t load = engine_.shard_load(shard) +
+                             buffers_[static_cast<std::size_t>(shard)].size();
+    if (load < least) std::tie(last_placed_, least) = std::tie(shard, load);
+  }
+  if (spare_.empty()) {
+    return open_.emplace(event.round, last_placed_).first->second;
+  }
+  spare_.key() = event.round;
+  spare_.mapped() = last_placed_;
+  return open_.insert(std::move(spare_)).position->second;
+}
+
 SubmitStatus ShardBatcher::add(const ServeEvent& event) {
-  // Events of one round arrive in runs; hash only when the round changes.
-  if (last_shard_ < 0 || event.round != last_round_) {
+  // Events of one round arrive in runs; the table is read only when the
+  // round changes, and a round_open always places its round.
+  if (event.kind == ServeEventKind::kRoundOpen || last_shard_ < 0 ||
+      event.round != last_round_) {
     last_round_ = event.round;
-    last_shard_ = shard_of_round(event.round, engine_.config().shards);
+    last_shard_ = route(event);
+  }
+  // A closed round's node is reused, so sequential rounds allocate nothing.
+  if (event.kind == ServeEventKind::kRoundClose) {
+    if (auto node = open_.extract(event.round)) spare_ = std::move(node);
   }
   std::vector<ServeEvent>& buffer =
       buffers_[static_cast<std::size_t>(last_shard_)];

@@ -1,13 +1,13 @@
 // The sharded, event-driven streaming auction engine.
 //
-// Rounds are independent auctions, so the engine scales horizontally by
-// hashing each event's round id onto one of N shards; every shard owns a
-// bounded MPSC queue and one worker thread whose round table holds each
-// open round's RoundMachine and trace (the trace plane keeps no table) and
-// ends every round -- closed, corrupted or abandoned -- through one path,
-// end_round. Determinism: a round's events are consumed in submission
-// order by exactly one worker, so the merged outcomes (and the merged
-// per-shard work counters) are identical for any shard count.
+// Rounds are independent auctions, so the engine scales horizontally: a
+// producer's ShardBatcher places each round on the least-loaded of N
+// shards; every shard owns a bounded MPSC queue and one worker thread whose
+// round table holds each open round's RoundMachine and trace (the trace
+// plane keeps no table) and ends every round -- closed, corrupted or
+// abandoned -- through one path, end_round. Determinism: a round's events
+// are consumed in submission order by exactly one worker, so the merged
+// outcomes (and merged work counters) are identical for any placement.
 //
 // What a finished round leaves behind: its totals are added to the
 // shard's ServeStats when it closes. With ServeConfig::retain_outcomes on
@@ -31,10 +31,10 @@
 //
 // Backpressure is an explicit admission-control policy, chosen at
 // construction:
-//   * kBlock  -- submit() waits for queue space (lossless ingestion; the
+//   * kBlock  -- a handoff waits for queue space (lossless ingestion; the
 //                producer absorbs the backpressure),
-//   * kReject -- submit() returns kRejectedQueueFull immediately and the
-//                event is dropped (the caller absorbs it; load shedding).
+//   * kReject -- a handoff returns kRejectedQueueFull immediately and its
+//                events are dropped (the caller absorbs it; load shedding).
 //
 // Telemetry: when a MetricsRegistry is installed on the constructing
 // thread, each worker records into its own shard registry and drain()
@@ -64,6 +64,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "auction/online_greedy.hpp"
@@ -81,13 +82,13 @@ class EconTelemetry;
 class TracePlane;
 
 struct ServeConfig {
-  /// Worker shards; rounds are hashed across them.
+  /// Worker shards; a round goes to the least-loaded one (ShardBatcher).
   int shards = 1;
   /// Bounded depth of each shard's event queue. Room for several of the
-  /// largest rounds the paper evaluates (m=80, lambda=8: ~960 events):
-  /// rounds are hashed to shards, so a ring that holds only one lets an
-  /// in-order producer stall on one shard while the others run dry. At
-  /// most kMaxQueueCapacity: each shard allocates its ring up front.
+  /// largest rounds the paper evaluates (m=80, lambda=8: ~960 events): a
+  /// round is placed by the load it sees at its open, so a ring that holds
+  /// only one round leaves the next round no room to go to. At most
+  /// kMaxQueueCapacity: each shard allocates its ring up front.
   std::size_t queue_capacity = 4096;
   /// Upper bound of queue_capacity: 2^20 events, 96 MiB of ring per shard.
   static constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 20;
@@ -105,8 +106,8 @@ struct ServeConfig {
   /// holes are the expected cost of shedding, so orphaned events are
   /// dropped and the affected round is abandoned, both counted in stats.
   enum class Admission {
-    kBlock,   ///< submit() blocks until the shard queue has space
-    kReject,  ///< submit() fails fast with kRejectedQueueFull
+    kBlock,   ///< a handoff blocks until the shard queue has space
+    kReject,  ///< a handoff fails fast with kRejectedQueueFull
   };
   Admission admission = Admission::kBlock;
 
@@ -144,7 +145,7 @@ struct ServeConfig {
   void validate() const;
 };
 
-/// Admission verdict of one submit() call.
+/// Admission verdict of one handoff.
 enum class SubmitStatus {
   kAccepted,          ///< enqueued on its shard
   kRejectedQueueFull, ///< kReject policy and the shard queue was full
@@ -155,7 +156,7 @@ enum class SubmitStatus {
 
 /// Aggregated across all shards; available after drain().
 struct ServeStats {
-  std::int64_t submitted{0};             ///< events accepted by submit()
+  std::int64_t submitted{0};             ///< events the handoffs accepted
   std::int64_t rejected_backpressure{0}; ///< kRejectedQueueFull verdicts
   std::int64_t processed{0};             ///< events consumed by workers
   std::int64_t rounds_completed{0};
@@ -175,8 +176,8 @@ struct ServeStats {
   Money total_paid;
 };
 
-/// Deterministic shard assignment of a round (splitmix64 of the round id,
-/// independent of std::hash so streams replay identically everywhere).
+/// The shard of a round its producer never opened: splitmix64 of the id,
+/// independent of std::hash, so every producer routes it to one shard.
 [[nodiscard]] int shard_of_round(std::int64_t round, int shards);
 
 class ServeEngine {
@@ -197,17 +198,18 @@ class ServeEngine {
 
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 
-  /// Routes one event to its shard. Thread-safe (any number of producers).
-  SubmitStatus submit(const ServeEvent& event);
-
   /// Hands a batch of events to ONE shard under a single queue-lock
-  /// acquisition. All events must hash to `shard_index` (checked); the
-  /// batch is enqueued all-or-nothing: under kReject a full queue sheds
-  /// the entire batch (counted per event), under kBlock the call waits
-  /// until the whole batch fits. Thread-safe. Prefer ShardBatcher, which
-  /// does the routing and flushing.
+  /// acquisition, all-or-nothing: under kReject a full queue sheds the
+  /// entire batch (counted per event), under kBlock the call waits until
+  /// the whole batch fits. A round split over two shards is never opened
+  /// on the second. Thread-safe. Use ShardBatcher, which places rounds.
   SubmitStatus submit_batch(int shard_index, const ServeEvent* events,
                             std::size_t count);
+
+  /// Events queued on `shard` plus those its worker holds (lock-free).
+  [[nodiscard]] std::size_t shard_load(int shard) const {
+    return shards_[static_cast<std::size_t>(shard)]->queue.occupied();
+  }
 
   /// Graceful shutdown: closes the queues, waits for every queued event to
   /// be processed, joins the workers, merges shard telemetry into the
@@ -237,7 +239,8 @@ class ServeEngine {
     SystemLane* lane{nullptr};  ///< in lanes_; null with no timed plane
     std::thread worker;
     obs::MetricsRegistry registry;  ///< used only when telemetry is on
-    std::vector<RoundOutcome> outcomes;  ///< only with retain_outcomes
+    /// Only with retain_outcomes: (completion ticket, outcome) per round.
+    std::vector<std::pair<std::uint64_t, RoundOutcome>> outcomes;
     ServeStats stats;    ///< worker-local; folded into totals at drain
     /// Worker-local serve.events.* counts by ServeEventKind, published to
     /// `registry` when the worker exits.
@@ -314,22 +317,26 @@ class ServeEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> rejected_{0};
+  std::atomic<std::uint64_t> completions_{0};  ///< next completion ticket
   std::atomic<bool> stopping_{false};
   bool drained_{false};
   ServeStats totals_;
 };
 
-/// Producer-side batching front of submit_batch(): one ShardBatcher per
-/// producer thread (NOT thread-safe itself; the engine handoff underneath
-/// is). Events accumulate in a per-shard buffer and are flushed to their
+/// The engine's one producer front: one ShardBatcher per producer thread
+/// (NOT thread-safe itself; the engine handoff underneath is). A round_open
+/// places its round on the least-loaded shard (shard_load() plus this
+/// batcher's unflushed events; ties go to the shard after the last chosen)
+/// and records it in the batcher's own table, which round_close erases; a
+/// reused open id keeps its shard, and a round never opened here goes to
+/// shard_of_round. So a round's events must all come through one batcher.
+///
+/// Events accumulate in a per-shard buffer and are flushed to their
 /// shard's queue when the buffer reaches the engine's configured
 /// batch_size -- so the queue lock is taken once per batch instead of once
 /// per event. Events of one round keep their submission order (they share
 /// a shard and a buffer), which preserves the engine's determinism
-/// guarantee. At batch_size 1 each add() is one single-event submit_batch,
-/// the handoff and per-event accounting submit() gives, so every producer
-/// (the load generator, each socket connection, a replay) feeds the engine
-/// through its own ShardBatcher.
+/// guarantee. At batch_size 1 each add() is one single-event submit_batch.
 ///
 /// Under kReject admission the shed granularity becomes the batch: a full
 /// queue drops the whole flushed buffer (every event counted rejected).
@@ -359,10 +366,14 @@ class ShardBatcher {
 
  private:
   SubmitStatus flush_shard(std::size_t shard);
+  int route(const ServeEvent& event);  ///< see the class comment
 
   ServeEngine& engine_;
   std::size_t batch_size_;
   std::vector<std::vector<ServeEvent>> buffers_;  ///< one per shard
+  std::unordered_map<std::int64_t, int> open_;  ///< its open rounds' shards
+  decltype(open_)::node_type spare_;  ///< a closed round's node, for reuse
+  int last_placed_{-1};               ///< the shard last chosen
   std::int64_t last_round_{0};  ///< round of the previous add()
   int last_shard_{-1};          ///< its shard; -1 before the first add()
   std::int64_t accepted_{0};

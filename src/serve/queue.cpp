@@ -47,6 +47,7 @@ void EventRing::enqueue_locked(const ServeEvent* events, std::size_t count,
   tail_ += count;
   if (tail_ >= capacity_) tail_ -= capacity_;
   size_ += count;
+  occupied_.store(acquired_ + size_, std::memory_order_relaxed);
   high_watermark_ = std::max(high_watermark_,
                              static_cast<std::int64_t>(size_));
 }
@@ -95,6 +96,7 @@ std::size_t EventRing::acquire(RingView& view, std::size_t max,
   head_ += released;
   if (head_ >= capacity_) head_ -= capacity_;
   acquired_ = 0;
+  occupied_.store(size_, std::memory_order_relaxed);  // taking keeps it
   bool wake_producers = released > 0 && producers_waiting_ > 0;
   if (!closed_ && size_ == 0) {
     // About to park: hand the freed slots over first.

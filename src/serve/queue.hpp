@@ -43,6 +43,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -129,6 +130,10 @@ class EventRing {
 
   /// Highest depth ever reached (exact; see header comment).
   [[nodiscard]] std::int64_t high_watermark() const;
+  /// Queued plus acquired events, read without the lock (a hint).
+  [[nodiscard]] std::size_t occupied() const {
+    return occupied_.load(std::memory_order_relaxed);
+  }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -158,6 +163,7 @@ class EventRing {
   std::size_t acquired_{0};  ///< slots exposed by the last acquire
   std::size_t size_{0};      ///< queued events not yet acquired
   std::int64_t high_watermark_{0};
+  std::atomic<std::size_t> occupied_{0};  ///< acquired_ + size_
   int producers_waiting_{0};     ///< producers parked in push_block
   bool consumer_waiting_{false};  ///< the consumer is parked in acquire
   bool closed_{false};

@@ -1,16 +1,16 @@
 // Loopback TCP front-end for the serving engine.
 //
 // The engine itself is transport-agnostic: it consumes ServeEvents from
-// whatever calls submit(). This front-end puts a socket in front of that
-// call so producers in other processes can feed rounds over the wire. One
-// acceptor thread owns the listening socket; each accepted connection gets
-// a reader thread that decodes its byte stream and hands every event to
-// that connection's own sink, made by the server's sink factory. The
-// engine-facing sink, EngineConnection, batches through the connection's
-// own ShardBatcher, so connections never wait on each other's locks, only
-// on the engine's queues, whose submit path takes concurrent producers and
-// applies the usual admission policy. A connection's sink is closed when
-// the connection ends, which flushes whatever it still holds.
+// whatever hands them off through a ShardBatcher. This front-end puts a
+// socket in front of that handoff so producers in other processes can feed
+// rounds over the wire. One acceptor thread owns the listening socket;
+// each accepted connection gets a reader thread that decodes its byte
+// stream and hands every event to that connection's own sink, made by the
+// server's sink factory. The engine-facing sink, EngineConnection, batches
+// through the connection's own ShardBatcher (which places the rounds, so a
+// round's events must arrive on one connection); connections never wait on
+// each other's locks, only on the engine's queues. A connection's sink is
+// closed when the connection ends, which flushes whatever it still holds.
 //
 // Each connection's bytes go, one read() chunk at a time, through its own
 // StreamDecoder (serve/wire.hpp), the reader replay and transcode use too:
@@ -78,8 +78,7 @@ class SocketServer {
   using SinkFactory = std::function<std::unique_ptr<ConnectionSink>()>;
 
   /// `sink` is shared by every connection: it is invoked from connection
-  /// reader threads, potentially concurrently, so it must be thread-safe
-  /// (ServeEngine::submit is).
+  /// reader threads, potentially concurrently, so it must be thread-safe.
   SocketServer(SocketServerConfig config, Sink sink);
   /// `factory` makes one sink per connection, called from that
   /// connection's reader thread (so possibly concurrently).

@@ -18,7 +18,11 @@ constexpr std::uint64_t kAutoRefreshEvery = 16;
 /// flood the rings).
 constexpr std::uint64_t kAutoWarmupSamples = 32;
 
-std::int64_t i64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+/// Stamps and latencies are written saturated at INT64_MAX (quantiles at
+/// 2^63, its value as a double), the domain the trace reader reads back.
+std::int64_t i64(std::uint64_t v) {
+  return static_cast<std::int64_t>(std::min<std::uint64_t>(v, INT64_MAX));
+}
 
 }  // namespace
 
@@ -328,8 +332,8 @@ void write_trace_stream(std::ostream& os, const TracePlane& plane) {
         json.key("p99_ns").null();
         json.field("max_ns", std::int64_t{0});
       } else {
-        json.field("p50_ns", phase.sketch.quantile_ns(0.50));
-        json.field("p99_ns", phase.sketch.quantile_ns(0.99));
+        json.field("p50_ns", std::min(phase.sketch.quantile_ns(0.50), 0x1p63));
+        json.field("p99_ns", std::min(phase.sketch.quantile_ns(0.99), 0x1p63));
         json.field("max_ns", i64(phase.sketch.max_ns));
       }
       json.end_object();

@@ -13,6 +13,7 @@
 // without the heap, and a stream of all five kinds, JSONL and binary, as
 // decoding without the heap once its first chunk is read.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <optional>
@@ -39,6 +40,7 @@
 #include "serve/verify.hpp"
 #include "serve/wire.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -352,12 +354,8 @@ EngineHeap serve_without_retention(const std::vector<ServeEvent>& events,
   const std::uint64_t allocations = test::heap_allocations();
   const std::uint64_t bytes = test::heap_bytes();
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) {
-    // A kReject engine waits out a full queue too: nothing is shed.
-    while (engine.submit(event) == SubmitStatus::kRejectedQueueFull) {
-      std::this_thread::yield();
-    }
-  }
+  // A kReject engine waits out a full queue too: nothing is shed.
+  test_support::feed(engine, events, test_support::OnFull::kWait);
   engine.drain();
   heap.allocations = test::heap_allocations() - allocations;
   heap.bytes = test::heap_bytes() - bytes;
@@ -390,6 +388,41 @@ TEST(ServeAlloc, NonRetainingEngineAllocatesNothingPerRound) {
   // The engine, its ring and the recycled machine's buffers; the second
   // 200 rounds add nothing.
   EXPECT_EQ(four_hundred.allocations, two_hundred.allocations);
+}
+
+TEST(ServeAlloc, BatcherServesSequentialRoundsWithoutGrowingItsHeap) {
+  // A batcher's table of open rounds reuses a closed round's node, and a
+  // non-retaining shard reuses a retired round's machine, so after the
+  // first rounds nothing on either side of the rings allocates. Rings of
+  // 16 events keep the producer at most a few rounds ahead, so every
+  // worker has served its first round before the count starts.
+  const model::Bid bid{SlotInterval::of(1, 1), Money::from_units(5)};
+  ServeConfig config;
+  config.shards = 3;
+  config.queue_capacity = 16;
+  config.retain_outcomes = false;
+  ServeEngine engine(config);
+  ShardBatcher batcher(engine);
+  const auto serve = [&](std::int64_t from, std::int64_t to) {
+    for (std::int64_t round = from; round < to; ++round) {
+      const std::array<ServeEvent, 5> events = {
+          round_open(round, 1, Money::from_units(50)),
+          task_arrived(round, Slot{1}, TaskId{0}),
+          bid_submitted(round, PhoneId{0}, bid), slot_tick(round, Slot{1}),
+          round_close(round)};
+      for (const ServeEvent& event : events) {
+        ASSERT_EQ(batcher.add(event), SubmitStatus::kAccepted);
+      }
+    }
+  };
+  serve(0, 100);
+  const std::uint64_t before = test::heap_bytes();
+  serve(100, 10'100);
+  const std::uint64_t grown = test::heap_bytes() - before;
+  ASSERT_EQ(batcher.flush(), SubmitStatus::kAccepted);
+  engine.drain();
+  EXPECT_EQ(engine.stats().rounds_completed, 10'100);
+  EXPECT_EQ(grown, 0u);
 }
 
 TEST(ServeAlloc, HugeAgentIdServesInMemoryLinearInItsEvents) {
@@ -511,14 +544,12 @@ TEST(RoundRecycling, OneShardServesHostileWeightedCorruptedAndTableIRounds) {
   config.shards = 1;  // every round on the one shard, back to back
   config.admission = ServeConfig::Admission::kReject;
   ServeEngine engine(config);
+  std::vector<ServeEvent> events;
   for (const ServedRound& served : rounds) {
-    for (const ServeEvent& event : served.events) {
-      // Shedding would punch holes; wait for room instead.
-      while (engine.submit(event) == SubmitStatus::kRejectedQueueFull) {
-        std::this_thread::yield();
-      }
-    }
+    events.insert(events.end(), served.events.begin(), served.events.end());
   }
+  // Shedding would punch holes; wait for room instead.
+  test_support::feed(engine, events, test_support::OnFull::kWait);
   engine.drain();
   EXPECT_EQ(engine.stats().rounds_corrupted, 1);
   const std::vector<RoundOutcome> outcomes = engine.take_outcomes();

@@ -28,6 +28,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/round_machine.hpp"
 #include "serve/telemetry.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -444,7 +445,7 @@ TEST(EconTelemetry, TruthfulTrafficIsViolationFreeOverManyRounds) {
   config.econ = &econ;
   config.retain_outcomes = false;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events_of(load)) engine.submit(event);
+  test_support::feed(engine, events_of(load));
   engine.drain();
 
   EXPECT_EQ(econ.violations(), 0);
@@ -475,7 +476,7 @@ TEST(EconTelemetry, ProbesReplayUnderTheServedConfig) {
   config.greedy.allocate_only_profitable = true;
   config.econ = &econ;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events_of(load)) engine.submit(event);
+  test_support::feed(engine, events_of(load));
   engine.drain();
 
   EXPECT_EQ(econ.violations(), 0);
@@ -498,7 +499,7 @@ TEST(EconTelemetry, PublisherEmitsEconStreamAlongsideStats) {
     ServeEngine engine(config);
     StatsPublisher publisher(live, stats, std::chrono::milliseconds(2), &econ,
                              &econ_sink);
-    for (const ServeEvent& event : events_of(load)) engine.submit(event);
+    test_support::feed(engine, events_of(load));
     engine.drain();
     publisher.stop();
   }
@@ -528,7 +529,7 @@ std::map<std::string, std::int64_t> counters_for(
     config.shards = shards;
     if (with_econ) config.econ = &econ;
     ServeEngine engine(config);
-    for (const ServeEvent& event : events) engine.submit(event);
+    test_support::feed(engine, events);
     engine.drain();
   }
   return registry.snapshot().counters;

@@ -26,9 +26,12 @@
 #include "serve/trace_plane.hpp"
 #include "serve/verify.hpp"
 #include "serve/wire.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
+
+using test_support::feed;
 
 LoadGenConfig small_load(std::int64_t rounds = 6) {
   LoadGenConfig load;
@@ -50,7 +53,7 @@ std::vector<ServeEvent> events_of(const LoadGenConfig& load) {
 std::vector<RoundOutcome> run_engine(const std::vector<ServeEvent>& events,
                                      ServeConfig config) {
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
+  feed(engine, events);
   engine.drain();
   return engine.take_outcomes();
 }
@@ -149,7 +152,7 @@ TEST(ServeEngine, MergedCountersIdenticalForAnyShardCount) {
       ServeConfig config;
       config.shards = shards;
       ServeEngine engine(config);
-      for (const ServeEvent& event : events) engine.submit(event);
+      feed(engine, events);
       engine.drain();
     }
     return registry.snapshot().counters;
@@ -328,27 +331,14 @@ TEST(ServeEngine, RejectAdmissionShedsButCompletedRoundsStayExact) {
   config.admission = ServeConfig::Admission::kReject;
 
   ServeEngine engine(config);
-  std::int64_t accepted = 0;
-  std::int64_t shed = 0;
-  for (const ServeEvent& event : events) {
-    switch (engine.submit(event)) {
-      case SubmitStatus::kAccepted:
-        ++accepted;
-        break;
-      case SubmitStatus::kRejectedQueueFull:
-        ++shed;
-        break;
-      case SubmitStatus::kRejectedStopped:
-        FAIL() << "engine is not stopping";
-    }
-  }
+  const std::int64_t accepted = feed(engine, events);
+  const std::int64_t shed = static_cast<std::int64_t>(events.size()) - accepted;
   engine.drain();  // shedding must never poison the engine
 
   const ServeStats& stats = engine.stats();
   EXPECT_EQ(stats.submitted, accepted);
   EXPECT_EQ(stats.rejected_backpressure, shed);
   EXPECT_EQ(stats.processed, accepted);
-  EXPECT_EQ(accepted + shed, static_cast<std::int64_t>(events.size()));
 
   for (const RoundOutcome& outcome : engine.take_outcomes()) {
     const model::Scenario scenario = loadgen_scenario(load, outcome.round);
@@ -363,8 +353,7 @@ TEST(ServeEngine, RejectPolicyCountsOrphansInsteadOfFailing) {
   config.admission = ServeConfig::Admission::kReject;
   ServeEngine engine(config);
   // Round 9 was never opened (as if its round_open had been shed).
-  EXPECT_EQ(engine.submit(slot_tick(9, Slot{1})), SubmitStatus::kAccepted);
-  EXPECT_EQ(engine.submit(round_close(9)), SubmitStatus::kAccepted);
+  EXPECT_EQ(feed(engine, {slot_tick(9, Slot{1}), round_close(9)}), 2);
   engine.drain();
   EXPECT_EQ(engine.stats().orphaned_events, 2);
   EXPECT_EQ(engine.stats().rounds_corrupted, 0);
@@ -375,11 +364,10 @@ TEST(ServeEngine, RejectPolicyAbandonsACorruptedRound) {
   ServeConfig config;
   config.admission = ServeConfig::Admission::kReject;
   ServeEngine engine(config);
-  engine.submit(round_open(1, 3, Money::from_units(10)));
   // Slot 2 arrives while the round clock still sits at slot 1 -- the kind
   // of hole shedding a slot_tick leaves behind.
-  engine.submit(task_arrived(1, Slot{2}, TaskId{0}));
-  engine.submit(round_close(1));
+  feed(engine, {round_open(1, 3, Money::from_units(10)),
+                task_arrived(1, Slot{2}, TaskId{0}), round_close(1)});
   engine.drain();
   EXPECT_EQ(engine.stats().rounds_corrupted, 1);
   // The close after the corruption is an orphan of the dropped round.
@@ -388,10 +376,11 @@ TEST(ServeEngine, RejectPolicyAbandonsACorruptedRound) {
 }
 
 TEST(ServeEngine, RoundLookupFollowsReusedInterleavedAndCorruptedRounds) {
-  // The worker remembers the round its last event named. Each case hands
-  // one shard its whole stream in one batch, so the worker reads it in one
-  // pickup, and every completed round must still pay what the batch
-  // mechanism pays for its scenario.
+  // The worker remembers the round its last event named. At one shard each
+  // case hands the shard its whole stream in one batch, so the worker reads
+  // it in one pickup; at three a batcher places each round, so a reused id
+  // may run on two workers. Every completed round must still pay what the
+  // batch mechanism pays for its scenario.
   const LoadGenConfig load = small_load(3);
   std::vector<model::Scenario> scenarios;
   for (std::int64_t r = 0; r < 3; ++r) {
@@ -400,71 +389,158 @@ TEST(ServeEngine, RoundLookupFollowsReusedInterleavedAndCorruptedRounds) {
   const auto events_of_round = [&](std::int64_t round, std::size_t k) {
     return round_events(round, scenarios[k], scenarios[k].truthful_bids());
   };
-  const auto serve = [](const std::vector<ServeEvent>& events,
-                        ServeConfig::Admission admission) {
-    ServeConfig config;
-    config.shards = 1;
-    config.admission = admission;
-    ServeEngine engine(config);
-    EXPECT_EQ(engine.submit_batch(0, events.data(), events.size()),
-              SubmitStatus::kAccepted);
-    engine.drain();
-    return std::make_pair(engine.stats(), engine.take_outcomes());
-  };
   const auto matches = [&](const RoundOutcome& outcome, std::size_t k) {
     return diff_against_batch(scenarios[k], scenarios[k].truthful_bids(),
                               outcome, {}) == "";
   };
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shard(s)");
+    const auto serve = [shards](const std::vector<ServeEvent>& events,
+                                ServeConfig::Admission admission) {
+      ServeConfig config;
+      config.shards = shards;
+      config.admission = admission;
+      ServeEngine engine(config);
+      if (shards == 1) {
+        EXPECT_EQ(engine.submit_batch(0, events.data(), events.size()),
+                  SubmitStatus::kAccepted);
+      } else {
+        EXPECT_EQ(feed(engine, events),
+                  static_cast<std::int64_t>(events.size()));
+      }
+      engine.drain();
+      return std::make_pair(engine.stats(), engine.take_outcomes());
+    };
 
-  {
-    SCOPED_TRACE("round 7 served twice, with other bids the second time");
-    std::vector<ServeEvent> events = events_of_round(7, 0);
-    const std::vector<ServeEvent> again = events_of_round(7, 1);
-    events.insert(events.end(), again.begin(), again.end());
-    const auto [stats, outcomes] =
-        serve(events, ServeConfig::Admission::kBlock);
-    EXPECT_EQ(stats.rounds_completed, 2);
-    ASSERT_EQ(outcomes.size(), 2u);
-    ASSERT_FALSE(matches(outcomes[0], 0) && matches(outcomes[0], 1))
-        << "the two scenarios must pay differently";
-    // The ids tie: the rounds come back in the order they were served.
-    EXPECT_TRUE(matches(outcomes[0], 0));
-    EXPECT_TRUE(matches(outcomes[1], 1));
-  }
-  {
-    SCOPED_TRACE("rounds 3 and 4 interleaved event by event");
-    const std::vector<ServeEvent> a = events_of_round(3, 0);
-    const std::vector<ServeEvent> b = events_of_round(4, 1);
-    std::vector<ServeEvent> events;
-    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
-      if (i < a.size()) events.push_back(a[i]);
-      if (i < b.size()) events.push_back(b[i]);
+    {
+      SCOPED_TRACE("round 7 served twice, with other bids the second time");
+      std::vector<ServeEvent> events = events_of_round(7, 0);
+      const std::vector<ServeEvent> again = events_of_round(7, 1);
+      events.insert(events.end(), again.begin(), again.end());
+      const auto [stats, outcomes] =
+          serve(events, ServeConfig::Admission::kBlock);
+      EXPECT_EQ(stats.rounds_completed, 2);
+      ASSERT_EQ(outcomes.size(), 2u);
+      ASSERT_FALSE(matches(outcomes[0], 0) && matches(outcomes[0], 1))
+          << "the two scenarios must pay differently";
+      // The ids tie: the rounds come back in the order they completed. On
+      // one shard that is the order they were served; on three the two run
+      // on different workers, and RoundsReusingAnIdComeBackInCompletionOrder
+      // pins the order.
+      const bool in_order = matches(outcomes[0], 0) && matches(outcomes[1], 1);
+      const bool swapped = matches(outcomes[0], 1) && matches(outcomes[1], 0);
+      EXPECT_TRUE(in_order || (shards > 1 && swapped));
     }
-    const auto [stats, outcomes] =
-        serve(events, ServeConfig::Admission::kBlock);
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_EQ(outcomes[0].round, 3);
-    EXPECT_TRUE(matches(outcomes[0], 0));
-    EXPECT_EQ(outcomes[1].round, 4);
-    EXPECT_TRUE(matches(outcomes[1], 1));
+    {
+      SCOPED_TRACE("rounds 3 and 4 interleaved event by event");
+      const std::vector<ServeEvent> a = events_of_round(3, 0);
+      const std::vector<ServeEvent> b = events_of_round(4, 1);
+      std::vector<ServeEvent> events;
+      for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        if (i < a.size()) events.push_back(a[i]);
+        if (i < b.size()) events.push_back(b[i]);
+      }
+      const auto [stats, outcomes] =
+          serve(events, ServeConfig::Admission::kBlock);
+      ASSERT_EQ(outcomes.size(), 2u);
+      EXPECT_EQ(outcomes[0].round, 3);
+      EXPECT_TRUE(matches(outcomes[0], 0));
+      EXPECT_EQ(outcomes[1].round, 4);
+      EXPECT_TRUE(matches(outcomes[1], 1));
+    }
+    {
+      SCOPED_TRACE("a corrupted round 7, then a clean round 7");
+      // Slot 2's task arrives while the round clock sits at slot 1: the
+      // round is dropped there, and its other events are orphans.
+      const std::vector<ServeEvent> clean = events_of_round(7, 2);
+      std::vector<ServeEvent> events = {
+          round_open(7, 3, Money::from_units(10)),
+          task_arrived(7, Slot{2}, TaskId{0}), slot_tick(7, Slot{1}),
+          slot_tick(7, Slot{2}), round_close(7)};
+      events.insert(events.end(), clean.begin(), clean.end());
+      const auto [stats, outcomes] =
+          serve(events, ServeConfig::Admission::kReject);
+      EXPECT_EQ(stats.rounds_corrupted, 1);
+      EXPECT_EQ(stats.orphaned_events, 3);
+      EXPECT_EQ(stats.rounds_completed, 1);
+      ASSERT_EQ(outcomes.size(), 1u);
+      EXPECT_TRUE(matches(outcomes[0], 2));
+    }
   }
-  {
-    SCOPED_TRACE("a corrupted round 7, then a clean round 7");
-    // Slot 2's task arrives while the round clock sits at slot 1: the
-    // round is dropped there, and its other events are orphans.
-    const std::vector<ServeEvent> clean = events_of_round(7, 2);
-    std::vector<ServeEvent> events = {
-        round_open(7, 3, Money::from_units(10)),
-        task_arrived(7, Slot{2}, TaskId{0}), slot_tick(7, Slot{1}),
-        slot_tick(7, Slot{2}), round_close(7)};
-    events.insert(events.end(), clean.begin(), clean.end());
-    const auto [stats, outcomes] =
-        serve(events, ServeConfig::Admission::kReject);
-    EXPECT_EQ(stats.rounds_corrupted, 1);
-    EXPECT_EQ(stats.orphaned_events, 3);
-    EXPECT_EQ(stats.rounds_completed, 1);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(matches(outcomes[0], 2));
+}
+
+TEST(ServeEngine, RoundsReusingAnIdComeBackInCompletionOrder) {
+  // Round 7 runs first on shard 2, then again on shard 0. Outcomes listed
+  // by shard would put shard 0's round first; the completion tickets put
+  // them in the order they completed.
+  const LoadGenConfig load = small_load(2);
+  const model::Scenario first = loadgen_scenario(load, 0);
+  const model::Scenario second = loadgen_scenario(load, 1);
+  const std::vector<ServeEvent> a =
+      round_events(7, first, first.truthful_bids());
+  const std::vector<ServeEvent> b =
+      round_events(7, second, second.truthful_bids());
+  constexpr std::size_t kCapacity = 256;
+  ASSERT_LE(a.size(), kCapacity);
+  // A round of exactly kCapacity events fits shard 2's ring only once its
+  // worker has released every slot, i.e. finished the first round 7.
+  std::vector<ServeEvent> filler = {round_open(
+      99, static_cast<Slot::rep_type>(kCapacity - 2), Money::from_units(10))};
+  for (std::size_t t = 1; t + 2 <= kCapacity; ++t) {
+    filler.push_back(slot_tick(99, Slot{static_cast<Slot::rep_type>(t)}));
+  }
+  filler.push_back(round_close(99));
+  ASSERT_EQ(filler.size(), kCapacity);
+
+  ServeConfig config;
+  config.shards = 3;
+  config.queue_capacity = kCapacity;
+  ServeEngine engine(config);
+  ASSERT_EQ(engine.submit_batch(2, a.data(), a.size()),
+            SubmitStatus::kAccepted);
+  ASSERT_EQ(engine.submit_batch(2, filler.data(), filler.size()),
+            SubmitStatus::kAccepted);
+  ASSERT_EQ(engine.submit_batch(0, b.data(), b.size()),
+            SubmitStatus::kAccepted);
+  engine.drain();
+  const std::vector<RoundOutcome> outcomes = engine.take_outcomes();
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(outcomes[0].round, 7);
+  EXPECT_EQ(diff_against_batch(first, first.truthful_bids(), outcomes[0], {}),
+            "");
+  EXPECT_EQ(outcomes[1].round, 7);
+  EXPECT_EQ(
+      diff_against_batch(second, second.truthful_bids(), outcomes[1], {}), "");
+  EXPECT_EQ(outcomes[2].round, 99);
+}
+
+TEST(ServeEngine, RoundsInterleavedEventByEventMatchTheBatchMechanism) {
+  // Twelve rounds open before any closes, each on the shard that was least
+  // loaded at its open; one batcher keeps every later event on its round's
+  // shard.
+  const LoadGenConfig load = small_load(12);
+  const std::vector<ServeEvent> in_order = events_of(load);
+  std::vector<std::vector<ServeEvent>> rounds(
+      static_cast<std::size_t>(load.rounds));
+  for (const ServeEvent& event : in_order) {
+    rounds[static_cast<std::size_t>(event.round)].push_back(event);
+  }
+  std::vector<ServeEvent> events;
+  for (std::size_t i = 0; events.size() < in_order.size(); ++i) {
+    for (const std::vector<ServeEvent>& round : rounds) {
+      if (i < round.size()) events.push_back(round[i]);
+    }
+  }
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    ServeConfig config;
+    config.shards = 3;
+    config.batch_size = batch;
+    const std::vector<RoundOutcome> outcomes = run_engine(events, config);
+    ASSERT_EQ(static_cast<std::int64_t>(outcomes.size()), load.rounds);
+    const VerifyReport report =
+        verify_against_batch(load, outcomes, config.greedy);
+    EXPECT_TRUE(report.clean()) << report.first_diff;
   }
 }
 
@@ -473,23 +549,30 @@ TEST(ServeEngine, RoundLookupFollowsReusedInterleavedAndCorruptedRounds) {
 TEST(ServeEngine, BlockPolicyFailsOnEventForUnopenedRound) {
   ServeConfig config;
   ServeEngine engine(config);
-  engine.submit(slot_tick(3, Slot{1}));
+  feed(engine, {slot_tick(3, Slot{1})});
   EXPECT_THROW(engine.drain(), InvalidArgumentError);
 }
 
 TEST(ServeEngine, BlockPolicyFailsOnDuplicateRoundOpen) {
-  ServeConfig config;
-  ServeEngine engine(config);
-  engine.submit(round_open(0, 3, Money::from_units(10)));
-  engine.submit(round_open(0, 3, Money::from_units(10)));
-  EXPECT_THROW(engine.drain(), InvalidArgumentError);
+  // The second open of round 0 comes after round 1's: the batcher sends it
+  // to round 0's shard, whose worker reports the duplicate.
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shard(s)");
+    ServeConfig config;
+    config.shards = shards;
+    ServeEngine engine(config);
+    feed(engine, {round_open(0, 3, Money::from_units(10)),
+                  round_open(1, 3, Money::from_units(10)),
+                  round_open(0, 3, Money::from_units(10))});
+    EXPECT_THROW(engine.drain(), InvalidArgumentError);
+  }
 }
 
 TEST(ServeEngine, BlockPolicyFailsOnOutOfOrderSlot) {
   ServeConfig config;
   ServeEngine engine(config);
-  engine.submit(round_open(0, 4, Money::from_units(10)));
-  engine.submit(slot_tick(0, Slot{2}));  // clock expects slot 1
+  feed(engine, {round_open(0, 4, Money::from_units(10)),
+                slot_tick(0, Slot{2})});  // clock expects slot 1
   EXPECT_THROW(engine.drain(), InvalidArgumentError);
 }
 
@@ -499,12 +582,12 @@ TEST(ServeEngine, BlockPolicyFailsOnAgentBiddingTwice) {
   ServeConfig config;
   config.greedy.reserve_price = Money::from_units(30);
   ServeEngine engine(config);
-  engine.submit(round_open(0, 3, Money::from_units(50)));
   const SlotInterval window = SlotInterval::of(1, 2);
-  engine.submit(bid_submitted(0, PhoneId{4},
-                              model::Bid{window, Money::from_units(40)}));
-  engine.submit(bid_submitted(0, PhoneId{4},
-                              model::Bid{window, Money::from_units(20)}));
+  feed(engine,
+       {round_open(0, 3, Money::from_units(50)),
+        bid_submitted(0, PhoneId{4}, model::Bid{window, Money::from_units(40)}),
+        bid_submitted(0, PhoneId{4},
+                      model::Bid{window, Money::from_units(20)})});
   EXPECT_THROW(engine.drain(), InvalidArgumentError);
 }
 
@@ -528,16 +611,14 @@ TEST(ServeEngine, BlockPolicyFailsOnAgentIdBeyondThePhoneRange) {
       config.admission = admission;
       if (with_econ) config.econ = &econ;
       ServeEngine engine(config);
-      engine.submit(round_open(0, 1, Money::from_units(50)));
-      engine.submit(
-          bid_submitted(0, PhoneId{std::numeric_limits<int>::max()}, bid));
-      engine.submit(slot_tick(0, Slot{1}));
-      engine.submit(round_close(0));
-      engine.submit(round_open(1, 1, Money::from_units(50)));
-      engine.submit(task_arrived(1, Slot{1}, TaskId{0}));
-      engine.submit(bid_submitted(1, PhoneId{0}, bid));
-      engine.submit(slot_tick(1, Slot{1}));
-      engine.submit(round_close(1));
+      feed(engine,
+           {round_open(0, 1, Money::from_units(50)),
+            bid_submitted(0, PhoneId{std::numeric_limits<int>::max()}, bid),
+            slot_tick(0, Slot{1}), round_close(0),
+            round_open(1, 1, Money::from_units(50)),
+            task_arrived(1, Slot{1}, TaskId{0}),
+            bid_submitted(1, PhoneId{0}, bid), slot_tick(1, Slot{1}),
+            round_close(1)});
       if (admission == ServeConfig::Admission::kBlock) {
         EXPECT_THROW(engine.drain(), InvalidArgumentError);
         continue;
@@ -577,17 +658,16 @@ TEST(ServeEngine, OutOfDomainValuesAreStreamErrors) {
       ServeConfig config;
       config.admission = admission;
       ServeEngine engine(config);
-      for (const ServeEvent& event : craft(which)) engine.submit(event);
-      engine.submit(bid_submitted(0, PhoneId{0}, bid));
-      engine.submit(slot_tick(0, Slot{1}));
-      engine.submit(slot_tick(0, Slot{2}));
-      engine.submit(round_close(0));
-      engine.submit(round_open(1, 2, Money::from_units(10)));
-      engine.submit(task_arrived(1, Slot{1}, TaskId{0}));
-      engine.submit(bid_submitted(1, PhoneId{0}, bid));
-      engine.submit(slot_tick(1, Slot{1}));
-      engine.submit(slot_tick(1, Slot{2}));
-      engine.submit(round_close(1));
+      std::vector<ServeEvent> events = craft(which);
+      events.insert(
+          events.end(),
+          {bid_submitted(0, PhoneId{0}, bid), slot_tick(0, Slot{1}),
+           slot_tick(0, Slot{2}), round_close(0),
+           round_open(1, 2, Money::from_units(10)),
+           task_arrived(1, Slot{1}, TaskId{0}),
+           bid_submitted(1, PhoneId{0}, bid), slot_tick(1, Slot{1}),
+           slot_tick(1, Slot{2}), round_close(1)});
+      feed(engine, events);
       if (admission == ServeConfig::Admission::kBlock) {
         EXPECT_THROW(engine.drain(), InvalidArgumentError);
         continue;
@@ -609,20 +689,20 @@ TEST(ServeEngine, DrainIsIdempotentAndStopsAdmission) {
   ServeConfig config;
   config.shards = 2;
   ServeEngine engine(config);
-  engine.submit(round_open(0, 1, Money::from_units(10)));
-  engine.submit(slot_tick(0, Slot{1}));
-  engine.submit(round_close(0));
+  feed(engine, {round_open(0, 1, Money::from_units(10)),
+                slot_tick(0, Slot{1}), round_close(0)});
   engine.drain();
   engine.drain();  // no-op
-  EXPECT_EQ(engine.submit(round_close(1)), SubmitStatus::kRejectedStopped);
+  ShardBatcher late(engine);
+  EXPECT_EQ(late.add(round_close(1)), SubmitStatus::kRejectedStopped);
   EXPECT_EQ(engine.stats().rounds_completed, 1);
 }
 
 TEST(ServeEngine, OpenRoundsAtShutdownAreAbandonedNotInvented) {
   ServeConfig config;
   ServeEngine engine(config);
-  engine.submit(round_open(0, 5, Money::from_units(10)));
-  engine.submit(slot_tick(0, Slot{1}));  // never closed
+  feed(engine, {round_open(0, 5, Money::from_units(10)),
+                slot_tick(0, Slot{1})});  // never closed
   engine.drain();
   EXPECT_EQ(engine.stats().rounds_abandoned, 1);
   EXPECT_EQ(engine.stats().rounds_completed, 0);
@@ -634,11 +714,13 @@ TEST(ServeEngine, OutcomesAreSortedByRoundId) {
   config.shards = 4;
   ServeEngine engine(config);
   // Feed rounds in reverse id order; take_outcomes must sort.
+  std::vector<ServeEvent> events;
   for (const std::int64_t round : {5, 3, 1, 0}) {
-    engine.submit(round_open(round, 1, Money::from_units(10)));
-    engine.submit(slot_tick(round, Slot{1}));
-    engine.submit(round_close(round));
+    events.insert(events.end(),
+                  {round_open(round, 1, Money::from_units(10)),
+                   slot_tick(round, Slot{1}), round_close(round)});
   }
+  feed(engine, events);
   engine.drain();
   const std::vector<RoundOutcome> outcomes = engine.take_outcomes();
   ASSERT_EQ(outcomes.size(), 4u);
@@ -654,7 +736,7 @@ TEST(ServeEngine, StatsAggregateAcrossShards) {
   ServeConfig config;
   config.shards = 3;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
+  feed(engine, events);
   engine.drain();
 
   const ServeStats& stats = engine.stats();
@@ -683,8 +765,9 @@ struct CountedRun {
   std::vector<ServeEvent> admitted;
 };
 
-/// Serves `events` event by event with a registry installed. Unless `shed`,
-/// a full queue is waited out, so every event is admitted.
+/// Serves `events` event by event through one batcher with a registry
+/// installed. Unless `shed`, a full queue is waited out, so every event is
+/// admitted.
 CountedRun serve_counted(const std::vector<ServeEvent>& events,
                          const ServeConfig& config, bool shed) {
   CountedRun run;
@@ -692,11 +775,12 @@ CountedRun serve_counted(const std::vector<ServeEvent>& events,
   {
     const obs::ScopedRegistry guard(&registry);
     ServeEngine engine(config);
+    ShardBatcher batcher(engine);
     for (const ServeEvent& event : events) {
-      SubmitStatus status = engine.submit(event);
+      SubmitStatus status = batcher.add(event);
       while (!shed && status == SubmitStatus::kRejectedQueueFull) {
         std::this_thread::yield();
-        status = engine.submit(event);
+        status = batcher.add(event);
       }
       if (status == SubmitStatus::kAccepted) run.admitted.push_back(event);
     }
@@ -763,9 +847,8 @@ TEST(ServeEngine, TakeOutcomesRequiresRetention) {
   ServeConfig config;
   config.retain_outcomes = false;
   ServeEngine engine(config);
-  engine.submit(round_open(0, 1, Money::from_units(10)));
-  engine.submit(slot_tick(0, Slot{1}));
-  engine.submit(round_close(0));
+  feed(engine, {round_open(0, 1, Money::from_units(10)),
+                slot_tick(0, Slot{1}), round_close(0)});
   engine.drain();
   EXPECT_EQ(engine.stats().rounds_completed, 1);
   EXPECT_THROW((void)engine.take_outcomes(), ContractViolation);
@@ -784,7 +867,7 @@ TEST(ServeEngine, QueueHighWatermarkIsTrackedAndMaxMerged) {
     config.shards = 2;
     config.queue_capacity = 8;
     ServeEngine engine(config);
-    for (const ServeEvent& event : events) engine.submit(event);
+    feed(engine, events);
     engine.drain();
     watermark = engine.stats().queue_high_watermark;
   }

@@ -2,8 +2,8 @@
 // high watermark are audited exactly (all-or-nothing batch pushes make
 // the depth-after-push the true instantaneous occupancy), and the
 // ShardBatcher path is pinned to produce byte-identical outcomes and
-// deterministic counters to the event-at-a-time path -- batching may only
-// change handoff granularity, never results.
+// deterministic counters to the event-at-a-time handoff (batch_size 1) --
+// batching may only change handoff granularity, never results.
 #include "serve/queue.hpp"
 
 #include <gtest/gtest.h>
@@ -22,8 +22,11 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/round_trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/trace_plane.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -88,6 +91,24 @@ TEST(EventRing, BatchPushReportsExactDepthAndWatermark) {
   EXPECT_EQ(ring.high_watermark(), 6);
   EXPECT_EQ(ring.try_push(two.data(), 1, 0), 7);
   EXPECT_EQ(ring.high_watermark(), 7);
+}
+
+TEST(EventRing, OccupiedCountsQueuedAndHeldSlots) {
+  // The placement hint counts what a push's space check counts: events
+  // queued plus the ones the consumer still holds from its last acquire.
+  EventRing ring(8);
+  EXPECT_EQ(ring.occupied(), 0u);
+  const std::vector<ServeEvent> five = ticks(5);
+  ASSERT_EQ(ring.push_block(five.data(), 5, 0), 5);
+  EXPECT_EQ(ring.occupied(), 5u);
+  RingView view;
+  ASSERT_EQ(ring.acquire(view, 3, 0), 3u);
+  EXPECT_EQ(ring.occupied(), 5u);  // 2 queued, 3 held
+  ASSERT_EQ(ring.acquire(view, 8, 3), 2u);
+  EXPECT_EQ(ring.occupied(), 2u);  // the 3 released, 2 held
+  ring.close();
+  EXPECT_EQ(ring.acquire(view, 8, 2), 0u);
+  EXPECT_EQ(ring.occupied(), 0u);
 }
 
 TEST(EventRing, FifoOrderSurvivesWraparound) {
@@ -329,7 +350,7 @@ TEST(ShardBatcherTest, BatchedFeedMatchesPerEventFeedForAnyGeometry) {
   ServeConfig reference_config;
   reference_config.shards = 1;
   ServeEngine reference(reference_config);
-  for (const ServeEvent& event : events) reference.submit(event);
+  test_support::feed(reference, events);
   reference.drain();
   const std::vector<RoundOutcome> baseline = reference.take_outcomes();
   const std::int64_t expected = static_cast<std::int64_t>(events.size());
@@ -385,6 +406,54 @@ TEST(ShardBatcherTest, DeterministicCountersSurviveBatchingAndSharding) {
   }
 }
 
+TEST(ShardBatcherTest, EachRoundOpensOnTheLeastLoadedShard) {
+  // Nothing reaches a ring before the final flush (no buffer fills a batch
+  // of 64), so the load is what the batcher holds per shard. Ties go to
+  // the shard after the last one chosen. The trace plane records where
+  // each round ran.
+  const auto round_of = [](std::int64_t round, int events) {
+    std::vector<ServeEvent> out = {
+        round_open(round, events - 2, Money::from_units(10))};
+    for (int t = 1; t <= events - 2; ++t) {
+      out.push_back(slot_tick(round, Slot{t}));
+    }
+    out.push_back(round_close(round));
+    return out;
+  };
+  TracePlaneConfig trace_config;
+  trace_config.slow_threshold_ns = 1;  // retain every round
+  TracePlane trace(trace_config);
+  ServeConfig config;
+  config.shards = 3;
+  config.batch_size = 64;
+  config.trace = &trace;
+  ServeEngine engine(config);
+  ShardBatcher batcher(engine);
+  // round: events -> loads (shard 0, 1, 2) at its open -> shard
+  //   0: 10 -> (0, 0, 0) -> 0      3: 3 -> (10, 5, 3) -> 2
+  //   1: 5 -> (10, 0, 0) -> 1      4: 3 -> (10, 5, 6) -> 1
+  //   2: 3 -> (10, 5, 0) -> 2
+  const std::vector<std::pair<int, int>> rounds = {
+      {10, 0}, {5, 1}, {3, 2}, {3, 2}, {3, 1}};
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    for (const ServeEvent& event :
+         round_of(static_cast<std::int64_t>(r), rounds[r].first)) {
+      ASSERT_EQ(batcher.add(event), SubmitStatus::kAccepted);
+    }
+  }
+  ASSERT_EQ(batcher.flush(), SubmitStatus::kAccepted);
+  engine.drain();
+  std::map<std::int64_t, int> shard_of;
+  for (const obs::RoundTrace& round_trace : trace.retained()) {
+    shard_of[round_trace.round] = round_trace.shard;
+  }
+  ASSERT_EQ(shard_of.size(), rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_EQ(shard_of.at(static_cast<std::int64_t>(r)), rounds[r].second)
+        << "round " << r;
+  }
+}
+
 TEST(ShardBatcherTest, WatermarkNeverExceedsCapacityUnderBatching) {
   const std::vector<ServeEvent> events = load_events();
   ServeConfig config;
@@ -401,18 +470,39 @@ TEST(ShardBatcherTest, WatermarkNeverExceedsCapacityUnderBatching) {
 }
 
 TEST(ServeEngineBatch, MisroutedBatchIsRejectedLoudly) {
-  ServeConfig config;
-  config.shards = 8;
-  ServeEngine engine(config);
-  // Find a round that does NOT hash to shard 0 and submit it there.
-  std::int64_t round = 0;
-  while (shard_of_round(round, 8) == 0) ++round;
-  const ServeEvent event = round_open(round, 3, Money::from_units(1));
-  EXPECT_THROW((void)engine.submit_batch(0, &event, 1),
-               InvalidArgumentError);
-  EXPECT_THROW((void)engine.submit_batch(8, &event, 1),
-               InvalidArgumentError);
-  engine.drain();
+  // Any shard is a valid route for a round, but a round split over two is
+  // not served: its open lands on shard 0 and the rest on shard 1, whose
+  // worker never opened it. The split is counted under kReject and fails
+  // the run under kBlock.
+  const std::vector<ServeEvent> round = {
+      round_open(5, 1, Money::from_units(10)),
+      task_arrived(5, Slot{1}, TaskId{0}), slot_tick(5, Slot{1}),
+      round_close(5)};
+  for (const ServeConfig::Admission admission :
+       {ServeConfig::Admission::kReject, ServeConfig::Admission::kBlock}) {
+    const bool reject = admission == ServeConfig::Admission::kReject;
+    SCOPED_TRACE(reject ? "reject" : "block");
+    ServeConfig config;
+    config.shards = 2;
+    config.admission = admission;
+    ServeEngine engine(config);
+    EXPECT_THROW((void)engine.submit_batch(2, round.data(), 1),
+                 InvalidArgumentError);
+    ASSERT_EQ(engine.submit_batch(0, round.data(), 1),
+              SubmitStatus::kAccepted);
+    ASSERT_EQ(engine.submit_batch(1, round.data() + 1, round.size() - 1),
+              SubmitStatus::kAccepted);
+    if (!reject) {
+      EXPECT_THROW(engine.drain(), InvalidArgumentError);
+      continue;
+    }
+    engine.drain();
+    const ServeStats& stats = engine.stats();
+    EXPECT_EQ(stats.orphaned_events, 3);
+    EXPECT_EQ(stats.rounds_abandoned, 1);
+    EXPECT_EQ(stats.rounds_completed, 0);
+    EXPECT_TRUE(engine.take_outcomes().empty());
+  }
 }
 
 TEST(ServeEngineBatch, ValidateRejectsBadBatchSize) {

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/telemetry.hpp"
 #include "serve/wire.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -74,7 +76,7 @@ std::vector<RoundOutcome> reference_outcomes(
   ServeConfig config;
   config.shards = shards;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
+  test_support::feed(engine, events);
   engine.drain();
   return engine.take_outcomes();
 }
@@ -90,8 +92,9 @@ SocketRun socket_outcomes(const std::vector<std::string>& connections,
   ServeConfig config;
   config.shards = shards;
   ServeEngine engine(config);
-  SocketServer server({}, [&engine](const ServeEvent& event) {
-    (void)engine.submit(event);
+  HandoffTotals handoff;
+  SocketServer server({}, [&] {
+    return std::make_unique<EngineConnection>(engine, handoff);
   });
   server.start();
   for (const std::string& bytes : connections) {
@@ -114,7 +117,7 @@ TEST(ServeSocket, BinaryFeedMatchesInProcessFeed) {
   ServeConfig config;
   config.shards = 2;
   ServeEngine reference(config);
-  for (const ServeEvent& event : events) reference.submit(event);
+  test_support::feed(reference, events);
   reference.drain();
 
   const SocketRun run = socket_outcomes({binary_stream(events)}, 2);
@@ -157,7 +160,7 @@ TEST(ServeSocket, ConcurrentConnectionsPartitionTheRounds) {
   ServeConfig reference_config;
   reference_config.shards = 4;
   ServeEngine reference(reference_config);
-  for (const ServeEvent& event : all) reference.submit(event);
+  test_support::feed(reference, all);
   reference.drain();
 
   const SocketRun run = socket_outcomes(streams, 4);

@@ -22,6 +22,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
 #include "serve/system_lane.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -232,7 +233,7 @@ std::map<std::string, std::int64_t> counters_for(
       publisher = std::make_unique<StatsPublisher>(
           live, sink, std::chrono::milliseconds(1));
     }
-    for (const ServeEvent& event : events) engine.submit(event);
+    test_support::feed(engine, events);
     engine.drain();
     if (publisher) publisher->stop();
   }
@@ -259,7 +260,7 @@ TEST(ServeTelemetry, EngineFeedsTheLivePlaneWhileServing) {
   config.shards = 2;
   config.live = &live;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
+  test_support::feed(engine, events);
   engine.drain();
 
   const LiveSummary summary = live.summary();
@@ -319,7 +320,7 @@ TEST(ServeTelemetry, StatsPublisherEmitsParsableLinesAndFinalTail) {
   {
     ServeEngine engine(config);
     StatsPublisher publisher(live, sink, std::chrono::milliseconds(2));
-    for (const ServeEvent& event : events) engine.submit(event);
+    test_support::feed(engine, events);
     engine.drain();
     publisher.stop();
     publisher.stop();  // idempotent

@@ -31,6 +31,7 @@
 #include "serve/system_lane.hpp"
 #include "serve/telemetry.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/engine_feed.hpp"
 
 namespace mcs::serve {
 namespace {
@@ -373,7 +374,7 @@ std::map<std::string, std::int64_t> counters_for(
     if (with_trace) config.trace = &trace;
     if (with_live) config.live = &live;
     ServeEngine engine(config);
-    for (const ServeEvent& event : events) engine.submit(event);
+    test_support::feed(engine, events);
     engine.drain();
   }
   return registry.snapshot().counters;
@@ -406,7 +407,7 @@ TEST(TracePlane, EngineFeedsTheTracePlaneWhileServing) {
   config.shards = 2;
   config.trace = &trace;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) engine.submit(event);
+  test_support::feed(engine, events);
   engine.drain();
 
   const TraceSummary summary = trace.summary();
@@ -459,7 +460,7 @@ TEST(TracePlane, AuditSpanAppearsOnlyWithTheEconPlane) {
     config.trace = &trace;
     if (with_econ) config.econ = &econ;
     ServeEngine engine(config);
-    for (const ServeEvent& event : events) engine.submit(event);
+    test_support::feed(engine, events);
     engine.drain();
 
     const std::vector<obs::RoundTrace> retained = trace.retained();
@@ -507,9 +508,8 @@ TEST(TracePlane, LiveAndTraceRoundLatencySketchesAgree) {
     config.live = &live;
     config.trace = &trace;
     ServeEngine engine(config);
-    for (const ServeEvent& event : events) {
-      ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
-    }
+    ASSERT_EQ(test_support::feed(engine, events),
+              static_cast<std::int64_t>(events.size()));
     engine.drain();
 
     const ServeStats& stats = engine.stats();
@@ -564,9 +564,8 @@ TEST(TracePlane, RoundCorruptedMidStreamIsTracedOnce) {
   config.admission = ServeConfig::Admission::kReject;
   config.trace = &trace;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) {
-    ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
-  }
+  ASSERT_EQ(test_support::feed(engine, events),
+            static_cast<std::int64_t>(events.size()));
   engine.drain();
 
   EXPECT_EQ(engine.stats().rounds_corrupted, 1);
@@ -597,9 +596,8 @@ TEST(TracePlane, OrphanStubIsSealedAtItsFirstEventWithZeroLatency) {
   config.admission = ServeConfig::Admission::kReject;
   config.trace = &trace;
   ServeEngine engine(config);
-  for (const ServeEvent& event : events) {
-    ASSERT_EQ(engine.submit(event), SubmitStatus::kAccepted);
-  }
+  ASSERT_EQ(test_support::feed(engine, events),
+            static_cast<std::int64_t>(events.size()));
   engine.drain();
 
   EXPECT_EQ(engine.stats().orphaned_events, 2);
@@ -741,6 +739,13 @@ TEST(TraceReport, TheWritersLongestLinesFitUnderTheReaderCap) {
   EXPECT_LE(longest, analysis::kMaxTraceLineBytes);
   std::cout << "longest mcs.trace.v1 line: " << longest << " of "
             << analysis::kMaxTraceLineBytes << " bytes\n";
+
+  // Stamps and latencies past int64 are written saturated, so the reader
+  // takes back everything the writer wrote.
+  std::istringstream in(stream.str());
+  analysis::TraceStreamSummary digest;
+  ASSERT_NO_THROW(digest = analysis::summarize_trace_stream(in));
+  EXPECT_EQ(digest.traces.size(), plane.retained().size());
 }
 
 TEST(TraceReport, ALineOneByteOverTheCapFailsWithBoundedHeap) {

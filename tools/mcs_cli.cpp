@@ -630,7 +630,8 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_double("lambda", 6.0, "loadgen: smartphone arrival rate per slot");
   cli.add_double("lambda-t", 3.0, "loadgen: task arrival rate per slot");
   cli.add_int("seed", 42, "loadgen: base RNG seed (round k forks stream k)");
-  cli.add_int("shards", 4, "worker shards (rounds are hashed across them)");
+  cli.add_int("shards", 4,
+              "worker shards (each round goes to the least-loaded one)");
   cli.add_int("queue-depth",
               static_cast<std::int64_t>(serve::ServeConfig{}.queue_capacity),
               "bounded per-shard queue capacity (at most 2^20 events)");
